@@ -3,9 +3,9 @@ package ijvm_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"ijvm"
+	"ijvm/internal/sched"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -209,11 +209,7 @@ func TestFacadeRunConcurrent(t *testing.T) {
 
 	done := make(chan ijvm.RunResult, 1)
 	go func() { done <- vm.RunConcurrent(3, 0) }()
-	// Administer only a run we have observed: the scheduler's safepoint
-	// machinery exists once instructions start flowing.
-	for vm.Inner().TotalInstructions() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	sched.AwaitStart(vm.Inner())
 	if err := vm.Kill(victim); err != nil {
 		t.Fatal(err)
 	}

@@ -4,14 +4,13 @@ import "sync/atomic"
 
 // FieldSlot is the resolved-field cache of one prepared getfield/putfield
 // site (PInstr.FS). It memoizes the instance-field slot index the site's
-// symbolic reference resolves to, with the same immutable-publish shape
-// as the invoke inline caches: the slot is published once with a CAS and
-// never changes afterwards (field resolution is a pure function of the
+// symbolic reference resolves to: the slot is published once with a CAS
+// and never changes afterwards (field resolution is a pure function of the
 // immutable pool entry), so the fast path is a single atomic load with
 // no pool-entry indirection and no pointer chase.
 //
-// Like PInstr.IC, the cache lives in the prepared form — not the pool
-// entry — so a re-quickening (mode flip, poisoned clone) starts cold.
+// The cache lives in the prepared form — not the pool entry — so a
+// re-quickening (mode flip, poisoned clone) starts cold.
 type FieldSlot struct {
 	slot atomic.Int32
 }

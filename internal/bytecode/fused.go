@@ -7,8 +7,8 @@ import "sync/atomic"
 // The preparation pass fuses common quickened sequences into
 // superinstructions by rewriting ONLY the head instruction's handler index
 // (PInstr.H) to one of the Fused* values below. The follower instructions
-// keep their original form — operands, pool refs, field slots, and IC lines
-// are all untouched — so branch targets that land in the middle of a fused
+// keep their original form — operands, pool refs and field slots are all
+// untouched — so branch targets that land in the middle of a fused
 // group, exception-handler entries, and re-quickening of live frames all
 // keep working with no control-flow analysis: any entry at a follower pc
 // simply executes the original single instruction. Fused handlers read
@@ -95,7 +95,7 @@ func FusedName(h uint8) string {
 // tier. Heat accumulates on method activation and at quantum boundaries;
 // when it crosses the VM's promotion threshold the interpreter compiles a
 // closure-threaded program for the method and publishes it here with a
-// first-wins CAS (racing promoters adopt the winner, like IC lines).
+// first-wins CAS (racing promoters adopt the winner).
 type TierState struct {
 	heat atomic.Int64
 	hot  atomic.Value // holds the interpreter's closure program (opaque here)

@@ -2,7 +2,6 @@ package classfile
 
 import (
 	"fmt"
-	"sync"
 
 	"ijvm/internal/bytecode"
 )
@@ -56,6 +55,18 @@ type Method struct {
 	// ID is a process-unique method identifier assigned at link time, used
 	// by execution traces and the termination engine.
 	ID int
+
+	// VSlot is the method's index in its class's VTable — and in every
+	// subclass's — assigned at link time; constructors, class initializers
+	// and methods of unlinked classes have none (-1). VRoot is the
+	// declaration that introduced the slot (the method itself unless it
+	// overrides): two methods share a VRoot exactly when one table entry
+	// can dispatch to either, which is what invokevirtual's guard checks.
+	VSlot int
+	VRoot *Method
+
+	// sig caches Sig() so dispatch by name never concatenates.
+	sig string
 }
 
 // QualifiedName returns "class.name(desc)" for diagnostics.
@@ -74,7 +85,12 @@ func (m *Method) IsNative() bool { return m.Flags.Has(FlagNative) }
 func (m *Method) IsSynchronized() bool { return m.Flags.Has(FlagSynchronized) }
 
 // Sig returns the "name+descriptor" key used for method lookup.
-func (m *Method) Sig() string { return m.Name + m.Desc.Raw() }
+func (m *Method) Sig() string {
+	if m.sig != "" {
+		return m.sig
+	}
+	return m.Name + m.Desc.Raw()
+}
 
 // Class is the runtime representation of one loaded class. Per the paper,
 // the class structure itself is shared between isolates; everything
@@ -101,18 +117,18 @@ type Class struct {
 	StaticsID      int // index into the VM statics tables
 	LoaderID       int // defining class loader (isolate association)
 	Clinit         *Method
+	// VTable is the virtual dispatch table: the superclass's table with
+	// this class's overrides written into their inherited slots and its
+	// new methods appended (AssignMethodSlots). Immutable once linked, so
+	// defining a subclass never touches it.
+	VTable []*Method
 	// HasFinalizer is set when the class (or a superclass) declares
 	// finalize()V; instances are finalized before reclamation.
 	HasFinalizer bool
 
 	// methodsBySig, fieldsByName and staticsByName are built once at link
-	// time and read-only afterwards. resolveCache is populated lazily on
-	// the invokevirtual hot path — system classes are shared by every
-	// isolate, so concurrent scheduler workers can race to fill it;
-	// resolveMu guards it.
+	// time and read-only afterwards, so lookups take no lock.
 	methodsBySig  map[string]*Method
-	resolveMu     sync.RWMutex
-	resolveCache  map[string]*Method
 	fieldsByName  map[string]*Field
 	staticsByName map[string]*Field
 }
@@ -131,39 +147,73 @@ func (c *Class) DeclaredMethod(name, desc string) *Method {
 // LookupMethod resolves name+descriptor against c and its superclasses.
 // The descriptor may be in any spelling accepted by ParseDescriptor; it is
 // canonicalized before matching (declared signatures are stored
-// canonically).
+// canonically). It serves symbolic resolution and host lookups — once per
+// pool entry or per set-up step — and is not on the call path.
 func (c *Class) LookupMethod(name, desc string) (*Method, error) {
-	sig := name + desc
-	c.resolveMu.RLock()
-	m, ok := c.resolveCache[sig]
-	c.resolveMu.RUnlock()
-	if ok {
-		if m == nil {
-			return nil, &NoSuchMethodError{Class: c.Name, Name: name, Desc: desc}
-		}
-		return m, nil
-	}
-	key := sig
+	key := name + desc
 	if parsed, err := ParseDescriptor(desc); err == nil {
 		key = name + parsed.Raw()
 	}
-	for k := c; k != nil; k = k.Super {
-		if m, ok := k.methodsBySig[key]; ok {
-			c.cacheMethod(sig, m)
-			return m, nil
-		}
+	if m := c.findBySig(key); m != nil {
+		return m, nil
 	}
-	c.cacheMethod(sig, nil)
 	return nil, &NoSuchMethodError{Class: c.Name, Name: name, Desc: desc}
 }
 
-func (c *Class) cacheMethod(sig string, m *Method) {
-	c.resolveMu.Lock()
-	if c.resolveCache == nil {
-		c.resolveCache = make(map[string]*Method)
+// findBySig returns the most-derived declaration of a canonical
+// name+descriptor key along c's superclass chain, or nil. The per-class
+// maps are read-only after link, so the walk takes no lock.
+func (c *Class) findBySig(sig string) *Method {
+	for k := c; k != nil; k = k.Super {
+		if m, ok := k.methodsBySig[sig]; ok {
+			return m
+		}
 	}
-	c.resolveCache[sig] = m
-	c.resolveMu.Unlock()
+	return nil
+}
+
+// Dispatch selects the method an invokevirtual of m runs on a receiver of
+// class c, by name and descriptor alone: the most-derived declaration
+// along c's superclass chain, whatever its flags and whether or not c is
+// related to m's class (bytecode is not type-checked). It is the
+// reference semantics — the seed interpreter uses nothing else — and the
+// path prepared code takes when the VTable guard fails. It does not
+// allocate.
+func (c *Class) Dispatch(m *Method) (*Method, error) {
+	if target := c.findBySig(m.Sig()); target != nil {
+		return target, nil
+	}
+	return nil, &NoSuchMethodError{Class: c.Name, Name: m.Name, Desc: m.Desc.Raw()}
+}
+
+// AssignMethodSlots builds c.VTable from the already-linked superclass's
+// table, the way field slots extend the superclass's layout: a method
+// whose name and descriptor match an inherited entry takes that entry's
+// slot (and VRoot), any other gets a fresh slot at the end. Flags do not
+// participate, as in Dispatch, so for every class K below the one that
+// introduced a slot, K.VTable[slot] is what K.Dispatch returns for that
+// signature. Constructors and class initializers take no slot. Called by
+// the loader at link time.
+func (c *Class) AssignMethodSlots() {
+	var inherited []*Method
+	if c.Super != nil {
+		inherited = c.Super.VTable
+	}
+	vt := make([]*Method, len(inherited), len(inherited)+len(c.Methods))
+	copy(vt, inherited)
+	for _, m := range c.Methods {
+		if m.Name == InitName || m.Name == ClinitName {
+			continue
+		}
+		if p := c.Super.findBySig(m.sig); p != nil {
+			m.VSlot, m.VRoot = p.VSlot, p.VRoot
+			vt[m.VSlot] = m
+		} else {
+			m.VSlot, m.VRoot = len(vt), m
+			vt = append(vt, m)
+		}
+	}
+	c.VTable = vt
 }
 
 // LookupField resolves an instance field by name against c and its
@@ -213,7 +263,9 @@ func (c *Class) IsSubclassOf(other *Class) bool {
 func (c *Class) buildIndexes() {
 	c.methodsBySig = make(map[string]*Method, len(c.Methods))
 	for _, m := range c.Methods {
-		c.methodsBySig[m.Sig()] = m
+		m.sig = m.Name + m.Desc.Raw()
+		m.VSlot = -1
+		c.methodsBySig[m.sig] = m
 		if m.Name == ClinitName {
 			c.Clinit = m
 		}

@@ -119,48 +119,94 @@ func (a *AccountCounters) Seed(v Account) {
 	a.RPCSaturated.Store(v.RPCSaturated)
 }
 
-// InstrBatch accumulates instruction charges for one isolate in a plain
-// local counter and publishes them with a single atomic add when the
-// charged isolate changes or a quantum/safepoint boundary flushes the
-// batch. Both execution engines use it — the concurrent scheduler per
+// InstrBatch accumulates the charges of the guest-call path — executed
+// instructions and inter-isolate calls in and out — in plain local
+// counters and publishes them with atomic adds only when a
+// quantum/safepoint boundary flushes the batch or a third isolate evicts
+// an entry. Both execution engines use it — the concurrent scheduler per
 // worker quantum, the sequential loop per scheduler quantum — so the
 // per-instruction hot path performs no atomic operations at all while
 // per-isolate attribution stays exact at every flush point.
 //
+// The batch holds two isolates side by side: a migrated call and its
+// return alternate between the caller's and the callee's entry without
+// publishing anything, which is what makes thread migration (§3.1) a
+// pointer update rather than a round of atomics.
+//
 // An InstrBatch is single-goroutine state: it must only be used by the
 // goroutine executing the instructions it charges.
 type InstrBatch struct {
-	acc *AccountCounters
-	n   int64
+	cur   batchSlot // the isolate charged last
+	other batchSlot // the one before it
 }
 
-// Note charges one instruction to acc, flushing the pending batch first
-// when the charged isolate changed (an inter-isolate migration).
-func (b *InstrBatch) Note(acc *AccountCounters) {
-	if acc != b.acc {
-		b.Flush()
-		b.acc = acc
+type batchSlot struct {
+	acc      *AccountCounters
+	instrs   int64
+	callsIn  int64
+	callsOut int64
+}
+
+func (s *batchSlot) flush() {
+	if s.acc == nil {
+		return
 	}
-	b.n++
+	if s.instrs != 0 {
+		s.acc.Instructions.Add(s.instrs)
+	}
+	if s.callsIn != 0 {
+		s.acc.InterBundleCallsIn.Add(s.callsIn)
+	}
+	if s.callsOut != 0 {
+		s.acc.InterBundleCallsOut.Add(s.callsOut)
+	}
+	s.instrs, s.callsIn, s.callsOut = 0, 0, 0
+}
+
+// switchTo makes acc the current entry. The two entries trade places; an
+// isolate held by neither takes over the one charged longest ago, whose
+// pending counts are published first.
+func (b *InstrBatch) switchTo(acc *AccountCounters) {
+	b.cur, b.other = b.other, b.cur
+	if b.cur.acc != acc {
+		b.cur.flush()
+		b.cur.acc = acc
+	}
+}
+
+// Note charges one instruction to acc.
+func (b *InstrBatch) Note(acc *AccountCounters) {
+	if acc != b.cur.acc {
+		b.switchTo(acc)
+	}
+	b.cur.instrs++
 }
 
 // NoteN charges n instructions to acc in one call, exactly as n
 // consecutive Note calls would (the fused/closure tiers use it to retire
 // a whole instruction group's charges at once).
 func (b *InstrBatch) NoteN(acc *AccountCounters, n int64) {
-	if acc != b.acc {
-		b.Flush()
-		b.acc = acc
+	if acc != b.cur.acc {
+		b.switchTo(acc)
 	}
-	b.n += n
+	b.cur.instrs += n
 }
 
-// Flush publishes the pending charges with one atomic add.
-func (b *InstrBatch) Flush() {
-	if b.acc != nil && b.n != 0 {
-		b.acc.Instructions.Add(b.n)
+// NoteCall records one inter-isolate call leaving from and entering to,
+// which becomes the current entry — the next instruction is charged to it.
+func (b *InstrBatch) NoteCall(from, to *AccountCounters) {
+	if from != b.cur.acc {
+		b.switchTo(from)
 	}
-	b.n = 0
+	b.cur.callsOut++
+	b.switchTo(to)
+	b.cur.callsIn++
+}
+
+// Flush publishes every pending charge.
+func (b *InstrBatch) Flush() {
+	b.cur.flush()
+	b.other.flush()
 }
 
 // ByteBatch accumulates per-isolate allocation charges (objects, bytes,

@@ -293,3 +293,68 @@ func TestSnapshotMergesHeapViews(t *testing.T) {
 		t.Fatalf("identity = %q %v", snap.IsolateName, snap.State)
 	}
 }
+
+// TestInstrBatchHoldsCallerAndCalleeSideBySide: a migrated call and its
+// return alternate between two isolates without publishing anything; a
+// third isolate evicts the entry charged longest ago, publishing exactly
+// its pending counts; Flush publishes the rest.
+func TestInstrBatchHoldsCallerAndCalleeSideBySide(t *testing.T) {
+	var a, b, c core.AccountCounters
+	published := func(acc *core.AccountCounters) [3]int64 {
+		return [3]int64{acc.Instructions.Load(), acc.InterBundleCallsIn.Load(), acc.InterBundleCallsOut.Load()}
+	}
+	var batch core.InstrBatch
+	for i := 0; i < 100; i++ {
+		batch.Note(&a)         // the invoke
+		batch.NoteCall(&a, &b) // migration
+		batch.NoteN(&b, 3)     // callee body
+		batch.Note(&a)         // back in the caller
+	}
+	if published(&a) != [3]int64{} || published(&b) != [3]int64{} {
+		t.Fatalf("call/return pairs published a=%v b=%v before any flush point", published(&a), published(&b))
+	}
+	batch.Note(&c) // evicts b: a was charged last
+	if published(&b) != [3]int64{300, 100, 0} || published(&a) != [3]int64{} {
+		t.Fatalf("after eviction: a=%v b=%v", published(&a), published(&b))
+	}
+	batch.NoteCall(&c, &b) // evicts a
+	if published(&a) != [3]int64{200, 0, 100} {
+		t.Fatalf("after second eviction: a=%v", published(&a))
+	}
+	batch.Flush()
+	batch.Flush() // idempotent
+	if published(&b) != [3]int64{300, 101, 0} || published(&c) != [3]int64{1, 0, 1} {
+		t.Fatalf("after flush: b=%v c=%v", published(&b), published(&c))
+	}
+}
+
+// TestLoaderBindingFollowsIsolateLifecycle: the invoke path's lock-free
+// loader-ID index tracks creation and recycling.
+func TestLoaderBindingFollowsIsolateLifecycle(t *testing.T) {
+	w, r := newWorld(t, core.ModeIsolated)
+	if _, err := w.NewIsolate("runtime", r.NewLoader("runtime")); err != nil {
+		t.Fatal(err)
+	}
+	l := r.NewLoader("tenant")
+	if w.IsolateForLoaderID(l.ID()) != nil || w.IsolateForLoaderID(0) != nil || w.IsolateForLoaderID(99) != nil {
+		t.Fatal("unbound, bootstrap and unknown loaders must have no isolate")
+	}
+	iso, err := w.NewIsolate("tenant", l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.IsolateForLoaderID(l.ID()) != iso {
+		t.Fatal("binding not published")
+	}
+	h := heap.New(1 << 20)
+	if err := w.Kill(nil, iso); err != nil {
+		t.Fatal(err)
+	}
+	w.UpdateDisposal(h)
+	if err := w.FreeIsolate(iso, h); err != nil {
+		t.Fatal(err)
+	}
+	if w.IsolateForLoaderID(l.ID()) != nil {
+		t.Fatal("a freed isolate's loader is still bound")
+	}
+}

@@ -60,9 +60,9 @@ type mirrorTable struct {
 // management-plane.
 //
 // Locking: mu guards the isolate registries (creation order, loader
-// indexes); mirrorMu serializes mirror-table growth; the table itself is
-// read lock-free through an atomic pointer. Mirror *contents* are
-// shard-local (see the package comment) and unguarded.
+// indexes); mirrorMu serializes mirror-table growth; the mirror table and
+// the loader-ID index are read lock-free through atomic pointers. Mirror
+// *contents* are shard-local (see the package comment) and unguarded.
 type World struct {
 	// mode is atomic: the interpreter reads it on hot paths from every
 	// scheduler worker, and SetMode may flip it (inside a stop-the-world
@@ -70,10 +70,15 @@ type World struct {
 	mode     atomic.Uint32
 	registry *loader.Registry
 
-	mu            sync.RWMutex
-	isolates      []*Isolate
-	byLoaderID    map[int]*Isolate
-	byLoaderSlice []*Isolate
+	mu       sync.RWMutex
+	isolates []*Isolate
+	// byLoader is the copy-on-write loader-ID -> isolate index the invoke
+	// path reads on every call into a non-system class: writers
+	// (NewIsolate, FreeIsolate) publish a fresh slice under mu, readers
+	// load and index it without locks, like the mirror table. The binding
+	// cannot be cached on the class instead: classes are shared between
+	// snapshot clones, and a loader's binding is freed and recycled.
+	byLoader atomic.Pointer[[]*Isolate]
 	// freeIDs is the isolate-recycling free-list: accounting IDs of
 	// disposed isolates returned by FreeIsolate, reused LIFO by NewIsolate
 	// so long-running gateways with tenant churn keep the isolate table,
@@ -87,10 +92,7 @@ type World struct {
 
 // NewWorld creates the isolate world for one VM.
 func NewWorld(mode Mode, registry *loader.Registry) *World {
-	w := &World{
-		registry:   registry,
-		byLoaderID: make(map[int]*Isolate),
-	}
+	w := &World{registry: registry}
 	w.mode.Store(uint32(mode))
 	w.mirrors.Store(&mirrorTable{})
 	return w
@@ -135,7 +137,7 @@ func (w *World) NewIsolate(name string, l *loader.Loader) (*Isolate, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, dup := w.byLoaderID[l.ID()]; dup {
+	if w.IsolateForLoaderID(l.ID()) != nil {
 		return nil, fmt.Errorf("core: loader %s already has an isolate", l.Name())
 	}
 	if w.Mode() == ModeShared && len(w.isolates) > 0 {
@@ -164,24 +166,32 @@ func (w *World) NewIsolate(name string, l *loader.Loader) (*Isolate, error) {
 	} else {
 		w.isolates = append(w.isolates, iso)
 	}
-	w.byLoaderID[l.ID()] = iso
-	for len(w.byLoaderSlice) <= l.ID() {
-		w.byLoaderSlice = append(w.byLoaderSlice, nil)
-	}
-	w.byLoaderSlice[l.ID()] = iso
+	w.publishLoaderBinding(l.ID(), iso)
 	return iso, nil
+}
+
+// publishLoaderBinding publishes a copy of the loader-ID index with
+// loaderID bound to iso (nil unbinds). mu held.
+func (w *World) publishLoaderBinding(loaderID int, iso *Isolate) {
+	var cur []*Isolate
+	if p := w.byLoader.Load(); p != nil {
+		cur = *p
+	}
+	next := make([]*Isolate, max(len(cur), loaderID+1))
+	copy(next, cur)
+	next[loaderID] = iso
+	w.byLoader.Store(&next)
 }
 
 // IsolateForLoaderID is the hot-path variant of IsolateForLoader used by
 // the interpreter's invoke sequence; it returns nil for the bootstrap
 // loader and for loaders without isolates.
 func (w *World) IsolateForLoaderID(id int) *Isolate {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	if id <= 0 || id >= len(w.byLoaderSlice) {
+	p := w.byLoader.Load()
+	if p == nil || id <= 0 || id >= len(*p) {
 		return nil
 	}
-	return w.byLoaderSlice[id]
+	return (*p)[id]
 }
 
 // Isolate0 returns the OSGi runtime's isolate, or nil before it exists.
@@ -207,12 +217,10 @@ func (w *World) IsolateByID(id heap.IsolateID) *Isolate {
 // IsolateForLoader returns the isolate built from loader l, or nil for
 // the bootstrap loader (system code executes in the caller's isolate).
 func (w *World) IsolateForLoader(l *loader.Loader) *Isolate {
-	if l == nil || l.IsBootstrap() {
+	if l == nil {
 		return nil
 	}
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.byLoaderID[l.ID()]
+	return w.IsolateForLoaderID(l.ID())
 }
 
 // IsolateForClass returns the isolate owning a class, or nil for system
@@ -221,9 +229,7 @@ func (w *World) IsolateForClass(c *classfile.Class) *Isolate {
 	if c.IsSystem() {
 		return nil
 	}
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.byLoaderID[c.LoaderID]
+	return w.IsolateForLoaderID(c.LoaderID)
 }
 
 // Isolates returns all isolates in creation order (a copy).
@@ -422,11 +428,8 @@ func (w *World) FreeIsolate(iso *Isolate, h *heap.Heap) error {
 	}
 
 	w.mu.Lock()
-	if w.byLoaderID[iso.loader.ID()] == iso {
-		delete(w.byLoaderID, iso.loader.ID())
-		if id := iso.loader.ID(); id < len(w.byLoaderSlice) {
-			w.byLoaderSlice[id] = nil
-		}
+	if w.IsolateForLoaderID(iso.loader.ID()) == iso {
+		w.publishLoaderBinding(iso.loader.ID(), nil)
 	}
 	w.mu.Unlock()
 

@@ -10,7 +10,7 @@ import (
 // crosses the promotion threshold (tier.go), buildClosureProgram compiles
 // it into one Go closure chain per basic block: every operand — local
 // slots, immediates, branch targets, pre-resolved pool entries, field
-// slots, IC lines — is captured at build time, so executing a block is a
+// slots — is captured at build time, so executing a block is a
 // straight run of closure calls with no table dispatch and no PInstr
 // decoding between sub-instructions.
 //

@@ -65,6 +65,14 @@ func (vm *VM) SetSafepointer(s Safepointer) {
 	vm.safe.Store(&safeBox{s: s})
 }
 
+// SchedulerAttached reports whether a concurrent run has installed both
+// its hooks and its safepointer. Before that a host-side spawn can fall
+// between the scheduler's initial thread scan and the hook installation
+// and be lost, and a collection can run beside unparked workers.
+func (vm *VM) SchedulerAttached() bool {
+	return vm.hooks.Load() != nil && vm.safe.Load() != nil
+}
+
 // withWorldStopped runs fn with every concurrent worker parked; in
 // sequential runs it is a direct call on the run-loop goroutine, with
 // the loop's pending batched charges flushed first so the stopped-world
@@ -210,7 +218,7 @@ func (vm *VM) RunThreadQuantum(t *Thread, home *core.Isolate, budget int64, stop
 	// blocks charge their extra covered instructions with the exact
 	// per-instruction semantics of the loop below (see quantumAcct).
 	t.alloc = s.alloc
-	qa := quantumAcct{vm: vm, limit: budget, sample: s, batch: &batch}
+	qa := quantumAcct{vm: vm, batch: &batch, sampleCount: &s.count, limit: budget}
 	t.qa = &qa
 	for qa.steps < budget && t.State() == StateRunnable {
 		if stop != nil && stop.Load() {

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"unsafe"
 
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
@@ -572,14 +571,6 @@ func (vm *VM) execInvoke(t *Thread, f *Frame, in bytecode.Instr, next int32) err
 // it into the callee's locals and callNative consumes it synchronously,
 // so no per-call argument slice is allocated.
 func (vm *VM) invokeEntry(t *Thread, f *Frame, entry *classfile.PoolEntry, op bytecode.Opcode, next int32) error {
-	return vm.invokeEntryIC(t, f, entry, op, next, nil)
-}
-
-// invokeEntryIC is invokeEntry with an optional invokevirtual inline
-// cache: after dynamic dispatch resolves, the observed (receiver class,
-// target) pair is published into the call site's cache so later
-// executions take the cached fast path.
-func (vm *VM) invokeEntryIC(t *Thread, f *Frame, entry *classfile.PoolEntry, op bytecode.Opcode, next int32, ic *bytecode.ICache) error {
 	m, err := vm.resolveMethodEntry(f, entry)
 	if err != nil {
 		return vm.Throw(t, ClassNullPointerException, err.Error())
@@ -611,18 +602,12 @@ func (vm *VM) invokeEntryIC(t *Thread, f *Frame, entry *classfile.PoolEntry, op 
 			return vm.Throw(t, ClassNullPointerException, "invoke on null: "+m.QualifiedName())
 		}
 		if op == bytecode.OpInvokeVirtual {
-			resolved, lerr := args[0].R.Class.LookupMethod(m.Name, m.Desc.Raw())
+			resolved, lerr := args[0].R.Class.Dispatch(m)
 			if lerr != nil {
 				f.stack = f.stack[:len(f.stack)-nargs]
 				return vm.Throw(t, ClassNullPointerException, lerr.Error())
 			}
 			target = resolved
-			if ic != nil {
-				// Dispatch is a pure function of the (immutable) receiver
-				// class, so caching before the call proceeds is sound even
-				// when the call itself faults.
-				ic.Add(unsafe.Pointer(args[0].R.Class), unsafe.Pointer(resolved))
-			}
 		}
 	}
 

@@ -322,6 +322,9 @@ func TestIncrementalGCBarrierStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if !awaitAttached(vm, stop) {
+				return
+			}
 			killed := false
 			for i := 0; ; i++ {
 				select {

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"unsafe"
 
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
@@ -24,31 +23,23 @@ import (
 type phandler func(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error
 
 // phandlerTables are the mode-specialized flat dispatch tables replacing
-// the opcode switch for prepared code, indexed [mode][ic][PInstr.H]
-// (base handlers use the opcode value as their index). The VM selects
-// one table at construction (and again on SetIsolationMode), so the
-// steady state never re-checks world.Isolated():
+// the opcode switch for prepared code, indexed [mode][PInstr.H] (base
+// handlers use the opcode value as their index). The VM selects one
+// table at construction (and again on SetIsolationMode), so the steady
+// state never re-checks world.Isolated():
 //
-//   - the Shared tables run the baseline fast paths — static accesses
+//   - the Shared table runs the baseline fast paths — static accesses
 //     and initialization checks fold into the pool entry's
 //     ResolvedMirror cache after the first initialized access, the way
 //     a JIT folds them away;
-//   - the Isolated tables perform the paper's per-access task-class-
+//   - the Isolated table performs the paper's per-access task-class-
 //     mirror indexing and initialization re-check unconditionally, with
 //     no Shared-cache probes on the way.
-//
-// The second index disables the invoke inline caches (the
-// Options.DisableInlineCaches ablation): those tables dispatch every
-// invoke through the generic resolution path.
-var phandlerTables [bytecode.NumPModes][2][256]phandler
+var phandlerTables [bytecode.NumPModes][256]phandler
 
-// handlerTable returns the dispatch table for one mode/IC configuration.
-func handlerTable(mode core.Mode, disableIC bool) *[256]phandler {
-	ic := 0
-	if disableIC {
-		ic = 1
-	}
-	return &phandlerTables[pmodeIndex(mode)][ic]
+// handlerTable returns the dispatch table for one mode.
+func handlerTable(mode core.Mode) *[256]phandler {
+	return &phandlerTables[pmodeIndex(mode)]
 }
 
 func init() {
@@ -118,7 +109,6 @@ func init() {
 	reg(bytecode.OpAReturn, pValueReturn)
 	reg(bytecode.OpGetField, pGetField)
 	reg(bytecode.OpPutField, pPutField)
-	reg(bytecode.OpInvokeStatic, pInvokeStatic)
 	reg(bytecode.OpInvokeVirtual, pInvokeVirtual)
 	reg(bytecode.OpInvokeSpecial, pInvokeSpecial)
 	reg(bytecode.OpNewArray, pNewArray)
@@ -133,39 +123,27 @@ func init() {
 
 	// Superinstruction handlers (fused_handlers.go) are mode-neutral and
 	// live in every table; their delegated finals dispatch through the
-	// VM's live table and so pick up the mode/IC specializations below.
+	// VM's live table and so pick up the mode specializations below.
 	registerFusedHandlers(&base)
 
 	for m := range phandlerTables {
-		for ic := range phandlerTables[m] {
-			phandlerTables[m][ic] = base
-		}
+		phandlerTables[m] = base
 	}
 	// Mode-specialized statics, allocation and static-invoke handlers:
-	// the Shared tables probe (and populate) the pool entries'
-	// ResolvedMirror caches, the Isolated tables index mirrors and
-	// re-check initialization on every execution — neither consults
+	// the Shared table probes (and populates) the pool entries'
+	// ResolvedMirror caches, the Isolated table indexes mirrors and
+	// re-checks initialization on every execution — neither consults
 	// world.Isolated() at runtime.
-	for ic := range phandlerTables[bytecode.PModeShared] {
-		sh := &phandlerTables[bytecode.PModeShared][ic]
-		sh[uint8(bytecode.OpGetStatic)] = pGetStaticShared
-		sh[uint8(bytecode.OpPutStatic)] = pPutStaticShared
-		sh[uint8(bytecode.OpNew)] = pNewShared
-		iso := &phandlerTables[bytecode.PModeIsolated][ic]
-		iso[uint8(bytecode.OpGetStatic)] = pGetStaticIsolated
-		iso[uint8(bytecode.OpPutStatic)] = pPutStaticIsolated
-		iso[uint8(bytecode.OpNew)] = pNewIsolated
-	}
-	// Inline-cached invokes live only in the ic=0 tables; ic=1 keeps the
-	// generic resolution path (the Options.DisableInlineCaches ablation
-	// and the before/after benchmark baseline).
-	for m := range phandlerTables {
-		t0 := &phandlerTables[m][0]
-		t0[uint8(bytecode.OpInvokeVirtual)] = pInvokeVirtualIC
-		t0[uint8(bytecode.OpInvokeSpecial)] = pInvokeSpecialFast
-	}
-	phandlerTables[bytecode.PModeShared][0][uint8(bytecode.OpInvokeStatic)] = pInvokeStaticShared
-	phandlerTables[bytecode.PModeIsolated][0][uint8(bytecode.OpInvokeStatic)] = pInvokeStaticIsolated
+	sh := &phandlerTables[bytecode.PModeShared]
+	sh[uint8(bytecode.OpGetStatic)] = pGetStaticShared
+	sh[uint8(bytecode.OpPutStatic)] = pPutStaticShared
+	sh[uint8(bytecode.OpNew)] = pNewShared
+	sh[uint8(bytecode.OpInvokeStatic)] = pInvokeStaticShared
+	iso := &phandlerTables[bytecode.PModeIsolated]
+	iso[uint8(bytecode.OpGetStatic)] = pGetStaticIsolated
+	iso[uint8(bytecode.OpPutStatic)] = pPutStaticIsolated
+	iso[uint8(bytecode.OpNew)] = pNewIsolated
+	iso[uint8(bytecode.OpInvokeStatic)] = pInvokeStaticIsolated
 }
 
 func pInvalid(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
@@ -780,41 +758,41 @@ func pFieldName(in *bytecode.PInstr) string {
 
 // --- Invocation ----------------------------------------------------------
 //
-// The inline-cached handlers find the receiver through the argument
-// count baked into PInstr.B at preparation time, so a cache hit skips
-// symbolic resolution, the per-class resolution cache (its signature
-// concatenation and lock), and the descriptor-derived argument count —
-// the call funnels straight into the shared invocation tail
-// (invokeResolved). Misses take the generic invokeEntry path, which
-// publishes the observed (receiver class, target) pair into the site's
-// cache; megamorphic sites stop publishing and live on the per-class
-// resolution cache.
+// The fast paths find the receiver through the argument count baked into
+// PInstr.B at preparation time and the target through the pool entry's
+// resolved method, and funnel into the shared invocation tail
+// (invokeResolved). First executions, null receivers and failed guards
+// take invokeEntry, which dispatches by name as the seed interpreter does.
 
-func pInvokeVirtualIC(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	nargs := int(in.B)
-	// The preparation dataflow proved the operand window present, so the
-	// receiver peek needs no depth check.
-	recv := f.stack[len(f.stack)-nargs]
-	if recv.R != nil {
-		if line := in.IC.Line(); line != nil {
-			if line.Mega {
-				// Terminal state: a megamorphic line holds no entries, so
-				// probing it is a guaranteed miss — resolve through the
-				// per-class cache with no further publication attempts.
-				return vm.invokeEntryIC(t, f, in.Ref.(*classfile.PoolEntry), bytecode.OpInvokeVirtual, f.pc+1, nil)
-			}
-			if target := line.Lookup(unsafe.Pointer(recv.R.Class)); target != nil {
-				return vm.invokeResolved(t, f, (*classfile.Method)(target), nargs, true, f.pc+1)
+// pInvokeVirtual dispatches through the receiver class's link-time
+// VTable at the resolved method's slot. Bytecode is not type-checked and
+// the static type may be an interface, so the index only means "this
+// method" in classes below the one that introduced the slot; an entry
+// with the resolved method's VRoot proves the receiver's class is one of
+// them, and there the entry is what dispatch by name would find
+// (classfile AssignMethodSlots). Slot-less methods (VSlot -1) fail the
+// bounds check.
+func pInvokeVirtual(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
+	entry := in.Ref.(*classfile.PoolEntry)
+	if m := entry.ResolvedMethod.Load(); m != nil {
+		nargs := int(in.B)
+		// The preparation dataflow proved the operand window present, so
+		// the receiver peek needs no depth check.
+		if recv := f.stack[len(f.stack)-nargs].R; recv != nil {
+			if vt := recv.Class.VTable; uint(m.VSlot) < uint(len(vt)) {
+				if target := vt[m.VSlot]; target.VRoot == m.VRoot {
+					return vm.invokeResolved(t, f, target, nargs, true, f.pc+1)
+				}
 			}
 		}
 	}
-	return vm.invokeEntryIC(t, f, in.Ref.(*classfile.PoolEntry), bytecode.OpInvokeVirtual, f.pc+1, in.IC)
+	return vm.invokeEntry(t, f, entry, bytecode.OpInvokeVirtual, f.pc+1)
 }
 
-// pInvokeSpecialFast dispatches directly through the pool entry's
-// resolved method (invokespecial has no receiver-class dispatch); only
-// the first execution and null receivers take the generic path.
-func pInvokeSpecialFast(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
+// pInvokeSpecial dispatches directly through the pool entry's resolved
+// method (invokespecial has no receiver-class dispatch); only the first
+// execution and null receivers take the generic path.
+func pInvokeSpecial(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 	if m := in.Ref.(*classfile.PoolEntry).ResolvedMethod.Load(); m != nil {
 		nargs := int(in.B)
 		if f.stack[len(f.stack)-nargs].R != nil {
@@ -848,20 +826,6 @@ func pInvokeStaticIsolated(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) err
 		return vm.invokeResolved(t, f, m, int(in.B), false, f.pc+1)
 	}
 	return vm.invokeEntry(t, f, entry, bytecode.OpInvokeStatic, f.pc+1)
-}
-
-// Generic invoke handlers (the DisableInlineCaches tables).
-
-func pInvokeStatic(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	return vm.invokeEntry(t, f, in.Ref.(*classfile.PoolEntry), bytecode.OpInvokeStatic, f.pc+1)
-}
-
-func pInvokeVirtual(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	return vm.invokeEntry(t, f, in.Ref.(*classfile.PoolEntry), bytecode.OpInvokeVirtual, f.pc+1)
-}
-
-func pInvokeSpecial(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	return vm.invokeEntry(t, f, in.Ref.(*classfile.PoolEntry), bytecode.OpInvokeSpecial, f.pc+1)
 }
 
 // --- Objects and arrays --------------------------------------------------

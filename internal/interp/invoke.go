@@ -231,7 +231,7 @@ func (vm *VM) RespawnThread(t *Thread, name string, creator *core.Isolate, m *cl
 	return nil
 }
 
-// invokeResolved is the invocation tail shared by the inline-cache and
+// invokeResolved is the invocation tail shared by the vtable and
 // resolved-entry fast paths: target is already resolved — and, for
 // instance calls, the receiver known non-null; for static calls, the
 // class known initialized — so only the argument hand-off remains. The
@@ -278,9 +278,9 @@ func (vm *VM) LiveThreads() int { return int(vm.liveThreads.Load()) }
 // library classes never migrate. A call into a killed isolate throws
 // StoppedIsolateException (the paper's method poisoning).
 //
-// Frames come from the VM's frame pool; args may be a view of the
-// caller's operand stack — it is copied into the callee's locals before
-// this function returns.
+// Frames come from the thread's own frame cache (acquireFrame); args may
+// be a view of the caller's operand stack — it is copied into the
+// callee's locals before this function returns.
 func (vm *VM) pushFrame(t *Thread, m *classfile.Method, args []heap.Value, isoOverride *core.Isolate) error {
 	if len(t.frames) >= vm.opts.MaxFrameDepth {
 		return vm.Throw(t, ClassStackOverflowError, m.QualifiedName())
@@ -303,10 +303,7 @@ func (vm *VM) pushFrame(t *Thread, m *classfile.Method, args []heap.Value, isoOv
 				}
 				t.cur = classIso
 				frameIso = classIso
-				classIso.Account().InterBundleCallsIn.Add(1)
-				if callerIso != nil {
-					callerIso.Account().InterBundleCallsOut.Add(1)
-				}
+				t.noteCall(callerIso, classIso)
 			} else {
 				frameIso = classIso
 			}
@@ -337,7 +334,7 @@ func (vm *VM) pushFrame(t *Thread, m *classfile.Method, args []heap.Value, isoOv
 	if n := len(args); n > nLocals {
 		nLocals = n
 	}
-	f := vm.acquireFrame(nLocals, maxStack)
+	f := t.acquireFrame(nLocals, maxStack)
 	f.method = m
 	f.iso = frameIso
 	f.pcode = pcode
@@ -364,13 +361,28 @@ func (vm *VM) pushFrame(t *Thread, m *classfile.Method, args []heap.Value, isoOv
 	return nil
 }
 
-// acquireFrame takes a cleared frame from the pool (or allocates one)
-// and sizes its locals and operand stack. Prepared methods pass exact
-// dimensions, so the operand stack never grows during execution.
-func (vm *VM) acquireFrame(nLocals, maxStack int) *Frame {
-	f, _ := vm.framePool.Get().(*Frame)
+// acquireFrame returns the activation record for the thread's next call,
+// sized for nLocals and maxStack (exact for prepared methods, whose
+// operand stack never grows). The slots of t.frames above its length are
+// a LIFO cache of released frames — a returning callee's frame is the
+// next call's frame — so a call allocates nothing and touches no shared
+// state; a thread's first call adopts the stack a finished thread left
+// behind (finishThread). The frame is not on the stack yet: pushFrame
+// publishes it to the root scan by extending the slice once it is set up.
+func (t *Thread) acquireFrame(nLocals, maxStack int) *Frame {
+	n := len(t.frames)
+	if cap(t.frames) == 0 {
+		if s, _ := t.vm.frameStacks.Get().(*[]*Frame); s != nil {
+			t.frames = *s
+		}
+	}
+	if n == cap(t.frames) {
+		t.frames = append(t.frames, nil)[:n]
+	}
+	f := t.frames[:n+1][n]
 	if f == nil {
 		f = &Frame{}
+		t.frames[:n+1][n] = f
 	}
 	if cap(f.locals) < nLocals {
 		f.locals = make([]heap.Value, nLocals)
@@ -383,16 +395,25 @@ func (vm *VM) acquireFrame(nLocals, maxStack int) *Frame {
 	return f
 }
 
-// releaseFrame clears a popped frame (so pooled frames retain no object
-// references) and returns it to the pool. The caller must not touch the
-// frame afterwards: another thread's pushFrame may already be reusing it.
-func (vm *VM) releaseFrame(f *Frame) {
-	clear(f.locals[:cap(f.locals)])
-	clear(f.stack[:cap(f.stack)])
+// releaseFrame resets a popped frame for reuse, clearing only what the
+// activation could have written — its locals and its operand stack up to
+// the prepared body's exact MaxStack (the whole stack for unprepared
+// code, which may have grown it) — so a cached frame retains no guest
+// object; pushFrame overwrites the method, isolate and body pointers.
+func releaseFrame(f *Frame) {
+	clear(f.locals)
+	extent := cap(f.stack)
+	if f.pcode != nil {
+		extent = f.pcode.MaxStack
+	}
+	clear(f.stack[:extent])
 	clear(f.entered[:cap(f.entered)])
-	locals, stack, entered := f.locals[:0], f.stack[:0], f.entered[:0]
-	*f = Frame{locals: locals, stack: stack, entered: entered}
-	vm.framePool.Put(f)
+	f.stack, f.entered = f.stack[:0], f.entered[:0]
+	f.pc = 0
+	f.hot = nil
+	f.callerIso = nil
+	f.needsMonitor, f.lockedMonitor = nil, nil
+	f.clinitMirror = nil
 }
 
 // syncMonitorFor returns the monitor a synchronized method must hold: the
@@ -416,7 +437,7 @@ func (vm *VM) syncMonitorFor(t *Thread, m *classfile.Method, args []heap.Value) 
 func (vm *VM) returnFromFrame(t *Thread, v heap.Value) error {
 	f := t.top()
 	// Capture everything needed from the frame before popFrame recycles
-	// it into the frame pool.
+	// it.
 	isClinit := f.clinitMirror != nil
 	retKind := f.method.Desc.Return
 	if v.Kind == voidKind && retKind != classfile.KindVoid {

@@ -47,7 +47,7 @@ const (
 // n iterations of keep-alloc + churn-alloc + shared-monitor section.
 // Locals: 0 shared, 1 n, 2 i, 3 acc, 4 keep ring, 5 tmp.
 func memStressClasses(prefix string) []*classfile.Class {
-	main := classfile.NewClass(prefix + "/Main").
+	main := classfile.NewClass(prefix+"/Main").
 		Method("run", "(Ljava/lang/Object;I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
 			a.Const(memStressKeep).NewArray("").AStore(4)
 			a.Const(0).IStore(2)
@@ -133,6 +133,9 @@ func TestShardedAllocMonitorStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if !awaitAttached(vm, stop) {
+				return
+			}
 			killed := false
 			for i := 0; ; i++ {
 				select {
@@ -267,4 +270,20 @@ func TestShardedAllocMonitorStress(t *testing.T) {
 			t.Fatalf("round %d: used %d != live %d after recycle round", round, used, after.LiveBytes)
 		}
 	}
+}
+
+// awaitAttached is sched.AwaitStart for the admin goroutines of the
+// stress tests, which are started before the run they administer: a
+// collection or kill issued before the scheduler attached would run
+// beside workers nobody parked. It gives up when stop closes first.
+func awaitAttached(vm *interp.VM, stop <-chan struct{}) bool {
+	for !vm.SchedulerAttached() {
+		select {
+		case <-stop:
+			return false
+		default:
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	return true
 }

@@ -1,0 +1,214 @@
+package interp_test
+
+import (
+	"sync/atomic"
+	"testing"
+
+	"ijvm/internal/bytecode"
+	"ijvm/internal/classfile"
+	"ijvm/internal/core"
+	"ijvm/internal/heap"
+	"ijvm/internal/interp"
+	"ijvm/internal/sched"
+	"ijvm/internal/syslib"
+)
+
+// This file pins the exactness contract of the batched call-path
+// counters: inter-isolate calls are counted in the executing engine's
+// InstrBatch beside the instruction charges, and every flush point — a
+// quantum boundary, a sequential safepoint reached mid-quantum (snapshot
+// capture, collection, kill), a stop-the-world park of the concurrent
+// engine — must publish exact per-isolate totals. The reference count is
+// the VM's own method-entry trace hook, which fires once per frame push.
+
+// migEnv is a caller isolate (Isolate0) looping calls into a callee
+// isolate's static method, with a native the caller invokes every eighth
+// iteration so the test can reach safepoints from inside a quantum.
+type migEnv struct {
+	vm             *interp.VM
+	caller, callee *core.Isolate
+	run, ping      *classfile.Method
+	entered        atomic.Int64 // frames pushed for callee-isolate methods
+	probe          func()       // called by the caller's native, mid-quantum
+}
+
+func newMigEnv(t *testing.T, opts interp.Options) *migEnv {
+	t.Helper()
+	e := &migEnv{vm: interp.NewVM(opts)}
+	syslib.MustInstall(e.vm)
+	var err error
+	if e.caller, err = e.vm.NewIsolate("caller"); err != nil {
+		t.Fatal(err)
+	}
+	if e.callee, err = e.vm.NewIsolate("callee"); err != nil {
+		t.Fatal(err)
+	}
+	svc := classfile.NewClass("mb/Svc").
+		StaticField("count", classfile.KindInt).
+		Method("ping", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.GetStatic("mb/Svc", "count").Const(1).IAdd().PutStatic("mb/Svc", "count")
+			a.ILoad(0).Const(1).IAdd().IReturn()
+		}).MustBuild()
+	if err := e.callee.Loader().Define(svc); err != nil {
+		t.Fatal(err)
+	}
+	e.caller.Loader().AddDelegate(e.callee.Loader())
+	hit := interp.NativeFunc(func(vm *interp.VM, th *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
+		if e.probe != nil {
+			e.probe()
+		}
+		return interp.NativeResult{Control: interp.NativeDone}, nil
+	})
+	main := classfile.NewClass("ma/Main").
+		NativeMethod("hit", "()V", classfile.FlagStatic, hit).
+		Method("run", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			// locals: 0 n, 1 acc, 2 i
+			a.Const(0).IStore(1)
+			a.Const(0).IStore(2)
+			a.Label("loop").ILoad(2).ILoad(0).IfICmpGe("done")
+			a.ILoad(1).InvokeStatic("mb/Svc", "ping", "(I)I").IStore(1)
+			a.ILoad(2).Const(7).IAnd().Const(7).IfICmpNe("next")
+			a.InvokeStatic("ma/Main", "hit", "()V")
+			a.Label("next").IInc(2, 1).Goto("loop")
+			a.Label("done").ILoad(1).IReturn()
+		}).MustBuild()
+	if err := e.caller.Loader().Define(main); err != nil {
+		t.Fatal(err)
+	}
+	if e.run, err = main.LookupMethod("run", "(I)I"); err != nil {
+		t.Fatal(err)
+	}
+	if e.ping, err = svc.LookupMethod("ping", "(I)I"); err != nil {
+		t.Fatal(err)
+	}
+	e.vm.TraceMethodEntry = func(m *classfile.Method, iso *core.Isolate) {
+		if iso == e.callee {
+			e.entered.Add(1)
+		}
+	}
+	return e
+}
+
+// check asserts the published accounts are exact: every callee entry so
+// far is one call into the callee and one call out of the caller, and
+// every executed instruction is charged to one of the two.
+func (e *migEnv) check(t *testing.T, where string) {
+	t.Helper()
+	a, b := e.caller.Account().Numbers(), e.callee.Account().Numbers()
+	if n := e.entered.Load(); b.InterBundleCallsIn != n || a.InterBundleCallsOut != n {
+		t.Fatalf("%s: %d callee entries, callee in=%d, caller out=%d", where, n, b.InterBundleCallsIn, a.InterBundleCallsOut)
+	}
+	if a.InterBundleCallsIn != 0 || b.InterBundleCallsOut != 0 {
+		t.Fatalf("%s: caller in=%d, callee out=%d, want 0", where, a.InterBundleCallsIn, b.InterBundleCallsOut)
+	}
+	if total := e.vm.TotalInstructions(); a.Instructions+b.Instructions != total {
+		t.Fatalf("%s: caller %d + callee %d instructions, VM total %d", where, a.Instructions, b.Instructions, total)
+	}
+}
+
+func TestMigrationAccountsExactAtFlushPoints(t *testing.T) {
+	for _, opts := range []interp.Options{
+		{Mode: core.ModeIsolated, Quantum: 64},
+		{Mode: core.ModeIsolated, Quantum: 64, TierPromoteThreshold: 1},
+		{Mode: core.ModeIsolated, Quantum: 64, DisablePrepare: true},
+	} {
+		e := newMigEnv(t, opts)
+		// A host-side spawn whose entry method belongs to another isolate
+		// migrates outside any quantum and publishes directly.
+		direct, err := e.vm.SpawnThread("direct", e.caller, e.ping, []heap.Value{heap.IntVal(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.check(t, "after host-side spawn")
+
+		hits, killed := 0, false
+		e.probe = func() {
+			hits++
+			switch {
+			case hits == 40:
+				// Kill from the caller's frame: the callee is not on the
+				// stack, its counters must already be final.
+				if err := e.vm.KillIsolate(nil, e.callee); err != nil {
+					t.Fatal(err)
+				}
+				killed = true
+				e.check(t, "after kill")
+			case hits%2 == 0:
+				snap, err := e.vm.CaptureSnapshot(e.callee, interp.SnapshotOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				acct := interp.SnapshotAccount(snap)
+				snap.Release()
+				live := e.callee.Account().Numbers()
+				if acct.InterBundleCallsIn != e.entered.Load() || acct.Instructions != live.Instructions {
+					t.Fatalf("snapshot account in=%d instr=%d, want in=%d instr=%d",
+						acct.InterBundleCallsIn, acct.Instructions, e.entered.Load(), live.Instructions)
+				}
+				e.check(t, "after snapshot capture")
+			default:
+				e.vm.CollectGarbage(nil)
+				e.check(t, "after collection")
+			}
+		}
+		th, err := e.vm.SpawnThread("loop", e.caller, e.run, []heap.Value{heap.IntVal(10_000)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices := 0
+		for !th.Done() {
+			e.vm.RunUntil(th, 200)
+			slices++
+			e.check(t, "at a quantum boundary")
+		}
+		if !killed || slices < 10 || !direct.Done() {
+			t.Fatalf("%+v: killed=%v after %d slices, direct done=%v", opts, killed, slices, direct.Done())
+		}
+		// The loop dies on its first call into the killed isolate, which
+		// is refused before the thread migrates: nothing more is counted.
+		if th.Failure() == nil {
+			t.Fatalf("%+v: loop survived the callee's kill with result %d", opts, th.Result().I)
+		}
+		e.check(t, "after the run")
+	}
+}
+
+// TestMigrationAccountsExactAtSTWPark captures the callee from a host
+// goroutine while two workers hand the looping thread back and forth: the
+// capture parks them at quantum boundaries, so the captured count must lie
+// between the entry counts read before and after it.
+func TestMigrationAccountsExactAtSTWPark(t *testing.T) {
+	e := newMigEnv(t, interp.Options{Mode: core.ModeIsolated})
+	th, err := e.vm.SpawnThread("loop", e.caller, e.run, []heap.Value{heap.IntVal(20_000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan interp.RunResult, 1)
+	go func() { done <- sched.Run(e.vm, 2, 0) }()
+	sched.AwaitStart(e.vm)
+	captures := 0
+	for !th.Done() {
+		before := e.entered.Load()
+		snap, err := e.vm.CaptureSnapshot(e.callee, interp.SnapshotOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := e.entered.Load()
+		in := interp.SnapshotAccount(snap).InterBundleCallsIn
+		snap.Release()
+		if in < before || in > after {
+			t.Fatalf("captured %d calls in, %d entries before the capture and %d after", in, before, after)
+		}
+		captures++
+	}
+	if res := <-done; !res.AllDone {
+		t.Fatalf("run did not finish: %+v", res)
+	}
+	if th.Failure() != nil || th.Result().I != 20_000 {
+		t.Fatalf("loop: result %d, failure %s", th.Result().I, th.FailureString())
+	}
+	if captures == 0 {
+		t.Fatal("the run finished before a single capture")
+	}
+	e.check(t, "after the run")
+}

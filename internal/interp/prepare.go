@@ -60,8 +60,8 @@ func pmodeIndex(mode core.Mode) int {
 
 // preparedCode returns the quickened form of m for the VM's current
 // isolation mode, preparing and caching it on first invocation. Each
-// mode has an independent quickening (and therefore independent inline
-// caches); the mode-specialized handler table the VM dispatches through
+// mode has an independent quickening; the mode-specialized handler table
+// the VM dispatches through
 // is selected to match in NewVM and SetIsolationMode. It returns nil
 // when the VM runs seed-style dispatch (Options.DisablePrepare) or the
 // method is unpreparable.
@@ -235,9 +235,6 @@ func prepareMethod(m *classfile.Method, fuse bool) *bytecode.PCode {
 			// paths find the receiver and slice the window without
 			// consulting the resolved descriptor.
 			instrs[pc].B = pops[pc]
-			if in.Op == bytecode.OpInvokeVirtual {
-				instrs[pc].IC = new(bytecode.ICache)
-			}
 		case bytecode.OpGetField, bytecode.OpPutField:
 			// Per-site resolved-field slot cache (published on first
 			// resolution, handlers.go).

@@ -14,9 +14,13 @@ import (
 )
 
 // This file is the randomized differential oracle for the quickened,
-// inline-cached dispatch AND the incremental collector: a seeded
+// vtable-dispatched engine AND the incremental collector: a seeded
 // generator produces small *verified* programs exercising virtual calls
-// (mono- and polymorphic receivers), static cross-isolate calls,
+// (mono- and polymorphic receivers, a depth-3 hierarchy with partial
+// overriding, a subclass defined by another loader than its parent, an
+// interface-typed site, ill-typed and null receivers — every shape the
+// VTable guard must either serve or hand to dispatch by name exactly as
+// the seed switch does), static cross-isolate calls,
 // branches, monitors, guest exceptions (caught and uncaught), array
 // traffic, allocation/GC-heavy churn (the small oracle heap forces
 // GC-on-pressure collections mid-run), synchronized-heavy shapes
@@ -27,7 +31,7 @@ import (
 // objects retained then dropped by the main isolate), and string
 // interning under GC pressure (Ldc identity must survive collections).
 //
-// Every program is replayed under {prepared+IC (fused superinstructions),
+// Every program is replayed under {prepared (fused superinstructions),
 // closure-threaded hot tier, seed switch} × {Shared, Isolated} ×
 // {forced-STW, incremental (pressure-only), incremental (paced:
 // threshold-opened cycles whose mark strides interleave with mutator
@@ -93,6 +97,27 @@ const (
 	// burst sized so programs containing it cross the paced collector's
 	// occupancy threshold several times mid-run (≥2 incremental cycles).
 	fragAllocBurst
+	// fragDeepVirtual calls through the depth-3 chain H0 <- H1 <- H2 <- H3,
+	// whose levels override a random subset of the inherited methods: a
+	// site typed at H0 (or at H1, for the method H1 introduces) sees
+	// receivers of two levels.
+	fragDeepVirtual
+	// fragCrossLoader calls a site typed at the peer loader's PBase on a
+	// main-loader subclass (XSub) or on a peer-allocated PBase: the
+	// overridden method stays in the main isolate, the inherited one
+	// migrates the thread into the peer — through one table slot.
+	fragCrossLoader
+	// fragIface calls an Impl through a site typed at the interface it
+	// declares by name: the receiver is no subclass of the resolved
+	// method's class.
+	fragIface
+	// fragIllTyped calls the Base-typed site on an instance of an
+	// unrelated class: Rogue declares the same name+descriptor (and a
+	// decoy method at Base.f's slot index), Mute does not (caught
+	// NullPointerException).
+	fragIllTyped
+	// fragNullRecv calls on a null receiver (caught).
+	fragNullRecv
 	numFragKinds
 )
 
@@ -117,6 +142,9 @@ type oracleProgram struct {
 	loopN      int64
 	frags      []oracleFrag
 	uncaughtAt int // index of a fragment whose divisor is zeroed WITHOUT a handler; -1 if none
+	// chainMask[l] selects which of a, b, c, d level l+1 of the H chain
+	// overrides (bits 0..3; H1 always declares d, which it introduces).
+	chainMask [3]int
 }
 
 // genOracleProgram derives a program deterministically from seed.
@@ -151,16 +179,64 @@ func genOracleProgram(seed int64) oracleProgram {
 	if r.Intn(25) == 0 {
 		p.uncaughtAt = r.Intn(len(p.frags))
 	}
+	for l := range p.chainMask {
+		p.chainMask[l] = r.Intn(16)
+	}
 	return p
 }
 
 const (
-	oraBase = "ora/Base"
-	oraSvc  = "peer/Svc"
-	oraMain = "ora/Main"
+	oraBase  = "ora/Base"
+	oraSvc   = "peer/Svc"
+	oraMain  = "ora/Main"
+	oraIface = "ora/IFace"
+	oraRogue = "ora/Rogue"
+	oraMute  = "ora/Mute"
+	oraXSub  = "ora/XSub"
+	oraPBase = "peer/PBase"
 )
 
 func oraImpl(k int) string { return fmt.Sprintf("ora/Impl%d", k) }
+
+func oraChain(level int) string { return fmt.Sprintf("ora/H%d", level) }
+
+// chainMethods are the H chain's virtual methods; d is introduced by H1.
+var chainMethods = [4]string{"a", "b", "c", "d"}
+
+// oracleChainClasses builds H0..H3. Each body mixes its level and method
+// index into the argument, so the result tells which declaration ran.
+func oracleChainClasses(p oracleProgram, defaultInit func(string) func(*bytecode.Assembler)) []*classfile.Class {
+	body := func(level, mi int) func(a *bytecode.Assembler) {
+		return func(a *bytecode.Assembler) {
+			a.ILoad(1).Const(int64(level*16 + mi + 1)).IAdd().Const(0xFFFF).IAnd().IReturn()
+		}
+	}
+	var out []*classfile.Class
+	for level := 0; level < 4; level++ {
+		super := classfile.ObjectClassName
+		if level > 0 {
+			super = oraChain(level - 1)
+		}
+		b := classfile.NewClass(oraChain(level)).Super(super).
+			Method(classfile.InitName, "()V", 0, defaultInit(super))
+		for mi, name := range chainMethods {
+			declares := false
+			switch {
+			case level == 0:
+				declares = mi < 3
+			case level == 1 && mi == 3:
+				declares = true
+			default:
+				declares = p.chainMask[level-1]&(1<<mi) != 0
+			}
+			if declares {
+				b.Method(name, "(I)I", 0, body(level, mi))
+			}
+		}
+		out = append(out, b.MustBuild())
+	}
+	return out
+}
 
 // emitArith emits the selected binary operator (division-free; division
 // is covered by fragCatchDiv where the exception is expected).
@@ -209,6 +285,7 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 	for k := 0; k < p.numImpls; k++ {
 		kind, c := p.implKind[k], p.implConst[k]
 		classes = append(classes, classfile.NewClass(oraImpl(k)).Super(oraBase).
+			Implements(oraIface).
 			Method(classfile.InitName, "()V", 0, defaultInit(oraBase)).
 			Method("f", "(I)I", 0, func(a *bytecode.Assembler) {
 				switch kind {
@@ -223,9 +300,44 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 			}).MustBuild())
 	}
 
+	classes = append(classes, oracleChainClasses(p, defaultInit)...)
+	classes = append(classes,
+		classfile.NewClass(oraIface).SetFlags(classfile.FlagInterface|classfile.FlagAbstract).
+			RawMethod("f", "(I)I", classfile.FlagAbstract, nil).MustBuild(),
+		// z occupies the slot index Base.f has in Base's table, so a
+		// dispatch that trusted the index alone would run z.
+		classfile.NewClass(oraRogue).
+			Method(classfile.InitName, "()V", 0, defaultInit(classfile.ObjectClassName)).
+			Method("z", "(I)I", 0, func(a *bytecode.Assembler) {
+				a.Const(-1).IReturn()
+			}).
+			Method("f", "(I)I", 0, func(a *bytecode.Assembler) {
+				a.ILoad(1).Const(77).IXor().IReturn()
+			}).MustBuild(),
+		classfile.NewClass(oraMute).
+			Method(classfile.InitName, "()V", 0, defaultInit(classfile.ObjectClassName)).
+			Method("z", "(I)I", 0, func(a *bytecode.Assembler) {
+				a.Const(-2).IReturn()
+			}).MustBuild(),
+		// XSub's parent is defined by the peer loader: h is overridden
+		// here, k is inherited (and runs in the peer isolate).
+		classfile.NewClass(oraXSub).Super(oraPBase).
+			Method(classfile.InitName, "()V", 0, defaultInit(oraPBase)).
+			Method("h", "(I)I", 0, func(a *bytecode.Assembler) {
+				a.ILoad(1).Const(9).IAdd().IReturn()
+			}).MustBuild(),
+	)
+
 	recvSlot := func(r int) int { return 3 + r }
 	tmpSlot := 3 + p.numImpls
 	graphSlot := tmpSlot + 1
+	chainSlot := func(level int) int { return graphSlot + 1 + level }
+	rogueSlot := chainSlot(4)
+	muteSlot := rogueSlot + 1
+	xsubSlot := muteSlot + 1
+	newInto := func(a *bytecode.Assembler, class string, slot int) {
+		a.New(class).Dup().InvokeSpecial(class, classfile.InitName, "()V").AStore(slot)
+	}
 	main := classfile.NewClass(oraMain).
 		Method("run", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
 			for k := 0; k < p.numImpls; k++ {
@@ -238,6 +350,12 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 			// fragments, so old references die mid-run (and mid-cycle
 			// under the paced incremental collector).
 			a.Const(4).NewArray("").AStore(graphSlot)
+			for level := 0; level < 4; level++ {
+				newInto(a, oraChain(level), chainSlot(level))
+			}
+			newInto(a, oraRogue, rogueSlot)
+			newInto(a, oraMute, muteSlot)
+			newInto(a, oraXSub, xsubSlot)
 			a.ILoad(0).IStore(1)
 			a.Const(0).IStore(2)
 			a.Label("loop")
@@ -357,6 +475,47 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 					}
 					a.Null().AStore(tmpSlot)
 					a.ILoad(1).Const(f.c).ISub().IStore(1)
+				case fragDeepVirtual:
+					// d exists from H1 down; a, b, c from H0.
+					typed, mi, lo := oraChain(0), f.op%3, 0
+					if f.op >= 3 {
+						typed, mi, lo = oraChain(1), 3, 1
+					}
+					l1, l2 := lo+f.r1%(4-lo), lo+f.r2%(4-lo)
+					a.ILoad(2).Const(1).IAnd().IfEq(s)
+					a.ALoad(chainSlot(l1)).Goto(after)
+					a.Label(s).ALoad(chainSlot(l2))
+					a.Label(after).ILoad(1).
+						InvokeVirtual(typed, chainMethods[mi], "(I)I").IStore(1)
+				case fragCrossLoader:
+					method := "h"
+					if f.op%2 == 1 {
+						method = "k"
+					}
+					a.ILoad(2).Const(1).IAnd().IfEq(s)
+					a.ALoad(xsubSlot).Goto(after)
+					a.Label(s).InvokeStatic(oraSvc, "mkp", "()Ljava/lang/Object;")
+					a.Label(after).ILoad(1).
+						InvokeVirtual(oraPBase, method, "(I)I").IStore(1)
+				case fragIface:
+					a.ALoad(recvSlot(f.r1)).ILoad(1).
+						InvokeVirtual(oraIface, "f", "(I)I").IStore(1)
+				case fragIllTyped:
+					slot := rogueSlot
+					if f.op%2 == 1 {
+						slot = muteSlot
+					}
+					a.Label(s).ALoad(slot).ILoad(1).
+						InvokeVirtual(oraBase, "f", "(I)I").IStore(1).Goto(after)
+					a.Label(h).Pop().ILoad(1).Const(17).IAdd().IStore(1)
+					a.Label(after)
+					a.Handler(s, h, h, "java/lang/NullPointerException")
+				case fragNullRecv:
+					a.Label(s).Null().ILoad(1).
+						InvokeVirtual(oraBase, "f", "(I)I").IStore(1).Goto(after)
+					a.Label(h).Pop().ILoad(1).Const(19).IXor().IStore(1)
+					a.Label(after)
+					a.Handler(s, h, h, "java/lang/NullPointerException")
 				}
 			}
 			a.IInc(2, 1).Goto("loop")
@@ -378,6 +537,16 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 // I-JVM, a plain second loader under the baseline).
 func oraclePeerClasses() []*classfile.Class {
 	return []*classfile.Class{
+		classfile.NewClass(oraPBase).
+			Method(classfile.InitName, "()V", 0, func(a *bytecode.Assembler) {
+				a.ALoad(0).InvokeSpecial(classfile.ObjectClassName, classfile.InitName, "()V").Return()
+			}).
+			Method("h", "(I)I", 0, func(a *bytecode.Assembler) {
+				a.ILoad(1).Const(5).IXor().IReturn()
+			}).
+			Method("k", "(I)I", 0, func(a *bytecode.Assembler) {
+				a.ILoad(1).Const(2).IAdd().IReturn()
+			}).MustBuild(),
 		classfile.NewClass(oraSvc).
 			StaticField("s", classfile.KindInt).
 			Method("g", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
@@ -391,6 +560,10 @@ func oraclePeerClasses() []*classfile.Class {
 			// shape of the GC oracle.
 			Method("mk", "(I)Ljava/lang/Object;", classfile.FlagStatic, func(a *bytecode.Assembler) {
 				a.Const(8).NewArray("").AReturn()
+			}).
+			Method("mkp", "()Ljava/lang/Object;", classfile.FlagStatic, func(a *bytecode.Assembler) {
+				a.New(oraPBase).Dup().
+					InvokeSpecial(oraPBase, classfile.InitName, "()V").AReturn()
 			}).MustBuild(),
 	}
 }
@@ -406,7 +579,7 @@ const (
 	// dispSeed is the reference: the unquickened checked switch
 	// interpreter (DisablePrepare).
 	dispSeed oracleDispatch = iota
-	// dispPrepared is the quickened, inline-cached, superinstruction-fused
+	// dispPrepared is the quickened, vtable-dispatched, superinstruction-fused
 	// table interpreter (the production default; the closure tier stays
 	// cold because the oracle programs never reach the promotion heat).
 	dispPrepared
@@ -465,10 +638,12 @@ type oracleTrace struct {
 	total   int64
 	clock   int64
 	// name -> {Instructions, CPUSamples, AllocatedObjects,
-	// AllocatedBytes, LiveObjects, LiveBytes, GCActivations} (live
-	// figures post-GC: the heap-reachable result surface; GCActivations
-	// proves the GC-on-pressure collection points are identical).
-	perIsolate map[string][7]int64
+	// AllocatedBytes, LiveObjects, LiveBytes, GCActivations,
+	// InterBundleCallsIn, InterBundleCallsOut} (live figures post-GC: the
+	// heap-reachable result surface; GCActivations proves the
+	// GC-on-pressure collection points are identical; the call counts
+	// prove every dispatch migrates exactly where the seed switch does).
+	perIsolate map[string][9]int64
 	// incCycles and barrierRecords are collector diagnostics (excluded
 	// from diff): the oracle asserts the paced configuration actually
 	// ran incremental cycles with live barrier traffic.
@@ -481,7 +656,7 @@ type oracleTrace struct {
 // change relative to the forced-STW reference.
 func (a oracleTrace) maskGCActivations() oracleTrace {
 	out := a
-	out.perIsolate = make(map[string][7]int64, len(a.perIsolate))
+	out.perIsolate = make(map[string][9]int64, len(a.perIsolate))
 	for k, v := range a.perIsolate {
 		v[6] = 0
 		out.perIsolate[k] = v
@@ -510,7 +685,7 @@ func (a oracleTrace) diff(b oracleTrace) string {
 			return fmt.Sprintf("isolate %s missing", iso)
 		}
 		if av != bv {
-			return fmt.Sprintf("isolate %s {instr, samples, allocObj, allocB, liveObj, liveB, gcActs} %v != %v", iso, av, bv)
+			return fmt.Sprintf("isolate %s {instr, samples, allocObj, allocB, liveObj, liveB, gcActs, callsIn, callsOut} %v != %v", iso, av, bv)
 		}
 	}
 	return ""
@@ -580,23 +755,24 @@ func runOracleProgram(t *testing.T, p oracleProgram, mode core.Mode, disp oracle
 		output:         vm.Output(),
 		total:          vm.TotalInstructions(),
 		clock:          vm.Clock(),
-		perIsolate:     make(map[string][7]int64),
+		perIsolate:     make(map[string][9]int64),
 		incCycles:      vm.Heap().IncrementalCycles(),
 		barrierRecords: vm.Heap().BarrierRecords(),
 	}
 	for _, s := range vm.Snapshots() {
-		tr.perIsolate[s.IsolateName] = [7]int64{
+		tr.perIsolate[s.IsolateName] = [9]int64{
 			s.Instructions, s.CPUSamples,
 			s.AllocatedObjects, s.AllocatedBytes,
 			s.LiveObjects, s.LiveBytes,
 			s.GCActivations,
+			s.InterBundleCallsIn, s.InterBundleCallsOut,
 		}
 	}
 	return tr
 }
 
 // TestRandomizedDifferentialOracle replays >= 500 generated programs
-// across {seed switch, prepared+IC+fusion, closure-threaded} ×
+// across {seed switch, prepared+fusion, closure-threaded} ×
 // {Shared, Isolated} × {forced-STW, incremental-pressure,
 // incremental-paced} and demands:
 //

@@ -27,8 +27,8 @@ import (
 //     mode quickenings are instruction-for-instruction aligned (fusion
 //     rewrites only handler indices, never layout), so the frame's pc,
 //     locals and operand stack carry over unchanged — only the dispatch
-//     targets (and the invoke sites' inline caches, which start cold)
-//     differ. Adopted closure-tier programs are dropped (deopt): they
+//     targets (and the field-slot caches, which start cold) differ.
+//     Adopted closure-tier programs are dropped (deopt): they
 //     bind the old form's caches; the new form re-promotes on its own
 //     heat. A pc mid-fused-group carries over exactly because followers
 //     keep their original instruction form.
@@ -55,7 +55,7 @@ func (vm *VM) SetIsolationMode(mode core.Mode) error {
 		vm.heap.SetAllocTracking(mode == core.ModeIsolated)
 		vm.opts.Mode = mode
 		vm.pmode = pmodeIndex(mode)
-		vm.ptable = handlerTable(mode, vm.opts.DisableInlineCaches)
+		vm.ptable = handlerTable(mode)
 		// A sequential quantum may be mid-flight (guest/native-context
 		// flip): make its hoisted mode flag refresh on the next step so
 		// accounting switches with the semantics.

@@ -13,7 +13,7 @@ import (
 
 // requickenClasses builds a counter class (static state) and a driver
 // whose run(I)I spins n iterations bumping the static counter through an
-// invokevirtual site — enough surface to prove statics, inline caches
+// invokevirtual site — enough surface to prove statics, virtual dispatch
 // and live frames survive a mode flip.
 func requickenClasses() []*classfile.Class {
 	init := func(a *bytecode.Assembler) {
@@ -40,7 +40,7 @@ func requickenClasses() []*classfile.Class {
 }
 
 // TestSetIsolationModeRequickens boots a Shared-mode VM, runs warm
-// (populating the Shared quickening, its inline caches and the pool
+// (populating the Shared quickening, its field-slot caches and the pool
 // entries' ResolvedMirror caches), then flips to Isolated mode —
 // including mid-run, with live partially-executed frames — and checks
 // that execution continues correctly on the Isolated quickening, that

@@ -128,7 +128,8 @@ func (vm *VM) runQuantum(t *Thread, quantum int64, target *Thread) int64 {
 	// keeps per-instruction-exact budgets, clock ticks, per-isolate
 	// counters and CPU samples (see quantumAcct).
 	t.alloc = vm.seqAlloc
-	qa := quantumAcct{vm: vm, limit: quantum, isolated: vm.world.Isolated(), seq: true}
+	qa := quantumAcct{vm: vm, batch: &vm.seqBatch, sampleCount: &vm.instrSinceSample,
+		limit: quantum, isolated: vm.world.Isolated(), seq: true}
 	t.qa = &qa
 	defer func() { t.alloc = nil; t.qa = nil }()
 	for qa.steps < quantum && t.State() == StateRunnable {

@@ -637,14 +637,23 @@ func (vm *VM) FreeIsolate(iso *core.Isolate) error {
 	if iso == nil {
 		return errors.New("interp: free nil isolate")
 	}
-	vm.threadsMu.Lock()
-	for _, t := range vm.threads {
-		if !t.Done() && t.cur == iso {
-			vm.threadsMu.Unlock()
-			return fmt.Errorf("interp: thread %d still executes in %s", t.ID(), iso.Name())
+	// Workers write Thread.cur on every migration without a lock, so the
+	// liveness scan runs with the world stopped; threadsMu orders it with
+	// host-side RespawnThread.
+	var busy *Thread
+	vm.withWorldStopped(func() {
+		vm.threadsMu.Lock()
+		defer vm.threadsMu.Unlock()
+		for _, t := range vm.threads {
+			if !t.Done() && t.cur == iso {
+				busy = t
+				return
+			}
 		}
+	})
+	if busy != nil {
+		return fmt.Errorf("interp: thread %d still executes in %s", busy.ID(), iso.Name())
 	}
-	vm.threadsMu.Unlock()
 	l := iso.Loader()
 	if err := vm.world.FreeIsolate(iso, vm.heap); err != nil {
 		return err

@@ -115,6 +115,14 @@ func TestSnapshotCaptureUnderLoad(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		// Administer only an attached run, and capture only tenants that
+		// have run: a tenant's mirrors exist from its first static access.
+		sched.AwaitStart(vm)
+		for _, iso := range tenants {
+			for iso.Account().Instructions.Load() == 0 {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
 		killed := false
 		for i := 0; ; i++ {
 			select {

@@ -195,6 +195,8 @@ type Thread struct {
 	name string
 	vm   *VM
 
+	// frames is the activation stack. Slots between its length and its
+	// capacity cache released frames for reuse (acquireFrame).
 	frames []*Frame
 	state  atomic.Uint32 // holds a ThreadState
 

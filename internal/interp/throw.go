@@ -143,9 +143,9 @@ func (vm *VM) findHandler(f *Frame, exObj *heap.Object) (int32, bool) {
 
 // popFrame removes the top frame, releasing its monitor, completing a
 // <clinit> mirror, and restoring the caller's isolate reference (the
-// return half of thread migration, §3.1). The frame is recycled into the
-// VM's frame pool: callers must capture anything they still need from it
-// before calling popFrame.
+// return half of thread migration, §3.1). The frame is reset and stays
+// cached in the thread's frame slice for the next call: callers must
+// capture anything they still need from it before calling popFrame.
 func (vm *VM) popFrame(t *Thread, f *Frame) {
 	if f.lockedMonitor != nil {
 		vm.releaseMonitor(t, f.lockedMonitor)
@@ -161,10 +161,8 @@ func (vm *VM) popFrame(t *Thread, f *Frame) {
 			vm.chargePerCallCPU(t, f.iso)
 		}
 	}
-	n := len(t.frames) - 1
-	t.frames[n] = nil
-	t.frames = t.frames[:n]
-	vm.releaseFrame(f)
+	t.frames = t.frames[:len(t.frames)-1]
+	releaseFrame(f)
 }
 
 // chargePerCallCPU implements the ablation-only per-call accounting
@@ -186,6 +184,12 @@ func (vm *VM) chargePerCallCPU(t *Thread, leaving *core.Isolate) {
 func (vm *VM) finishThread(t *Thread) {
 	for len(t.frames) > 0 {
 		vm.popFrame(t, t.top())
+	}
+	// Hand the empty frame stack and its cached frames to the next thread;
+	// the Done publication below orders this with any respawn of t.
+	if stack := t.frames; cap(stack) > 0 {
+		t.frames = nil
+		vm.frameStacks.Put(&stack)
 	}
 	t.finishTick = vm.NowTicks()
 	vm.schedMu.Lock()

@@ -38,13 +38,17 @@ import (
 // once per stepThread call (the group's final sub-instruction), and
 // chargeSub increments it for each inlined prefix sub-instruction.
 type quantumAcct struct {
-	vm       *VM
-	sample   *SampleState     // concurrent engine sampling state; nil for sequential
-	batch    *core.InstrBatch // concurrent per-quantum account batch; nil for sequential
-	steps    int64
-	limit    int64
-	isolated bool
-	seq      bool
+	vm *VM
+	// batch is the owning engine's call-path batch: the sequential
+	// engine's VM-lifetime one or the worker's per-quantum one. pushFrame
+	// counts migrations into it as well (noteCall).
+	batch *core.InstrBatch
+	// sampleCount is the owning engine's CPU-sampling countdown.
+	sampleCount *int
+	steps       int64
+	limit       int64
+	isolated    bool
+	seq         bool // sequential engine: steps also feed vm.seqPending
 }
 
 // reserve reports whether a fused group with extra prefix sub-instructions
@@ -76,29 +80,31 @@ func (q *quantumAcct) chargeSubs(t *Thread, k int64) {
 	vm := q.vm
 	if q.seq {
 		vm.seqPending += k
-		if q.isolated {
-			acct := t.cur.Account()
-			vm.seqBatch.NoteN(acct, k)
-			total := vm.instrSinceSample + int(k)
-			if every := vm.opts.SampleEvery; total >= every {
-				acct.CPUSamples.Add(int64(total / every))
-				total %= every
-			}
-			vm.instrSinceSample = total
-		}
-		return
 	}
 	if q.isolated {
 		acct := t.cur.Account()
 		q.batch.NoteN(acct, k)
-		s := q.sample
-		total := s.count + int(k)
+		total := *q.sampleCount + int(k)
 		if every := vm.opts.SampleEvery; total >= every {
 			acct.CPUSamples.Add(int64(total / every))
 			total %= every
 		}
-		s.count = total
+		*q.sampleCount = total
 	}
+}
+
+// noteCall counts one inter-isolate call (§3.1 migration) from the
+// thread's previous isolate into to. Inside a quantum the count joins the
+// engine's batch beside the instruction charges and is published at the
+// same flush points; a host-side frame push (thread spawn) runs outside
+// any quantum and publishes directly.
+func (t *Thread) noteCall(from, to *core.Isolate) {
+	if q := t.qa; q != nil {
+		q.batch.NoteCall(from.Account(), to.Account())
+		return
+	}
+	from.Account().InterBundleCallsOut.Add(1)
+	to.Account().InterBundleCallsIn.Add(1)
 }
 
 // barrierOn is the per-quantum cached SATB barrier flag used by the fused
@@ -180,8 +186,7 @@ func (vm *VM) noteQuantumHeat(t *Thread, n int64) {
 
 // promoteHot compiles the closure-threaded program for a hot method and
 // publishes it with a first-wins CAS; racing promoters build redundantly
-// but all adopt the single published program (same discipline as IC
-// lines).
+// but all adopt the single published program.
 func (vm *VM) promoteHot(m *classfile.Method, p *bytecode.PCode) *closureProgram {
 	if hot := p.Tier.Hot(); hot != nil {
 		return hot.(*closureProgram)

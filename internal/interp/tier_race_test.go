@@ -23,8 +23,7 @@ import (
 // quanta, and an admin goroutine storming exact collections, incremental
 // cycle starts, interrupts and a mid-run kill. The contended surfaces:
 // TierState.AddHeat, the build-then-CAS publication of the closure
-// program (first winner publishes, losers adopt — same discipline as IC
-// lines), per-frame adoption at activation and quantum boundaries, and
+// program (first winner publishes, losers adopt), per-frame adoption at activation and quantum boundaries, and
 // deopt interleaving with stop-the-world phases.
 
 const (
@@ -117,6 +116,9 @@ func TestTierPromotionRaceStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if !awaitAttached(vm, stop) {
+				return
+			}
 			killed := false
 			for i := 0; ; i++ {
 				select {

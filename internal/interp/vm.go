@@ -69,11 +69,6 @@ type Options struct {
 	// with checked stack discipline. Used as the reference semantics of
 	// the dispatch oracle tests and as an escape hatch.
 	DisablePrepare bool
-	// DisableInlineCaches makes prepared invokes resolve through the
-	// generic path (pool entry + per-class resolution cache) instead of
-	// the per-site polymorphic inline caches — the ablation baseline of
-	// the BenchmarkInvoke_* microbenchmarks.
-	DisableInlineCaches bool
 	// ForceSTWGC selects the reference collector: no incremental cycles,
 	// no write barrier, every collection a monolithic stop-the-world
 	// mark-sweep at its trigger point. The differential baseline of the
@@ -196,9 +191,10 @@ type VM struct {
 	seqPending  int64
 	seqModeFlip bool
 
-	// framePool recycles activation records (and their local/stack
-	// slices) across pushFrame/popFrame.
-	framePool sync.Pool
+	// frameStacks passes the frame stacks of finished threads (with the
+	// frames cached in them) to new ones. Calls never touch it: a live
+	// thread's frames are its own (Thread.acquireFrame).
+	frameStacks sync.Pool
 
 	// seqAlloc is the sequential engine's allocation state (shard-local
 	// domain + byte batch), owned by the goroutine running Run/RunUntil
@@ -286,15 +282,15 @@ func NewVM(opts Options) *VM {
 		registry:  registry,
 		world:     core.NewWorld(opts.Mode, registry),
 		heap:      h,
-		ptable:    handlerTable(opts.Mode, opts.DisableInlineCaches),
+		ptable:    handlerTable(opts.Mode),
 		pmode:     pmodeIndex(opts.Mode),
 		pinned:    make(map[heap.IsolateID][]*heap.Object),
 		hostRoots: make(map[*HostRoots]struct{}),
 		waiters:   make(map[*heap.Object][]*Thread),
 
 		stagedEntryArgs: make(map[*Thread]stagedArgs),
-		wellKnown: make(map[string]*classfile.Class),
-		rng:       0x9E3779B97F4A7C15,
+		wellKnown:       make(map[string]*classfile.Class),
+		rng:             0x9E3779B97F4A7C15,
 	}
 }
 

@@ -170,8 +170,8 @@ func (l *Loader) Classes() []*classfile.Class {
 // NumClasses returns the number of classes defined by this loader.
 func (l *Loader) NumClasses() int { return len(l.classes) }
 
-// link resolves the superclass, assigns field slots and statics/method
-// IDs, and marks the class linked.
+// link resolves the superclass, assigns field and method slots and
+// statics/method IDs, and marks the class linked.
 func (l *Loader) link(c *classfile.Class) error {
 	if c.Name != classfile.ObjectClassName {
 		super, err := l.Lookup(c.SuperName)
@@ -192,6 +192,7 @@ func (l *Loader) link(c *classfile.Class) error {
 		f.Slot = i
 	}
 	c.NumStaticSlots = len(c.StaticFields)
+	c.AssignMethodSlots()
 	c.LoaderID = l.id
 	if l.IsBootstrap() {
 		c.Flags |= classfile.FlagSystem

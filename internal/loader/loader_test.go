@@ -59,6 +59,78 @@ func TestLinkAssignsSlotsAcrossHierarchy(t *testing.T) {
 	}
 }
 
+// TestLinkAssignsMethodSlots pins the slot rule: an overriding method
+// takes its parent's slot and root, a new one is appended, constructors
+// take none, a subclass in another loader extends the same table, and
+// defining subclasses leaves the parent's table as it was.
+func TestLinkAssignsMethodSlots(t *testing.T) {
+	r := newRegistryWithObject(t)
+	ret := func(a *bytecode.Assembler) { a.Return() }
+	class := func(name, super string, methods ...string) *classfile.Class {
+		b := classfile.NewClass(name).Method(classfile.InitName, "()V", 0, ret)
+		if super != "" {
+			b.Super(super)
+		}
+		for _, m := range methods {
+			b.Method(m, "()V", 0, ret)
+		}
+		return b.MustBuild()
+	}
+	l := r.NewLoader("app")
+	a := l.MustDefine(class("v/A", "", "f", "g"))
+	tableOfA := append([]*classfile.Method(nil), a.VTable...)
+	b := l.MustDefine(class("v/B", "v/A", "h", "f"))
+	other := r.NewLoader("other")
+	other.AddDelegate(l)
+	c := other.MustDefine(class("v/C", "v/B", "g"))
+
+	method := func(c *classfile.Class, name string) *classfile.Method {
+		m := c.DeclaredMethod(name, "()V")
+		if m == nil {
+			t.Fatalf("%s declares no %s", c.Name, name)
+		}
+		return m
+	}
+	af, ag, bf, bh, cg := method(a, "f"), method(a, "g"), method(b, "f"), method(b, "h"), method(c, "g")
+	if af.VSlot != 0 || ag.VSlot != 1 || af.VRoot != af || ag.VRoot != ag {
+		t.Fatalf("A: f slot %d, g slot %d", af.VSlot, ag.VSlot)
+	}
+	if bf.VSlot != af.VSlot || bf.VRoot != af {
+		t.Fatalf("B.f overrides A.f but has slot %d", bf.VSlot)
+	}
+	if bh.VSlot != 2 || bh.VRoot != bh {
+		t.Fatalf("B.h is new but has slot %d", bh.VSlot)
+	}
+	if cg.VSlot != ag.VSlot || cg.VRoot != ag {
+		t.Fatalf("C.g overrides A.g across loaders but has slot %d", cg.VSlot)
+	}
+	if m := method(a, classfile.InitName); m.VSlot != -1 || m.VRoot != nil {
+		t.Fatalf("constructor has slot %d", m.VSlot)
+	}
+	for _, tc := range []struct {
+		class *classfile.Class
+		want  []*classfile.Method
+	}{
+		{a, []*classfile.Method{af, ag}},
+		{b, []*classfile.Method{bf, ag, bh}},
+		{c, []*classfile.Method{bf, cg, bh}},
+	} {
+		if len(tc.class.VTable) != len(tc.want) {
+			t.Fatalf("%s: table of %d entries, want %d", tc.class.Name, len(tc.class.VTable), len(tc.want))
+		}
+		for i, m := range tc.want {
+			if tc.class.VTable[i] != m {
+				t.Fatalf("%s slot %d: %s, want %s", tc.class.Name, i, tc.class.VTable[i].QualifiedName(), m.QualifiedName())
+			}
+		}
+	}
+	for i, m := range tableOfA {
+		if a.VTable[i] != m {
+			t.Fatalf("defining subclasses rewrote A's slot %d", i)
+		}
+	}
+}
+
 func TestBootstrapClassesAreSystem(t *testing.T) {
 	r := newRegistryWithObject(t)
 	obj, err := r.Bootstrap().Lookup(classfile.ObjectClassName)

@@ -2,6 +2,7 @@ package rpc_test
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -235,6 +236,49 @@ func TestSaturationFailFast(t *testing.T) {
 	fut.Release()
 }
 
+// TestFullDepthPipelineNeverSaturates: a caller that keeps exactly
+// QueueDepth calls in flight and resubmits the moment the oldest
+// resolves is within its admission budget at every instant, so it must
+// never be refused. It was, while a resolution was published before the
+// call's slot was retired: the woken caller raced the worker to the slot.
+func TestFullDepthPipelineNeverSaturates(t *testing.T) {
+	e, hub := newAsyncEnv(t)
+	defer hub.Close()
+	spin := e.extraMethod(t, "spin", "(I)I")
+	const depth, calls = 16, 10_000
+	link, err := hub.NewLink(e.caller, e.callee, spin, heap.Value{}, rpc.LinkOptions{QueueDepth: depth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	var window [depth]*rpc.Future
+	for i := 0; i < calls+depth; i++ {
+		slot := &window[i%depth]
+		oldest := *slot
+		if oldest != nil {
+			// Poll rather than park: the resubmission below then follows
+			// the resolution within nanoseconds, not a goroutine wake-up.
+			v, err, ok := oldest.TryResult()
+			for !ok {
+				runtime.Gosched()
+				v, err, ok = oldest.TryResult()
+			}
+			if err != nil || v.I != 3 {
+				t.Fatalf("call %d: %v / %d", i-depth, err, v.I)
+			}
+			*slot = nil
+		}
+		if i < calls {
+			if *slot, err = link.CallAsync([]heap.Value{heap.IntVal(3)}); err != nil {
+				t.Fatalf("submission %d with %d calls in flight: %v", i, min(i, depth-1), err)
+			}
+		}
+		if oldest != nil {
+			oldest.Release()
+		}
+	}
+}
+
 // TestCallBudgetAborts: an over-budget callee resolves with
 // ErrCallBudget and leaves no runnable zombie thread behind.
 func TestCallBudgetAborts(t *testing.T) {
@@ -303,7 +347,7 @@ func TestCopyBudgetBoundary(t *testing.T) {
 	if _, err := link.Call([]heap.Value{chain(budget, roots)}); err != nil {
 		t.Fatalf("budget-sized payload rejected: %v", err)
 	}
-	if _, err := link.Call([]heap.Value{chain(budget + 1, roots)}); !errors.Is(err, rpc.ErrCopyBudget) {
+	if _, err := link.Call([]heap.Value{chain(budget+1, roots)}); !errors.Is(err, rpc.ErrCopyBudget) {
 		t.Fatalf("over-budget payload: %v, want ErrCopyBudget", err)
 	}
 

@@ -333,8 +333,16 @@ type request struct {
 // callee-side resources. Used for every non-dispatched outcome.
 func (req *request) fail(err error) {
 	req.release()
-	req.fut.resolve(heap.Value{}, err)
-	req.done()
+	req.resolve(heap.Value{}, err)
+}
+
+// resolve retires the call's admission slot and then publishes the
+// outcome — in that order, so a caller that resubmits the moment it
+// observes a resolution finds the slot it is entitled to: QueueDepth
+// calls kept in flight by resubmit-on-resolve are never refused.
+func (req *request) resolve(v heap.Value, err error) {
+	req.link.releaseSlot()
+	req.fut.resolve(v, err)
 }
 
 func (req *request) release() {
@@ -346,11 +354,6 @@ func (req *request) release() {
 		req.link.hub.vm.Heap().UnpinShared(o)
 	}
 	req.pins = nil
-}
-
-// done retires the call's admission slot.
-func (req *request) done() {
-	req.link.releaseSlot()
 }
 
 // CallAsync submits one call and returns its future without waiting.
@@ -678,8 +681,7 @@ func (h *Hub) copyOut(req *request, v heap.Value) {
 		// Scalar result: nothing crosses an isolate boundary by
 		// reference, so resolve directly.
 		req.release()
-		req.fut.resolve(v, nil)
-		req.done()
+		req.resolve(v, nil)
 		return
 	}
 	c := &copier{
@@ -696,14 +698,12 @@ func (h *Hub) copyOut(req *request, v heap.Value) {
 	req.release()
 	if err != nil {
 		c.abandon()
-		req.fut.resolve(heap.Value{}, err)
-		req.done()
+		req.resolve(heap.Value{}, err)
 		return
 	}
 	req.fut.roots = c.roots
 	req.fut.pins = c.pins
-	req.fut.resolve(cv, nil)
-	req.done()
+	req.resolve(cv, nil)
 }
 
 // Close rejects new calls, cancels queued and in-flight ones (they

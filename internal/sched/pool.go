@@ -50,6 +50,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ijvm/internal/core"
 	"ijvm/internal/interp"
@@ -250,6 +251,17 @@ func Run(vm *interp.VM, workers int, budget int64) interp.RunResult {
 // the same precision as the sequential engine.
 func RunUntil(vm *interp.VM, workers int, budget int64, target *interp.Thread) interp.RunResult {
 	return RunConfig(vm, Config{Workers: workers, Budget: budget, Target: target})
+}
+
+// AwaitStart blocks until a concurrent run started on another goroutine
+// has attached to vm, so the caller may spawn threads into it and
+// administer it (kill, collect, pool refill). Waiting for
+// vm.TotalInstructions() to leave zero does not do: after a host-side
+// warm-up it already has. The run must outlive the wait.
+func AwaitStart(vm *interp.VM) {
+	for !vm.SchedulerAttached() {
+		time.Sleep(50 * time.Microsecond)
+	}
 }
 
 // RunConfig is Run with the full QoS surface: scheduling policy,

@@ -3,6 +3,7 @@ package sched_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
@@ -108,5 +109,65 @@ func TestConcurrentBudget(t *testing.T) {
 	}
 	if res.Instructions > 60_000 {
 		t.Fatalf("executed %d instructions, budget was 50k", res.Instructions)
+	}
+}
+
+// TestSpawnRightAfterWarmedStart: a VM that already executed instructions
+// on the host (a template warm-up) starts a concurrent run, and the host
+// spawns a burst of threads the moment AwaitStart returns. Every one must
+// land in a shard and run. With the "instruction count is non-zero"
+// start-up wait this replaces, a warmed VM let the burst straddle the gap
+// between the scheduler's initial thread scan and its hook installation,
+// and the threads spawned inside it were lost.
+func TestSpawnRightAfterWarmedStart(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		vm := newIsolatedVM(t, interp.Options{})
+		iso, err := vm.NewIsolate("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := iso.Loader().Define(spinClasses("warm/Spin")); err != nil {
+			t.Fatal(err)
+		}
+		c, _ := iso.Loader().Lookup("warm/Spin")
+		m, _ := c.LookupMethod("run", "(I)I")
+		if _, _, err := vm.CallRoot(iso, m, []heap.Value{heap.IntVal(10)}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if vm.TotalInstructions() == 0 {
+			t.Fatal("warm-up executed nothing")
+		}
+		// The keeper holds the run open until the burst has finished.
+		keeper, err := vm.SpawnThread("keeper", iso, m, []heap.Value{heap.IntVal(1 << 40)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan interp.RunResult, 1)
+		go func() { done <- sched.Run(vm, 2, 0) }()
+		sched.AwaitStart(vm)
+		var burst []*interp.Thread
+		for i := 0; i < 256; i++ {
+			th, err := vm.SpawnThread("late", iso, m, []heap.Value{heap.IntVal(100)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			burst = append(burst, th)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for i, th := range burst {
+			for !th.Done() {
+				if time.Now().After(deadline) {
+					t.Fatalf("round %d: thread %d of the burst spawned right after start never ran", round, i)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+			if th.Result().I != 100 {
+				t.Fatalf("round %d: burst thread %d returned %d", round, i, th.Result().I)
+			}
+		}
+		vm.Shutdown()
+		if res := <-done; !res.Shutdown || keeper.Done() {
+			t.Fatalf("round %d: run ended with %+v, keeper done=%v", round, res, keeper.Done())
+		}
 	}
 }

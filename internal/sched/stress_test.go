@@ -89,11 +89,7 @@ func TestConcurrentStressKillsUnderRace(t *testing.T) {
 		res = sched.Run(vm, 4, 0) // unlimited budget: only the kills end it
 	}()
 
-	// Administer only a run we have observed (the safepoint machinery is
-	// in place once instructions flow).
-	for vm.TotalInstructions() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	sched.AwaitStart(vm)
 
 	// Admin goroutine: kill every bundle mid-run, alternating between the
 	// Isolate0-initiated path (rights check) and the host path, with

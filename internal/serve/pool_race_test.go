@@ -20,9 +20,11 @@ import (
 // session-churn goroutines hammer Acquire / spawn-serve / (sometimes
 // kill) / Release — which is CloneIsolate and FreeIsolate churn on the
 // refiller — while 4 compute shards keep the scheduler workers busy
-// mutating statics, an admin goroutine layers on collection and
-// interrupt storms plus a mid-run victim kill, and a weight-1 keeper
-// holds the run open. World-lock and reservation-counter contention on
+// mutating statics, a call-flood pair migrates one thread between two
+// isolates on every call and return (the unlocked Thread.cur writes the
+// refiller's FreeIsolate liveness scan must not race), an admin goroutine
+// layers on collection and interrupt storms plus a mid-run victim kill,
+// and a weight-1 keeper holds the run open. World-lock and reservation-counter contention on
 // the clone path is exactly where ROADMAP says the scaling bugs hide;
 // this runs under -race in CI.
 //
@@ -75,6 +77,35 @@ func TestClonePoolConcurrentChurn(t *testing.T) {
 	kc, _ := keeper.Loader().Lookup("st/Keeper")
 	km, _ := kc.LookupMethod("attack", "()V")
 	if _, err := vm.SpawnThread("keeper", keeper, km, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// Call flood: a static call into a second isolate in an endless loop.
+	flood, err := vm.NewIsolate("flood")
+	if err != nil {
+		t.Fatal(err)
+	}
+	floodPeer, err := vm.NewIsolate("flood-peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := floodPeer.Loader().Define(classfile.NewClass("st/Peer").
+		Method("ping", "(I)I", classfile.FlagStatic|classfile.FlagPublic, func(a *bytecode.Assembler) {
+			a.ILoad(0).Const(1).IAdd().IReturn()
+		}).MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	flood.Loader().AddDelegate(floodPeer.Loader())
+	floodMain := classfile.NewClass("st/Flood").
+		Method("attack", "()V", classfile.FlagStatic|classfile.FlagPublic, func(a *bytecode.Assembler) {
+			a.Const(0).IStore(0)
+			a.Label("loop").ILoad(0).InvokeStatic("st/Peer", "ping", "(I)I").IStore(0).Goto("loop")
+		}).MustBuild()
+	if err := flood.Loader().Define(floodMain); err != nil {
+		t.Fatal(err)
+	}
+	fm, _ := floodMain.LookupMethod("attack", "()V")
+	if _, err := vm.SpawnThread("flood", flood, fm, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,9 +164,7 @@ func TestClonePoolConcurrentChurn(t *testing.T) {
 	go func() {
 		resCh <- sched.RunConfig(vm, sched.Config{Workers: 4, Policy: sched.PolicyProportional})
 	}()
-	for vm.TotalInstructions() == 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
+	sched.AwaitStart(vm)
 
 	// Admin storms: collections every round, interrupt storms every 3rd,
 	// one victim kill.
@@ -249,6 +278,9 @@ func TestClonePoolConcurrentChurn(t *testing.T) {
 	}
 	if st.Recycled == 0 || st.Cloned < poolStressChurners {
 		t.Fatalf("pool never churned: %+v", st)
+	}
+	if in := floodPeer.Account().InterBundleCallsIn.Load(); in == 0 {
+		t.Fatal("the call flood never migrated")
 	}
 	pool.Close()
 	snap.Release()

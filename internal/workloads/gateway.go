@@ -617,9 +617,7 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 			Governor: gov,
 		})
 	}()
-	for vm.TotalInstructions() == 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
+	sched.AwaitStart(vm)
 
 	// Abuser admission clients: hammer Acquire so throttle-stage shedding
 	// is observable at the admission edge. Pre-throttle admissions give
@@ -647,13 +645,13 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 	}
 
 	var (
-		checksum   atomic.Int64
-		serves     atomic.Int64
-		spawnMu    sync.Mutex
-		spawnLats  []int64
-		serveLats  []int64
-		clientErr  atomic.Pointer[error]
-		wg         sync.WaitGroup
+		checksum  atomic.Int64
+		serves    atomic.Int64
+		spawnMu   sync.Mutex
+		spawnLats []int64
+		serveLats []int64
+		clientErr atomic.Pointer[error]
+		wg        sync.WaitGroup
 	)
 	fail := func(err error) { clientErr.CompareAndSwap(nil, &err) }
 	start := time.Now()

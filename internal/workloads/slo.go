@@ -409,11 +409,7 @@ func RunSLO(cfg SLOConfig) (*SLOResult, error) {
 			Governor: gov,
 		})
 	}()
-	// Observe the run before administering it (the pool must have
-	// installed its safepoint machinery before host-side spawns arrive).
-	for vm.TotalInstructions() == 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
+	sched.AwaitStart(vm)
 
 	var completed, failed int64
 	latMu := sync.Mutex{}
