@@ -642,10 +642,8 @@ func TestEmitInterpBench(t *testing.T) {
 	}
 	type tierCurve struct {
 		SeedMinstrS       float64 `json:"seed_minstr_s"`     // unquickened checked switch
-		PreparedMinstrS   float64 `json:"prepared_minstr_s"` // quickened table, no fusion (PR-7 engine)
-		FusedMinstrS      float64 `json:"fused_minstr_s"`    // + superinstructions
-		ClosureMinstrS    float64 `json:"closure_minstr_s"`  // + closure-threaded hot tier
-		FusedVsPrepared   float64 `json:"fused_vs_prepared"`
+		PreparedMinstrS   float64 `json:"prepared_minstr_s"` // quickened table, one handler per instruction
+		ClosureMinstrS    float64 `json:"closure_minstr_s"`  // + closure-threaded hot tier (group fusion built in)
 		ClosureVsPrepared float64 `json:"closure_vs_prepared"`
 	}
 	type gcCurve struct {
@@ -763,7 +761,6 @@ func TestEmitInterpBench(t *testing.T) {
 	}
 	tierSeedV := bestTier(tierSeed)
 	tierPrepV := bestTier(tierPrepared)
-	tierFusedV := bestTier(tierFused)
 	tierClosV := bestTier(tierClosure)
 	measureGCPauses := func() (fullMs, termMs float64) {
 		vmFull, err := gcBenchVM(true)
@@ -920,7 +917,7 @@ func TestEmitInterpBench(t *testing.T) {
 		Workload: "BenchmarkScheduler_*: 8 isolates x 200k-iteration spin loops; BenchmarkInvoke_*: one hot invokevirtual site over k receiver classes; " +
 			"BenchmarkAlloc_*: 6 allocator goroutines + 4 metric pollers against one heap (seed global-mutex admission vs per-shard domains); " +
 			"BenchmarkField_*: hot getfield/putfield loop (per-site slot caches vs reference switch); " +
-			"BenchmarkTier_*: hot arithmetic loop across the four dispatch tiers (seed switch, quickened table, superinstruction-fused, closure-threaded); " +
+			"BenchmarkTier_*: hot arithmetic loop across the three ways to execute it (seed switch, quickened table, closure-threaded); " +
 			"BenchmarkGC_*: 20k-object pinned live graph — full-STW pause vs incremental terminal pause, and store-heavy mutator throughput with/without an open mark phase; " +
 			"BenchmarkIntern_*: 8-site Ldc loop on the lock-free interned-string pool; " +
 			"BenchmarkRPC_*: 4 concurrent callers x 200 inter-isolate calls (seed serialized link vs async hub: blocking, pipelined, deep-copy vs zero-copy payloads) plus the 3x3 microservice-mesh fan-out under tenant churn; " +
@@ -957,9 +954,7 @@ func TestEmitInterpBench(t *testing.T) {
 		Tier: tierCurve{
 			SeedMinstrS:       tierSeedV,
 			PreparedMinstrS:   tierPrepV,
-			FusedMinstrS:      tierFusedV,
 			ClosureMinstrS:    tierClosV,
-			FusedVsPrepared:   tierFusedV / tierPrepV,
 			ClosureVsPrepared: tierClosV / tierPrepV,
 		},
 		GC: gcCurve{
@@ -1450,21 +1445,21 @@ func measureFieldThroughput(disablePrepare bool) (float64, error) {
 	return float64(vm.TotalInstructions()-start) / 1e6 / elapsed.Seconds(), nil
 }
 
-// --- Tier microbenchmarks (superinstruction fusion + closure tier) --------
+// --- Tier microbenchmarks (quickened table vs closure tier) ---------------
 //
-// One hot arithmetic loop measured across the four dispatch tiers:
+// One hot arithmetic loop measured across the three ways to execute it:
 //
 //	seed     — unquickened checked switch (DisablePrepare)
-//	prepared — quickened table dispatch, fusion off (the PR-7 engine)
-//	fused    — quickened + superinstruction fusion, closure tier off
-//	closure  — fused + closure-threaded hot tier (promoted on first call)
+//	prepared — quickened table dispatch, closure tier off
+//	closure  — closure-threaded hot tier (promoted on first call)
 //
-// The loop body quickens into FusedLCOpStore, FusedLLOpStore,
-// FusedLLCmpBr and FusedIncGoto heads; the closure tier then collapses
-// the whole body into one block of pre-bound micro-closures with a
-// single table dispatch per backward branch. Minstr/s counts retired
-// bytecodes (fused execution retires the same count as the seed — the
-// oracle proves it), so the metric is directly comparable across tiers.
+// The closure compiler matches the loop body's load/const/op/store,
+// load/load/op/store, load/load/if_icmp and iinc+goto groups and
+// collapses the whole body into one block of pre-bound micro-closures
+// with a single table dispatch per backward branch. Minstr/s counts
+// retired bytecodes (a combined micro retires the same count as the seed
+// — the oracle proves it), so the metric is directly comparable across
+// tiers.
 
 const tierBenchInner = 10_000
 
@@ -1474,7 +1469,6 @@ type tierBenchConfig int
 const (
 	tierSeed tierBenchConfig = iota
 	tierPrepared
-	tierFused
 	tierClosure
 )
 
@@ -1484,9 +1478,6 @@ func (c tierBenchConfig) options() interp.Options {
 	case tierSeed:
 		o.DisablePrepare = true
 	case tierPrepared:
-		o.DisableFusion = true
-		o.TierPromoteThreshold = -1
-	case tierFused:
 		o.TierPromoteThreshold = -1
 	case tierClosure:
 		o.TierPromoteThreshold = 1
@@ -1554,7 +1545,6 @@ func benchTier(b *testing.B, cfg tierBenchConfig) {
 
 func BenchmarkTier_Seed(b *testing.B)     { benchTier(b, tierSeed) }
 func BenchmarkTier_Prepared(b *testing.B) { benchTier(b, tierPrepared) }
-func BenchmarkTier_Fused(b *testing.B)    { benchTier(b, tierFused) }
 func BenchmarkTier_Closure(b *testing.B)  { benchTier(b, tierClosure) }
 
 // measureTierThroughput runs the tier workload once and returns its

@@ -7,10 +7,10 @@ import "sync/atomic"
 // invocation and rewrites the decoded Instr stream into this form:
 //
 //   - H is the dispatch handler index into the interpreter's flat handler
-//     table, replacing the opcode switch. Base handlers use the opcode
-//     value itself; the numbering only has to agree between the preparer
-//     and the table, so specialized (quickened) handlers may use indices
-//     beyond NumOpcodes.
+//     table, replacing the opcode switch. It is always the instruction's
+//     opcode value: the prepared form is pure quickening, and anything
+//     that covers several instructions (the closure tier's combined
+//     micros) is built from it, never written back into it.
 //   - Ref carries the pre-resolved constant-pool operand (the pool entry
 //     pointer for field/method/class/string references). It is opaque at
 //     this layer so the package stays free of classfile dependencies.
@@ -70,41 +70,24 @@ const (
 	NumPModes
 )
 
-// Prepared-form variant indexes. Each mode comes in two variants:
-// the default fused variant (superinstruction heads rewritten, see
-// fused.go) and the unfused variant (pure quickening, one handler per
-// instruction) used when fusion is disabled. The fused variant occupies
-// the low slots so `Prepared(PModeIsolated)` keeps meaning "the form a
-// default-options VM executes".
-const (
-	PVariantFused = iota
-	PVariantUnfused
-	NumPVariants
-)
-
-// PSlot maps a (mode, variant) pair to its prepared-cache slot index.
-func PSlot(mode, variant int) int { return mode + NumPModes*variant }
-
-// Prepared returns the cached prepared form for one cache slot (a mode
-// index, or PSlot(mode, variant) for non-default variants), or nil
+// Prepared returns the cached prepared form for one mode index, or nil
 // before the first preparation. A non-nil result with an empty Instrs
 // slice is the preparer's "unpreparable" sentinel: the method
 // permanently executes through the reference switch interpreter.
-func (c *Code) Prepared(slot int) *PCode { return c.prepared[slot].Load() }
+func (c *Code) Prepared(mode int) *PCode { return c.prepared[mode].Load() }
 
-// StorePrepared publishes p as the code's prepared form for one cache
-// slot. Preparation is deterministic, so when two scheduler workers
+// StorePrepared publishes p as the code's prepared form for one mode
+// index. Preparation is deterministic, so when two scheduler workers
 // race the first publisher wins and both use the winning form, which is
 // returned.
-func (c *Code) StorePrepared(slot int, p *PCode) *PCode {
-	if c.prepared[slot].CompareAndSwap(nil, p) {
+func (c *Code) StorePrepared(mode int, p *PCode) *PCode {
+	if c.prepared[mode].CompareAndSwap(nil, p) {
 		return p
 	}
-	return c.prepared[slot].Load()
+	return c.prepared[mode].Load()
 }
 
 // preparedCache is the per-Code cache slot array for the quickened
-// forms, one per (isolation mode, fusion variant) pair. Clone
-// intentionally does not copy it: a cloned (e.g. poisoned) body must be
-// re-prepared.
-type preparedCache = [NumPModes * NumPVariants]atomic.Pointer[PCode]
+// forms, one per isolation mode. Clone intentionally does not copy it:
+// a cloned (e.g. poisoned) body must be re-prepared.
+type preparedCache = [NumPModes]atomic.Pointer[PCode]

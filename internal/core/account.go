@@ -183,8 +183,8 @@ func (b *InstrBatch) Note(acc *AccountCounters) {
 }
 
 // NoteN charges n instructions to acc in one call, exactly as n
-// consecutive Note calls would (the fused/closure tiers use it to retire
-// a whole instruction group's charges at once).
+// consecutive Note calls would (the closure tier uses it to retire a
+// whole block's charges at once).
 func (b *InstrBatch) NoteN(acc *AccountCounters, n int64) {
 	if acc != b.cur.acc {
 		b.switchTo(acc)

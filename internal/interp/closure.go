@@ -14,14 +14,13 @@ import (
 // straight run of closure calls with no table dispatch and no PInstr
 // decoding between sub-instructions.
 //
-// The tier is a generalization of the superinstruction contract
-// (fused_handlers.go):
+// The contract every block keeps:
 //
 //   - a block's prefix holds only micros that cannot throw, allocate,
 //     park, or reach a safepoint; anything else (invokes, news, statics,
 //     monitors, returns, throws, ldc, checkcast ...) terminates the block
 //     and is delegated through the live handler table, with the frame in
-//     exactly the unfused state;
+//     exactly the state single-step execution would leave it;
 //   - every micro fully applies its own stack/locals/pc effect before the
 //     next one runs, and guarded micros (field and array access) check
 //     all failure conditions BEFORE mutating anything, returning
@@ -32,20 +31,25 @@ import (
 //     that stop the step when taken (microStop) and fall through into
 //     the block's continuation otherwise, so a tight loop's whole
 //     iteration — compare, body, iinc+goto — retires as one engine step;
-//   - where the preparation pass fused a superinstruction
-//     (bytecode.IsFused on the head's handler index), the builder emits
-//     ONE combined micro for the whole group — operands pre-bound, the
-//     intermediate stack traffic elided entirely (local-to-local data
-//     flow), exactly like the fused handlers. Combined micros cover only
-//     the full-inline shapes, which cannot fail, so bail charging never
-//     lands inside a group;
+//   - group fusion is a private step of the builder: where the original
+//     opcodes at the cursor form one of the eight shapes closureGroup
+//     recognises (load/load|const/op[/store], load/load|const/if_icmp,
+//     iinc+goto, const/store), it emits ONE combined micro for the whole
+//     group — operands pre-bound, the intermediate stack traffic elided
+//     entirely (local-to-local data flow). Nothing can observe the
+//     intermediate stack inside one step (no safepoint, no throw, no GC
+//     root scan), and the shapes hold only non-throwing instructions, so
+//     combined micros cannot fail and bail charging never lands inside a
+//     group. The prepared form is untouched (PInstr.H stays the opcode):
+//     a block entered at a follower pc compiles from there, and every
+//     table fallback executes one original instruction;
 //   - the whole block reserves its sub-instruction width against the
 //     quantum up front and charges retired micros through the engine
 //     loop's own accounting sequence in one batched, arithmetically
 //     identical call (tier.go chargeSubs), so quantum boundaries,
 //     per-isolate accounts, GC mark strides, interrupt/kill polls and
-//     STW parking all land at identical instruction counts to the
-//     unfused engine.
+//     STW parking all land at identical instruction counts to
+//     single-step execution.
 //
 // Deopt: SetIsolationMode re-quickens live frames and drops their adopted
 // program (requicken.go); the mode's own prepared form re-promotes
@@ -72,27 +76,27 @@ const (
 	microBail
 )
 
-// closureMicro executes one guest instruction (or one fused group) with
-// pre-bound operands.
+// closureMicro executes one guest instruction (or one combined group)
+// with pre-bound operands.
 type closureMicro func(vm *VM, t *Thread, f *Frame) microStatus
 
 // closureBlock is the compiled form of one extended basic block. The
-// prefix holds micros for straight-line instructions, fused groups, AND
+// prefix holds micros for straight-line instructions, combined groups, AND
 // conditional branches (taken → microStop ends the step; not taken →
 // execution continues into the fall-through within the same step, so a
 // tight loop iteration is one engine step). last is an optional inline
-// unconditional final (goto, or a fused iinc+goto); nil last means the
+// unconditional final (goto, or a combined iinc+goto); nil last means the
 // block's final instruction is delegated through the handler table
 // (invokes, allocation, returns, ...).
 //
-// A prefix entry may cover several guest instructions (a fused group),
-// so charging is width-aware: cum[i] is the sub-instruction count
+// A prefix entry may cover several guest instructions (a combined
+// group), so charging is width-aware: cum[i] is the sub-instruction count
 // retired once prefix[i] completes, and width is the full fall-through
 // path's count plus an inline final's surplus over the one instruction
 // the engine loop charges. reserve(width) is conservative on early-taken
-// branches — exactly like a fused handler's whole-group reserve, the
-// block runs compiled only when its longest path fits the quantum, and
-// single-steps (the unfused engine's own boundary behavior) otherwise.
+// branches: the block runs compiled only when its longest path fits the
+// quantum, and single-steps (the table engine's own boundary behavior)
+// otherwise.
 type closureBlock struct {
 	prefix []closureMicro
 	cum    []int64
@@ -196,15 +200,15 @@ func buildClosureProgram(m *classfile.Method, p *bytecode.PCode) *closureProgram
 // buildClosureBlock compiles one extended block starting at pc. It
 // returns the block (nil when too trivial to beat table dispatch), the
 // pc of the block's final instruction, and whether control may fall
-// through past it. Where the prepared form carries a fused
-// superinstruction head, the whole group compiles into one combined
-// micro; blocks entered at a follower pc see the followers' original
-// form, so mid-group entries still compile per instruction. Conditional
-// branches (plain or fused compare-and-branch) do not end the block:
-// they compile as mid-block micros and the fall-through path continues,
-// so a backward-branching loop body becomes a single step per
-// iteration. The builder terminates because cur strictly increases and
-// only unconditional transfers end a block.
+// through past it. Where the opcodes at the cursor form a group shape
+// (closureGroup), the whole group compiles into one combined micro; a
+// block entered at a follower pc starts matching there, so mid-group
+// entries compile whatever shape — or single instruction — begins at
+// that pc. Conditional branches (plain or combined compare-and-branch)
+// do not end the block: they compile as mid-block micros and the
+// fall-through path continues, so a backward-branching loop body becomes
+// a single step per iteration. The builder terminates because cur
+// strictly increases and only unconditional transfers end a block.
 func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32) (*closureBlock, int32, bool) {
 	var prefix []closureMicro
 	var cum []int64
@@ -212,24 +216,20 @@ func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32) (*closu
 	cur := pc
 	n := int32(len(code.Instrs))
 	for cur < n && width < maxClosureBlock {
-		if h := p.Instrs[cur].H; bytecode.IsFused(h) {
-			if mo, w := closureFusedMicro(h, p, cur); mo != nil {
-				if h == bytecode.FusedIncGoto {
-					// Unconditional inline final: the engine loop's
-					// post-step charge covers the goto, width the iinc.
-					width += int64(w - 1)
-					return &closureBlock{prefix: prefix, cum: cum, width: width, last: mo}, cur + int32(w) - 1, false
-				}
-				width += int64(w)
-				cum = append(cum, width)
-				prefix = append(prefix, mo)
-				cur += int32(w)
-				continue
-			}
-			// Delegated-final shapes (load/getfield-then-...) compile per
-			// original instruction below; their finals end the block.
-		}
 		op := code.Instrs[cur].Op
+		if mo, w := closureGroup(code.Instrs, cur); mo != nil {
+			if op == bytecode.OpIInc {
+				// iinc+goto, an unconditional inline final: the engine
+				// loop's post-step charge covers the goto, width the iinc.
+				width += int64(w - 1)
+				return &closureBlock{prefix: prefix, cum: cum, width: width, last: mo}, cur + w - 1, false
+			}
+			width += int64(w)
+			cum = append(cum, width)
+			prefix = append(prefix, mo)
+			cur += w
+			continue
+		}
 		if op.IsBranch() {
 			mo := closureBranch(op, &p.Instrs[cur])
 			if !op.IsConditionalBranch() {
@@ -279,86 +279,156 @@ func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32) (*closu
 	return &closureBlock{prefix: prefix, cum: cum, width: width, last: nil}, cur, true
 }
 
-// closureFusedMicro compiles one fused superinstruction group (head at
-// pc, followers in original form at pc+1..) into a single combined micro
-// with every operand pre-bound and the intermediate stack traffic
-// elided, mirroring the corresponding fused handler bit for bit. It
-// returns the micro and the group width; (nil, 0) leaves delegated-final
-// shapes to the per-instruction path. Combined micros cannot fail: every
-// shape here is full-inline (non-throwing, no safepoint, no allocation).
+func isLocalLoad(op bytecode.Opcode) bool {
+	return op == bytecode.OpILoad || op == bytecode.OpFLoad || op == bytecode.OpALoad
+}
+
+func isLocalStore(op bytecode.Opcode) bool {
+	return op == bytecode.OpIStore || op == bytecode.OpFStore || op == bytecode.OpAStore
+}
+
+func isICmpBranch(op bytecode.Opcode) bool {
+	switch op {
+	case bytecode.OpIfICmpEq, bytecode.OpIfICmpNe, bytecode.OpIfICmpLt,
+		bytecode.OpIfICmpLe, bytecode.OpIfICmpGt, bytecode.OpIfICmpGe:
+		return true
+	}
+	return false
+}
+
+// isPureIntOp reports whether op is one of the nine non-throwing int ops
+// pureBinop evaluates (idiv and irem throw, so they never join a group).
+func isPureIntOp(op bytecode.Opcode) bool {
+	switch op {
+	case bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul,
+		bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor,
+		bytecode.OpIShl, bytecode.OpIShr, bytecode.OpIUshr:
+		return true
+	}
+	return false
+}
+
+// pureBinop evaluates one of the nine non-throwing int ops, mirroring the
+// base handlers bit for bit (shift counts masked to 63).
+func pureBinop(op bytecode.Opcode, a, b int64) int64 {
+	switch op {
+	case bytecode.OpIAdd:
+		return a + b
+	case bytecode.OpISub:
+		return a - b
+	case bytecode.OpIMul:
+		return a * b
+	case bytecode.OpIAnd:
+		return a & b
+	case bytecode.OpIOr:
+		return a | b
+	case bytecode.OpIXor:
+		return a ^ b
+	case bytecode.OpIShl:
+		return a << (uint64(b) & 63)
+	case bytecode.OpIShr:
+		return a >> (uint64(b) & 63)
+	default: // OpIUshr
+		return int64(uint64(a) >> (uint64(b) & 63))
+	}
+}
+
+// closureGroup matches the instructions starting at pc against the group
+// shapes and compiles a match into a single combined micro with every
+// operand pre-bound and the intermediate stack traffic elided. It returns
+// the micro and the number of instructions it covers, or (nil, 0) when
+// no shape starts at pc. Matching runs over the original opcodes:
+//
+//   - "load" positions accept iload/fload/aload and "store" positions
+//     istore/fstore/astore: the micro reads the local slot's value (and
+//     .I for int ops) exactly as push-then-pop would, so kind mismatches
+//     behave identically to single-step execution;
+//   - const positions require iconst (fconst pushes a float value);
+//   - op positions accept only the non-throwing int ops.
+//
 // The compare-and-branch groups are mid-block micros (microStop when
 // taken); iinc+goto is the builder's inline final.
-func closureFusedMicro(h uint8, p *bytecode.PCode, pc int32) (closureMicro, int) {
-	ins := p.Instrs
-	switch h {
-	case bytecode.FusedLLOpStore:
-		a, b, opH, d := ins[pc].A, ins[pc+1].A, ins[pc+2].H, ins[pc+3].A
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.locals[d] = heap.IntVal(pureBinop(opH, f.locals[a].I, f.locals[b].I))
-			f.pc += 4
-			return microNext
-		}, 4
-	case bytecode.FusedLCOpStore:
-		a, c, opH, d := ins[pc].A, ins[pc+1].I, ins[pc+2].H, ins[pc+3].A
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.locals[d] = heap.IntVal(pureBinop(opH, f.locals[a].I, c))
-			f.pc += 4
-			return microNext
-		}, 4
-	case bytecode.FusedLLOp:
-		a, b, opH := ins[pc].A, ins[pc+1].A, ins[pc+2].H
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.push(heap.IntVal(pureBinop(opH, f.locals[a].I, f.locals[b].I)))
-			f.pc += 3
-			return microNext
-		}, 3
-	case bytecode.FusedLCOp:
-		a, c, opH := ins[pc].A, ins[pc+1].I, ins[pc+2].H
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.push(heap.IntVal(pureBinop(opH, f.locals[a].I, c)))
-			f.pc += 3
-			return microNext
-		}, 3
-	case bytecode.FusedConstStore:
-		v, d := heap.IntVal(ins[pc].I), ins[pc+1].A
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.locals[d] = v
-			f.pc += 2
-			return microNext
-		}, 2
-	case bytecode.FusedLLCmpBr:
-		a, b := ins[pc].A, ins[pc+1].A
-		cond := bytecode.Opcode(ins[pc+2].H)
-		tgt, fallPC := ins[pc+2].A, pc+3
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			if intCmpCondition(cond, f.locals[a].I, f.locals[b].I) {
-				f.pc = tgt
-				return microStop
+func closureGroup(ops []bytecode.Instr, pc int32) (closureMicro, int32) {
+	// at reads the opcode at i, or the invalid zero opcode (which matches
+	// no shape position) past the end of the code.
+	at := func(i int32) bytecode.Opcode {
+		if int(i) < len(ops) {
+			return ops[i].Op
+		}
+		return 0
+	}
+	switch head := ops[pc]; {
+	case isLocalLoad(head.Op):
+		fromLocal := isLocalLoad(at(pc + 1))
+		if !fromLocal && at(pc+1) != bytecode.OpIConst {
+			return nil, 0
+		}
+		// The second operand is local b or constant c.
+		a, b, c := head.A, ops[pc+1].A, ops[pc+1].I
+		switch op := at(pc + 2); {
+		case isPureIntOp(op) && isLocalStore(at(pc+3)):
+			d := ops[pc+3].A
+			if fromLocal {
+				return func(vm *VM, t *Thread, f *Frame) microStatus {
+					f.locals[d] = heap.IntVal(pureBinop(op, f.locals[a].I, f.locals[b].I))
+					f.pc += 4
+					return microNext
+				}, 4
 			}
-			f.pc = fallPC
-			return microNext
-		}, 3
-	case bytecode.FusedLCCmpBr:
-		a, c := ins[pc].A, ins[pc+1].I
-		cond := bytecode.Opcode(ins[pc+2].H)
-		tgt, fallPC := ins[pc+2].A, pc+3
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			if intCmpCondition(cond, f.locals[a].I, c) {
-				f.pc = tgt
-				return microStop
+			return func(vm *VM, t *Thread, f *Frame) microStatus {
+				f.locals[d] = heap.IntVal(pureBinop(op, f.locals[a].I, c))
+				f.pc += 4
+				return microNext
+			}, 4
+		case isICmpBranch(op):
+			tgt, fallPC := ops[pc+2].A, pc+3
+			if fromLocal {
+				return func(vm *VM, t *Thread, f *Frame) microStatus {
+					if intCmpCondition(op, f.locals[a].I, f.locals[b].I) {
+						f.pc = tgt
+						return microStop
+					}
+					f.pc = fallPC
+					return microNext
+				}, 3
 			}
-			f.pc = fallPC
-			return microNext
-		}, 3
-	case bytecode.FusedIncGoto:
-		slot, delta := ins[pc].A, int64(ins[pc].B)
-		tgt := ins[pc+1].A
+			return func(vm *VM, t *Thread, f *Frame) microStatus {
+				if intCmpCondition(op, f.locals[a].I, c) {
+					f.pc = tgt
+					return microStop
+				}
+				f.pc = fallPC
+				return microNext
+			}, 3
+		case isPureIntOp(op):
+			if fromLocal {
+				return func(vm *VM, t *Thread, f *Frame) microStatus {
+					f.push(heap.IntVal(pureBinop(op, f.locals[a].I, f.locals[b].I)))
+					f.pc += 3
+					return microNext
+				}, 3
+			}
+			return func(vm *VM, t *Thread, f *Frame) microStatus {
+				f.push(heap.IntVal(pureBinop(op, f.locals[a].I, c)))
+				f.pc += 3
+				return microNext
+			}, 3
+		}
+	case head.Op == bytecode.OpIInc && at(pc+1) == bytecode.OpGoto:
+		slot, delta, tgt := head.A, int64(head.B), ops[pc+1].A
 		return func(vm *VM, t *Thread, f *Frame) microStatus {
 			l := &f.locals[slot]
 			l.I += delta
 			l.Kind = classfile.KindInt
 			f.pc = tgt
 			return microStop
+		}, 2
+	case head.Op == bytecode.OpIConst && isLocalStore(at(pc+1)):
+		v, d := heap.IntVal(head.I), ops[pc+1].A
+		return func(vm *VM, t *Thread, f *Frame) microStatus {
+			f.locals[d] = v
+			f.pc += 2
+			return microNext
 		}, 2
 	}
 	return nil, 0
@@ -509,11 +579,10 @@ func closureMicroFor(op bytecode.Opcode, in *bytecode.PInstr) closureMicro {
 	case bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul,
 		bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor,
 		bytecode.OpIShl, bytecode.OpIShr, bytecode.OpIUshr:
-		h := uint8(op)
 		return func(vm *VM, t *Thread, f *Frame) microStatus {
 			b := f.upop()
 			a := f.upop()
-			f.push(heap.IntVal(pureBinop(h, a.I, b.I)))
+			f.push(heap.IntVal(pureBinop(op, a.I, b.I)))
 			f.pc++
 			return microNext
 		}

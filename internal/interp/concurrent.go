@@ -214,9 +214,9 @@ func (vm *VM) RunThreadQuantum(t *Thread, home *core.Isolate, budget int64, stop
 	// Install the worker's allocation state on the thread for this
 	// quantum; it is removed (and its byte batch flushed) before the
 	// worker parks, so stop-the-world observers see exact accounts. The
-	// quantum accountant (qa) lets superinstruction handlers and closure
-	// blocks charge their extra covered instructions with the exact
-	// per-instruction semantics of the loop below (see quantumAcct).
+	// quantum accountant (qa) lets closure blocks charge their extra
+	// covered instructions with the exact per-instruction semantics of
+	// the loop below (see quantumAcct).
 	t.alloc = s.alloc
 	qa := quantumAcct{vm: vm, batch: &batch, sampleCount: &s.count, limit: budget}
 	t.qa = &qa
@@ -225,7 +225,7 @@ func (vm *VM) RunThreadQuantum(t *Thread, home *core.Isolate, budget int64, stop
 			res.Stopped = true
 			break
 		}
-		// Pre-read the mode for the step's fused/closure sub-charges: the
+		// Pre-read the mode for the step's closure-block sub-charges: the
 		// global mode cannot flip while this worker is mid-step (flips
 		// stop the world at step boundaries) except by the step's own
 		// guest/native code, whose trailing instructions the re-read

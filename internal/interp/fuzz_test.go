@@ -22,7 +22,11 @@ import (
 //   - anything the verifier ACCEPTS must then execute on the unchecked
 //     prepared handlers without a host panic, and byte-identically to
 //     the checked seed-style switch (result, failure, instruction
-//     count) — the verifier's soundness contract.
+//     count) — the verifier's soundness contract;
+//   - the same holds with every method promoted to the closure tier on
+//     first activation: short fuzz programs never get hot on their own,
+//     and this leg is what drives the closure compiler's group matcher
+//     (its pc+1..pc+3 lookahead) over adversarial verified streams.
 //
 // The corpus is seeded from the instruction streams of the shipped
 // example programs (encoded through the same 3-bytes-per-instruction
@@ -87,19 +91,27 @@ func FuzzPrepareVerifier(f *testing.F) {
 		if bytecode.Validate(code) != nil {
 			return
 		}
-		// Accepted: the unchecked fast path must agree with the checked
-		// reference interpreter.
-		gotV, gotFail, gotErr, gotInstr := execFuzzProgram(t, code, false)
-		refV, refFail, refErr, refInstr := execFuzzProgram(t, code, true)
-		if gotErr != refErr {
-			t.Fatalf("host-error divergence: prepared=%v seed=%v", gotErr, refErr)
-		}
-		if gotErr {
-			return
-		}
-		if gotV != refV || gotFail != refFail || gotInstr != refInstr {
-			t.Fatalf("verified-but-divergent: prepared {v:%d fail:%q n:%d} seed {v:%d fail:%q n:%d}",
-				gotV, gotFail, gotInstr, refV, refFail, refInstr)
+		// Accepted: the unchecked fast paths (table, then closure tier)
+		// must agree with the checked reference interpreter.
+		refV, refFail, refErr, refInstr := execFuzzProgram(t, code, interp.Options{DisablePrepare: true})
+		for _, leg := range []struct {
+			name string
+			opts interp.Options
+		}{
+			{"prepared", interp.Options{}},
+			{"closure", interp.Options{TierPromoteThreshold: 1}},
+		} {
+			gotV, gotFail, gotErr, gotInstr := execFuzzProgram(t, code, leg.opts)
+			if gotErr != refErr {
+				t.Fatalf("host-error divergence: %s=%v seed=%v", leg.name, gotErr, refErr)
+			}
+			if gotErr {
+				continue
+			}
+			if gotV != refV || gotFail != refFail || gotInstr != refInstr {
+				t.Fatalf("verified-but-divergent: %s {v:%d fail:%q n:%d} seed {v:%d fail:%q n:%d}",
+					leg.name, gotV, gotFail, gotInstr, refV, refFail, refInstr)
+			}
 		}
 	})
 }
@@ -173,16 +185,15 @@ func fuzzHostClass(code *bytecode.Code) *classfile.Class {
 }
 
 // execFuzzProgram runs the fuzzed body in a fresh small VM under one
-// dispatch mode and reports (result, failure, host-error?, instructions).
-func execFuzzProgram(t *testing.T, code *bytecode.Code, seedDispatch bool) (int64, string, bool, int64) {
+// dispatch leg (opts carries only the leg's dispatch switches) and
+// reports (result, failure, host-error?, instructions).
+func execFuzzProgram(t *testing.T, code *bytecode.Code, opts interp.Options) (int64, string, bool, int64) {
 	t.Helper()
-	vm := interp.NewVM(interp.Options{
-		Mode:           core.ModeIsolated,
-		HeapLimit:      1 << 20,
-		MaxThreads:     8,
-		MaxFrameDepth:  64,
-		DisablePrepare: seedDispatch,
-	})
+	opts.Mode = core.ModeIsolated
+	opts.HeapLimit = 1 << 20
+	opts.MaxThreads = 8
+	opts.MaxFrameDepth = 64
+	vm := interp.NewVM(opts)
 	syslib.MustInstall(vm)
 	iso, err := vm.NewIsolate("main")
 	if err != nil {

@@ -23,8 +23,8 @@ import (
 type phandler func(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error
 
 // phandlerTables are the mode-specialized flat dispatch tables replacing
-// the opcode switch for prepared code, indexed [mode][PInstr.H] (base
-// handlers use the opcode value as their index). The VM selects one
+// the opcode switch for prepared code, indexed [mode][PInstr.H] (H is
+// always the instruction's opcode value). The VM selects one
 // table at construction (and again on SetIsolationMode), so the steady
 // state never re-checks world.Isolated():
 //
@@ -120,11 +120,6 @@ func init() {
 	reg(bytecode.OpMonitorEnter, pMonitorEnter)
 	reg(bytecode.OpMonitorExit, pMonitorExit)
 	reg(bytecode.OpAThrow, pAThrow)
-
-	// Superinstruction handlers (fused_handlers.go) are mode-neutral and
-	// live in every table; their delegated finals dispatch through the
-	// VM's live table and so pick up the mode specializations below.
-	registerFusedHandlers(&base)
 
 	for m := range phandlerTables {
 		phandlerTables[m] = base

@@ -35,16 +35,11 @@ import (
 //     program counter escaping the code — returns a preformatted
 //     per-method error instead of constructing one.
 //
-// A fourth step fuses common quickened sequences into superinstructions
-// (fused.go in the bytecode package, handlers in fused_handlers.go): the
-// head instruction's handler index is rewritten to a Fused* value while
-// every follower keeps its original form, so branches into the middle of
-// a group, handler entries, and re-quickening still work instruction by
-// instruction. Fused handlers reserve their extra sub-instructions
-// against the quantum budget (tier.go) and charge them through the same
-// per-instruction accounting sequence as the engine loop, so instruction
-// counts, accounting, budget exhaustion and the §4.3 attack detectors
-// fire at identical points (asserted by the dispatch oracle tests).
+// The prepared form is pure quickening: PInstr.H is always the
+// instruction's opcode, one handler per instruction. Group fusion — one
+// combined micro for a load/load/op/store run and the like — is a private
+// step of closure compilation (closure.go), which matches the shapes over
+// the original opcodes when a method gets hot.
 
 // unpreparable is the published sentinel for methods the verifier
 // rejected; they execute through the reference switch path forever.
@@ -69,20 +64,14 @@ func (vm *VM) preparedCode(m *classfile.Method) *bytecode.PCode {
 	if vm.opts.DisablePrepare {
 		return nil
 	}
-	fuse := !vm.opts.DisableFusion
-	variant := bytecode.PVariantFused
-	if !fuse {
-		variant = bytecode.PVariantUnfused
-	}
-	slot := bytecode.PSlot(vm.pmode, variant)
 	code := m.Code
-	p := code.Prepared(slot)
+	p := code.Prepared(vm.pmode)
 	if p == nil {
-		p = prepareMethod(m, fuse)
+		p = prepareMethod(m)
 		if p == nil {
 			p = unpreparable
 		}
-		p = code.StorePrepared(slot, p)
+		p = code.StorePrepared(vm.pmode, p)
 	}
 	if len(p.Instrs) == 0 {
 		return nil
@@ -91,9 +80,8 @@ func (vm *VM) preparedCode(m *classfile.Method) *bytecode.PCode {
 }
 
 // prepareMethod builds the prepared form of m, or returns nil when the
-// method cannot be verified for unchecked execution. When fuse is set,
-// superinstruction heads are rewritten after the quickening pass.
-func prepareMethod(m *classfile.Method, fuse bool) *bytecode.PCode {
+// method cannot be verified for unchecked execution.
+func prepareMethod(m *classfile.Method) *bytecode.PCode {
 	code := m.Code
 	n := len(code.Instrs)
 	if n == 0 {
@@ -241,116 +229,11 @@ func prepareMethod(m *classfile.Method, fuse bool) *bytecode.PCode {
 			instrs[pc].FS = bytecode.NewFieldSlot()
 		}
 	}
-	if fuse {
-		fuseSuperinstructions(code.Instrs, instrs)
-	}
 	return &bytecode.PCode{
 		Instrs:    instrs,
 		MaxStack:  int(maxStack),
 		MaxLocals: maxLocals,
 		ErrPC:     fmt.Errorf("interp: pc out of range in %s", m.QualifiedName()),
-	}
-}
-
-// fuseSuperinstructions rewrites superinstruction heads in the prepared
-// stream. Matching runs over the original decoded opcodes at every pc —
-// including pcs already covered by an earlier group — because only the
-// head's handler index changes: overlapping groups are sound (entering a
-// follower pc executes its original single instruction, and a follower
-// that is itself a fused head just starts its own group there).
-//
-// Shape constraints mirror the fused handlers' semantics:
-//
-//   - "load" positions accept iload/fload/aload: handlers read the local
-//     slot's value (and .I for int ops) exactly as push-then-pop would,
-//     so kind mismatches behave identically to the unfused engine.
-//   - const positions require iconst (fconst pushes a float value).
-//   - inline op positions accept only the non-throwing int ops; idiv and
-//     irem throw, so they may appear only as delegated finals.
-//   - delegated finals are ops that may throw, allocate, or invoke; the
-//     handler materializes the prefix's stack effect and dispatches the
-//     final through the live handler table, so its semantics (including
-//     mode-specialized quickenings) are exact.
-func fuseSuperinstructions(ops []bytecode.Instr, instrs []bytecode.PInstr) {
-	n := len(ops)
-	isLoad := func(pc int) bool {
-		switch ops[pc].Op {
-		case bytecode.OpILoad, bytecode.OpFLoad, bytecode.OpALoad:
-			return true
-		}
-		return false
-	}
-	isStore := func(pc int) bool {
-		switch ops[pc].Op {
-		case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore:
-			return true
-		}
-		return false
-	}
-	isIConst := func(pc int) bool { return ops[pc].Op == bytecode.OpIConst }
-	isPureOp := func(pc int) bool {
-		switch ops[pc].Op {
-		case bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul,
-			bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor,
-			bytecode.OpIShl, bytecode.OpIShr, bytecode.OpIUshr:
-			return true
-		}
-		return false
-	}
-	isICmpBr := func(pc int) bool {
-		switch ops[pc].Op {
-		case bytecode.OpIfICmpEq, bytecode.OpIfICmpNe, bytecode.OpIfICmpLt,
-			bytecode.OpIfICmpLe, bytecode.OpIfICmpGt, bytecode.OpIfICmpGe:
-			return true
-		}
-		return false
-	}
-	isDelegFinal := func(pc int) bool {
-		switch ops[pc].Op {
-		case bytecode.OpGetField, bytecode.OpPutField,
-			bytecode.OpInvokeVirtual, bytecode.OpInvokeSpecial, bytecode.OpInvokeStatic,
-			bytecode.OpIDiv, bytecode.OpIRem,
-			bytecode.OpArrayLoad, bytecode.OpArrayStore:
-			return true
-		}
-		return false
-	}
-	for pc := 0; pc < n; pc++ {
-		switch {
-		case isLoad(pc):
-			switch {
-			case pc+3 < n && isLoad(pc+1) && isPureOp(pc+2) && isStore(pc+3):
-				instrs[pc].H = bytecode.FusedLLOpStore
-			case pc+3 < n && isIConst(pc+1) && isPureOp(pc+2) && isStore(pc+3):
-				instrs[pc].H = bytecode.FusedLCOpStore
-			case pc+2 < n && isLoad(pc+1) && isICmpBr(pc+2):
-				instrs[pc].H = bytecode.FusedLLCmpBr
-			case pc+2 < n && isIConst(pc+1) && isICmpBr(pc+2):
-				instrs[pc].H = bytecode.FusedLCCmpBr
-			case pc+2 < n && isLoad(pc+1) && isPureOp(pc+2):
-				instrs[pc].H = bytecode.FusedLLOp
-			case pc+2 < n && isIConst(pc+1) && isPureOp(pc+2):
-				instrs[pc].H = bytecode.FusedLCOp
-			case pc+2 < n && isLoad(pc+1) && isDelegFinal(pc+2):
-				instrs[pc].H = bytecode.FusedLLThen
-			case pc+2 < n && isIConst(pc+1) && isDelegFinal(pc+2):
-				instrs[pc].H = bytecode.FusedLCThen
-			case pc+1 < n && isDelegFinal(pc+1):
-				instrs[pc].H = bytecode.FusedLThen
-			}
-		case ops[pc].Op == bytecode.OpIInc:
-			if pc+1 < n && ops[pc+1].Op == bytecode.OpGoto {
-				instrs[pc].H = bytecode.FusedIncGoto
-			}
-		case isIConst(pc):
-			if pc+1 < n && isStore(pc+1) {
-				instrs[pc].H = bytecode.FusedConstStore
-			}
-		case ops[pc].Op == bytecode.OpGetField:
-			if pc+1 < n && (ops[pc+1].Op == bytecode.OpInvokeVirtual || ops[pc+1].Op == bytecode.OpInvokeSpecial) {
-				instrs[pc].H = bytecode.FusedGetFieldThen
-			}
-		}
 	}
 }
 

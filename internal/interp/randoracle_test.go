@@ -31,8 +31,8 @@ import (
 // objects retained then dropped by the main isolate), and string
 // interning under GC pressure (Ldc identity must survive collections).
 //
-// Every program is replayed under {prepared (fused superinstructions),
-// closure-threaded hot tier, seed switch} × {Shared, Isolated} ×
+// Every program is replayed under {quickened table, closure-threaded
+// hot tier, seed switch} × {Shared, Isolated} ×
 // {forced-STW, incremental (pressure-only), incremental (paced:
 // threshold-opened cycles whose mark strides interleave with mutator
 // quanta under an armed barrier)}:
@@ -571,23 +571,24 @@ func oraclePeerClasses() []*classfile.Class {
 // oracleDispatch selects the execution engine of one run. All three must
 // produce byte-identical traces: instruction totals, clock, CPU samples,
 // per-isolate byte accounts, GC activations and post-GC reachability —
-// the fused superinstructions and the closure-threaded tier charge every
-// covered instruction exactly as the seed switch retires it.
+// the closure-threaded tier's blocks and combined group micros charge
+// every covered instruction exactly as the seed switch retires it.
 type oracleDispatch int
 
 const (
 	// dispSeed is the reference: the unquickened checked switch
 	// interpreter (DisablePrepare).
 	dispSeed oracleDispatch = iota
-	// dispPrepared is the quickened, vtable-dispatched, superinstruction-fused
-	// table interpreter (the production default; the closure tier stays
-	// cold because the oracle programs never reach the promotion heat).
+	// dispPrepared is the plain table leg: the quickened,
+	// vtable-dispatched interpreter, one handler per instruction (the
+	// production default; the closure tier stays cold because the oracle
+	// programs never reach the promotion heat).
 	dispPrepared
 	// dispClosure forces every prepared method hot on first activation
 	// (TierPromoteThreshold 1), so the whole program executes through
-	// closure-threaded blocks with fused/table fallbacks at quantum
-	// boundaries, deopt shapes (exceptions inside fused regions, caught
-	// and uncaught) and delegated finals.
+	// closure-threaded blocks and combined group micros, with table
+	// fallbacks at quantum boundaries, deopt shapes (exceptions inside
+	// compiled regions, caught and uncaught) and delegated finals.
 	dispClosure
 )
 
@@ -772,7 +773,7 @@ func runOracleProgram(t *testing.T, p oracleProgram, mode core.Mode, disp oracle
 }
 
 // TestRandomizedDifferentialOracle replays >= 500 generated programs
-// across {seed switch, prepared+fusion, closure-threaded} ×
+// across {seed switch, quickened table, closure-threaded} ×
 // {Shared, Isolated} × {forced-STW, incremental-pressure,
 // incremental-paced} and demands:
 //

@@ -24,14 +24,12 @@ import (
 //  3. The VM's dispatch table and prepared-form cache index switch to
 //     the new mode's quickenings.
 //  4. Every live frame holding a prepared body is re-quickened: the two
-//     mode quickenings are instruction-for-instruction aligned (fusion
-//     rewrites only handler indices, never layout), so the frame's pc,
-//     locals and operand stack carry over unchanged — only the dispatch
-//     targets (and the field-slot caches, which start cold) differ.
-//     Adopted closure-tier programs are dropped (deopt): they
-//     bind the old form's caches; the new form re-promotes on its own
-//     heat. A pc mid-fused-group carries over exactly because followers
-//     keep their original instruction form.
+//     mode quickenings are instruction-for-instruction aligned (one
+//     PInstr per original instruction), so the frame's pc, locals and
+//     operand stack carry over unchanged — only the dispatch targets
+//     (and the field-slot caches, which start cold) differ. Adopted
+//     closure-tier programs are dropped (deopt): they bind the old
+//     form's caches; the new form re-promotes on its own heat.
 //
 // Stale Shared-mode ResolvedMirror pool caches need no invalidation:
 // after the flip the Isolated tables (and the Isolated branches of the

@@ -135,14 +135,14 @@ func TestSetIsolationModeRequickens(t *testing.T) {
 }
 
 // TestRequickenStormAgainstHotTier storms SetIsolationMode against
-// superinstruction-fused, closure-promoted code: a hot loop (promoted on
-// first activation via TierPromoteThreshold 1) is advanced in small,
+// closure-promoted code with combined group micros: a hot loop (promoted
+// on first activation via TierPromoteThreshold 1) is advanced in small,
 // odd-sized budget slices, flipping the isolation mode between every
-// slice. Quantum boundaries land at every offset of the fused groups —
+// slice. Quantum boundaries land at every offset of the groups —
 // including single-stepped heads (budget-exhausted bails) and delegated
 // finals — so a flip observing a partially-applied stack effect, a
 // stale closure program surviving deopt, or a mis-carried pc inside a
-// fused region would corrupt the final total.
+// group would corrupt the final total.
 func TestRequickenStormAgainstHotTier(t *testing.T) {
 	vm := interp.NewVM(interp.Options{Mode: core.ModeShared, TierPromoteThreshold: 1})
 	syslib.MustInstall(vm)
@@ -165,7 +165,7 @@ func TestRequickenStormAgainstHotTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Prime/co-prime budgets walk the quantum boundary through every
-	// fused-group offset as the storm progresses.
+	// group offset as the storm progresses.
 	budgets := []int64{1, 2, 3, 5, 7, 11, 13, 17, 101, 997}
 	modes := []core.Mode{core.ModeIsolated, core.ModeShared}
 	flips := 0
@@ -190,30 +190,31 @@ func TestRequickenStormAgainstHotTier(t *testing.T) {
 	}
 
 	// The storm must actually have run against the tier under test: both
-	// mode quickenings carry fused superinstruction heads, and the hot
-	// loop body was promoted to the closure tier.
+	// mode quickenings were promoted to the closure tier, and the promoted
+	// loop body carries combined group micros.
 	for _, pm := range []int{bytecode.PModeShared, bytecode.PModeIsolated} {
-		p := m.Code.Prepared(bytecode.PSlot(pm, bytecode.PVariantFused))
-		if p == nil {
-			t.Fatalf("mode %d quickening missing after storm", pm)
-		}
-		fused := 0
-		for i := range p.Instrs {
-			if bytecode.IsFused(p.Instrs[i].H) {
-				fused++
-			}
-		}
-		if fused == 0 {
-			t.Fatalf("mode %d quickening has no fused superinstructions", pm)
-		}
-		if p.Tier.Hot() == nil {
-			t.Fatalf("mode %d quickening was never promoted to the closure tier", pm)
-		}
+		requireLiveGroups(t, m, pm)
+	}
+}
+
+// requireLiveGroups fails unless m's quickening for prepared-mode pm was
+// promoted to a closure program that holds combined group micros.
+func requireLiveGroups(t *testing.T, m *classfile.Method, pm int) {
+	t.Helper()
+	p := m.Code.Prepared(pm)
+	if p == nil {
+		t.Fatalf("mode %d quickening missing", pm)
+	}
+	switch n := interp.CombinedMicrosForTest(p); {
+	case n < 0:
+		t.Fatalf("mode %d quickening was never promoted to the closure tier", pm)
+	case n == 0:
+		t.Fatalf("mode %d closure program has no combined group micros", pm)
 	}
 }
 
 // TestKillStormAgainstHotTier kills an isolate while its hot,
-// closure-promoted, fused loop is mid-flight at an arbitrary quantum
+// closure-promoted loop (combined group micros live) is mid-flight at an arbitrary quantum
 // boundary, and proves termination semantics are unchanged by the hot
 // tier: the victim thread dies with StoppedIsolateException-style
 // failure (killed code never runs again), while a second isolate's
@@ -242,6 +243,7 @@ func TestKillStormAgainstHotTier(t *testing.T) {
 		if th.Done() {
 			t.Fatalf("budget %d: victim finished before the kill", budget)
 		}
+		requireLiveGroups(t, m, bytecode.PModeIsolated)
 		if err := vm.KillIsolate(nil, victimIso); err != nil {
 			t.Fatalf("budget %d: kill: %v", budget, err)
 		}

@@ -123,10 +123,10 @@ func (vm *VM) runQuantum(t *Thread, quantum int64, target *Thread) int64 {
 	// Install the sequential engine's allocation state for the quantum;
 	// allocation inside the steps below goes through its shard-local
 	// domain with batched byte accounting. The quantum accountant (qa)
-	// rides alongside: superinstruction handlers and closure blocks charge
-	// their extra covered instructions through it, so fused execution
-	// keeps per-instruction-exact budgets, clock ticks, per-isolate
-	// counters and CPU samples (see quantumAcct).
+	// rides alongside: closure blocks charge their extra covered
+	// instructions through it, so multi-instruction steps keep
+	// per-instruction-exact budgets, clock ticks, per-isolate counters
+	// and CPU samples (see quantumAcct).
 	t.alloc = vm.seqAlloc
 	qa := quantumAcct{vm: vm, batch: &vm.seqBatch, sampleCount: &vm.instrSinceSample,
 		limit: quantum, isolated: vm.world.Isolated(), seq: true}

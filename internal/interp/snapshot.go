@@ -25,7 +25,7 @@ import (
 //
 // What is shared vs. private:
 //
-//   - prepared/fused/closure-tier code is shared automatically: PCode is
+//   - prepared and closure-tier code is shared automatically: PCode is
 //     cached on the Method (bootstrap-owned or template-loader-owned), so
 //     every clone of the same VM reuses the exact published bodies via
 //     the existing first-wins CAS — and since clones run in the same VM

@@ -259,9 +259,9 @@ type Thread struct {
 	alloc *allocState
 
 	// qa is the owning engine loop's quantum accounting state (tier.go),
-	// installed for the duration of a quantum and nil otherwise; fused
-	// and closure-tier handlers reserve and charge their inlined
-	// sub-instructions through it. Same ownership contract as alloc.
+	// installed for the duration of a quantum and nil otherwise; closure
+	// blocks reserve and charge their inlined sub-instructions through
+	// it. Same ownership contract as alloc.
 	qa *quantumAcct
 
 	// pendingArgs is the in-flight invocation argument window between

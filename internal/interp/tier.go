@@ -6,37 +6,36 @@ import (
 	"ijvm/internal/core"
 )
 
-// This file holds the quantum-accounting bridge that lets superinstruction
-// handlers (fused_handlers.go) and closure-threaded blocks (closure.go)
-// execute several guest instructions inside one engine step without
-// disturbing any observable contract:
+// This file holds the quantum-accounting bridge that lets
+// closure-threaded blocks (closure.go) execute several guest instructions
+// inside one engine step without disturbing any observable contract:
 //
 //   - instruction counts: every sub-instruction is charged through the
 //     exact per-instruction sequence of the engine loop that owns the
 //     quantum (sequential runQuantum or concurrent RunThreadQuantum), so
 //     per-isolate accounts, CPU sampling and the virtual clock advance at
-//     identical points to unfused execution;
-//   - quantum/budget boundaries: a group only executes fused when the
-//     whole group fits in the remaining quantum (reserve); otherwise the
-//     head executes as its original single instruction and the boundary
-//     lands exactly where the unfused engine would put it. The engine
+//     identical points to single-step execution;
+//   - quantum/budget boundaries: a block only executes compiled when the
+//     whole block fits in the remaining quantum (reserve); otherwise the
+//     instruction at pc executes alone through the table and the boundary
+//     lands exactly where the table engine would put it. The engine
 //     loops already clamp the quantum to the remaining run budget, so
 //     budget exhaustion is covered by the same check;
 //   - safepoints: kill, SetIsolationMode and STW parking act only between
-//     engine steps. A fused group completes (or delegates its final
+//     engine steps. A block completes (or delegates its final
 //     sub-instruction) within one step, and its non-throwing prefix
-//     cannot reach a safepoint, so no partially-applied group state is
+//     cannot reach a safepoint, so no partially-applied block state is
 //     ever observable.
 //
 // quantumAcct lives on the Thread (t.qa) only while an engine loop is
-// driving it; fused handlers bail to single-step execution when it is
-// absent (host-driven stepping) or the group does not fit.
+// driving it; blocks bail to single-step execution when it is absent
+// (host-driven stepping) or the block does not fit.
 
 // quantumAcct is the per-quantum instruction accounting state shared
-// between an engine loop and the fused/closure handlers it dispatches.
+// between an engine loop and the closure blocks it dispatches.
 // steps is the loop's own instruction counter: the loop increments it
-// once per stepThread call (the group's final sub-instruction), and
-// chargeSub increments it for each inlined prefix sub-instruction.
+// once per stepThread call (the block's final sub-instruction), and
+// chargeSubs adds the inlined prefix sub-instructions.
 type quantumAcct struct {
 	vm *VM
 	// batch is the owning engine's call-path batch: the sequential
@@ -51,8 +50,8 @@ type quantumAcct struct {
 	seq         bool // sequential engine: steps also feed vm.seqPending
 }
 
-// reserve reports whether a fused group with extra prefix sub-instructions
-// (on top of the final one the engine loop charges) still fits in the
+// reserve reports whether a block with extra prefix sub-instructions (on
+// top of the final one the engine loop charges) still fits in the
 // quantum.
 func (q *quantumAcct) reserve(extra int64) bool {
 	return q.steps+extra < q.limit
@@ -65,9 +64,9 @@ func (q *quantumAcct) reserve(extra int64) bool {
 // SampleEvery (floor((old+k)/every) samples, remainder kept), which is
 // exactly what k unit increments with reset-at-threshold produce.
 // Prefix sub-instructions cannot migrate the thread, flip the isolation
-// mode or finish the thread (only a group's delegated final can, and
+// mode or finish the thread (only a block's delegated final can, and
 // the loop's own post-step charge covers that one), so reading t.cur
-// and the hoisted isolation flag here matches what the unfused loop
+// and the hoisted isolation flag here matches what the single-step loop
 // would have read — and nothing can observe the intermediate counters
 // mid-step (no safepoint, throw, park or batch flush is reachable from
 // a prefix micro), so the batching is invisible to the differential
@@ -107,9 +106,9 @@ func (t *Thread) noteCall(from, to *core.Isolate) {
 	to.Account().InterBundleCallsIn.Add(1)
 }
 
-// barrierOn is the per-quantum cached SATB barrier flag used by the fused
-// and closure store paths (and the interpreter store handlers) in place
-// of the heap's per-store atomic load. The flag is refreshed at every
+// barrierOn is the per-quantum cached SATB barrier flag used by the
+// closure store micros and the interpreter store handlers in place of
+// the heap's per-store atomic load. The flag is refreshed at every
 // quantum start (both engines), on allocation-state acquisition, and
 // after a sequential-engine world-stop (the only point where the barrier
 // can arm or disarm mid-quantum on the executing goroutine); concurrent

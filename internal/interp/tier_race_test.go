@@ -33,16 +33,16 @@ const (
 
 // tierRaceClasses builds the shared bundle: helper(x) = x*5 - 7 (its own
 // promotion races once per call site activation) and
-// spin(n) = n iterations of fused-shape arithmetic through helper.
+// spin(n) = n iterations of group-shaped arithmetic through helper.
 func tierRaceClasses() []*classfile.Class {
 	shared := classfile.NewClass("tier/Shared").
 		Method("helper", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
 			a.ILoad(0).Const(5).IMul().Const(7).ISub().IReturn()
 		}).
 		Method("spin", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
-			// Locals: 0 n, 1 acc, 2 i. The loop body quickens into
-			// FusedLLCmpBr, FusedLCOpStore, FusedLLOpStore and
-			// FusedIncGoto heads, all inside the promoted closure blocks.
+			// Locals: 0 n, 1 acc, 2 i. The loop body compiles into
+			// load/load/if_icmp, load/const/op/store, load/load/op/store
+			// and iinc+goto combined micros in the promoted closure blocks.
 			a.Const(0).IStore(1)
 			a.Const(0).IStore(2)
 			a.Label("loop").ILoad(2).ILoad(0).IfICmpGe("done")
@@ -166,22 +166,7 @@ func TestTierPromotionRaceStress(t *testing.T) {
 		}
 
 		// The contention under test really happened: the shared body was
-		// promoted, and its prepared form carries fused heads.
-		p := spin.Code.Prepared(bytecode.PSlot(bytecode.PModeIsolated, bytecode.PVariantFused))
-		if p == nil {
-			t.Fatalf("round %d: shared body never quickened", round)
-		}
-		if p.Tier.Hot() == nil {
-			t.Fatalf("round %d: shared body never promoted", round)
-		}
-		fused := 0
-		for i := range p.Instrs {
-			if bytecode.IsFused(p.Instrs[i].H) {
-				fused++
-			}
-		}
-		if fused == 0 {
-			t.Fatalf("round %d: shared body has no fused superinstructions", round)
-		}
+		// promoted, and its closure program carries combined group micros.
+		requireLiveGroups(t, spin, bytecode.PModeIsolated)
 	}
 }

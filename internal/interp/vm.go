@@ -86,12 +86,6 @@ type Options struct {
 	// engine performs per quantum boundary while a cycle is open. 0
 	// selects 256.
 	GCMarkStride int
-	// DisableFusion turns the preparation-time superinstruction pass off:
-	// prepared bodies keep one handler per bytecode. Used as the ablation
-	// baseline of the BenchmarkTier_* microbenchmarks and as an escape
-	// hatch. Fused and unfused forms occupy distinct prepared-cache slots,
-	// so VMs with different settings share method bodies safely.
-	DisableFusion bool
 	// TierPromoteThreshold is the heat (activations plus quantum-resident
 	// instructions) at which a prepared method body is promoted to the
 	// closure-threaded hot tier. 0 selects 2048; negative disables the
