@@ -643,7 +643,7 @@ func TestEmitInterpBench(t *testing.T) {
 	type tierCurve struct {
 		SeedMinstrS       float64 `json:"seed_minstr_s"`     // unquickened checked switch
 		PreparedMinstrS   float64 `json:"prepared_minstr_s"` // quickened table, one handler per instruction
-		ClosureMinstrS    float64 `json:"closure_minstr_s"`  // + closure-threaded hot tier (group fusion built in)
+		ClosureMinstrS    float64 `json:"closure_minstr_s"`  // + closure-threaded hot tier (folded operands, chained blocks)
 		ClosureVsPrepared float64 `json:"closure_vs_prepared"`
 	}
 	type gcCurve struct {
@@ -1453,12 +1453,12 @@ func measureFieldThroughput(disablePrepare bool) (float64, error) {
 //	prepared — quickened table dispatch, closure tier off
 //	closure  — closure-threaded hot tier (promoted on first call)
 //
-// The closure compiler matches the loop body's load/const/op/store,
-// load/load/op/store, load/load/if_icmp and iinc+goto groups and
-// collapses the whole body into one block of pre-bound micro-closures
-// with a single table dispatch per backward branch. Minstr/s counts
-// retired bytecodes (a combined micro retires the same count as the seed
-// — the oracle proves it), so the metric is directly comparable across
+// The closure compiler folds the loop body's loads, constants and stores
+// into the micros of the ops and the compare that consume them — five
+// micros for 17 bytecodes — and the iinc+goto final chains back into the
+// loop head, so an engine step retires many iterations. Minstr/s counts
+// retired bytecodes (a folded micro retires the same count as the seed —
+// the oracle proves it), so the metric is directly comparable across
 // tiers.
 
 const tierBenchInner = 10_000

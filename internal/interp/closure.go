@@ -8,11 +8,11 @@ import (
 
 // The closure-threaded hot tier. When a prepared method's activation heat
 // crosses the promotion threshold (tier.go), buildClosureProgram compiles
-// it into one Go closure chain per basic block: every operand — local
-// slots, immediates, branch targets, pre-resolved pool entries, field
-// slots — is captured at build time, so executing a block is a
-// straight run of closure calls with no table dispatch and no PInstr
-// decoding between sub-instructions.
+// it into one Go closure chain per extended basic block: every operand —
+// local slots, immediates, branch targets, pre-resolved pool entries, field
+// slots — is captured at build time, so executing a block is a straight
+// run of closure calls with no table dispatch and no PInstr decoding
+// between sub-instructions.
 //
 // The contract every block keeps:
 //
@@ -21,35 +21,49 @@ import (
 //     monitors, returns, throws, ldc, checkcast ...) terminates the block
 //     and is delegated through the live handler table, with the frame in
 //     exactly the state single-step execution would leave it;
-//   - every micro fully applies its own stack/locals/pc effect before the
-//     next one runs, and guarded micros (field and array access) check
-//     all failure conditions BEFORE mutating anything, returning
-//     microBail. A bail delegates the instruction at the current pc
-//     through the handler table as the step's final sub-instruction, so
-//     the step always retires ≥1 instruction and accounting stays exact;
+//   - operand folding: the builder keeps a compile-time operand stack.
+//     iload/fload/aload and the constant pushes emit nothing — they push
+//     a symbol (local k / constant c) — and the micro of the instruction
+//     that consumes them binds each operand as local, constant or real
+//     stack (operand.at). A producer followed directly by a local store
+//     writes the local. The frame's real stack is therefore short of the
+//     pending symbols inside a block, which nothing can observe: no
+//     safepoint, throw or GC root scan is reachable from a prefix micro.
+//     Pending symbols are materialised (one emitted push micro, in order)
+//     below the operands of every emitted micro — so before a store or
+//     iinc to a local they name, and before every guarded micro — and in
+//     full before any transfer out of the block, so the real stack is
+//     exact wherever it can be observed;
+//   - guarded micros (field and array access, idiv/irem) check every
+//     failure condition BEFORE mutating anything; on failure they push
+//     their own symbolic operands in order and return microBail. The step
+//     then delegates the guarded instruction through the handler table
+//     (which resolves, or throws with the identical message) as its final
+//     sub-instruction, with the folded loads counted as retired (bail[i]);
+//   - micros do not maintain f.pc: it is written at exits only — the
+//     target by a taken branch or inline goto, the guarded instruction's
+//     pc on a bail, the delegated final's pc on fall-through;
 //   - conditional branches do not end a block: they are mid-block micros
-//     that stop the step when taken (microStop) and fall through into
-//     the block's continuation otherwise, so a tight loop's whole
-//     iteration — compare, body, iinc+goto — retires as one engine step;
-//   - group fusion is a private step of the builder: where the original
-//     opcodes at the cursor form one of the eight shapes closureGroup
-//     recognises (load/load|const/op[/store], load/load|const/if_icmp,
-//     iinc+goto, const/store), it emits ONE combined micro for the whole
-//     group — operands pre-bound, the intermediate stack traffic elided
-//     entirely (local-to-local data flow). Nothing can observe the
-//     intermediate stack inside one step (no safepoint, no throw, no GC
-//     root scan), and the shapes hold only non-throwing instructions, so
-//     combined micros cannot fail and bail charging never lands inside a
-//     group. The prepared form is untouched (PInstr.H stays the opcode):
-//     a block entered at a follower pc compiles from there, and every
-//     table fallback executes one original instruction;
-//   - the whole block reserves its sub-instruction width against the
-//     quantum up front and charges retired micros through the engine
-//     loop's own accounting sequence in one batched, arithmetically
-//     identical call (tier.go chargeSubs), so quantum boundaries,
-//     per-isolate accounts, GC mark strides, interrupt/kill polls and
-//     STW parking all land at identical instruction counts to
-//     single-step execution.
+//     that fall through into the block's continuation when not taken and
+//     transfer (microStop) when taken;
+//   - chaining: after an inline transfer — a taken branch, the inline
+//     goto / iinc+goto final — the step continues into the block at the
+//     new pc when one is compiled there and still fits (runClosureBlock),
+//     so a loop iteration made of several blocks, and several iterations,
+//     retire as one engine step. A step ends at the first delegated
+//     final, bail, pc without a block head, quantum boundary, or once it
+//     has retired maxStepSubs instructions;
+//   - a block reserves its sub-instruction width against the quantum
+//     before it runs, and the step charges everything it retired through
+//     the engine loop's own accounting sequence in one batched,
+//     arithmetically identical call at its single exit (tier.go
+//     chargeSubs), so quantum boundaries, per-isolate accounts, GC mark
+//     strides, interrupt/kill polls and STW parking all land at
+//     instruction counts single-step execution also produces.
+//
+// The prepared form is untouched (PInstr.H stays the opcode): a block
+// entered at a follower pc compiles from there, and every table fallback
+// executes one original instruction.
 //
 // Deopt: SetIsolationMode re-quickens live frames and drops their adopted
 // program (requicken.go); the mode's own prepared form re-promotes
@@ -66,41 +80,40 @@ type microStatus uint8
 const (
 	// microNext: the micro fully applied its effect; run the next one.
 	microNext microStatus = iota
-	// microStop: the micro fully applied its effect and transferred
-	// control (a taken branch); the step ends with the block's charges
-	// through this micro settled.
+	// microStop: the micro fully applied its effect and set f.pc to the
+	// target of a taken branch; the step chains into the block there or
+	// ends.
 	microStop
-	// microBail: the micro applied NO effect; the instruction at the
-	// current pc is delegated through the handler table as the step's
-	// final sub-instruction.
+	// microBail: the micro applied NO effect beyond materialising its own
+	// symbolic operands; the guarded instruction is delegated through the
+	// handler table as the step's final sub-instruction.
 	microBail
 )
 
-// closureMicro executes one guest instruction (or one combined group)
-// with pre-bound operands.
+// closureMicro executes one guest instruction, together with the loads,
+// constants and local store folded into it, with pre-bound operands.
 type closureMicro func(vm *VM, t *Thread, f *Frame) microStatus
 
-// closureBlock is the compiled form of one extended basic block. The
-// prefix holds micros for straight-line instructions, combined groups, AND
-// conditional branches (taken → microStop ends the step; not taken →
-// execution continues into the fall-through within the same step, so a
-// tight loop iteration is one engine step). last is an optional inline
-// unconditional final (goto, or a combined iinc+goto); nil last means the
-// block's final instruction is delegated through the handler table
-// (invokes, allocation, returns, ...).
+// closureBlock is the compiled form of one extended basic block starting
+// at pc0. The prefix holds micros for straight-line instructions and
+// conditional branches. last is an optional inline unconditional final
+// (goto, or iinc+goto); nil last means the block's final instruction is
+// delegated through the handler table (invokes, allocation, returns, ...).
 //
-// A prefix entry may cover several guest instructions (a combined
-// group), so charging is width-aware: cum[i] is the sub-instruction count
-// retired once prefix[i] completes, and width is the full fall-through
-// path's count plus an inline final's surplus over the one instruction
-// the engine loop charges. reserve(width) is conservative on early-taken
-// branches: the block runs compiled only when its longest path fits the
-// quantum, and single-steps (the table engine's own boundary behavior)
-// otherwise.
+// A prefix entry may cover several guest instructions, so charging is
+// position-based: cum[i] is the instruction count retired once prefix[i]
+// completes, bail[i] the count retired when it bails (everything before
+// the guarded instruction, its folded operand loads included — the bail
+// pushed them), and width the count before the block's final instruction.
+// reserve(width) is conservative on early-taken branches: the block runs
+// compiled only when its longest path fits the quantum, and single-steps
+// (the table engine's own boundary behavior) otherwise.
 type closureBlock struct {
 	prefix []closureMicro
 	cum    []int64
+	bail   []int64
 	width  int64
+	pc0    int32
 	last   closureMicro
 }
 
@@ -111,44 +124,63 @@ type closureProgram struct {
 	blocks []*closureBlock
 }
 
-// maxClosureBlock bounds a block's sub-instruction width so a block
-// never spans a large fraction of the quantum (a reserve failure
-// single-steps the whole block until the next quantum).
-const maxClosureBlock = 24
+const (
+	// maxClosureBlock bounds a block's sub-instruction width so a block
+	// never spans a large fraction of the quantum (a reserve failure
+	// single-steps the whole block until the next quantum).
+	maxClosureBlock = 24
+	// maxStepSubs bounds the instructions one engine step retires across a
+	// chain of blocks. The engine loops poll stop-the-world, kill, shutdown
+	// and target completion between steps, so this — not Options.Quantum —
+	// bounds their latency.
+	maxStepSubs = 256
+)
 
-// runClosureBlock executes one compiled block as one engine step. The
-// loop's post-step charge covers the step's final sub-instruction (a
-// taken branch, the inline final, or the delegated instruction);
-// chargeSubs batches everything retired before it — charge order within
-// a step is unobservable, so batching is identical to charging each
-// micro as it retires.
+// runClosureBlock executes a chain of compiled blocks as one engine step.
+// n counts the instructions the chain has retired; the loop's post-step
+// charge covers the step's final one (a taken branch, an inline final, or
+// the delegated instruction) and chargeSubs batches the rest at the single
+// exit — charge order within a step is unobservable, so batching is
+// identical to charging each micro as it retires.
 func (vm *VM) runClosureBlock(t *Thread, f *Frame, b *closureBlock) error {
 	q := t.qa
 	if q == nil || !q.reserve(b.width) {
 		in := &f.pcode.Instrs[f.pc]
 		return vm.ptable[in.H](vm, t, f, in)
 	}
-	for i, m := range b.prefix {
-		switch m(vm, t, f) {
-		case microNext:
-		case microStop:
-			q.chargeSubs(t, b.cum[i]-1)
-			return nil
-		default: // microBail: no effect applied; delegate at pc.
-			var c int64
-			if i > 0 {
-				c = b.cum[i-1]
+	// room is what the step may still retire: the rest of the quantum,
+	// capped.
+	room := min(q.limit-q.steps, maxStepSubs)
+	var n int64
+run:
+	for {
+		for i, m := range b.prefix {
+			switch m(vm, t, f) {
+			case microNext:
+			case microStop:
+				n += b.cum[i]
+				goto transferred
+			default: // microBail: delegate the guarded instruction.
+				n += b.bail[i]
+				f.pc = b.pc0 + int32(b.bail[i])
+				break run
 			}
-			q.chargeSubs(t, c)
-			in := &f.pcode.Instrs[f.pc]
-			return vm.ptable[in.H](vm, t, f, in)
+		}
+		n += b.width
+		if b.last == nil {
+			f.pc = b.pc0 + int32(b.width)
+			break
+		}
+		b.last(vm, t, f)
+		n++
+	transferred:
+		b = f.hot.blocks[f.pc]
+		if b == nil || n+b.width >= room {
+			q.chargeSubs(t, n-1)
+			return nil
 		}
 	}
-	q.chargeSubs(t, b.width)
-	if b.last != nil {
-		b.last(vm, t, f)
-		return nil
-	}
+	q.chargeSubs(t, n)
 	in := &f.pcode.Instrs[f.pc]
 	return vm.ptable[in.H](vm, t, f, in)
 }
@@ -197,115 +229,222 @@ func buildClosureProgram(m *classfile.Method, p *bytecode.PCode) *closureProgram
 	return cp
 }
 
+// operand is where a micro finds one input, decided at build time.
+type operand struct {
+	kind uint8
+	// slot is the local slot (inLocal) or the operand's depth below the top
+	// of the real stack (onStack).
+	slot int32
+	// pc is the instruction that pushed the symbol (build time only).
+	pc int32
+	k  *heap.Value // isConst
+}
+
+const (
+	onStack uint8 = iota
+	inLocal
+	isConst
+)
+
+// at returns the operand's value in place. Reading a local or a constant
+// through it is exactly what push-then-pop would have read, so kind
+// mismatches (bytecode is not type-checked) behave as in single-step
+// execution.
+func (o operand) at(f *Frame) *heap.Value {
+	switch o.kind {
+	case inLocal:
+		return &f.locals[o.slot]
+	case isConst:
+		return o.k
+	}
+	return &f.stack[len(f.stack)-1-int(o.slot)]
+}
+
+// binding is one micro's operands and result; micros capture it by value.
+type binding struct {
+	ops [3]operand // deepest first
+	ns  int        // how many of them are on the real stack: the micro pops them
+	// d is the local the result goes to — the micro then also covers the
+	// store that follows the producer, at pc last — or -1 for the stack.
+	d, last int32
+}
+
+// pushSymbols materialises the symbolic operands among ops, in order
+// (stack-resident ones already lie below them).
+func pushSymbols(f *Frame, ops []operand) {
+	for _, o := range ops {
+		if o.kind != onStack {
+			f.push(*o.at(f))
+		}
+	}
+}
+
+// bail is a guarded micro's failure exit; ops are all its operands.
+func bail(f *Frame, ops ...operand) microStatus {
+	pushSymbols(f, ops)
+	return microBail
+}
+
+// drop pops a micro's ns stack-resident operands.
+func (f *Frame) drop(ns int) { f.stack = f.stack[:len(f.stack)-ns] }
+
+// result pops a micro's ns stack-resident operands and delivers v to
+// local d, or onto the stack when d < 0 (prepared frames preallocate the
+// verified MaxStack, so the reslice stays within capacity).
+func (f *Frame) result(ns int, d int32, v heap.Value) {
+	n := len(f.stack) - ns
+	if d < 0 {
+		f.stack = f.stack[:n+1]
+		f.stack[n] = v
+	} else {
+		f.stack = f.stack[:n]
+		f.locals[d] = v
+	}
+}
+
+// blockBuilder compiles one extended block. syms is the compile-time
+// operand stack: the symbols pushed and not yet consumed or materialised,
+// deepest first; at run time they sit (virtually) on top of the frame's
+// real stack.
+type blockBuilder struct {
+	code *bytecode.Code
+	p    *bytecode.PCode
+	blk  *closureBlock
+	syms []operand
+}
+
+// emit appends the micro of the instruction at pc, whose last covered
+// instruction (a folded local store) is at pc last, and returns the pc
+// after it.
+func (bb *blockBuilder) emit(m closureMicro, pc, last int32) (next int32, ok bool) {
+	b := bb.blk
+	b.prefix = append(b.prefix, m)
+	b.cum = append(b.cum, int64(last-b.pc0)+1)
+	b.bail = append(b.bail, int64(pc-b.pc0))
+	return last + 1, true
+}
+
+// symbol pushes a symbol for the load or constant at pc; nothing is
+// emitted.
+func (bb *blockBuilder) symbol(o operand, pc int32) (next int32, ok bool) {
+	o.pc = pc
+	bb.syms = append(bb.syms, o)
+	return pc + 1, true
+}
+
+// constant pushes a constant symbol.
+func (bb *blockBuilder) constant(v heap.Value, pc int32) (next int32, ok bool) {
+	return bb.symbol(operand{kind: isConst, k: &v}, pc)
+}
+
+// flush materialises every pending symbol below the top keep ones with
+// one emitted micro.
+func (bb *blockBuilder) flush(keep int) {
+	n := len(bb.syms) - keep
+	if n <= 0 {
+		return
+	}
+	pend := bb.syms[:n:n]
+	bb.syms = bb.syms[n:]
+	last := pend[n-1].pc
+	if n == 1 {
+		o := pend[0]
+		bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			f.push(*o.at(f))
+			return microNext
+		}, last, last)
+		return
+	}
+	bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+		pushSymbols(f, pend)
+		return microNext
+	}, last, last)
+}
+
+// bind takes the top n entries of the virtual stack as the operands of
+// the consumer at pc and materialises every symbol below them, so the
+// only pending symbols when the micro runs are its own.
+func (bb *blockBuilder) bind(n int, pc int32) binding {
+	k := min(n, len(bb.syms))
+	bb.flush(k)
+	bd := binding{ns: n - k, d: -1, last: pc}
+	for i := 0; i < bd.ns; i++ {
+		bd.ops[i] = operand{kind: onStack, slot: int32(bd.ns - 1 - i)}
+	}
+	copy(bd.ops[bd.ns:], bb.syms)
+	bb.syms = nil
+	return bd
+}
+
+// produce is bind for an instruction that yields a value: a local store
+// directly after it is folded in, so the result goes straight to the
+// local.
+func (bb *blockBuilder) produce(n int, pc int32) binding {
+	bd := bb.bind(n, pc)
+	if next := pc + 1; int(next) < len(bb.code.Instrs) {
+		switch in := bb.code.Instrs[next]; in.Op {
+		case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore:
+			bd.d, bd.last = in.A, next
+		}
+	}
+	return bd
+}
+
 // buildClosureBlock compiles one extended block starting at pc. It
 // returns the block (nil when too trivial to beat table dispatch), the
 // pc of the block's final instruction, and whether control may fall
-// through past it. Where the opcodes at the cursor form a group shape
-// (closureGroup), the whole group compiles into one combined micro; a
-// block entered at a follower pc starts matching there, so mid-group
-// entries compile whatever shape — or single instruction — begins at
-// that pc. Conditional branches (plain or combined compare-and-branch)
-// do not end the block: they compile as mid-block micros and the
-// fall-through path continues, so a backward-branching loop body becomes
-// a single step per iteration. The builder terminates because cur
-// strictly increases and only unconditional transfers end a block.
+// through past it. A block entered at a follower pc of a folded run
+// compiles from that pc with an empty symbol stack, so its operands bind
+// to the real stack the single-stepped instructions before it filled.
+// Conditional branches do not end the block: they compile as mid-block
+// micros and the fall-through path continues. The builder terminates
+// because the cursor strictly increases.
 func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32) (*closureBlock, int32, bool) {
-	var prefix []closureMicro
-	var cum []int64
-	var width int64
-	cur := pc
+	b := &closureBlock{pc0: pc}
+	bb := &blockBuilder{code: code, p: p, blk: b}
 	n := int32(len(code.Instrs))
-	for cur < n && width < maxClosureBlock {
-		op := code.Instrs[cur].Op
-		if mo, w := closureGroup(code.Instrs, cur); mo != nil {
-			if op == bytecode.OpIInc {
-				// iinc+goto, an unconditional inline final: the engine
-				// loop's post-step charge covers the goto, width the iinc.
-				width += int64(w - 1)
-				return &closureBlock{prefix: prefix, cum: cum, width: width, last: mo}, cur + w - 1, false
+	cur := pc
+	for ok := true; ok && cur < n && cur-pc < maxClosureBlock; {
+		switch in := code.Instrs[cur]; {
+		case in.Op == bytecode.OpGoto:
+			// Inline final, covered by the engine loop's post-step charge.
+			bb.flush(0)
+			tgt := in.A
+			b.last = func(vm *VM, t *Thread, f *Frame) microStatus {
+				f.pc = tgt
+				return microStop
 			}
-			width += int64(w)
-			cum = append(cum, width)
-			prefix = append(prefix, mo)
-			cur += w
-			continue
-		}
-		if op.IsBranch() {
-			mo := closureBranch(op, &p.Instrs[cur])
-			if !op.IsConditionalBranch() {
-				// Unconditional inline final (goto).
-				if len(prefix) == 0 {
-					// A lone goto gains nothing over its table handler.
-					return nil, cur, false
-				}
-				return &closureBlock{prefix: prefix, cum: cum, width: width, last: mo}, cur, false
+			b.width = int64(cur - pc)
+			return b, cur, false
+		case in.Op == bytecode.OpIInc && cur+1 < n && code.Instrs[cur+1].Op == bytecode.OpGoto:
+			// iinc+goto as one inline final; width covers the iinc.
+			bb.flush(0)
+			slot, delta, tgt := in.A, int64(in.B), code.Instrs[cur+1].A
+			b.last = func(vm *VM, t *Thread, f *Frame) microStatus {
+				l := &f.locals[slot]
+				l.I += delta
+				l.Kind = classfile.KindInt
+				f.pc = tgt
+				return microStop
 			}
-			// Mid-block conditional branch: taken stops the step, not
-			// taken continues into the fall-through below.
-			width++
-			cum = append(cum, width)
-			prefix = append(prefix, mo)
-			cur++
-			continue
+			b.width = int64(cur + 1 - pc)
+			return b, cur + 1, false
 		}
-		mo := closureMicroFor(op, &p.Instrs[cur])
-		if mo == nil {
-			// Delegated final (invoke, allocation, return, throw, ...).
-			if len(prefix) == 0 {
-				return nil, cur, !op.IsTerminator()
-			}
-			return &closureBlock{prefix: prefix, cum: cum, width: width, last: nil}, cur, !op.IsTerminator()
-		}
-		width++
-		cum = append(cum, width)
-		prefix = append(prefix, mo)
-		cur++
+		cur, ok = bb.compile(cur)
 	}
 	if cur >= n {
-		// The verifier guarantees control never falls off the end, so the
-		// last instruction was a micro only if pc bounds were odd; drop it
-		// and let the final table dispatch surface ErrPC if reached.
-		if len(prefix) == 0 {
-			return nil, cur - 1, false
-		}
-		k := len(prefix) - 1
-		width = 0
-		if k > 0 {
-			width = cum[k-1]
-		}
-		return &closureBlock{prefix: prefix[:k], cum: cum[:k], width: width, last: nil}, cur - 1, false
+		// Unreachable for verified code (control never falls off the end).
+		return nil, n - 1, false
 	}
-	// Width cap hit: delegate the instruction at cur as the final.
-	return &closureBlock{prefix: prefix, cum: cum, width: width, last: nil}, cur, true
-}
-
-func isLocalLoad(op bytecode.Opcode) bool {
-	return op == bytecode.OpILoad || op == bytecode.OpFLoad || op == bytecode.OpALoad
-}
-
-func isLocalStore(op bytecode.Opcode) bool {
-	return op == bytecode.OpIStore || op == bytecode.OpFStore || op == bytecode.OpAStore
-}
-
-func isICmpBranch(op bytecode.Opcode) bool {
-	switch op {
-	case bytecode.OpIfICmpEq, bytecode.OpIfICmpNe, bytecode.OpIfICmpLt,
-		bytecode.OpIfICmpLe, bytecode.OpIfICmpGt, bytecode.OpIfICmpGe:
-		return true
+	// Delegated final: an instruction no micro covers (invoke, allocation,
+	// return, throw, ...) or the one at the width cap.
+	bb.flush(0)
+	b.width = int64(cur - pc)
+	fall := !code.Instrs[cur].Op.IsTerminator()
+	if len(b.prefix) == 0 {
+		return nil, cur, fall
 	}
-	return false
-}
-
-// isPureIntOp reports whether op is one of the nine non-throwing int ops
-// pureBinop evaluates (idiv and irem throw, so they never join a group).
-func isPureIntOp(op bytecode.Opcode) bool {
-	switch op {
-	case bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul,
-		bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor,
-		bytecode.OpIShl, bytecode.OpIShr, bytecode.OpIUshr:
-		return true
-	}
-	return false
+	return b, cur, fall
 }
 
 // pureBinop evaluates one of the nine non-throwing int ops, mirroring the
@@ -333,396 +472,281 @@ func pureBinop(op bytecode.Opcode, a, b int64) int64 {
 	}
 }
 
-// closureGroup matches the instructions starting at pc against the group
-// shapes and compiles a match into a single combined micro with every
-// operand pre-bound and the intermediate stack traffic elided. It returns
-// the micro and the number of instructions it covers, or (nil, 0) when
-// no shape starts at pc. Matching runs over the original opcodes:
-//
-//   - "load" positions accept iload/fload/aload and "store" positions
-//     istore/fstore/astore: the micro reads the local slot's value (and
-//     .I for int ops) exactly as push-then-pop would, so kind mismatches
-//     behave identically to single-step execution;
-//   - const positions require iconst (fconst pushes a float value);
-//   - op positions accept only the non-throwing int ops.
-//
-// The compare-and-branch groups are mid-block micros (microStop when
-// taken); iinc+goto is the builder's inline final.
-func closureGroup(ops []bytecode.Instr, pc int32) (closureMicro, int32) {
-	// at reads the opcode at i, or the invalid zero opcode (which matches
-	// no shape position) past the end of the code.
-	at := func(i int32) bytecode.Opcode {
-		if int(i) < len(ops) {
-			return ops[i].Op
-		}
-		return 0
-	}
-	switch head := ops[pc]; {
-	case isLocalLoad(head.Op):
-		fromLocal := isLocalLoad(at(pc + 1))
-		if !fromLocal && at(pc+1) != bytecode.OpIConst {
-			return nil, 0
-		}
-		// The second operand is local b or constant c.
-		a, b, c := head.A, ops[pc+1].A, ops[pc+1].I
-		switch op := at(pc + 2); {
-		case isPureIntOp(op) && isLocalStore(at(pc+3)):
-			d := ops[pc+3].A
-			if fromLocal {
-				return func(vm *VM, t *Thread, f *Frame) microStatus {
-					f.locals[d] = heap.IntVal(pureBinop(op, f.locals[a].I, f.locals[b].I))
-					f.pc += 4
-					return microNext
-				}, 4
-			}
-			return func(vm *VM, t *Thread, f *Frame) microStatus {
-				f.locals[d] = heap.IntVal(pureBinop(op, f.locals[a].I, c))
-				f.pc += 4
-				return microNext
-			}, 4
-		case isICmpBranch(op):
-			tgt, fallPC := ops[pc+2].A, pc+3
-			if fromLocal {
-				return func(vm *VM, t *Thread, f *Frame) microStatus {
-					if intCmpCondition(op, f.locals[a].I, f.locals[b].I) {
-						f.pc = tgt
-						return microStop
-					}
-					f.pc = fallPC
-					return microNext
-				}, 3
-			}
-			return func(vm *VM, t *Thread, f *Frame) microStatus {
-				if intCmpCondition(op, f.locals[a].I, c) {
-					f.pc = tgt
-					return microStop
-				}
-				f.pc = fallPC
-				return microNext
-			}, 3
-		case isPureIntOp(op):
-			if fromLocal {
-				return func(vm *VM, t *Thread, f *Frame) microStatus {
-					f.push(heap.IntVal(pureBinop(op, f.locals[a].I, f.locals[b].I)))
-					f.pc += 3
-					return microNext
-				}, 3
-			}
-			return func(vm *VM, t *Thread, f *Frame) microStatus {
-				f.push(heap.IntVal(pureBinop(op, f.locals[a].I, c)))
-				f.pc += 3
-				return microNext
-			}, 3
-		}
-	case head.Op == bytecode.OpIInc && at(pc+1) == bytecode.OpGoto:
-		slot, delta, tgt := head.A, int64(head.B), ops[pc+1].A
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			l := &f.locals[slot]
-			l.I += delta
-			l.Kind = classfile.KindInt
-			f.pc = tgt
-			return microStop
-		}, 2
-	case head.Op == bytecode.OpIConst && isLocalStore(at(pc+1)):
-		v, d := heap.IntVal(head.I), ops[pc+1].A
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.locals[d] = v
-			f.pc += 2
-			return microNext
-		}, 2
-	}
-	return nil, 0
-}
-
-// closureBranch compiles a branch micro: an unconditional goto is an
-// inline block final (always microStop, charged by the engine loop's
-// post-step charge); conditional branches are mid-block micros that stop
-// the step only when taken.
-func closureBranch(op bytecode.Opcode, in *bytecode.PInstr) closureMicro {
-	tgt := in.A
-	switch op {
-	case bytecode.OpGoto:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.pc = tgt
-			return microStop
-		}
-	case bytecode.OpIfEq, bytecode.OpIfNe, bytecode.OpIfLt, bytecode.OpIfLe,
-		bytecode.OpIfGt, bytecode.OpIfGe:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			if intCondition(op, f.upop().I) {
-				f.pc = tgt
-				return microStop
-			}
-			f.pc++
-			return microNext
-		}
-	case bytecode.OpIfICmpEq, bytecode.OpIfICmpNe, bytecode.OpIfICmpLt,
-		bytecode.OpIfICmpLe, bytecode.OpIfICmpGt, bytecode.OpIfICmpGe:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			b := f.upop()
-			a := f.upop()
-			if intCmpCondition(op, a.I, b.I) {
-				f.pc = tgt
-				return microStop
-			}
-			f.pc++
-			return microNext
-		}
-	case bytecode.OpIfACmpEq, bytecode.OpIfACmpNe:
-		want := op == bytecode.OpIfACmpEq
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			b := f.upop()
-			a := f.upop()
-			if (a.R == b.R) == want {
-				f.pc = tgt
-				return microStop
-			}
-			f.pc++
-			return microNext
-		}
-	default: // OpIfNull, OpIfNonNull
-		want := op == bytecode.OpIfNull
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			if (f.upop().R == nil) == want {
-				f.pc = tgt
-				return microStop
-			}
-			f.pc++
-			return microNext
-		}
-	}
-}
-
-// closureMicroFor compiles one non-branch instruction into a prefix
-// micro, or returns nil for ops that must end the block (may throw,
-// allocate, park, push/pop frames, or touch mode-specialized state).
-func closureMicroFor(op bytecode.Opcode, in *bytecode.PInstr) closureMicro {
-	switch op {
+// compile compiles the instruction at pc — a symbol push (nothing
+// emitted) or one micro with its operands bound and a directly following
+// local store folded in — and returns the pc after what it covered. ok is
+// false, with pc unchanged, for ops that must end the block (may throw
+// beyond a guard, allocate, park, push/pop frames, or touch
+// mode-specialized state).
+func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
+	in := &bb.p.Instrs[pc]
+	switch op := bb.code.Instrs[pc].Op; op {
 	case bytecode.OpNop:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.pc++
-			return microNext
-		}
-	case bytecode.OpIConst:
-		v := heap.IntVal(in.I)
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.push(v)
-			f.pc++
-			return microNext
-		}
-	case bytecode.OpFConst:
-		v := heap.FloatVal(in.F)
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.push(v)
-			f.pc++
-			return microNext
-		}
-	case bytecode.OpAConstNull:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.push(heap.Null())
-			f.pc++
-			return microNext
-		}
-	case bytecode.OpPop:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.upop()
-			f.pc++
-			return microNext
-		}
-	case bytecode.OpDup:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.push(f.upeek())
-			f.pc++
-			return microNext
-		}
-	case bytecode.OpDupX1:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			a := f.upop()
-			b := f.upop()
-			f.push(a)
-			f.push(b)
-			f.push(a)
-			f.pc++
-			return microNext
-		}
-	case bytecode.OpSwap:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			a := f.upop()
-			b := f.upop()
-			f.push(a)
-			f.push(b)
-			f.pc++
-			return microNext
-		}
+		return pc + 1, true
 	case bytecode.OpILoad, bytecode.OpFLoad, bytecode.OpALoad:
-		slot := in.A
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.push(f.locals[slot])
-			f.pc++
-			return microNext
-		}
+		return bb.symbol(operand{kind: inLocal, slot: in.A}, pc)
+	case bytecode.OpIConst:
+		return bb.constant(heap.IntVal(in.I), pc)
+	case bytecode.OpFConst:
+		return bb.constant(heap.FloatVal(in.F), pc)
+	case bytecode.OpAConstNull:
+		return bb.constant(heap.Null(), pc)
 	case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore:
-		slot := in.A
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.locals[slot] = f.upop()
-			f.pc++
-			return microNext
+		bd, d := bb.bind(1, pc), in.A
+		if bd.ns == 1 {
+			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+				f.locals[d] = f.upop()
+				return microNext
+			}, pc, pc)
 		}
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			f.locals[d] = *bd.ops[0].at(f)
+			return microNext
+		}, pc, pc)
+	case bytecode.OpPop:
+		if k := len(bb.syms); k > 0 {
+			bb.syms = bb.syms[:k-1]
+			return pc + 1, true
+		}
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			f.drop(1)
+			return microNext
+		}, pc, pc)
+	case bytecode.OpDup:
+		bb.flush(0)
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			f.push(f.upeek())
+			return microNext
+		}, pc, pc)
+	case bytecode.OpDupX1:
+		bb.flush(0)
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			a := f.upop()
+			b := f.upop()
+			f.push(a)
+			f.push(b)
+			f.push(a)
+			return microNext
+		}, pc, pc)
+	case bytecode.OpSwap:
+		bb.flush(0)
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			a := f.upop()
+			b := f.upop()
+			f.push(a)
+			f.push(b)
+			return microNext
+		}, pc, pc)
 	case bytecode.OpIInc:
+		bb.flush(0)
 		slot, delta := in.A, int64(in.B)
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 			f.locals[slot].I += delta
 			f.locals[slot].Kind = classfile.KindInt
-			f.pc++
 			return microNext
-		}
+		}, pc, pc)
 	case bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul,
 		bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor,
 		bytecode.OpIShl, bytecode.OpIShr, bytecode.OpIUshr:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			b := f.upop()
-			a := f.upop()
-			f.push(heap.IntVal(pureBinop(op, a.I, b.I)))
-			f.pc++
-			return microNext
+		bd := bb.produce(2, pc)
+		// The hottest bindings get closures of their own: local-to-local
+		// data flow with no stack traffic and no operand-kind dispatch.
+		switch a, b, d := bd.ops[0], bd.ops[1], bd.d; {
+		case a.kind == inLocal && b.kind == inLocal:
+			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+				f.result(0, d, heap.IntVal(pureBinop(op, f.locals[a.slot].I, f.locals[b.slot].I)))
+				return microNext
+			}, pc, bd.last)
+		case a.kind == inLocal && b.kind == isConst:
+			c := b.k.I
+			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+				f.result(0, d, heap.IntVal(pureBinop(op, f.locals[a.slot].I, c)))
+				return microNext
+			}, pc, bd.last)
 		}
-	case bytecode.OpINeg:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			v := f.upop()
-			f.push(heap.IntVal(-v.I))
-			f.pc++
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			f.result(bd.ns, bd.d, heap.IntVal(pureBinop(op, bd.ops[0].at(f).I, bd.ops[1].at(f).I)))
 			return microNext
-		}
-	case bytecode.OpFAdd, bytecode.OpFSub, bytecode.OpFMul, bytecode.OpFDiv:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			b := f.upop()
-			a := f.upop()
-			f.push(heap.FloatVal(floatBinop(op, a.F, b.F)))
-			f.pc++
-			return microNext
-		}
-	case bytecode.OpFNeg:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			v := f.upop()
-			f.push(heap.FloatVal(-v.F))
-			f.pc++
-			return microNext
-		}
-	case bytecode.OpFCmp:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			b := f.upop()
-			a := f.upop()
-			switch {
-			case a.F < b.F:
-				f.push(heap.IntVal(-1))
-			case a.F > b.F:
-				f.push(heap.IntVal(1))
-			default:
-				f.push(heap.IntVal(0))
+		}, pc, bd.last)
+	case bytecode.OpIDiv, bytecode.OpIRem:
+		// Guarded: a zero divisor bails (the table handler throws).
+		bd := bb.produce(2, pc)
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			x, y := bd.ops[0].at(f).I, bd.ops[1].at(f).I
+			if y == 0 {
+				return bail(f, bd.ops[0], bd.ops[1])
 			}
-			f.pc++
+			if op == bytecode.OpIDiv {
+				x /= y
+			} else {
+				x %= y
+			}
+			f.result(bd.ns, bd.d, heap.IntVal(x))
 			return microNext
-		}
+		}, pc, bd.last)
+	case bytecode.OpINeg:
+		bd := bb.produce(1, pc)
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			f.result(bd.ns, bd.d, heap.IntVal(-bd.ops[0].at(f).I))
+			return microNext
+		}, pc, bd.last)
+	case bytecode.OpFAdd, bytecode.OpFSub, bytecode.OpFMul, bytecode.OpFDiv:
+		bd := bb.produce(2, pc)
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			f.result(bd.ns, bd.d, heap.FloatVal(floatBinop(op, bd.ops[0].at(f).F, bd.ops[1].at(f).F)))
+			return microNext
+		}, pc, bd.last)
+	case bytecode.OpFNeg:
+		bd := bb.produce(1, pc)
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			f.result(bd.ns, bd.d, heap.FloatVal(-bd.ops[0].at(f).F))
+			return microNext
+		}, pc, bd.last)
+	case bytecode.OpFCmp:
+		bd := bb.produce(2, pc)
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			x, y := bd.ops[0].at(f).F, bd.ops[1].at(f).F
+			var c int64
+			switch {
+			case x < y:
+				c = -1
+			case x > y:
+				c = 1
+			}
+			f.result(bd.ns, bd.d, heap.IntVal(c))
+			return microNext
+		}, pc, bd.last)
 	case bytecode.OpI2F:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			v := f.upop()
-			f.push(heap.FloatVal(float64(v.I)))
-			f.pc++
+		bd := bb.produce(1, pc)
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			f.result(bd.ns, bd.d, heap.FloatVal(float64(bd.ops[0].at(f).I)))
 			return microNext
-		}
+		}, pc, bd.last)
 	case bytecode.OpF2I:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			v := f.upop()
-			f.push(heap.IntVal(int64(v.F)))
-			f.pc++
+		bd := bb.produce(1, pc)
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			f.result(bd.ns, bd.d, heap.IntVal(f2i(bd.ops[0].at(f).F)))
 			return microNext
+		}, pc, bd.last)
+	case bytecode.OpIfEq, bytecode.OpIfNe, bytecode.OpIfLt, bytecode.OpIfLe,
+		bytecode.OpIfGt, bytecode.OpIfGe, bytecode.OpIfNull, bytecode.OpIfNonNull:
+		// A taken branch transfers out of the block with the real stack
+		// exact: bind left nothing pending but the branch's own operand.
+		bd, tgt := bb.bind(1, pc), in.A
+		onRef, wantNull := op == bytecode.OpIfNull || op == bytecode.OpIfNonNull, op == bytecode.OpIfNull
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			v := bd.ops[0].at(f)
+			taken := intCondition(op, v.I)
+			if onRef {
+				taken = (v.R == nil) == wantNull
+			}
+			f.drop(bd.ns)
+			if taken {
+				f.pc = tgt
+				return microStop
+			}
+			return microNext
+		}, pc, pc)
+	case bytecode.OpIfICmpEq, bytecode.OpIfICmpNe, bytecode.OpIfICmpLt,
+		bytecode.OpIfICmpLe, bytecode.OpIfICmpGt, bytecode.OpIfICmpGe,
+		bytecode.OpIfACmpEq, bytecode.OpIfACmpNe:
+		bd, tgt := bb.bind(2, pc), in.A
+		onRef, wantEq := op == bytecode.OpIfACmpEq || op == bytecode.OpIfACmpNe, op == bytecode.OpIfACmpEq
+		switch a, b := bd.ops[0], bd.ops[1]; { // the hottest bindings, as for the int ops
+		case a.kind == inLocal && b.kind == inLocal && !onRef:
+			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+				if intCmpCondition(op, f.locals[a.slot].I, f.locals[b.slot].I) {
+					f.pc = tgt
+					return microStop
+				}
+				return microNext
+			}, pc, pc)
+		case a.kind == inLocal && b.kind == isConst && !onRef:
+			c := b.k.I
+			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+				if intCmpCondition(op, f.locals[a.slot].I, c) {
+					f.pc = tgt
+					return microStop
+				}
+				return microNext
+			}, pc, pc)
 		}
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			x, y := bd.ops[0].at(f), bd.ops[1].at(f)
+			taken := intCmpCondition(op, x.I, y.I)
+			if onRef {
+				taken = (x.R == y.R) == wantEq
+			}
+			f.drop(bd.ns)
+			if taken {
+				f.pc = tgt
+				return microStop
+			}
+			return microNext
+		}, pc, pc)
 	case bytecode.OpGetField:
 		// Guarded: unresolved slot or null receiver bails (the table
 		// handler resolves or throws with the identical message).
-		fs := in.FS
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			slot := fs.Get()
-			if slot < 0 {
-				return microBail
+		bd, fs := bb.produce(1, pc), in.FS
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			slot, recv := fs.Get(), bd.ops[0].at(f).R
+			if slot < 0 || recv == nil {
+				return bail(f, bd.ops[0])
 			}
-			recv := f.upeek()
-			if recv.R == nil {
-				return microBail
-			}
-			f.upop()
-			f.push(recv.R.Fields[slot])
-			f.pc++
+			f.result(bd.ns, bd.d, recv.Fields[slot])
 			return microNext
-		}
+		}, pc, bd.last)
 	case bytecode.OpPutField:
-		fs := in.FS
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			slot := fs.Get()
-			if slot < 0 {
-				return microBail
+		bd, fs := bb.bind(2, pc), in.FS
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			slot, recv, v := fs.Get(), bd.ops[0].at(f).R, *bd.ops[1].at(f)
+			if slot < 0 || recv == nil {
+				return bail(f, bd.ops[0], bd.ops[1])
 			}
-			s := f.stack
-			recv := s[len(s)-2]
-			if recv.R == nil {
-				return microBail
-			}
-			v := f.upop()
-			f.upop()
-			if sp := &recv.R.Fields[slot]; vm.barrierOn(t) {
+			f.drop(bd.ns)
+			if sp := &recv.Fields[slot]; vm.barrierOn(t) {
 				vm.gcWriteSlot(t, sp, v)
 			} else {
 				*sp = v
 			}
-			f.pc++
 			return microNext
-		}
+		}, pc, pc)
 	case bytecode.OpArrayLength:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			v := f.upeek()
-			if v.R == nil || !v.R.IsArray() {
-				return microBail
+		bd := bb.produce(1, pc)
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			arr := bd.ops[0].at(f).R
+			if arr == nil || !arr.IsArray() {
+				return bail(f, bd.ops[0])
 			}
-			f.upop()
-			f.push(heap.IntVal(int64(len(v.R.Elems))))
-			f.pc++
+			f.result(bd.ns, bd.d, heap.IntVal(int64(len(arr.Elems))))
 			return microNext
-		}
+		}, pc, bd.last)
 	case bytecode.OpArrayLoad:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			s := f.stack
-			idx := s[len(s)-1]
-			arr := s[len(s)-2]
-			if arr.R == nil || !arr.R.IsArray() || idx.I < 0 || idx.I >= int64(len(arr.R.Elems)) {
-				return microBail
+		bd := bb.produce(2, pc)
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			arr, idx := bd.ops[0].at(f).R, bd.ops[1].at(f).I
+			if arr == nil || !arr.IsArray() || idx < 0 || idx >= int64(len(arr.Elems)) {
+				return bail(f, bd.ops[0], bd.ops[1])
 			}
-			f.upop()
-			f.upop()
-			f.push(arr.R.Elems[idx.I])
-			f.pc++
+			f.result(bd.ns, bd.d, arr.Elems[idx])
 			return microNext
-		}
+		}, pc, bd.last)
 	case bytecode.OpArrayStore:
-		return func(vm *VM, t *Thread, f *Frame) microStatus {
-			s := f.stack
-			v := s[len(s)-1]
-			idx := s[len(s)-2]
-			arr := s[len(s)-3]
-			if arr.R == nil || !arr.R.IsArray() || idx.I < 0 ||
-				idx.I >= int64(len(arr.R.Elems)) || arr.R.Frozen() {
-				return microBail
+		bd := bb.bind(3, pc)
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			arr, idx, v := bd.ops[0].at(f).R, bd.ops[1].at(f).I, *bd.ops[2].at(f)
+			if arr == nil || !arr.IsArray() || idx < 0 ||
+				idx >= int64(len(arr.Elems)) || arr.Frozen() {
+				return bail(f, bd.ops[0], bd.ops[1], bd.ops[2])
 			}
-			f.upop()
-			f.upop()
-			f.upop()
-			if sp := &arr.R.Elems[idx.I]; vm.barrierOn(t) {
+			f.drop(bd.ns)
+			if sp := &arr.Elems[idx]; vm.barrierOn(t) {
 				vm.gcWriteSlot(t, sp, v)
 			} else {
 				*sp = v
 			}
-			f.pc++
 			return microNext
-		}
+		}, pc, pc)
 	}
-	return nil
+	return pc, false
 }

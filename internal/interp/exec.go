@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
@@ -254,7 +255,7 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		f.push(heap.IntVal(int64(v.F)))
+		f.push(heap.IntVal(f2i(v.F)))
 
 	// --- Control flow ------------------------------------------------------
 	case bytecode.OpGoto:
@@ -861,6 +862,21 @@ func floatBinop(op bytecode.Opcode, a, b float64) float64 {
 	default:
 		return a / b
 	}
+}
+
+// f2i converts with the JVM's semantics on every host: NaN is 0 and
+// out-of-range values saturate. (Go leaves those conversions
+// implementation-defined: amd64 yields MinInt64, arm64 saturates.)
+func f2i(v float64) int64 {
+	switch {
+	case math.IsNaN(v):
+		return 0
+	case v >= math.MaxInt64: // 2^63 as a float64
+		return math.MaxInt64
+	case v <= math.MinInt64:
+		return math.MinInt64
+	}
+	return int64(v)
 }
 
 func intCondition(op bytecode.Opcode, v int64) bool {

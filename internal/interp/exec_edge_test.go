@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"ijvm/internal/core"
 	"ijvm/internal/heap"
 	"ijvm/internal/interp"
+	"ijvm/internal/syslib"
 )
 
 // runExpect builds run()I from body, executes it, and asserts the result
@@ -194,4 +196,52 @@ func TestFinallyStyleHandlerNesting(t *testing.T) {
 		a.Handler("inner", "endinner", "innerh", "java/lang/ArithmeticException")
 		a.Handler("outer", "endouter", "outerh", "java/lang/RuntimeException")
 	})
+}
+
+// TestF2ISaturates pins float-to-int conversion to the JVM's semantics in
+// all three engines: NaN is 0 and out-of-range values saturate, whatever
+// the host CPU does with an out-of-range conversion (amd64 yields
+// MinInt64 for all of them, arm64 saturates).
+func TestF2ISaturates(t *testing.T) {
+	cases := []struct {
+		in   float64
+		want int64
+	}{
+		{math.NaN(), 0},
+		{math.Inf(1), math.MaxInt64},
+		{math.Inf(-1), math.MinInt64},
+		{1e30, math.MaxInt64},
+		{-1e30, math.MinInt64},
+		{9223372036854775808.0, math.MaxInt64}, // 2^63, the first value out of range
+		{-9223372036854775808.0, math.MinInt64},
+		{math.Copysign(0, -1), 0},
+		{-2.75, -2},
+		{1e15 + 0.5, 1e15},
+	}
+	engines := map[string]interp.Options{
+		"seed switch": {DisablePrepare: true},
+		"table":       {TierPromoteThreshold: -1},
+		"closure":     {TierPromoteThreshold: 1},
+	}
+	for name, opts := range engines {
+		opts.Mode = core.ModeIsolated
+		vm := interp.NewVM(opts)
+		syslib.MustInstall(vm)
+		iso, err := vm.NewIsolate("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := classfile.NewClass("edge/F2I")
+		for i, c := range cases {
+			b.Method(fmt.Sprintf("c%d", i), "()I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+				a.FConst(c.in).F2I().IReturn()
+			})
+		}
+		class := define(t, iso, b.MustBuild())
+		for i, c := range cases {
+			if got := callStatic(t, vm, iso, class, fmt.Sprintf("c%d", i)).I; got != c.want {
+				t.Errorf("%s: f2i(%v) = %d, want %d", name, c.in, got, c.want)
+			}
+		}
+	}
 }

@@ -11,17 +11,16 @@ import (
 // streams; the oracle tests reach it through normal execution).
 func PrepareMethodForTest(m *classfile.Method) *bytecode.PCode { return prepareMethod(m) }
 
-// CombinedMicrosForTest counts the combined group micros in the closure
-// program published for p, or -1 when p has not been promoted. A prefix
-// micro that retires more than one instruction is a group, and so is an
-// inline final that adds to the block's width (iinc+goto; a plain goto is
-// covered by the engine loop's own charge).
-func CombinedMicrosForTest(p *bytecode.PCode) int {
+// ClosureShapeForTest reports, for the closure program published for p,
+// how many micros cover more than one instruction (folded loads,
+// constants or a folded store) and how many blocks end in an inline
+// transfer — the links a chained step follows. ok is false when p has not
+// been promoted.
+func ClosureShapeForTest(p *bytecode.PCode) (folded, links int, ok bool) {
 	cp, _ := p.Tier.Hot().(*closureProgram)
 	if cp == nil {
-		return -1
+		return 0, 0, false
 	}
-	n := 0
 	for _, b := range cp.blocks {
 		if b == nil {
 			continue
@@ -29,15 +28,15 @@ func CombinedMicrosForTest(p *bytecode.PCode) int {
 		var prev int64
 		for _, c := range b.cum {
 			if c-prev > 1 {
-				n++
+				folded++
 			}
 			prev = c
 		}
-		if b.width > prev {
-			n++
+		if b.last != nil {
+			links++
 		}
 	}
-	return n
+	return folded, links, true
 }
 
 // SnapshotAccount exposes the capture-time account a snapshot seeds its
@@ -48,3 +47,29 @@ func SnapshotAccount(s *Snapshot) core.Account { return s.account }
 // first invocation would: the form lands in the Code's cache slot for the
 // VM's isolation mode. It returns nil for unpreparable methods.
 func (vm *VM) PreparedCodeForTest(m *classfile.Method) *bytecode.PCode { return vm.preparedCode(m) }
+
+// MaxStepInstructionsForTest is the most instructions one engine step may
+// retire (the chain cap).
+const MaxStepInstructionsForTest = maxStepSubs
+
+// StepSizesForTest drives t the way an engine loop does — a quantum
+// accountant with the given limit installed, one stepThread call per
+// poll — for n steps, and returns how many instructions each step
+// retired. Nothing else may be running vm.
+func (vm *VM) StepSizesForTest(t *Thread, limit int64, n int) ([]int64, error) {
+	var batch core.InstrBatch
+	var samples int
+	qa := quantumAcct{vm: vm, batch: &batch, sampleCount: &samples, limit: limit}
+	t.qa = &qa
+	defer func() { t.qa = nil }()
+	sizes := make([]int64, 0, n)
+	for len(sizes) < n && t.State() == StateRunnable {
+		before := qa.steps
+		if err := vm.stepThread(t); err != nil {
+			return sizes, err
+		}
+		qa.steps++
+		sizes = append(sizes, qa.steps-before)
+	}
+	return sizes, nil
+}

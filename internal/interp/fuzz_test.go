@@ -25,8 +25,9 @@ import (
 //     count) — the verifier's soundness contract;
 //   - the same holds with every method promoted to the closure tier on
 //     first activation: short fuzz programs never get hot on their own,
-//     and this leg is what drives the closure compiler's group matcher
-//     (its pc+1..pc+3 lookahead) over adversarial verified streams.
+//     and this leg is what drives the closure compiler's operand folding
+//     (symbol materialisation, follower-pc entries, bails with operands
+//     still symbolic) and chained steps over adversarial verified streams.
 //
 // The corpus is seeded from the instruction streams of the shipped
 // example programs (encoded through the same 3-bytes-per-instruction
@@ -53,6 +54,28 @@ func FuzzPrepareVerifier(f *testing.F) {
 	f.Add([]byte{byte(bytecode.OpILoad), 1, 0, byte(bytecode.OpAThrow), 0, 0})
 	f.Add([]byte{byte(bytecode.OpInvokeStatic), 5, 0, byte(bytecode.OpReturn), 0, 0})
 	f.Add([]byte{255, 255, 255, 0, 0, 0})
+	// Operand-folding edges (closure_fold_test.go has the exhaustive
+	// versions): a block entered at a follower pc with its operand on the
+	// real stack, a store and an iinc to a local a pending symbol names,
+	// guarded micros that bail with operands still symbolic, and a loop
+	// whose back edge chains.
+	op := func(o bytecode.Opcode, a int32) bytecode.Instr { return bytecode.Instr{Op: o, A: a, B: a} }
+	for _, prog := range [][]bytecode.Instr{
+		{op(bytecode.OpIConst, 7), op(bytecode.OpILoad, 0), op(bytecode.OpIfGt, 4), op(bytecode.OpNop, 0),
+			op(bytecode.OpILoad, 1), op(bytecode.OpIAdd, 0), op(bytecode.OpIReturn, 0)},
+		{op(bytecode.OpILoad, 0), op(bytecode.OpIConst, 5), op(bytecode.OpIStore, 0),
+			op(bytecode.OpILoad, 0), op(bytecode.OpISub, 0), op(bytecode.OpIReturn, 0)},
+		{op(bytecode.OpILoad, 1), op(bytecode.OpILoad, 1), op(bytecode.OpIInc, 1), op(bytecode.OpILoad, 0),
+			op(bytecode.OpIAdd, 0), op(bytecode.OpIStore, 1), op(bytecode.OpILoad, 1), op(bytecode.OpISub, 0), op(bytecode.OpIReturn, 0)},
+		{op(bytecode.OpILoad, 1), op(bytecode.OpAConstNull, 0), op(bytecode.OpILoad, 0), op(bytecode.OpArrayLoad, 0),
+			op(bytecode.OpIAdd, 0), op(bytecode.OpIReturn, 0)},
+		{op(bytecode.OpILoad, 1), op(bytecode.OpILoad, 0), op(bytecode.OpIConst, 0), op(bytecode.OpIRem, 0),
+			op(bytecode.OpIAdd, 0), op(bytecode.OpIReturn, 0)},
+		{op(bytecode.OpILoad, 0), op(bytecode.OpIfLe, 5), op(bytecode.OpIInc, 1), {Op: bytecode.OpIInc, A: 0, B: -1}, op(bytecode.OpGoto, 0),
+			op(bytecode.OpILoad, 1), op(bytecode.OpIReturn, 0)},
+	} {
+		f.Add(encodeFuzzProgram(prog))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		instrs := decodeFuzzProgram(data)

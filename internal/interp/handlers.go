@@ -418,7 +418,7 @@ func pI2F(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 
 func pF2I(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 	v := f.upop()
-	f.push(heap.IntVal(int64(v.F)))
+	f.push(heap.IntVal(f2i(v.F)))
 	f.pc++
 	return nil
 }

@@ -135,14 +135,14 @@ func TestSetIsolationModeRequickens(t *testing.T) {
 }
 
 // TestRequickenStormAgainstHotTier storms SetIsolationMode against
-// closure-promoted code with combined group micros: a hot loop (promoted
+// closure-promoted code with folded operands and chained steps: a hot loop (promoted
 // on first activation via TierPromoteThreshold 1) is advanced in small,
 // odd-sized budget slices, flipping the isolation mode between every
-// slice. Quantum boundaries land at every offset of the groups —
-// including single-stepped heads (budget-exhausted bails) and delegated
-// finals — so a flip observing a partially-applied stack effect, a
-// stale closure program surviving deopt, or a mis-carried pc inside a
-// group would corrupt the final total.
+// slice. Quantum boundaries land at every offset of the folded runs and
+// of the chains — including single-stepped heads (blocks that no longer
+// fit) and delegated finals — so a flip observing an unmaterialised
+// operand, a stale closure program surviving deopt, or a mis-carried pc
+// at a chain exit would corrupt the final total.
 func TestRequickenStormAgainstHotTier(t *testing.T) {
 	vm := interp.NewVM(interp.Options{Mode: core.ModeShared, TierPromoteThreshold: 1})
 	syslib.MustInstall(vm)
@@ -165,7 +165,7 @@ func TestRequickenStormAgainstHotTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Prime/co-prime budgets walk the quantum boundary through every
-	// group offset as the storm progresses.
+	// offset of a folded run and of a chain as the storm progresses.
 	budgets := []int64{1, 2, 3, 5, 7, 11, 13, 17, 101, 997}
 	modes := []core.Mode{core.ModeIsolated, core.ModeShared}
 	flips := 0
@@ -191,31 +191,33 @@ func TestRequickenStormAgainstHotTier(t *testing.T) {
 
 	// The storm must actually have run against the tier under test: both
 	// mode quickenings were promoted to the closure tier, and the promoted
-	// loop body carries combined group micros.
+	// loop body carries folded micros and chain links.
 	for _, pm := range []int{bytecode.PModeShared, bytecode.PModeIsolated} {
-		requireLiveGroups(t, m, pm)
+		requireLiveChains(t, m, pm)
 	}
 }
 
-// requireLiveGroups fails unless m's quickening for prepared-mode pm was
-// promoted to a closure program that holds combined group micros.
-func requireLiveGroups(t *testing.T, m *classfile.Method, pm int) {
+// requireLiveChains fails unless m's quickening for prepared-mode pm was
+// promoted to a closure program that holds micros covering more than one
+// instruction and blocks ending in an inline transfer, i.e. the storm ran
+// against folded operands and chained steps.
+func requireLiveChains(t *testing.T, m *classfile.Method, pm int) {
 	t.Helper()
 	p := m.Code.Prepared(pm)
 	if p == nil {
 		t.Fatalf("mode %d quickening missing", pm)
 	}
-	switch n := interp.CombinedMicrosForTest(p); {
-	case n < 0:
+	switch folded, links, ok := interp.ClosureShapeForTest(p); {
+	case !ok:
 		t.Fatalf("mode %d quickening was never promoted to the closure tier", pm)
-	case n == 0:
-		t.Fatalf("mode %d closure program has no combined group micros", pm)
+	case folded == 0 || links == 0:
+		t.Fatalf("mode %d closure program has %d folded micros and %d chain links", pm, folded, links)
 	}
 }
 
 // TestKillStormAgainstHotTier kills an isolate while its hot,
-// closure-promoted loop (combined group micros live) is mid-flight at an arbitrary quantum
-// boundary, and proves termination semantics are unchanged by the hot
+// closure-promoted loop (folded micros and chains live) is mid-flight at
+// an arbitrary quantum boundary, and proves termination semantics are unchanged by the hot
 // tier: the victim thread dies with StoppedIsolateException-style
 // failure (killed code never runs again), while a second isolate's
 // identical hot loop still computes the exact total afterwards.
@@ -243,7 +245,7 @@ func TestKillStormAgainstHotTier(t *testing.T) {
 		if th.Done() {
 			t.Fatalf("budget %d: victim finished before the kill", budget)
 		}
-		requireLiveGroups(t, m, bytecode.PModeIsolated)
+		requireLiveChains(t, m, bytecode.PModeIsolated)
 		if err := vm.KillIsolate(nil, victimIso); err != nil {
 			t.Fatalf("budget %d: kill: %v", budget, err)
 		}

@@ -6,26 +6,30 @@ import (
 	"ijvm/internal/core"
 )
 
-// This file holds the quantum-accounting bridge that lets
-// closure-threaded blocks (closure.go) execute several guest instructions
+// This file holds the quantum-accounting bridge that lets a chain of
+// closure-threaded blocks (closure.go) execute many guest instructions
 // inside one engine step without disturbing any observable contract:
 //
 //   - instruction counts: every sub-instruction is charged through the
 //     exact per-instruction sequence of the engine loop that owns the
 //     quantum (sequential runQuantum or concurrent RunThreadQuantum), so
-//     per-isolate accounts, CPU sampling and the virtual clock advance at
-//     identical points to single-step execution;
-//   - quantum/budget boundaries: a block only executes compiled when the
-//     whole block fits in the remaining quantum (reserve); otherwise the
-//     instruction at pc executes alone through the table and the boundary
-//     lands exactly where the table engine would put it. The engine
-//     loops already clamp the quantum to the remaining run budget, so
-//     budget exhaustion is covered by the same check;
-//   - safepoints: kill, SetIsolationMode and STW parking act only between
-//     engine steps. A block completes (or delegates its final
-//     sub-instruction) within one step, and its non-throwing prefix
-//     cannot reach a safepoint, so no partially-applied block state is
-//     ever observable.
+//     per-isolate accounts, CPU sampling and the virtual clock end every
+//     step where single-step execution would have them;
+//   - quantum/budget boundaries: a block only executes compiled — as a
+//     step's first block or as the next link of its chain — when the
+//     whole block still fits in the remaining quantum (reserve);
+//     otherwise the step ends and the instruction at pc executes alone
+//     through the table, so the boundary lands exactly where the table
+//     engine would put it. The engine loops already clamp the quantum to
+//     the remaining run budget, so budget exhaustion is covered by the
+//     same check;
+//   - safepoints: kill, SetIsolationMode, shutdown and STW parking act
+//     only between engine steps. A step retires at most maxStepSubs
+//     instructions whatever the quantum, and nothing it inlines can reach
+//     a safepoint (only its delegated final can, as the step's last act
+//     with the frame exact), so no partially-applied block state is ever
+//     observable and the polls stay a bounded number of instructions
+//     apart.
 //
 // quantumAcct lives on the Thread (t.qa) only while an engine loop is
 // driving it; blocks bail to single-step execution when it is absent
@@ -34,8 +38,8 @@ import (
 // quantumAcct is the per-quantum instruction accounting state shared
 // between an engine loop and the closure blocks it dispatches.
 // steps is the loop's own instruction counter: the loop increments it
-// once per stepThread call (the block's final sub-instruction), and
-// chargeSubs adds the inlined prefix sub-instructions.
+// once per stepThread call (the step's final sub-instruction), and
+// chargeSubs adds the sub-instructions the step inlined before it.
 type quantumAcct struct {
 	vm *VM
 	// batch is the owning engine's call-path batch: the sequential
@@ -50,27 +54,26 @@ type quantumAcct struct {
 	seq         bool // sequential engine: steps also feed vm.seqPending
 }
 
-// reserve reports whether a block with extra prefix sub-instructions (on
-// top of the final one the engine loop charges) still fits in the
-// quantum.
+// reserve reports whether extra inlined sub-instructions (on top of the
+// final one the engine loop charges) still fit in the quantum.
 func (q *quantumAcct) reserve(extra int64) bool {
 	return q.steps+extra < q.limit
 }
 
-// chargeSubs charges k inlined prefix sub-instructions, replicating the
-// owning engine loop's per-instruction accounting sequence in one
-// arithmetically identical batched call: account notes batch through
-// InstrBatch.NoteN and the CPU-sampling counter is folded modulo
-// SampleEvery (floor((old+k)/every) samples, remainder kept), which is
-// exactly what k unit increments with reset-at-threshold produce.
-// Prefix sub-instructions cannot migrate the thread, flip the isolation
-// mode or finish the thread (only a block's delegated final can, and
-// the loop's own post-step charge covers that one), so reading t.cur
-// and the hoisted isolation flag here matches what the single-step loop
-// would have read — and nothing can observe the intermediate counters
-// mid-step (no safepoint, throw, park or batch flush is reachable from
-// a prefix micro), so the batching is invisible to the differential
-// oracle.
+// chargeSubs charges the k sub-instructions a step inlined, once, at the
+// step's single exit, replicating the owning engine loop's
+// per-instruction accounting sequence in one arithmetically identical
+// batched call: account notes batch through InstrBatch.NoteN and the
+// CPU-sampling counter is folded modulo SampleEvery (floor((old+k)/every)
+// samples, remainder kept), which is exactly what k unit increments with
+// reset-at-threshold produce. Inlined sub-instructions cannot migrate the
+// thread, flip the isolation mode or finish the thread (only a step's
+// delegated final can, and the loop's own post-step charge covers that
+// one), so reading t.cur and the hoisted isolation flag here matches what
+// the single-step loop would have read — and nothing can observe the
+// intermediate counters mid-step (no safepoint, throw, park or batch
+// flush is reachable from a prefix micro), so the batching is invisible
+// to the differential oracle.
 func (q *quantumAcct) chargeSubs(t *Thread, k int64) {
 	if k <= 0 {
 		return

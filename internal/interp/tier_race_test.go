@@ -33,16 +33,16 @@ const (
 
 // tierRaceClasses builds the shared bundle: helper(x) = x*5 - 7 (its own
 // promotion races once per call site activation) and
-// spin(n) = n iterations of group-shaped arithmetic through helper.
+// spin(n) = n iterations of foldable arithmetic through helper.
 func tierRaceClasses() []*classfile.Class {
 	shared := classfile.NewClass("tier/Shared").
 		Method("helper", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
 			a.ILoad(0).Const(5).IMul().Const(7).ISub().IReturn()
 		}).
 		Method("spin", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
-			// Locals: 0 n, 1 acc, 2 i. The loop body compiles into
-			// load/load/if_icmp, load/const/op/store, load/load/op/store
-			// and iinc+goto combined micros in the promoted closure blocks.
+			// Locals: 0 n, 1 acc, 2 i. The loop body compiles into four
+			// micros with their loads, constants and stores folded in, and
+			// the iinc+goto final chains back into the loop head.
 			a.Const(0).IStore(1)
 			a.Const(0).IStore(2)
 			a.Label("loop").ILoad(2).ILoad(0).IfICmpGe("done")
@@ -166,7 +166,134 @@ func TestTierPromotionRaceStress(t *testing.T) {
 		}
 
 		// The contention under test really happened: the shared body was
-		// promoted, and its closure program carries combined group micros.
-		requireLiveGroups(t, spin, bytecode.PModeIsolated)
+		// promoted, and its closure program carries folded micros and chain
+		// links.
+		requireLiveChains(t, spin, bytecode.PModeIsolated)
+	}
+}
+
+// endlessLoopClass is spin/Main.spin()V: the tightest promoted loop there is —
+// `iinc 0 1; goto` — one block that is nothing but its inline final and
+// chains into itself for as long as a step may run.
+func endlessLoopClass() *classfile.Class {
+	return classfile.NewClass("spin/Main").
+		Method("spin", "()V", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.ReserveLocals(1)
+			a.Label("loop").IInc(0, 1).Goto("loop")
+		}).MustBuild()
+}
+
+// TestChainPollLatency pins what bounds the engines' poll latency. The
+// engine loops poll stop-the-world, kill, shutdown and target completion
+// once per step, so a request waits for at most one step: with the
+// quantum at 1 000 000 instructions, the in-code chain cap — not the
+// quantum — must bound what a step retires. The first half measures it
+// in instructions, step by step; the second drives a real 1-worker
+// scheduler and requires a collection's world-stop, an isolate kill and a
+// platform shutdown to take effect on a thread that never leaves its
+// promoted loop.
+func TestChainPollLatency(t *testing.T) {
+	const quantum = 1_000_000
+	newVM := func() (*interp.VM, *core.Isolate) {
+		vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, Quantum: quantum, TierPromoteThreshold: 1})
+		syslib.MustInstall(vm)
+		if _, err := vm.NewIsolate("platform"); err != nil { // Isolate0: unkillable
+			t.Fatal(err)
+		}
+		iso, err := vm.NewIsolate("spinner")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vm, iso
+	}
+	spawn := func(vm *interp.VM, iso *core.Isolate, class *classfile.Class, method, desc string, args []heap.Value) *interp.Thread {
+		if err := iso.Loader().Define(class); err != nil {
+			t.Fatal(err)
+		}
+		m, err := class.LookupMethod(method, desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, err := vm.SpawnThread(method, iso, m, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return th
+	}
+
+	// Instructions between consecutive polls: the self-chaining final, and
+	// a loop whose chains run through taken branches and gotos.
+	rules := classfile.NewClass("chain/Main").
+		Method("run", "(ILjava/lang/Object;)I", classfile.FlagStatic, chainPrograms()["rules"]).MustBuild()
+	for _, prog := range []struct {
+		class        *classfile.Class
+		method, desc string
+		args         []heap.Value
+	}{
+		{endlessLoopClass(), "spin", "()V", nil},
+		{rules, "run", "(ILjava/lang/Object;)I", []heap.Value{heap.IntVal(1 << 40), heap.Null()}},
+	} {
+		vm, iso := newVM()
+		th := spawn(vm, iso, prog.class, prog.method, prog.desc, prog.args)
+		sizes, err := vm.StepSizesForTest(th, quantum, 200)
+		if err != nil || len(sizes) != 200 {
+			t.Fatalf("%s: %d steps, %v", prog.method, len(sizes), err)
+		}
+		longest := int64(0)
+		for _, n := range sizes {
+			longest = max(longest, n)
+		}
+		if longest > interp.MaxStepInstructionsForTest {
+			t.Fatalf("%s: a step retired %d instructions, the chain cap is %d", prog.method, longest, interp.MaxStepInstructionsForTest)
+		}
+		if longest <= interp.MaxStepInstructionsForTest/2 {
+			t.Fatalf("%s: the longest of 200 steps retired %d instructions: chains are not live", prog.method, longest)
+		}
+	}
+
+	// The same loop under a real scheduler, in two isolates (the second
+	// keeps the run alive past the kill): every request must land.
+	vm, iso := newVM()
+	th := spawn(vm, iso, endlessLoopClass(), "spin", "()V", nil)
+	iso2, err := vm.NewIsolate("spinner2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	th2 := spawn(vm, iso2, endlessLoopClass(), "spin", "()V", nil)
+	done := make(chan interp.RunResult, 1)
+	go func() { done <- sched.Run(vm, 1, 0) }()
+	sched.AwaitStart(vm)
+	within := func(what string, fn func()) {
+		t.Helper()
+		finished := make(chan struct{})
+		go func() { fn(); close(finished) }()
+		select {
+		case <-finished:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s did not take effect on the spinning threads", what)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		within("stop-the-world collection", func() { vm.CollectGarbage(nil) })
+	}
+	within("kill", func() {
+		if err := vm.KillIsolate(nil, iso); err != nil {
+			t.Errorf("kill: %v", err)
+		}
+		for !th.Done() {
+			time.Sleep(50 * time.Microsecond)
+		}
+	})
+	if th.Failure() == nil && th.Err() == nil {
+		t.Error("the killed spinner finished cleanly")
+	}
+	within("shutdown", func() {
+		vm.Shutdown()
+		if res := <-done; !res.Shutdown {
+			t.Errorf("run ended without observing the shutdown: %+v", res)
+		}
+	})
+	if th2.Done() {
+		t.Error("the surviving spinner finished: it has no exit")
 	}
 }
