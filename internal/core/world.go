@@ -567,16 +567,20 @@ func (w *World) Kill(killer, target *Isolate) error {
 // UpdateDisposal promotes killed isolates with no remaining live charged
 // objects to StateDisposed ("an isolate is only removed from memory when
 // there is no remaining object whose class is defined by the isolate",
-// §3.3). Call after an accounting collection.
-func (w *World) UpdateDisposal(h *heap.Heap) {
+// §3.3). Call after an accounting collection; it returns the isolates it
+// promoted.
+func (w *World) UpdateDisposal(h *heap.Heap) []*Isolate {
+	var disposed []*Isolate
 	for _, iso := range w.Isolates() {
 		if iso.State() != StateKilled {
 			continue
 		}
 		if h.LiveStatsFor(iso.id).Objects == 0 {
 			iso.setState(StateDisposed)
+			disposed = append(disposed, iso)
 		}
 	}
+	return disposed
 }
 
 // Snapshot builds a point-in-time resource snapshot of one isolate,

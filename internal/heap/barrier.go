@@ -10,7 +10,7 @@ import (
 //
 // # Why slot stores need a special form during marking
 //
-// While a mark phase is open, markers traverse Fields/Elems of reachable
+// While a mark phase is open, markers traverse the slot vectors of reachable
 // objects concurrently with guest stores on other shards. The only word
 // the marker reads is the reference word (Value.R), so that word — and
 // only that word — is published atomically while the barrier is armed:

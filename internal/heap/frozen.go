@@ -82,7 +82,7 @@ func FreezeTracked(o *Object) ([]*Object, error) {
 	}
 	var flipped []*Object
 	for _, a := range order {
-		if a.frozen.CompareAndSwap(false, true) {
+		if a.setFlag(flagFrozen) {
 			flipped = append(flipped, a)
 		}
 	}
@@ -96,14 +96,14 @@ func FreezeTracked(o *Object) ([]*Object, error) {
 // why the only input it accepts is FreezeTracked's own undo record.
 func Unfreeze(flipped []*Object) {
 	for _, a := range flipped {
-		a.frozen.Store(false)
+		a.clearFlag(flagFrozen)
 	}
 }
 
 // Frozen reports whether the object is a frozen (deeply immutable)
 // array. The interpreter's array-store paths consult it to reject
 // mutation.
-func (o *Object) Frozen() bool { return o.frozen.Load() }
+func (o *Object) Frozen() bool { return o.hasFlag(flagFrozen) }
 
 // PinShared adds one reference count to the heap-level shared-pin table:
 // the object (and everything reachable from it) survives every

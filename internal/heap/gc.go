@@ -245,7 +245,7 @@ func (h *Heap) abandonLocked() {
 	h.cycle.Store(nil)
 	for _, d := range *h.domains.Load() {
 		for _, o := range d.objects {
-			o.mark.Store(false)
+			o.clearFlag(flagMark)
 		}
 		// Discard the cycle's allocate-black charges: the exact pass
 		// that follows recomputes every charge from fresh roots.
@@ -285,20 +285,30 @@ func (h *Heap) terminateLocked(c *gcCycle, rescan []RootSet) CollectResult {
 
 	// Finalization: unreachable finalizable objects survive one more
 	// cycle, charged to their creator, with their subgraph resurrected.
+	// Each domain lists its finalizable objects apart (in allocation
+	// order, like the object list), so the pass costs nothing on a heap
+	// without them. Whatever stays listed was marked: the sweep below
+	// frees none of it.
 	var res CollectResult
 	domains := *h.domains.Load()
 	for _, d := range domains {
-		for _, o := range d.objects {
-			if o.Marked() || o.finalized || o.Class == nil || !o.Class.HasFinalizer {
+		waiting := d.finalizable[:0]
+		for _, o := range d.finalizable {
+			if o.Marked() {
+				waiting = append(waiting, o)
 				continue
 			}
-			o.finalized = true
+			o.setFlag(flagFinalized)
 			res.PendingFinalize = append(res.PendingFinalize, o)
 			c.mu.Lock()
 			c.gray = append(c.gray, grayItem{o, o.Creator})
 			c.mu.Unlock()
 			m.run(-1, true)
 		}
+		for i := len(waiting); i < len(d.finalizable); i++ {
+			d.finalizable[i] = nil
+		}
+		d.finalizable = waiting
 	}
 
 	// Sweep each domain's list in place, reclaiming its unused TLAB
@@ -310,16 +320,15 @@ func (h *Heap) terminateLocked(c *gcCycle, rescan []RootSet) CollectResult {
 		}
 		live := d.objects[:0]
 		for _, o := range d.objects {
-			if o.mark.Load() {
-				o.mark.Store(false)
+			if o.clearFlag(flagMark) {
 				live = append(live, o)
 				res.LiveObjects++
-				res.LiveBytes += o.size.Load()
+				res.LiveBytes += o.Size()
 				continue
 			}
 			o.dead = true
 			res.FreedObjects++
-			res.FreedBytes += o.size.Load()
+			res.FreedBytes += o.Size()
 		}
 		// Clear the tail so swept objects become collectible by the host
 		// GC.
@@ -504,8 +513,8 @@ func (m *marker) charge(it grayItem) {
 	o := it.obj
 	o.Charged = it.iso
 	s.Objects++
-	s.Bytes += o.size.Load()
-	if o.IsConnection {
+	s.Bytes += o.Size()
+	if o.IsConnection() {
 		s.Connections++
 	}
 }
@@ -517,17 +526,12 @@ func (m *marker) charge(it grayItem) {
 // natives mutate them without barriered slots).
 func (m *marker) scan(it grayItem, stw bool) {
 	o := it.obj
-	for i := range o.Fields {
-		if r := loadSlotRef(&o.Fields[i]); r != nil && !r.Marked() {
-			m.push(grayItem{r, it.iso})
-		}
-	}
 	for i := range o.Elems {
 		if r := loadSlotRef(&o.Elems[i]); r != nil && !r.Marked() {
 			m.push(grayItem{r, it.iso})
 		}
 	}
-	if _, ok := o.Native.(RefHolder); ok {
+	if _, ok := o.Native().(RefHolder); ok {
 		if stw {
 			m.scanNative(it)
 		} else {
@@ -541,7 +545,7 @@ func (m *marker) scan(it grayItem, stw bool) {
 // scanNative pushes the references held by a native payload. Only called
 // under stop-the-world (terminal phase or exact collection).
 func (m *marker) scanNative(it grayItem) {
-	holder, ok := it.obj.Native.(RefHolder)
+	holder, ok := it.obj.Native().(RefHolder)
 	if !ok {
 		return
 	}
@@ -574,7 +578,3 @@ func (m *marker) push(it grayItem) {
 type RefHolder interface {
 	Refs() []*Object
 }
-
-// Dead reports whether the object was swept by a previous collection. Used
-// by tests asserting GC soundness.
-func (o *Object) Dead() bool { return o.dead }

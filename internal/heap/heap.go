@@ -66,7 +66,7 @@ type AllocCounters struct {
 // # Locking discipline
 //
 // Collect and PreciseAccounting are stop-the-world: they traverse object
-// graphs (Fields/Elems of every object) that running guest code mutates
+// graphs (the slot vector of every object) that running guest code mutates
 // without locks, and they compact every domain's object list, so the
 // caller — VM.CollectGarbage via the scheduler's safepoint — must park
 // all workers first. Collect additionally takes the host-domain mutex so
@@ -126,10 +126,8 @@ type Heap struct {
 	liveByIso atomic.Pointer[map[IsolateID]*LiveStats]
 
 	// gcMu serializes collections (belt and braces under the
-	// stop-the-world contract); resizeMu serializes native-payload
-	// resizes, which mutate an object's modelled size in place.
-	gcMu     sync.Mutex
-	resizeMu sync.Mutex
+	// stop-the-world contract).
+	gcMu sync.Mutex
 
 	// sharedPins is the reference-counted root table of cross-isolate
 	// shared payloads (see frozen.go); sharedPinMu guards it. Every
@@ -326,8 +324,8 @@ func (h *Heap) chargeAlloc(creator IsolateID, o *Object) {
 	}
 	c := h.CountersFor(creator)
 	c.Objects.Add(1)
-	c.Bytes.Add(o.size.Load())
-	if o.IsConnection {
+	c.Bytes.Add(o.Size())
+	if o.IsConnection() {
 		c.Connections.Add(1)
 	}
 }
@@ -341,8 +339,7 @@ func (h *Heap) reserve(sz int64) error {
 	for {
 		used := h.used.Load()
 		if used+sz > h.limit {
-			return fmt.Errorf("%w: need %d bytes, %d of %d used",
-				ErrOutOfMemory, sz, used, h.limit)
+			return h.oomError(sz)
 		}
 		if h.used.CompareAndSwap(used, used+sz) {
 			return nil
@@ -362,7 +359,11 @@ func (h *Heap) reserve(sz int64) error {
 type AllocDomain struct {
 	h       *Heap
 	objects []*Object
-	count   atomic.Int64
+	// finalizable is the sublist of objects whose class has a finalizer
+	// that has not been scheduled yet; the collector's finalizer pass
+	// walks it instead of every object. Same ownership as objects.
+	finalizable []*Object
+	count       atomic.Int64
 	// reserved is the domain's TLAB slack: bytes already reserved from
 	// the shared used counter but not yet consumed by an object.
 	// Owner-written (the single allocating goroutine), aggregate-read
@@ -425,22 +426,39 @@ func (d *AllocDomain) refill(need int64) error {
 	return nil
 }
 
-// admit reserves the object's size (from the domain's TLAB slack when it
-// suffices, refilling from the shared counter otherwise), stamps
-// identity fields and appends the object to the domain. It does not
-// charge per-isolate statistics — the executing engine batches those
-// (core.ByteBatch); the Heap-level entry points charge directly.
-func (d *AllocDomain) admit(o *Object, creator IsolateID) (*Object, error) {
-	sz := o.computeSize()
-	o.size.Store(sz)
-	if r := d.reserved.Load(); r >= sz {
+// oomError is the admission failure for a request of sz modelled bytes.
+func (h *Heap) oomError(sz int64) error {
+	return fmt.Errorf("%w: need %d bytes, %d of %d used", ErrOutOfMemory, sz, h.used.Load(), h.limit)
+}
+
+// take reserves sz modelled bytes for one object: from the domain's TLAB
+// slack when it suffices, refilling from the shared counter otherwise.
+// Every Alloc* calls it before it materialises anything, so a request
+// the limit refuses costs the host no memory.
+func (d *AllocDomain) take(sz int64) error {
+	r := d.reserved.Load()
+	if r >= sz {
 		// TLAB fast path: consume shard-local slack, no shared access.
 		d.reserved.Store(r - sz)
-	} else if err := d.refill(sz - r); err != nil {
-		return nil, err
-	} else {
-		d.reserved.Add(-sz)
+		return nil
 	}
+	if sz > d.h.limit {
+		// Also keeps the reservation arithmetic from overflowing.
+		return d.h.oomError(sz)
+	}
+	if err := d.refill(sz - r); err != nil {
+		return err
+	}
+	d.reserved.Add(-sz)
+	return nil
+}
+
+// admit stamps the identity fields of an object whose sz bytes take
+// already reserved and appends it to the domain. It does not charge
+// per-isolate statistics — the executing engine batches those
+// (core.ByteBatch); the Heap-level entry points charge directly.
+func (d *AllocDomain) admit(o *Object, sz int64, flags uint32, creator IsolateID) *Object {
+	o.size.Store(sz)
 	o.Creator = creator
 	o.Charged = NoIsolate
 	if d.h.barrier.Load() {
@@ -450,7 +468,7 @@ func (d *AllocDomain) admit(o *Object, creator IsolateID) (*Object, error) {
 		// objects, so it never scans a half-built one). They are
 		// charged to their creator in the cycle's live stats here —
 		// markers never see them.
-		o.mark.Store(true)
+		flags |= flagMark
 		o.Charged = creator
 		if d.bornLive == nil {
 			d.bornLive = make(map[IsolateID]*LiveStats, 4)
@@ -462,15 +480,43 @@ func (d *AllocDomain) admit(o *Object, creator IsolateID) (*Object, error) {
 		}
 		s.Objects++
 		s.Bytes += sz
-		if o.IsConnection {
+		if flags&flagConnection != 0 {
 			s.Connections++
 		}
 	}
+	if flags != 0 {
+		o.flags.Store(flags)
+	}
 	d.seq++
 	o.stripe = uint8(d.seq)
+	if o.Class != nil && o.Class.HasFinalizer {
+		d.finalizable = append(d.finalizable, o)
+	}
 	d.objects = append(d.objects, o)
 	d.count.Add(1)
-	return o, nil
+	return o
+}
+
+// allocSlots admits an object with n null slots: the modelled size is
+// reserved first, the slot vector materialised only once admission
+// succeeded.
+func (d *AllocDomain) allocSlots(class *classfile.Class, n int, flags uint32, creator IsolateID) (*Object, error) {
+	if int64(n) > d.h.limit/ValueSlotBytes {
+		// More than this heap ever admits, and the size below could overflow.
+		return nil, fmt.Errorf("%w: %d slots exceed the %d-byte heap", ErrOutOfMemory, n, d.h.limit)
+	}
+	sz := ObjectHeaderBytes + ValueSlotBytes*int64(n)
+	if err := d.take(sz); err != nil {
+		return nil, err
+	}
+	var slots []Value // stays nil for n == 0: nothing for the host collector to look up
+	if n > 0 {
+		slots = make([]Value, n)
+		for i := range slots {
+			slots[i] = Null()
+		}
+	}
+	return d.admit(&Object{Class: class, Elems: slots}, sz, flags, creator), nil
 }
 
 // AllocObject allocates an instance of class with zeroed fields.
@@ -478,11 +524,7 @@ func (d *AllocDomain) AllocObject(class *classfile.Class, creator IsolateID) (*O
 	if class == nil {
 		return nil, errors.New("heap: AllocObject with nil class")
 	}
-	fields := make([]Value, class.NumFieldSlots)
-	for i := range fields {
-		fields[i] = Null()
-	}
-	return d.admit(&Object{Class: class, Fields: fields}, creator)
+	return d.allocSlots(class, class.NumFieldSlots, 0, creator)
 }
 
 // AllocArray allocates an array of n null/zero slots.
@@ -490,23 +532,27 @@ func (d *AllocDomain) AllocArray(class *classfile.Class, n int, creator IsolateI
 	if n < 0 {
 		return nil, errors.New("heap: negative array size")
 	}
-	elems := make([]Value, n)
-	for i := range elems {
-		elems[i] = Null()
-	}
-	return d.admit(&Object{Class: class, Elems: elems}, creator)
+	return d.allocSlots(class, n, flagArray, creator)
 }
 
 // AllocString allocates a string object with the given payload.
 func (d *AllocDomain) AllocString(class *classfile.Class, s string, creator IsolateID) (*Object, error) {
-	return d.admit(&Object{Class: class, Native: s, extra: int64(len(s))}, creator)
+	return d.AllocNative(class, s, int64(len(s)), false, creator)
 }
 
 // AllocNative allocates an object with an opaque native payload of the
 // given modelled size (system-library state: builders, collections,
-// connections).
+// connections). Header and cold record are one host allocation.
 func (d *AllocDomain) AllocNative(class *classfile.Class, payload any, size int64, conn bool, creator IsolateID) (*Object, error) {
-	return d.admit(&Object{Class: class, Native: payload, extra: size, IsConnection: conn}, creator)
+	sz := ObjectHeaderBytes + size
+	if err := d.take(sz); err != nil {
+		return nil, err
+	}
+	var flags uint32
+	if conn {
+		flags = flagConnection
+	}
+	return d.admit(newObjectWithCold(class, payload, size), sz, flags, creator), nil
 }
 
 // --- Heap-level (host path) allocation ------------------------------------
@@ -517,12 +563,12 @@ func (d *AllocDomain) AllocNative(class *classfile.Class, payload any, size int6
 // keep every host-side caller (platform setup, RPC copies, wake-side
 // throwable allocation, tests) correct without an engine context.
 
-// AllocObject allocates an instance of class with zeroed fields, charging
-// the creator isolate.
-func (h *Heap) AllocObject(class *classfile.Class, creator IsolateID) (*Object, error) {
+// hostAlloc runs one allocation on the host domain under hostMu and
+// charges creator.
+func (h *Heap) hostAlloc(creator IsolateID, alloc func(*AllocDomain) (*Object, error)) (*Object, error) {
 	h.hostMu.Lock()
 	defer h.hostMu.Unlock()
-	o, err := h.host.AllocObject(class, creator)
+	o, err := alloc(h.host)
 	if err != nil {
 		return nil, err
 	}
@@ -530,56 +576,43 @@ func (h *Heap) AllocObject(class *classfile.Class, creator IsolateID) (*Object, 
 	return o, nil
 }
 
+// AllocObject allocates an instance of class with zeroed fields, charging
+// the creator isolate.
+func (h *Heap) AllocObject(class *classfile.Class, creator IsolateID) (*Object, error) {
+	return h.hostAlloc(creator, func(d *AllocDomain) (*Object, error) { return d.AllocObject(class, creator) })
+}
+
 // AllocArray allocates an array of n null/zero slots, charging creator.
 func (h *Heap) AllocArray(class *classfile.Class, n int, creator IsolateID) (*Object, error) {
-	h.hostMu.Lock()
-	defer h.hostMu.Unlock()
-	o, err := h.host.AllocArray(class, n, creator)
-	if err != nil {
-		return nil, err
-	}
-	h.chargeAlloc(creator, o)
-	return o, nil
+	return h.hostAlloc(creator, func(d *AllocDomain) (*Object, error) { return d.AllocArray(class, n, creator) })
 }
 
 // AllocString allocates a string object with the given payload, charging
 // creator.
 func (h *Heap) AllocString(class *classfile.Class, s string, creator IsolateID) (*Object, error) {
-	h.hostMu.Lock()
-	defer h.hostMu.Unlock()
-	o, err := h.host.AllocString(class, s, creator)
-	if err != nil {
-		return nil, err
-	}
-	h.chargeAlloc(creator, o)
-	return o, nil
+	return h.hostAlloc(creator, func(d *AllocDomain) (*Object, error) { return d.AllocString(class, s, creator) })
 }
 
 // AllocNative allocates an object with an opaque native payload, charging
 // creator.
 func (h *Heap) AllocNative(class *classfile.Class, payload any, size int64, conn bool, creator IsolateID) (*Object, error) {
-	h.hostMu.Lock()
-	defer h.hostMu.Unlock()
-	o, err := h.host.AllocNative(class, payload, size, conn, creator)
-	if err != nil {
-		return nil, err
-	}
-	h.chargeAlloc(creator, o)
-	return o, nil
+	return h.hostAlloc(creator, func(d *AllocDomain) (*Object, error) {
+		return d.AllocNative(class, payload, size, conn, creator)
+	})
 }
 
 // ResizeNative adjusts the modelled size of an object's native payload
 // (e.g. a StringBuilder growing). Shrinking below zero is clamped. It can
 // push the heap over its limit; the overshoot is reconciled at the next
 // collection, mirroring how native buffers escape the Java heap limit.
+// Lock-free: the payload size lives in the object's cold record, and
+// racing resizers of one object each apply the delta from the value they
+// displaced, so size and used stay the sum of what was applied.
 func (h *Heap) ResizeNative(o *Object, newSize int64) {
 	if newSize < 0 {
 		newSize = 0
 	}
-	h.resizeMu.Lock()
-	delta := newSize - o.extra
-	o.extra = newSize
+	delta := newSize - o.coldRef().extra.Swap(newSize)
 	o.size.Add(delta)
-	h.resizeMu.Unlock()
 	h.used.Add(delta)
 }

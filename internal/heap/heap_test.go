@@ -86,7 +86,7 @@ func TestCollectFreesUnreachableAndCharges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root.Fields[0] = heap.RefVal(kept)
+	root.Elems[0] = heap.RefVal(kept)
 	lost, err := h.AllocObject(c, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestQuickGCSoundness(t *testing.T) {
 		for _, o := range objs {
 			for f := 0; f < 3; f++ {
 				if r.Intn(2) == 0 {
-					o.Fields[f] = heap.RefVal(objs[r.Intn(n)])
+					o.Elems[f] = heap.RefVal(objs[r.Intn(n)])
 				}
 			}
 		}
@@ -214,7 +214,7 @@ func TestQuickGCSoundness(t *testing.T) {
 				return
 			}
 			reachable[o] = true
-			for _, v := range o.Fields {
+			for _, v := range o.Elems {
 				if v.R != nil {
 					mark(v.R)
 				}
@@ -278,7 +278,7 @@ func TestQuickChargeIsFirstTracer(t *testing.T) {
 		for _, o := range objs {
 			for f := 0; f < 2; f++ {
 				if r.Intn(2) == 0 {
-					o.Fields[f] = heap.RefVal(objs[r.Intn(n)])
+					o.Elems[f] = heap.RefVal(objs[r.Intn(n)])
 				}
 			}
 		}
@@ -303,7 +303,7 @@ func TestQuickChargeIsFirstTracer(t *testing.T) {
 				return
 			}
 			want[o] = iso
-			for _, v := range o.Fields {
+			for _, v := range o.Elems {
 				if v.R != nil {
 					trace(v.R, iso)
 				}

@@ -50,8 +50,8 @@ func TestIncrementalSATBKeepsRelinkedObject(t *testing.T) {
 	rootObj, _ := h.AllocObject(c, 0)
 	holder, _ := h.AllocObject(c, 0)
 	x, _ := h.AllocObject(c, 0)
-	rootObj.Fields[0] = RefVal(x) // x initially reachable via rootObj.f0
-	rootObj.Fields[1] = RefVal(holder)
+	rootObj.Elems[0] = RefVal(x) // x initially reachable via rootObj.f0
+	rootObj.Elems[1] = RefVal(holder)
 
 	roots := []RootSet{{Isolate: 0, Refs: []*Object{rootObj}}}
 	if !h.BeginCycle(roots) {
@@ -67,8 +67,8 @@ func TestIncrementalSATBKeepsRelinkedObject(t *testing.T) {
 	// Mutator: move x into the black holder and erase the original
 	// edge — the erase must be recorded, or x is lost (the black holder
 	// is never re-scanned).
-	mutStore(h, &holder.Fields[0], RefVal(x))
-	mutStore(h, &rootObj.Fields[0], Null())
+	mutStore(h, &holder.Elems[0], RefVal(x))
+	mutStore(h, &rootObj.Elems[0], Null())
 	if h.BarrierRecords() == 0 {
 		t.Fatal("deletion barrier did not record the erased edge")
 	}
@@ -86,7 +86,7 @@ func TestIncrementalSATBKeepsRelinkedObject(t *testing.T) {
 	}
 
 	// Drop x for real; the next exact collection reclaims it.
-	mutStore(h, &holder.Fields[0], Null())
+	mutStore(h, &holder.Elems[0], Null())
 	res = h.Collect(roots)
 	if !x.Dead() || res.FreedObjects != 1 {
 		t.Fatalf("exact collection: freed=%d xDead=%v", res.FreedObjects, x.Dead())
@@ -105,12 +105,12 @@ func TestIncrementalFloatsDeadButExactCollectReclaims(t *testing.T) {
 	c := incClass(1)
 	rootObj, _ := h.AllocObject(c, 0)
 	doomed, _ := h.AllocObject(c, 0)
-	rootObj.Fields[0] = RefVal(doomed)
+	rootObj.Elems[0] = RefVal(doomed)
 	roots := []RootSet{{Isolate: 0, Refs: []*Object{rootObj}}}
 
 	// Cycle 1: doomed dies after the snapshot -> floats.
 	h.BeginCycle(roots)
-	mutStore(h, &rootObj.Fields[0], Null()) // recorded, so it floats
+	mutStore(h, &rootObj.Elems[0], Null()) // recorded, so it floats
 	for !h.MarkQuantum(8) {
 	}
 	if _, ok := h.FinishCycle(roots); !ok {
@@ -188,7 +188,7 @@ type fuzzHeap struct {
 
 const fuzzRootSlots = 4
 
-func (f *fuzzHeap) alive(o *Object) bool { return !o.dead }
+func (f *fuzzHeap) alive(o *Object) bool { return !o.Dead() }
 
 // reach computes plain reachability from the given seeds over current
 // edges (single-threaded: plain reads are fine).
@@ -202,8 +202,8 @@ func (f *fuzzHeap) reach(seeds []*Object) map[*Object]bool {
 			continue
 		}
 		seen[o] = true
-		for i := range o.Fields {
-			if r := o.Fields[i].R; r != nil {
+		for i := range o.Elems {
+			if r := o.Elems[i].R; r != nil {
 				stack = append(stack, r)
 			}
 		}
@@ -260,8 +260,8 @@ func (f *fuzzHeap) checkTriColor() {
 		if !f.alive(o) || !o.Marked() || f.born[o] {
 			continue
 		}
-		for i := range o.Fields {
-			c := o.Fields[i].R
+		for i := range o.Elems {
+			c := o.Elems[i].R
 			if c == nil || c.Marked() {
 				continue
 			}
@@ -296,7 +296,7 @@ func FuzzMarkInvariant(f *testing.F) {
 		// injected from outside that set — host handles — enter through
 		// op 3, which models SpawnThread's barrier record.)
 		legal := func(o *Object) bool {
-			if o == nil || o.dead {
+			if o == nil || o.Dead() {
 				return false
 			}
 			if fh.born[o] {
@@ -329,19 +329,19 @@ func FuzzMarkInvariant(f *testing.F) {
 				if !legal(a) || !legal(b) {
 					continue
 				}
-				mutStore(fh.h, &a.Fields[int(arg/3)%len(a.Fields)], RefVal(b))
+				mutStore(fh.h, &a.Elems[int(arg/3)%len(a.Elems)], RefVal(b))
 			case 2: // barriered null store
 				a := pick(0, arg)
 				if !legal(a) {
 					continue
 				}
-				mutStore(fh.h, &a.Fields[int(arg/3)%len(a.Fields)], Null())
+				mutStore(fh.h, &a.Elems[int(arg/3)%len(a.Elems)], Null())
 			case 3: // root injection: a host-held reference enters the
 				// mutator world (the SpawnThread-argument path). Mid-
 				// cycle injections are recorded, exactly as SpawnThread
 				// does, because the object may be outside the snapshot.
 				o := pick(0, arg/5)
-				if o != nil && o.dead {
+				if o != nil && o.Dead() {
 					// A real VM never roots a swept object; treat the
 					// pick as a null store.
 					o = nil

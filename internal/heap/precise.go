@@ -45,17 +45,12 @@ func (h *Heap) PreciseAccounting(rootSets []RootSet) map[IsolateID]*PreciseStats
 					continue
 				}
 				seen[o] = true
-				for i := range o.Fields {
-					if r := o.Fields[i].R; r != nil && !seen[r] {
-						stack = append(stack, r)
-					}
-				}
 				for i := range o.Elems {
 					if r := o.Elems[i].R; r != nil && !seen[r] {
 						stack = append(stack, r)
 					}
 				}
-				if holder, ok := o.Native.(RefHolder); ok {
+				if holder, ok := o.Native().(RefHolder); ok {
 					for _, r := range holder.Refs() {
 						if r != nil && !seen[r] {
 							stack = append(stack, r)
@@ -70,7 +65,7 @@ func (h *Heap) PreciseAccounting(rootSets []RootSet) map[IsolateID]*PreciseStats
 		out[iso] = stats
 		for o := range seen {
 			stats.Objects++
-			stats.Bytes += o.size.Load()
+			stats.Bytes += o.Size()
 			reachCount[o]++
 		}
 	}
@@ -79,7 +74,7 @@ func (h *Heap) PreciseAccounting(rootSets []RootSet) map[IsolateID]*PreciseStats
 		for o := range seen {
 			if reachCount[o] > 1 {
 				stats.SharedObjects++
-				stats.SharedBytes += o.size.Load()
+				stats.SharedBytes += o.Size()
 			}
 		}
 	}

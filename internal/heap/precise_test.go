@@ -23,8 +23,8 @@ func TestPreciseAccountingChargesSharersTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	private0.Fields[0] = heap.RefVal(shared)
-	private1.Fields[0] = heap.RefVal(shared)
+	private0.Elems[0] = heap.RefVal(shared)
+	private1.Elems[0] = heap.RefVal(shared)
 
 	stats := h.PreciseAccounting([]heap.RootSet{
 		{Isolate: 0, Refs: []*heap.Object{private0}},
@@ -67,7 +67,7 @@ func TestQuickPreciseSupersetOfFirstTracer(t *testing.T) {
 		for _, o := range objs {
 			for f := 0; f < 2; f++ {
 				if r.Intn(2) == 0 {
-					o.Fields[f] = heap.RefVal(objs[r.Intn(n)])
+					o.Elems[f] = heap.RefVal(objs[r.Intn(n)])
 				}
 			}
 		}

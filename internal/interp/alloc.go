@@ -150,7 +150,7 @@ func (vm *VM) domainAlloc(a *allocState, iso *core.Isolate, fn func() (*heap.Obj
 		}
 	}
 	if vm.heap.TrackAlloc() {
-		a.batch.Note(vm.heap.CountersFor(iso.ID()), obj.Size(), obj.IsConnection)
+		a.batch.Note(vm.heap.CountersFor(iso.ID()), obj.Size(), obj.IsConnection())
 	}
 	if a.gcIso == nil && vm.heap.CrossedThreshold() {
 		a.gcIso = iso

@@ -693,7 +693,7 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			if slot < 0 || recv == nil {
 				return bail(f, bd.ops[0])
 			}
-			f.result(bd.ns, bd.d, recv.Fields[slot])
+			f.result(bd.ns, bd.d, recv.Elems[slot])
 			return microNext
 		}, pc, bd.last)
 	case bytecode.OpPutField:
@@ -704,7 +704,7 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 				return bail(f, bd.ops[0], bd.ops[1])
 			}
 			f.drop(bd.ns)
-			if sp := &recv.Fields[slot]; vm.barrierOn(t) {
+			if sp := &recv.Elems[slot]; vm.barrierOn(t) {
 				vm.gcWriteSlot(t, sp, v)
 			} else {
 				*sp = v

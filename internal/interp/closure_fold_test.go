@@ -381,7 +381,7 @@ func foldRefs(t *testing.T, vm *interp.VM, iso *core.Isolate) map[string]heap.Va
 		if err != nil {
 			t.Fatal(err)
 		}
-		box.Fields[0] = heap.IntVal(21)
+		box.Elems[0] = heap.IntVal(21)
 		refs["box"] = heap.RefVal(box)
 	}
 	return refs

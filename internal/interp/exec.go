@@ -351,7 +351,7 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 		if recv.R == nil {
 			return vm.Throw(t, ClassNullPointerException, "getfield "+field.QualifiedName())
 		}
-		f.push(recv.R.Fields[field.Slot])
+		f.push(recv.R.Elems[field.Slot])
 	case bytecode.OpPutField:
 		field, err := vm.resolveFieldEntryAt(f, in.A, false)
 		if err != nil {
@@ -371,7 +371,7 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 		// SATB write barrier (see handlers.go pPutField); the seed
 		// switch carries the identical store discipline, including the
 		// per-quantum cached barrier flag.
-		if sp := &recv.R.Fields[field.Slot]; vm.barrierOn(t) {
+		if sp := &recv.R.Elems[field.Slot]; vm.barrierOn(t) {
 			vm.gcWriteSlot(t, sp, v)
 		} else {
 			*sp = v

@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -198,6 +199,14 @@ func TestFinallyStyleHandlerNesting(t *testing.T) {
 	})
 }
 
+// threeEngines selects each way a bytecode executes: the reference switch,
+// the quickened table held cold, the closure tier hot from the first call.
+var threeEngines = map[string]interp.Options{
+	"seed switch": {DisablePrepare: true},
+	"table":       {TierPromoteThreshold: -1},
+	"closure":     {TierPromoteThreshold: 1},
+}
+
 // TestF2ISaturates pins float-to-int conversion to the JVM's semantics in
 // all three engines: NaN is 0 and out-of-range values saturate, whatever
 // the host CPU does with an out-of-range conversion (amd64 yields
@@ -218,12 +227,7 @@ func TestF2ISaturates(t *testing.T) {
 		{-2.75, -2},
 		{1e15 + 0.5, 1e15},
 	}
-	engines := map[string]interp.Options{
-		"seed switch": {DisablePrepare: true},
-		"table":       {TierPromoteThreshold: -1},
-		"closure":     {TierPromoteThreshold: 1},
-	}
-	for name, opts := range engines {
+	for name, opts := range threeEngines {
 		opts.Mode = core.ModeIsolated
 		vm := interp.NewVM(opts)
 		syslib.MustInstall(vm)
@@ -242,6 +246,73 @@ func TestF2ISaturates(t *testing.T) {
 			if got := callStatic(t, vm, iso, class, fmt.Sprintf("c%d", i)).I; got != c.want {
 				t.Errorf("%s: f2i(%v) = %d, want %d", name, c.in, got, c.want)
 			}
+		}
+	}
+}
+
+// TestHugeArrayLengthIsOutOfMemory is the §4.3 memory attack in one
+// instruction: `newarray` with a length no heap admits. Admission must
+// refuse it from the modelled size alone — the host never materialises
+// the slots — so the guest gets OutOfMemoryError after the usual
+// collect-and-retry and a neighbour isolate keeps running. Before the
+// fix the slot vector was made first and the whole process died (Go's
+// "out of memory" for 1<<40, a makeslice panic past MaxInt/32).
+func TestHugeArrayLengthIsOutOfMemory(t *testing.T) {
+	lengths := []int64{1 << 40, math.MaxInt64/32 + 1, math.MaxInt64}
+	for name, opts := range threeEngines {
+		opts.Mode = core.ModeIsolated
+		opts.HeapLimit = 1 << 20
+		vm := interp.NewVM(opts)
+		syslib.MustInstall(vm)
+		attacker, err := vm.NewIsolate("attacker")
+		if err != nil {
+			t.Fatal(err)
+		}
+		neighbour, err := vm.NewIsolate("neighbour")
+		if err != nil {
+			t.Fatal(err)
+		}
+		grab := define(t, attacker, classfile.NewClass("edge/Grab").
+			Method("grab", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+				a.Label("try")
+				a.ILoad(0).NewArray("").Pop()
+				a.Label("end")
+				a.Const(0).IReturn()
+				a.Label("oom")
+				a.Pop().Const(1).IReturn()
+				a.Handler("try", "end", "oom", interp.ClassOutOfMemoryError)
+			}).MustBuild())
+		work := define(t, neighbour, classfile.NewClass("edge/Work").
+			Method("work", "()I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+				a.Const(16).NewArray("").ArrayLength().IReturn()
+			}).MustBuild())
+		for _, n := range lengths {
+			for round := 0; round < 3; round++ { // hot enough for the closure tier
+				if got := callStatic(t, vm, attacker, grab, "grab", heap.IntVal(n)).I; got != 1 {
+					t.Errorf("%s: newarray(%d) returned normally, want OutOfMemoryError", name, n)
+				}
+				if got := callStatic(t, vm, neighbour, work, "work").I; got != 16 {
+					t.Errorf("%s: neighbour got %d after newarray(%d), want 16", name, got, n)
+				}
+			}
+		}
+		if gcs := attacker.Account().GCActivations.Load(); gcs == 0 {
+			t.Errorf("%s: the refused allocations were not retried across a collection", name)
+		}
+		if gcs := neighbour.Account().GCActivations.Load(); gcs != 0 {
+			t.Errorf("%s: %d collections charged to the neighbour", name, gcs)
+		}
+		objClass, err := vm.Registry().Bootstrap().Lookup(interp.ClassObject)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range lengths {
+			if _, err := vm.Heap().AllocArray(objClass, int(n), attacker.ID()); !errors.Is(err, heap.ErrOutOfMemory) {
+				t.Errorf("%s: Heap.AllocArray(%d) = %v, want ErrOutOfMemory", name, n, err)
+			}
+		}
+		if used := vm.Heap().Used(); used > opts.HeapLimit {
+			t.Errorf("%s: %d bytes used of %d", name, used, opts.HeapLimit)
 		}
 	}
 }

@@ -105,7 +105,7 @@ func (vm *VM) FinishIncrementalCycle() (heap.CollectResult, bool) {
 		}
 		res, ok = vm.heap.FinishCycle(vm.buildRootSets())
 		if ok {
-			vm.world.UpdateDisposal(vm.heap)
+			vm.noteThreadFree(vm.world.UpdateDisposal(vm.heap))
 			vm.scheduleFinalizers(res.PendingFinalize)
 		}
 	})

@@ -679,7 +679,7 @@ func pGetField(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 		if recv.R == nil {
 			return vm.Throw(t, ClassNullPointerException, "getfield "+pFieldName(in))
 		}
-		f.push(recv.R.Fields[slot])
+		f.push(recv.R.Elems[slot])
 		f.pc++
 		return nil
 	}
@@ -693,7 +693,7 @@ func pGetField(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 	if recv.R == nil {
 		return vm.Throw(t, ClassNullPointerException, "getfield "+field.QualifiedName())
 	}
-	f.push(recv.R.Fields[field.Slot])
+	f.push(recv.R.Elems[field.Slot])
 	f.pc++
 	return nil
 }
@@ -711,7 +711,7 @@ func pPutField(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 		// per-quantum cached barrier flag, tier.go barrierOn), plain
 		// store. (Statics and locals need no barrier — root sets are
 		// snapshot copies.)
-		if sp := &recv.R.Fields[slot]; vm.barrierOn(t) {
+		if sp := &recv.R.Elems[slot]; vm.barrierOn(t) {
 			vm.gcWriteSlot(t, sp, v)
 		} else {
 			*sp = v
@@ -730,7 +730,7 @@ func pPutField(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 	if recv.R == nil {
 		return vm.Throw(t, ClassNullPointerException, "putfield "+field.QualifiedName())
 	}
-	if sp := &recv.R.Fields[field.Slot]; vm.barrierOn(t) {
+	if sp := &recv.R.Elems[field.Slot]; vm.barrierOn(t) {
 		vm.gcWriteSlot(t, sp, v)
 	} else {
 		*sp = v

@@ -104,6 +104,7 @@ func (vm *VM) SpawnThread(name string, creator *core.Isolate, m *classfile.Metho
 	vm.threadsMu.Lock()
 	vm.threads = append(vm.threads, t)
 	delete(vm.stagedEntryArgs, t) // the frame locals root the arguments now
+	delete(vm.threadFree, creator)
 	vm.threadsMu.Unlock()
 	// The arrival stamp is taken here, not at construction: this is the
 	// moment the scheduler learns of the thread, and pushFrame above can
@@ -183,6 +184,7 @@ func (vm *VM) RespawnThread(t *Thread, name string, creator *core.Isolate, m *cl
 		vm.threadsMu.Unlock()
 		return fmt.Errorf("%w (%d live)", ErrTooManyThreads, live)
 	}
+	delete(vm.threadFree, creator)
 	t.name = name
 	t.cur = creator
 	t.creator = creator

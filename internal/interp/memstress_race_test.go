@@ -287,3 +287,165 @@ func awaitAttached(vm *interp.VM, stop <-chan struct{}) bool {
 	}
 	return true
 }
+
+const (
+	coldRaceWorkers = 6
+	coldRaceObjects = 256
+	coldRaceRounds  = 8
+	coldRaceCell    = "coldrace/Cell"
+)
+
+// coldRaceClasses builds the shared Cell{n} class and one isolate's driver:
+// run(cells, rounds) walks the array rounds times; per cell it enters the
+// monitor, bumps n, exits, and adds the cell's hashCode to its result.
+// Locals: 0 cells, 1 rounds, 2 r, 3 i, 4 sum, 5 cell.
+func coldRaceDriver(name string) *classfile.Class {
+	return classfile.NewClass(name).
+		Method("run", "([Ljava/lang/Object;I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.Const(0).IStore(2)
+			a.Const(0).IStore(4)
+			a.Label("outer").ILoad(2).ILoad(1).IfICmpGe("done")
+			a.Const(0).IStore(3)
+			a.Label("inner").ILoad(3).ALoad(0).ArrayLength().IfICmpGe("next")
+			a.ALoad(0).ILoad(3).ArrayLoad().AStore(5)
+			a.ALoad(5).MonitorEnter()
+			a.ALoad(5).ALoad(5).GetField(coldRaceCell, "n").Const(1).IAdd().PutField(coldRaceCell, "n")
+			a.ALoad(5).MonitorExit()
+			a.ILoad(4).ALoad(5).InvokeVirtual(classfile.ObjectClassName, "hashCode", "()I").IAdd().IStore(4)
+			a.IInc(3, 1).Goto("inner")
+			a.Label("next").IInc(2, 1).Goto("outer")
+			a.Label("done").ILoad(4).IReturn()
+		}).MustBuild()
+}
+
+// TestColdRecordAttachRace races the three ways an object gets its cold
+// record — first monitorenter, first hashCode (both from guest code on 4
+// workers), first ResizeNative (host goroutines) — on the same fresh
+// objects. Whoever loses the attach must adopt the winner's record: the
+// per-cell counters (bumped under the monitor) are exact, every worker
+// read the same hashes, the monitors end free, the modelled sizes are
+// what the last resize set, and the reservation counter reconciles.
+func TestColdRecordAttachRace(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, HeapLimit: 4 << 20})
+		syslib.MustInstall(vm)
+		shared := vm.Registry().NewLoader("coldrace")
+		if err := shared.Define(classfile.NewClass(coldRaceCell).Field("n", classfile.KindInt).MustBuild()); err != nil {
+			t.Fatal(err)
+		}
+		cellClass, err := shared.Lookup(coldRaceCell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objClass, err := vm.Registry().Bootstrap().Lookup(interp.ClassObject)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var isolates []*core.Isolate
+		for k := 0; k < coldRaceWorkers; k++ {
+			iso, err := vm.NewIsolate(fmt.Sprintf("w%d", k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			iso.Loader().AddDelegate(shared)
+			isolates = append(isolates, iso)
+		}
+		owner := isolates[0]
+		cells, err := vm.AllocArrayIn(nil, objClass, coldRaceObjects, owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm.Pin(owner.ID(), cells)
+		for i := range cells.Elems {
+			cell, err := vm.AllocObjectIn(nil, cellClass, owner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells.Elems[i] = heap.RefVal(cell)
+		}
+
+		var threads []*interp.Thread
+		for k, iso := range isolates {
+			name := fmt.Sprintf("coldrace/Driver%d", k)
+			if err := iso.Loader().Define(coldRaceDriver(name)); err != nil {
+				t.Fatal(err)
+			}
+			c, err := iso.Loader().Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := c.LookupMethod("run", "([Ljava/lang/Object;I)I")
+			if err != nil {
+				t.Fatal(err)
+			}
+			th, err := vm.SpawnThread(name, iso, m, []heap.Value{heap.RefVal(cells), heap.IntVal(coldRaceRounds)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			threads = append(threads, th)
+		}
+
+		// Host-side resizers walk the same cells while the workers run.
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				if !awaitAttached(vm, stop) {
+					return
+				}
+				for pass := int64(0); ; pass++ {
+					for i := range cells.Elems {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						vm.Heap().ResizeNative(cells.Elems[i].R, 8*(pass%5)+int64(g))
+					}
+				}
+			}(g)
+		}
+		res := sched.Run(vm, 4, 0)
+		close(stop)
+		wg.Wait()
+		if !res.AllDone {
+			t.Fatalf("round %d: run did not finish: %+v", round, res)
+		}
+
+		var hashSum int64
+		for i := range cells.Elems {
+			cell := cells.Elems[i].R
+			if got := cell.Elems[0].I; got != coldRaceWorkers*coldRaceRounds {
+				t.Fatalf("round %d cell %d: n = %d, want %d (two lockers held different monitor records)",
+					round, i, got, coldRaceWorkers*coldRaceRounds)
+			}
+			if m := cell.Monitor(); m != cell.Monitor() || m.Owner != 0 || m.Count != 0 {
+				t.Fatalf("round %d cell %d: monitor %+v not free or not stable", round, i, *m)
+			}
+			if cell.IdentityHash() == 0 {
+				t.Fatalf("round %d cell %d: no identity hash", round, i)
+			}
+			hashSum += cell.IdentityHash()
+			vm.Heap().ResizeNative(cell, 40)
+			if want := int64(heap.ObjectHeaderBytes + heap.ValueSlotBytes + 40); cell.Size() != want {
+				t.Fatalf("round %d cell %d: size %d, want %d", round, i, cell.Size(), want)
+			}
+		}
+		for k, th := range threads {
+			if th.Err() != nil || th.Failure() != nil {
+				t.Fatalf("round %d worker %d: %v / %s", round, k, th.Err(), th.FailureString())
+			}
+			if got := th.Result().I; got != coldRaceRounds*hashSum {
+				t.Fatalf("round %d worker %d: hash sum %d, want %d (a hash changed under it)",
+					round, k, got, coldRaceRounds*hashSum)
+			}
+		}
+		final := vm.CollectGarbage(nil)
+		if used := vm.Heap().Used(); used != final.LiveBytes {
+			t.Fatalf("round %d: used %d != live %d after the resize storm", round, used, final.LiveBytes)
+		}
+	}
+}

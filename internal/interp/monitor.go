@@ -10,7 +10,11 @@ import (
 // Object monitors are guarded by a striped lock table: every object
 // carries an immutable stripe index assigned at allocation
 // (heap.Object.MonitorStripe), and all reads/writes of its Monitor word
-// (Owner, Count) happen under the selected stripe mutex. Uncontended
+// (Owner, Count) happen under the selected stripe mutex. The word lives
+// in the object's cold record, which heap.Object.Monitor attaches the
+// first time the object is locked (racing lockers agree on one record);
+// every site below resolves the word before it takes the stripe, so the
+// possible host allocation never happens under a stripe. Uncontended
 // monitorenter/monitorexit therefore touch one stripe lock and never a
 // VM-global mutex — under the concurrent scheduler, shards locking
 // unrelated objects no longer serialize on each other.
@@ -54,10 +58,9 @@ func (vm *VM) monStripe(obj *heap.Object) *sync.Mutex {
 // returns true on success (including recursive acquisition). Stripe
 // only: the uncontended monitorenter fast path.
 func (vm *VM) tryAcquireMonitor(t *Thread, obj *heap.Object) bool {
-	mu := vm.monStripe(obj)
+	m, mu := obj.Monitor(), vm.monStripe(obj)
 	mu.Lock()
 	defer mu.Unlock()
-	m := &obj.Monitor
 	switch m.Owner {
 	case 0:
 		m.Owner = t.id
@@ -83,19 +86,18 @@ func (vm *VM) blockOnMonitor(t *Thread, obj *heap.Object) {
 // releaseMonitor fully releases one recursion level of obj held by t;
 // used by monitorexit and frame unwinding of synchronized methods.
 func (vm *VM) releaseMonitor(t *Thread, obj *heap.Object) {
-	mu := vm.monStripe(obj)
+	m, mu := obj.Monitor(), vm.monStripe(obj)
 	mu.Lock()
-	freed := vm.releaseMonitorLocked(t, obj)
+	freed := vm.releaseMonitorLocked(t, m)
 	mu.Unlock()
 	if freed {
 		vm.notifyMonitorFreed()
 	}
 }
 
-// releaseMonitorLocked is releaseMonitor under obj's stripe; it reports
-// whether the monitor became free.
-func (vm *VM) releaseMonitorLocked(t *Thread, obj *heap.Object) bool {
-	m := &obj.Monitor
+// releaseMonitorLocked is releaseMonitor under the stripe of m's object;
+// it reports whether the monitor became free.
+func (vm *VM) releaseMonitorLocked(t *Thread, m *heap.Monitor) bool {
 	if m.Owner != t.id {
 		// Unwinding a frame whose monitor was force-released (isolate
 		// termination) — nothing to do.
@@ -114,13 +116,13 @@ func (vm *VM) releaseMonitorLocked(t *Thread, obj *heap.Object) bool {
 // IllegalMonitorStateException check. Stripe only: the uncontended
 // monitorexit fast path.
 func (vm *VM) monitorExitChecked(t *Thread, obj *heap.Object) (ok bool) {
-	mu := vm.monStripe(obj)
+	m, mu := obj.Monitor(), vm.monStripe(obj)
 	mu.Lock()
-	if obj.Monitor.Owner != t.id {
+	if m.Owner != t.id {
 		mu.Unlock()
 		return false
 	}
-	freed := vm.releaseMonitorLocked(t, obj)
+	freed := vm.releaseMonitorLocked(t, m)
 	mu.Unlock()
 	if freed {
 		vm.notifyMonitorFreed()
@@ -136,10 +138,9 @@ func (vm *VM) monitorExitChecked(t *Thread, obj *heap.Object) (ok bool) {
 // monitor or a fully registered waiter — never the gap between.
 func (vm *VM) MonitorWait(t *Thread, obj *heap.Object, timeoutTicks int64) error {
 	now := vm.NowTicks() // before schedMu: exact, and keeps the locks leaf-bound
+	m, mu := obj.Monitor(), vm.monStripe(obj)
 	vm.schedMu.Lock()
-	mu := vm.monStripe(obj)
 	mu.Lock()
-	m := &obj.Monitor
 	if m.Owner != t.id {
 		mu.Unlock()
 		vm.schedMu.Unlock()
@@ -167,10 +168,10 @@ func (vm *VM) MonitorWait(t *Thread, obj *heap.Object, timeoutTicks int64) error
 // MonitorNotify wakes one (or all) waiters of obj; woken threads move to
 // the blocked-on-monitor state and re-acquire before returning from wait.
 func (vm *VM) MonitorNotify(t *Thread, obj *heap.Object, all bool) error {
+	m, mu := obj.Monitor(), vm.monStripe(obj)
 	vm.schedMu.Lock()
-	mu := vm.monStripe(obj)
 	mu.Lock()
-	owner := obj.Monitor.Owner
+	owner := m.Owner
 	mu.Unlock()
 	// The ownership check stays exact after the stripe unlock: only t can
 	// release a monitor t owns, and t is right here.

@@ -2,7 +2,9 @@ package interp_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ijvm/internal/bytecode"
@@ -10,6 +12,7 @@ import (
 	"ijvm/internal/core"
 	"ijvm/internal/heap"
 	"ijvm/internal/interp"
+	"ijvm/internal/rpc"
 	"ijvm/internal/syslib"
 )
 
@@ -29,7 +32,11 @@ import (
 // whose reference slots are overwritten every iteration — the write
 // barrier's diet), cross-isolate reference churn (peer-allocated
 // objects retained then dropped by the main isolate), and string
-// interning under GC pressure (Ldc identity must survive collections).
+// interning under GC pressure (Ldc identity must survive collections),
+// and objects that own a cold record (locked, hashed, string-holding)
+// beside zero-length arrays in one static-rooted graph, which the host
+// then pushes through snapshot → clone, rpc.DeepCopyValue and a frozen
+// zero-copy link call (coldGraphTrips).
 //
 // Every program is replayed under {quickened table, closure-threaded
 // hot tier, seed switch} × {Shared, Isolated} ×
@@ -118,6 +125,17 @@ const (
 	fragIllTyped
 	// fragNullRecv calls on a null receiver (caught).
 	fragNullRecv
+	// fragColdObject gives a receiver everything that lives in a cold
+	// record or beside it: inside its own monitor it is hashed (the
+	// deterministic identity hash is mixed into the accumulator), handed
+	// an interned string in its link field, and parked in the static
+	// keep array next to a fresh zero-length array — so the graph the
+	// host trips walk holds a locked, hashed, string-holding object and
+	// a slot vector with no slots.
+	fragColdObject
+	// fragZeroArray parks a zero-length array in the keep array and
+	// reads its length back.
+	fragZeroArray
 	numFragKinds
 )
 
@@ -145,6 +163,12 @@ type oracleProgram struct {
 	// chainMask[l] selects which of a, b, c, d level l+1 of the H chain
 	// overrides (bits 0..3; H1 always declares d, which it introduces).
 	chainMask [3]int
+	// templateLoaded puts the main classes in an isolate-less template
+	// loader the main isolate delegates to (the gateway's layout) instead
+	// of the isolate's own loader (a bundle's). Only a template-loaded
+	// isolate can be snapshotted and cloned, so these programs also make
+	// the clone and link trips of coldGraphTrips. Isolated mode only.
+	templateLoaded bool
 }
 
 // genOracleProgram derives a program deterministically from seed.
@@ -182,8 +206,13 @@ func genOracleProgram(seed int64) oracleProgram {
 	for l := range p.chainMask {
 		p.chainMask[l] = r.Intn(16)
 	}
+	p.templateLoaded = r.Intn(2) == 0
 	return p
 }
+
+// oraKeepSlots sizes ora/Main's static keep array: slots 0-1 take the
+// cold objects, 2-3 the zero-length arrays.
+const oraKeepSlots = 4
 
 const (
 	oraBase  = "ora/Base"
@@ -339,7 +368,9 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 		a.New(class).Dup().InvokeSpecial(class, classfile.InitName, "()V").AStore(slot)
 	}
 	main := classfile.NewClass(oraMain).
+		StaticField("keep", classfile.KindRef).
 		Method("run", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.Const(oraKeepSlots).NewArray("").PutStatic(oraMain, "keep")
 			for k := 0; k < p.numImpls; k++ {
 				a.New(oraImpl(k)).Dup().
 					InvokeSpecial(oraImpl(k), classfile.InitName, "()V").
@@ -516,6 +547,20 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 					a.Label(h).Pop().ILoad(1).Const(19).IXor().IStore(1)
 					a.Label(after)
 					a.Handler(s, h, h, "java/lang/NullPointerException")
+				case fragColdObject:
+					recv := recvSlot(f.r1)
+					a.ALoad(recv).MonitorEnter()
+					a.ILoad(1).ALoad(recv).
+						InvokeVirtual(classfile.ObjectClassName, "hashCode", "()I").
+						Const(0xFF).IAnd().IAdd().IStore(1)
+					a.ALoad(recv).Str(fmt.Sprintf("ora-cold-%d", f.op%3)).PutField(oraBase, "link")
+					a.GetStatic(oraMain, "keep").Const(int64(f.r1 % 2)).ALoad(recv).ArrayStore()
+					a.GetStatic(oraMain, "keep").Const(int64(2 + f.r2%2)).Const(0).NewArray("").ArrayStore()
+					a.ALoad(recv).MonitorExit()
+				case fragZeroArray:
+					a.GetStatic(oraMain, "keep").Const(2 + f.arrIdx%2).Const(0).NewArray("").ArrayStore()
+					a.ILoad(1).GetStatic(oraMain, "keep").Const(2 + f.arrIdx%2).ArrayLoad().
+						ArrayLength().IAdd().Const(f.c).IXor().IStore(1)
 				}
 			}
 			a.IInc(2, 1).Goto("loop")
@@ -526,6 +571,7 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 	// on the last loop iteration.
 	if p.uncaughtAt >= 0 {
 		main = classfile.NewClass(oraMain).
+			StaticField("keep", classfile.KindRef).
 			Method("run", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
 				a.ILoad(0).Const(0).IDiv().IReturn()
 			}).MustBuild()
@@ -564,6 +610,10 @@ func oraclePeerClasses() []*classfile.Class {
 			Method("mkp", "()Ljava/lang/Object;", classfile.FlagStatic, func(a *bytecode.Assembler) {
 				a.New(oraPBase).Dup().
 					InvokeSpecial(oraPBase, classfile.InitName, "()V").AReturn()
+			}).
+			// id is the callee of the host's frozen zero-copy link call.
+			Method("id", "(Ljava/lang/Object;)Ljava/lang/Object;", classfile.FlagStatic, func(a *bytecode.Assembler) {
+				a.ALoad(0).AReturn()
 			}).MustBuild(),
 	}
 }
@@ -638,6 +688,10 @@ type oracleTrace struct {
 	output  string
 	total   int64
 	clock   int64
+	// trips is what the host-side trips of the keep graph produced
+	// (coldGraphTrips): fingerprints of the clone and of the deep copy,
+	// the zero-copy verdict, or the error that stopped a trip.
+	trips string
 	// name -> {Instructions, CPUSamples, AllocatedObjects,
 	// AllocatedBytes, LiveObjects, LiveBytes, GCActivations,
 	// InterBundleCallsIn, InterBundleCallsOut} (live figures post-GC: the
@@ -677,6 +731,8 @@ func (a oracleTrace) diff(b oracleTrace) string {
 		return fmt.Sprintf("total instructions %d != %d", a.total, b.total)
 	case a.clock != b.clock:
 		return fmt.Sprintf("clock %d != %d", a.clock, b.clock)
+	case a.trips != b.trips:
+		return fmt.Sprintf("keep-graph trips %q != %q", a.trips, b.trips)
 	case len(a.perIsolate) != len(b.perIsolate):
 		return fmt.Sprintf("isolate count %d != %d", len(a.perIsolate), len(b.perIsolate))
 	}
@@ -717,8 +773,9 @@ func runOracleProgram(t *testing.T, p oracleProgram, mode core.Mode, disp oracle
 		t.Fatal(err)
 	}
 	peerLoader := iso.Loader()
+	var peer *core.Isolate
 	if mode == core.ModeIsolated {
-		peer, err := vm.NewIsolate("peer")
+		peer, err = vm.NewIsolate("peer")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -729,8 +786,14 @@ func runOracleProgram(t *testing.T, p oracleProgram, mode core.Mode, disp oracle
 	if err := peerLoader.DefineAll(oraclePeerClasses()); err != nil {
 		t.Fatal(err)
 	}
-	iso.Loader().AddDelegate(peerLoader)
-	if err := iso.Loader().DefineAll(oracleMainClasses(p)); err != nil {
+	mainLoader := iso.Loader()
+	cloneable := p.templateLoaded && peer != nil
+	if cloneable {
+		mainLoader = vm.Registry().NewLoader("template")
+		iso.Loader().AddDelegate(mainLoader)
+	}
+	mainLoader.AddDelegate(peerLoader)
+	if err := mainLoader.DefineAll(oracleMainClasses(p)); err != nil {
 		t.Fatal(err)
 	}
 	c, err := iso.Loader().Lookup(oraMain)
@@ -746,6 +809,7 @@ func runOracleProgram(t *testing.T, p oracleProgram, mode core.Mode, disp oracle
 	if err != nil {
 		t.Fatalf("seed %d mode %v dispatch %d gc %d: host error: %v", p.seed, mode, disp, gc, err)
 	}
+	trips := coldGraphTrips(t, vm, iso, peer, c, cloneable)
 	// The terminal collection is exact under every configuration
 	// (heap.Collect abandons an open cycle), so the post-GC live
 	// figures below are the heap-reachable ground truth.
@@ -756,6 +820,7 @@ func runOracleProgram(t *testing.T, p oracleProgram, mode core.Mode, disp oracle
 		output:         vm.Output(),
 		total:          vm.TotalInstructions(),
 		clock:          vm.Clock(),
+		trips:          trips,
 		perIsolate:     make(map[string][9]int64),
 		incCycles:      vm.Heap().IncrementalCycles(),
 		barrierRecords: vm.Heap().BarrierRecords(),
@@ -770,6 +835,182 @@ func runOracleProgram(t *testing.T, p oracleProgram, mode core.Mode, disp oracle
 		}
 	}
 	return tr
+}
+
+// graphShape hashes the canonical shape of everything reachable from v:
+// class names, array-ness, slot counts, scalars, string payloads and the
+// aliasing structure (visit-order numbering) — what a copy must preserve
+// and object identity must not influence.
+func graphShape(v heap.Value) uint64 {
+	h := fnv.New64a()
+	seen := make(map[*heap.Object]int)
+	var walk func(v heap.Value)
+	walk = func(v heap.Value) {
+		o := v.R
+		if o == nil {
+			fmt.Fprintf(h, "v%d:%d:%x;", v.Kind, v.I, v.F)
+			return
+		}
+		if n, ok := seen[o]; ok {
+			fmt.Fprintf(h, "@%d;", n)
+			return
+		}
+		seen[o] = len(seen)
+		if s, ok := o.StringValue(); ok {
+			fmt.Fprintf(h, "%s=%q;", o.Class.Name, s)
+			return
+		}
+		fmt.Fprintf(h, "%s/%v[%d]{", o.Class.Name, o.IsArray(), len(o.Elems))
+		for _, sv := range o.Elems {
+			walk(sv)
+		}
+		fmt.Fprint(h, "}")
+	}
+	walk(v)
+	return h.Sum64()
+}
+
+// coldGraphTrips pushes the program's static keep graph — cold-record
+// objects holding strings, zero-length arrays, nulls — through the three
+// host paths that rebuild or share object graphs, after the guest run and
+// (under the paced collector) possibly beside an open mark cycle:
+//
+//   - CaptureSnapshot → CloneIsolate: the clone's reachability
+//     fingerprint must equal the template's;
+//   - rpc.DeepCopyValue into the peer: same shape, no shared mutable
+//     node, and the copies carry no lock or hash of their originals;
+//   - a frozen array of the graph's strings and zero-length arrays
+//     through a ZeroCopy link: it arrives by pointer and the handoff pin
+//     is dropped.
+//
+// The returned summary joins the trace, so every number in it is compared
+// across dispatch engines and collector configurations; the clones and
+// copies stay live (pinned) and so also show in the per-isolate accounts.
+// Only a template-loaded isolate can be cloned (oracleProgram.templateLoaded);
+// the other programs make the deep-copy trip alone.
+func coldGraphTrips(t *testing.T, vm *interp.VM, iso, peer *core.Isolate, main *classfile.Class, cloneable bool) string {
+	t.Helper()
+	keepField, err := main.LookupStaticField("keep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keep heap.Value
+	for _, e := range vm.World().MirrorEntries(iso) {
+		if e.Class == main {
+			keep = e.Mirror.Statics[keepField.Slot]
+		}
+	}
+	if keep.R == nil { // the uncaught-exception variant never allocates it
+		return "no keep graph"
+	}
+	target := iso
+	if peer != nil {
+		target = peer
+	}
+	dup, err := rpc.DeepCopyValue(vm, keep, target)
+	if err != nil {
+		return "deep copy: " + err.Error()
+	}
+	vm.Pin(target.ID(), dup.R)
+	if got, want := graphShape(dup), graphShape(keep); got != want {
+		t.Fatalf("deep copy has shape %x, the keep graph %x", got, want)
+	}
+	var frozenElems []heap.Value
+	cold, zero := 0, 0
+	for i, sv := range keep.R.Elems {
+		o, d := sv.R, dup.R.Elems[i].R
+		if o == nil {
+			continue
+		}
+		if d == o {
+			t.Fatalf("keep[%d]: the deep copy shares a mutable node", i)
+		}
+		if d.IdentityHash() != 0 || d.Monitor().Owner != 0 {
+			t.Fatalf("keep[%d]: the copy inherited hash %d / owner %d", i, d.IdentityHash(), d.Monitor().Owner)
+		}
+		if o.IsArray() {
+			zero++
+			frozenElems = append(frozenElems, sv)
+			continue
+		}
+		cold++
+		if o.IdentityHash() == 0 {
+			t.Fatalf("keep[%d]: the cold object lost its identity hash", i)
+		}
+		// ora/Base.link: the interned string, unless an aging-store
+		// fragment has overwritten it with a receiver since.
+		if link := o.Elems[1]; link.R != nil {
+			if _, isStr := link.R.StringValue(); isStr {
+				frozenElems = append(frozenElems, link)
+			}
+		}
+	}
+	summary := fmt.Sprintf("cold=%d zero=%d copy=%x", cold, zero, graphShape(dup))
+	if !cloneable {
+		return summary
+	}
+
+	snap, err := vm.CaptureSnapshot(iso, interp.SnapshotOptions{})
+	if err != nil {
+		return summary + " capture: " + err.Error()
+	}
+	defer snap.Release()
+	clone, err := vm.CloneIsolate(snap, "clone")
+	if err != nil {
+		return summary + " clone: " + err.Error()
+	}
+	if got, want := vm.ReachabilityFingerprint(clone), vm.ReachabilityFingerprint(iso); got != want {
+		t.Fatalf("clone fingerprint %x, template %x", got, want)
+	}
+	summary += fmt.Sprintf(" clone=%x", vm.ReachabilityFingerprint(clone))
+
+	objClass, err := vm.Registry().Bootstrap().Lookup(interp.ClassObject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := vm.NewHostRoots(iso)
+	defer roots.Release()
+	payload, err := vm.AllocArrayRooted(roots, objClass, len(frozenElems)+1, iso)
+	if err != nil {
+		return summary + " payload: " + err.Error()
+	}
+	copy(payload.Elems, frozenElems)
+	payload.Elems[len(frozenElems)] = heap.IntVal(int64(len(frozenElems)))
+	if err := heap.Freeze(payload); err != nil {
+		t.Fatalf("freeze: %v", err)
+	}
+	svc, err := peer.Loader().Lookup(oraSvc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := svc.LookupMethod("id", "(Ljava/lang/Object;)Ljava/lang/Object;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := rpc.NewHub(vm)
+	defer hub.Close()
+	link, err := hub.NewLink(iso, peer, id, heap.Value{}, rpc.LinkOptions{ZeroCopy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	pinsBefore := vm.Heap().SharedPins()
+	fut, err := link.CallAsync([]heap.Value{heap.RefVal(payload)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fut.Wait()
+	if err != nil {
+		return summary + " call: " + err.Error()
+	}
+	if got.R != payload {
+		t.Fatal("the frozen payload was copied")
+	}
+	fut.Release()
+	if n := vm.Heap().SharedPins() - pinsBefore; n != 0 {
+		t.Fatalf("%d shared pins leaked by the zero-copy call", n)
+	}
+	return summary + fmt.Sprintf(" frozen=%x", graphShape(got))
 }
 
 // TestRandomizedDifferentialOracle replays >= 500 generated programs
@@ -794,7 +1035,7 @@ func TestRandomizedDifferentialOracle(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	multiCycle, barrierHits := 0, 0
+	multiCycle, barrierHits, coldTrips := 0, 0, 0
 	for i := 0; i < n; i++ {
 		seed := int64(i)*2654435761 + 99991
 		p := genOracleProgram(seed)
@@ -830,6 +1071,11 @@ func TestRandomizedDifferentialOracle(t *testing.T) {
 			if pacedSeed.barrierRecords > 0 {
 				barrierHits++
 			}
+			var cold, zero int
+			if fmt.Sscanf(pacedSeed.trips, "cold=%d zero=%d", &cold, &zero); cold > 0 && zero > 0 &&
+				strings.Contains(pacedSeed.trips, "frozen=") {
+				coldTrips++
+			}
 		}
 	}
 	// Sized so the alloc bursts drive ≥2 incremental cycles mid-run on a
@@ -840,5 +1086,10 @@ func TestRandomizedDifferentialOracle(t *testing.T) {
 	}
 	if barrierHits == 0 {
 		t.Fatal("no paced run recorded a single SATB barrier record")
+	}
+	// A cold-record object and a zero-length array in one graph must
+	// have made all three host trips on a fair number of programs.
+	if coldTrips < n/25 {
+		t.Fatalf("only %d/%d programs sent a cold object and a zero-length array through clone, deep copy and the frozen call", coldTrips, n)
 	}
 }

@@ -276,16 +276,16 @@ func (vm *VM) promoteBlockedLocked(t *Thread) bool {
 		t.setState(StateRunnable)
 		return true
 	}
-	mu := vm.monStripe(obj)
+	m, mu := obj.Monitor(), vm.monStripe(obj)
 	mu.Lock()
 	defer mu.Unlock()
-	if obj.Monitor.Owner != 0 && obj.Monitor.Owner != t.id {
+	if m.Owner != 0 && m.Owner != t.id {
 		return false
 	}
 	if t.savedLock > 0 {
 		// Complete the Object.wait reacquisition atomically.
-		obj.Monitor.Owner = t.id
-		obj.Monitor.Count = t.savedLock
+		m.Owner = t.id
+		m.Count = t.savedLock
 		t.savedLock = 0
 		t.blockedOn = nil
 		t.setState(StateRunnable)

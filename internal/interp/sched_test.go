@@ -133,8 +133,8 @@ func TestVirtualClockSleepOrdering(t *testing.T) {
 		}
 		fTicks, _ := c.LookupField("ticks")
 		fTag, _ := c.LookupField("tag")
-		obj.Fields[fTicks.Slot] = heap.IntVal(d)
-		obj.Fields[fTag.Slot] = heap.IntVal(int64(tag))
+		obj.Elems[fTicks.Slot] = heap.IntVal(d)
+		obj.Elems[fTag.Slot] = heap.IntVal(int64(tag))
 		if _, err := vm.SpawnThread("sleeper", iso, runM, []heap.Value{heap.RefVal(obj)}); err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestVirtualClockSleepOrdering(t *testing.T) {
 	for i, w := range want {
 		boxed := order.Elems[i].R
 		fVal, _ := boxed.Class.LookupField("value")
-		if got := boxed.Fields[fVal.Slot].I; got != w {
+		if got := boxed.Elems[fVal.Slot].I; got != w {
 			t.Fatalf("wake order[%d] = %d, want %d", i, got, w)
 		}
 	}

@@ -112,8 +112,8 @@ type snapClass struct {
 
 // snapObject is one node of the captured static object graph. Exactly one
 // of the representations is active: shared (reused by pointer), str
-// (string payload copy), classOf (java.lang.Class native), or the
-// fields/elems copy.
+// (string payload copy), classOf (java.lang.Class native), or the slot
+// copy (array elements when isArray, instance fields otherwise).
 type snapObject struct {
 	class   *classfile.Class
 	shared  *heap.Object
@@ -121,8 +121,7 @@ type snapObject struct {
 	isStr   bool
 	classOf *classfile.Class
 	isArray bool
-	fields  []snapValue
-	elems   []snapValue
+	slots   []snapValue
 }
 
 // CaptureSnapshot checkpoints src at a safepoint. The world is stopped
@@ -258,11 +257,11 @@ func (fl *flattener) flatten(o *heap.Object) (int32, error) {
 		rec.str, rec.isStr = s, true
 		return idx, nil
 	}
-	if o.IsConnection {
+	if o.IsConnection() {
 		return idx, fmt.Errorf("connection object of class %s is not snapshotable", o.Class.Name)
 	}
-	if o.Native != nil {
-		if c, ok := o.Native.(*classfile.Class); ok {
+	if native := o.Native(); native != nil {
+		if c, ok := native.(*classfile.Class); ok {
 			rec.classOf = c
 			return idx, nil
 		}
@@ -271,27 +270,15 @@ func (fl *flattener) flatten(o *heap.Object) (int32, error) {
 	// From here on recursion may grow fl.snap.objects and relocate the
 	// record, so writes go through the stable slice headers allocated
 	// before descending (the copies share backing arrays).
-	if o.IsArray() {
-		rec.isArray = true
-		rec.elems = make([]snapValue, len(o.Elems))
-		elems := rec.elems
-		for i, ev := range o.Elems {
-			sv, err := fl.encode(ev)
-			if err != nil {
-				return idx, err
-			}
-			elems[i] = sv
-		}
-		return idx, nil
-	}
-	rec.fields = make([]snapValue, len(o.Fields))
-	fields := rec.fields
-	for i, fv := range o.Fields {
-		sv, err := fl.encode(fv)
+	rec.isArray = o.IsArray()
+	rec.slots = make([]snapValue, len(o.Elems))
+	slots := rec.slots
+	for i, v := range o.Elems {
+		sv, err := fl.encode(v)
 		if err != nil {
 			return idx, err
 		}
-		fields[i] = sv
+		slots[i] = sv
 	}
 	return idx, nil
 }
@@ -444,7 +431,7 @@ func (vm *VM) materializeGraph(snap *Snapshot, iso *core.Isolate, roots *HostRoo
 			}
 			objs[i] = obj
 		case so.isArray:
-			obj, err := vm.AllocArrayRooted(roots, so.class, len(so.elems), iso)
+			obj, err := vm.AllocArrayRooted(roots, so.class, len(so.slots), iso)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -464,14 +451,8 @@ func (vm *VM) materializeGraph(snap *Snapshot, iso *core.Isolate, roots *HostRoo
 		if so.shared != nil || so.isStr || so.classOf != nil {
 			continue
 		}
-		if so.isArray {
-			for j, sv := range so.elems {
-				objs[i].Elems[j] = decodeValue(sv, objs)
-			}
-			continue
-		}
-		for j, sv := range so.fields {
-			objs[i].Fields[j] = decodeValue(sv, objs)
+		for j, sv := range so.slots {
+			objs[i].Elems[j] = decodeValue(sv, objs)
 		}
 	}
 	return objs, classObjs, nil
@@ -638,19 +619,27 @@ func (vm *VM) FreeIsolate(iso *core.Isolate) error {
 		return errors.New("interp: free nil isolate")
 	}
 	// Workers write Thread.cur on every migration without a lock, so the
-	// liveness scan runs with the world stopped; threadsMu orders it with
-	// host-side RespawnThread.
+	// liveness scan needs the world stopped; threadsMu orders it with
+	// host-side RespawnThread. The collection that disposed the isolate
+	// usually made the scan already, inside its own stop (noteThreadFree);
+	// only a caller that frees without one pays a stop here.
+	vm.threadsMu.Lock()
+	_, scanned := vm.threadFree[iso]
+	delete(vm.threadFree, iso)
+	vm.threadsMu.Unlock()
 	var busy *Thread
-	vm.withWorldStopped(func() {
-		vm.threadsMu.Lock()
-		defer vm.threadsMu.Unlock()
-		for _, t := range vm.threads {
-			if !t.Done() && t.cur == iso {
-				busy = t
-				return
+	if !scanned {
+		vm.withWorldStopped(func() {
+			vm.threadsMu.Lock()
+			defer vm.threadsMu.Unlock()
+			for _, t := range vm.threads {
+				if !t.Done() && t.cur == iso {
+					busy = t
+					return
+				}
 			}
-		}
-	})
+		})
+	}
 	if busy != nil {
 		return fmt.Errorf("interp: thread %d still executes in %s", busy.ID(), iso.Name())
 	}
@@ -690,21 +679,17 @@ func (vm *VM) ReachabilityFingerprint(iso *core.Isolate) uint64 {
 			fmt.Fprintf(h, "=str(%q);", s)
 			return
 		}
-		if c, ok := o.Native.(*classfile.Class); ok {
+		if c, ok := o.Native().(*classfile.Class); ok {
 			fmt.Fprintf(h, "=class(%s);", c.Name)
 			return
 		}
+		shape := "obj"
 		if o.IsArray() {
-			fmt.Fprintf(h, "=arr[%d]{", len(o.Elems))
-			for _, ev := range o.Elems {
-				walkVal(ev)
-			}
-			fmt.Fprint(h, "};")
-			return
+			shape = "arr"
 		}
-		fmt.Fprintf(h, "=obj[%d]{", len(o.Fields))
-		for _, fv := range o.Fields {
-			walkVal(fv)
+		fmt.Fprintf(h, "=%s[%d]{", shape, len(o.Elems))
+		for _, v := range o.Elems {
+			walkVal(v)
 		}
 		fmt.Fprint(h, "};")
 	}

@@ -198,3 +198,89 @@ func TestCloneFailureReturnsIDAndLoader(t *testing.T) {
 		t.Fatalf("recovered clone bump = %d, want 37", got)
 	}
 }
+
+// countingStops is a pass-through Safepointer that counts world stops.
+type countingStops struct{ n int }
+
+func (c *countingStops) StopTheWorld(fn func()) { c.n++; fn() }
+
+// TestFreeIsolateReusesCollectionStop pins the teardown pipeline's stop
+// count: the collection that flips a killed clone to Disposed also scans
+// the threads for it, so FreeIsolate stops the world only when that
+// record is missing (freed twice) or withdrawn (a thread was spawned
+// with the isolate as creator after the collection).
+func TestFreeIsolateReusesCollectionStop(t *testing.T) {
+	vm, warmer := snapVM(t)
+	snapCall(t, vm, warmer, 5)
+	snap, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	stops := &countingStops{}
+	vm.SetSafepointer(stops)
+	defer vm.SetSafepointer(nil)
+
+	disposedClone := func(name string) *core.Isolate {
+		t.Helper()
+		iso, err := vm.CloneIsolate(snap, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.KillIsolate(nil, iso); err != nil {
+			t.Fatal(err)
+		}
+		vm.CollectGarbage(nil)
+		if !iso.Disposed() {
+			t.Fatalf("%s not disposed after kill and collection", name)
+		}
+		return iso
+	}
+
+	iso := disposedClone("a")
+	before := stops.n
+	if err := vm.FreeIsolate(iso); err != nil {
+		t.Fatal(err)
+	}
+	if stops.n != before {
+		t.Errorf("FreeIsolate after a collection stopped the world %d times, want 0", stops.n-before)
+	}
+	if err := vm.FreeIsolate(iso); err == nil {
+		t.Error("second FreeIsolate succeeded")
+	}
+	if stops.n != before+1 {
+		t.Errorf("FreeIsolate without a collection's record made %d stops, want 1", stops.n-before)
+	}
+
+	// A thread spawned into the corpse after the collection withdraws the
+	// record: FreeIsolate scans for itself again and finds the thread.
+	iso = disposedClone("b")
+	app, err := warmer.Loader().Lookup(snapApp) // template class: its frames run in the spawning isolate
+	if err != nil {
+		t.Fatal(err)
+	}
+	bump, err := app.LookupMethod("bump", "(I)I")
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := vm.SpawnThread("squatter", iso, bump, []heap.Value{heap.IntVal(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if th.CurrentIsolate() != iso {
+		t.Fatalf("the squatter runs in %s, want %s", th.CurrentIsolate().Name(), iso.Name())
+	}
+	before = stops.n
+	if err := vm.FreeIsolate(iso); err == nil {
+		t.Error("FreeIsolate succeeded with a live thread executing in the isolate")
+	}
+	if stops.n != before+1 {
+		t.Errorf("FreeIsolate after a spawn made %d stops, want 1", stops.n-before)
+	}
+	if vm.RunUntil(th, 1_000_000); !th.Done() {
+		t.Fatal("the squatter did not finish")
+	}
+	if err := vm.FreeIsolate(iso); err != nil {
+		t.Errorf("FreeIsolate after the squatter finished: %v", err)
+	}
+}

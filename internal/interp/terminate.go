@@ -96,9 +96,8 @@ func (vm *VM) AbortRootThread(t *Thread, err error) {
 // eventual monitorexit throw IllegalMonitorState. schedMu held, world
 // stopped; the stripe nests under schedMu.
 func (vm *VM) forceReleaseLocked(t *Thread, obj *heap.Object) {
-	mu := vm.monStripe(obj)
+	m, mu := obj.Monitor(), vm.monStripe(obj)
 	mu.Lock()
-	m := &obj.Monitor
 	if m.Owner == t.id {
 		m.Count--
 		if m.Count <= 0 {

@@ -38,7 +38,7 @@ func (vm *VM) newThrowableT(t *Thread, iso *core.Isolate, className, msg string)
 			if serr != nil {
 				return nil, serr
 			}
-			obj.Fields[f.Slot] = heap.RefVal(msgObj)
+			obj.Elems[f.Slot] = heap.RefVal(msgObj)
 		}
 	}
 	return obj, nil

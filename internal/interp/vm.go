@@ -162,6 +162,15 @@ type VM struct {
 	// still holds pinMu.
 	stagedEntryArgs map[*Thread]stagedArgs
 
+	// threadFree holds the disposed isolates a collection's stop saw no
+	// live thread executing in (noteThreadFree); FreeIsolate consumes the
+	// entry instead of stopping the world for its own scan, and a thread
+	// spawned with the isolate as creator withdraws it. threadsMu.
+	// rootScanCur is what the last root scan read off the live threads'
+	// Thread.cur, for noteThreadFree later in the same stopped world.
+	threadFree  map[*core.Isolate]struct{}
+	rootScanCur []*core.Isolate
+
 	// schedMu serializes the park/wake state machine: wait sets, sleep
 	// deadlines and cross-thread state transitions. No allocation and no
 	// VM lock other than a monitor stripe (monitor.go) is taken while
@@ -499,10 +508,34 @@ func (vm *VM) CollectGarbage(triggeredBy *core.Isolate) heap.CollectResult {
 		defer vm.pinMu.Unlock()
 		rootSets := vm.buildRootSetsLocked()
 		res = vm.heap.Collect(rootSets)
-		vm.world.UpdateDisposal(vm.heap)
+		vm.noteThreadFree(vm.world.UpdateDisposal(vm.heap))
 		vm.scheduleFinalizers(res.PendingFinalize)
 	})
 	return res
+}
+
+// noteThreadFree records which of the isolates a collection just flipped
+// to Disposed have no live thread executing in them, from what the
+// collection's own root scan read off the threads (the world has been
+// stopped since, so Thread.cur — which workers write on every migration
+// without a lock — has not moved). A batch teardown (serve.Pool.retire)
+// thus pays the collection's one stop and thread walk, and none per
+// FreeIsolate.
+func (vm *VM) noteThreadFree(disposed []*core.Isolate) {
+	if len(disposed) == 0 {
+		return
+	}
+	vm.threadsMu.Lock()
+	defer vm.threadsMu.Unlock()
+	if vm.threadFree == nil {
+		vm.threadFree = make(map[*core.Isolate]struct{}, len(disposed))
+	}
+	for _, iso := range disposed {
+		vm.threadFree[iso] = struct{}{}
+	}
+	for _, cur := range vm.rootScanCur {
+		delete(vm.threadFree, cur)
+	}
 }
 
 // scheduleFinalizers spawns one finalizer thread per pending object,
@@ -576,10 +609,12 @@ func (vm *VM) buildRootSetsLocked() []heap.RootSet {
 		rootsByIso[sa.iso] = append(rootsByIso[sa.iso], sa.refs...)
 	}
 	vm.threadsMu.Unlock()
+	vm.rootScanCur = vm.rootScanCur[:0]
 	for _, t := range threads {
 		if t.Done() {
 			continue
 		}
+		vm.rootScanCur = append(vm.rootScanCur, t.cur)
 		// Thread-identity roots belong to the creator.
 		creatorID := t.creator.ID()
 		if t.threadObj != nil {
@@ -685,7 +720,7 @@ func (vm *VM) describeThrowable(obj *heap.Object) string {
 	}
 	msg := ""
 	if f, err := obj.Class.LookupField("message"); err == nil {
-		if mv := obj.Fields[f.Slot]; mv.R != nil {
+		if mv := obj.Elems[f.Slot]; mv.R != nil {
 			if s, ok := mv.R.StringValue(); ok {
 				msg = s
 			}

@@ -28,7 +28,7 @@ func (f *Framework) buildContextClass() (*classfile.Class, error) {
 		if recv.R == nil {
 			return nil, fmt.Errorf("nil BundleContext")
 		}
-		bundle, ok := recv.R.Native.(*Bundle)
+		bundle, ok := recv.R.Native().(*Bundle)
 		if !ok {
 			return nil, fmt.Errorf("BundleContext without bundle payload")
 		}

@@ -90,11 +90,7 @@ func (c *copier) copyValue(v heap.Value) (heap.Value, error) {
 	for len(c.stack) > 0 {
 		task := c.stack[len(c.stack)-1]
 		c.stack = c.stack[:len(c.stack)-1]
-		slots := task.src.Fields
-		dst := task.dst.Fields
-		if task.src.IsArray() {
-			slots, dst = task.src.Elems, task.dst.Elems
-		}
+		slots, dst := task.src.Elems, task.dst.Elems
 		for i := range slots {
 			sv := slots[i]
 			if sv.IsRef() {
@@ -170,7 +166,7 @@ func (c *copier) translate(v heap.Value) (heap.Value, error) {
 		c.stack = append(c.stack, copyTask{src: src, dst: dup})
 		return heap.RefVal(dup), nil
 	}
-	if src.Native != nil {
+	if src.Native() != nil {
 		return heap.Value{}, fmt.Errorf("rpc: cannot copy native-payload object of class %s", src.Class.Name)
 	}
 	dup, err := c.alloc(func() (*heap.Object, error) {

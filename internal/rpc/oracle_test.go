@@ -118,18 +118,13 @@ func sameGraph(a, b heap.Value, fwd, bwd map[*heap.Object]*heap.Object) error {
 	if oka != okb || sa != sb {
 		return fmt.Errorf("string mismatch: %q vs %q", sa, sb)
 	}
-	if len(a.R.Elems) != len(b.R.Elems) || len(a.R.Fields) != len(b.R.Fields) {
-		return fmt.Errorf("shape mismatch: %d/%d elems, %d/%d fields",
-			len(a.R.Elems), len(b.R.Elems), len(a.R.Fields), len(b.R.Fields))
+	if len(a.R.Elems) != len(b.R.Elems) || a.R.IsArray() != b.R.IsArray() {
+		return fmt.Errorf("shape mismatch: %d/%d slots, array %v/%v",
+			len(a.R.Elems), len(b.R.Elems), a.R.IsArray(), b.R.IsArray())
 	}
 	for i := range a.R.Elems {
 		if err := sameGraph(a.R.Elems[i], b.R.Elems[i], fwd, bwd); err != nil {
-			return fmt.Errorf("elem %d: %w", i, err)
-		}
-	}
-	for i := range a.R.Fields {
-		if err := sameGraph(a.R.Fields[i], b.R.Fields[i], fwd, bwd); err != nil {
-			return fmt.Errorf("field %d: %w", i, err)
+			return fmt.Errorf("slot %d: %w", i, err)
 		}
 	}
 	return nil

@@ -71,30 +71,21 @@ func marshalValue(buf *bytes.Buffer, v heap.Value, seen map[*heap.Object]uint32)
 		writeString(buf, s)
 		return nil
 	}
-	if obj.Native != nil {
+	if obj.Native() != nil {
 		return fmt.Errorf("rpc: cannot serialize native-payload object of class %s", obj.Class.Name)
 	}
 	seen[obj] = uint32(len(seen))
 	if obj.IsArray() {
 		buf.WriteByte(tagArray)
-		writeString(buf, obj.Class.Name)
-		if err := binary.Write(buf, binary.LittleEndian, uint32(len(obj.Elems))); err != nil {
-			return err
-		}
-		for i := range obj.Elems {
-			if err := marshalValue(buf, obj.Elems[i], seen); err != nil {
-				return err
-			}
-		}
-		return nil
+	} else {
+		buf.WriteByte(tagObject)
 	}
-	buf.WriteByte(tagObject)
 	writeString(buf, obj.Class.Name)
-	if err := binary.Write(buf, binary.LittleEndian, uint32(len(obj.Fields))); err != nil {
+	if err := binary.Write(buf, binary.LittleEndian, uint32(len(obj.Elems))); err != nil {
 		return err
 	}
-	for i := range obj.Fields {
-		if err := marshalValue(buf, obj.Fields[i], seen); err != nil {
+	for i := range obj.Elems {
+		if err := marshalValue(buf, obj.Elems[i], seen); err != nil {
 			return err
 		}
 	}
@@ -221,9 +212,9 @@ func (d *decoder) value() (heap.Value, error) {
 		if err != nil {
 			return heap.Value{}, err
 		}
-		if int(n) != len(obj.Fields) {
+		if int(n) != len(obj.Elems) {
 			return heap.Value{}, fmt.Errorf("field count mismatch for %s: wire %d, class %d",
-				className, n, len(obj.Fields))
+				className, n, len(obj.Elems))
 		}
 		d.objects = append(d.objects, obj)
 		for i := uint32(0); i < n; i++ {
@@ -231,7 +222,7 @@ func (d *decoder) value() (heap.Value, error) {
 			if err != nil {
 				return heap.Value{}, err
 			}
-			obj.Fields[i] = fv
+			obj.Elems[i] = fv
 		}
 		return heap.RefVal(obj), nil
 	default:

@@ -57,7 +57,7 @@ func collectionClasses() []*classfile.Class {
 }
 
 func listOf(vm *interp.VM, t *interp.Thread, recv heap.Value) (*listPayload, *interp.NativeResult) {
-	p, ok := recv.R.Native.(*listPayload)
+	p, ok := recv.R.Native().(*listPayload)
 	if !ok {
 		res, _ := interp.NativeThrowName(vm, t, interp.ClassNullPointerException, "uninitialized ArrayList")
 		return nil, &res
@@ -70,7 +70,7 @@ func arrayListClass() *classfile.Class {
 	pub := classfile.FlagPublic
 	b.NativeMethod(classfile.InitName, "()V", pub, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
-			recv.R.Native = &listPayload{}
+			recv.R.SetNative(&listPayload{})
 			return interp.NativeVoid()
 		}))
 	b.NativeMethod("add", "(Ljava/lang/Object;)Z", pub, interp.NativeFunc(
@@ -160,7 +160,7 @@ func arrayListClass() *classfile.Class {
 }
 
 func mapOf(vm *interp.VM, t *interp.Thread, recv heap.Value) (*mapPayload, *interp.NativeResult) {
-	p, ok := recv.R.Native.(*mapPayload)
+	p, ok := recv.R.Native().(*mapPayload)
 	if !ok {
 		res, _ := interp.NativeThrowName(vm, t, interp.ClassNullPointerException, "uninitialized HashMap")
 		return nil, &res
@@ -173,7 +173,7 @@ func hashMapClass() *classfile.Class {
 	pub := classfile.FlagPublic
 	b.NativeMethod(classfile.InitName, "()V", pub, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
-			recv.R.Native = &mapPayload{vals: make(map[string]heap.Value)}
+			recv.R.SetNative(&mapPayload{vals: make(map[string]heap.Value)})
 			return interp.NativeVoid()
 		}))
 	b.NativeMethod("put", "(Ljava/lang/String;Ljava/lang/Object;)V", pub, interp.NativeFunc(

@@ -54,7 +54,7 @@ func connectionClass() *classfile.Class {
 		}))
 
 	connOf := func(vm *interp.VM, t *interp.Thread, recv heap.Value) (*connPayload, *interp.NativeResult) {
-		p, ok := recv.R.Native.(*connPayload)
+		p, ok := recv.R.Native().(*connPayload)
 		if !ok {
 			res, _ := interp.NativeThrowName(vm, t, interp.ClassNullPointerException, "not a connection")
 			return nil, &res
@@ -118,7 +118,7 @@ func connectionClass() *classfile.Class {
 
 	b.NativeMethod("close", "()V", pub, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
-			p, ok := recv.R.Native.(*connPayload)
+			p, ok := recv.R.Native().(*connPayload)
 			if !ok {
 				return interp.NativeThrowName(vm, t, interp.ClassNullPointerException, "not a connection")
 			}

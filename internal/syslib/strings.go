@@ -119,11 +119,11 @@ func stringBuilderClass() *classfile.Class {
 	pub := classfile.FlagPublic
 	b.NativeMethod(classfile.InitName, "()V", pub, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
-			recv.R.Native = &builderPayload{}
+			recv.R.SetNative(&builderPayload{})
 			return interp.NativeVoid()
 		}))
 	appendString := func(vm *interp.VM, t *interp.Thread, recv heap.Value, s string) (interp.NativeResult, error) {
-		p, ok := recv.R.Native.(*builderPayload)
+		p, ok := recv.R.Native().(*builderPayload)
 		if !ok {
 			return interp.NativeThrowName(vm, t, interp.ClassNullPointerException, "uninitialized StringBuilder")
 		}
@@ -142,7 +142,7 @@ func stringBuilderClass() *classfile.Class {
 		}))
 	b.NativeMethod("lengthOf", "()I", pub, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
-			p, ok := recv.R.Native.(*builderPayload)
+			p, ok := recv.R.Native().(*builderPayload)
 			if !ok {
 				return interp.NativeThrowName(vm, t, interp.ClassNullPointerException, "uninitialized StringBuilder")
 			}
@@ -150,7 +150,7 @@ func stringBuilderClass() *classfile.Class {
 		}))
 	b.NativeMethod("toString", "()Ljava/lang/String;", pub, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
-			p, ok := recv.R.Native.(*builderPayload)
+			p, ok := recv.R.Native().(*builderPayload)
 			if !ok {
 				return interp.NativeThrowName(vm, t, interp.ClassNullPointerException, "uninitialized StringBuilder")
 			}

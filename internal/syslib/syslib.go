@@ -11,7 +11,6 @@ package syslib
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
@@ -62,17 +61,14 @@ func MustInstall(vm *interp.VM) {
 // race to hash a shared object under the concurrent scheduler, and the
 // first published value must win so the hash stays stable.
 func identityHash(vm *interp.VM, obj *heap.Object) int64 {
-	if h := atomic.LoadInt64(&obj.IdentityHash); h != 0 {
+	if h := obj.IdentityHash(); h != 0 {
 		return h
 	}
 	h := int64(vm.NextRand() >> 1)
 	if h == 0 {
 		h = 1
 	}
-	if atomic.CompareAndSwapInt64(&obj.IdentityHash, 0, h) {
-		return h
-	}
-	return atomic.LoadInt64(&obj.IdentityHash)
+	return obj.AssignIdentityHash(h)
 }
 
 // objectClass builds java/lang/Object.
@@ -154,7 +150,7 @@ func classClass() *classfile.Class {
 	b := classfile.NewClass(interp.ClassClass)
 	b.NativeMethod("getName", "()Ljava/lang/String;", classfile.FlagPublic, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
-			class, ok := recv.R.Native.(*classfile.Class)
+			class, ok := recv.R.Native().(*classfile.Class)
 			if !ok {
 				return interp.NativeResult{}, fmt.Errorf("Class object without class payload")
 			}

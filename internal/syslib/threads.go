@@ -39,7 +39,7 @@ func threadClass() *classfile.Class {
 
 	b.NativeMethod(classfile.InitName, "()V", pub, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
-			recv.R.Native = &threadPayload{target: recv.R}
+			recv.R.SetNative(&threadPayload{target: recv.R})
 			return interp.NativeVoid()
 		}))
 	b.NativeMethod(classfile.InitName, "(Ljava/lang/Object;)V", pub, interp.NativeFunc(
@@ -48,13 +48,13 @@ func threadClass() *classfile.Class {
 			if target == nil {
 				target = recv.R
 			}
-			recv.R.Native = &threadPayload{target: target}
+			recv.R.SetNative(&threadPayload{target: target})
 			return interp.NativeVoid()
 		}))
 
 	b.NativeMethod("start", "()V", pub, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
-			p, ok := recv.R.Native.(*threadPayload)
+			p, ok := recv.R.Native().(*threadPayload)
 			if !ok {
 				return interp.NativeThrowName(vm, t, "java/lang/IllegalStateException", "Thread not constructed")
 			}
@@ -92,7 +92,7 @@ func threadClass() *classfile.Class {
 
 	b.NativeMethod("join", "()V", pub, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
-			p, ok := recv.R.Native.(*threadPayload)
+			p, ok := recv.R.Native().(*threadPayload)
 			if !ok || p.thread == nil {
 				return interp.NativeVoid()
 			}
@@ -105,14 +105,14 @@ func threadClass() *classfile.Class {
 
 	b.NativeMethod("isAlive", "()Z", pub, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
-			p, ok := recv.R.Native.(*threadPayload)
+			p, ok := recv.R.Native().(*threadPayload)
 			alive := ok && p.thread != nil && !p.thread.Done()
 			return interp.NativeReturn(heap.BoolVal(alive))
 		}))
 
 	b.NativeMethod("interrupt", "()V", pub, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
-			p, ok := recv.R.Native.(*threadPayload)
+			p, ok := recv.R.Native().(*threadPayload)
 			if ok && p.thread != nil {
 				if err := vm.InterruptThread(p.thread); err != nil {
 					return interp.NativeResult{}, err
@@ -156,7 +156,7 @@ func threadClass() *classfile.Class {
 			if err != nil {
 				return interp.NativeThrowName(vm, t, interp.ClassOutOfMemoryError, err.Error())
 			}
-			obj.Native = &threadPayload{thread: t, target: obj}
+			obj.SetNative(&threadPayload{thread: t, target: obj})
 			t.SetGuestObject(obj)
 			return interp.NativeReturn(heap.RefVal(obj))
 		}))

@@ -78,7 +78,7 @@ func throwableClasses() []*classfile.Class {
 func vmDescribe(vm *interp.VM, obj *heap.Object) string {
 	msg := ""
 	if f, err := obj.Class.LookupField("message"); err == nil {
-		if mv := obj.Fields[f.Slot]; mv.R != nil {
+		if mv := obj.Elems[f.Slot]; mv.R != nil {
 			if s, ok := mv.R.StringValue(); ok {
 				msg = s
 			}
