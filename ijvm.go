@@ -318,7 +318,8 @@ func (vm *VM) RunUntil(t *Thread, budget int64) RunResult { return vm.inner.RunU
 // means unlimited.
 //
 // The returned RunResult carries a PerIsolate slice with each isolate's
-// executed instructions, kill state and remaining threads.
+// executed instructions, kill state and remaining threads; isolates
+// freed during the run are summed in FreedIsolates instead.
 //
 // RunConcurrent must not overlap with Run/RunUntil or a second
 // RunConcurrent on the same VM. Host-side administration — Snapshots,

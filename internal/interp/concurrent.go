@@ -2,6 +2,7 @@ package interp
 
 import (
 	"sync/atomic"
+	"time"
 
 	"ijvm/internal/core"
 )
@@ -11,10 +12,10 @@ import (
 // two callbacks for the duration of a concurrent run:
 //
 //   - SchedHooks let the interpreter tell the scheduler that threads
-//     appeared, woke up, or that a global condition changed (a monitor
-//     freed, a thread finished) so idle shards re-poll. Hooks are always
-//     invoked WITHOUT schedMu held, so implementations may take their
-//     own locks freely.
+//     appeared, woke up, that a global condition changed (a monitor
+//     freed, a thread finished) so parked shards re-poll, or that an
+//     isolate was freed. Hooks are always invoked WITHOUT schedMu held,
+//     so implementations may take their own locks freely.
 //   - Safepointer lets stop-the-world operations (accounting GC, isolate
 //     kill) park every worker at an instruction boundary first.
 //
@@ -30,9 +31,14 @@ type SchedHooks interface {
 	// interrupt, forced wake).
 	ThreadUnparked(t *Thread)
 	// ThreadsChanged reports a global scheduling event without a single
-	// affected thread: a monitor was freed or a thread finished, so
-	// blocked and joining threads anywhere may now be promotable.
+	// affected thread: a monitor was freed or a thread finished while
+	// some thread was blocked on a monitor or joining, so such threads
+	// anywhere may now be promotable.
 	ThreadsChanged()
+	// IsolateFreed reports that FreeIsolate recycled iso: no unfinished
+	// thread executes in it, and the scheduler should drop what it keeps
+	// per isolate.
+	IsolateFreed(iso *core.Isolate)
 }
 
 // Safepointer stops every scheduler worker at an instruction boundary,
@@ -79,17 +85,75 @@ func (vm *VM) SchedulerAttached() bool {
 // observer sees exact counters (the sequential safepoint).
 func (vm *VM) withWorldStopped(fn func()) {
 	if b := vm.safe.Load(); b != nil {
-		b.s.StopTheWorld(fn)
+		b.s.StopTheWorld(func() { vm.stoppedSection(fn) })
 		return
 	}
 	vm.flushSequential()
-	fn()
+	vm.stoppedSection(fn)
 	// fn may have armed or disarmed the incremental collector's write
 	// barrier (cycle open/terminate). A mid-quantum sequential safepoint
 	// resumes stepping without passing a quantum start, so the cached
 	// per-quantum flag must be refreshed here (see allocState.barrierOn).
 	if vm.seqAlloc != nil {
 		vm.seqAlloc.barrierOn = vm.heap.BarrierActive()
+	}
+}
+
+// stoppedSection runs fn, the body of a stop, with the world already
+// stopped. The outermost section of a stop first applies the
+// thread-table rule, so everything that walks the table inside a stop —
+// the root scan, the kill's patch loop, FreeIsolate's liveness scan —
+// costs what is live, and it keeps StopStats.
+func (vm *VM) stoppedSection(fn func()) {
+	if vm.stopDepth.Add(1) > 1 {
+		// A stop requested from inside a stop (a kill whose exception
+		// allocation collects): the outer section does the bookkeeping.
+		fn()
+		vm.stopDepth.Add(-1)
+		return
+	}
+	start := time.Now()
+	vm.threadsMu.Lock()
+	vm.compactThreadsLocked()
+	listed := len(vm.threads)
+	vm.threadsMu.Unlock()
+	vm.stop.listed.Store(int64(listed))
+	vm.stop.live.Store(vm.liveThreads.Load())
+	fn()
+	ns := int64(time.Since(start))
+	vm.stop.count.Add(1)
+	vm.stop.totalNs.Add(ns)
+	if ns > vm.stop.maxNs.Load() {
+		vm.stop.maxNs.Store(ns) // stops are serialized: no lost update
+	}
+	vm.stopDepth.Add(-1)
+}
+
+// StopStats describes the VM's stop-the-world sections so far.
+type StopStats struct {
+	// Stops counts outermost stopped sections (collections, incremental
+	// cycle starts and finishes, kills, snapshot captures, FreeIsolate
+	// scans, mode flips).
+	Stops int64
+	// TotalNs and MaxNs are the wall time spent inside them, workers
+	// parked: the critical sections only, not the wait for the workers to
+	// reach their safepoints.
+	TotalNs, MaxNs int64
+	// ThreadsListed and ThreadsLive are the thread-table length and the
+	// unfinished-thread count at the start of the last stop, after the
+	// table rule ran: ThreadsListed <= 2*ThreadsLive + 64.
+	ThreadsListed, ThreadsLive int
+}
+
+// StopStats returns the stop-the-world counters. They are plain atomics
+// written on the stop path only; reading them is safe at any time.
+func (vm *VM) StopStats() StopStats {
+	return StopStats{
+		Stops:         vm.stop.count.Load(),
+		TotalNs:       vm.stop.totalNs.Load(),
+		MaxNs:         vm.stop.maxNs.Load(),
+		ThreadsListed: int(vm.stop.listed.Load()),
+		ThreadsLive:   int(vm.stop.live.Load()),
 	}
 }
 
@@ -105,15 +169,25 @@ func (vm *VM) notifyUnparked(t *Thread) {
 	}
 }
 
-func (vm *VM) notifyMonitorFreed() {
+// notifyThreadsChanged tells the scheduler that a monitor was freed or a
+// thread finished — unless no thread is blocked on a monitor or joining,
+// in which case nobody can be promoted by the event and an uncontended
+// monitorexit or a request thread's finish stays off the scheduler's
+// lock. A thread that starts to wait just after the gauge read is not
+// lost: its shard re-polls promotability before it idles (see "Why the
+// enter/park window is safe" in monitor.go).
+func (vm *VM) notifyThreadsChanged() {
+	if vm.waitingOnOthers.Load() == 0 {
+		return
+	}
 	if b := vm.hooks.Load(); b != nil {
 		b.h.ThreadsChanged()
 	}
 }
 
-func (vm *VM) notifyThreadsChanged() {
+func (vm *VM) notifyIsolateFreed(iso *core.Isolate) {
 	if b := vm.hooks.Load(); b != nil {
-		b.h.ThreadsChanged()
+		b.h.IsolateFreed(iso)
 	}
 }
 

@@ -73,3 +73,29 @@ func (vm *VM) StepSizesForTest(t *Thread, limit int64, n int) ([]int64, error) {
 	}
 	return sizes, nil
 }
+
+// CompactThreadTableForTest applies the thread-table rule the way a stop
+// does, with rearming marked as RespawnThread marks a thread whose frames
+// it is rebuilding and the sequential round-robin cursor parked on cursor
+// (several laps in: it only ever grows). It returns the table afterwards
+// and the thread the cursor points at.
+func (vm *VM) CompactThreadTableForTest(rearming, cursor *Thread) (table []*Thread, cursorAfter *Thread) {
+	vm.threadsMu.Lock()
+	defer vm.threadsMu.Unlock()
+	rearming.arming = true
+	for i, th := range vm.threads {
+		if th == cursor {
+			vm.rrIndex = i + 5*len(vm.threads)
+		}
+	}
+	vm.compactThreadsLocked()
+	rearming.arming = false
+	return append([]*Thread(nil), vm.threads...), vm.threads[vm.rrIndex%len(vm.threads)]
+}
+
+// TableFlagsForTest reports t's thread-table flags.
+func (vm *VM) TableFlagsForTest(t *Thread) (pruned, arming bool) {
+	vm.threadsMu.Lock()
+	defer vm.threadsMu.Unlock()
+	return t.pruned, t.arming
+}

@@ -153,16 +153,21 @@ func (vm *VM) stageEntryArgs(t *Thread, creator *core.Isolate, args []heap.Value
 	}
 }
 
-// unstageEntryArgs drops a staged window (frame-setup failure path; the
-// success paths unstage inline with their publication step).
+// unstageEntryArgs drops a staged window and ends a respawn's arming
+// interval (RespawnThread's publication step, and the frame-setup failure
+// path of both spawns; SpawnThread's success path unstages inline with
+// its listing).
 func (vm *VM) unstageEntryArgs(t *Thread) {
 	vm.threadsMu.Lock()
 	delete(vm.stagedEntryArgs, t)
+	t.arming = false
 	vm.threadsMu.Unlock()
 }
 
 // RespawnThread re-arms a finished thread with a fresh entry point,
-// reusing its allocation and (when still listed) its scheduler slot.
+// reusing its allocation and, when the table rule has not dropped it,
+// its place in the thread table (a dropped thread is listed again at the
+// end).
 // Hosts that dispatch guest calls at high rate — the RPC hub's worker
 // pools — recycle threads through this instead of paying SpawnThread's
 // allocation and list bookkeeping per call. The thread keeps its ID;
@@ -207,6 +212,10 @@ func (vm *VM) RespawnThread(t *Thread, name string, creator *core.Isolate, m *cl
 		t.pruned = false
 		vm.threads = append(vm.threads, t)
 	}
+	// Still Done until the frames are built: a stop on another goroutine
+	// in between must not take the thread for a finished one and drop it
+	// from the table.
+	t.arming = true
 	vm.threadsMu.Unlock()
 	// Same publication discipline as SpawnThread: the thread stays Done —
 	// which the root scan skips — until its frames are fully built, so a
@@ -258,8 +267,9 @@ func (vm *VM) invokeResolved(t *Thread, f *Frame, target *classfile.Method, narg
 	return err
 }
 
-// Threads returns all threads ever created (including finished ones that
-// have not been pruned).
+// Threads returns the thread table: every unfinished thread, and the
+// finished ones the table rule (compactThreadsLocked) has not dropped
+// yet, in spawn order.
 func (vm *VM) Threads() []*Thread {
 	vm.threadsMu.Lock()
 	defer vm.threadsMu.Unlock()

@@ -34,16 +34,21 @@ import (
 //
 // A failed tryAcquireMonitor followed by blockOnMonitor leaves a window
 // in which the owner may release the monitor (stripe only) before the
-// loser parks (schedMu). The release's notifyMonitorFreed may then find
-// nothing to wake — the same window the schedMu-serialized design had,
-// because try and park were separate critical sections there too. Both
-// schedulers close it by polling: the sequential engine re-polls
-// promoteLocked every scheduling round, and the concurrent pool re-polls
-// promotability in finishSliceLocked before idling a shard (see the
-// comment there). Wait/notify has no such window: MonitorWait holds
-// schedMu across the monitor release AND the wait-set insertion, and a
-// notifier must hold schedMu to read the wait set, so a notify can never
-// fall between them.
+// loser parks (schedMu). The release's notifyThreadsChanged may then
+// find nothing to wake, or — the loser not being counted in
+// VM.waitingOnOthers yet — not call the scheduler at all: the same
+// window the schedMu-serialized design had, because try and park were
+// separate critical sections there too. Both schedulers close it by
+// polling: the sequential engine re-polls promoteLocked every scheduling
+// round, and the concurrent pool re-polls promotability in
+// finishSliceLocked before idling a shard (see the comment there). A
+// join has the same window (the target finishes between Join's Done
+// check and the park) and the same poll closes it. Once a thread is
+// parked it is counted — setState runs under schedMu, which every park
+// takes — so a later release or finish reads a non-zero gauge.
+// Wait/notify has no such window: MonitorWait holds schedMu across the
+// monitor release AND the wait-set insertion, and a notifier must hold
+// schedMu to read the wait set, so a notify can never fall between them.
 
 // monStripeCount is the size of the striped monitor-lock table (power of
 // two; the object's 8-bit stripe index is masked into it).
@@ -91,7 +96,7 @@ func (vm *VM) releaseMonitor(t *Thread, obj *heap.Object) {
 	freed := vm.releaseMonitorLocked(t, m)
 	mu.Unlock()
 	if freed {
-		vm.notifyMonitorFreed()
+		vm.notifyThreadsChanged()
 	}
 }
 
@@ -125,7 +130,7 @@ func (vm *VM) monitorExitChecked(t *Thread, obj *heap.Object) (ok bool) {
 	freed := vm.releaseMonitorLocked(t, m)
 	mu.Unlock()
 	if freed {
-		vm.notifyMonitorFreed()
+		vm.notifyThreadsChanged()
 	}
 	return true
 }
@@ -161,7 +166,7 @@ func (vm *VM) MonitorWait(t *Thread, obj *heap.Object, timeoutTicks int64) error
 	vm.waiters[obj] = append(vm.waiters[obj], t)
 	vm.schedMu.Unlock()
 	// Releasing the monitor may unblock threads parked on it.
-	vm.notifyMonitorFreed()
+	vm.notifyThreadsChanged()
 	return nil
 }
 

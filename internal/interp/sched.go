@@ -18,10 +18,43 @@ type RunResult struct {
 	TargetDone bool
 	// Shutdown reports that the platform was shut down during the run.
 	Shutdown bool
-	// PerIsolate carries per-isolate execution results; it is populated
-	// by the concurrent scheduler (internal/sched) and empty for
-	// sequential runs.
+	// PerIsolate carries per-isolate execution results, one row per
+	// isolate that is not freed when the run ends; it is populated by the
+	// concurrent scheduler (internal/sched) and empty for sequential
+	// runs.
 	PerIsolate []IsolateRun
+	// FreedIsolates aggregates the rows of the isolates freed during a
+	// concurrent run (VM.FreeIsolate), so that the PerIsolate
+	// instructions plus FreedIsolates.Instructions equal Instructions.
+	FreedIsolates FreedIsolates
+	// Sched carries the concurrent scheduler's run statistics.
+	Sched SchedStats
+}
+
+// FreedIsolates is what a concurrent run keeps of the isolates freed
+// while it ran.
+type FreedIsolates struct {
+	// Count is the number of freed isolates that had a shard.
+	Count int
+	// Instructions is the total their shards executed.
+	Instructions int64
+}
+
+// SchedStats are the concurrent scheduler's run statistics (see
+// internal/sched: "Sharing the machine", "Costs bounded by live state").
+type SchedStats struct {
+	// ShardsLive is the number of shards held now; ShardsRetired counts
+	// those dropped because their isolate was freed.
+	ShardsLive, ShardsRetired int64
+	// Yields counts the workers' once-per-slice runtime.Gosched calls.
+	Yields int64
+	// SpinsFoundWork and SpinsSlept count idle spins by how they ended:
+	// a shard was queued in time, or the worker went to sleep.
+	SpinsFoundWork, SpinsSlept int64
+	// ThreadsChangedCalls counts SchedHooks.ThreadsChanged calls: monitor
+	// releases and thread finishes that found some thread blocked or
+	// joining.
+	ThreadsChangedCalls int64
 }
 
 // IsolateRun is the per-isolate slice of a concurrent run's result.
@@ -60,7 +93,9 @@ func (vm *VM) run(budget int64, target *Thread) RunResult {
 	if budget <= 0 {
 		budget = math.MaxInt64
 	}
-	vm.pruneDoneThreads()
+	vm.threadsMu.Lock()
+	vm.compactThreadsLocked()
+	vm.threadsMu.Unlock()
 	var res RunResult
 	for {
 		if vm.IsShutdown() {
@@ -185,30 +220,38 @@ func (vm *VM) flushSequential() {
 	}
 }
 
-// pruneDoneThreads drops finished threads from the scheduler list once
-// they dominate it, keeping long-lived VMs (benchmark loops, the OSGi
-// shell) from scanning ever-growing dead entries. Host references to
-// pruned Thread handles stay valid.
-func (vm *VM) pruneDoneThreads() {
-	vm.threadsMu.Lock()
-	defer vm.threadsMu.Unlock()
-	done := len(vm.threads) - int(vm.liveThreads.Load())
-	if done < 64 || done < len(vm.threads)/2 {
+// compactThreadsLocked is the thread-table rule: once finished threads
+// are at least 64 and at least half of the table, drop them, keeping the
+// order of the rest. Where it has just run, len(vm.threads) <=
+// 2*live + 64. It runs at the start of every stop of either engine
+// (stoppedSection) and of every sequential run, so a stop walks what is
+// live and a long-lived VM (a gateway serving request threads, the OSGi
+// shell) holds O(live) threads. Host references to dropped Thread handles
+// stay valid, and RespawnThread lists a dropped thread again. The
+// sequential round-robin cursor moves with the thread it points at, so
+// the next pick is the one it would have been. threadsMu held.
+func (vm *VM) compactThreadsLocked() {
+	n := len(vm.threads)
+	done := n - int(vm.liveThreads.Load())
+	if done < 64 || done < n/2 {
 		return
 	}
+	cursor := vm.rrIndex % n
 	live := vm.threads[:0]
-	for _, t := range vm.threads {
-		if !t.Done() {
+	for i, t := range vm.threads {
+		if !t.Done() || t.arming {
 			live = append(live, t)
 		} else {
 			t.pruned = true
 		}
+		if i == cursor {
+			vm.rrIndex = len(live) - 1
+		}
 	}
-	for i := len(live); i < len(vm.threads); i++ {
+	for i := len(live); i < n; i++ {
 		vm.threads[i] = nil
 	}
 	vm.threads = live
-	vm.rrIndex = 0
 }
 
 // pickRunnable promotes wakeable threads and returns the next runnable

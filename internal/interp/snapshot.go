@@ -610,9 +610,10 @@ func restoreMirror(m *core.TaskClassMirror, sc *snapClass, objs []*heap.Object, 
 // are all reclaimed for the next NewIsolate/CloneIsolate. The isolate
 // must be fully disposed — killed, swept by an accounting collection, no
 // live charged objects — and must have no undone threads still bound to
-// it. Recycling is a host-side operation between runs (or at a
-// safepoint); the concurrent scheduler keys its shards by isolate
-// pointer per run, so a recycled ID is adopted naturally on the next
+// it. Recycling is a host-side operation, between runs or beside a
+// concurrent one: the scheduler keys its shards by isolate pointer and
+// is told of the free (SchedHooks.IsolateFreed), so it retires the
+// isolate's shard, and a recycled ID is adopted naturally on the next
 // spawn.
 func (vm *VM) FreeIsolate(iso *core.Isolate) error {
 	if iso == nil {
@@ -651,6 +652,7 @@ func (vm *VM) FreeIsolate(iso *core.Isolate) error {
 	delete(vm.pinned, iso.ID())
 	vm.pinMu.Unlock()
 	vm.registry.ReleaseLoader(l)
+	vm.notifyIsolateFreed(iso)
 	return nil
 }
 

@@ -282,11 +282,15 @@ type Thread struct {
 	failure *heap.Object // uncaught guest exception
 	err     error        // host-level execution error (VM bug or invalid code)
 
-	// pruned records that pruneDoneThreads dropped this thread from the
-	// scheduler list (guarded by vm.threadsMu). RespawnThread re-appends
+	// pruned records that compactThreadsLocked dropped this thread from
+	// the thread table (guarded by vm.threadsMu). RespawnThread re-appends
 	// pruned threads; without the flag it could not tell membership
 	// without an O(threads) scan.
 	pruned bool
+	// arming is set while RespawnThread rebuilds the thread's frames: the
+	// thread is listed and still Done, and the table rule must keep it
+	// (guarded by vm.threadsMu).
+	arming bool
 }
 
 type resumeKind uint8
@@ -307,7 +311,24 @@ func (t *Thread) Name() string { return t.name }
 // State returns the scheduler state.
 func (t *Thread) State() ThreadState { return ThreadState(t.state.Load()) }
 
-func (t *Thread) setState(s ThreadState) { t.state.Store(uint32(s)) }
+// setState publishes the thread's scheduler state and keeps the VM's
+// gauge of threads that wait for another thread's action (see
+// VM.waitingOnOthers) in step with it.
+func (t *Thread) setState(s ThreadState) {
+	old := ThreadState(t.state.Swap(uint32(s)))
+	if d := waitsOnOthers(s) - waitsOnOthers(old); d != 0 {
+		t.vm.waitingOnOthers.Add(d)
+	}
+}
+
+// waitsOnOthers is 1 for the states only a monitor release or a thread
+// finish can end, 0 otherwise.
+func waitsOnOthers(s ThreadState) int64 {
+	if s == StateBlockedMonitor || s == StateWaitingJoin {
+		return 1
+	}
+	return 0
+}
 
 // Done reports whether the thread has finished.
 func (t *Thread) Done() bool { return t.State() == StateDone }

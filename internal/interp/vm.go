@@ -145,12 +145,27 @@ type VM struct {
 
 	// threadsMu guards the thread registry (threads, nextThreadID) and
 	// stagedEntryArgs; liveThreads is atomic so schedulers can poll it
-	// lock-free.
+	// lock-free. threads is the thread table: every unfinished thread and
+	// the finished ones compactThreadsLocked has not dropped yet, in spawn
+	// order.
 	threadsMu    sync.Mutex
 	threads      []*Thread
 	nextThreadID int64
 	liveThreads  atomic.Int64
 	rrIndex      int // sequential engine only
+
+	// waitingOnOthers counts threads in StateBlockedMonitor or
+	// StateWaitingJoin (maintained by Thread.setState): the threads a
+	// monitor release or a thread finish can make runnable. While it is
+	// zero those events do not call the scheduler (notifyThreadsChanged).
+	waitingOnOthers atomic.Int64
+
+	// stopDepth and stop are StopStats' counters, written only on the
+	// stop path (stoppedSection).
+	stopDepth atomic.Int32
+	stop      struct {
+		count, totalNs, maxNs, listed, live atomic.Int64
+	}
 
 	// stagedEntryArgs roots spawn/respawn entry-argument windows while
 	// their thread is invisible to the GC root scan — unlisted, or

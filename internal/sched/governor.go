@@ -205,6 +205,13 @@ func (g *Governor) StageOf(iso *core.Isolate) Stage {
 	return StageNormal
 }
 
+// forget drops the governor's record of a freed isolate.
+func (g *Governor) forget(iso *core.Isolate) {
+	g.mu.Lock()
+	delete(g.entries, iso)
+	g.mu.Unlock()
+}
+
 // tick samples the world if a full window has elapsed since the last
 // sample. Called by pool workers at dispatch boundaries with p.mu NOT
 // held (escalation to kill stops the world). The CAS on nextAt elects

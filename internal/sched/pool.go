@@ -7,7 +7,11 @@
 //
 // # Execution model
 //
-// Every isolate of the world is a shard. A shard owns the green threads
+// Every isolate that has run a thread, or existed when the run started,
+// is a shard until the isolate is freed (VM.FreeIsolate retires its
+// shard and folds its instruction total into RunResult.FreedIsolates), so
+// the shard table is bounded by the isolates alive, not by the sessions
+// ever served. A shard owns the green threads
 // whose *current* isolate it is — the paper's thread-migration rule
 // (§3.1) becomes the scheduling rule: when a thread's inter-isolate call
 // (or return) changes its isolate reference, the thread is handed off to
@@ -34,6 +38,15 @@
 // FIFO refill as a baseline. The global budget is a shared pool the
 // workers draw quanta from.
 //
+// # Sharing the machine
+//
+// While the workers awake cover every processor, each yields its own to
+// the Go runtime once per slice; an idle worker spins for the wall time of
+// the last full slice — yielding — before it sleeps; queue events wake one
+// sleeping worker per newly queued shard, and nothing else wakes one.
+// README.md ("Sharing the machine", "Costs bounded by live state") has the
+// contract and the measurements behind it.
+//
 // # Stop-the-world
 //
 // CollectGarbage and KillIsolate need the object graph and thread stacks
@@ -48,6 +61,7 @@ package sched
 import (
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,9 +132,10 @@ const (
 // shard is the scheduling unit: one isolate and the threads currently
 // executing in it. threads is owned by the running worker during a
 // slice and by pool.mu otherwise; inbox is always pool.mu-guarded and
-// is merged at slice boundaries. The virtual-time fields (vrt, vrtRem,
-// vtie) and the queue bookkeeping (queuedAt, intCounted, sliceStart)
-// are pool.mu-guarded.
+// is merged at slice boundaries — an idle shard's inbox is empty,
+// because every arrival queues an idle shard at once. The virtual-time
+// fields (vrt, vrtRem, vtie) and the queue bookkeeping (queuedAt,
+// intCounted, sliceStart, parked, freed) are pool.mu-guarded.
 type shard struct {
 	iso     *core.Isolate
 	seq     int
@@ -129,6 +144,12 @@ type shard struct {
 	state   shardState
 	rr      int
 	instrs  int64
+	// parked records membership of pool.parkedShards: the shard is idle
+	// and still owns an unfinished thread.
+	parked bool
+	// freed records that the isolate was freed (IsolateFreed): the shard
+	// is retired as soon as it is idle with no thread left.
+	freed bool
 
 	// vrt is the shard's virtual time: exactly
 	// floor(effectiveConsumed·vrtUnit/weight), maintained by
@@ -159,6 +180,20 @@ func (s *shard) advanceVrt(n, w int64) {
 	s.vrt += num / w
 	s.vrtRem = num % w
 	s.vtie += n
+}
+
+// dropDoneThreads compacts finished threads out of s.threads.
+func (s *shard) dropDoneThreads() {
+	live := s.threads[:0]
+	for _, t := range s.threads {
+		if !t.Done() {
+			live = append(live, t)
+		}
+	}
+	for i := len(live); i < len(s.threads); i++ {
+		s.threads[i] = nil
+	}
+	s.threads = live
 }
 
 type endReason uint8
@@ -193,16 +228,34 @@ type pool struct {
 	// at quantum boundaries and yield early when it is nonzero.
 	intQueued atomic.Int64
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	shards map[*core.Isolate]*shard
-	order  []*shard
-	queue  []*shard
-	alive  int
-	idle   int
-	parked int
-	ended  bool
-	reason endReason
+	mu sync.Mutex
+	// cond is the safepoint condition: workers parked for a stop, stop
+	// requesters waiting for them or for each other. work is where idle
+	// workers sleep; it is signalled once per newly queued shard (and at
+	// the end of a stop that found every worker asleep) and broadcast when
+	// the run ends.
+	cond *sync.Cond
+	work *sync.Cond
+	// shards holds the shard of every isolate that is not freed; nextSeq
+	// numbers them in creation order. parkedShards is the subset that is
+	// idle and still owns an unfinished thread, in seq order: the only
+	// shards a wake event (monitor freed, thread finished, clock passed a
+	// deadline) can concern, and so the only ones such events walk.
+	shards       map[*core.Isolate]*shard
+	nextSeq      int
+	parkedShards []*shard
+	freed        interp.FreedIsolates
+	queue        []*shard
+	alive        int
+	idle         int
+	parked       int
+	// spinning counts idle workers in their bounded spin (they notice a
+	// queued shard by themselves); sleeping counts those waiting on work
+	// (written under mu, read without it by crowded).
+	spinning int
+	sleeping atomic.Int32
+	ended    bool
+	reason   endReason
 	// vminVrt/vminRem/vminTie form the dispatch floor: the virtual-time
 	// key of the most recently dispatched shard (monotone — dispatch
 	// always picks the queue minimum and waking shards are capped up to
@@ -226,6 +279,24 @@ type pool struct {
 
 	instrs atomic.Int64
 	wg     sync.WaitGroup
+
+	// queued mirrors len(queue) for spinning workers, which hold no lock.
+	queued atomic.Int64
+	// sliceWall is the wall time of the last slice that ran its whole
+	// instruction budget: the bound of an idle worker's spin.
+	sliceWall atomic.Int64
+	// nworkers is the worker count and procs GOMAXPROCS at the start of
+	// the run (crowded).
+	nworkers int
+	procs    int
+
+	// Run statistics (statsLocked): plain atomics written on the dispatch
+	// path and by the hooks; the shard counts are len(shards) and
+	// freed.Count.
+	yields         atomic.Int64
+	spinsFoundWork atomic.Int64
+	spinsSlept     atomic.Int64
+	threadsChanged atomic.Int64
 }
 
 // Run executes every live thread of the VM on a pool of workers until
@@ -283,12 +354,15 @@ func RunConfig(vm *interp.VM, cfg Config) interp.RunResult {
 		workers: make(map[int64]bool),
 	}
 	p.slice = p.quantum * sliceFactor
+	p.nworkers = workers
+	p.procs = runtime.GOMAXPROCS(0)
 	p.aging = cfg.AgingInstrs
 	if p.aging <= 0 {
 		p.aging = p.slice * agingFactor
 	}
 	p.nextWake = math.MaxInt64
 	p.cond = sync.NewCond(&p.mu)
+	p.work = sync.NewCond(&p.mu)
 	if p.limited {
 		p.budget.Store(cfg.Budget)
 	} else {
@@ -305,7 +379,7 @@ func RunConfig(vm *interp.VM, cfg Config) interp.RunResult {
 		s := p.shardFor(t.CurrentIsolate())
 		s.threads = append(s.threads, t)
 	}
-	for _, s := range p.order {
+	for _, s := range p.shardsBySeq() {
 		if len(s.threads) > 0 {
 			p.enqueueLocked(s)
 		}
@@ -338,14 +412,28 @@ func (p *pool) shardFor(iso *core.Isolate) *shard {
 	if s, ok := p.shards[iso]; ok {
 		return s
 	}
-	s := &shard{iso: iso, seq: len(p.order)}
+	s := &shard{iso: iso, seq: p.nextSeq}
+	p.nextSeq++
 	p.shards[iso] = s
-	p.order = append(p.order, s)
 	return s
 }
 
+// shardsBySeq returns the live shards in creation order.
+func (p *pool) shardsBySeq() []*shard {
+	out := make([]*shard, 0, len(p.shards))
+	for _, s := range p.shards {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	return out
+}
+
+// result summarizes the ended run. The hooks are still installed, so a
+// host goroutine may be spawning or freeing beside it: p.mu.
 func (p *pool) result() interp.RunResult {
-	res := interp.RunResult{Instructions: p.instrs.Load()}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	res := interp.RunResult{Instructions: p.instrs.Load(), FreedIsolates: p.freed, Sched: p.statsLocked()}
 	switch p.reason {
 	case endAllDone:
 		res.AllDone = true
@@ -358,11 +446,13 @@ func (p *pool) result() interp.RunResult {
 	case endTarget:
 		res.TargetDone = true
 	}
-	for _, s := range p.order {
+	for _, s := range p.shardsBySeq() {
 		remaining := 0
-		for _, t := range append(s.threads, s.inbox...) {
-			if !t.Done() {
-				remaining++
+		for _, ts := range [2][]*interp.Thread{s.threads, s.inbox} {
+			for _, t := range ts {
+				if !t.Done() {
+					remaining++
+				}
 			}
 		}
 		res.PerIsolate = append(res.PerIsolate, interp.IsolateRun{
@@ -426,12 +516,25 @@ func (p *pool) worker() {
 		}
 		if s := p.dequeueLocked(); s != nil {
 			p.mu.Unlock()
+			start := time.Now()
 			end := p.runSlice(s, &sampler)
+			if s.instrs-s.sliceStart >= p.slice {
+				p.sliceWall.Store(int64(time.Since(start)))
+			}
 			// Governor sampling happens at the dispatch boundary with
 			// p.mu released: an escalation to kill stops the world,
 			// which must not be attempted while holding the pool lock.
 			if p.gov != nil {
 				p.gov.tick(p)
+			}
+			// The yield contract: once per slice, holding no lock, a
+			// worker in a crowded pool offers its processor to the Go
+			// runtime, so host goroutines (clients, a serving pool's
+			// refiller, timers) run within a slice's wall time instead of
+			// at sysmon's 10 ms preemption.
+			if p.crowded() {
+				runtime.Gosched()
+				p.yields.Add(1)
 			}
 			p.mu.Lock()
 			p.finishSliceLocked(s)
@@ -440,16 +543,80 @@ func (p *pool) worker() {
 			}
 			continue
 		}
-		// No work. The last worker to go idle decides whether the run is
-		// over, deadlocked, or just waiting for a virtual-clock jump.
+		// No work. The last worker to go idle decides at once whether the
+		// run is over, deadlocked, or just waiting for a virtual-clock
+		// jump; any other spins for a bounded time before it sleeps.
 		p.idle++
-		if p.idle == p.alive && p.parked == 0 && p.stwDepth == 0 {
+		switch {
+		case p.idle < p.alive:
+			p.spinLocked()
+		case p.parked == 0 && p.stwDepth == 0:
 			p.quiesceLocked()
 		}
-		if len(p.queue) == 0 && !p.ended && !p.stwPendingLocked() {
-			p.cond.Wait()
+		if p.nothingToDoLocked() {
+			p.sleeping.Add(1)
+			p.work.Wait()
+			p.sleeping.Add(-1)
 		}
 		p.idle--
+	}
+}
+
+// crowded reports that the workers awake — running a slice, spinning, or
+// between the two — cover every processor, so host goroutines run only
+// when a worker yields: the one condition for the per-slice yield and for
+// the yield inside the idle spin. With a processor to spare (a one-worker
+// pool on two processors, or the other worker asleep) the host runs there,
+// and a yield would only wake that processor to steal the yielding worker
+// (a lone worker yielding every slice ran 63 % slower). Lock-free.
+func (p *pool) crowded() bool {
+	return p.nworkers-int(p.sleeping.Load()) >= p.procs
+}
+
+// nothingToDoLocked reports that an idle worker has no reason to go back
+// to the top of its loop. p.mu held.
+func (p *pool) nothingToDoLocked() bool {
+	return len(p.queue) == 0 && !p.ended && !p.stwPendingLocked()
+}
+
+// spinLocked is the bounded idle spin: the worker, counted idle, drops
+// p.mu and polls the queue length for as long as the last full slice took
+// (about 48 µs at the default quantum; not at all before a slice has been
+// measured), yielding between polls in a crowded pool. A request that
+// arrives within a slice of the last one is taken without a futex wake,
+// and while the worker spins its processor keeps serving host goroutines
+// and their timers: a worker that sleeps at once leaves the processor
+// idle, and the Go runtime fires an idle processor's timers at millisecond
+// resolution (README.md, "Sharing the machine": 174 sessions/s without the
+// spin, 2 770 with it, in a harness that polls with 20 µs sleeps).
+// p.mu held on entry and on return.
+func (p *pool) spinLocked() {
+	p.spinning++
+	p.mu.Unlock()
+	deadline := time.Now().Add(time.Duration(p.sliceWall.Load()))
+	for {
+		if p.crowded() {
+			runtime.Gosched()
+		}
+		if p.queued.Load() > 0 || p.stop.Load() || !time.Now().Before(deadline) {
+			break
+		}
+	}
+	p.mu.Lock()
+	p.spinning--
+	if len(p.queue) > 0 {
+		p.spinsFoundWork.Add(1)
+	} else {
+		p.spinsSlept.Add(1)
+	}
+}
+
+// wakeWorkerLocked is called once per shard queued by somebody other
+// than the worker that will dequeue it: it wakes one sleeping worker,
+// unless spinning workers will notice the queue by themselves. p.mu held.
+func (p *pool) wakeWorkerLocked() {
+	if p.sleeping.Load() > 0 && len(p.queue) > p.spinning {
+		p.work.Signal()
 	}
 }
 
@@ -464,6 +631,7 @@ func (p *pool) endLocked(r endReason) {
 	p.reason = r
 	p.stop.Store(true)
 	p.cond.Broadcast()
+	p.work.Broadcast()
 }
 
 // enqueueLocked transitions s to shardQueued: stamps the aging clock,
@@ -477,6 +645,9 @@ func (p *pool) enqueueLocked(s *shard) {
 			s.vrt, s.vrtRem, s.vtie = p.vminVrt, p.vminRem, p.vminTie
 		}
 	}
+	if s.parked {
+		p.unparkLocked(s)
+	}
 	s.state = shardQueued
 	s.queuedAt = p.instrs.Load()
 	if s.iso.QoS() == core.QoSInteractive {
@@ -484,6 +655,35 @@ func (p *pool) enqueueLocked(s *shard) {
 		p.intQueued.Add(1)
 	}
 	p.queue = append(p.queue, s)
+	p.queued.Store(int64(len(p.queue)))
+}
+
+// parkLocked adds the idle shard s to parkedShards, keeping seq order
+// (wake events queue shards in that order; the set is small — shards
+// whose threads all sleep, wait or block). p.mu held.
+func (p *pool) parkLocked(s *shard) {
+	i := sort.Search(len(p.parkedShards), func(i int) bool { return p.parkedShards[i].seq > s.seq })
+	p.parkedShards = append(p.parkedShards, nil)
+	copy(p.parkedShards[i+1:], p.parkedShards[i:])
+	p.parkedShards[i] = s
+	s.parked = true
+}
+
+// unparkLocked removes s from parkedShards. p.mu held.
+func (p *pool) unparkLocked(s *shard) {
+	i := sort.Search(len(p.parkedShards), func(i int) bool { return p.parkedShards[i].seq >= s.seq })
+	copy(p.parkedShards[i:], p.parkedShards[i+1:])
+	p.parkedShards[len(p.parkedShards)-1] = nil
+	p.parkedShards = p.parkedShards[:len(p.parkedShards)-1]
+	s.parked = false
+}
+
+// retireLocked drops the idle, thread-less shard of a freed isolate and
+// folds its instruction total into the run result. p.mu held.
+func (p *pool) retireLocked(s *shard) {
+	delete(p.shards, s.iso)
+	p.freed.Count++
+	p.freed.Instructions += s.instrs
 }
 
 // dequeueLocked removes and returns the next shard to dispatch (nil when
@@ -507,6 +707,7 @@ func (p *pool) dequeueLocked() *shard {
 	copy(p.queue[best:], p.queue[best+1:])
 	p.queue[len(p.queue)-1] = nil
 	p.queue = p.queue[:len(p.queue)-1]
+	p.queued.Store(int64(len(p.queue)))
 	if p.policy == PolicyProportional {
 		if s.vrt > p.vminVrt || (s.vrt == p.vminVrt && s.vtie > p.vminTie) {
 			p.vminVrt, p.vminRem, p.vminTie = s.vrt, s.vrtRem, s.vtie
@@ -560,7 +761,8 @@ func (p *pool) shardLessLocked(a, b *shard) bool {
 }
 
 // finishSliceLocked advances the shard's virtual time by what the slice
-// consumed, merges its inbox and requeues or idles it; p.mu held.
+// consumed, merges its inbox and requeues, parks, idles or retires it;
+// p.mu held.
 func (p *pool) finishSliceLocked(s *shard) {
 	if p.policy == PolicyProportional {
 		if consumed := s.instrs - s.sliceStart; consumed > 0 {
@@ -569,17 +771,7 @@ func (p *pool) finishSliceLocked(s *shard) {
 	}
 	s.threads = append(s.threads, s.inbox...)
 	s.inbox = nil
-	// Compact finished threads.
-	live := s.threads[:0]
-	for _, t := range s.threads {
-		if !t.Done() {
-			live = append(live, t)
-		}
-	}
-	for i := len(live); i < len(s.threads); i++ {
-		s.threads[i] = nil
-	}
-	s.threads = live
+	s.dropDoneThreads()
 	// Re-poll promotability (not just the Runnable state) before idling:
 	// a monitor release or thread finish that happened while this shard
 	// was running was skipped by ThreadsChanged (the shard was not idle),
@@ -593,26 +785,28 @@ func (p *pool) finishSliceLocked(s *shard) {
 		}
 	}
 	if runnable && !p.ended {
+		// Nobody is woken: this worker is about to dequeue again, and
+		// whoever queued the other shards woke a worker for them.
 		p.enqueueLocked(s)
-		p.cond.Broadcast()
-	} else {
-		s.state = shardIdle
+		return
+	}
+	s.state = shardIdle
+	switch {
+	case len(s.threads) > 0:
+		p.parkLocked(s)
 		if w, ok := p.shardWakeDeadline(s); ok && w < p.nextWake {
 			p.nextWake = w
 		}
+	case s.freed:
+		p.retireLocked(s)
 	}
 }
 
 // shardWakeDeadline returns the earliest timed-sleep deadline among the
-// shard's threads. p.mu held (the shard is idle).
+// shard's threads. p.mu held (the shard is idle, so its inbox is empty).
 func (p *pool) shardWakeDeadline(s *shard) (int64, bool) {
 	earliest := int64(math.MaxInt64)
 	for _, t := range s.threads {
-		if w, ok := p.vm.WakeDeadline(t); ok && w < earliest {
-			earliest = w
-		}
-	}
-	for _, t := range s.inbox {
 		if w, ok := p.vm.WakeDeadline(t); ok && w < earliest {
 			earliest = w
 		}
@@ -623,13 +817,10 @@ func (p *pool) shardWakeDeadline(s *shard) (int64, bool) {
 	return earliest, true
 }
 
-// recomputeNextWakeLocked rebuilds nextWake from the still-idle shards.
+// recomputeNextWakeLocked rebuilds nextWake from the parked shards.
 func (p *pool) recomputeNextWakeLocked() {
 	p.nextWake = math.MaxInt64
-	for _, s := range p.order {
-		if s.state != shardIdle {
-			continue
-		}
+	for _, s := range p.parkedShards {
 		if w, ok := p.shardWakeDeadline(s); ok && w < p.nextWake {
 			p.nextWake = w
 		}
@@ -753,7 +944,7 @@ func (p *pool) migrate(s *shard, t *interp.Thread) {
 	ns.inbox = append(ns.inbox, t)
 	if ns.state == shardIdle {
 		p.enqueueLocked(ns)
-		p.cond.Broadcast()
+		p.wakeWorkerLocked()
 	}
 	p.mu.Unlock()
 }
@@ -780,8 +971,10 @@ func (p *pool) quiesceLocked() {
 	}
 	// A cross-shard wake may be mid-staging (detached but the exception
 	// still allocating): the ThreadUnparked hook will arrive; just wait.
-	for _, s := range p.order {
-		for _, t := range append(s.threads, s.inbox...) {
+	// Every shard is idle here, so every unfinished thread is in a parked
+	// shard.
+	for _, s := range p.parkedShards {
+		for _, t := range s.threads {
 			if t.Waking() {
 				return
 			}
@@ -796,28 +989,33 @@ func (p *pool) quiesceLocked() {
 	p.endLocked(endDeadlock)
 }
 
-// requeueWakeableLocked queues every idle shard that has a promotable
-// thread; it reports whether any shard was queued. p.mu held.
+// requeueWakeableLocked queues every parked shard that has a promotable
+// thread, waking a worker for each; it reports whether any shard was
+// queued. p.mu held.
 func (p *pool) requeueWakeableLocked() bool {
 	any := false
-	for _, s := range p.order {
-		if s.state != shardIdle {
-			continue
-		}
-		for _, t := range append(s.threads, s.inbox...) {
-			if t.Done() {
-				continue
-			}
-			if p.vm.PromoteRunnable(t) {
-				p.enqueueLocked(s)
-				any = true
+	keep := p.parkedShards[:0]
+	for _, s := range p.parkedShards {
+		wakeable := false
+		for _, t := range s.threads {
+			if !t.Done() && p.vm.PromoteRunnable(t) {
+				wakeable = true
 				break
 			}
 		}
+		if !wakeable {
+			keep = append(keep, s)
+			continue
+		}
+		s.parked = false // this loop rebuilds the set itself
+		p.enqueueLocked(s)
+		p.wakeWorkerLocked()
+		any = true
 	}
-	if any {
-		p.cond.Broadcast()
+	for i := len(keep); i < len(p.parkedShards); i++ {
+		p.parkedShards[i] = nil
 	}
+	p.parkedShards = keep
 	return any
 }
 
@@ -833,8 +1031,8 @@ func (p *pool) ThreadSpawned(t *interp.Thread) {
 	s.inbox = append(s.inbox, t)
 	if s.state == shardIdle {
 		p.enqueueLocked(s)
+		p.wakeWorkerLocked()
 	}
-	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
@@ -844,33 +1042,51 @@ func (p *pool) ThreadUnparked(t *interp.Thread) {
 	s := p.shardFor(t.CurrentIsolate())
 	if s.state == shardIdle {
 		p.enqueueLocked(s)
+		p.wakeWorkerLocked()
 	}
-	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
-// ThreadsChanged re-queues every idle shard with live threads: a monitor
-// was freed or a thread finished, so blocked/joining threads anywhere
-// may be promotable now.
+// ThreadsChanged re-polls the parked shards: a monitor was freed or a
+// thread finished, so a blocked or joining thread in any of them may be
+// promotable now. Shards that are queued or running re-poll by
+// themselves before they idle (finishSliceLocked).
 func (p *pool) ThreadsChanged() {
+	p.threadsChanged.Add(1)
 	p.mu.Lock()
-	for _, s := range p.order {
-		if s.state != shardIdle {
-			continue
-		}
-		hasLive := false
-		for _, t := range append(s.threads, s.inbox...) {
-			if !t.Done() {
-				hasLive = true
-				break
-			}
-		}
-		if hasLive {
-			p.enqueueLocked(s)
+	p.requeueWakeableLocked()
+	p.mu.Unlock()
+}
+
+// IsolateFreed retires iso's shard — now if it is idle, else when its
+// slice ends — and drops the governor's record of the isolate, so a run
+// that serves N sessions holds the shards of the isolates alive, not N.
+func (p *pool) IsolateFreed(iso *core.Isolate) {
+	p.mu.Lock()
+	if s, ok := p.shards[iso]; ok {
+		// FreeIsolate found no unfinished thread executing in iso, and an
+		// idle shard's threads are all unfinished: it has none.
+		s.freed = true
+		if s.state == shardIdle && len(s.threads) == 0 {
+			p.retireLocked(s)
 		}
 	}
-	p.cond.Broadcast()
 	p.mu.Unlock()
+	if p.gov != nil {
+		p.gov.forget(iso)
+	}
+}
+
+// statsLocked reads the run statistics. p.mu held.
+func (p *pool) statsLocked() interp.SchedStats {
+	return interp.SchedStats{
+		ShardsLive:          int64(len(p.shards)),
+		ShardsRetired:       int64(p.freed.Count),
+		Yields:              p.yields.Load(),
+		SpinsFoundWork:      p.spinsFoundWork.Load(),
+		SpinsSlept:          p.spinsSlept.Load(),
+		ThreadsChangedCalls: p.threadsChanged.Load(),
+	}
 }
 
 // --- interp.Safepointer --------------------------------------------------
@@ -921,5 +1137,12 @@ func (p *pool) StopTheWorld(fn func()) {
 		p.parked--
 	}
 	p.cond.Broadcast()
+	// A stop queues no shard, so it wakes no sleeper — unless every worker
+	// sleeps: then nobody else will notice what the section did to the run
+	// (a kill that finished the target, a shutdown beside it), and one is
+	// woken to re-run the quiescence checks.
+	if int(p.sleeping.Load()) == p.alive {
+		p.work.Signal()
+	}
 	p.mu.Unlock()
 }

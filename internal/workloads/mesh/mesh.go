@@ -205,38 +205,23 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	trafficDone := make(chan struct{})
-	churnDone := make(chan struct{})
+	// Churn is a function of the completed-request count, not of a host
+	// timer: the frontend whose completion crosses a ChurnEvery multiple
+	// performs the kill and reinstall itself. All administration — the
+	// kill, the reinstall's guest constructor — runs inside one Sync
+	// window so it lands between dispatch slices, never beside them; the
+	// window also serializes churns (and their counter) across frontends.
 	churns := 0
-	if cfg.ChurnEvery > 0 {
-		go func() {
-			defer close(churnDone)
-			target := int64(cfg.ChurnEvery)
-			for {
-				for atomic.LoadInt64(&doneReqs) < target {
-					select {
-					case <-trafficDone:
-						return
-					case <-time.After(200 * time.Microsecond):
-					}
-				}
-				slot := churns % cfg.Services
-				// All administration — the kill, the reinstall's guest
-				// constructor — runs inside one Sync window so it lands
-				// between dispatch slices, never beside them.
-				hub.Sync(func() {
-					if err := fw.KillBundle(bundles[slot]); err != nil {
-						return
-					}
-					gen++
-					_ = install(slot) // a failed reinstall just shrinks the mesh
-				})
-				churns++
-				target += int64(cfg.ChurnEvery)
+	churn := func() {
+		hub.Sync(func() {
+			slot := churns % cfg.Services
+			churns++
+			if err := fw.KillBundle(bundles[slot]); err != nil {
+				return
 			}
-		}()
-	} else {
-		close(churnDone)
+			gen++
+			_ = install(slot) // a failed reinstall just shrinks the mesh
+		})
 	}
 
 	start := time.Now()
@@ -300,7 +285,9 @@ func Run(cfg Config) (*Result, error) {
 					}
 				}
 				myLats = append(myLats, time.Since(t0))
-				atomic.AddInt64(&doneReqs, 1)
+				if n := atomic.AddInt64(&doneReqs, 1); cfg.ChurnEvery > 0 && n%int64(cfg.ChurnEvery) == 0 {
+					churn()
+				}
 			}
 			latMu.Lock()
 			lats = append(lats, myLats...)
@@ -308,8 +295,6 @@ func Run(cfg Config) (*Result, error) {
 		}(fi, f)
 	}
 	wg.Wait()
-	close(trafficDone)
-	<-churnDone
 	wall := time.Since(start)
 
 	// Teardown: unregistering closes the cached fan-out links.

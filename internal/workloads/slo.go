@@ -253,6 +253,16 @@ func callFloodClasses(cn, peerCn string) (main, peer *classfile.Class) {
 	return main, peer
 }
 
+// governorSettleWindows is how many governor windows a governed leg lasts
+// at least: the priming window, the default ladder (2 hot windows to
+// deprioritize, 3 to throttle, 6 critical to kill) and as many again for
+// an attacker that needs a few windows to become hot (the monitor hog
+// parks its sleepers first). governorSettleTimeout bounds the wait.
+const (
+	governorSettleWindows = 16
+	governorSettleTimeout = 5 * time.Second
+)
+
 // RunSLO executes one leg of the adversarial SLO harness and returns
 // its latency/goodput aggregate. The scheduler runs on its own
 // goroutine while host-side closed-loop clients spawn tenant request
@@ -451,6 +461,17 @@ func RunSLO(cfg SLOConfig) (*SLOResult, error) {
 	wg.Wait()
 	wall := time.Since(start)
 	totalTicks := vm.Clock()
+	// A governed leg stays open, tenants idle, until the governor has
+	// sampled governorSettleWindows windows: the attackers' fates are part
+	// of the result, and a leg of a few requests is over in a millisecond,
+	// before the ladder's consecutive-window streaks fit. The keeper
+	// spins, so windows keep passing; latencies, wall time and the clock
+	// were taken above.
+	if gov != nil {
+		for deadline := time.Now().Add(governorSettleTimeout); gov.Stats().Ticks < governorSettleWindows && time.Now().Before(deadline); {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
 	vm.Shutdown()
 	runRes := <-resCh
 
