@@ -223,14 +223,18 @@ func (vm *VM) WakeDeadline(t *Thread) (int64, bool) {
 
 // SampleState carries one worker's per-goroutine execution state across
 // quanta: the CPU-sampling countdown (giving each worker the sequential
-// engine's sampling cadence) and the worker's allocation state (its
-// shard-local heap allocation domain plus the batched per-isolate byte
-// accounting), lazily acquired from the VM's pool on first use. Workers
-// must hand the allocation state back with ReleaseWorkerState when they
-// exit so later runs reuse domains instead of growing the heap's
-// registry.
+// engine's sampling cadence), the storage of the running quantum's
+// accountant and call-path batch (the batch is flushed, hence empty, when
+// a quantum ends; Thread.qa points at qa only while one runs), and the
+// worker's allocation state (its shard-local heap allocation domain plus
+// the batched per-isolate byte accounting), lazily acquired from the VM's
+// pool on first use. Workers must hand the allocation state back with
+// ReleaseWorkerState when they exit so later runs reuse domains instead of
+// growing the heap's registry. A SampleState serves one quantum at a time.
 type SampleState struct {
 	count int
+	qa    quantumAcct
+	batch core.InstrBatch
 	alloc *allocState
 }
 
@@ -276,7 +280,7 @@ type QuantumResult struct {
 // lines. The sequential engine batches identically (see runQuantum).
 func (vm *VM) RunThreadQuantum(t *Thread, home *core.Isolate, budget int64, stop *atomic.Bool, s *SampleState, target *Thread) QuantumResult {
 	var res QuantumResult
-	var batch core.InstrBatch
+	batch := &s.batch
 	if s.alloc == nil {
 		s.alloc = vm.acquireAllocState()
 	}
@@ -292,8 +296,9 @@ func (vm *VM) RunThreadQuantum(t *Thread, home *core.Isolate, budget int64, stop
 	// covered instructions with the exact per-instruction semantics of
 	// the loop below (see quantumAcct).
 	t.alloc = s.alloc
-	qa := quantumAcct{vm: vm, batch: &batch, sampleCount: &s.count, limit: budget}
-	t.qa = &qa
+	qa := &s.qa
+	*qa = quantumAcct{vm: vm, batch: batch, sampleCount: &s.count, limit: budget}
+	t.qa = qa
 	for qa.steps < budget && t.State() == StateRunnable {
 		if stop != nil && stop.Load() {
 			res.Stopped = true

@@ -176,6 +176,12 @@ func (vm *VM) unstageEntryArgs(t *Thread) {
 // totals either way. Only Done threads whose frames have been popped
 // (normal completion, uncaught exception, or AbortRootThread) may be
 // respawned.
+//
+// A respawned thread is a shell: from here on finishThread leaves its
+// emptied frame stack and cached frames attached, so the next respawn's
+// pushFrame finds them there instead of going through vm.frameStacks. A
+// finished shell is not a GC root and its frames hold no guest object; the
+// host that parks it drops the last run's result with Thread.DropOutcome.
 func (vm *VM) RespawnThread(t *Thread, name string, creator *core.Isolate, m *classfile.Method, args []heap.Value) error {
 	if creator == nil {
 		return errors.New("interp: RespawnThread requires a creator isolate")
@@ -205,6 +211,7 @@ func (vm *VM) RespawnThread(t *Thread, name string, creator *core.Isolate, m *cl
 	t.savedLock = 0
 	t.resumeKind, t.resumeValue, t.resumeThrow = resumeNone, heap.Value{}, nil
 	t.slowStep = false
+	t.shell = true
 	creator.Account().ThreadsCreated.Add(1)
 	creator.Account().ThreadsLive.Add(1)
 	vm.liveThreads.Add(1)
@@ -378,8 +385,9 @@ func (vm *VM) pushFrame(t *Thread, m *classfile.Method, args []heap.Value, isoOv
 // operand stack never grows). The slots of t.frames above its length are
 // a LIFO cache of released frames — a returning callee's frame is the
 // next call's frame — so a call allocates nothing and touches no shared
-// state; a thread's first call adopts the stack a finished thread left
-// behind (finishThread). The frame is not on the stack yet: pushFrame
+// state; a thread without a stack of its own (a fresh one, or a shell on
+// its first respawn) adopts one a finished thread left behind
+// (finishThread). The frame is not on the stack yet: pushFrame
 // publishes it to the root scan by extending the slice once it is set up.
 func (t *Thread) acquireFrame(nLocals, maxStack int) *Frame {
 	n := len(t.frames)

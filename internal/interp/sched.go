@@ -161,11 +161,13 @@ func (vm *VM) runQuantum(t *Thread, quantum int64, target *Thread) int64 {
 	// rides alongside: closure blocks charge their extra covered
 	// instructions through it, so multi-instruction steps keep
 	// per-instruction-exact budgets, clock ticks, per-isolate counters
-	// and CPU samples (see quantumAcct).
+	// and CPU samples (see quantumAcct). Its storage is the VM's (seqQA,
+	// beside the batch it charges), so a quantum allocates nothing.
 	t.alloc = vm.seqAlloc
-	qa := quantumAcct{vm: vm, batch: &vm.seqBatch, sampleCount: &vm.instrSinceSample,
+	qa := &vm.seqQA
+	*qa = quantumAcct{vm: vm, batch: &vm.seqBatch, sampleCount: &vm.instrSinceSample,
 		limit: quantum, isolated: vm.world.Isolated(), seq: true}
-	t.qa = &qa
+	t.qa = qa
 	defer func() { t.alloc = nil; t.qa = nil }()
 	for qa.steps < quantum && t.State() == StateRunnable {
 		err := vm.stepThread(t)

@@ -261,7 +261,9 @@ type Thread struct {
 	// qa is the owning engine loop's quantum accounting state (tier.go),
 	// installed for the duration of a quantum and nil otherwise; closure
 	// blocks reserve and charge their inlined sub-instructions through
-	// it. Same ownership contract as alloc.
+	// it. It points into the engine state that runs the quantum (VM.seqQA,
+	// SampleState.qa), so installing it allocates nothing. Same ownership
+	// contract as alloc.
 	qa *quantumAcct
 
 	// pendingArgs is the in-flight invocation argument window between
@@ -291,6 +293,13 @@ type Thread struct {
 	// thread is listed and still Done, and the table rule must keep it
 	// (guarded by vm.threadsMu).
 	arming bool
+	// shell marks a thread that has been through RespawnThread: a host
+	// recycles it, so finishThread leaves its emptied frame stack (and the
+	// frames cached in it) attached for the next respawn instead of handing
+	// it to vm.frameStacks. Written by RespawnThread, read by the goroutine
+	// that finishes the thread; the respawn's Runnable publication orders
+	// the two.
+	shell bool
 }
 
 type resumeKind uint8
@@ -349,6 +358,15 @@ func (t *Thread) Failure() *heap.Object { return t.failure }
 // Err returns the host-level error that aborted the thread, or nil. Host
 // errors indicate invalid bytecode or a VM defect, not guest exceptions.
 func (t *Thread) Err() error { return t.err }
+
+// DropOutcome forgets a finished thread's result, uncaught exception and
+// guest Thread object. A host that parks the thread for RespawnThread calls
+// it once it has harvested them, so that a parked shell references no guest
+// object (a finished thread is not a GC root: whatever the host still needs
+// it must have rooted itself).
+func (t *Thread) DropOutcome() {
+	t.result, t.failure, t.threadObj = heap.Value{}, nil, nil
+}
 
 // SpawnTick returns the virtual time at which the thread was (re)spawned.
 func (t *Thread) SpawnTick() int64 { return t.spawnTick }

@@ -185,9 +185,12 @@ func (vm *VM) finishThread(t *Thread) {
 	for len(t.frames) > 0 {
 		vm.popFrame(t, t.top())
 	}
-	// Hand the empty frame stack and its cached frames to the next thread;
-	// the Done publication below orders this with any respawn of t.
-	if stack := t.frames; cap(stack) > 0 {
+	// A shell keeps its empty frame stack and the frames cached in it
+	// (releaseFrame cleared them: they hold no guest object) for its next
+	// respawn. Any other thread hands them to the next thread; the Done
+	// publication below orders this with any respawn of t.
+	if !t.shell && cap(t.frames) > 0 {
+		stack := t.frames
 		t.frames = nil
 		vm.frameStacks.Put(&stack)
 	}

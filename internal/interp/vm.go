@@ -204,10 +204,13 @@ type VM struct {
 	// boundaries and sequential safepoints (see flushSequential).
 	// seqModeFlip tells runQuantum to refresh its hoisted isolation-mode
 	// flag; SetIsolationMode raises it under the same ownership contract
-	// (the executing goroutine, or no run in progress).
+	// (the executing goroutine, or no run in progress). seqQA is the storage
+	// of the running quantum's accountant (runQuantum); Thread.qa points at
+	// it only while that quantum runs.
 	seqBatch    core.InstrBatch
 	seqPending  int64
 	seqModeFlip bool
+	seqQA       quantumAcct
 
 	// frameStacks passes the frame stacks of finished threads (with the
 	// frames cached in them) to new ones. Calls never touch it: a live

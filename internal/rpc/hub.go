@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"ijvm/internal/core"
 	"ijvm/internal/interp"
@@ -18,19 +19,48 @@ import (
 // within one dispatch slice rather than behind a whole call budget.
 //
 // Lock ordering: execMu -> (vm's pinMu -> threadsMu/schedMu -> monitor
-// stripe, heap's hostMu). The hub's own mu (pool map) and each pool's
-// queue mutex are leaves taken only around queue manipulation, never
-// while dispatching.
+// stripe, heap's hostMu); mu -> a pool's queue mutex. The hub's own mu
+// (pool map) and each pool's queue mutex are leaves taken only around
+// queue manipulation, never while dispatching.
 type Hub struct {
 	vm *interp.VM
 
 	// execMu serializes all guest execution and engine-touching admin
-	// operations driven through this hub.
-	execMu sync.Mutex
+	// operations driven through this hub. Every pool's spare shells and
+	// the dispatch counters of Stats are only touched with it held.
+	execMu     sync.Mutex
+	dispatched HubStats
 
-	mu     sync.Mutex
-	pools  map[*core.Isolate]*pool
-	closed bool
+	// mu guards the pool map, each pool's open-link count and the
+	// retirement counters. closed is written under it and read without.
+	mu              sync.Mutex
+	pools           map[*core.Isolate]*pool
+	closed          atomic.Bool
+	poolsRetired    int64
+	retiredMaxQueue int
+}
+
+// HubStats are a hub's counters since it was created: plain integers
+// written under the locks the call path already holds. VM.Metrics() will
+// absorb them beside interp.StopStats and interp.SchedStats (ROADMAP
+// item 5).
+type HubStats struct {
+	// Calls counts the requests workers claimed, Batches the engine
+	// sessions they ran as, MaxBatch the largest of those: Calls/Batches is
+	// what one session's entry and hand-off costs are divided by.
+	Calls, Batches int64
+	MaxBatch       int
+	// ShellReuses and FreshSpawns split the dispatched calls by where their
+	// thread came from: a parked shell (interp.RespawnThread) or
+	// interp.SpawnThread. Requests that fail before dispatch (closed link,
+	// killed callee) are in neither.
+	ShellReuses, FreshSpawns int64
+	// MaxQueue is the deepest any callee's request queue has been.
+	MaxQueue int
+	// PoolsLive is the number of callees with a pool now, PoolsRetired how
+	// many pools were dropped when their last link closed.
+	PoolsLive    int
+	PoolsRetired int64
 }
 
 // DefaultWorkers is the per-callee worker count when LinkOptions.Workers
@@ -63,7 +93,7 @@ func (h *Hub) VM() *interp.VM { return h.vm }
 // code and none will start until fn returns. Use it for KillIsolate,
 // incremental GC phase transitions, interrupts, or any direct engine
 // use while hub traffic is flowing. fn must not call back into
-// Sync/Collect or submit blocking calls on the same hub.
+// Sync/Collect/Stats or submit blocking calls on the same hub.
 func (h *Hub) Sync(fn func()) {
 	h.execMu.Lock()
 	defer h.execMu.Unlock()
@@ -75,16 +105,31 @@ func (h *Hub) Collect(triggeredBy *core.Isolate) {
 	h.Sync(func() { h.vm.CollectGarbage(triggeredBy) })
 }
 
+// Stats returns the hub's counters. It takes the engine lock for a moment:
+// do not call it from inside Sync.
+func (h *Hub) Stats() HubStats {
+	h.execMu.Lock()
+	s := h.dispatched
+	h.execMu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s.PoolsLive, s.PoolsRetired, s.MaxQueue = len(h.pools), h.poolsRetired, h.retiredMaxQueue
+	for _, p := range h.pools {
+		s.MaxQueue = max(s.MaxQueue, p.deepestQueue())
+	}
+	return s
+}
+
 // Close fails all queued requests and stops the workers. In-flight
 // dispatches are cancelled at their next slice boundary. Links remain
 // usable only for error returns afterwards.
 func (h *Hub) Close() {
 	h.mu.Lock()
-	if h.closed {
+	if h.closed.Load() {
 		h.mu.Unlock()
 		return
 	}
-	h.closed = true
+	h.closed.Store(true)
 	pools := make([]*pool, 0, len(h.pools))
 	for _, p := range h.pools {
 		pools = append(pools, p)
@@ -98,78 +143,109 @@ func (h *Hub) Close() {
 	}
 }
 
-func (h *Hub) isClosed() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.closed
-}
-
-// poolFor returns (lazily starting) the worker pool serving callee.
+// poolFor returns the worker pool serving callee, claimed for one more
+// link; it starts the pool if the callee has none.
 func (h *Hub) poolFor(callee *core.Isolate, workers int) (*pool, error) {
 	if workers <= 0 {
 		workers = DefaultWorkers
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
+	if h.closed.Load() {
 		return nil, ErrLinkClosed
 	}
-	if p, ok := h.pools[callee]; ok {
-		return p, nil
+	p, ok := h.pools[callee]
+	if !ok {
+		p = &pool{hub: h}
+		p.cond = sync.NewCond(&p.mu)
+		h.pools[callee] = p
+		p.wg.Add(workers)
+		for i := 0; i < workers; i++ {
+			go p.worker()
+		}
 	}
-	p := &pool{hub: h}
-	p.cond = sync.NewCond(&p.mu)
-	h.pools[callee] = p
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
+	p.links++
 	return p, nil
 }
 
+// releasePool gives back a closed, drained link's claim on its pool. The
+// last link out retires the pool — map entry deleted, workers stopped and
+// waited for, spare shells dropped — so a hub holds pools, goroutines and
+// shells for the callees that have an open link, not for every callee it
+// has ever served. A later NewLink to the same callee starts a fresh pool.
+func (h *Hub) releasePool(callee *core.Isolate, p *pool) {
+	h.mu.Lock()
+	p.links--
+	last := p.links == 0
+	if last {
+		delete(h.pools, callee)
+		h.poolsRetired++
+		h.retiredMaxQueue = max(h.retiredMaxQueue, p.deepestQueue())
+	}
+	h.mu.Unlock()
+	if !last {
+		return
+	}
+	// Every link is drained, so the queue is empty and stays empty; once
+	// the workers are gone nothing else reaches the spares.
+	p.close()
+	p.wg.Wait()
+	p.spare = nil
+}
+
 // pool is one callee isolate's request queue plus the workers draining
-// it. The queue itself is unbounded; per-link admission control
-// (Link.credits) bounds what can reach it.
+// it. The queue itself is unbounded; per-link admission control (the slot
+// count in Link.state) bounds what can reach it.
 type pool struct {
 	hub *Hub
 	wg  sync.WaitGroup
+	// links counts the open links this pool serves (hub.mu).
+	links int
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*request
-	idle   int
-	closed bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []*request
+	idle     int
+	closed   bool
+	maxQueue int // deepest the queue has been
 
-	// spare caches finished dispatch threads for reuse via
-	// RespawnThread: spawning is the engine's per-call fixed cost, and
-	// recycling the Thread allocation and scheduler slot roughly halves
-	// it. Aborted threads are never recycled. Guarded by spareMu (a
-	// leaf; the queue mutex stays uncontended by recycling).
-	spareMu sync.Mutex
-	spare   []*interp.Thread
+	// spare holds parked shells: dispatch threads that finished and wait
+	// for interp.RespawnThread, which keeps the Thread, its scheduler slot
+	// and its frame stack instead of paying a spawn per call. Aborted
+	// threads are never parked. Guarded by hub.execMu: a batch takes its
+	// shells when it arms and parks each one as it finalizes the call.
+	spare []*interp.Thread
 }
 
-// spareMax bounds how many finished threads a pool retains for reuse.
+// spareMax bounds how many shells a pool keeps parked.
 const spareMax = 2 * batchMax
 
-func (p *pool) takeSpare() *interp.Thread {
-	p.spareMu.Lock()
-	defer p.spareMu.Unlock()
-	if n := len(p.spare); n > 0 {
-		t := p.spare[n-1]
-		p.spare[n-1] = nil
-		p.spare = p.spare[:n-1]
-		return t
+// takeSpareLocked returns a parked shell, or nil (engine lock held).
+func (p *pool) takeSpareLocked() *interp.Thread {
+	n := len(p.spare)
+	if n == 0 {
+		return nil
 	}
-	return nil
+	t := p.spare[n-1]
+	p.spare[n-1] = nil
+	p.spare = p.spare[:n-1]
+	return t
 }
 
-func (p *pool) putSpare(t *interp.Thread) {
-	p.spareMu.Lock()
+// parkLocked parks a finished, harvested dispatch thread as a shell
+// (engine lock held). A parked shell references no guest object: its
+// frames were cleared as they were popped and its outcome is dropped here.
+func (p *pool) parkLocked(t *interp.Thread) {
 	if len(p.spare) < spareMax {
+		t.DropOutcome()
 		p.spare = append(p.spare, t)
 	}
-	p.spareMu.Unlock()
+}
+
+func (p *pool) deepestQueue() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.maxQueue
 }
 
 func (p *pool) enqueue(req *request) bool {
@@ -179,6 +255,7 @@ func (p *pool) enqueue(req *request) bool {
 		return false
 	}
 	p.queue = append(p.queue, req)
+	p.maxQueue = max(p.maxQueue, len(p.queue))
 	// Signal only when a worker is parked: busy workers re-check the
 	// queue before waiting, and skipping the wakeup keeps the enqueue
 	// path off the runtime's notify list at call rate.
@@ -198,9 +275,16 @@ func (p *pool) close() {
 }
 
 // worker drains the queue in batches. Requests claimed after the pool
-// closes are failed, not dropped: every submitted future resolves.
+// closes are failed, not dropped: every submitted future resolves. The
+// claimed batch and its run records live in the worker — nothing is
+// allocated per batch — and are cleared after each one, so an idle worker
+// retains no request.
 func (p *pool) worker() {
 	defer p.wg.Done()
+	var (
+		batch [batchMax]*request
+		runs  [batchMax]run
+	)
 	for {
 		p.mu.Lock()
 		for len(p.queue) == 0 && !p.closed {
@@ -212,25 +296,20 @@ func (p *pool) worker() {
 			p.mu.Unlock()
 			return
 		}
-		n := len(p.queue)
-		if n > batchMax {
-			n = batchMax
-		}
-		batch := make([]*request, n)
-		copy(batch, p.queue[:n])
+		n := copy(batch[:], p.queue)
 		rest := copy(p.queue, p.queue[n:])
-		for i := rest; i < len(p.queue); i++ {
-			p.queue[i] = nil
-		}
+		clear(p.queue[rest:])
 		p.queue = p.queue[:rest]
 		closed := p.closed
 		p.mu.Unlock()
-		if closed || p.hub.isClosed() {
-			for _, req := range batch {
+		if closed || p.hub.closed.Load() {
+			for _, req := range batch[:n] {
 				req.fail(ErrLinkClosed)
 			}
-			continue
+		} else {
+			p.hub.dispatchBatch(batch[:n], runs[:n])
 		}
-		p.hub.dispatchBatch(batch)
+		clear(batch[:n])
+		clear(runs[:n])
 	}
 }

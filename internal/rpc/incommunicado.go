@@ -98,25 +98,35 @@ type Link struct {
 	// carry call-rate traffic and a per-call concat shows up in profiles.
 	threadName string
 
-	// closedCh unblocks in-flight machinery (dispatch slices, blocked
-	// acquires) when Close begins.
-	closedCh chan struct{}
-	once     sync.Once
+	once sync.Once
 
-	// mu guards the admission slot counter together with the closing
-	// flag: admission and drain must be one atomic decision, or a submit
-	// racing Close could slip in after the drain finished and touch a
-	// receiver whose roots were already released. inflight counts calls
-	// holding a slot — from admission (before copy-in) to resolution —
-	// and is bounded by QueueDepth; waiters counts goroutines parked on
-	// cond (blocked Calls, Close draining), so the release path only
-	// pays a wakeup when someone is actually parked.
-	mu       sync.Mutex
-	cond     *sync.Cond
-	inflight int
-	waiters  int
-	closing  bool
+	// state is the admission word: the number of calls holding a slot —
+	// from admission (before copy-in) to resolution, bounded by QueueDepth —
+	// with linkClosing set once Close has begun. It is one word because
+	// admission and drain must be one decision, or a submit racing Close
+	// could slip in after the drain finished and touch a receiver whose
+	// roots were already released: a slot is taken by a CAS from a value
+	// without the flag, and Close drains until the word is linkClosing alone.
+	state atomic.Int64
+	// mu and cond are for goroutines that park (a Call that found the
+	// window full, Close draining); waiters counts them. The uncontended
+	// path never takes mu. No wake-up is lost because both sides write
+	// before they read: a waiter announces itself (waiters++) and then
+	// re-reads state before it sleeps, all under mu; a releaser changes
+	// state and then re-reads waiters, and takes mu to broadcast when it is
+	// non-zero. Whichever of the two atomic writes is second, its author
+	// reads the other's.
+	mu      sync.Mutex
+	cond    *sync.Cond
+	waiters atomic.Int32
 }
+
+// linkClosing is the closing flag in Link.state, above any slot count.
+const linkClosing = 1 << 62
+
+// closing reports that Close has begun: dispatch cancels the link's calls
+// at its next look (batch arming, slice boundaries).
+func (l *Link) closing() bool { return l.state.Load()&linkClosing != 0 }
 
 // acquireSlot admits one call, charging a pipelining slot. When the
 // window is full it fails fast with ErrSaturated (block=false) or waits
@@ -128,17 +138,18 @@ func (l *Link) acquireSlot(block bool) error {
 	if l.caller != nil && l.caller.Throttled() && !l.caller.IsIsolate0() {
 		return ErrThrottled
 	}
+	depth := int64(l.opts.QueueDepth)
 	counted := false
-	l.mu.Lock()
 	for {
-		if l.closing {
-			l.mu.Unlock()
+		s := l.state.Load()
+		if s&linkClosing != 0 {
 			return ErrLinkClosed
 		}
-		if l.inflight < l.opts.QueueDepth {
-			l.inflight++
-			l.mu.Unlock()
-			return nil
+		if s < depth {
+			if l.state.CompareAndSwap(s, s+1) {
+				return nil
+			}
+			continue
 		}
 		// Charge the caller one saturation event per acquire that found
 		// the window full — fail-fast or blocked alike — so the governor
@@ -150,25 +161,41 @@ func (l *Link) acquireSlot(block bool) error {
 			}
 		}
 		if !block {
-			l.mu.Unlock()
 			return ErrSaturated
 		}
-		l.waiters++
-		l.cond.Wait()
-		l.waiters--
+		l.parkWhile(func(s int64) bool { return s >= depth && s&linkClosing == 0 })
 	}
 }
 
-// releaseSlot retires one admitted call and wakes parked waiters
-// (blocked Calls wanting the slot, Close draining to zero).
-func (l *Link) releaseSlot() {
+// parkWhile blocks the caller until stay no longer holds of the admission
+// word: the waiter's half of the protocol described at Link.mu.
+func (l *Link) parkWhile(stay func(state int64) bool) {
 	l.mu.Lock()
-	l.inflight--
-	wake := l.waiters > 0
-	l.mu.Unlock()
-	if wake {
-		l.cond.Broadcast()
+	l.waiters.Add(1)
+	for stay(l.state.Load()) {
+		l.cond.Wait()
 	}
+	l.waiters.Add(-1)
+	l.mu.Unlock()
+}
+
+// wakeParked is the other half, run after a change of the admission word:
+// parked goroutines (blocked Calls wanting a slot, Close draining to zero)
+// re-evaluate it. Passing through mu orders the broadcast after a waiter
+// that has announced itself but is not asleep yet.
+func (l *Link) wakeParked() {
+	if l.waiters.Load() == 0 {
+		return
+	}
+	l.mu.Lock()
+	l.cond.Broadcast()
+	l.mu.Unlock()
+}
+
+// releaseSlot retires one admitted call.
+func (l *Link) releaseSlot() {
+	l.state.Add(-1)
+	l.wakeParked()
 }
 
 // Caller returns the link's calling isolate.
@@ -210,7 +237,6 @@ func (h *Hub) NewLink(caller, callee *core.Isolate, m *classfile.Method, recv he
 		opts:       opts,
 		pool:       p,
 		threadName: "rpc:" + m.Name,
-		closedCh:   make(chan struct{}),
 	}
 	l.cond = sync.NewCond(&l.mu)
 	// The receiver must stay reachable for the link's lifetime even if
@@ -231,11 +257,18 @@ type Future struct {
 	link *Link
 
 	// resolved flips once, after val/err are written; its atomic store
-	// publishes them to fast-path readers. done is created lazily by the
-	// first waiter that arrives before resolution — pipelined callers
-	// usually drain futures already resolved, so most calls never
-	// allocate (or close) a channel.
+	// publishes them to every reader. parked is a waiter's announcement
+	// that it is about to sleep on done, which it creates under mu —
+	// pipelined callers usually drain futures already resolved, so most
+	// calls never allocate (or close) a channel, and a resolution nobody
+	// waits for takes no lock. The two flags are written before they are
+	// read: a waiter stores parked and then re-reads resolved before it
+	// sleeps; resolve stores resolved and then reads parked, and closes
+	// done (under mu) when it is set. Whichever store is second, its
+	// author sees the other's, so a sleeping waiter is always woken and a
+	// waiter that finds nobody to wake it does not sleep.
 	resolved atomic.Bool
+	parked   atomic.Bool
 	mu       sync.Mutex
 	done     chan struct{}
 
@@ -255,15 +288,15 @@ func (f *Future) wait() {
 		return
 	}
 	f.mu.Lock()
-	if f.resolved.Load() {
-		f.mu.Unlock()
-		return
-	}
 	if f.done == nil {
 		f.done = make(chan struct{})
 	}
 	ch := f.done
+	f.parked.Store(true)
 	f.mu.Unlock()
+	if f.resolved.Load() {
+		return
+	}
 	<-ch
 }
 
@@ -298,17 +331,16 @@ func (f *Future) Release() {
 }
 
 // resolve publishes the outcome. Called exactly once per future. The
-// val/err writes happen before the resolved store, which is what
-// fast-path readers synchronize on; the mutex section wakes any waiter
-// that got its channel in first.
+// val/err writes happen before the resolved store, which is what readers
+// synchronize on; only a waiter that announced itself costs the lock.
 func (f *Future) resolve(v heap.Value, err error) {
 	f.val, f.err = v, err
-	f.mu.Lock()
 	f.resolved.Store(true)
-	if f.done != nil {
+	if f.parked.Load() {
+		f.mu.Lock()
 		close(f.done)
+		f.mu.Unlock()
 	}
-	f.mu.Unlock()
 }
 
 // request is one admitted call travelling from submitter to worker. The
@@ -431,9 +463,7 @@ func (l *Link) submit(args []heap.Value) (*Future, error) {
 		// through args.
 		srcRoots := vm.NewHostRoots(l.caller)
 		for i := range args {
-			if args[i].IsRef() && args[i].R != nil {
-				srcRoots.Add(args[i].R)
-			}
+			srcRoots.AddValue(args[i])
 		}
 		c := &copier{
 			vm:      vm,
@@ -470,13 +500,12 @@ func (l *Link) submit(args []heap.Value) (*Future, error) {
 
 // run is one request's execution state inside a dispatched batch.
 type run struct {
-	req     *request
-	t       *interp.Thread
-	spent   int64
-	val     heap.Value
-	err     error
-	done    bool
-	aborted bool
+	req   *request
+	t     *interp.Thread
+	spent int64
+	val   heap.Value
+	err   error
+	done  bool
 }
 
 // dispatchBatch executes a worker's claimed batch in one engine
@@ -484,7 +513,7 @@ type run struct {
 // where pipelining pays: all threads of the batch are spawned up front
 // and the scheduler round-robins them through shared RunUntil slices,
 // so engine entry/exit and handoff costs amortize across the batch
-// instead of being paid per call.
+// instead of being paid per call (HubStats: Calls over Batches).
 //
 // Execution happens in dispatchSlice-sized slices with the engine lock
 // released between them: cancellation (closure, budget) and Sync'd
@@ -496,18 +525,10 @@ type run struct {
 // call is in flight — a bound on engine time consumed on the call's
 // behalf, not an exact per-call instruction count (RunUntil also
 // advances co-scheduled threads).
-func (h *Hub) dispatchBatch(batch []*request) {
-	runs := h.executeBatch(batch)
+func (h *Hub) dispatchBatch(batch []*request, runs []run) {
+	h.executeBatch(batch, runs)
 	for i := range runs {
 		r := &runs[i]
-		// Recycle cleanly finished dispatch threads (the result was
-		// rooted in the request's batch at finalize, so dropping the
-		// thread's reference is safe). Aborted threads are retired: the
-		// kill path force-released their monitors and their residual
-		// state is not worth trusting for reuse.
-		if r.t != nil && r.t.Done() && !r.aborted {
-			r.req.link.pool.putSpare(r.t)
-		}
 		if r.err != nil {
 			r.req.fail(r.err)
 			continue
@@ -517,30 +538,34 @@ func (h *Hub) dispatchBatch(batch []*request) {
 }
 
 // executeBatch runs the guest side of every request under execMu and
-// returns the per-request outcomes; successful results are rooted in
-// their request's root batch before the engine lock is released.
-func (h *Hub) executeBatch(batch []*request) []run {
-	runs := make([]run, len(batch))
+// leaves the per-request outcomes in runs (zeroed, one per request);
+// successful results are rooted in their request's root batch before the
+// engine lock is released.
+func (h *Hub) executeBatch(batch []*request, runs []run) {
 	h.execMu.Lock()
+	st := &h.dispatched
+	st.Batches++
+	st.Calls += int64(len(batch))
+	st.MaxBatch = max(st.MaxBatch, len(batch))
 	for i, req := range batch {
 		l := req.link
 		r := &runs[i]
 		r.req = req
-		select {
-		case <-l.closedCh:
+		if l.closing() {
 			r.err, r.done = ErrLinkClosed, true
 			continue
-		default:
 		}
 		if l.callee.Killed() {
 			r.err, r.done = ErrCalleeStopped, true
 			continue
 		}
-		t := l.pool.takeSpare()
+		t := l.pool.takeSpareLocked()
 		var err error
 		if t != nil {
+			st.ShellReuses++
 			err = h.vm.RespawnThread(t, l.threadName, l.callee, l.method, req.args)
 		} else {
+			st.FreshSpawns++
 			t, err = h.vm.SpawnThread(l.threadName, l.callee, l.method, req.args)
 		}
 		if err != nil {
@@ -623,11 +648,9 @@ func (h *Hub) executeBatch(batch []*request) []run {
 				h.finalizeLocked(r)
 				continue
 			}
-			select {
-			case <-r.req.link.closedCh:
+			if r.req.link.closing() {
 				h.abortLocked(r, ErrLinkClosed)
 				continue
-			default:
 			}
 			if r.spent >= r.req.link.opts.CallBudget {
 				h.abortLocked(r, ErrCallBudget)
@@ -637,37 +660,39 @@ func (h *Hub) executeBatch(batch []*request) []run {
 		h.execMu.Lock()
 	}
 	h.execMu.Unlock()
-	return runs
 }
 
-// finalizeLocked harvests one completed thread (engine lock held).
+// finalizeLocked harvests one completed thread and parks it as a shell
+// for the pool's next call (engine lock held).
 func (h *Hub) finalizeLocked(r *run) {
 	r.done = true
-	if err := r.t.Err(); err != nil {
-		r.err = err
-		return
-	}
-	if r.t.Failure() != nil {
-		r.err = fmt.Errorf("rpc: remote exception: %s", r.t.FailureString())
-		return
-	}
-	r.val = r.t.Result()
-	if r.val.IsRef() && r.val.R != nil {
-		// Scalar-only requests carry no root batch; make one for the
-		// reference result (the thread is Done, so its result slot is no
-		// longer a GC root).
-		if r.req.roots == nil {
-			r.req.roots = h.vm.NewHostRoots(r.req.link.callee)
+	t := r.t
+	switch {
+	case t.Err() != nil:
+		r.err = t.Err()
+	case t.Failure() != nil:
+		r.err = fmt.Errorf("rpc: remote exception: %s", t.FailureString())
+	default:
+		r.val = t.Result()
+		if r.val.IsRef() && r.val.R != nil {
+			// Scalar-only requests carry no root batch; make one for the
+			// reference result (the thread is Done, so its result slot is
+			// no longer a GC root).
+			if r.req.roots == nil {
+				r.req.roots = h.vm.NewHostRoots(r.req.link.callee)
+			}
+			r.req.roots.Add(r.val.R)
 		}
-		r.req.roots.Add(r.val.R)
 	}
+	r.req.link.pool.parkLocked(t)
 }
 
-// abortLocked tears one dispatched thread down (engine lock held).
+// abortLocked tears one dispatched thread down (engine lock held). The
+// thread is retired, not parked: the kill path force-released its monitors
+// and its residual state is not worth trusting for reuse.
 func (h *Hub) abortLocked(r *run, reason error) {
 	h.vm.AbortRootThread(r.t, reason)
 	r.done = true
-	r.aborted = true
 	r.err = reason
 }
 
@@ -712,22 +737,21 @@ func (h *Hub) copyOut(req *request, v heap.Value) {
 // for them to drain, and drops the link's roots.
 func (l *Link) Close() {
 	l.once.Do(func() {
-		close(l.closedCh)
-		l.mu.Lock()
-		l.closing = true
-		// Wake Calls blocked on a slot so they observe closing and bail;
-		// then drain every admitted call (they resolve with errors at
-		// the next slice boundary).
-		l.cond.Broadcast()
-		l.waiters++
-		for l.inflight > 0 {
-			l.cond.Wait()
+		for {
+			s := l.state.Load()
+			if l.state.CompareAndSwap(s, s|linkClosing) {
+				break
+			}
 		}
-		l.waiters--
-		l.mu.Unlock()
+		// Calls blocked on a slot observe the flag and bail; then drain
+		// every admitted call (they resolve with errors at the next slice
+		// boundary).
+		l.wakeParked()
+		l.parkWhile(func(s int64) bool { return s != linkClosing })
 		if l.recvRoots != nil {
 			l.recvRoots.Release()
 		}
+		l.hub.releasePool(l.callee, l.pool)
 		if l.ownHub {
 			l.hub.Close()
 		}

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -94,7 +93,7 @@ func (l *SerialLink) Call(args []heap.Value) (heap.Value, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return heap.Value{}, errors.New("rpc: link closed")
+		return heap.Value{}, ErrLinkClosed
 	}
 	roots := l.vm.NewHostRoots(l.callee)
 	defer roots.Release()
@@ -105,10 +104,14 @@ func (l *SerialLink) Call(args []heap.Value) (heap.Value, error) {
 		budget:  DefaultCopyBudget,
 		collect: func() { l.vm.CollectGarbage(nil) },
 	}
+	// The source graph stays live across a copy-time collection in a batch
+	// charged to the caller, whose graph it is (as Link.submit roots it): an
+	// accounting collection inside the copy window must not bill it to the
+	// callee.
+	srcRoots := l.vm.NewHostRoots(l.caller)
+	defer srcRoots.Release()
 	for i := range args {
-		if args[i].IsRef() && args[i].R != nil {
-			roots.Add(args[i].R) // source stays live across copy-time GC
-		}
+		srcRoots.AddValue(args[i])
 	}
 	copied := make([]heap.Value, len(args))
 	var err error
