@@ -15,9 +15,7 @@
 package ijvm
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -574,447 +572,12 @@ func spinVM(mode core.Mode) (*interp.VM, error) {
 	return vm, nil
 }
 
-// measureSpinThroughput runs the scheduler benchmark workload once and
-// returns its aggregate throughput in Minstr/s.
-func measureSpinThroughput(mode core.Mode, workers int) (float64, error) {
-	vm, err := spinVM(mode)
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	var res interp.RunResult
-	if workers > 0 {
-		res = sched.Run(vm, workers, 0)
-	} else {
-		res = vm.Run(0)
-	}
-	elapsed := time.Since(start)
-	if !res.AllDone {
-		return 0, fmt.Errorf("run did not finish: %+v", res)
-	}
-	return float64(res.Instructions) / 1e6 / elapsed.Seconds(), nil
-}
-
-// TestEmitInterpBench measures interpreter throughput of the three
-// engines (baseline cooperative, I-JVM cooperative, I-JVM concurrent)
-// and writes BENCH_interp.json, recording the before/after curve of the
-// quickened-interpreter work (the "before" column is the PR-1 state:
-// seed-style switch dispatch with per-instruction atomic accounting).
-// Gated behind BENCH_INTERP_JSON=1 so regular test runs stay fast; CI
-// exercises the benchmarks themselves with -benchtime=1x instead.
-func TestEmitInterpBench(t *testing.T) {
-	if os.Getenv("BENCH_INTERP_JSON") == "" {
-		t.Skip("set BENCH_INTERP_JSON=1 to measure and rewrite BENCH_interp.json")
-	}
-	best := func(mode core.Mode, workers int) float64 {
-		var b float64
-		for i := 0; i < 6; i++ {
-			v, err := measureSpinThroughput(mode, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v > b {
-				b = v
-			}
-		}
-		return b
-	}
-	type engine struct {
-		Engine        string  `json:"engine"`
-		BeforeMinstrS float64 `json:"before_minstr_s"` // PR 1 (pre-quickening), 1-CPU CI container
-		AfterMinstrS  float64 `json:"after_minstr_s"`
-	}
-	type invokeSite struct {
-		Site                string  `json:"site"`
-		InlineCachedMinstrS float64 `json:"inline_cached_minstr_s"` // PR 11: per-site inline caches, pooled frames
-		VTableMinstrS       float64 `json:"vtable_minstr_s"`
-		SpeedupPercent      float64 `json:"speedup_percent"`
-	}
-	type allocCurve struct {
-		GlobalLockedMallocsS float64 `json:"global_locked_mallocs_s"` // seed admission: one mutex for admit + stats + metrics
-		ShardLocalMallocsS   float64 `json:"shard_local_mallocs_s"`   // per-shard domains + atomic reservation + ByteBatch
-		Ratio                float64 `json:"ratio"`
-	}
-	type fieldCurve struct {
-		PreparedMinstrS   float64 `json:"prepared_minstr_s"` // per-site FieldSlot caches
-		UnpreparedMinstrS float64 `json:"unprepared_minstr_s"`
-		SpeedupPercent    float64 `json:"speedup_percent"`
-	}
-	type tierCurve struct {
-		SeedMinstrS       float64 `json:"seed_minstr_s"`     // unquickened checked switch
-		PreparedMinstrS   float64 `json:"prepared_minstr_s"` // quickened table, one handler per instruction
-		ClosureMinstrS    float64 `json:"closure_minstr_s"`  // + closure-threaded hot tier (folded operands, chained blocks)
-		ClosureVsPrepared float64 `json:"closure_vs_prepared"`
-	}
-	type gcCurve struct {
-		FullSTWPauseMs        float64 `json:"full_stw_pause_ms"` // monolithic mark+sweep, 20k-object live graph
-		IncrementalTerminalMs float64 `json:"incremental_terminal_pause_ms"`
-		PauseRatio            float64 `json:"pause_ratio"`
-		MutatorIdleMinstrS    float64 `json:"mutator_idle_minstr_s"` // store-heavy loop, no cycle open
-		MutatorMarkingMinstrS float64 `json:"mutator_during_mark_minstr_s"`
-		BarrierTaxPercent     float64 `json:"barrier_tax_percent"` // worst case: every 9th instruction a barriered ref store, cycle open all run
-	}
-	type internCurve struct {
-		LdcHotMinstrS float64 `json:"ldc_hot_minstr_s"` // 8 Ldc sites on the lock-free CoW pool read path
-	}
-	type serveCurve struct {
-		ColdSpawnP50Us       float64 `json:"cold_spawn_p50_us"` // class load + link + heavy <clinit> per tenant
-		ColdSpawnP99Us       float64 `json:"cold_spawn_p99_us"`
-		CloneSpawnP50Us      float64 `json:"clone_spawn_p50_us"` // CoW clone from warmed snapshot
-		CloneSpawnP99Us      float64 `json:"clone_spawn_p99_us"`
-		RecycledSpawnP50Us   float64 `json:"recycled_spawn_p50_us"` // clone + isolate/loader slot reuse
-		RecycledSpawnP99Us   float64 `json:"recycled_spawn_p99_us"`
-		ColdServesPerSec     float64 `json:"cold_serves_per_sec"`
-		CloneServesPerSec    float64 `json:"clone_serves_per_sec"`
-		RecycledServesPerSec float64 `json:"recycled_serves_per_sec"`
-		RecycledSlots        int     `json:"recycled_slots"`
-		CloneVsColdP99       float64 `json:"clone_vs_cold_p99_speedup"`
-	}
-	// serveConcurrentPoint is one row of the concurrent-serving curve:
-	// N closed-loop tenants in flight at once, provisioned cold vs from
-	// the pre-warmed clone pool. Spawn/serve percentiles are virtual
-	// ticks on the VM clock (wall clock would measure Go scheduler
-	// preemption of the client goroutines, not guest-instruction
-	// progress); serves/s stays wall-clock like the sequential curve.
-	type serveConcurrentPoint struct {
-		Tenants           int     `json:"tenants"`
-		ColdSpawnP50Ticks int64   `json:"cold_spawn_p50_ticks"`
-		ColdSpawnP99Ticks int64   `json:"cold_spawn_p99_ticks"`
-		PoolSpawnP50Ticks int64   `json:"pool_spawn_p50_ticks"` // 0 is real: a warm Acquire runs no guest instructions
-		PoolSpawnP99Ticks int64   `json:"pool_spawn_p99_ticks"`
-		ColdServeP99Ticks int64   `json:"cold_serve_p99_ticks"`
-		PoolServeP99Ticks int64   `json:"pool_serve_p99_ticks"`
-		ColdServesPerSec  float64 `json:"cold_serves_per_sec"`
-		PoolServesPerSec  float64 `json:"pool_serves_per_sec"`
-		PoolVsColdP99     float64 `json:"pool_vs_cold_spawn_p99_speedup"` // pool p99 floored at 1 tick
-	}
-	type rpcCurve struct {
-		SerialCallsS      float64 `json:"serial_calls_s"` // seed SerialLink: one server goroutine, whole-link mutex, 4 convoying callers
-		SyncCallsS        float64 `json:"sync_calls_s"`   // async layer driven blocking (Call = CallAsync + Wait)
-		PipelinedCallsS   float64 `json:"pipelined_calls_s"`
-		PipelinedVsSerial float64 `json:"pipelined_vs_serial"`
-		DeepCopyCallsS    float64 `json:"deepcopy_payload_calls_s"` // drag event array copied per call
-		ZeroCopyCallsS    float64 `json:"zerocopy_frozen_calls_s"`  // frozen event shared + pinned per call
-		ZeroCopyVsDeep    float64 `json:"zerocopy_vs_deepcopy"`
-		MeshLegsS         float64 `json:"mesh_legs_s"` // 3 services x 3 frontends fan-out under tenant churn
-		MeshP50Us         float64 `json:"mesh_p50_us"`
-		MeshP99Us         float64 `json:"mesh_p99_us"`
-	}
-	bestInvoke := func(k int) float64 {
-		var bv float64
-		for i := 0; i < 6; i++ {
-			v, err := measureInvokeThroughput(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v > bv {
-				bv = v
-			}
-		}
-		return bv
-	}
-	mkSite := func(name string, k int, before float64) invokeSite {
-		after := bestInvoke(k)
-		return invokeSite{
-			Site:                name,
-			InlineCachedMinstrS: before,
-			VTableMinstrS:       after,
-			SpeedupPercent:      (after/before - 1) * 100,
-		}
-	}
-	bestAlloc := func(shardLocal bool) float64 {
-		var bv float64
-		for i := 0; i < 4; i++ {
-			if v := measureAllocThroughput(shardLocal); v > bv {
-				bv = v
-			}
-		}
-		return bv
-	}
-	bestField := func(disablePrepare bool) float64 {
-		var bv float64
-		for i := 0; i < 6; i++ {
-			v, err := measureFieldThroughput(disablePrepare)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v > bv {
-				bv = v
-			}
-		}
-		return bv
-	}
-	allocBefore, allocAfter := bestAlloc(false), bestAlloc(true)
-	fieldBefore, fieldAfter := bestField(true), bestField(false)
-	bestTier := func(cfg tierBenchConfig) float64 {
-		var bv float64
-		for i := 0; i < 6; i++ {
-			v, err := measureTierThroughput(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v > bv {
-				bv = v
-			}
-		}
-		return bv
-	}
-	tierSeedV := bestTier(tierSeed)
-	tierPrepV := bestTier(tierPrepared)
-	tierClosV := bestTier(tierClosure)
-	measureGCPauses := func() (fullMs, termMs float64) {
-		vmFull, err := gcBenchVM(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		best := func(f func() time.Duration) float64 {
-			bestD := time.Duration(1 << 62)
-			for i := 0; i < 8; i++ {
-				if d := f(); d < bestD {
-					bestD = d
-				}
-			}
-			return float64(bestD) / 1e6
-		}
-		fullMs = best(func() time.Duration {
-			t0 := time.Now()
-			vmFull.CollectGarbage(nil)
-			return time.Since(t0)
-		})
-		vmInc, err := gcBenchVM(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		termMs = best(func() time.Duration {
-			if !vmInc.StartIncrementalCycle() {
-				t.Fatal("cycle did not open")
-			}
-			for !vmInc.GCMarkStep(1024) {
-			}
-			t0 := time.Now()
-			if _, ok := vmInc.FinishIncrementalCycle(); !ok {
-				t.Fatal("no cycle to finish")
-			}
-			return time.Since(t0)
-		})
-		return fullMs, termMs
-	}
-	gcFullMs, gcTermMs := measureGCPauses()
-	if gcTermMs >= gcFullMs {
-		t.Fatalf("incremental terminal pause %.3fms not shorter than full STW %.3fms", gcTermMs, gcFullMs)
-	}
-	bestGCMutator := func(marking bool) float64 {
-		var bv float64
-		for i := 0; i < 4; i++ {
-			v, err := measureGCMutator(marking)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v > bv {
-				bv = v
-			}
-		}
-		return bv
-	}
-	mutIdle, mutMark := bestGCMutator(false), bestGCMutator(true)
-	var internBest float64
-	for i := 0; i < 4; i++ {
-		v, err := measureInternThroughput()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v > internBest {
-			internBest = v
-		}
-	}
-	bestRPC := func(f func() float64) float64 {
-		var bv float64
-		for i := 0; i < 5; i++ {
-			if v := f(); v > bv {
-				bv = v
-			}
-		}
-		return bv
-	}
-	rpcSerial := bestRPC(func() float64 { return measureRPCSerial(t) })
-	rpcSync := bestRPC(func() float64 { return measureRPCAsync(t, false, false, false) })
-	rpcPipe := bestRPC(func() float64 { return measureRPCAsync(t, true, false, false) })
-	rpcDeep := bestRPC(func() float64 { return measureRPCAsync(t, true, true, false) })
-	rpcZero := bestRPC(func() float64 { return measureRPCAsync(t, true, true, true) })
-	meshRes, err := mesh.Run(mesh.Config{
-		Services: 3, Frontends: 3, Requests: 20, QueueDepth: 16, ChurnEvery: 25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rpcPipe < 2*rpcSerial {
-		t.Errorf("pipelined %f calls/s is below 2x serial %f calls/s", rpcPipe, rpcSerial)
-	}
-	serveCold, err := measureServe(workloads.GatewayCold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveClone, err := measureServe(workloads.GatewayClone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveRecycled, err := measureServe(workloads.GatewayRecycled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cloneSpeedup := float64(serveCold.SpawnP99) / float64(serveClone.SpawnP99)
-	if cloneSpeedup < 10 {
-		t.Errorf("clone spawn p99 speedup %.1fx is below the 10x acceptance bar (cold %v, clone %v)",
-			cloneSpeedup, serveCold.SpawnP99, serveClone.SpawnP99)
-	}
-	mkServeConcurrent := func(tenants int) serveConcurrentPoint {
-		cold, err := measureServeConcurrent(tenants, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool, err := measureServeConcurrent(tenants, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		poolP99 := pool.SpawnP99Ticks
-		if poolP99 < 1 {
-			poolP99 = 1
-		}
-		return serveConcurrentPoint{
-			Tenants:           tenants,
-			ColdSpawnP50Ticks: cold.SpawnP50Ticks,
-			ColdSpawnP99Ticks: cold.SpawnP99Ticks,
-			PoolSpawnP50Ticks: pool.SpawnP50Ticks,
-			PoolSpawnP99Ticks: pool.SpawnP99Ticks,
-			ColdServeP99Ticks: cold.ServeP99Ticks,
-			PoolServeP99Ticks: pool.ServeP99Ticks,
-			ColdServesPerSec:  cold.ServesPerSec,
-			PoolServesPerSec:  pool.ServesPerSec,
-			PoolVsColdP99:     float64(cold.SpawnP99Ticks) / float64(poolP99),
-		}
-	}
-	serveConc := []serveConcurrentPoint{mkServeConcurrent(16), mkServeConcurrent(64)}
-	if p := serveConc[len(serveConc)-1]; p.PoolVsColdP99 < 5 {
-		t.Errorf("concurrent pool spawn p99 speedup %.1fx at %d tenants is below the 5x acceptance bar (cold %d ticks, pool %d ticks)",
-			p.PoolVsColdP99, p.Tenants, p.ColdSpawnP99Ticks, p.PoolSpawnP99Ticks)
-	}
-	report := struct {
-		Workload   string                 `json:"workload"`
-		Host       string                 `json:"host"`
-		HostCaveat string                 `json:"host_caveat"`
-		Updated    string                 `json:"updated"`
-		Engines    []engine               `json:"engines"`
-		Invoke     []invokeSite           `json:"invoke_microbench"`
-		Alloc      allocCurve             `json:"alloc_microbench"`
-		Field      fieldCurve             `json:"field_microbench"`
-		Tier       tierCurve              `json:"tier_microbench"`
-		GC         gcCurve                `json:"gc_microbench"`
-		Intern     internCurve            `json:"intern_microbench"`
-		Serve      serveCurve             `json:"serve_microbench"`
-		ServeConc  []serveConcurrentPoint `json:"serve_concurrent"`
-		RPC        rpcCurve               `json:"rpc_microbench"`
-	}{
-		Workload: "BenchmarkScheduler_*: 8 isolates x 200k-iteration spin loops; BenchmarkInvoke_*: one hot invokevirtual site over k receiver classes; " +
-			"BenchmarkAlloc_*: 6 allocator goroutines + 4 metric pollers against one heap (seed global-mutex admission vs per-shard domains); " +
-			"BenchmarkField_*: hot getfield/putfield loop (per-site slot caches vs reference switch); " +
-			"BenchmarkTier_*: hot arithmetic loop across the three ways to execute it (seed switch, quickened table, closure-threaded); " +
-			"BenchmarkGC_*: 20k-object pinned live graph — full-STW pause vs incremental terminal pause, and store-heavy mutator throughput with/without an open mark phase; " +
-			"BenchmarkIntern_*: 8-site Ldc loop on the lock-free interned-string pool; " +
-			"BenchmarkRPC_*: 4 concurrent callers x 200 inter-isolate calls (seed serialized link vs async hub: blocking, pipelined, deep-copy vs zero-copy payloads) plus the 3x3 microservice-mesh fan-out under tenant churn; " +
-			"BenchmarkServe_*: 64 sequential tenant sessions (spawn/serve/kill churn) — cold class-load spawns vs warmed-snapshot CoW clones vs pool-recycled isolate slots; " +
-			"BenchmarkServeConcurrent_*: N closed-loop tenants in flight at once against a live scheduler — cold per-session provisioning vs the bounded pre-warmed clone pool (spawn/serve percentiles in virtual ticks)",
-		Host: fmt.Sprintf("%s/%s, GOMAXPROCS=%d", runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0)),
-		HostCaveat: "1-CPU CI container: concurrent-engine numbers measure scheduler overhead only, and the " +
-			"BenchmarkAlloc_* contended-global convoy is reproduced with GOMAXPROCS=6 OS threads on one core — " +
-			"on real multi-core hosts parallel allocators contend the seed mutex directly, so the shard-local " +
-			"advantage grows with cores; multi-core scaling remains unmeasured (ROADMAP open item). " +
-			"The BenchmarkRPC_* pipelined speedup is likewise purely amortized handoff (batched engine sessions, recycled dispatch threads) — " +
-			"on multi-core hosts copy-in/copy-out additionally overlap engine slices, so the async advantage grows with cores",
-		Updated: time.Now().UTC().Format(time.RFC3339),
-		Engines: []engine{
-			{Engine: "baseline_sequential", BeforeMinstrS: 54, AfterMinstrS: best(core.ModeShared, 0)},
-			{Engine: "ijvm_sequential", BeforeMinstrS: 42, AfterMinstrS: best(core.ModeIsolated, 0)},
-			{Engine: "ijvm_concurrent_4w", BeforeMinstrS: 103, AfterMinstrS: best(core.ModeIsolated, 4)},
-		},
-		Invoke: []invokeSite{
-			mkSite("monomorphic", 1, 112.2),
-			mkSite("polymorphic4", 4, 104.0),
-			mkSite("megamorphic8", 8, 77.4),
-		},
-		Alloc: allocCurve{
-			GlobalLockedMallocsS: allocBefore,
-			ShardLocalMallocsS:   allocAfter,
-			Ratio:                allocAfter / allocBefore,
-		},
-		Field: fieldCurve{
-			PreparedMinstrS:   fieldAfter,
-			UnpreparedMinstrS: fieldBefore,
-			SpeedupPercent:    (fieldAfter/fieldBefore - 1) * 100,
-		},
-		Tier: tierCurve{
-			SeedMinstrS:       tierSeedV,
-			PreparedMinstrS:   tierPrepV,
-			ClosureMinstrS:    tierClosV,
-			ClosureVsPrepared: tierClosV / tierPrepV,
-		},
-		GC: gcCurve{
-			FullSTWPauseMs:        gcFullMs,
-			IncrementalTerminalMs: gcTermMs,
-			PauseRatio:            gcFullMs / gcTermMs,
-			MutatorIdleMinstrS:    mutIdle,
-			MutatorMarkingMinstrS: mutMark,
-			BarrierTaxPercent:     (1 - mutMark/mutIdle) * 100,
-		},
-		Intern: internCurve{LdcHotMinstrS: internBest},
-		Serve: serveCurve{
-			ColdSpawnP50Us:       float64(serveCold.SpawnP50.Nanoseconds()) / 1e3,
-			ColdSpawnP99Us:       float64(serveCold.SpawnP99.Nanoseconds()) / 1e3,
-			CloneSpawnP50Us:      float64(serveClone.SpawnP50.Nanoseconds()) / 1e3,
-			CloneSpawnP99Us:      float64(serveClone.SpawnP99.Nanoseconds()) / 1e3,
-			RecycledSpawnP50Us:   float64(serveRecycled.SpawnP50.Nanoseconds()) / 1e3,
-			RecycledSpawnP99Us:   float64(serveRecycled.SpawnP99.Nanoseconds()) / 1e3,
-			ColdServesPerSec:     serveCold.ServesPerSec,
-			CloneServesPerSec:    serveClone.ServesPerSec,
-			RecycledServesPerSec: serveRecycled.ServesPerSec,
-			RecycledSlots:        serveRecycled.RecycledIDs,
-			CloneVsColdP99:       cloneSpeedup,
-		},
-		ServeConc: serveConc,
-		RPC: rpcCurve{
-			SerialCallsS:      rpcSerial,
-			SyncCallsS:        rpcSync,
-			PipelinedCallsS:   rpcPipe,
-			PipelinedVsSerial: rpcPipe / rpcSerial,
-			DeepCopyCallsS:    rpcDeep,
-			ZeroCopyCallsS:    rpcZero,
-			ZeroCopyVsDeep:    rpcZero / rpcDeep,
-			MeshLegsS:         meshRes.Throughput,
-			MeshP50Us:         float64(meshRes.P50.Nanoseconds()) / 1e3,
-			MeshP99Us:         float64(meshRes.P99.Nanoseconds()) / 1e3,
-		},
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_interp.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_interp.json: %s", data)
-}
-
 // --- Invoke microbenchmarks (virtual dispatch) ----------------------------
 //
 // One hot invokevirtual site dispatching over k receiver classes through
 // the link-time vtables: k=1, 4 and 8 must cost the same, since the
-// handler loads a table slot whatever the site has seen. The "before"
-// column of BENCH_interp.json's invoke_microbench is the inline-cached
-// dispatch this replaced (mono / 4-way poly / megamorphic fallback to
-// name lookup).
-//
-// NOTE: numbers in BENCH_interp.json come from the 1-CPU CI container
-// (GOMAXPROCS=1); like the scheduler benchmarks above, multi-core
-// scaling of the concurrent engine is unmeasured on this host.
+// handler loads a table slot whatever the site has seen (bench/ reports
+// the same three sites as interp.invoke_{mono,poly4,mega8}_ns).
 
 const invokeBenchInner = 10_000
 
@@ -1108,29 +671,6 @@ func BenchmarkInvoke_Monomorphic(b *testing.B)  { benchInvoke(b, 1) }
 func BenchmarkInvoke_Polymorphic4(b *testing.B) { benchInvoke(b, 4) }
 func BenchmarkInvoke_Megamorphic8(b *testing.B) { benchInvoke(b, 8) }
 
-// measureInvokeThroughput runs the invoke workload once and returns its
-// throughput in Minstr/s (used by TestEmitInterpBench).
-func measureInvokeThroughput(k int) (float64, error) {
-	vm, iso, m, err := invokeBenchVM(k)
-	if err != nil {
-		return 0, err
-	}
-	args := []heap.Value{heap.IntVal(invokeBenchInner)}
-	if _, th, err := vm.CallRoot(iso, m, args, 0); err != nil || th.Failure() != nil {
-		return 0, fmt.Errorf("warmup: %v / %v", err, th.FailureString())
-	}
-	const rounds = 40
-	start := vm.TotalInstructions()
-	t0 := time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, th, err := vm.CallRoot(iso, m, args, 0); err != nil || th.Failure() != nil {
-			return 0, fmt.Errorf("run: %v / %v", err, th.FailureString())
-		}
-	}
-	elapsed := time.Since(t0)
-	return float64(vm.TotalInstructions()-start) / 1e6 / elapsed.Seconds(), nil
-}
-
 // --- Allocation microbenchmarks (sharded memory subsystem) ----------------
 //
 // BenchmarkAlloc_* measures the heap admission path itself: N goroutines
@@ -1141,12 +681,9 @@ func measureInvokeThroughput(k int) (float64, error) {
 // shard-local variant gives each goroutine its own allocation domain and
 // a core.ByteBatch, the discipline the execution engines use: admission
 // is one atomic reservation CAS, the object list append and the byte
-// accounting are shard-private.
-//
-// NOTE: numbers in BENCH_interp.json come from the 1-CPU CI container;
-// on multi-core hosts the contended-global mutex additionally serializes
-// truly parallel allocators, so the shard-local advantage grows with
-// cores.
+// accounting are shard-private. On multi-core hosts the contended-global
+// mutex additionally serializes truly parallel allocators, so the
+// shard-local advantage grows with cores.
 
 const allocBenchGoroutines = 6
 
@@ -1322,28 +859,6 @@ func benchAlloc(b *testing.B, shardLocal bool) {
 func BenchmarkAlloc_GlobalLocked(b *testing.B) { benchAlloc(b, false) }
 func BenchmarkAlloc_ShardLocal(b *testing.B)   { benchAlloc(b, true) }
 
-// measureAllocThroughput runs the allocation microbench once outside the
-// testing harness (used by TestEmitInterpBench) and returns Mallocs/s.
-func measureAllocThroughput(shardLocal bool) float64 {
-	c := allocBenchClass()
-	const rounds = 20
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(allocBenchGoroutines))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var elapsed time.Duration
-	for i := 0; i < rounds; i++ {
-		start := time.Now()
-		if err := runAllocBatch(c, shardLocal); err != nil {
-			return 0
-		}
-		elapsed += time.Since(start)
-		if i%8 == 7 {
-			runtime.GC()
-		}
-	}
-	total := float64(rounds) * allocBenchPerG * allocBenchGoroutines
-	return total / elapsed.Seconds() / 1e6
-}
-
 // --- Field-access microbenchmarks (prepared field-slot caches) ------------
 //
 // One hot loop alternating putfield/getfield on a two-field object. The
@@ -1421,29 +936,6 @@ func benchField(b *testing.B, disablePrepare bool) {
 
 func BenchmarkField_GetPut(b *testing.B)            { benchField(b, false) }
 func BenchmarkField_GetPut_Unprepared(b *testing.B) { benchField(b, true) }
-
-// measureFieldThroughput runs the field workload once and returns its
-// throughput in Minstr/s (used by TestEmitInterpBench).
-func measureFieldThroughput(disablePrepare bool) (float64, error) {
-	vm, iso, m, err := fieldBenchVM(disablePrepare)
-	if err != nil {
-		return 0, err
-	}
-	args := []heap.Value{heap.IntVal(int64(fieldBenchInner))}
-	if _, th, err := vm.CallRoot(iso, m, args, 0); err != nil || th.Failure() != nil {
-		return 0, fmt.Errorf("warmup: %v / %v", err, th.FailureString())
-	}
-	const rounds = 40
-	start := vm.TotalInstructions()
-	t0 := time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, th, err := vm.CallRoot(iso, m, args, 0); err != nil || th.Failure() != nil {
-			return 0, fmt.Errorf("run: %v / %v", err, th.FailureString())
-		}
-	}
-	elapsed := time.Since(t0)
-	return float64(vm.TotalInstructions()-start) / 1e6 / elapsed.Seconds(), nil
-}
 
 // --- Tier microbenchmarks (quickened table vs closure tier) ---------------
 //
@@ -1547,29 +1039,6 @@ func BenchmarkTier_Seed(b *testing.B)     { benchTier(b, tierSeed) }
 func BenchmarkTier_Prepared(b *testing.B) { benchTier(b, tierPrepared) }
 func BenchmarkTier_Closure(b *testing.B)  { benchTier(b, tierClosure) }
 
-// measureTierThroughput runs the tier workload once and returns its
-// throughput in Minstr/s (used by TestEmitInterpBench).
-func measureTierThroughput(cfg tierBenchConfig) (float64, error) {
-	vm, iso, m, err := tierBenchVM(cfg)
-	if err != nil {
-		return 0, err
-	}
-	args := []heap.Value{heap.IntVal(int64(tierBenchInner))}
-	if _, th, err := vm.CallRoot(iso, m, args, 0); err != nil || th.Failure() != nil {
-		return 0, fmt.Errorf("warmup: %v / %v", err, th.FailureString())
-	}
-	const rounds = 40
-	start := vm.TotalInstructions()
-	t0 := time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, th, err := vm.CallRoot(iso, m, args, 0); err != nil || th.Failure() != nil {
-			return 0, fmt.Errorf("run: %v / %v", err, th.FailureString())
-		}
-	}
-	elapsed := time.Since(t0)
-	return float64(vm.TotalInstructions()-start) / 1e6 / elapsed.Seconds(), nil
-}
-
 func BenchmarkScheduler_Shared_Sequential(b *testing.B) {
 	benchSchedulerRun(b, core.ModeShared, 0)
 }
@@ -1609,11 +1078,10 @@ const gcBenchObjects = 20_000
 
 // gcBenchVM builds an Isolated VM holding a pinned live graph, with
 // background cycles disabled so the benchmark drives phases explicitly.
-func gcBenchVM(forceSTW bool) (*interp.VM, error) {
+func gcBenchVM() (*interp.VM, error) {
 	vm := interp.NewVM(interp.Options{
 		Mode:               core.ModeIsolated,
 		HeapLimit:          64 << 20,
-		ForceSTWGC:         forceSTW,
 		GCThresholdPercent: -1,
 	})
 	if err := syslib.Install(vm); err != nil {
@@ -1643,7 +1111,7 @@ func gcBenchVM(forceSTW bool) (*interp.VM, error) {
 }
 
 func BenchmarkGC_FullSTWPause(b *testing.B) {
-	vm, err := gcBenchVM(true)
+	vm, err := gcBenchVM()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1655,7 +1123,7 @@ func BenchmarkGC_FullSTWPause(b *testing.B) {
 }
 
 func BenchmarkGC_IncrementalTerminalPause(b *testing.B) {
-	vm, err := gcBenchVM(false)
+	vm, err := gcBenchVM()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -2112,120 +1580,6 @@ func BenchmarkRPC_ZeroCopyFrozen(b *testing.B) {
 	benchRPCPipelinedWithArgs(b, rpc.LinkOptions{QueueDepth: 64}, true)
 }
 
-// --- RPC measurement helpers for the JSON emitter -----------------------
-
-// rpcMeasureRounds is how many timed rounds the JSON emitter's RPC
-// measurements run against one long-lived VM (after one warmup round).
-// Sustained rounds matter: per-call deep copies accumulate garbage, and
-// a single fresh-heap round would never charge them their GC bill.
-const rpcMeasureRounds = 8
-
-// measureRPCSerial times the seed SerialLink shape (4 convoying
-// callers) and returns sustained calls/s.
-func measureRPCSerial(t testing.TB) float64 {
-	vm, caller, callee, recv, _ := table1RPCEnv(t)
-	m := rpcBenchMethod(t, callee, "fstatic", "(I)I")
-	link := rpc.NewSerialLink(vm, caller, callee, m, recv)
-	defer link.Close()
-	round := func() {
-		var wg sync.WaitGroup
-		for g := 0; g < rpcBenchCallers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for c := 0; c < rpcBenchCalls/rpcBenchCallers; c++ {
-					if _, err := link.Call([]heap.Value{heap.IntVal(int64(c))}); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	round() // warmup: method preparation, class init
-	t0 := time.Now()
-	for r := 0; r < rpcMeasureRounds; r++ {
-		round()
-	}
-	return rpcMeasureRounds * rpcBenchCalls / time.Since(t0).Seconds()
-}
-
-// measureRPCAsync times the hub-backed link; pipelined selects windowed
-// CallAsync (blocking Call otherwise), frozenPayload selects the
-// zero-copy drag-event shape (payload != nil selects drag at all).
-func measureRPCAsync(t testing.TB, pipelined, payload, frozen bool) float64 {
-	method, desc := "fstatic", "(I)I"
-	if payload {
-		method, desc = "drag", "(Ljava/lang/Object;)I"
-	}
-	opts := rpc.LinkOptions{QueueDepth: 64, ZeroCopy: frozen}
-	hub, link := rpcBenchLink(t, opts, method, desc)
-	defer hub.Close()
-	defer link.Close()
-	args := []heap.Value{heap.IntVal(0)}
-	if payload {
-		ev := dragEvent(t, hub.VM(), link.Caller())
-		if frozen {
-			if err := heap.Freeze(ev.R); err != nil {
-				t.Fatal(err)
-			}
-		}
-		args = []heap.Value{ev}
-	}
-	round := func() {
-		var wg sync.WaitGroup
-		for g := 0; g < rpcBenchCallers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				callArgs := args
-				if !payload {
-					callArgs = []heap.Value{heap.IntVal(int64(g))}
-				}
-				if !pipelined {
-					for c := 0; c < rpcBenchCalls/rpcBenchCallers; c++ {
-						if _, err := link.Call(callArgs); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-					return
-				}
-				futs := make([]*rpc.Future, 0, rpcBenchCalls/rpcBenchCallers)
-				for c := 0; c < rpcBenchCalls/rpcBenchCallers; c++ {
-					fut, err := link.CallAsync(callArgs)
-					if err == rpc.ErrSaturated {
-						if _, err := link.Call(callArgs); err != nil {
-							t.Error(err)
-							return
-						}
-						continue
-					}
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					futs = append(futs, fut)
-				}
-				for _, fut := range futs {
-					if _, err := fut.Wait(); err != nil {
-						t.Error(err)
-					}
-					fut.Release()
-				}
-			}(g)
-		}
-		wg.Wait()
-	}
-	round() // warmup: method preparation, class init
-	t0 := time.Now()
-	for r := 0; r < rpcMeasureRounds; r++ {
-		round()
-	}
-	return rpcMeasureRounds * rpcBenchCalls / time.Since(t0).Seconds()
-}
-
 // BenchmarkRPC_Mesh runs the microservice-mesh scenario once per op:
 // fan-out over the service registry, aggregation, tenant churn.
 func BenchmarkRPC_Mesh(b *testing.B) {
@@ -2331,41 +1685,3 @@ func benchServeConcurrent(b *testing.B, usePool bool) {
 
 func BenchmarkServeConcurrent_ColdSpawn(b *testing.B) { benchServeConcurrent(b, false) }
 func BenchmarkServeConcurrent_PoolSpawn(b *testing.B) { benchServeConcurrent(b, true) }
-
-// measureServe runs the gateway serving workload at the benchtable size
-// and keeps the run with the best spawn p99 (used by TestEmitInterpBench).
-func measureServe(mode workloads.GatewayMode) (workloads.GatewayResult, error) {
-	var best workloads.GatewayResult
-	for i := 0; i < 3; i++ {
-		res, err := workloads.RunGateway(workloads.GatewayConfig{
-			Mode: mode, Sessions: 64, Requests: 16, HeapLimit: 64 << 20,
-		})
-		if err != nil {
-			return best, err
-		}
-		if i == 0 || res.SpawnP99 < best.SpawnP99 {
-			best = res
-		}
-	}
-	return best, nil
-}
-
-// measureServeConcurrent runs the concurrent gateway at the benchtable
-// size and keeps the run with the best spawn p99 in virtual ticks
-// (used by TestEmitInterpBench for the serve_concurrent curve).
-func measureServeConcurrent(tenants int, usePool bool) (workloads.GatewayConcurrentResult, error) {
-	var best workloads.GatewayConcurrentResult
-	for i := 0; i < 3; i++ {
-		res, err := workloads.RunGatewayConcurrent(workloads.GatewayConcurrentConfig{
-			Tenants: tenants, Requests: 8, HeapLimit: 128 << 20,
-			UsePool: usePool, PoolCapacity: tenants,
-		})
-		if err != nil {
-			return best, err
-		}
-		if i == 0 || res.SpawnP99Ticks < best.SpawnP99Ticks {
-			best = res
-		}
-	}
-	return best, nil
-}

@@ -10,7 +10,7 @@ import "sync/atomic"
 // no pool-entry indirection and no pointer chase.
 //
 // The cache lives in the prepared form — not the pool entry — so a
-// re-quickening (mode flip, poisoned clone) starts cold.
+// re-prepared body (a poisoned clone) starts cold.
 type FieldSlot struct {
 	slot atomic.Int32
 }

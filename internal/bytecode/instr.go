@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Instr is one decoded instruction. Operands are pre-decoded so the
@@ -68,8 +69,10 @@ type Code struct {
 	MaxStack  int
 
 	// prepared caches the quickened form (see prepared.go); nil until the
-	// interpreter's preparation pass first runs the method.
-	prepared preparedCache
+	// interpreter's preparation pass first runs the method. Clone
+	// intentionally does not copy it: a cloned (e.g. poisoned) body must
+	// be re-prepared.
+	prepared atomic.Pointer[PCode]
 }
 
 // Clone returns a deep copy of the code, so callers can mutate (e.g. poison

@@ -1,10 +1,8 @@
 package bytecode
 
-import "sync/atomic"
-
 // PInstr is one prepared ("quickened") instruction. The interpreter's
-// code-preparation pass runs once per method and isolation mode on first
-// invocation and rewrites the decoded Instr stream into this form:
+// code-preparation pass runs once per method on first invocation and
+// rewrites the decoded Instr stream into this form:
 //
 //   - H is the dispatch handler index into the interpreter's flat handler
 //     table, replacing the opcode switch. It is always the instruction's
@@ -55,39 +53,25 @@ type PCode struct {
 
 	// Tier is the closure-threaded hot-tier promotion state (heat counter
 	// and the CAS-published closure program). It rides on the prepared
-	// form so a re-quickening (mode flip, poisoned clone) starts cold.
+	// form so a re-prepared body (a poisoned clone) starts cold.
 	Tier TierState
 }
 
-// Prepared-form mode indexes. A method body carries one independent
-// quickening per isolation mode: the Shared and Isolated interpreters
-// dispatch through mode-specialized handler tables, and each mode's
-// field-slot caches and tier state warm against its own execution history
-// (a Code shared by a baseline VM and an I-JVM VM must not share them).
-const (
-	PModeShared = iota
-	PModeIsolated
-	NumPModes
-)
+// Prepared returns the cached prepared form, or nil before the first
+// preparation. A non-nil result with an empty Instrs slice is the
+// preparer's "unpreparable" sentinel: the method permanently executes
+// through the reference switch interpreter. A Code has one form because
+// its class links into one registry, hence one VM, and a VM's isolation
+// mode — which selects the handler table the form runs on — is fixed at
+// construction.
+func (c *Code) Prepared() *PCode { return c.prepared.Load() }
 
-// Prepared returns the cached prepared form for one mode index, or nil
-// before the first preparation. A non-nil result with an empty Instrs
-// slice is the preparer's "unpreparable" sentinel: the method
-// permanently executes through the reference switch interpreter.
-func (c *Code) Prepared(mode int) *PCode { return c.prepared[mode].Load() }
-
-// StorePrepared publishes p as the code's prepared form for one mode
-// index. Preparation is deterministic, so when two scheduler workers
-// race the first publisher wins and both use the winning form, which is
-// returned.
-func (c *Code) StorePrepared(mode int, p *PCode) *PCode {
-	if c.prepared[mode].CompareAndSwap(nil, p) {
+// StorePrepared publishes p as the code's prepared form. Preparation is
+// deterministic, so when two scheduler workers race the first publisher
+// wins and both use the winning form, which is returned.
+func (c *Code) StorePrepared(p *PCode) *PCode {
+	if c.prepared.CompareAndSwap(nil, p) {
 		return p
 	}
-	return c.prepared[mode].Load()
+	return c.prepared.Load()
 }
-
-// preparedCache is the per-Code cache slot array for the quickened
-// forms, one per isolation mode. Clone intentionally does not copy it:
-// a cloned (e.g. poisoned) body must be re-prepared.
-type preparedCache = [NumPModes]atomic.Pointer[PCode]

@@ -44,7 +44,7 @@ type AccountCounters struct {
 	// the cycle — §4.4 experiment 2 pins this). Mark strides and
 	// terminal phases of an already-open cycle charge nothing, so the
 	// counter stays comparable between the incremental and the
-	// forced-STW collector: one activation per collection the isolate
+	// reference collector: one activation per collection the isolate
 	// forced (attack A4 detection).
 	GCActivations atomic.Int64
 	// IOBytesRead and IOBytesWritten count connection I/O performed while

@@ -64,10 +64,9 @@ type mirrorTable struct {
 // the loader-ID index are read lock-free through atomic pointers. Mirror
 // *contents* are shard-local (see the package comment) and unguarded.
 type World struct {
-	// mode is atomic: the interpreter reads it on hot paths from every
-	// scheduler worker, and SetMode may flip it (inside a stop-the-world
-	// section) after construction.
-	mode     atomic.Uint32
+	// mode is fixed at construction: a VM is a baseline JVM or an I-JVM for
+	// its whole life, so every goroutine reads it without synchronization.
+	mode     Mode
 	registry *loader.Registry
 
 	mu       sync.RWMutex
@@ -92,38 +91,16 @@ type World struct {
 
 // NewWorld creates the isolate world for one VM.
 func NewWorld(mode Mode, registry *loader.Registry) *World {
-	w := &World{registry: registry}
-	w.mode.Store(uint32(mode))
+	w := &World{mode: mode, registry: registry}
 	w.mirrors.Store(&mirrorTable{})
 	return w
 }
 
 // Mode returns the isolation mode.
-func (w *World) Mode() Mode { return Mode(w.mode.Load()) }
+func (w *World) Mode() Mode { return w.mode }
 
 // Isolated reports whether I-JVM mechanisms are active.
-func (w *World) Isolated() bool { return Mode(w.mode.Load()) == ModeIsolated }
-
-// SetMode flips the isolation mode at runtime. The caller (the
-// interpreter's VM.SetIsolationMode) must hold the world stopped: every
-// mode-derived cache — mode-specialized quickenings, frames' prepared
-// bodies, the Shared-mode ResolvedMirror pool caches — is re-derived
-// under the same stopped-world section. Isolated -> Shared is only legal
-// while at most one isolate exists (Shared mode has no isolation to
-// attribute a second isolate to); mirrors survive the flip because
-// isolate 0 indexes mirror slot 0 in both modes.
-func (w *World) SetMode(mode Mode) error {
-	if mode != ModeShared && mode != ModeIsolated {
-		return fmt.Errorf("core: invalid mode %d", mode)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if mode == ModeShared && len(w.isolates) > 1 {
-		return fmt.Errorf("core: cannot enter shared mode with %d isolates", len(w.isolates))
-	}
-	w.mode.Store(uint32(mode))
-	return nil
-}
+func (w *World) Isolated() bool { return w.mode == ModeIsolated }
 
 // NewIsolate creates an isolate for a class loader. The first isolate
 // created becomes Isolate0 with all rights (paper §3.1); in Shared mode

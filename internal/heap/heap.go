@@ -160,7 +160,7 @@ func New(limit int64) *Heap {
 }
 
 // SetAllocTracking toggles the per-isolate allocation counters (disabled
-// by the baseline VM; flipped at a safepoint by SetIsolationMode).
+// by the baseline VM at construction).
 func (h *Heap) SetAllocTracking(on bool) { h.trackAlloc.Store(on) }
 
 // TrackAlloc reports whether per-isolate allocation counters are

@@ -19,11 +19,11 @@ import (
 // # Ownership
 //
 // An allocState is single-goroutine state with the same contract as
-// core.InstrBatch: the sequential engine owns one (vm.seqAlloc, used by
-// runQuantum), each concurrent worker owns one (carried in its
-// SampleState and recycled through vm's free list across runs), and the
-// engine installs it on the executing thread (t.alloc) only for the
-// duration of a quantum. Code running on the executing goroutine —
+// core.InstrBatch: every engine driver owns one, carried in its
+// SampleState (the sequential engine's is VM.seq's, kept for the VM's
+// life; a concurrent worker's is recycled through vm's free list across
+// runs), and the quantum routine installs it on the executing thread
+// (t.alloc) only for the duration of a quantum. Code running on the executing goroutine —
 // prepared handlers, the reference switch path, natives, vm.Throw —
 // allocates through it; everything else (host-side setup, RPC copies,
 // wake-side throwable allocation such as InterruptThread, tests) passes
@@ -36,7 +36,7 @@ import (
 // Byte accounts share InstrBatch's exactness contract: batches flush
 // when the charged isolate changes, at every quantum boundary (workers
 // flush before parking for a stop-the-world), at sequential safepoints
-// (flushSequential), and before any allocation-pressure collection —
+// (flushQuantum), and before any allocation-pressure collection —
 // so the STW accounting GC, kills and precise accounting always observe
 // exact per-isolate totals, while mid-quantum host-side snapshot reads
 // may trail by at most one quantum (exactly like instruction counts).

@@ -21,9 +21,8 @@ import (
 // provisioned by snapshot cloning is byte-identical to a tenant that
 // cold-started through the same warm-up: same session results, same
 // absolute resource account, same creator-charged allocation statistics,
-// and the same post-GC reachability fingerprint — across the three
-// collector configurations {forced-STW, incremental-pressure,
-// incremental-paced} and both modes (Isolated via CloneIsolate, Shared
+// and the same post-GC reachability fingerprint — across the two
+// collector configurations {exact, incremental-paced} and both modes (Isolated via CloneIsolate, Shared
 // via RestoreInPlace). The generator avoids finalizers and identity
 // hashes, which the snapshot contract excludes from warm state.
 
@@ -174,12 +173,11 @@ func cloneOracleClasses(p cloneProgram) []*classfile.Class {
 
 func cloneOracleVM(gc oracleGC, mode core.Mode) *interp.VM {
 	// Generous heap: no pressure collections in any configuration, so the
-	// three collector configs must agree on EVERYTHING (no masking).
-	forceSTW, pct, stride := gc.options()
+	// two collector configs must agree on EVERYTHING (no masking).
+	pct, stride := gc.options()
 	vm := interp.NewVM(interp.Options{
 		Mode:               mode,
 		HeapLimit:          4 << 20,
-		ForceSTWGC:         forceSTW,
 		GCThresholdPercent: pct,
 		GCMarkStride:       stride,
 	})
@@ -350,7 +348,7 @@ func runSharedRestoreLeg(t *testing.T, p cloneProgram, gc oracleGC) {
 
 // TestClonedVsColdOracle replays generated statics-rich programs and
 // demands clone/restore provisioning be indistinguishable from a cold
-// start, across the three collector configurations — which must also
+// start, across the two collector configurations — which must also
 // agree with each other, since the generous heap leaves no pressure
 // collections to reschedule.
 func TestClonedVsColdOracle(t *testing.T) {
@@ -358,7 +356,7 @@ func TestClonedVsColdOracle(t *testing.T) {
 	if testing.Short() {
 		n = 8
 	}
-	gcs := []oracleGC{gcForcedSTW, gcIncPressure, gcIncPaced}
+	gcs := []oracleGC{gcExact, gcIncPaced}
 	for i := 0; i < n; i++ {
 		seed := int64(i)*7919 + 17
 		p := genCloneProgram(seed)
@@ -373,7 +371,7 @@ func TestClonedVsColdOracle(t *testing.T) {
 			if gi == 0 {
 				ref = coldTr
 			} else if d := ref.diff(coldTr); d != "" {
-				t.Fatalf("program %d (seed %d): gc config %d diverges from forced-STW: %s",
+				t.Fatalf("program %d (seed %d): gc config %d diverges from the exact reference: %s",
 					i, seed, gc, d)
 			}
 			runSharedRestoreLeg(t, p, gc)

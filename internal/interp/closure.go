@@ -55,7 +55,7 @@ import (
 //     has retired maxStepSubs instructions;
 //   - a block reserves its sub-instruction width against the quantum
 //     before it runs, and the step charges everything it retired through
-//     the engine loop's own accounting sequence in one batched,
+//     the quantum routine's own accounting sequence in one batched,
 //     arithmetically identical call at its single exit (tier.go
 //     chargeSubs), so quantum boundaries, per-isolate accounts, GC mark
 //     strides, interrupt/kill polls and STW parking all land at
@@ -65,11 +65,10 @@ import (
 // entered at a follower pc compiles from there, and every table fallback
 // executes one original instruction.
 //
-// Deopt: SetIsolationMode re-quickens live frames and drops their adopted
-// program (requicken.go); the mode's own prepared form re-promotes
-// independently. Exceptions and unresolved sites deopt per-step via the
-// bail path with no state to unwind. Kill and interrupts act at step
-// boundaries exactly as before.
+// Deopt: a frame never drops an adopted program (a VM's mode, hence its
+// handler table, is fixed at construction). Exceptions and unresolved
+// sites deopt per-step via the bail path with no state to unwind. Kill
+// and interrupts act at step boundaries exactly as before.
 //
 // Programs are immutable after publication (CAS in bytecode.TierState),
 // so concurrent adoption needs no locks.
@@ -130,9 +129,9 @@ const (
 	// single-steps the whole block until the next quantum).
 	maxClosureBlock = 24
 	// maxStepSubs bounds the instructions one engine step retires across a
-	// chain of blocks. The engine loops poll stop-the-world, kill, shutdown
-	// and target completion between steps, so this — not Options.Quantum —
-	// bounds their latency.
+	// chain of blocks. The quantum routine polls stop-the-world, kill,
+	// shutdown and target completion between steps, so this — not
+	// Options.Quantum — bounds their latency.
 	maxStepSubs = 256
 )
 
@@ -176,11 +175,11 @@ run:
 	transferred:
 		b = f.hot.blocks[f.pc]
 		if b == nil || n+b.width >= room {
-			q.chargeSubs(t, n-1)
+			q.chargeSubs(vm, t, n-1)
 			return nil
 		}
 	}
-	q.chargeSubs(t, n)
+	q.chargeSubs(vm, t, n)
 	in := &f.pcode.Instrs[f.pc]
 	return vm.ptable[in.H](vm, t, f, in)
 }
@@ -407,7 +406,7 @@ func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32) (*closu
 	for ok := true; ok && cur < n && cur-pc < maxClosureBlock; {
 		switch in := code.Instrs[cur]; {
 		case in.Op == bytecode.OpGoto:
-			// Inline final, covered by the engine loop's post-step charge.
+			// Inline final, covered by the quantum routine's post-step charge.
 			bb.flush(0)
 			tgt := in.A
 			b.last = func(vm *VM, t *Thread, f *Frame) microStatus {
@@ -685,12 +684,14 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			return microNext
 		}, pc, pc)
 	case bytecode.OpGetField:
-		// Guarded: unresolved slot or null receiver bails (the table
-		// handler resolves or throws with the identical message).
+		// Guarded: an unresolved slot (negative, so out of range as an
+		// unsigned index), a null receiver or a receiver without the slot
+		// bails (the table handler resolves or throws with the identical
+		// message).
 		bd, fs := bb.produce(1, pc), in.FS
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
-			slot, recv := fs.Get(), bd.ops[0].at(f).R
-			if slot < 0 || recv == nil {
+			slot, recv := int(fs.Get()), bd.ops[0].at(f).R
+			if recv == nil || uint(slot) >= uint(len(recv.Elems)) {
 				return bail(f, bd.ops[0])
 			}
 			f.result(bd.ns, bd.d, recv.Elems[slot])
@@ -699,8 +700,8 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 	case bytecode.OpPutField:
 		bd, fs := bb.bind(2, pc), in.FS
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
-			slot, recv, v := fs.Get(), bd.ops[0].at(f).R, *bd.ops[1].at(f)
-			if slot < 0 || recv == nil {
+			slot, recv, v := int(fs.Get()), bd.ops[0].at(f).R, *bd.ops[1].at(f)
+			if recv == nil || uint(slot) >= uint(len(recv.Elems)) {
 				return bail(f, bd.ops[0], bd.ops[1])
 			}
 			f.drop(bd.ns)

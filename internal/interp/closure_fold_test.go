@@ -22,14 +22,13 @@ import (
 // every method of syslib, the shipped example programs and the SPEC
 // workloads, in both isolation modes, each PInstr's handler index is its
 // instruction's opcode (nothing rewrites heads), and a Code caches one
-// prepared form per mode and nothing else.
+// prepared form and nothing else.
 func TestPreparedFormIsPureQuickening(t *testing.T) {
 	programs, err := filepath.Glob("../../examples/programs/*.jasm")
 	if err != nil || len(programs) == 0 {
 		t.Fatalf("example programs: %v (%d found)", err, len(programs))
 	}
 	for _, mode := range []core.Mode{core.ModeShared, core.ModeIsolated} {
-		pm := pmodeOf(mode)
 		// One VM per class set: the example programs and SPEC workloads
 		// reuse class names.
 		var sets [][]*classfile.Class
@@ -63,15 +62,15 @@ func TestPreparedFormIsPureQuickening(t *testing.T) {
 					if m.Code == nil {
 						continue // native or abstract
 					}
-					if n := reflect.ValueOf(m.Code).Elem().FieldByName("prepared").Len(); n != bytecode.NumPModes {
-						t.Fatalf("%s: Code caches %d prepared forms, want %d", m.QualifiedName(), n, bytecode.NumPModes)
+					if k := reflect.ValueOf(m.Code).Elem().FieldByName("prepared").Kind(); k != reflect.Struct {
+						t.Fatalf("%s: Code's prepared cache is a %v, want one atomic pointer", m.QualifiedName(), k)
 					}
 					p := vm.PreparedCodeForTest(m)
 					if p == nil {
 						continue // unpreparable: runs on the reference switch
 					}
-					if m.Code.Prepared(pm) != p {
-						t.Fatalf("%s: prepared form not cached under mode index %d", m.QualifiedName(), pm)
+					if m.Code.Prepared() != p {
+						t.Fatalf("%s: prepared form not cached on its Code", m.QualifiedName())
 					}
 					for pc := range p.Instrs {
 						if p.Instrs[pc].H != uint8(m.Code.Instrs[pc].Op) {
@@ -428,18 +427,11 @@ func compareToSeed(t *testing.T, span int, classes func() []*classfile.Class, cl
 				t.Fatalf("%s: results %v (closure) != %v (seed)", name, gotRes, wantRes)
 			}
 			assertTraceEqual(t, name, got, want)
-			if folded, _, ok := interp.ClosureShapeForTest(m.Code.Prepared(pmodeOf(leg.mode))); !ok || folded < 1 {
+			if folded, _, ok := interp.ClosureShapeForTest(m.Code.Prepared()); !ok || folded < 1 {
 				t.Fatalf("%s: closure program (promoted: %v) holds %d micros covering more than one instruction", name, ok, folded)
 			}
 		}
 	}
-}
-
-func pmodeOf(mode core.Mode) int {
-	if mode == core.ModeIsolated {
-		return bytecode.PModeIsolated
-	}
-	return bytecode.PModeShared
 }
 
 // TestClosureFoldShapes runs every fold shape on the closure tier —

@@ -81,21 +81,21 @@ func (vm *VM) SchedulerAttached() bool {
 
 // withWorldStopped runs fn with every concurrent worker parked; in
 // sequential runs it is a direct call on the run-loop goroutine, with
-// the loop's pending batched charges flushed first so the stopped-world
-// observer sees exact counters (the sequential safepoint).
+// what the running quantum still holds batched flushed first so the
+// stopped-world observer sees exact counters (the sequential safepoint).
 func (vm *VM) withWorldStopped(fn func()) {
 	if b := vm.safe.Load(); b != nil {
 		b.s.StopTheWorld(func() { vm.stoppedSection(fn) })
 		return
 	}
-	vm.flushSequential()
+	vm.flushQuantum(&vm.seq)
 	vm.stoppedSection(fn)
 	// fn may have armed or disarmed the incremental collector's write
 	// barrier (cycle open/terminate). A mid-quantum sequential safepoint
 	// resumes stepping without passing a quantum start, so the cached
 	// per-quantum flag must be refreshed here (see allocState.barrierOn).
-	if vm.seqAlloc != nil {
-		vm.seqAlloc.barrierOn = vm.heap.BarrierActive()
+	if a := vm.seq.alloc; a != nil {
+		a.barrierOn = vm.heap.BarrierActive()
 	}
 }
 
@@ -133,7 +133,7 @@ func (vm *VM) stoppedSection(fn func()) {
 type StopStats struct {
 	// Stops counts outermost stopped sections (collections, incremental
 	// cycle starts and finishes, kills, snapshot captures, FreeIsolate
-	// scans, mode flips).
+	// scans).
 	Stops int64
 	// TotalNs and MaxNs are the wall time spent inside them, workers
 	// parked: the critical sections only, not the wait for the workers to
@@ -221,19 +221,20 @@ func (vm *VM) WakeDeadline(t *Thread) (int64, bool) {
 	return 0, false
 }
 
-// SampleState carries one worker's per-goroutine execution state across
-// quanta: the CPU-sampling countdown (giving each worker the sequential
-// engine's sampling cadence), the storage of the running quantum's
-// accountant and call-path batch (the batch is flushed, hence empty, when
-// a quantum ends; Thread.qa points at qa only while one runs), and the
-// worker's allocation state (its shard-local heap allocation domain plus
-// the batched per-isolate byte accounting), lazily acquired from the VM's
-// pool on first use. Workers must hand the allocation state back with
-// ReleaseWorkerState when they exit so later runs reuse domains instead of
-// growing the heap's registry. A SampleState serves one quantum at a time.
+// SampleState is the state one engine driver — a scheduler worker, or the
+// sequential run loop (VM.seq) — carries across the quanta it runs: the
+// running quantum's accountant, the CPU-sampling countdown (every driver
+// samples at the same cadence), the call-path batch (flushed, hence
+// empty, when a quantum ends), and the allocation state (a shard-local
+// heap allocation domain plus the batched per-isolate byte accounting),
+// lazily acquired from the VM's pool on first use. Workers must hand the
+// allocation state back with ReleaseWorkerState when they exit so later
+// runs reuse domains instead of growing the heap's registry; the
+// sequential loop keeps its own for the VM's life. Thread.qa points at a
+// SampleState only while it runs a quantum, and it runs one at a time.
 type SampleState struct {
+	quantumAcct
 	count int
-	qa    quantumAcct
 	batch core.InstrBatch
 	alloc *allocState
 }
@@ -267,62 +268,56 @@ type QuantumResult struct {
 }
 
 // RunThreadQuantum executes up to budget instructions of t on the
-// calling scheduler worker, stopping early when the thread parks,
-// finishes, migrates off the home isolate, the stop flag rises, the
-// platform shuts down, or the (optional) target thread finishes.
+// calling goroutine, stopping early when the thread parks or finishes, the
+// platform shuts down, the (optional) target thread finishes, the
+// (optional) stop flag rises, or the thread migrates off the (optional)
+// home isolate. It is the one routine that steps a thread through a
+// quantum: scheduler workers call it with their stop flag and the shard's
+// isolate, the sequential run loop with neither and VM.seq.
 //
-// Accounting matches the sequential engine: every instruction is charged
-// to the isolate that is current after the step (so a migrating call is
-// charged to the callee's isolate), and the virtual clock advances by
-// one per instruction — but per-isolate charges go through the shared
-// core.InstrBatch and clock and instruction totals are flushed in one
-// batch at quantum end, keeping hot-path atomics off the shared cache
-// lines. The sequential engine batches identically (see runQuantum).
+// Every instruction is charged to the isolate that is current after the
+// step (so a migrating call is charged to the callee's isolate) and the
+// virtual clock advances by one per instruction, but the hot path
+// performs no atomic operation: per-isolate charges go through s.batch
+// (which flushes when the charged isolate changes), the clock and the
+// instruction total are the plain step count, and flushQuantum publishes
+// all of it when the quantum ends — or earlier, at a sequential safepoint.
 func (vm *VM) RunThreadQuantum(t *Thread, home *core.Isolate, budget int64, stop *atomic.Bool, s *SampleState, target *Thread) QuantumResult {
 	var res QuantumResult
-	batch := &s.batch
 	if s.alloc == nil {
 		s.alloc = vm.acquireAllocState()
 	}
 	// Quantum-start refresh of the cached write-barrier flag: the barrier
-	// is only armed inside a stop-the-world, which this worker's quantum
-	// ends for, so a per-quantum refresh keeps reference-store fast paths
-	// off the atomic (see allocState.barrierOn).
+	// is only armed inside a stop-the-world, which a worker's quantum ends
+	// for and which the sequential engine refreshes after, so a
+	// per-quantum refresh keeps reference-store fast paths off the atomic
+	// (see allocState.barrierOn).
 	s.alloc.barrierOn = vm.heap.BarrierActive()
-	// Install the worker's allocation state on the thread for this
-	// quantum; it is removed (and its byte batch flushed) before the
-	// worker parks, so stop-the-world observers see exact accounts. The
-	// quantum accountant (qa) lets closure blocks charge their extra
-	// covered instructions with the exact per-instruction semantics of
-	// the loop below (see quantumAcct).
-	t.alloc = s.alloc
-	qa := &s.qa
-	*qa = quantumAcct{vm: vm, batch: batch, sampleCount: &s.count, limit: budget}
-	t.qa = qa
-	for qa.steps < budget && t.State() == StateRunnable {
+	// Install the driver's state on the thread for this quantum:
+	// allocation inside the steps below goes through its shard-local
+	// domain with batched byte accounting, and closure blocks charge the
+	// instructions they inline through the accountant with the exact
+	// per-instruction semantics of the loop below (see quantumAcct). Both
+	// are removed, and everything batched flushed, before the driver can
+	// park, so stop-the-world observers see exact accounts.
+	isolated := vm.world.Isolated()
+	s.quantumAcct = quantumAcct{limit: budget, isolated: isolated}
+	t.alloc, t.qa = s.alloc, s
+	for s.steps < budget && t.State() == StateRunnable {
 		if stop != nil && stop.Load() {
 			res.Stopped = true
 			break
 		}
-		// Pre-read the mode for the step's closure-block sub-charges: the
-		// global mode cannot flip while this worker is mid-step (flips
-		// stop the world at step boundaries) except by the step's own
-		// guest/native code, whose trailing instructions the re-read
-		// below charges under the new mode.
-		qa.isolated = vm.world.Isolated()
 		err := vm.stepThread(t)
-		qa.steps++
+		s.steps++
 		cur := t.cur
-		// The mode is re-read per step (one more uncontended atomic load
-		// beside the stop flag above) so a worker whose own guest/native
-		// code called SetIsolationMode charges the rest of its quantum
-		// under the new mode; other workers' quanta break at the flip's
-		// stop-the-world safepoint and re-enter here fresh.
-		if vm.world.Isolated() {
-			batch.Note(cur.Account())
+		if isolated {
+			s.batch.Note(cur.Account())
 			s.count++
 			if s.count >= vm.opts.SampleEvery {
 				s.count = 0
+				// The paper's CPU accounting: sample the isolate
+				// reference of the running thread (§3.2).
 				cur.Account().CPUSamples.Add(1)
 			}
 		}
@@ -340,19 +335,35 @@ func (vm *VM) RunThreadQuantum(t *Thread, home *core.Isolate, budget int64, stop
 			res.TargetDone = true
 			break
 		}
-		if cur != home {
+		if home != nil && cur != home {
 			res.Migrated = true
 			break
 		}
 	}
-	res.Instructions = qa.steps
-	t.alloc = nil
-	t.qa = nil
-	batch.Flush()
-	s.alloc.batch.Flush()
-	s.alloc.flushSATB(vm.heap)
-	vm.clock.Add(res.Instructions)
-	vm.totalInstrs.Add(res.Instructions)
+	res.Instructions = s.steps
+	t.alloc, t.qa = nil, nil
+	vm.flushQuantum(s)
 	vm.noteQuantumHeat(t, res.Instructions)
 	return res
+}
+
+// flushQuantum publishes everything s holds batched: the clock ticks and
+// the instruction total of the steps not yet published, the per-isolate
+// instruction and call counts, the byte accounts and the SATB buffer. It
+// runs when a quantum ends, on both engines, and at the sequential
+// safepoint (withWorldStopped, mid-quantum on the run-loop goroutine), so
+// stopped-world observers — the accounting GC, isolate kills, precise
+// accounting — always see exact counters. Owned by the goroutine driving
+// s.
+func (vm *VM) flushQuantum(s *SampleState) {
+	if n := s.steps - s.published; n != 0 {
+		vm.clock.Add(n)
+		vm.totalInstrs.Add(n)
+		s.published = s.steps
+	}
+	s.batch.Flush()
+	if a := s.alloc; a != nil {
+		a.batch.Flush()
+		a.flushSATB(vm.heap)
+	}
 }

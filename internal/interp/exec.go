@@ -351,6 +351,9 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 		if recv.R == nil {
 			return vm.Throw(t, ClassNullPointerException, "getfield "+field.QualifiedName())
 		}
+		if uint(field.Slot) >= uint(len(recv.R.Elems)) {
+			return vm.throwNoSuchSlot(t, "getfield", field.QualifiedName(), recv.R)
+		}
 		f.push(recv.R.Elems[field.Slot])
 	case bytecode.OpPutField:
 		field, err := vm.resolveFieldEntryAt(f, in.A, false)
@@ -367,6 +370,9 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 		}
 		if recv.R == nil {
 			return vm.Throw(t, ClassNullPointerException, "putfield "+field.QualifiedName())
+		}
+		if uint(field.Slot) >= uint(len(recv.R.Elems)) {
+			return vm.throwNoSuchSlot(t, "putfield", field.QualifiedName(), recv.R)
 		}
 		// SATB write barrier (see handlers.go pPutField); the seed
 		// switch carries the identical store discipline, including the
@@ -759,6 +765,16 @@ func (vm *VM) resolveFieldEntryAt(f *Frame, idx int32, wantStatic bool) (*classf
 		return nil, err
 	}
 	return vm.resolveFieldEntry(f, entry, wantStatic)
+}
+
+// throwNoSuchSlot raises the exception of a getfield/putfield whose
+// receiver has no slot at the field's index. Bytecode is not type-checked
+// (ROADMAP item 3), so a receiver of a class unrelated to the field's can
+// reach the access, and guest code must not index the host's slot vector
+// out of range (§4.3). All three engines throw through here; a receiver
+// with enough slots of its own is read or written at the index, as before.
+func (vm *VM) throwNoSuchSlot(t *Thread, op, field string, recv *heap.Object) error {
+	return vm.Throw(t, ClassClassCastException, op+" "+field+" on a "+recv.Class.Name)
 }
 
 // resolveFieldEntry resolves a FieldRef pool entry with caching.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -314,5 +315,111 @@ func TestHugeArrayLengthIsOutOfMemory(t *testing.T) {
 		if used := vm.Heap().Used(); used > opts.HeapLimit {
 			t.Errorf("%s: %d bytes used of %d", name, used, opts.HeapLimit)
 		}
+	}
+}
+
+// TestFieldAccessOnUnrelatedReceiver: bytecode is not type-checked, so
+// `ldc "s"; getfield Holder.x` reaches a field access whose receiver has
+// no slot at the field's index. Before the guard that indexed the host's
+// slot vector out of range and took the process down from guest code, in
+// all three engines (§4.3: a guest must never be able to). Now it is a
+// ClassCastException — the same class, message and instruction count on
+// the seed switch, the table and the closure tier, in both modes, on the
+// resolving first execution and on the cached-slot ones after it, with
+// the receiver a constant, a folded local and a too-short array — and a
+// proper receiver still reads and writes its field.
+func TestFieldAccessOnUnrelatedReceiver(t *testing.T) {
+	const holder, probe = "edge/Holder", "edge/Probe"
+	classes := func() []*classfile.Class {
+		init := func(a *bytecode.Assembler) {
+			a.ALoad(0).InvokeSpecial(classfile.ObjectClassName, classfile.InitName, "()V").Return()
+		}
+		return []*classfile.Class{
+			classfile.NewClass(holder).
+				Field("a", classfile.KindInt).Field("b", classfile.KindInt).Field("x", classfile.KindInt).
+				Method(classfile.InitName, "()V", 0, init).MustBuild(),
+			classfile.NewClass(probe).
+				Method("ldcGet", "()I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+					a.Str("s").GetField(holder, "x").IReturn()
+				}).
+				Method("ldcPut", "()I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+					a.Str("s").Const(7).PutField(holder, "x").Const(0).IReturn()
+				}).
+				Method("get", "(Ljava/lang/Object;)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+					a.ALoad(0).GetField(holder, "x").Const(1).IAdd().IReturn()
+				}).
+				Method("put", "(Ljava/lang/Object;I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+					a.Label("try")
+					a.ALoad(0).ILoad(1).PutField(holder, "x")
+					a.Label("end")
+					a.ALoad(0).GetField(holder, "x").IReturn()
+					a.Label("cce")
+					a.Pop().Const(-1).IReturn()
+					a.Handler("try", "end", "cce", interp.ClassClassCastException)
+				}).
+				Method("fresh", "()Ljava/lang/Object;", classfile.FlagStatic, func(a *bytecode.Assembler) {
+					a.New(holder).Dup().InvokeSpecial(holder, classfile.InitName, "()V").AReturn()
+				}).
+				Method("short", "()Ljava/lang/Object;", classfile.FlagStatic, func(a *bytecode.Assembler) {
+					a.Const(2).NewArray("").AReturn()
+				}).MustBuild(),
+		}
+	}
+	var ref []string
+	var refName string
+	for _, mode := range []core.Mode{core.ModeShared, core.ModeIsolated} {
+		for engine, opts := range threeEngines {
+			name := fmt.Sprintf("%s/%v", engine, mode)
+			opts.Mode = mode
+			vm := interp.NewVM(opts)
+			syslib.MustInstall(vm)
+			iso, err := vm.NewIsolate("main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := iso.Loader().DefineAll(classes()); err != nil {
+				t.Fatal(err)
+			}
+			c, _ := iso.Loader().Lookup(probe)
+			var trace []string
+			call := func(method string, args ...heap.Value) heap.Value {
+				before := vm.TotalInstructions()
+				v, th, err := vm.CallRoot(iso, findMethod(t, c, method), args, 100_000)
+				if err != nil || th.Err() != nil {
+					t.Fatalf("%s: %s: host error %v / %v", name, method, err, th.Err())
+				}
+				trace = append(trace, fmt.Sprintf("%s = %d %q in %d", method, v.I, th.FailureString(), vm.TotalInstructions()-before))
+				return th.Result()
+			}
+			str, err := vm.InternString(nil, iso, "receiver")
+			if err != nil {
+				t.Fatal(err)
+			}
+			good, short := call("fresh"), call("short")
+			for round := 0; round < 3; round++ { // resolve, then the cached slot; hot on the closure leg
+				call("ldcGet")
+				call("ldcPut")
+				for _, recv := range []heap.Value{heap.RefVal(str), short, good} {
+					call("get", recv)
+					call("put", recv, heap.IntVal(int64(40+round)))
+				}
+			}
+			for _, line := range trace {
+				if strings.Contains(line, "Exception") && !strings.Contains(line, interp.ClassClassCastException) {
+					t.Fatalf("%s: %s, want a %s", name, line, interp.ClassClassCastException)
+				}
+			}
+			if got := trace[len(trace)-1]; !strings.HasPrefix(got, `put = 42 ""`) {
+				t.Fatalf("%s: a proper receiver's last put: %s", name, got)
+			}
+			if ref == nil {
+				ref, refName = trace, name
+			} else if !reflect.DeepEqual(trace, ref) {
+				t.Fatalf("%s diverges from %s:\n%s\n%s", name, refName, strings.Join(trace, "\n"), strings.Join(ref, "\n"))
+			}
+		}
+	}
+	if want := `ldcGet = 0 "java/lang/ClassCastException: getfield edge/Holder.x on a java/lang/String"`; !strings.HasPrefix(ref[2], want) {
+		t.Fatalf("ldcGet: %s, want %s", ref[2], want)
 	}
 }

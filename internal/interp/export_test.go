@@ -44,22 +44,20 @@ func ClosureShapeForTest(p *bytecode.PCode) (folded, links int, ok bool) {
 func SnapshotAccount(s *Snapshot) core.Account { return s.account }
 
 // PreparedCodeForTest runs the VM's prepare-and-cache step for m, as the
-// first invocation would: the form lands in the Code's cache slot for the
-// VM's isolation mode. It returns nil for unpreparable methods.
+// first invocation would: the form lands in the Code's cache slot. It
+// returns nil for unpreparable methods.
 func (vm *VM) PreparedCodeForTest(m *classfile.Method) *bytecode.PCode { return vm.preparedCode(m) }
 
 // MaxStepInstructionsForTest is the most instructions one engine step may
 // retire (the chain cap).
 const MaxStepInstructionsForTest = maxStepSubs
 
-// StepSizesForTest drives t the way an engine loop does — a quantum
+// StepSizesForTest drives t the way the quantum routine does — a quantum
 // accountant with the given limit installed, one stepThread call per
 // poll — for n steps, and returns how many instructions each step
 // retired. Nothing else may be running vm.
 func (vm *VM) StepSizesForTest(t *Thread, limit int64, n int) ([]int64, error) {
-	var batch core.InstrBatch
-	var samples int
-	qa := quantumAcct{vm: vm, batch: &batch, sampleCount: &samples, limit: limit}
+	qa := SampleState{quantumAcct: quantumAcct{limit: limit}}
 	t.qa = &qa
 	defer func() { t.qa = nil }()
 	sizes := make([]int64, 0, n)

@@ -22,7 +22,8 @@ import (
 //   - anything the verifier ACCEPTS must then execute on the unchecked
 //     prepared handlers without a host panic, and byte-identically to
 //     the checked seed-style switch (result, failure, instruction
-//     count) — the verifier's soundness contract;
+//     count, also when the run ends in a host error) — the verifier's
+//     soundness contract;
 //   - the same holds with every method promoted to the closure tier on
 //     first activation: short fuzz programs never get hot on their own,
 //     and this leg is what drives the closure compiler's operand folding
@@ -76,6 +77,15 @@ func FuzzPrepareVerifier(f *testing.F) {
 	} {
 		f.Add(encodeFuzzProgram(prog))
 	}
+	// A field access on a receiver of an unrelated class (the verifier does
+	// not type operands): `ldc "fz"; getfield inst` and its putfield twin
+	// indexed the slot vector out of range and panicked the host in all
+	// three engines (TestFieldAccessOnUnrelatedReceiver).
+	pool := fuzzHostClass(&bytecode.Code{Instrs: []bytecode.Instr{op(bytecode.OpReturn, 0)}}).Pool
+	str, inst := pool.StringIndex("fz"), pool.FieldIndex("fz/Fuzz", "inst")
+	f.Add(encodeFuzzProgram([]bytecode.Instr{op(bytecode.OpLdcString, str), op(bytecode.OpGetField, inst), op(bytecode.OpIReturn, 0)}))
+	f.Add(encodeFuzzProgram([]bytecode.Instr{op(bytecode.OpLdcString, str), op(bytecode.OpILoad, 0), op(bytecode.OpPutField, inst),
+		op(bytecode.OpILoad, 1), op(bytecode.OpIReturn, 0)}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		instrs := decodeFuzzProgram(data)
@@ -127,9 +137,6 @@ func FuzzPrepareVerifier(f *testing.F) {
 			gotV, gotFail, gotErr, gotInstr := execFuzzProgram(t, code, leg.opts)
 			if gotErr != refErr {
 				t.Fatalf("host-error divergence: %s=%v seed=%v", leg.name, gotErr, refErr)
-			}
-			if gotErr {
-				continue
 			}
 			if gotV != refV || gotFail != refFail || gotInstr != refInstr {
 				t.Fatalf("verified-but-divergent: %s {v:%d fail:%q n:%d} seed {v:%d fail:%q n:%d}",

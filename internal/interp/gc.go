@@ -11,7 +11,7 @@ import (
 // # Collector scheduling
 //
 // Background cycles open when heap occupancy crosses the configured
-// threshold, observed at quantum boundaries (gcQuantum): the opening
+// threshold, observed at quantum boundaries (GCQuantum): the opening
 // pause is a stop-the-world just long enough to snapshot the root sets
 // and arm the barrier. While a cycle is open, every quantum boundary —
 // sequential loop and each concurrent worker — contributes a bounded
@@ -35,17 +35,17 @@ import (
 // for (attack A4 detection). Pressure and explicit collections charge
 // the triggering isolate exactly as before. See core.AccountCounters.
 
-// gcQuantum is the per-quantum collector hook of both engines. a is the
-// engine's allocation state: when one of its allocations crossed the
+// GCQuantum is the per-quantum collector hook: one bounded collector step
+// at the quantum boundary of the driver that owns s, sequential loop or
+// scheduler worker. When one of the driver's allocations crossed the
 // occupancy threshold (allocState.gcIso), this boundary opens the
 // background cycle and charges the activation to that isolate. A shard
 // that did not cross the threshold itself never starts a cycle, so the
-// activation is always attributed to an allocator.
-func (vm *VM) gcQuantum(a *allocState) {
-	if vm.opts.ForceSTWGC {
-		return
-	}
-	h := vm.heap
+// activation is always attributed to an allocator. With no threshold
+// (GCThresholdPercent < 0, the reference collector) nothing ever crosses
+// it and no cycle opens here.
+func (vm *VM) GCQuantum(s *SampleState) {
+	h, a := vm.heap, s.alloc
 	if !h.CycleOpen() {
 		if a != nil && a.gcIso != nil {
 			if h.NeedCycle() && vm.StartIncrementalCycle() {
@@ -65,20 +65,12 @@ func (vm *VM) gcQuantum(a *allocState) {
 	}
 }
 
-// GCQuantum is gcQuantum for the concurrent scheduler: one bounded
-// collector step at a worker's quantum boundary, using the worker's
-// allocation state for activation attribution.
-func (vm *VM) GCQuantum(s *SampleState) { vm.gcQuantum(s.alloc) }
-
 // StartIncrementalCycle opens a background mark cycle now (stopping the
 // world briefly to snapshot roots and arm the barrier). It returns
-// false when a cycle is already open or the reference collector is
-// selected. Exposed for the GC benchmarks and stress tests; the engines
-// normally start cycles from the occupancy threshold.
+// false when a cycle is already open. Exposed for the GC benchmarks and
+// stress tests; the engines normally start cycles from the occupancy
+// threshold.
 func (vm *VM) StartIncrementalCycle() bool {
-	if vm.opts.ForceSTWGC {
-		return false
-	}
 	ok := false
 	vm.withWorldStopped(func() {
 		if !vm.heap.CycleOpen() {
@@ -90,7 +82,7 @@ func (vm *VM) StartIncrementalCycle() bool {
 
 // GCMarkStep performs up to n units of mark work on the open cycle and
 // reports whether the mark is exhausted. Exposed for benchmarks; the
-// engines call the same heap primitive through gcQuantum.
+// engines call the same heap primitive through GCQuantum.
 func (vm *VM) GCMarkStep(n int) bool { return vm.heap.MarkQuantum(n) }
 
 // FinishIncrementalCycle runs the terminal phase of the open cycle: a

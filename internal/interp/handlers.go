@@ -22,11 +22,10 @@ import (
 // the append never grows.
 type phandler func(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error
 
-// phandlerTables are the mode-specialized flat dispatch tables replacing
-// the opcode switch for prepared code, indexed [mode][PInstr.H] (H is
-// always the instruction's opcode value). The VM selects one
-// table at construction (and again on SetIsolationMode), so the steady
-// state never re-checks world.Isolated():
+// sharedTable and isolatedTable are the flat dispatch tables replacing
+// the opcode switch for prepared code, indexed by PInstr.H (always the
+// instruction's opcode value). NewVM picks one for the VM's mode, so the
+// steady state never re-checks world.Isolated():
 //
 //   - the Shared table runs the baseline fast paths — static accesses
 //     and initialization checks fold into the pool entry's
@@ -35,11 +34,14 @@ type phandler func(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error
 //   - the Isolated table performs the paper's per-access task-class-
 //     mirror indexing and initialization re-check unconditionally, with
 //     no Shared-cache probes on the way.
-var phandlerTables [bytecode.NumPModes][256]phandler
+var sharedTable, isolatedTable [256]phandler
 
 // handlerTable returns the dispatch table for one mode.
 func handlerTable(mode core.Mode) *[256]phandler {
-	return &phandlerTables[pmodeIndex(mode)]
+	if mode == core.ModeIsolated {
+		return &isolatedTable
+	}
+	return &sharedTable
 }
 
 func init() {
@@ -121,24 +123,20 @@ func init() {
 	reg(bytecode.OpMonitorExit, pMonitorExit)
 	reg(bytecode.OpAThrow, pAThrow)
 
-	for m := range phandlerTables {
-		phandlerTables[m] = base
-	}
-	// Mode-specialized statics, allocation and static-invoke handlers:
-	// the Shared table probes (and populates) the pool entries'
-	// ResolvedMirror caches, the Isolated table indexes mirrors and
-	// re-checks initialization on every execution — neither consults
+	// The two tables differ in the statics, allocation and static-invoke
+	// handlers: the Shared ones probe (and populate) the pool entries'
+	// ResolvedMirror caches, the Isolated ones index mirrors and re-check
+	// initialization on every execution — neither consults
 	// world.Isolated() at runtime.
-	sh := &phandlerTables[bytecode.PModeShared]
-	sh[uint8(bytecode.OpGetStatic)] = pGetStaticShared
-	sh[uint8(bytecode.OpPutStatic)] = pPutStaticShared
-	sh[uint8(bytecode.OpNew)] = pNewShared
-	sh[uint8(bytecode.OpInvokeStatic)] = pInvokeStaticShared
-	iso := &phandlerTables[bytecode.PModeIsolated]
-	iso[uint8(bytecode.OpGetStatic)] = pGetStaticIsolated
-	iso[uint8(bytecode.OpPutStatic)] = pPutStaticIsolated
-	iso[uint8(bytecode.OpNew)] = pNewIsolated
-	iso[uint8(bytecode.OpInvokeStatic)] = pInvokeStaticIsolated
+	sharedTable, isolatedTable = base, base
+	sharedTable[uint8(bytecode.OpGetStatic)] = pGetStaticShared
+	sharedTable[uint8(bytecode.OpPutStatic)] = pPutStaticShared
+	sharedTable[uint8(bytecode.OpNew)] = pNewShared
+	sharedTable[uint8(bytecode.OpInvokeStatic)] = pInvokeStaticShared
+	isolatedTable[uint8(bytecode.OpGetStatic)] = pGetStaticIsolated
+	isolatedTable[uint8(bytecode.OpPutStatic)] = pPutStaticIsolated
+	isolatedTable[uint8(bytecode.OpNew)] = pNewIsolated
+	isolatedTable[uint8(bytecode.OpInvokeStatic)] = pInvokeStaticIsolated
 }
 
 func pInvalid(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
@@ -674,69 +672,66 @@ func pPutStaticIsolated(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error 
 // from the entry.
 
 func pGetField(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	if slot := in.FS.Get(); slot >= 0 {
-		recv := f.upop()
-		if recv.R == nil {
-			return vm.Throw(t, ClassNullPointerException, "getfield "+pFieldName(in))
+	slot := int(in.FS.Get())
+	if slot < 0 {
+		var err error
+		if slot, err = pResolveFieldSlot(vm, f, in); err != nil {
+			return vm.Throw(t, ClassNullPointerException, err.Error())
 		}
-		f.push(recv.R.Elems[slot])
-		f.pc++
-		return nil
 	}
-	entry := in.Ref.(*classfile.PoolEntry)
-	field, err := vm.resolveFieldEntry(f, entry, false)
-	if err != nil {
-		return vm.Throw(t, ClassNullPointerException, err.Error())
-	}
-	in.FS.Publish(int32(field.Slot))
 	recv := f.upop()
 	if recv.R == nil {
-		return vm.Throw(t, ClassNullPointerException, "getfield "+field.QualifiedName())
+		return vm.Throw(t, ClassNullPointerException, "getfield "+pFieldName(in))
 	}
-	f.push(recv.R.Elems[field.Slot])
+	if uint(slot) >= uint(len(recv.R.Elems)) {
+		return vm.throwNoSuchSlot(t, "getfield", pFieldName(in), recv.R)
+	}
+	f.push(recv.R.Elems[slot])
 	f.pc++
 	return nil
 }
 
 func pPutField(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	if slot := in.FS.Get(); slot >= 0 {
-		v := f.upop()
-		recv := f.upop()
-		if recv.R == nil {
-			return vm.Throw(t, ClassNullPointerException, "putfield "+pFieldName(in))
+	slot := int(in.FS.Get())
+	if slot < 0 {
+		var err error
+		if slot, err = pResolveFieldSlot(vm, f, in); err != nil {
+			return vm.Throw(t, ClassNullPointerException, err.Error())
 		}
-		// SATB write barrier: while a mark phase is open, record the
-		// overwritten reference and publish the new one atomically for
-		// concurrent markers. Idle fast path: one plain flag load (the
-		// per-quantum cached barrier flag, tier.go barrierOn), plain
-		// store. (Statics and locals need no barrier — root sets are
-		// snapshot copies.)
-		if sp := &recv.R.Elems[slot]; vm.barrierOn(t) {
-			vm.gcWriteSlot(t, sp, v)
-		} else {
-			*sp = v
-		}
-		f.pc++
-		return nil
 	}
-	entry := in.Ref.(*classfile.PoolEntry)
-	field, err := vm.resolveFieldEntry(f, entry, false)
-	if err != nil {
-		return vm.Throw(t, ClassNullPointerException, err.Error())
-	}
-	in.FS.Publish(int32(field.Slot))
 	v := f.upop()
 	recv := f.upop()
 	if recv.R == nil {
-		return vm.Throw(t, ClassNullPointerException, "putfield "+field.QualifiedName())
+		return vm.Throw(t, ClassNullPointerException, "putfield "+pFieldName(in))
 	}
-	if sp := &recv.R.Elems[field.Slot]; vm.barrierOn(t) {
+	if uint(slot) >= uint(len(recv.R.Elems)) {
+		return vm.throwNoSuchSlot(t, "putfield", pFieldName(in), recv.R)
+	}
+	// SATB write barrier: while a mark phase is open, record the
+	// overwritten reference and publish the new one atomically for
+	// concurrent markers. Idle fast path: one plain flag load (the
+	// per-quantum cached barrier flag, tier.go barrierOn), plain
+	// store. (Statics and locals need no barrier — root sets are
+	// snapshot copies.)
+	if sp := &recv.R.Elems[slot]; vm.barrierOn(t) {
 		vm.gcWriteSlot(t, sp, v)
 	} else {
 		*sp = v
 	}
 	f.pc++
 	return nil
+}
+
+// pResolveFieldSlot is the slow path of a get/putfield site whose slot
+// cache is empty: it resolves the field through the pool entry and
+// publishes the slot for the next execution.
+func pResolveFieldSlot(vm *VM, f *Frame, in *bytecode.PInstr) (int, error) {
+	field, err := vm.resolveFieldEntry(f, in.Ref.(*classfile.PoolEntry), false)
+	if err != nil {
+		return 0, err
+	}
+	in.FS.Publish(int32(field.Slot))
+	return field.Slot, nil
 }
 
 // pFieldName recovers the qualified field name of a get/putfield site for

@@ -47,6 +47,7 @@ func newMigEnv(t *testing.T, opts interp.Options) *migEnv {
 		StaticField("count", classfile.KindInt).
 		Method("ping", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
 			a.GetStatic("mb/Svc", "count").Const(1).IAdd().PutStatic("mb/Svc", "count")
+			a.Const(3).NewArray("").Pop() // garbage charged to the callee
 			a.ILoad(0).Const(1).IAdd().IReturn()
 		}).MustBuild()
 	if err := e.callee.Loader().Define(svc); err != nil {
@@ -211,4 +212,101 @@ func TestMigrationAccountsExactAtSTWPark(t *testing.T) {
 		t.Fatal("the run finished before a single capture")
 	}
 	e.check(t, "after the run")
+}
+
+// safepointObs is what a stopped-world observer reads: the clock and, per
+// isolate, {instructions, CPU samples, allocated objects, allocated
+// bytes, calls in, calls out}.
+type safepointObs struct {
+	now            int64
+	caller, callee [6]int64
+}
+
+func (e *migEnv) observe() safepointObs {
+	row := func(iso *core.Isolate) [6]int64 {
+		a, m := iso.Account().Numbers(), e.vm.Heap().AllocStatsFor(iso.ID())
+		return [6]int64{a.Instructions, a.CPUSamples, m.Objects, m.Bytes, a.InterBundleCallsIn, a.InterBundleCallsOut}
+	}
+	return safepointObs{now: e.vm.Clock(), caller: row(e.caller), callee: row(e.callee)}
+}
+
+// TestSequentialSafepointMidQuantum pins what the one flush keeps exact
+// when a stop is requested from inside a sequential quantum (a native
+// that collects): the stop publishes the steps the quantum has run so far
+// and no more — NowTicks() does not move across it, Clock() catches up
+// with it, every instruction so far is charged to one of the isolates —
+// and the quantum's end publishes only the rest. The reference is the
+// seed switch with a quantum of one instruction, where nothing is ever
+// pending: every observation of a long-quantum run on the table and on
+// the closure tier must equal its observation at the same native call,
+// and the finished accounts must also equal those of the same program on
+// a 1-worker internal/sched run.
+func TestSequentialSafepointMidQuantum(t *testing.T) {
+	const iters = 2000
+	run := func(opts interp.Options, workers int) (hits []safepointObs, final safepointObs, midQuantum int) {
+		opts.Mode, opts.SampleEvery = core.ModeIsolated, 7
+		e := newMigEnv(t, opts)
+		e.probe = func() {
+			now := e.vm.NowTicks()
+			if e.vm.Clock() < now {
+				midQuantum++
+			}
+			e.vm.CollectGarbage(nil)
+			if workers > 0 {
+				return // a worker's own batch stays pending across its stop
+			}
+			o := e.observe()
+			if after := e.vm.NowTicks(); o.now != now || after != now {
+				t.Fatalf("%+v: NowTicks %d before the stop, Clock %d and NowTicks %d after", opts, now, o.now, after)
+			}
+			if total := e.vm.TotalInstructions(); total != now || o.caller[0]+o.callee[0] != now {
+				t.Fatalf("%+v: %d steps so far, VM total %d, caller %d + callee %d instructions",
+					opts, now, total, o.caller[0], o.callee[0])
+			}
+			hits = append(hits, o)
+		}
+		th, err := e.vm.SpawnThread("loop", e.caller, e.run, []heap.Value{heap.IntVal(iters)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res interp.RunResult
+		if workers > 0 {
+			res = sched.Run(e.vm, workers, 0)
+		} else {
+			res = e.vm.Run(0)
+		}
+		if !res.AllDone || th.Failure() != nil || th.Result().I != iters {
+			t.Fatalf("%+v: %+v, result %d, failure %s", opts, res, th.Result().I, th.FailureString())
+		}
+		e.check(t, "after the run")
+		return hits, e.observe(), midQuantum
+	}
+	refHits, refFinal, mid := run(interp.Options{Quantum: 1, DisablePrepare: true}, 0)
+	if len(refHits) != iters/8 || mid != 0 {
+		t.Fatalf("reference: %d observations, %d of them with steps pending", len(refHits), mid)
+	}
+	for _, opts := range []interp.Options{
+		{Quantum: 1000, TierPromoteThreshold: -1},
+		{Quantum: 1000, TierPromoteThreshold: 1},
+		{Quantum: 61, TierPromoteThreshold: 1},
+	} {
+		hits, final, mid := run(opts, 0)
+		if mid < len(hits)*9/10 {
+			t.Fatalf("%+v: only %d of %d stops came with steps pending", opts, mid, len(hits))
+		}
+		if len(hits) != len(refHits) {
+			t.Fatalf("%+v: %d stops, single-step reference %d", opts, len(hits), len(refHits))
+		}
+		for i := range refHits {
+			if hits[i] != refHits[i] {
+				t.Fatalf("%+v: stop %d observed %+v, single-step reference %+v", opts, i, hits[i], refHits[i])
+			}
+		}
+		if final != refFinal {
+			t.Fatalf("%+v: finished with %+v, single-step reference %+v", opts, final, refFinal)
+		}
+	}
+	if _, final, _ := run(interp.Options{Quantum: 1000, TierPromoteThreshold: 1}, 1); final != refFinal {
+		t.Fatalf("1-worker sched.Run finished with %+v, sequential reference %+v", final, refFinal)
+	}
 }

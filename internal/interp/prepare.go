@@ -5,7 +5,6 @@ import (
 
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
-	"ijvm/internal/core"
 )
 
 // This file implements the code-preparation ("quickening") pass that
@@ -45,33 +44,23 @@ import (
 // rejected; they execute through the reference switch path forever.
 var unpreparable = &bytecode.PCode{}
 
-// pmodeIndex maps an isolation mode to its prepared-form cache slot.
-func pmodeIndex(mode core.Mode) int {
-	if mode == core.ModeIsolated {
-		return bytecode.PModeIsolated
-	}
-	return bytecode.PModeShared
-}
-
-// preparedCode returns the quickened form of m for the VM's current
-// isolation mode, preparing and caching it on first invocation. Each
-// mode has an independent quickening; the mode-specialized handler table
-// the VM dispatches through
-// is selected to match in NewVM and SetIsolationMode. It returns nil
-// when the VM runs seed-style dispatch (Options.DisablePrepare) or the
-// method is unpreparable.
+// preparedCode returns the quickened form of m, preparing and caching it
+// on first invocation. The form is mode-neutral (PInstr.H is the opcode);
+// the handler table the VM dispatches it through was chosen for the VM's
+// mode in NewVM. It returns nil when the VM runs seed-style dispatch
+// (Options.DisablePrepare) or the method is unpreparable.
 func (vm *VM) preparedCode(m *classfile.Method) *bytecode.PCode {
 	if vm.opts.DisablePrepare {
 		return nil
 	}
 	code := m.Code
-	p := code.Prepared(vm.pmode)
+	p := code.Prepared()
 	if p == nil {
 		p = prepareMethod(m)
 		if p == nil {
 			p = unpreparable
 		}
-		p = code.StorePrepared(vm.pmode, p)
+		p = code.StorePrepared(p)
 	}
 	if len(p.Instrs) == 0 {
 		return nil

@@ -410,7 +410,7 @@ func TestPreparedFallback(t *testing.T) {
 			t.Fatalf("run(%d) = %d, want %d", arg, v.I, want)
 		}
 	}
-	if p := m.Code.Prepared(bytecode.PModeIsolated); p == nil || len(p.Instrs) != 0 {
+	if p := m.Code.Prepared(); p == nil || len(p.Instrs) != 0 {
 		t.Fatalf("expected the unpreparable sentinel, got %+v", p)
 	}
 }

@@ -3,7 +3,6 @@ package interp_test
 import (
 	"testing"
 
-	"ijvm/internal/bytecode"
 	"ijvm/internal/core"
 	"ijvm/internal/interp"
 	"ijvm/internal/syslib"
@@ -43,7 +42,7 @@ func TestQuantumAllocatesNothing(t *testing.T) {
 	if res := vm.RunUntil(th, 10*quantum); !res.BudgetExhausted {
 		t.Fatalf("warm-up run: %+v", res)
 	}
-	if _, links, ok := interp.ClosureShapeForTest(spin.Code.Prepared(bytecode.PModeIsolated)); !ok || links == 0 {
+	if _, links, ok := interp.ClosureShapeForTest(spin.Code.Prepared()); !ok || links == 0 {
 		t.Fatalf("the loop is not running chained closure blocks (promoted=%v, links=%d)", ok, links)
 	}
 	before := vm.TotalInstructions()

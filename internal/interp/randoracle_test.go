@@ -40,16 +40,15 @@ import (
 //
 // Every program is replayed under {quickened table, closure-threaded
 // hot tier, seed switch} × {Shared, Isolated} ×
-// {forced-STW, incremental (pressure-only), incremental (paced:
-// threshold-opened cycles whose mark strides interleave with mutator
-// quanta under an armed barrier)}:
+// {exact (the reference collector: pressure and explicit collections
+// only), incremental (paced: threshold-opened cycles whose mark strides
+// interleave with mutator quanta under an armed barrier)}:
 //
-//   - forced-STW vs incremental-pressure-only must be byte-identical on
-//     EVERYTHING, including GCActivations: pressure collections are
-//     exact in both (heap.Collect abandons open cycles), so the
-//     collection points coincide.
+//   - the exact runs must be byte-identical across dispatch engines on
+//     EVERYTHING, including GCActivations: the collection points
+//     coincide.
 //   - the paced runs must be byte-identical to each other across
-//     dispatch engines, and byte-identical to forced-STW on outcome,
+//     dispatch engines, and byte-identical to the exact runs on outcome,
 //     output, instructions, clock, CPU samples, allocation byte
 //     accounts and final post-GC reachability — only GCActivations may
 //     differ (background cycles collect ahead of the pressure points,
@@ -655,14 +654,10 @@ func (d oracleDispatch) apply(o *interp.Options) {
 type oracleGC int
 
 const (
-	// gcForcedSTW is the reference collector: every collection a
-	// monolithic stop-the-world pass at its trigger point.
-	gcForcedSTW oracleGC = iota
-	// gcIncPressure runs the incremental machinery with background
-	// cycles disabled: collections happen at the same points as the
-	// reference and must be byte-identical to it, GCActivations
-	// included.
-	gcIncPressure
+	// gcExact is the reference collector (GCThresholdPercent -1): no
+	// background cycles, every collection a monolithic stop-the-world
+	// pass at its trigger point.
+	gcExact oracleGC = iota
 	// gcIncPaced opens cycles at 50% occupancy and marks 32 units per
 	// quantum boundary, so mark strides interleave with mutator quanta
 	// under an armed write barrier — the configuration that actually
@@ -670,15 +665,11 @@ const (
 	gcIncPaced
 )
 
-func (g oracleGC) options() (forceSTW bool, thresholdPct, stride int) {
-	switch g {
-	case gcForcedSTW:
-		return true, -1, 0
-	case gcIncPressure:
-		return false, -1, 0
-	default:
-		return false, 50, 32
+func (g oracleGC) options() (thresholdPct, stride int) {
+	if g == gcExact {
+		return -1, 0
 	}
+	return 50, 32
 }
 
 // oracleTrace is the full comparison surface of one run.
@@ -708,7 +699,7 @@ type oracleTrace struct {
 
 // maskGCActivations returns a copy of the trace with the GCActivations
 // column zeroed — the one quantity background cycles are allowed to
-// change relative to the forced-STW reference.
+// change relative to the exact reference.
 func (a oracleTrace) maskGCActivations() oracleTrace {
 	out := a
 	out.perIsolate = make(map[string][9]int64, len(a.perIsolate))
@@ -757,11 +748,10 @@ func runOracleProgram(t *testing.T, p oracleProgram, mode core.Mode, disp oracle
 	// collection points, the per-isolate byte accounts and the post-GC
 	// reachability identical across dispatch and collector
 	// configurations.
-	forceSTW, pct, stride := gc.options()
+	pct, stride := gc.options()
 	opts := interp.Options{
 		Mode:               mode,
 		HeapLimit:          32 << 10,
-		ForceSTWGC:         forceSTW,
 		GCThresholdPercent: pct,
 		GCMarkStride:       stride,
 	}
@@ -1015,12 +1005,10 @@ func coldGraphTrips(t *testing.T, vm *interp.VM, iso, peer *core.Isolate, main *
 
 // TestRandomizedDifferentialOracle replays >= 500 generated programs
 // across {seed switch, quickened table, closure-threaded} ×
-// {Shared, Isolated} × {forced-STW, incremental-pressure,
-// incremental-paced} and demands:
+// {Shared, Isolated} × {exact, incremental-paced} and demands:
 //
-//   - byte-identical traces (GCActivations included) between the
-//     forced-STW reference and all three dispatch engines under the
-//     pressure-only incremental collector;
+//   - byte-identical traces (GCActivations included) between the three
+//     dispatch engines under the exact reference collector;
 //   - byte-identical traces between the three dispatch engines under the
 //     paced incremental collector (its GC schedule is deterministic at
 //     quantum boundaries);
@@ -1040,17 +1028,10 @@ func TestRandomizedDifferentialOracle(t *testing.T) {
 		seed := int64(i)*2654435761 + 99991
 		p := genOracleProgram(seed)
 		for _, mode := range []core.Mode{core.ModeShared, core.ModeIsolated} {
-			ref := runOracleProgram(t, p, mode, dispSeed, gcForcedSTW)
+			ref := runOracleProgram(t, p, mode, dispSeed, gcExact)
 			for _, disp := range []oracleDispatch{dispPrepared, dispClosure} {
-				if d := ref.diff(runOracleProgram(t, p, mode, disp, gcForcedSTW)); d != "" {
-					t.Fatalf("program %d (seed %d) mode %v STW: dispatch %d diverges from seed dispatch: %s",
-						i, seed, mode, disp, d)
-				}
-			}
-			for _, disp := range []oracleDispatch{dispSeed, dispPrepared, dispClosure} {
-				got := runOracleProgram(t, p, mode, disp, gcIncPressure)
-				if d := ref.diff(got); d != "" {
-					t.Fatalf("program %d (seed %d) mode %v dispatch %d: incremental(pressure) diverges from forced-STW: %s",
+				if d := ref.diff(runOracleProgram(t, p, mode, disp, gcExact)); d != "" {
+					t.Fatalf("program %d (seed %d) mode %v exact: dispatch %d diverges from seed dispatch: %s",
 						i, seed, mode, disp, d)
 				}
 			}
@@ -1062,7 +1043,7 @@ func TestRandomizedDifferentialOracle(t *testing.T) {
 				}
 			}
 			if d := ref.maskGCActivations().diff(pacedSeed.maskGCActivations()); d != "" {
-				t.Fatalf("program %d (seed %d) mode %v: incremental(paced) diverges from forced-STW beyond GCActivations: %s",
+				t.Fatalf("program %d (seed %d) mode %v: incremental(paced) diverges from the exact reference beyond GCActivations: %s",
 					i, seed, mode, d)
 			}
 			if pacedSeed.incCycles >= 2 {

@@ -126,99 +126,14 @@ func (vm *VM) run(budget int64, target *Thread) RunResult {
 		if remaining := budget - res.Instructions; remaining < quantum {
 			quantum = remaining
 		}
-		res.Instructions += vm.runQuantum(t, quantum, target)
+		// The sequential driver of the one quantum routine: no stop flag
+		// (stops are direct calls on this goroutine, see withWorldStopped)
+		// and no home isolate (a migrating thread keeps running here).
+		res.Instructions += vm.RunThreadQuantum(t, nil, quantum, nil, &vm.seq, target).Instructions
 		// Collector hook: open a background cycle on occupancy, perform
 		// one mark stride, or run the terminal phase — all at this
 		// quantum boundary, with the batched charges just flushed.
-		vm.gcQuantum(vm.seqAlloc)
-	}
-}
-
-// runQuantum executes up to quantum instructions of t on the sequential
-// engine. Accounting is batched exactly like the concurrent engine's
-// RunThreadQuantum: instructions, clock ticks and per-isolate charges
-// accumulate in plain local counters (the shared core.InstrBatch flushes
-// on isolate migration) and are published to the atomics once per
-// quantum — the per-instruction hot path performs no atomic operations.
-// Per-isolate attribution is unchanged: every instruction is charged to
-// the isolate that is current after the step. The hoisted mode is
-// refreshed whenever SetIsolationMode raises seqModeFlip (a plain field
-// beside the batch counters the loop already touches), so an
-// on-goroutine flip — from a native mid-quantum, or an admin action
-// between quanta — charges every instruction under the mode it actually
-// executed in without re-reading the atomic mode per step.
-func (vm *VM) runQuantum(t *Thread, quantum int64, target *Thread) int64 {
-	if vm.seqAlloc == nil {
-		vm.seqAlloc = vm.acquireAllocState()
-	}
-	// Quantum-start refresh of the cached write-barrier flag: arming only
-	// happens inside a stop-the-world, so a per-quantum refresh keeps the
-	// per-store fast path a plain bool read (see allocState.barrierOn).
-	vm.seqAlloc.barrierOn = vm.heap.BarrierActive()
-	// Install the sequential engine's allocation state for the quantum;
-	// allocation inside the steps below goes through its shard-local
-	// domain with batched byte accounting. The quantum accountant (qa)
-	// rides alongside: closure blocks charge their extra covered
-	// instructions through it, so multi-instruction steps keep
-	// per-instruction-exact budgets, clock ticks, per-isolate counters
-	// and CPU samples (see quantumAcct). Its storage is the VM's (seqQA,
-	// beside the batch it charges), so a quantum allocates nothing.
-	t.alloc = vm.seqAlloc
-	qa := &vm.seqQA
-	*qa = quantumAcct{vm: vm, batch: &vm.seqBatch, sampleCount: &vm.instrSinceSample,
-		limit: quantum, isolated: vm.world.Isolated(), seq: true}
-	t.qa = qa
-	defer func() { t.alloc = nil; t.qa = nil }()
-	for qa.steps < quantum && t.State() == StateRunnable {
-		err := vm.stepThread(t)
-		qa.steps++
-		vm.seqPending++
-		if vm.seqModeFlip {
-			vm.seqModeFlip = false
-			qa.isolated = vm.world.Isolated()
-		}
-		if qa.isolated {
-			cur := t.cur
-			vm.seqBatch.Note(cur.Account())
-			vm.instrSinceSample++
-			if vm.instrSinceSample >= vm.opts.SampleEvery {
-				vm.instrSinceSample = 0
-				// The paper's CPU accounting: sample the isolate
-				// reference of the running thread (§3.2).
-				cur.Account().CPUSamples.Add(1)
-			}
-		}
-		if err != nil {
-			t.err = err
-			vm.finishThread(t)
-			break
-		}
-		if vm.IsShutdown() || (target != nil && target.Done()) {
-			break
-		}
-	}
-	n := qa.steps
-	vm.flushSequential()
-	vm.noteQuantumHeat(t, n)
-	return n
-}
-
-// flushSequential publishes the sequential engine's pending batched
-// charges (virtual clock, total instructions, per-isolate counters). It
-// runs at every quantum boundary and at sequential safepoints
-// (withWorldStopped), so stopped-world observers — the accounting GC,
-// isolate kills, precise accounting — always see exact counters. Owned
-// by the goroutine running Run/RunUntil.
-func (vm *VM) flushSequential() {
-	if vm.seqPending != 0 {
-		vm.clock.Add(vm.seqPending)
-		vm.totalInstrs.Add(vm.seqPending)
-		vm.seqPending = 0
-	}
-	vm.seqBatch.Flush()
-	if vm.seqAlloc != nil {
-		vm.seqAlloc.batch.Flush()
-		vm.seqAlloc.flushSATB(vm.heap)
+		vm.GCQuantum(&vm.seq)
 	}
 }
 

@@ -29,9 +29,8 @@ import (
 //     cached on the Method (bootstrap-owned or template-loader-owned), so
 //     every clone of the same VM reuses the exact published bodies via
 //     the existing first-wins CAS — and since clones run in the same VM
-//     and the same isolation mode as their template, no re-quicken is
-//     ever needed at clone time (mode flips go through SetIsolationMode's
-//     stop-the-world re-quicken as before);
+//     and the same isolation mode as their template, nothing is
+//     re-prepared at clone time;
 //   - interned strings are shared by pointer: the clone adopts the
 //     template's copy-on-write pool map and grows privately from it;
 //     string objects are immutable, and pool identity is what keeps

@@ -84,8 +84,7 @@ type Frame struct {
 
 	// hot is the adopted closure-threaded program for pcode (closure.go),
 	// nil while the frame executes through the handler table. Owned by
-	// the executing goroutine; cleared on re-quickening (the program is
-	// bound to one prepared form's caches).
+	// the executing goroutine.
 	hot *closureProgram
 
 	locals []heap.Value
@@ -258,13 +257,13 @@ type Thread struct {
 	// instead.
 	alloc *allocState
 
-	// qa is the owning engine loop's quantum accounting state (tier.go),
-	// installed for the duration of a quantum and nil otherwise; closure
-	// blocks reserve and charge their inlined sub-instructions through
-	// it. It points into the engine state that runs the quantum (VM.seqQA,
-	// SampleState.qa), so installing it allocates nothing. Same ownership
-	// contract as alloc.
-	qa *quantumAcct
+	// qa is the state of the driver running this thread's quantum, with
+	// the quantum's accountant in it (tier.go), installed for the duration
+	// of a quantum and nil otherwise; closure blocks reserve and charge
+	// their inlined sub-instructions through it. The state is the
+	// driver's own (a worker's, or VM.seq), so installing it allocates
+	// nothing. Same ownership contract as alloc.
+	qa *SampleState
 
 	// pendingArgs is the in-flight invocation argument window between
 	// the caller's stack truncation and the callee's locals copy (or the

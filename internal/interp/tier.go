@@ -11,93 +11,82 @@ import (
 // inside one engine step without disturbing any observable contract:
 //
 //   - instruction counts: every sub-instruction is charged through the
-//     exact per-instruction sequence of the engine loop that owns the
-//     quantum (sequential runQuantum or concurrent RunThreadQuantum), so
-//     per-isolate accounts, CPU sampling and the virtual clock end every
-//     step where single-step execution would have them;
+//     exact per-instruction sequence of the quantum routine
+//     (RunThreadQuantum, the same under both drivers), so per-isolate
+//     accounts, CPU sampling and the virtual clock end every step where
+//     single-step execution would have them;
 //   - quantum/budget boundaries: a block only executes compiled — as a
 //     step's first block or as the next link of its chain — when the
 //     whole block still fits in the remaining quantum (reserve);
 //     otherwise the step ends and the instruction at pc executes alone
 //     through the table, so the boundary lands exactly where the table
-//     engine would put it. The engine loops already clamp the quantum to
-//     the remaining run budget, so budget exhaustion is covered by the
-//     same check;
-//   - safepoints: kill, SetIsolationMode, shutdown and STW parking act
-//     only between engine steps. A step retires at most maxStepSubs
-//     instructions whatever the quantum, and nothing it inlines can reach
-//     a safepoint (only its delegated final can, as the step's last act
-//     with the frame exact), so no partially-applied block state is ever
-//     observable and the polls stay a bounded number of instructions
-//     apart.
+//     engine would put it. The drivers already clamp the quantum to the
+//     remaining run budget, so budget exhaustion is covered by the same
+//     check;
+//   - safepoints: kill, shutdown and STW parking act only between engine
+//     steps. A step retires at most maxStepSubs instructions whatever the
+//     quantum, and nothing it inlines can reach a safepoint (only its
+//     delegated final can, as the step's last act with the frame exact),
+//     so no partially-applied block state is ever observable and the
+//     polls stay a bounded number of instructions apart.
 //
-// quantumAcct lives on the Thread (t.qa) only while an engine loop is
-// driving it; blocks bail to single-step execution when it is absent
-// (host-driven stepping) or the block does not fit.
+// The accountant is installed on the Thread (t.qa) only while the quantum
+// routine is driving it; blocks bail to single-step execution when it is
+// absent (host-driven stepping) or the block does not fit.
 
-// quantumAcct is the per-quantum instruction accounting state shared
-// between an engine loop and the closure blocks it dispatches.
-// steps is the loop's own instruction counter: the loop increments it
-// once per stepThread call (the step's final sub-instruction), and
-// chargeSubs adds the sub-instructions the step inlined before it.
+// quantumAcct is the instruction count of the running quantum, shared
+// between the quantum routine and the closure blocks it dispatches. steps
+// is the routine's own counter: it increments once per stepThread call
+// (the step's final sub-instruction), and chargeSubs adds the
+// sub-instructions the step inlined before it. published is how many of
+// them the clock and the instruction total already hold — a sequential
+// safepoint publishes mid-quantum (flushQuantum) — so steps − published
+// is the virtual time still pending (NowTicks). It lives in the driver's
+// SampleState, beside the batch and the sampling countdown it charges.
 type quantumAcct struct {
-	vm *VM
-	// batch is the owning engine's call-path batch: the sequential
-	// engine's VM-lifetime one or the worker's per-quantum one. pushFrame
-	// counts migrations into it as well (noteCall).
-	batch *core.InstrBatch
-	// sampleCount is the owning engine's CPU-sampling countdown.
-	sampleCount *int
-	steps       int64
-	limit       int64
-	isolated    bool
-	seq         bool // sequential engine: steps also feed vm.seqPending
+	steps, limit, published int64
+	isolated                bool
 }
 
 // reserve reports whether extra inlined sub-instructions (on top of the
-// final one the engine loop charges) still fit in the quantum.
+// final one the quantum routine charges) still fit in the quantum.
 func (q *quantumAcct) reserve(extra int64) bool {
 	return q.steps+extra < q.limit
 }
 
 // chargeSubs charges the k sub-instructions a step inlined, once, at the
-// step's single exit, replicating the owning engine loop's
-// per-instruction accounting sequence in one arithmetically identical
-// batched call: account notes batch through InstrBatch.NoteN and the
-// CPU-sampling counter is folded modulo SampleEvery (floor((old+k)/every)
-// samples, remainder kept), which is exactly what k unit increments with
-// reset-at-threshold produce. Inlined sub-instructions cannot migrate the
-// thread, flip the isolation mode or finish the thread (only a step's
-// delegated final can, and the loop's own post-step charge covers that
-// one), so reading t.cur and the hoisted isolation flag here matches what
-// the single-step loop would have read — and nothing can observe the
+// step's single exit, replicating the quantum routine's per-instruction
+// accounting sequence in one arithmetically identical batched call:
+// account notes batch through InstrBatch.NoteN and the CPU-sampling
+// counter is folded modulo SampleEvery (floor((old+k)/every) samples,
+// remainder kept), which is exactly what k unit increments with
+// reset-at-threshold produce. Inlined sub-instructions cannot migrate or
+// finish the thread (only a step's delegated final can, and the routine's
+// own post-step charge covers that one), so reading t.cur here matches
+// what the single-step loop would have read — and nothing can observe the
 // intermediate counters mid-step (no safepoint, throw, park or batch
 // flush is reachable from a prefix micro), so the batching is invisible
 // to the differential oracle.
-func (q *quantumAcct) chargeSubs(t *Thread, k int64) {
+func (s *SampleState) chargeSubs(vm *VM, t *Thread, k int64) {
 	if k <= 0 {
 		return
 	}
-	q.steps += k
-	vm := q.vm
-	if q.seq {
-		vm.seqPending += k
-	}
-	if q.isolated {
+	s.steps += k
+	if s.isolated {
 		acct := t.cur.Account()
-		q.batch.NoteN(acct, k)
-		total := *q.sampleCount + int(k)
+		s.batch.NoteN(acct, k)
+		total := s.count + int(k)
 		if every := vm.opts.SampleEvery; total >= every {
 			acct.CPUSamples.Add(int64(total / every))
 			total %= every
 		}
-		*q.sampleCount = total
+		s.count = total
 	}
 }
 
 // noteCall counts one inter-isolate call (§3.1 migration) from the
 // thread's previous isolate into to. Inside a quantum the count joins the
-// engine's batch beside the instruction charges and is published at the
+// driver's batch beside the instruction charges and is published at the
 // same flush points; a host-side frame push (thread spawn) runs outside
 // any quantum and publishes directly.
 func (t *Thread) noteCall(from, to *core.Isolate) {

@@ -168,7 +168,115 @@ func TestTierPromotionRaceStress(t *testing.T) {
 		// The contention under test really happened: the shared body was
 		// promoted, and its closure program carries folded micros and chain
 		// links.
-		requireLiveChains(t, spin, bytecode.PModeIsolated)
+		requireLiveChains(t, spin)
+	}
+}
+
+// requireLiveChains fails unless m's quickening was promoted to a closure
+// program that holds micros covering more than one instruction and blocks
+// ending in an inline transfer, i.e. the storm ran against folded operands
+// and chained steps.
+func requireLiveChains(t *testing.T, m *classfile.Method) {
+	t.Helper()
+	p := m.Code.Prepared()
+	if p == nil {
+		t.Fatalf("%s: quickening missing", m.QualifiedName())
+	}
+	switch folded, links, ok := interp.ClosureShapeForTest(p); {
+	case !ok:
+		t.Fatalf("%s was never promoted to the closure tier", m.QualifiedName())
+	case folded == 0 || links == 0:
+		t.Fatalf("%s: closure program has %d folded micros and %d chain links", m.QualifiedName(), folded, links)
+	}
+}
+
+// killStormClasses builds a counter class (static state) and a driver
+// whose run(I)I spins n iterations bumping the static counter through an
+// invokevirtual site — statics, virtual dispatch and a loop that promotes
+// to folded micros and chained blocks.
+func killStormClasses() []*classfile.Class {
+	init := func(a *bytecode.Assembler) {
+		a.ALoad(0).InvokeSpecial(classfile.ObjectClassName, classfile.InitName, "()V").Return()
+	}
+	counter := classfile.NewClass("rq/Counter").
+		StaticField("total", classfile.KindInt).
+		Method(classfile.InitName, "()V", 0, init).
+		Method("bump", "(I)I", 0, func(a *bytecode.Assembler) {
+			a.GetStatic("rq/Counter", "total").ILoad(1).IAdd().
+				Dup().PutStatic("rq/Counter", "total").IReturn()
+		}).MustBuild()
+	driver := classfile.NewClass("rq/Driver").
+		Method("run", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.New("rq/Counter").Dup().
+				InvokeSpecial("rq/Counter", classfile.InitName, "()V").AStore(1)
+			a.Const(0).IStore(2)
+			a.Label("loop").ILoad(2).ILoad(0).IfICmpGe("done")
+			a.ALoad(1).Const(1).InvokeVirtual("rq/Counter", "bump", "(I)I").Pop()
+			a.IInc(2, 1).Goto("loop")
+			a.Label("done").GetStatic("rq/Counter", "total").IReturn()
+		}).MustBuild()
+	return []*classfile.Class{counter, driver}
+}
+
+// TestKillStormAgainstHotTier kills an isolate while its hot,
+// closure-promoted loop (folded micros and chains live) is mid-flight at
+// an arbitrary quantum boundary, and proves termination semantics are unchanged by the hot
+// tier: the victim thread dies with StoppedIsolateException-style
+// failure (killed code never runs again), while a second isolate's
+// identical hot loop still computes the exact total afterwards.
+func TestKillStormAgainstHotTier(t *testing.T) {
+	for _, budget := range []int64{7, 101, 1009} {
+		vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, TierPromoteThreshold: 1})
+		syslib.MustInstall(vm)
+		if _, err := vm.NewIsolate("platform"); err != nil { // Isolate0: unkillable
+			t.Fatal(err)
+		}
+		victimIso, err := vm.NewIsolate("victim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := victimIso.Loader().DefineAll(killStormClasses()); err != nil {
+			t.Fatal(err)
+		}
+		c, _ := victimIso.Loader().Lookup("rq/Driver")
+		m, _ := c.LookupMethod("run", "(I)I")
+		th, err := vm.SpawnThread("victim", victimIso, m, []heap.Value{heap.IntVal(100000)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm.RunUntil(th, budget) // park the hot loop mid-flight
+		if th.Done() {
+			t.Fatalf("budget %d: victim finished before the kill", budget)
+		}
+		requireLiveChains(t, m)
+		if err := vm.KillIsolate(nil, victimIso); err != nil {
+			t.Fatalf("budget %d: kill: %v", budget, err)
+		}
+		res := vm.RunUntil(th, 0)
+		if !th.Done() {
+			t.Fatalf("budget %d: victim still live after kill: %+v", budget, res)
+		}
+		if th.Failure() == nil && th.Err() == nil {
+			t.Fatalf("budget %d: killed thread finished cleanly with %d", budget, th.Result().I)
+		}
+
+		// A fresh isolate's hot loop is unaffected by the carnage.
+		iso2, err := vm.NewIsolate("survivor")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := iso2.Loader().DefineAll(killStormClasses()); err != nil {
+			t.Fatal(err)
+		}
+		c2, _ := iso2.Loader().Lookup("rq/Driver")
+		m2, _ := c2.LookupMethod("run", "(I)I")
+		v, th2, err := vm.CallRoot(iso2, m2, []heap.Value{heap.IntVal(123)}, 1_000_000)
+		if err != nil || th2.Failure() != nil {
+			t.Fatalf("budget %d: survivor run: %v / %v", budget, err, th2.FailureString())
+		}
+		if v.I != 123 {
+			t.Fatalf("budget %d: survivor total = %d, want 123", budget, v.I)
+		}
 	}
 }
 

@@ -69,18 +69,14 @@ type Options struct {
 	// with checked stack discipline. Used as the reference semantics of
 	// the dispatch oracle tests and as an escape hatch.
 	DisablePrepare bool
-	// ForceSTWGC selects the reference collector: no incremental cycles,
-	// no write barrier, every collection a monolithic stop-the-world
-	// mark-sweep at its trigger point. The differential baseline of the
-	// GC oracle and benchmarks.
-	ForceSTWGC bool
 	// GCThresholdPercent is the heap occupancy (percent of the limit) at
 	// which the engines open a background incremental mark cycle at a
-	// quantum boundary. 0 selects 88; negative disables background
-	// cycles (collections then happen only on allocation pressure or
-	// explicit request, each as one exact stop-the-world pass — the
-	// configuration whose collection points are byte-identical to
-	// ForceSTWGC).
+	// quantum boundary. 0 selects 88. Negative selects the reference
+	// collector, the differential baseline of the GC oracle and
+	// benchmarks: no cycle opens on occupancy, so no write barrier is
+	// armed, and collections happen only on allocation pressure or
+	// explicit request, each as one exact monolithic stop-the-world
+	// mark-sweep at its trigger point.
 	GCThresholdPercent int
 	// GCMarkStride is how many mark-work units (≈ objects scanned) each
 	// engine performs per quantum boundary while a cycle is open. 0
@@ -135,13 +131,10 @@ type VM struct {
 	world    *core.World
 	heap     *heap.Heap
 
-	// ptable is the mode-specialized prepared-dispatch table and pmode
-	// the matching prepared-form cache index. Both are fixed at
-	// construction and only change inside SetIsolationMode's
-	// stopped-world section (which also re-quickens every live frame),
-	// so the execution engines read them without synchronization.
+	// ptable is the prepared-dispatch table of the VM's mode, chosen at
+	// construction like the mode itself, so the execution engines read it
+	// without synchronization.
 	ptable *[256]phandler
-	pmode  int
 
 	// threadsMu guards the thread registry (threads, nextThreadID) and
 	// stagedEntryArgs; liveThreads is atomic so schedulers can poll it
@@ -194,35 +187,26 @@ type VM struct {
 
 	// clock is the virtual time in ticks; it advances by one per executed
 	// instruction and jumps forward when all threads sleep.
-	clock            atomic.Int64
-	instrSinceSample int // sequential engine only
-	totalInstrs      atomic.Int64
+	clock       atomic.Int64
+	totalInstrs atomic.Int64
 
-	// Sequential-engine batched accounting (owned by the goroutine
-	// running Run/RunUntil): instructions and clock ticks accumulate in
-	// these plain counters and are flushed to the atomics at quantum
-	// boundaries and sequential safepoints (see flushSequential).
-	// seqModeFlip tells runQuantum to refresh its hoisted isolation-mode
-	// flag; SetIsolationMode raises it under the same ownership contract
-	// (the executing goroutine, or no run in progress). seqQA is the storage
-	// of the running quantum's accountant (runQuantum); Thread.qa points at
-	// it only while that quantum runs.
-	seqBatch    core.InstrBatch
-	seqPending  int64
-	seqModeFlip bool
-	seqQA       quantumAcct
+	// seq is the sequential engine's driver state, what a scheduler
+	// worker keeps in its own SampleState: the running quantum's
+	// accountant, the sampling countdown, the call-path batch and the
+	// allocation state (shard-local domain + byte batch). Owned by the
+	// goroutine running Run/RunUntil; instructions and clock ticks
+	// accumulate in it as plain counters and are published at quantum
+	// boundaries and sequential safepoints (see flushQuantum).
+	seq SampleState
 
 	// frameStacks passes the frame stacks of finished threads (with the
 	// frames cached in them) to new ones. Calls never touch it: a live
 	// thread's frames are its own (Thread.acquireFrame).
 	frameStacks sync.Pool
 
-	// seqAlloc is the sequential engine's allocation state (shard-local
-	// domain + byte batch), owned by the goroutine running Run/RunUntil
-	// and installed on the stepping thread per quantum. allocFree pools
-	// worker allocation states across concurrent runs so the heap's
-	// domain registry stays bounded by the worker high-water mark.
-	seqAlloc    *allocState
+	// allocFree pools worker allocation states across concurrent runs so
+	// the heap's domain registry stays bounded by the worker high-water
+	// mark.
 	allocFreeMu sync.Mutex
 	allocFree   []*allocState
 
@@ -295,7 +279,7 @@ func NewVM(opts Options) *VM {
 		// The baseline JVM performs no per-bundle resource accounting.
 		h.SetAllocTracking(false)
 	}
-	if !opts.ForceSTWGC && opts.GCThresholdPercent > 0 {
+	if opts.GCThresholdPercent > 0 {
 		h.SetGCThreshold(h.Limit() * int64(opts.GCThresholdPercent) / 100)
 	}
 	return &VM{
@@ -304,7 +288,6 @@ func NewVM(opts Options) *VM {
 		world:     core.NewWorld(opts.Mode, registry),
 		heap:      h,
 		ptable:    handlerTable(opts.Mode),
-		pmode:     pmodeIndex(opts.Mode),
 		pinned:    make(map[heap.IsolateID][]*heap.Object),
 		hostRoots: make(map[*HostRoots]struct{}),
 		waiters:   make(map[*heap.Object][]*Thread),
@@ -335,16 +318,17 @@ func (vm *VM) Heap() *heap.Heap { return vm.heap }
 func (vm *VM) Clock() int64 { return vm.clock.Load() }
 
 // NowTicks returns the exact virtual time as observed by the goroutine
-// executing guest code: the flushed clock plus the sequential engine's
-// pending batched ticks. Sleep/wait deadline computation and the time
-// natives use it so batched tick publication never shortens a timed
-// park or freezes guest-visible time within a quantum — sequential
-// timing is bit-identical to per-instruction clock publication. Host
-// goroutines must use Clock instead: the pending counter is plain state
-// owned by the run-loop goroutine. (Under the concurrent engine the
-// pending counter is unused and this equals Clock, whose quantum
-// batching is inherent to parallel execution.)
-func (vm *VM) NowTicks() int64 { return vm.clock.Load() + vm.seqPending }
+// executing guest code: the flushed clock plus the steps of the running
+// sequential quantum not yet published. Sleep/wait deadline computation
+// and the time natives use it so batched tick publication never shortens
+// a timed park or freezes guest-visible time within a quantum —
+// sequential timing is bit-identical to per-instruction clock
+// publication. Host goroutines must use Clock instead: the quantum's
+// counters are plain state owned by the run-loop goroutine. (Under the
+// concurrent engine VM.seq runs no quantum, nothing of it is pending and
+// this equals Clock, whose quantum batching is inherent to parallel
+// execution.)
+func (vm *VM) NowTicks() int64 { return vm.clock.Load() + vm.seq.steps - vm.seq.published }
 
 // TotalInstructions returns the number of instructions executed so far.
 func (vm *VM) TotalInstructions() int64 { return vm.totalInstrs.Load() }
@@ -503,7 +487,7 @@ func (vm *VM) ClassObjectFor(t *Thread, c *classfile.Class, iso *core.Isolate) (
 // configuration: heap.Collect abandons any open incremental cycle and
 // runs a fresh full pass from the current roots (see internal/heap
 // gc.go), so pressure and explicit collections behave byte-identically
-// under the incremental and the forced-STW collector.
+// under the incremental and the reference collector.
 func (vm *VM) CollectGarbage(triggeredBy *core.Isolate) heap.CollectResult {
 	if triggeredBy != nil {
 		triggeredBy.Account().GCActivations.Add(1)

@@ -30,8 +30,8 @@ const (
 	// CollectorDefault is the VM's stock configuration (incremental
 	// cycles at the default threshold and stride).
 	CollectorDefault Collector = iota
-	// CollectorSTW forces the exact stop-the-world reference collector
-	// (no incremental cycles).
+	// CollectorSTW is the exact stop-the-world reference collector (no
+	// occupancy threshold, hence no incremental cycles).
 	CollectorSTW
 	// CollectorPaced is the incremental collector tuned aggressive: a
 	// low opening threshold and a small mark stride, so cycles open
@@ -62,7 +62,7 @@ func (c Collector) options() interp.Options {
 	opts := interp.Options{Mode: core.ModeIsolated, HeapLimit: 64 << 20}
 	switch c {
 	case CollectorSTW:
-		opts.ForceSTWGC = true
+		opts.GCThresholdPercent = -1
 	case CollectorPaced:
 		opts.GCThresholdPercent = 60
 		opts.GCMarkStride = 64
