@@ -2,6 +2,7 @@ package classfile
 
 import (
 	"fmt"
+	"unsafe"
 
 	"ijvm/internal/bytecode"
 )
@@ -95,12 +96,20 @@ func (m *Method) Sig() string {
 // Class is the runtime representation of one loaded class. Per the paper,
 // the class structure itself is shared between isolates; everything
 // isolate-private (static variable values, the java.lang.Class object, the
-// initialization state) lives in the task class mirror, which is stored in
-// the VM's statics tables indexed by StaticsID.
+// initialization state) lives in the task class mirror; the class carries
+// its own mirror row (MirrorRow), which the isolate world indexes with the
+// thread's current isolate (§3.1).
 type Class struct {
-	Name       string
-	SuperName  string
-	Super      *Class
+	Name      string
+	SuperName string
+	Super     *Class
+	// MirrorRow is the class's task-class-mirror row, indexed by isolate
+	// ID. It is opaque here, like PoolEntry.ResolvedMirror: internal/core
+	// owns the pointee type (*[]*core.TaskClassMirror) and is the only
+	// reader and writer, always through sync/atomic. It sits beside Super
+	// because every static access reads both (the initialization check
+	// walks the superclass chain, one mirror per class).
+	MirrorRow  unsafe.Pointer
 	Interfaces []string
 	Flags      Flags
 	Pool       *ConstantPool
@@ -114,7 +123,7 @@ type Class struct {
 	Linked         bool
 	NumFieldSlots  int // instance slots including superclasses
 	NumStaticSlots int // static slots declared by this class only
-	StaticsID      int // index into the VM statics tables
+	StaticsID      int // link order: position in the registry's class index
 	LoaderID       int // defining class loader (isolate association)
 	Clinit         *Method
 	// VTable is the virtual dispatch table: the superclass's table with

@@ -357,4 +357,49 @@ func TestLoaderBindingFollowsIsolateLifecycle(t *testing.T) {
 	if w.IsolateForLoaderID(l.ID()) != nil {
 		t.Fatal("a freed isolate's loader is still bound")
 	}
+
+	// Across directory doublings: every binding made before a doubling is
+	// still there after it, a store after it lands in the directory readers
+	// now see, and IDs past the end read as unbound.
+	bound := make(map[int]*core.Isolate)
+	for i := 0; i < 100; i++ {
+		l := r.NewLoader("more")
+		if w.IsolateForLoaderID(l.ID()) != nil {
+			t.Fatalf("loader %d bound before it has an isolate", l.ID())
+		}
+		iso, err := w.NewIsolate("more", l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound[l.ID()] = iso
+		for id, want := range bound {
+			if w.IsolateForLoaderID(id) != want {
+				t.Fatalf("after binding loader %d, loader %d reads %v, want %v", l.ID(), id, w.IsolateForLoaderID(id), want)
+			}
+		}
+	}
+	for id, iso := range bound {
+		if id%3 != 0 {
+			continue
+		}
+		if err := w.Kill(nil, iso); err != nil {
+			t.Fatal(err)
+		}
+		w.UpdateDisposal(h)
+		if err := w.FreeIsolate(iso, h); err != nil {
+			t.Fatal(err)
+		}
+		delete(bound, id)
+		if w.IsolateForLoaderID(id) != nil {
+			t.Fatalf("loader %d still bound after its isolate was freed", id)
+		}
+	}
+	for id, want := range bound {
+		if w.IsolateForLoaderID(id) != want {
+			t.Fatalf("loader %d lost its binding to a neighbour's free", id)
+		}
+	}
+	if w.IsolateForLoaderID(1<<20) != nil {
+		t.Fatal("a loader ID past the directory must read as unbound")
+	}
 }

@@ -27,15 +27,31 @@
 //     and needs no locks;
 //   - cross-isolate counters (AccountCounters, the isolate life state)
 //     are atomics, readable and writable from any goroutine;
-//   - shared registries (the mirror table in World, the per-isolate
-//     interned-string pool) take internal mutexes.
+//   - shared registries take internal mutexes on the write side only.
+//     The mirror row of a class hangs off the class
+//     (classfile.Class.MirrorRow, indexed by isolate ID): readers load it
+//     atomically, writers replace one row copy-on-write under
+//     World.mirrorMu, which also guards each isolate's list of the
+//     classes it holds a mirror for (Isolate.mirrored) — the list is what
+//     install, enumeration, the GC root walk and the clear at free walk.
+//     The loader-ID -> isolate directory is one atomic slot per loader,
+//     stored under World.mu and read without it. The per-isolate
+//     interned-string pool is copy-on-write under its own stringsMu.
+//
+// Every isolate-lifecycle operation therefore costs what that isolate
+// touched, never what the VM has linked. What stays behind a tenant that
+// defined its own classes is the classes themselves: there is no class
+// unloading, so memory (not the time of any operation here) grows with
+// them.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"ijvm/internal/classfile"
 	"ijvm/internal/heap"
 	"ijvm/internal/loader"
 )
@@ -134,6 +150,17 @@ type Isolate struct {
 	// recycled flips once when FreeIsolate returns the isolate's ID to the
 	// World's free-list; the CAS guards against double-free.
 	recycled atomic.Bool
+
+	// mirrored lists, in StaticsID order, the classes whose mirror row
+	// holds a mirror for this isolate. Guarded by World.mirrorMu, which
+	// also keeps it in step with the rows.
+	mirrored []*classfile.Class
+}
+
+// noteMirrored enters c in the isolate's class list. World.mirrorMu held.
+func (iso *Isolate) noteMirrored(c *classfile.Class) {
+	i, _ := slices.BinarySearchFunc(iso.mirrored, c.StaticsID, func(k *classfile.Class, sid int) int { return k.StaticsID - sid })
+	iso.mirrored = slices.Insert(iso.mirrored, i, c)
 }
 
 // ID returns the isolate's accounting ID (0 for Isolate0).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"ijvm/internal/classfile"
 	"ijvm/internal/heap"
@@ -45,24 +46,26 @@ var ErrNoRight = errors.New("core: isolate lacks the required right")
 // ErrKilled is returned when an operation targets a killed isolate.
 var ErrKilled = errors.New("core: isolate is killed")
 
-// mirrorTable is an immutable snapshot of the task-class-mirror storage:
-// mirrors[staticsID][isolateID] (Shared mode: the inner index is always
-// 0). Readers load it atomically and index without locks; writers build a
-// fresh outer slice and fresh rows under World.mirrorMu and publish the
-// new table with an atomic store. Published rows are never mutated in
-// place, so a reader can never observe a half-written entry.
-type mirrorTable struct {
-	rows [][]*TaskClassMirror
-}
-
 // World owns the isolates of one VM and the task-class-mirror storage. The
 // interpreter calls Mirror on every static access; everything else is
 // management-plane.
 //
-// Locking: mu guards the isolate registries (creation order, loader
-// indexes); mirrorMu serializes mirror-table growth; the mirror table and
-// the loader-ID index are read lock-free through atomic pointers. Mirror
-// *contents* are shard-local (see the package comment) and unguarded.
+// The mirror row of a class hangs off the class (classfile.Class.MirrorRow,
+// the paper's "mirror array of a class"): a *[]*TaskClassMirror indexed by
+// isolate ID (Shared mode: always 0), loaded lock-free by readers and
+// replaced copy-on-write, one row at a time, by writers holding mirrorMu.
+// A published row is never written again, so a reader never sees a
+// half-written entry; a row is at most the live isolate IDs plus four
+// long. Each isolate lists the classes it holds a mirror for
+// (Isolate.mirrored, also under mirrorMu), so installing, enumerating,
+// rooting and clearing an isolate's mirrors touch that isolate's rows and
+// nothing else — however many classes the VM has ever linked.
+//
+// Locking: mu guards the isolate registries (creation order, free IDs) and
+// growth of the loader directory; mirrorMu serializes row replacement and
+// the per-isolate class lists; rows and loader slots are read lock-free.
+// Mirror *contents* are shard-local (see the package comment) and
+// unguarded. The two locks are never held together.
 type World struct {
 	// mode is fixed at construction: a VM is a baseline JVM or an I-JVM for
 	// its whole life, so every goroutine reads it without synchronization.
@@ -71,29 +74,30 @@ type World struct {
 
 	mu       sync.RWMutex
 	isolates []*Isolate
-	// byLoader is the copy-on-write loader-ID -> isolate index the invoke
-	// path reads on every call into a non-system class: writers
-	// (NewIsolate, FreeIsolate) publish a fresh slice under mu, readers
-	// load and index it without locks, like the mirror table. The binding
-	// cannot be cached on the class instead: classes are shared between
-	// snapshot clones, and a loader's binding is freed and recycled.
-	byLoader atomic.Pointer[[]*Isolate]
+	// byLoader is the loader-ID -> isolate directory the invoke path reads
+	// on every call into a non-system class: one atomic slot per loader ID.
+	// NewIsolate and FreeIsolate bind and unbind with one store into the
+	// slot; only a loader ID past the end replaces the directory (doubled,
+	// slots copied, under mu). The binding cannot be cached on the class
+	// instead: classes are shared between snapshot clones, and a loader's
+	// binding is freed and recycled.
+	byLoader atomic.Pointer[[]atomic.Pointer[Isolate]]
 	// freeIDs is the isolate-recycling free-list: accounting IDs of
 	// disposed isolates returned by FreeIsolate, reused LIFO by NewIsolate
 	// so long-running gateways with tenant churn keep the isolate table,
-	// mirror columns and heap counter arrays dense instead of growing
+	// mirror rows and heap counter arrays dense instead of growing
 	// without bound.
 	freeIDs []heap.IsolateID
 
 	mirrorMu sync.Mutex
-	mirrors  atomic.Pointer[mirrorTable]
+	// rootRows counts the rows MirrorRootSets has visited (tests assert it
+	// follows live mirrors, not linked classes).
+	rootRows atomic.Int64
 }
 
 // NewWorld creates the isolate world for one VM.
 func NewWorld(mode Mode, registry *loader.Registry) *World {
-	w := &World{mode: mode, registry: registry}
-	w.mirrors.Store(&mirrorTable{})
-	return w
+	return &World{mode: mode, registry: registry}
 }
 
 // Mode returns the isolation mode.
@@ -143,32 +147,43 @@ func (w *World) NewIsolate(name string, l *loader.Loader) (*Isolate, error) {
 	} else {
 		w.isolates = append(w.isolates, iso)
 	}
-	w.publishLoaderBinding(l.ID(), iso)
+	w.bindLoader(l.ID(), iso)
 	return iso, nil
 }
 
-// publishLoaderBinding publishes a copy of the loader-ID index with
-// loaderID bound to iso (nil unbinds). mu held.
-func (w *World) publishLoaderBinding(loaderID int, iso *Isolate) {
-	var cur []*Isolate
+// bindLoader stores iso (nil unbinds) in loaderID's directory slot,
+// doubling the directory first if the ID lies past its end. mu held. A
+// reader still holding the replaced directory sees the slots as they were
+// when it was replaced, which is a state its call overlapped.
+func (w *World) bindLoader(loaderID int, iso *Isolate) {
+	var dir []atomic.Pointer[Isolate]
 	if p := w.byLoader.Load(); p != nil {
-		cur = *p
+		dir = *p
 	}
-	next := make([]*Isolate, max(len(cur), loaderID+1))
-	copy(next, cur)
-	next[loaderID] = iso
-	w.byLoader.Store(&next)
+	if loaderID >= len(dir) {
+		n := max(16, len(dir))
+		for n <= loaderID {
+			n *= 2
+		}
+		grown := make([]atomic.Pointer[Isolate], n)
+		for i := range dir {
+			grown[i].Store(dir[i].Load())
+		}
+		dir = grown
+		w.byLoader.Store(&grown)
+	}
+	dir[loaderID].Store(iso)
 }
 
 // IsolateForLoaderID is the hot-path variant of IsolateForLoader used by
 // the interpreter's invoke sequence; it returns nil for the bootstrap
 // loader and for loaders without isolates.
 func (w *World) IsolateForLoaderID(id int) *Isolate {
-	p := w.byLoader.Load()
-	if p == nil || id <= 0 || id >= len(*p) {
+	dir := w.byLoader.Load()
+	if dir == nil || id <= 0 || id >= len(*dir) {
 		return nil
 	}
-	return (*p)[id]
+	return (*dir)[id].Load()
 }
 
 // Isolate0 returns the OSGi runtime's isolate, or nil before it exists.
@@ -223,80 +238,72 @@ func (w *World) NumIsolates() int {
 	return len(w.isolates)
 }
 
+// mirrorRow loads c's published mirror row (nil before the first mirror).
+func mirrorRow(c *classfile.Class) []*TaskClassMirror {
+	if p := (*[]*TaskClassMirror)(atomic.LoadPointer(&c.MirrorRow)); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// setMirrorSlot publishes a copy of c's row with slot idx set to m (nil
+// clears), grown to idx+4 entries if idx lies past its end. mirrorMu held.
+func setMirrorSlot(c *classfile.Class, idx int, m *TaskClassMirror) {
+	row := mirrorRow(c)
+	next := make([]*TaskClassMirror, max(idx+4, len(row)))
+	copy(next, row)
+	next[idx] = m
+	atomic.StorePointer(&c.MirrorRow, unsafe.Pointer(&next))
+}
+
+// mirrorIndex is iso's index into every mirror row.
+func (w *World) mirrorIndex(iso *Isolate) int {
+	if w.mode == ModeIsolated {
+		return int(iso.id)
+	}
+	return 0
+}
+
 // Mirror returns the task class mirror of class c for isolate iso,
 // creating it lazily. This is the getstatic/putstatic hot path: in
 // Isolated mode it performs the paper's two extra loads (current isolate,
-// then the mirror array entry); in Shared mode isolates collapse to a
-// single mirror. The fast path is lock-free: it indexes an immutable
-// table snapshot; only a miss (first access of a (class, isolate) pair)
-// takes the growth lock.
+// then the class's mirror array entry); in Shared mode isolates collapse
+// to a single mirror. The fast path is lock-free — class, row, slot —
+// and only a miss (first access of a (class, isolate) pair) takes
+// mirrorMu.
 func (w *World) Mirror(c *classfile.Class, iso *Isolate) *TaskClassMirror {
-	sid := c.StaticsID
-	idx := 0
-	if w.Mode() == ModeIsolated {
-		idx = int(iso.id)
-	}
-	tab := w.mirrors.Load()
-	if sid < len(tab.rows) {
-		if row := tab.rows[sid]; idx < len(row) {
-			if m := row[idx]; m != nil {
-				return m
-			}
+	idx := w.mirrorIndex(iso)
+	if row := mirrorRow(c); idx < len(row) {
+		if m := row[idx]; m != nil {
+			return m
 		}
 	}
-	return w.growMirror(sid, idx, c)
+	return w.growMirror(c, iso, idx)
 }
 
-// growMirror publishes a new table snapshot containing a mirror at
-// (sid, idx), creating it if a concurrent caller has not already.
-func (w *World) growMirror(sid, idx int, c *classfile.Class) *TaskClassMirror {
+// growMirror creates iso's mirror of c, unless a concurrent caller already
+// has, and enters c in iso's class list.
+func (w *World) growMirror(c *classfile.Class, iso *Isolate, idx int) *TaskClassMirror {
 	w.mirrorMu.Lock()
 	defer w.mirrorMu.Unlock()
-	tab := w.mirrors.Load()
-	// Re-check under the lock: another goroutine may have published it.
-	if sid < len(tab.rows) {
-		if row := tab.rows[sid]; idx < len(row) && row[idx] != nil {
-			return row[idx]
-		}
+	if row := mirrorRow(c); idx < len(row) && row[idx] != nil {
+		return row[idx]
 	}
-	rows := tab.rows
-	if sid >= len(rows) {
-		grown := make([][]*TaskClassMirror, sid+16)
-		copy(grown, rows)
-		rows = grown
-	} else {
-		rows = append([][]*TaskClassMirror(nil), rows...)
-	}
-	row := rows[sid]
-	grownRow := make([]*TaskClassMirror, max(idx+4, len(row)))
-	copy(grownRow, row)
 	m := newMirror(c)
-	grownRow[idx] = m
-	rows[sid] = grownRow
-	w.mirrors.Store(&mirrorTable{rows: rows})
+	setMirrorSlot(c, idx, m)
+	iso.noteMirrored(c)
 	return m
 }
 
 // MirrorIfPresent returns the mirror without creating it.
 func (w *World) MirrorIfPresent(c *classfile.Class, iso *Isolate) *TaskClassMirror {
-	sid := c.StaticsID
-	idx := 0
-	if w.Mode() == ModeIsolated {
-		idx = int(iso.id)
+	if row, idx := mirrorRow(c), w.mirrorIndex(iso); idx < len(row) {
+		return row[idx]
 	}
-	tab := w.mirrors.Load()
-	if sid >= len(tab.rows) {
-		return nil
-	}
-	row := tab.rows[sid]
-	if idx >= len(row) {
-		return nil
-	}
-	return row[idx]
+	return nil
 }
 
-// MirrorEntry pairs a class with one isolate's mirror for it, as returned
-// by MirrorEntries.
+// MirrorEntry pairs a class with one isolate's mirror for it.
 type MirrorEntry struct {
 	Class  *classfile.Class
 	Mirror *TaskClassMirror
@@ -307,72 +314,41 @@ type MirrorEntry struct {
 // initialized statics; callers that need a stable cut run with the world
 // stopped.
 func (w *World) MirrorEntries(iso *Isolate) []MirrorEntry {
-	idx := 0
-	if w.Mode() == ModeIsolated {
-		idx = int(iso.id)
-	}
-	tab := w.mirrors.Load()
-	var out []MirrorEntry
-	for sid, row := range tab.rows {
-		if idx >= len(row) || row[idx] == nil {
-			continue
-		}
-		class := w.registry.ClassByStaticsID(sid)
-		if class == nil {
-			continue
-		}
-		out = append(out, MirrorEntry{Class: class, Mirror: row[idx]})
+	idx := w.mirrorIndex(iso)
+	w.mirrorMu.Lock()
+	defer w.mirrorMu.Unlock()
+	out := make([]MirrorEntry, len(iso.mirrored))
+	for i, c := range iso.mirrored {
+		out[i] = MirrorEntry{Class: c, Mirror: mirrorRow(c)[idx]}
 	}
 	return out
 }
 
-// InstallMirrors publishes pre-built mirrors for iso in one table update,
-// keyed by StaticsID. The snapshot-clone path uses it to install a whole
-// warmed mirror column at once instead of paying a growMirror publication
-// per class. A slot that already holds a mirror refuses the install (the
-// clone would silently lose state the isolate already accumulated), so
-// callers install before the isolate runs any guest code.
-func (w *World) InstallMirrors(iso *Isolate, mirrors map[int]*TaskClassMirror) error {
-	if len(mirrors) == 0 {
-		return nil
-	}
-	idx := 0
-	if w.Mode() == ModeIsolated {
-		idx = int(iso.id)
-	}
+// InstallMirrors publishes pre-built mirrors for iso, in ascending
+// StaticsID order (the order MirrorEntries captured them in). The
+// snapshot-clone path uses it to install a whole warmed set at once. A
+// slot that already holds a mirror refuses the install with nothing
+// installed (the clone would silently lose state the isolate already
+// accumulated), so callers install before the isolate runs any guest code.
+func (w *World) InstallMirrors(iso *Isolate, entries []MirrorEntry) error {
+	idx := w.mirrorIndex(iso)
 	w.mirrorMu.Lock()
 	defer w.mirrorMu.Unlock()
-	tab := w.mirrors.Load()
-	maxSid := 0
-	for sid := range mirrors {
-		if sid < 0 {
-			return fmt.Errorf("core: invalid statics id %d", sid)
+	for i, e := range entries {
+		if e.Class == nil || e.Mirror == nil {
+			return errors.New("core: install of a nil class or mirror")
 		}
-		if sid > maxSid {
-			maxSid = sid
+		if i > 0 && e.Class.StaticsID <= entries[i-1].Class.StaticsID {
+			return fmt.Errorf("core: mirrors of isolate %d not in statics-id order at %s", iso.id, e.Class.Name)
 		}
-		if sid < len(tab.rows) {
-			if row := tab.rows[sid]; idx < len(row) && row[idx] != nil {
-				return fmt.Errorf("core: isolate %d already has a mirror for statics id %d", iso.id, sid)
-			}
+		if row := mirrorRow(e.Class); idx < len(row) && row[idx] != nil {
+			return fmt.Errorf("core: isolate %d already has a mirror for %s", iso.id, e.Class.Name)
 		}
 	}
-	rows := tab.rows
-	if maxSid >= len(rows) {
-		grown := make([][]*TaskClassMirror, maxSid+16)
-		copy(grown, rows)
-		rows = grown
-	} else {
-		rows = append([][]*TaskClassMirror(nil), rows...)
+	for _, e := range entries {
+		setMirrorSlot(e.Class, idx, e.Mirror)
+		iso.noteMirrored(e.Class)
 	}
-	for sid, m := range mirrors {
-		row := rows[sid]
-		grownRow := make([]*TaskClassMirror, max(idx+4, len(row)))
-		copy(grownRow, row)
-		grownRow[idx] = m
-		rows[sid] = grownRow
-	}
-	w.mirrors.Store(&mirrorTable{rows: rows})
 	return nil
 }
 
@@ -381,15 +357,18 @@ func (w *World) InstallMirrors(iso *Isolate, mirrors map[int]*TaskClassMirror) e
 var ErrNotDisposed = errors.New("core: isolate is not disposed")
 
 // FreeIsolate returns a disposed isolate's identity to service: its
-// accounting ID joins the free-list for the next NewIsolate, its mirror
-// column and heap counters are cleared, and its loader indexes are
-// detached. Only fully disposed isolates (killed, swept, no live charged
-// objects) qualify, and never Isolate0. The ordering matters: the ID is
-// published for reuse only after the mirror column and counters are
-// cleared, so a concurrent NewIsolate can never adopt an ID that still
-// shows the dead tenant's statics or charges. The isolate struct itself
-// stays in the creation-order slice until the ID is reused (iterators
-// rely on non-nil entries and simply see a disposed corpse).
+// accounting ID joins the free-list for the next NewIsolate, its mirrors
+// and heap counters are cleared, and its loader is unbound. Only fully
+// disposed isolates (killed, swept, no live charged objects) qualify, and
+// never Isolate0. The order is load-bearing: unbind the loader (one store
+// into its directory slot, under mu) so no invoke migrates into the corpse;
+// clear the mirror slot of every class the isolate lists, and the list
+// (mirrorMu); zero the heap counters; and only then publish the ID on the
+// free-list (mu), so a concurrent NewIsolate can never adopt an ID that
+// still shows the dead tenant's statics, class list or charges. Each step
+// costs what this isolate touched. The isolate struct itself stays in the
+// creation-order slice until the ID is reused (iterators rely on non-nil
+// entries and simply see a disposed corpse).
 func (w *World) FreeIsolate(iso *Isolate, h *heap.Heap) error {
 	if iso == nil {
 		return errors.New("core: free nil isolate")
@@ -406,11 +385,11 @@ func (w *World) FreeIsolate(iso *Isolate, h *heap.Heap) error {
 
 	w.mu.Lock()
 	if w.IsolateForLoaderID(iso.loader.ID()) == iso {
-		w.publishLoaderBinding(iso.loader.ID(), nil)
+		w.bindLoader(iso.loader.ID(), nil)
 	}
 	w.mu.Unlock()
 
-	w.clearMirrorColumn(int(iso.id))
+	w.clearMirrors(iso)
 	if h != nil {
 		h.ResetIsolateStats(iso.id)
 	}
@@ -421,34 +400,29 @@ func (w *World) FreeIsolate(iso *Isolate, h *heap.Heap) error {
 	return nil
 }
 
-// clearMirrorColumn publishes a table snapshot with every mirror of the
-// given isolate index removed.
-func (w *World) clearMirrorColumn(idx int) {
+// clearMirrors removes iso's mirror from the row of every class it lists
+// and empties the list.
+func (w *World) clearMirrors(iso *Isolate) {
+	idx := w.mirrorIndex(iso)
 	w.mirrorMu.Lock()
 	defer w.mirrorMu.Unlock()
-	tab := w.mirrors.Load()
-	changed := false
-	rows := append([][]*TaskClassMirror(nil), tab.rows...)
-	for sid, row := range rows {
-		if idx < len(row) && row[idx] != nil {
-			fresh := append([]*TaskClassMirror(nil), row...)
-			fresh[idx] = nil
-			rows[sid] = fresh
-			changed = true
-		}
+	for _, c := range iso.mirrored {
+		setMirrorSlot(c, idx, nil)
 	}
-	if changed {
-		w.mirrors.Store(&mirrorTable{rows: rows})
-	}
+	iso.mirrored = nil
 }
 
 // MirrorRootSets builds the GC accounting root contribution of every
 // isolate's mirrors and string pools (paper §3.2, step 2). The returned
-// map is keyed by isolate ID. Callers run with the world stopped (the
-// collection is stop-the-world), so the table snapshot is complete.
+// map is keyed by isolate ID; an isolate's mirror roots come in StaticsID
+// order. Callers run with the world stopped (the collection is
+// stop-the-world), so the cut is complete.
 func (w *World) MirrorRootSets() map[heap.IsolateID][]*heap.Object {
 	isolates := w.Isolates()
 	out := make(map[heap.IsolateID][]*heap.Object, len(isolates))
+	w.mirrorMu.Lock()
+	defer w.mirrorMu.Unlock()
+	rows := 0
 	for _, iso := range isolates {
 		// Killed isolates contribute no roots: "all the objects
 		// referenced by the terminating isolate are reclaimed by the
@@ -458,30 +432,21 @@ func (w *World) MirrorRootSets() map[heap.IsolateID][]*heap.Object {
 		if iso.Killed() {
 			continue
 		}
-		out[iso.id] = iso.StringPoolRoots(nil)
-	}
-	tab := w.mirrors.Load()
-	for sid, row := range tab.rows {
-		class := w.registry.ClassByStaticsID(sid)
-		if class == nil {
-			continue
+		roots := iso.StringPoolRoots(nil)
+		idx := w.mirrorIndex(iso)
+		for _, c := range iso.mirrored {
+			roots = mirrorRow(c)[idx].Roots(roots)
 		}
-		for idx, m := range row {
-			if m == nil {
-				continue
-			}
-			isoID := heap.IsolateID(idx)
-			if w.Mode() == ModeShared {
-				isoID = 0
-			}
-			if iso := w.IsolateByID(isoID); iso == nil || iso.Killed() {
-				continue
-			}
-			out[isoID] = m.Roots(out[isoID])
-		}
+		rows += len(iso.mirrored)
+		out[iso.id] = roots
 	}
+	w.rootRows.Add(int64(rows))
 	return out
 }
+
+// RootRowsVisitedForTest returns how many mirror rows MirrorRootSets has
+// visited so far.
+func (w *World) RootRowsVisitedForTest() int64 { return w.rootRows.Load() }
 
 // Modelled sizes of the VM-internal structures that Figure 3 accounts
 // for: "(i) the array of task class mirrors for each class and (ii) a
@@ -504,8 +469,8 @@ const (
 // pools and accounts.
 func (w *World) StructFootprint() int64 {
 	var total int64
-	tab := w.mirrors.Load()
-	for _, row := range tab.rows {
+	for sid, n := 0, w.registry.NumClasses(); sid < n; sid++ {
+		row := mirrorRow(w.registry.ClassByStaticsID(sid))
 		if row == nil {
 			continue
 		}

@@ -604,7 +604,7 @@ func pValueReturn(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 // initialized access the mirror is cached on the pool entry and every
 // later access is a single load, the way a JIT folds the initialization
 // check away. The Isolated handlers are the paper's I-JVM sequence —
-// re-index the mirror table with the thread's current isolate and
+// index the class's mirror row with the thread's current isolate and
 // re-check initialization on every access — with no Shared-cache probe
 // and no world.Isolated() branch left in the steady state.
 

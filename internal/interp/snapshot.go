@@ -90,22 +90,32 @@ type SnapshotOptions struct {
 	FreezeShared bool
 }
 
-// snapValue is one captured variable slot: scalars by value, references
-// as an index into Snapshot.objects (refNone for null/scalar).
-type snapValue struct {
-	kind classfile.Kind
-	i    int64
-	f    float64
-	ref  int32
+// snapSlots is one captured slot vector — a mirror's statics, an object's
+// fields or an array's elements — stored the way a clone needs it: vals is
+// the vector itself with every reference nil, refs names the object of
+// Snapshot.objects that belongs in each reference slot. Materializing it
+// is one copy and len(refs) stores, whatever the vector's length.
+type snapSlots struct {
+	vals []heap.Value
+	refs []snapRef
 }
 
-const refNone = int32(-1)
+type snapRef struct{ slot, obj int32 }
+
+// fill writes the vector into dst (of the captured length), references
+// resolved through objs.
+func (s *snapSlots) fill(dst []heap.Value, objs []*heap.Object) {
+	copy(dst, s.vals)
+	for _, r := range s.refs {
+		dst[r.slot].R = objs[r.obj]
+	}
+}
 
 // snapClass is one captured task class mirror.
 type snapClass struct {
 	class       *classfile.Class
 	state       core.InitState
-	statics     []snapValue
+	statics     snapSlots
 	hasClassObj bool
 }
 
@@ -120,7 +130,7 @@ type snapObject struct {
 	isStr   bool
 	classOf *classfile.Class
 	isArray bool
-	slots   []snapValue
+	slots   snapSlots
 }
 
 // CaptureSnapshot checkpoints src at a safepoint. The world is stopped
@@ -179,20 +189,16 @@ func (vm *VM) captureStopped(snap *Snapshot, src *core.Isolate, opts SnapshotOpt
 
 	fl := &flattener{vm: vm, snap: snap, poolSet: poolSet, opts: opts, memo: make(map[*heap.Object]int32)}
 	for _, e := range vm.world.MirrorEntries(src) {
-		sc := snapClass{
+		statics, bad, err := fl.capture(e.Mirror.Statics)
+		if err != nil {
+			return fmt.Errorf("capture %s.%s: %w", e.Class.Name, e.Class.StaticFields[bad].Name, err)
+		}
+		snap.classes = append(snap.classes, snapClass{
 			class:       e.Class,
 			state:       e.Mirror.State,
+			statics:     statics,
 			hasClassObj: e.Mirror.ClassObject.Load() != nil,
-		}
-		sc.statics = make([]snapValue, len(e.Mirror.Statics))
-		for i, v := range e.Mirror.Statics {
-			sv, err := fl.encode(v)
-			if err != nil {
-				return fmt.Errorf("capture %s.%s: %w", e.Class.Name, e.Class.StaticFields[i].Name, err)
-			}
-			sc.statics[i] = sv
-		}
-		snap.classes = append(snap.classes, sc)
+		})
 	}
 
 	snap.account = src.Account().Numbers()
@@ -210,16 +216,24 @@ type flattener struct {
 	memo    map[*heap.Object]int32
 }
 
-func (fl *flattener) encode(v heap.Value) (snapValue, error) {
-	sv := snapValue{kind: v.Kind, i: v.I, f: v.F, ref: refNone}
-	if v.R != nil {
-		idx, err := fl.flatten(v.R)
-		if err != nil {
-			return sv, err
+// capture records one slot vector, flattening everything it references.
+// On failure it also returns the index of the slot that could not be
+// captured.
+func (fl *flattener) capture(src []heap.Value) (snapSlots, int, error) {
+	s := snapSlots{vals: append([]heap.Value(nil), src...)}
+	for i := range s.vals {
+		o := s.vals[i].R
+		if o == nil {
+			continue
 		}
-		sv.ref = idx
+		s.vals[i].R = nil
+		idx, err := fl.flatten(o)
+		if err != nil {
+			return s, i, err
+		}
+		s.refs = append(s.refs, snapRef{slot: int32(i), obj: idx})
 	}
-	return sv, nil
+	return s, 0, nil
 }
 
 func (fl *flattener) flatten(o *heap.Object) (int32, error) {
@@ -266,20 +280,12 @@ func (fl *flattener) flatten(o *heap.Object) (int32, error) {
 		}
 		return idx, fmt.Errorf("opaque native payload on %s is not snapshotable", o.Class.Name)
 	}
-	// From here on recursion may grow fl.snap.objects and relocate the
-	// record, so writes go through the stable slice headers allocated
-	// before descending (the copies share backing arrays).
+	// The recursion below may grow fl.snap.objects and relocate the
+	// record, so the vector is stored through the index afterwards.
 	rec.isArray = o.IsArray()
-	rec.slots = make([]snapValue, len(o.Elems))
-	slots := rec.slots
-	for i, v := range o.Elems {
-		sv, err := fl.encode(v)
-		if err != nil {
-			return idx, err
-		}
-		slots[i] = sv
-	}
-	return idx, nil
+	slots, _, err := fl.capture(o.Elems)
+	fl.snap.objects[idx].slots = slots
+	return idx, err
 }
 
 // Released reports whether Release ran.
@@ -308,11 +314,12 @@ func (snap *Snapshot) Release() {
 }
 
 // CloneIsolate materializes a new tenant isolate from a warmed snapshot:
-// a fresh loader wired to the template's class owners, the whole mirror
-// column installed in one publication (statics already initialized, so no
-// <clinit> runs), the template's interned-string pool adopted by pointer,
-// and the account and allocation counters seeded to the capture-time
-// values — byte-identical to a cold start that ran the same warm-up.
+// a fresh loader wired to the template's class owners, one mirror per
+// captured class installed in the class's row (statics already
+// initialized, so no <clinit> runs), the template's interned-string pool
+// adopted by pointer, and the account and allocation counters seeded to
+// the capture-time values — byte-identical to a cold start that ran the
+// same warm-up.
 //
 // Materialization is GC-safe without stopping the world: every copy is
 // allocated and rooted atomically against exact collections through a
@@ -350,14 +357,16 @@ func (vm *VM) CloneIsolate(snap *Snapshot, name string) (*core.Isolate, error) {
 	if err != nil {
 		return nil, vm.unwindClone(iso, roots, err)
 	}
-	mirrors := make(map[int]*core.TaskClassMirror, len(snap.classes))
+	// snap.classes is in StaticsID order (MirrorEntries captured it), the
+	// order InstallMirrors takes.
+	mirrors := make([]core.MirrorEntry, len(snap.classes))
 	for i := range snap.classes {
 		sc := &snap.classes[i]
 		m, err := vm.buildMirror(snap, sc, iso, roots, objs, classObjs)
 		if err != nil {
 			return nil, vm.unwindClone(iso, roots, err)
 		}
-		mirrors[sc.class.StaticsID] = m
+		mirrors[i] = core.MirrorEntry{Class: sc.class, Mirror: m}
 	}
 	if err := vm.world.InstallMirrors(iso, mirrors); err != nil {
 		return nil, vm.unwindClone(iso, roots, err)
@@ -371,7 +380,7 @@ func (vm *VM) CloneIsolate(snap *Snapshot, name string) (*core.Isolate, error) {
 // unwindClone rolls back a mid-materialization clone failure so the
 // attempt leaves no trace: the half-built isolate consumed a dense
 // isolate ID, a registry loader slot, heap bytes for the partial copy,
-// and possibly an installed mirror column — all of which would leak if
+// and possibly installed mirrors — all of which would leak if
 // the error return simply abandoned them (the clone pool retries clone
 // failures forever; a leak per attempt would exhaust the ID space and
 // the heap). The unwind reuses the sanctioned teardown pipeline, in
@@ -384,7 +393,7 @@ func (vm *VM) CloneIsolate(snap *Snapshot, name string) (*core.Isolate, error) {
 // the accounting collection then sweeps every byte the attempt charged
 // and flips the corpse to Disposed (nothing else can root a clone that
 // never ran); FreeIsolate finally returns the dense ID to the world's
-// free list, clears any installed mirror column, resets the heap
+// free list, clears any installed mirrors, resets the heap
 // counters and releases the classless loader back to the registry. Every
 // step is host-side and safepoint-aware, so a failed clone behind a live
 // scheduler unwinds without stopping tenant progress beyond the one
@@ -430,7 +439,7 @@ func (vm *VM) materializeGraph(snap *Snapshot, iso *core.Isolate, roots *HostRoo
 			}
 			objs[i] = obj
 		case so.isArray:
-			obj, err := vm.AllocArrayRooted(roots, so.class, len(so.slots), iso)
+			obj, err := vm.AllocArrayRooted(roots, so.class, len(so.slots.vals), iso)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -450,9 +459,7 @@ func (vm *VM) materializeGraph(snap *Snapshot, iso *core.Isolate, roots *HostRoo
 		if so.shared != nil || so.isStr || so.classOf != nil {
 			continue
 		}
-		for j, sv := range so.slots {
-			objs[i].Elems[j] = decodeValue(sv, objs)
-		}
+		so.slots.fill(objs[i].Elems, objs)
 	}
 	return objs, classObjs, nil
 }
@@ -483,20 +490,8 @@ func (vm *VM) classObjectRooted(c *classfile.Class, iso *core.Isolate, roots *Ho
 // fresh uninitialized mirror: the clone re-runs the initializer from
 // scratch rather than resuming a half-run one.
 func (vm *VM) buildMirror(snap *Snapshot, sc *snapClass, iso *core.Isolate, roots *HostRoots, objs []*heap.Object, classObjs map[*classfile.Class]*heap.Object) (*core.TaskClassMirror, error) {
-	m := &core.TaskClassMirror{}
-	if sc.state == core.InitRunning {
-		m.State = core.InitNone
-		m.Statics = make([]heap.Value, len(sc.statics))
-		for i, f := range sc.class.StaticFields {
-			m.Statics[i] = heap.ZeroOf(f.Kind)
-		}
-	} else {
-		m.State = sc.state
-		m.Statics = make([]heap.Value, len(sc.statics))
-		for i, sv := range sc.statics {
-			m.Statics[i] = decodeValue(sv, objs)
-		}
-	}
+	m := &core.TaskClassMirror{Statics: make([]heap.Value, len(sc.statics.vals))}
+	restoreStatics(m, sc, objs)
 	if sc.hasClassObj {
 		obj, err := vm.classObjectRooted(sc.class, iso, roots, classObjs)
 		if err != nil {
@@ -507,12 +502,19 @@ func (vm *VM) buildMirror(snap *Snapshot, sc *snapClass, iso *core.Isolate, root
 	return m, nil
 }
 
-func decodeValue(sv snapValue, objs []*heap.Object) heap.Value {
-	v := heap.Value{Kind: sv.kind, I: sv.i, F: sv.f}
-	if sv.ref >= 0 {
-		v.R = objs[sv.ref]
+// restoreStatics sets m's initialization state and statics to the captured
+// record's; a capture that raced a running <clinit> leaves them as a fresh
+// mirror's.
+func restoreStatics(m *core.TaskClassMirror, sc *snapClass, objs []*heap.Object) {
+	if sc.state == core.InitRunning {
+		m.State = core.InitNone
+		for i, f := range sc.class.StaticFields {
+			m.Statics[i] = heap.ZeroOf(f.Kind)
+		}
+		return
 	}
-	return v
+	m.State = sc.state
+	sc.statics.fill(m.Statics, objs)
 }
 
 // RestoreInPlace rewinds the captured isolate itself back to the
@@ -583,17 +585,7 @@ func (snap *Snapshot) RestoreInPlace() error {
 // restoreMirror overwrites one existing mirror in place with the captured
 // record.
 func restoreMirror(m *core.TaskClassMirror, sc *snapClass, objs []*heap.Object, classObjs map[*classfile.Class]*heap.Object) {
-	if sc.state == core.InitRunning {
-		m.State = core.InitNone
-		for i, f := range sc.class.StaticFields {
-			m.Statics[i] = heap.ZeroOf(f.Kind)
-		}
-	} else {
-		m.State = sc.state
-		for i, sv := range sc.statics {
-			m.Statics[i] = decodeValue(sv, objs)
-		}
-	}
+	restoreStatics(m, sc, objs)
 	m.InitThread = 0
 	if !sc.hasClassObj {
 		m.ClassObject.Store(nil)
@@ -605,7 +597,7 @@ func restoreMirror(m *core.TaskClassMirror, sc *snapClass, objs []*heap.Object, 
 }
 
 // FreeIsolate returns a disposed isolate to the recycling pool: its
-// accounting ID, mirror column, heap counters and (if classless) loader
+// accounting ID, mirror slots, heap counters and (if classless) loader
 // are all reclaimed for the next NewIsolate/CloneIsolate. The isolate
 // must be fully disposed — killed, swept by an accounting collection, no
 // live charged objects — and must have no undone threads still bound to

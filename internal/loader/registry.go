@@ -7,56 +7,57 @@ import (
 	"ijvm/internal/classfile"
 )
 
-// loaderTable is the copy-on-write published loader slice.
-type loaderTable struct {
-	p atomic.Pointer[[]*Loader]
+// published is an append-only table read without locks: the writer (under
+// Registry.regMu) appends into spare capacity — or into a grown copy when
+// there is none — and publishes the longer slice header. Elements below a
+// published length are never written again, so a reader holding any header
+// sees only finished entries, and an append costs the entry plus the
+// header, not the table.
+type published[T any] struct {
+	p atomic.Pointer[[]T]
 }
 
-func (t *loaderTable) load() []*Loader { return *t.p.Load() }
+func (t *published[T]) load() []T {
+	if s := t.p.Load(); s != nil {
+		return *s
+	}
+	return nil
+}
 
-func (t *loaderTable) publish(ls []*Loader) { t.p.Store(&ls) }
+func (t *published[T]) add(v T) {
+	s := append(t.load(), v)
+	t.p.Store(&s)
+}
 
 // Registry owns all loaders of one VM and hands out link-time IDs.
 //
-// Concurrency: the loader table and the statics-ID class index are both
-// published copy-on-write through atomic pointers so the interpreter's
-// invoke path (Loader by ID on every cross-loader call) and the GC's
-// mirror-root walk (ClassByStaticsID for every installed mirror) stay
-// lock-free while the snapshot-clone path creates tenant loaders — and
-// concurrent cold provisioning defines whole class sets — behind a
-// running scheduler; regMu serializes creation, release, and ID
+// Concurrency: the loader table and the statics-ID class index are
+// append-only tables (published) so the interpreter's invoke path (Loader
+// by ID on every cross-loader call) and host queries (ClassByStaticsID,
+// NumClasses) stay lock-free while the snapshot-clone path creates tenant
+// loaders — and concurrent cold provisioning defines whole class sets —
+// behind a running scheduler; regMu serializes creation, release, and ID
 // assignment (registerLinked). Classes are immutable once linked; only
-// the registry-wide counters and the published index need the lock.
+// the registry-wide counters and the two tables need the lock. Nothing is
+// ever removed: the classes of a tenant that has come and gone stay linked
+// (there is no class unloading), so the tables' memory grows with them even
+// though no operation's time does.
 type Registry struct {
 	regMu       sync.Mutex
-	loaders     loaderTable
+	loaders     published[*Loader]
 	freeLoaders []*Loader
 
 	bootstrap          *Loader
 	nextStaticsID      int
 	nextMethodID       int
-	classesByStaticsID classTable
+	classesByStaticsID published[*classfile.Class]
 }
-
-// classTable is the copy-on-write published statics-ID -> class index.
-type classTable struct {
-	p atomic.Pointer[[]*classfile.Class]
-}
-
-func (t *classTable) load() []*classfile.Class {
-	if cs := t.p.Load(); cs != nil {
-		return *cs
-	}
-	return nil
-}
-
-func (t *classTable) publish(cs []*classfile.Class) { t.p.Store(&cs) }
 
 // registerLinked assigns the class (and its methods) their registry-wide
-// IDs and publishes the class in the statics-ID index, all under regMu.
+// IDs and appends the class to the statics-ID index, all under regMu.
 // link calls it exactly once per class, as its final step: everything
 // else about the class is already immutable by then, so a reader that
-// loads the new table sees a fully linked class. Keeping the counters
+// loads the longer index sees a fully linked class. Keeping the counters
 // and the append under the lock is what lets clone-pool refill and cold
 // tenant provisioning define classes concurrently without torn IDs or a
 // lost index entry.
@@ -69,11 +70,7 @@ func (r *Registry) registerLinked(c *classfile.Class) {
 		m.ID = r.nextMethodID
 		r.nextMethodID++
 	}
-	cur := r.classesByStaticsID.load()
-	grown := make([]*classfile.Class, len(cur)+1)
-	copy(grown, cur)
-	grown[len(cur)] = c
-	r.classesByStaticsID.publish(grown)
+	r.classesByStaticsID.add(c)
 }
 
 // NewRegistry creates a registry with a fresh bootstrap loader.
@@ -85,7 +82,7 @@ func NewRegistry() *Registry {
 		registry: r,
 		classes:  make(map[string]*classfile.Class),
 	}
-	r.loaders.publish([]*Loader{r.bootstrap})
+	r.loaders.add(r.bootstrap)
 	return r
 }
 
@@ -107,17 +104,13 @@ func (r *Registry) NewLoader(name string) *Loader {
 		l.name = name
 		return l
 	}
-	cur := r.loaders.load()
 	l := &Loader{
-		id:       len(cur),
+		id:       len(r.loaders.load()),
 		name:     name,
 		registry: r,
 		classes:  make(map[string]*classfile.Class),
 	}
-	grown := make([]*Loader, len(cur)+1)
-	copy(grown, cur)
-	grown[len(cur)] = l
-	r.loaders.publish(grown)
+	r.loaders.add(l)
 	return l
 }
 
@@ -164,8 +157,7 @@ func (r *Registry) NumLoaders() int { return len(r.loaders.load()) }
 func (r *Registry) NumClasses() int { return len(r.classesByStaticsID.load()) }
 
 // ClassByStaticsID returns the class whose StaticsID is id, or nil.
-// Lock-free — the GC's mirror-root walk calls it for every installed
-// mirror while loaders keep linking classes.
+// Lock-free.
 func (r *Registry) ClassByStaticsID(id int) *classfile.Class {
 	cur := r.classesByStaticsID.load()
 	if id < 0 || id >= len(cur) {

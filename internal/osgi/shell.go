@@ -71,7 +71,7 @@ func (s *Shell) help(w io.Writer) error {
   stats               per-isolate resource accounts (runs a GC first)
   threads             list VM threads with state and current isolate
   precise             exact per-isolate memory (shared objects counted per sharer)
-  mem                 heap and metadata memory footprint
+  mem                 heap and metadata memory footprint, linked classes and loaders
   gc                  force an accounting collection
   start <bundle>      start a bundle
   stop <bundle>       stop a bundle
@@ -165,6 +165,10 @@ func (s *Shell) mem(w io.Writer) error {
 	fmt.Fprintf(w, "metadata:  %d bytes (mirrors, string pools, accounts)\n",
 		s.fw.vm.World().StructFootprint())
 	fmt.Fprintf(w, "footprint: %d bytes\n", s.fw.vm.MemoryFootprint())
+	// Classes are never unloaded: a tenant that defined its own leaves them
+	// linked when it goes, and this line is where that shows.
+	reg := s.fw.vm.Registry()
+	fmt.Fprintf(w, "classes:   %d linked, %d loaders\n", reg.NumClasses(), reg.NumLoaders())
 	return nil
 }
 

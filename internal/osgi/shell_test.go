@@ -1,6 +1,7 @@
 package osgi_test
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestShellStatsAndMem(t *testing.T) {
 		t.Errorf("stats output:\n%s", out)
 	}
 	out = execute(t, s, "mem")
-	if !strings.Contains(out, "heap:") || !strings.Contains(out, "footprint:") {
+	if !strings.Contains(out, "heap:") || !strings.Contains(out, "footprint:") || !regexp.MustCompile(`classes:   [1-9]\d* linked, [1-9]\d* loaders`).MatchString(out) {
 		t.Errorf("mem output:\n%s", out)
 	}
 	out = execute(t, s, "precise")
