@@ -5,8 +5,17 @@ import (
 	"testing"
 )
 
-func TestFig3Table(t *testing.T) {
-	if err := run([]string{"-fig3"}); err != nil {
+func TestLimitsTable(t *testing.T) {
+	if err := run([]string{"-limits"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestQoSTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three SLO legs skipped in -short mode")
+	}
+	if err := run([]string{"-qos"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -16,13 +25,10 @@ func TestFlagValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "at least one") {
 		t.Fatalf("err = %v", err)
 	}
-}
-
-func TestTable1Quick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing table skipped in -short mode")
-	}
-	if err := run([]string{"-table1", "-reps", "1"}); err != nil {
-		t.Fatal(err)
+	// The tables bench/ reports are gone, and so are their flags.
+	for _, gone := range []string{"-table1", "-fig1", "-fig2", "-fig3", "-serve", "-reps=1"} {
+		if err := run([]string{gone, "-limits"}); err == nil {
+			t.Errorf("%s accepted", gone)
+		}
 	}
 }

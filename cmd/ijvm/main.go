@@ -47,14 +47,9 @@ func run(argv []string) error {
 		return fmt.Errorf("expected exactly one .jasm file, got %d args", fs.NArg())
 	}
 
-	var vmMode core.Mode
-	switch *mode {
-	case "shared":
-		vmMode = core.ModeShared
-	case "isolated":
-		vmMode = core.ModeIsolated
-	default:
-		return fmt.Errorf("unknown mode %q (want shared or isolated)", *mode)
+	vmMode, err := core.ParseMode(*mode)
+	if err != nil {
+		return err
 	}
 
 	src, err := os.ReadFile(fs.Arg(0))

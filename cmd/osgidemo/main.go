@@ -49,6 +49,10 @@ func run(argv []string) error {
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
+	vmMode, err := core.ParseMode(*mode)
+	if err != nil {
+		return err
+	}
 	if *cpuprofile != "" {
 		pf, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -74,11 +78,6 @@ func run(argv []string) error {
 			}
 		}()
 	}
-	vmMode := core.ModeIsolated
-	if *mode == "shared" {
-		vmMode = core.ModeShared
-	}
-
 	vm := interp.NewVM(interp.Options{Mode: vmMode})
 	if err := syslib.Install(vm); err != nil {
 		return err

@@ -40,9 +40,9 @@ func run(argv []string) error {
 		return err
 	}
 
-	vmMode := core.ModeIsolated
-	if *mode == "shared" {
-		vmMode = core.ModeShared
+	vmMode, err := core.ParseMode(*mode)
+	if err != nil {
+		return err
 	}
 	var specs []osgi.BundleSpec
 	switch *config {

@@ -32,3 +32,10 @@ func TestShellBadConfig(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+func TestShellBadMode(t *testing.T) {
+	err := run([]string{"-mode", "bogus", "-c", "mem"})
+	if err == nil || !strings.Contains(err.Error(), "unknown mode") {
+		t.Fatalf("err = %v", err)
+	}
+}

@@ -147,9 +147,6 @@ type Options struct {
 	// PerCallCPUAccounting enables the per-call timestamping accounting
 	// ablation the paper rejected in §3.2.
 	PerCallCPUAccounting bool
-	// DisableAccountingGC disables the GC's per-isolate charging pass
-	// (ablation).
-	DisableAccountingGC bool
 }
 
 // VM is one virtual machine instance (not safe for concurrent use; the
@@ -168,7 +165,6 @@ func New(opts Options) (*VM, error) {
 		Quantum:              opts.Quantum,
 		SampleEvery:          opts.SampleEvery,
 		PerCallCPUAccounting: opts.PerCallCPUAccounting,
-		DisableAccountingGC:  opts.DisableAccountingGC,
 	})
 	if err := syslib.Install(inner); err != nil {
 		return nil, err

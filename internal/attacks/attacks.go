@@ -124,19 +124,6 @@ func ByID(id string) *Attack {
 	return nil
 }
 
-// RunAll executes every attack under the given mode.
-func RunAll(mode core.Mode) ([]Result, error) {
-	var out []Result
-	for _, a := range All() {
-		r, err := a.Run(mode)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", a.ID, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // env is one attack environment: a fresh VM and OSGi framework. workers
 // > 0 selects the concurrent scheduler for every drive phase.
 type env struct {

@@ -92,9 +92,6 @@ func (a *Assembler) Label(name string) *Assembler {
 	return a
 }
 
-// PC returns the index of the next instruction to be emitted.
-func (a *Assembler) PC() int32 { return int32(len(a.instrs)) }
-
 // Nop emits a no-op.
 func (a *Assembler) Nop() *Assembler { return a.emit(Instr{Op: OpNop}) }
 

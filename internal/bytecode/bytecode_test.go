@@ -72,6 +72,31 @@ func TestOpcodeClassificationConsistency(t *testing.T) {
 	}
 }
 
+// TestStackEffectCoversEveryOpcode: the table is total over the defined
+// opcodes (the preparation verifier treats ok == false as "undefined
+// opcode" and has no other check), and a branch or a return pushes nothing.
+func TestStackEffectCoversEveryOpcode(t *testing.T) {
+	for i := 0; i < 256; i++ { // past NumOpcodes: the undefined tail too
+		op := bytecode.Opcode(i)
+		pops, pushes, ok := op.StackEffect()
+		if ok != op.Valid() {
+			t.Errorf("%v: StackEffect ok = %v, Valid = %v", op, ok, op.Valid())
+		}
+		if !ok {
+			continue
+		}
+		if pops < 0 || pushes < 0 {
+			t.Errorf("%v: negative effect (%d, %d)", op, pops, pushes)
+		}
+		if (op.IsBranch() || op.IsReturn()) && pushes != 0 {
+			t.Errorf("%v transfers control but pushes %d", op, pushes)
+		}
+		if op.IsConditionalBranch() && pops == 0 {
+			t.Errorf("%v branches on nothing", op)
+		}
+	}
+}
+
 func TestAssemblerLabelResolution(t *testing.T) {
 	a := bytecode.NewAssembler(nil)
 	a.Const(1).IfNe("skip").Const(0).IReturn().Label("skip").Const(2).IReturn()

@@ -285,3 +285,44 @@ func (op Opcode) UsesLocal() bool {
 	}
 	return false
 }
+
+// StackEffect returns how many operands op pops and pushes. It is exact
+// for every opcode but the invocations, whose effect depends on the
+// referenced descriptor: they report the net +1 that sizes a stack when
+// the pool is not visible, and a caller that has the pool replaces both
+// counts. ok is false for an undefined opcode.
+func (op Opcode) StackEffect() (pops, pushes int32, ok bool) {
+	switch op {
+	case OpNop, OpGoto, OpIInc, OpReturn:
+		return 0, 0, true
+	case OpIConst, OpFConst, OpAConstNull, OpLdcString, OpLdcClass,
+		OpILoad, OpFLoad, OpALoad, OpGetStatic, OpNew,
+		OpInvokeStatic, OpInvokeVirtual, OpInvokeSpecial:
+		return 0, 1, true
+	case OpPop, OpIStore, OpFStore, OpAStore,
+		OpIfEq, OpIfNe, OpIfLt, OpIfLe, OpIfGt, OpIfGe, OpIfNull, OpIfNonNull,
+		OpIReturn, OpFReturn, OpAReturn, OpMonitorEnter, OpMonitorExit, OpAThrow,
+		OpPutStatic:
+		return 1, 0, true
+	case OpDup:
+		return 1, 2, true
+	case OpDupX1:
+		return 2, 3, true
+	case OpSwap:
+		return 2, 2, true
+	case OpIAdd, OpISub, OpIMul, OpIDiv, OpIRem, OpIShl, OpIShr, OpIUshr,
+		OpIAnd, OpIOr, OpIXor, OpFAdd, OpFSub, OpFMul, OpFDiv, OpFCmp,
+		OpArrayLoad:
+		return 2, 1, true
+	case OpINeg, OpFNeg, OpI2F, OpF2I, OpArrayLength, OpInstanceOf, OpCheckCast,
+		OpNewArray, OpGetField:
+		return 1, 1, true
+	case OpIfICmpEq, OpIfICmpNe, OpIfICmpLt, OpIfICmpLe, OpIfICmpGt, OpIfICmpGe,
+		OpIfACmpEq, OpIfACmpNe, OpPutField:
+		return 2, 0, true
+	case OpArrayStore:
+		return 3, 0, true
+	default:
+		return 0, 0, false
+	}
+}

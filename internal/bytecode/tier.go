@@ -17,11 +17,6 @@ func (ts *TierState) AddHeat(n int64) int64 {
 	return ts.heat.Add(n)
 }
 
-// Heat returns the accumulated activation heat.
-func (ts *TierState) Heat() int64 {
-	return ts.heat.Load()
-}
-
 // Hot returns the published closure-threaded program, or nil.
 func (ts *TierState) Hot() any {
 	return ts.hot.Load()

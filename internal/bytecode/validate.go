@@ -5,59 +5,13 @@ import (
 	"fmt"
 )
 
-// stackDelta returns (pops, pushes) for an instruction, with invocation
-// effects approximated (the pool is not visible at this layer; the
-// interpreter's operand stacks grow on demand, so MaxStack is a
-// preallocation hint only).
-func stackDelta(in Instr) (pops, pushes int) {
-	switch in.Op {
-	case OpIConst, OpFConst, OpLdcString, OpLdcClass, OpAConstNull,
-		OpILoad, OpFLoad, OpALoad:
-		return 0, 1
-	case OpPop, OpIStore, OpFStore, OpAStore,
-		OpIfEq, OpIfNe, OpIfLt, OpIfLe, OpIfGt, OpIfGe, OpIfNull, OpIfNonNull,
-		OpIReturn, OpFReturn, OpAReturn, OpMonitorEnter, OpMonitorExit, OpAThrow, OpPutStatic:
-		return 1, 0
-	case OpDup:
-		return 1, 2
-	case OpDupX1:
-		return 2, 3
-	case OpSwap:
-		return 2, 2
-	case OpIAdd, OpISub, OpIMul, OpIDiv, OpIRem, OpIShl, OpIShr, OpIUshr,
-		OpIAnd, OpIOr, OpIXor, OpFAdd, OpFSub, OpFMul, OpFDiv, OpFCmp:
-		return 2, 1
-	case OpGetStatic:
-		return 0, 1
-	case OpINeg, OpFNeg, OpI2F, OpF2I, OpArrayLength, OpInstanceOf, OpCheckCast,
-		OpNewArray, OpGetField:
-		return 1, 1
-	case OpIfICmpEq, OpIfICmpNe, OpIfICmpLt, OpIfICmpLe, OpIfICmpGt, OpIfICmpGe,
-		OpIfACmpEq, OpIfACmpNe:
-		return 2, 0
-	case OpPutField:
-		return 2, 0
-	case OpArrayLoad:
-		return 2, 1
-	case OpArrayStore:
-		return 3, 0
-	case OpNew:
-		return 0, 1
-	case OpInvokeStatic, OpInvokeVirtual, OpInvokeSpecial:
-		// Approximate: assume net +1 for sizing purposes.
-		return 0, 1
-	default:
-		return 0, 0
-	}
-}
-
 // estimateMaxStack computes a preallocation hint for frame operand stacks
 // by a linear pass that ignores control flow (safe because interpreter
 // stacks grow dynamically).
 func estimateMaxStack(code *Code) int {
-	height, maxHeight := 0, 4
+	height, maxHeight := int32(0), int32(4)
 	for _, in := range code.Instrs {
-		pops, pushes := stackDelta(in)
+		pops, pushes, _ := in.Op.StackEffect() // Validate reports an undefined opcode
 		height -= pops
 		if height < 0 {
 			height = 0
@@ -70,7 +24,7 @@ func estimateMaxStack(code *Code) int {
 			height = 0
 		}
 	}
-	return maxHeight
+	return int(maxHeight)
 }
 
 // Validate performs structural checks on assembled code: branch targets in

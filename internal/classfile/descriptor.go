@@ -115,16 +115,6 @@ func ParseDescriptor(s string) (Descriptor, error) {
 	return d, nil
 }
 
-// MustParseDescriptor parses a descriptor that is statically known to be
-// valid (compiled-in class definitions). It panics on error.
-func MustParseDescriptor(s string) Descriptor {
-	d, err := ParseDescriptor(s)
-	if err != nil {
-		panic("classfile: " + err.Error())
-	}
-	return d
-}
-
 func parseComponent(s string, i int) (Param, int, error) {
 	switch s[i] {
 	case 'I', 'Z', 'B', 'C', 'S', 'J':

@@ -39,6 +39,19 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of Mode.String for the two valid modes (the
+// CLIs' -mode flag).
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "shared":
+		return ModeShared, nil
+	case "isolated":
+		return ModeIsolated, nil
+	default:
+		return 0, fmt.Errorf("unknown mode %q (want shared or isolated)", s)
+	}
+}
+
 // ErrNoRight is returned when an isolate attempts a privileged operation
 // (spawn/kill/shutdown) without holding the corresponding right.
 var ErrNoRight = errors.New("core: isolate lacks the required right")
@@ -213,15 +226,6 @@ func (w *World) IsolateForLoader(l *loader.Loader) *Isolate {
 		return nil
 	}
 	return w.IsolateForLoaderID(l.ID())
-}
-
-// IsolateForClass returns the isolate owning a class, or nil for system
-// classes.
-func (w *World) IsolateForClass(c *classfile.Class) *Isolate {
-	if c.IsSystem() {
-		return nil
-	}
-	return w.IsolateForLoaderID(c.LoaderID)
 }
 
 // Isolates returns all isolates in creation order (a copy).

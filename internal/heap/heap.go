@@ -195,11 +195,6 @@ func (h *Heap) NumObjects() int {
 // GCCount returns the number of collections run so far.
 func (h *Heap) GCCount() int64 { return h.gcCount.Load() }
 
-// GCThreshold returns the occupancy (bytes) at which background
-// collection cycles open, or 0 when threshold-triggered collection is
-// disabled.
-func (h *Heap) GCThreshold() int64 { return h.gcThreshold.Load() }
-
 // PressurePercent returns current occupancy as a percentage of the
 // heap limit (0-100, saturating) — the admission-control pressure
 // signal. Lock-free; precision follows Used().

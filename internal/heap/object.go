@@ -214,9 +214,6 @@ func (o *Object) clearFlag(bit uint32) bool {
 
 func (o *Object) hasFlag(bit uint32) bool { return o.flags.Load()&bit != 0 }
 
-// Finalized reports whether the object's finalizer has been scheduled.
-func (o *Object) Finalized() bool { return o.hasFlag(flagFinalized) }
-
 // Dead reports whether the object was swept by a previous collection. Used
 // by tests asserting GC soundness.
 func (o *Object) Dead() bool { return o.dead }

@@ -81,10 +81,6 @@ func (vm *VM) stepStaged(t *Thread, f *Frame) (done bool, err error) {
 
 	// Staged resume from a blocking native.
 	switch t.resumeKind {
-	case resumePushValue:
-		f.push(t.resumeValue)
-		t.resumeKind = resumeNone
-		t.resumeValue = heap.Value{}
 	case resumePushVoid:
 		t.resumeKind = resumeNone
 	case resumeThrowKind:
@@ -668,17 +664,13 @@ func (vm *VM) callNative(t *Thread, f *Frame, m *classfile.Method, args []heap.V
 		return vm.DeliverException(t, res.Throw)
 	case NativeBlock:
 		// Third entry point of the value-vs-void contract (with
-		// returnFromFrame and the NativeDone case above): the resume
-		// staged at park time is exactly what the wake delivers to the
-		// caller's descriptor-sized stack, so a mismatch must fail here
-		// rather than surface later as an unchecked pop on a missing
-		// value. A staged throw is descriptor-neutral and always legal.
-		if m.Desc.Return != classfile.KindVoid {
-			if t.resumeKind == resumeNone || t.resumeKind == resumePushVoid {
-				return fmt.Errorf("native %s parked without staging its declared return value", m.QualifiedName())
-			}
-		} else if t.resumeKind == resumePushValue {
-			return fmt.Errorf("native %s staged a value resume but is declared void", m.QualifiedName())
+		// returnFromFrame and the NativeDone case above): a wake pushes
+		// nothing on the caller's descriptor-sized stack, so a
+		// value-declared native that parks must fail here rather than
+		// surface later as an unchecked pop on a missing value. A staged
+		// throw is descriptor-neutral and always legal.
+		if m.Desc.Return != classfile.KindVoid && t.resumeKind != resumeThrowKind {
+			return fmt.Errorf("native %s declared a value return but parked: a wake delivers only an exception", m.QualifiedName())
 		}
 		return nil
 	default:

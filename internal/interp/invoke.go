@@ -209,7 +209,7 @@ func (vm *VM) RespawnThread(t *Thread, name string, creator *core.Isolate, m *cl
 	t.wakeAt = 0
 	t.blockedOn, t.waitingOn, t.joinOn = nil, nil, nil
 	t.savedLock = 0
-	t.resumeKind, t.resumeValue, t.resumeThrow = resumeNone, heap.Value{}, nil
+	t.resumeKind, t.resumeThrow = resumeNone, nil
 	t.slowStep = false
 	t.shell = true
 	creator.Account().ThreadsCreated.Add(1)

@@ -49,12 +49,6 @@ func NativeVoid() (NativeResult, error) {
 	return NativeResult{Control: NativeDone, Value: heap.Void()}, nil
 }
 
-// NativeThrowObject builds a NativeThrow result for an existing exception
-// object.
-func NativeThrowObject(obj *heap.Object) (NativeResult, error) {
-	return NativeResult{Control: NativeThrow, Throw: obj}, nil
-}
-
 // NativeThrowName allocates an exception of the named system class with a
 // message and returns a NativeThrow result.
 func NativeThrowName(vm *VM, t *Thread, className, msg string) (NativeResult, error) {
@@ -68,18 +62,6 @@ func NativeThrowName(vm *VM, t *Thread, className, msg string) (NativeResult, er
 // NativeBlocked signals that the native already parked the thread.
 func NativeBlocked() (NativeResult, error) {
 	return NativeResult{Control: NativeBlock}, nil
-}
-
-// StageResumeValue arranges for v to be pushed on the caller's operand
-// stack when the thread wakes (blocking natives with results).
-func (t *Thread) StageResumeValue(v heap.Value) {
-	t.slowStep = true
-	if v.Kind == 0 || v.Kind == voidKind {
-		t.resumeKind = resumePushVoid
-		return
-	}
-	t.resumeKind = resumePushValue
-	t.resumeValue = v
 }
 
 // StageResumeVoid arranges for nothing to be pushed on wake (void blocking
@@ -96,9 +78,6 @@ func (t *Thread) StageResumeThrow(obj *heap.Object) {
 	t.resumeKind = resumeThrowKind
 	t.resumeThrow = obj
 }
-
-// VMRef gives natives access to the owning VM.
-func (t *Thread) VMRef() *VM { return t.vm }
 
 // CurrentIsolateOrZero returns the current isolate, defaulting to Isolate0
 // (for host-initiated calls before any frame exists).

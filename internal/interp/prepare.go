@@ -86,10 +86,7 @@ func prepareMethod(m *classfile.Method) *bytecode.PCode {
 	pushes := make([]int32, n)
 	entries := make([]*classfile.PoolEntry, n)
 	for pc, in := range code.Instrs {
-		if !in.Op.Valid() {
-			return nil
-		}
-		p, q, ok := prepStackEffect(in.Op)
+		p, q, ok := in.Op.StackEffect()
 		if !ok {
 			return nil
 		}
@@ -241,56 +238,5 @@ func poolKindOK(op bytecode.Opcode, kind classfile.PoolEntryKind) bool {
 		return kind == classfile.PoolFieldRef
 	default:
 		return false
-	}
-}
-
-// prepStackEffect returns the exact (pops, pushes) of op for the
-// verification dataflow. Invocations are handled by the caller (their
-// effect depends on the referenced descriptor). ok is false for opcodes
-// the prepared dispatch does not model.
-func prepStackEffect(op bytecode.Opcode) (pops, pushes int32, ok bool) {
-	switch op {
-	case bytecode.OpNop, bytecode.OpGoto, bytecode.OpIInc, bytecode.OpReturn:
-		return 0, 0, true
-	case bytecode.OpIConst, bytecode.OpFConst, bytecode.OpAConstNull,
-		bytecode.OpLdcString, bytecode.OpLdcClass,
-		bytecode.OpILoad, bytecode.OpFLoad, bytecode.OpALoad,
-		bytecode.OpGetStatic, bytecode.OpNew:
-		return 0, 1, true
-	case bytecode.OpPop, bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore,
-		bytecode.OpIfEq, bytecode.OpIfNe, bytecode.OpIfLt, bytecode.OpIfLe,
-		bytecode.OpIfGt, bytecode.OpIfGe, bytecode.OpIfNull, bytecode.OpIfNonNull,
-		bytecode.OpIReturn, bytecode.OpFReturn, bytecode.OpAReturn,
-		bytecode.OpMonitorEnter, bytecode.OpMonitorExit, bytecode.OpAThrow,
-		bytecode.OpPutStatic:
-		return 1, 0, true
-	case bytecode.OpDup:
-		return 1, 2, true
-	case bytecode.OpDupX1:
-		return 2, 3, true
-	case bytecode.OpSwap:
-		return 2, 2, true
-	case bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul, bytecode.OpIDiv,
-		bytecode.OpIRem, bytecode.OpIShl, bytecode.OpIShr, bytecode.OpIUshr,
-		bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor,
-		bytecode.OpFAdd, bytecode.OpFSub, bytecode.OpFMul, bytecode.OpFDiv,
-		bytecode.OpFCmp:
-		return 2, 1, true
-	case bytecode.OpINeg, bytecode.OpFNeg, bytecode.OpI2F, bytecode.OpF2I,
-		bytecode.OpArrayLength, bytecode.OpInstanceOf, bytecode.OpCheckCast,
-		bytecode.OpNewArray, bytecode.OpGetField:
-		return 1, 1, true
-	case bytecode.OpIfICmpEq, bytecode.OpIfICmpNe, bytecode.OpIfICmpLt,
-		bytecode.OpIfICmpLe, bytecode.OpIfICmpGt, bytecode.OpIfICmpGe,
-		bytecode.OpIfACmpEq, bytecode.OpIfACmpNe, bytecode.OpPutField:
-		return 2, 0, true
-	case bytecode.OpArrayLoad:
-		return 2, 1, true
-	case bytecode.OpArrayStore:
-		return 3, 0, true
-	case bytecode.OpInvokeStatic, bytecode.OpInvokeVirtual, bytecode.OpInvokeSpecial:
-		return 0, 0, true // replaced by the caller with descriptor-exact effects
-	default:
-		return 0, 0, false
 	}
 }

@@ -234,9 +234,8 @@ type Thread struct {
 	finishTick int64
 
 	// Pending native resume: when a blocking native (sleep, wait, join,
-	// I/O) returns control to the scheduler, the value or exception to be
-	// delivered on wake is staged here.
-	resumeValue heap.Value
+	// I/O) returns control to the scheduler, the exception to be
+	// delivered on wake, if any, is staged here.
 	resumeKind  resumeKind
 	resumeThrow *heap.Object
 
@@ -305,7 +304,6 @@ type resumeKind uint8
 
 const (
 	resumeNone resumeKind = iota
-	resumePushValue
 	resumePushVoid
 	resumeThrowKind
 )
@@ -383,9 +381,6 @@ func (t *Thread) RestampSpawn(tick int64) { t.spawnTick = tick }
 // publication per quantum, so the stamp carries up-to-a-quantum
 // granularity.
 func (t *Thread) FinishTick() int64 { return t.finishTick }
-
-// Interrupted reports the thread's interrupt flag.
-func (t *Thread) Interrupted() bool { return t.interrupted }
 
 // GuestObject returns the guest java/lang/Thread object, or nil.
 func (t *Thread) GuestObject() *heap.Object { return t.threadObj }

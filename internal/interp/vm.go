@@ -61,9 +61,6 @@ type Options struct {
 	// the paper rejected (§3.2): charge exact virtual time on every
 	// inter-isolate call boundary instead of sampling.
 	PerCallCPUAccounting bool
-	// DisableAccountingGC turns the GC's per-isolate charging pass off
-	// (ablation).
-	DisableAccountingGC bool
 	// DisablePrepare turns the code-preparation (quickening) pass off:
 	// every method executes through the seed-style switch interpreter
 	// with checked stack discipline. Used as the reference semantics of
@@ -625,9 +622,6 @@ func (vm *VM) buildRootSetsLocked() []heap.RootSet {
 		if t.resumeThrow != nil {
 			rootsByIso[creatorID] = append(rootsByIso[creatorID], t.resumeThrow)
 		}
-		if r := t.resumeValue.R; r != nil {
-			rootsByIso[creatorID] = append(rootsByIso[creatorID], r)
-		}
 		// In-flight invocation arguments (set only while the thread's own
 		// goroutine is inside call setup; see Thread.pendingArgs).
 		for i := range t.pendingArgs {
@@ -668,18 +662,9 @@ func (vm *VM) buildRootSetsLocked() []heap.RootSet {
 		}
 	}
 	rootSets := make([]heap.RootSet, 0, len(rootsByIso))
-	if vm.opts.DisableAccountingGC {
-		// Ablation: single undifferentiated root set.
-		var all []*heap.Object
-		for _, refs := range rootsByIso {
-			all = append(all, refs...)
-		}
-		rootSets = append(rootSets, heap.RootSet{Isolate: 0, Refs: all})
-	} else {
-		for _, iso := range vm.world.Isolates() {
-			if refs, ok := rootsByIso[iso.ID()]; ok {
-				rootSets = append(rootSets, heap.RootSet{Isolate: iso.ID(), Refs: refs})
-			}
+	for _, iso := range vm.world.Isolates() {
+		if refs, ok := rootsByIso[iso.ID()]; ok {
+			rootSets = append(rootSets, heap.RootSet{Isolate: iso.ID(), Refs: refs})
 		}
 	}
 	return rootSets

@@ -14,7 +14,6 @@ package osgi
 
 import (
 	"fmt"
-	"strings"
 
 	"ijvm/internal/classfile"
 	"ijvm/internal/core"
@@ -119,14 +118,6 @@ func (b *Bundle) exportsPackage(pkg string) bool {
 		}
 	}
 	return false
-}
-
-// packageOf returns the package prefix of a slash-separated class name.
-func packageOf(className string) string {
-	if i := strings.LastIndexByte(className, '/'); i >= 0 {
-		return className[:i]
-	}
-	return ""
 }
 
 func (b *Bundle) String() string {

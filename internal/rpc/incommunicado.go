@@ -201,9 +201,6 @@ func (l *Link) releaseSlot() {
 // Caller returns the link's calling isolate.
 func (l *Link) Caller() *core.Isolate { return l.caller }
 
-// Callee returns the link's serving isolate.
-func (l *Link) Callee() *core.Isolate { return l.callee }
-
 // NewLink creates a link with seed-compatible behavior: a private hub,
 // default options, deep-copy semantics. Close tears the hub down too.
 // When several links share traffic on one VM, create one Hub and use

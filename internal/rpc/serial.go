@@ -14,7 +14,7 @@ import (
 // server goroutine, a whole-call mutex, one channel round trip per call
 // — with the GC-safe rooted iterative copier swapped in. It exists as
 // the benchmark baseline the pipelined Link is measured against
-// (BenchmarkRPC_Serial vs BenchmarkRPC_Pipelined) and as the sync leg
+// (bench/: rpc.serial_calls_per_s vs link_calls_per_s) and as the sync leg
 // of the differential oracle; it must not be used concurrently with a
 // Hub on the same VM (both would drive the sequential engine).
 type SerialLink struct {

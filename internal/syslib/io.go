@@ -134,16 +134,15 @@ func connectionClass() *classfile.Class {
 }
 
 // MemHost is the default in-memory connection substrate: reads produce
-// deterministic bytes, writes are counted and discarded. It stands in for
-// the sockets and file descriptors of the paper's gateway scenario. The
-// counters are mutex-guarded: under the concurrent scheduler several
-// isolates pump bytes through the substrate in parallel.
+// deterministic bytes, writes are discarded (the guest's I/O account counts
+// them). It stands in for the sockets and file descriptors of the paper's
+// gateway scenario. The mutex guards the connection count and the read
+// cursors: under the concurrent scheduler several isolates pump bytes
+// through the substrate in parallel.
 type MemHost struct {
-	mu      sync.Mutex
-	opened  int
-	limit   int
-	written int64
-	read    int64
+	mu     sync.Mutex
+	opened int
+	limit  int
 }
 
 // NewMemHost creates a substrate allowing up to 1<<20 open connections.
@@ -158,27 +157,6 @@ func (h *MemHost) Open(name string) (interp.ConnectionEndpoint, error) {
 	}
 	h.opened++
 	return &memEndpoint{host: h}, nil
-}
-
-// TotalWritten returns the bytes written across all connections.
-func (h *MemHost) TotalWritten() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.written
-}
-
-// TotalRead returns the bytes read across all connections.
-func (h *MemHost) TotalRead() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.read
-}
-
-// Opened returns the number of connections opened so far.
-func (h *MemHost) Opened() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.opened
 }
 
 type memEndpoint struct {
@@ -197,16 +175,10 @@ func (e *memEndpoint) Read(n int) ([]byte, error) {
 		out[i] = e.cursor
 		e.cursor++
 	}
-	e.host.read += int64(n)
 	return out, nil
 }
 
-func (e *memEndpoint) Write(b []byte) (int, error) {
-	e.host.mu.Lock()
-	defer e.host.mu.Unlock()
-	e.host.written += int64(len(b))
-	return len(b), nil
-}
+func (e *memEndpoint) Write(b []byte) (int, error) { return len(b), nil }
 
 func (e *memEndpoint) Close() error { return nil }
 
