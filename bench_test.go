@@ -13,7 +13,7 @@
 //
 //	BenchmarkAlloc_{GlobalLocked,ShardLocal}   6 allocators + 4 pollers on one heap vs the seed's global mutex; heap_churn has 1 client
 //	BenchmarkField_GetPut{,_Unprepared}        per-site field-slot cache vs the seed switch; bench/ times no field loop
-//	BenchmarkTier_{Seed,Prepared,Closure}      one loop on each dispatch tier; bench/ times the production tier only
+//	BenchmarkTier_{Seed,Closure}               one loop on the seed switch and on the closure tier; bench/ times the production tier only
 //	BenchmarkIntern_{LdcHot,ReadParallel}      string-pool read path; no workload executes ldc of a string in a loop
 //	BenchmarkRPC_Mesh                          registry fan-out + aggregation + tenant churn; bundle_calls has one link
 //	BenchmarkQoS_SLO{ProportionalGoverned,RoundRobin}  the round-robin queue policy; tenant_gateway runs the governed policy only
@@ -417,13 +417,12 @@ func benchField(b *testing.B, disablePrepare bool) {
 func BenchmarkField_GetPut(b *testing.B)            { benchField(b, false) }
 func BenchmarkField_GetPut_Unprepared(b *testing.B) { benchField(b, true) }
 
-// --- Tier microbenchmarks (quickened table vs closure tier) ---------------
+// --- Tier microbenchmarks (seed switch vs closure tier) -------------------
 //
-// One hot arithmetic loop measured across the three ways to execute it:
+// One hot arithmetic loop measured both ways a VM can execute it:
 //
 //	seed     — unquickened checked switch (DisablePrepare)
-//	prepared — quickened table dispatch, closure tier off
-//	closure  — closure-threaded hot tier (promoted on first call)
+//	closure  — closure-threaded blocks, compiled at preparation
 //
 // The closure compiler folds the loop body's loads, constants and stores
 // into the micros of the ops and the compare that consume them — five
@@ -434,28 +433,6 @@ func BenchmarkField_GetPut_Unprepared(b *testing.B) { benchField(b, true) }
 // tiers.
 
 const tierBenchInner = 10_000
-
-// tierBenchConfig selects the dispatch tier of one run.
-type tierBenchConfig int
-
-const (
-	tierSeed tierBenchConfig = iota
-	tierPrepared
-	tierClosure
-)
-
-func (c tierBenchConfig) options() interp.Options {
-	o := interp.Options{Mode: core.ModeIsolated}
-	switch c {
-	case tierSeed:
-		o.DisablePrepare = true
-	case tierPrepared:
-		o.TierPromoteThreshold = -1
-	case tierClosure:
-		o.TierPromoteThreshold = 1
-	}
-	return o
-}
 
 func tierBenchClasses() []*classfile.Class {
 	driver := classfile.NewClass("tb/Driver").
@@ -473,8 +450,8 @@ func tierBenchClasses() []*classfile.Class {
 	return []*classfile.Class{driver}
 }
 
-func tierBenchVM(cfg tierBenchConfig) (*interp.VM, *core.Isolate, *classfile.Method, error) {
-	vm := interp.NewVM(cfg.options())
+func tierBenchVM(disablePrepare bool) (*interp.VM, *core.Isolate, *classfile.Method, error) {
+	vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, DisablePrepare: disablePrepare})
 	syslib.MustInstall(vm)
 	iso, err := vm.NewIsolate("main")
 	if err != nil {
@@ -494,9 +471,9 @@ func tierBenchVM(cfg tierBenchConfig) (*interp.VM, *core.Isolate, *classfile.Met
 	return vm, iso, m, nil
 }
 
-func benchTier(b *testing.B, cfg tierBenchConfig) {
+func benchTier(b *testing.B, disablePrepare bool) {
 	b.Helper()
-	vm, iso, m, err := tierBenchVM(cfg)
+	vm, iso, m, err := tierBenchVM(disablePrepare)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -515,9 +492,8 @@ func benchTier(b *testing.B, cfg tierBenchConfig) {
 	b.ReportMetric(float64(instrs)/1e6/b.Elapsed().Seconds(), "Minstr/s")
 }
 
-func BenchmarkTier_Seed(b *testing.B)     { benchTier(b, tierSeed) }
-func BenchmarkTier_Prepared(b *testing.B) { benchTier(b, tierPrepared) }
-func BenchmarkTier_Closure(b *testing.B)  { benchTier(b, tierClosure) }
+func BenchmarkTier_Seed(b *testing.B)    { benchTier(b, true) }
+func BenchmarkTier_Closure(b *testing.B) { benchTier(b, false) }
 
 // --- Intern microbenchmarks (lock-free string-pool read path) -------------
 //

@@ -326,13 +326,6 @@ func (vm *VM) RunConcurrent(workers int, budget int64) RunResult {
 	return sched.Run(vm.inner, workers, budget)
 }
 
-// RunConcurrentUntil is RunConcurrent, additionally stopping as soon as
-// t finishes — per-thread target parity with RunUntil. Workers observe
-// the target at every instruction boundary.
-func (vm *VM) RunConcurrentUntil(t *Thread, workers int, budget int64) RunResult {
-	return sched.RunUntil(vm.inner, workers, budget, t)
-}
-
 // GC runs an accounting collection; triggeredBy may be nil.
 func (vm *VM) GC(triggeredBy *Isolate) {
 	var iso *core.Isolate

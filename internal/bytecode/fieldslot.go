@@ -9,8 +9,9 @@ import "sync/atomic"
 // immutable pool entry), so the fast path is a single atomic load with
 // no pool-entry indirection and no pointer chase.
 //
-// The cache lives in the prepared form — not the pool entry — so a
-// re-prepared body (a poisoned clone) starts cold.
+// The cache lives on the prepared instruction — not the pool entry — so
+// the handler and the closure micro of a site read it off the PInstr they
+// already hold.
 type FieldSlot struct {
 	slot atomic.Int32
 }

@@ -69,14 +69,15 @@ type Code struct {
 	MaxStack  int
 
 	// prepared caches the quickened form (see prepared.go); nil until the
-	// interpreter's preparation pass first runs the method. Clone
-	// intentionally does not copy it: a cloned (e.g. poisoned) body must
-	// be re-prepared.
+	// interpreter's preparation pass first runs the method. Clone does not
+	// copy it: the copy's instructions may be edited, so it is prepared
+	// afresh on its first run.
 	prepared atomic.Pointer[PCode]
 }
 
-// Clone returns a deep copy of the code, so callers can mutate (e.g. poison
-// method entry on isolate termination) without affecting shared state.
+// Clone returns a deep copy of the code, so callers can mutate the copy's
+// instructions (the fuzz tests give every run its own) without affecting
+// shared state.
 func (c *Code) Clone() *Code {
 	if c == nil {
 		return nil

@@ -45,16 +45,18 @@ type PInstr struct {
 // returned when the program counter escapes the code (validated
 // impossible for prepared code reached through normal control flow, but
 // kept as the single cheap bounds check in the dispatch loop).
+//
+// Closure is the interpreter's closure-threaded program for the body
+// (opaque here), compiled by the preparation pass as its last step. It is
+// set before StorePrepared publishes the form and never changes after, so
+// every frame of the method, on any worker, reads the one program with a
+// plain field load.
 type PCode struct {
 	Instrs    []PInstr
 	MaxStack  int
 	MaxLocals int
 	ErrPC     error
-
-	// Tier is the closure-threaded hot-tier promotion state (heat counter
-	// and the CAS-published closure program). It rides on the prepared
-	// form so a re-prepared body (a poisoned clone) starts cold.
-	Tier TierState
+	Closure   any
 }
 
 // Prepared returns the cached prepared form, or nil before the first

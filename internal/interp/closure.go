@@ -6,9 +6,9 @@ import (
 	"ijvm/internal/heap"
 )
 
-// The closure-threaded hot tier. When a prepared method's activation heat
-// crosses the promotion threshold (tier.go), buildClosureProgram compiles
-// it into one Go closure chain per extended basic block: every operand —
+// The closure-threaded tier. The preparation pass (prepare.go) ends with
+// buildClosureProgram, which compiles the method into one Go closure chain
+// per extended basic block: every operand —
 // local slots, immediates, branch targets, pre-resolved pool entries, field
 // slots — is captured at build time, so executing a block is a straight
 // run of closure calls with no table dispatch and no PInstr decoding
@@ -70,8 +70,9 @@ import (
 // sites deopt per-step via the bail path with no state to unwind. Kill
 // and interrupts act at step boundaries exactly as before.
 //
-// Programs are immutable after publication (CAS in bytecode.TierState),
-// so concurrent adoption needs no locks.
+// A program is built before its prepared form is published (the form's
+// CAS in bytecode.Code.StorePrepared) and is immutable after, so frames on
+// any worker adopt it with a plain read and no lock.
 
 // microStatus is a micro's verdict on how the block proceeds.
 type microStatus uint8
@@ -446,31 +447,6 @@ func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32) (*closu
 	return b, cur, fall
 }
 
-// pureBinop evaluates one of the nine non-throwing int ops, mirroring the
-// base handlers bit for bit (shift counts masked to 63).
-func pureBinop(op bytecode.Opcode, a, b int64) int64 {
-	switch op {
-	case bytecode.OpIAdd:
-		return a + b
-	case bytecode.OpISub:
-		return a - b
-	case bytecode.OpIMul:
-		return a * b
-	case bytecode.OpIAnd:
-		return a & b
-	case bytecode.OpIOr:
-		return a | b
-	case bytecode.OpIXor:
-		return a ^ b
-	case bytecode.OpIShl:
-		return a << (uint64(b) & 63)
-	case bytecode.OpIShr:
-		return a >> (uint64(b) & 63)
-	default: // OpIUshr
-		return int64(uint64(a) >> (uint64(b) & 63))
-	}
-}
-
 // compile compiles the instruction at pc — a symbol push (nothing
 // emitted) or one micro with its operands bound and a directly following
 // local store folded in — and returns the pc after what it covered. ok is
@@ -553,18 +529,18 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 		switch a, b, d := bd.ops[0], bd.ops[1], bd.d; {
 		case a.kind == inLocal && b.kind == inLocal:
 			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
-				f.result(0, d, heap.IntVal(pureBinop(op, f.locals[a.slot].I, f.locals[b.slot].I)))
+				f.result(0, d, heap.IntVal(intBinop(op, f.locals[a.slot].I, f.locals[b.slot].I)))
 				return microNext
 			}, pc, bd.last)
 		case a.kind == inLocal && b.kind == isConst:
 			c := b.k.I
 			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
-				f.result(0, d, heap.IntVal(pureBinop(op, f.locals[a.slot].I, c)))
+				f.result(0, d, heap.IntVal(intBinop(op, f.locals[a.slot].I, c)))
 				return microNext
 			}, pc, bd.last)
 		}
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
-			f.result(bd.ns, bd.d, heap.IntVal(pureBinop(op, bd.ops[0].at(f).I, bd.ops[1].at(f).I)))
+			f.result(bd.ns, bd.d, heap.IntVal(intBinop(op, bd.ops[0].at(f).I, bd.ops[1].at(f).I)))
 			return microNext
 		}, pc, bd.last)
 	case bytecode.OpIDiv, bytecode.OpIRem:
@@ -575,12 +551,7 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			if y == 0 {
 				return bail(f, bd.ops[0], bd.ops[1])
 			}
-			if op == bytecode.OpIDiv {
-				x /= y
-			} else {
-				x %= y
-			}
-			f.result(bd.ns, bd.d, heap.IntVal(x))
+			f.result(bd.ns, bd.d, heap.IntVal(intBinop(op, x, y)))
 			return microNext
 		}, pc, bd.last)
 	case bytecode.OpINeg:

@@ -397,8 +397,8 @@ func foldLegs() []foldRun {
 	return legs
 }
 
-// compareToSeed runs one program on the closure tier (promoted on first
-// activation) and on the reference switch with the quantum boundary — the
+// compareToSeed runs one program on the closure tier (the default engine)
+// and on the reference switch with the quantum boundary — the
 // quantum itself, and the budget slices a long quantum is clamped to —
 // walked through every offset up to span+2, on every leg, and demands
 // equal results, instruction counts at every slice end, clock, per-isolate
@@ -421,14 +421,14 @@ func compareToSeed(t *testing.T, span int, classes func() []*classfile.Class, cl
 			name := fmt.Sprintf("mode %v workers %d quantum %d slice %d", leg.mode, leg.workers, q, bd.slice)
 			leg.opts = interp.Options{Quantum: q, DisablePrepare: true}
 			wantRes, want, _ := leg.exec(t, classes(), class, method, desc, argv)
-			leg.opts = interp.Options{Quantum: q, TierPromoteThreshold: 1}
+			leg.opts = interp.Options{Quantum: q}
 			gotRes, got, m := leg.exec(t, classes(), class, method, desc, argv)
 			if !reflect.DeepEqual(gotRes, wantRes) {
 				t.Fatalf("%s: results %v (closure) != %v (seed)", name, gotRes, wantRes)
 			}
 			assertTraceEqual(t, name, got, want)
 			if folded, _, ok := interp.ClosureShapeForTest(m.Code.Prepared()); !ok || folded < 1 {
-				t.Fatalf("%s: closure program (promoted: %v) holds %d micros covering more than one instruction", name, ok, folded)
+				t.Fatalf("%s: closure program (present: %v) holds %d micros covering more than one instruction", name, ok, folded)
 			}
 		}
 	}

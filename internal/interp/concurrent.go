@@ -343,7 +343,6 @@ func (vm *VM) RunThreadQuantum(t *Thread, home *core.Isolate, budget int64, stop
 	res.Instructions = s.steps
 	t.alloc, t.qa = nil, nil
 	vm.flushQuantum(s)
-	vm.noteQuantumHeat(t, res.Instructions)
 	return res
 }
 

@@ -39,9 +39,9 @@ func (vm *VM) stepThread(t *Thread) error {
 		if uint32(pc) >= uint32(len(p.Instrs)) {
 			return p.ErrPC // preformatted at prepare time
 		}
-		// Closure-threaded hot tier: if the frame adopted a compiled
-		// program and a block starts at this pc, run the whole block in
-		// one step (closure.go); pcs without a block head (mid-block
+		// Closure blocks: the frame adopted the program compiled at
+		// preparation; if a block starts at this pc, run the whole block
+		// in one step (closure.go). Pcs without a block head (mid-block
 		// resumes after a deopt bail) fall through to table dispatch.
 		if h := f.hot; h != nil {
 			if b := h.blocks[pc]; b != nil {
@@ -194,11 +194,10 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 		if err != nil {
 			return err
 		}
-		r, gerr := intBinop(in.Op, a.I, b.I)
-		if gerr != "" {
-			return vm.Throw(t, ClassArithmeticException, gerr)
+		if msg := zeroDivisor(in.Op, b.I); msg != "" {
+			return vm.Throw(t, ClassArithmeticException, msg)
 		}
-		f.push(heap.IntVal(r))
+		f.push(heap.IntVal(intBinop(in.Op, a.I, b.I)))
 	case bytecode.OpINeg:
 		v, err := f.pop()
 		if err != nil {
@@ -824,39 +823,49 @@ func (vm *VM) arrayElemClass(f *Frame, idx int32) (*classfile.Class, error) {
 	return vm.resolvePoolClass(f, idx)
 }
 
-func intBinop(op bytecode.Opcode, a, b int64) (int64, string) {
+// intBinop evaluates one of the eleven int binops (shift counts masked to
+// 63). It is the one definition the seed switch, the table handler and the
+// closure micros share; each checks the divisor of an idiv or irem first
+// (zeroDivisor), so b is never zero for those two here.
+func intBinop(op bytecode.Opcode, a, b int64) int64 {
 	switch op {
 	case bytecode.OpIAdd:
-		return a + b, ""
+		return a + b
 	case bytecode.OpISub:
-		return a - b, ""
+		return a - b
 	case bytecode.OpIMul:
-		return a * b, ""
+		return a * b
 	case bytecode.OpIDiv:
-		if b == 0 {
-			return 0, "/ by zero"
-		}
-		return a / b, ""
+		return a / b
 	case bytecode.OpIRem:
-		if b == 0 {
-			return 0, "% by zero"
-		}
-		return a % b, ""
+		return a % b
 	case bytecode.OpIShl:
-		return a << (uint64(b) & 63), ""
+		return a << (uint64(b) & 63)
 	case bytecode.OpIShr:
-		return a >> (uint64(b) & 63), ""
+		return a >> (uint64(b) & 63)
 	case bytecode.OpIUshr:
-		return int64(uint64(a) >> (uint64(b) & 63)), ""
+		return int64(uint64(a) >> (uint64(b) & 63))
 	case bytecode.OpIAnd:
-		return a & b, ""
+		return a & b
 	case bytecode.OpIOr:
-		return a | b, ""
-	case bytecode.OpIXor:
-		return a ^ b, ""
-	default:
-		return 0, "invalid int binop"
+		return a | b
+	default: // OpIXor
+		return a ^ b
 	}
+}
+
+// zeroDivisor returns the ArithmeticException message of an idiv or irem
+// whose divisor b is zero, and "" for every other int binop.
+func zeroDivisor(op bytecode.Opcode, b int64) string {
+	switch {
+	case b != 0:
+		return ""
+	case op == bytecode.OpIDiv:
+		return "/ by zero"
+	case op == bytecode.OpIRem:
+		return "% by zero"
+	}
+	return ""
 }
 
 func floatBinop(op bytecode.Opcode, a, b float64) float64 {

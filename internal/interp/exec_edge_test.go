@@ -200,12 +200,20 @@ func TestFinallyStyleHandlerNesting(t *testing.T) {
 	})
 }
 
-// threeEngines selects each way a bytecode executes: the reference switch,
-// the quickened table held cold, the closure tier hot from the first call.
-var threeEngines = map[string]interp.Options{
-	"seed switch": {DisablePrepare: true},
-	"table":       {TierPromoteThreshold: -1},
-	"closure":     {TierPromoteThreshold: 1},
+// newSeedVM builds a VM on the reference switch interpreter.
+func newSeedVM(opts interp.Options) *interp.VM {
+	opts.DisablePrepare = true
+	return interp.NewVM(opts)
+}
+
+// threeEngines selects each way a bytecode executes, by the constructor of
+// its VM: the reference switch, the quickened table alone (the test
+// switch), and the default — closure blocks compiled at preparation and
+// run from the first call.
+var threeEngines = map[string]func(interp.Options) *interp.VM{
+	"seed switch": newSeedVM,
+	"table":       interp.NewTableVMForTest,
+	"closure":     interp.NewVM,
 }
 
 // TestF2ISaturates pins float-to-int conversion to the JVM's semantics in
@@ -228,9 +236,8 @@ func TestF2ISaturates(t *testing.T) {
 		{-2.75, -2},
 		{1e15 + 0.5, 1e15},
 	}
-	for name, opts := range threeEngines {
-		opts.Mode = core.ModeIsolated
-		vm := interp.NewVM(opts)
+	for name, newVM := range threeEngines {
+		vm := newVM(interp.Options{Mode: core.ModeIsolated})
 		syslib.MustInstall(vm)
 		iso, err := vm.NewIsolate("main")
 		if err != nil {
@@ -260,10 +267,9 @@ func TestF2ISaturates(t *testing.T) {
 // "out of memory" for 1<<40, a makeslice panic past MaxInt/32).
 func TestHugeArrayLengthIsOutOfMemory(t *testing.T) {
 	lengths := []int64{1 << 40, math.MaxInt64/32 + 1, math.MaxInt64}
-	for name, opts := range threeEngines {
-		opts.Mode = core.ModeIsolated
-		opts.HeapLimit = 1 << 20
-		vm := interp.NewVM(opts)
+	for name, newVM := range threeEngines {
+		opts := interp.Options{Mode: core.ModeIsolated, HeapLimit: 1 << 20}
+		vm := newVM(opts)
 		syslib.MustInstall(vm)
 		attacker, err := vm.NewIsolate("attacker")
 		if err != nil {
@@ -288,7 +294,7 @@ func TestHugeArrayLengthIsOutOfMemory(t *testing.T) {
 				a.Const(16).NewArray("").ArrayLength().IReturn()
 			}).MustBuild())
 		for _, n := range lengths {
-			for round := 0; round < 3; round++ { // hot enough for the closure tier
+			for round := 0; round < 3; round++ {
 				if got := callStatic(t, vm, attacker, grab, "grab", heap.IntVal(n)).I; got != 1 {
 					t.Errorf("%s: newarray(%d) returned normally, want OutOfMemoryError", name, n)
 				}
@@ -368,10 +374,9 @@ func TestFieldAccessOnUnrelatedReceiver(t *testing.T) {
 	var ref []string
 	var refName string
 	for _, mode := range []core.Mode{core.ModeShared, core.ModeIsolated} {
-		for engine, opts := range threeEngines {
+		for engine, newVM := range threeEngines {
 			name := fmt.Sprintf("%s/%v", engine, mode)
-			opts.Mode = mode
-			vm := interp.NewVM(opts)
+			vm := newVM(interp.Options{Mode: mode})
 			syslib.MustInstall(vm)
 			iso, err := vm.NewIsolate("main")
 			if err != nil {
@@ -396,7 +401,7 @@ func TestFieldAccessOnUnrelatedReceiver(t *testing.T) {
 				t.Fatal(err)
 			}
 			good, short := call("fresh"), call("short")
-			for round := 0; round < 3; round++ { // resolve, then the cached slot; hot on the closure leg
+			for round := 0; round < 3; round++ { // resolve, then the cached slot
 				call("ldcGet")
 				call("ldcPut")
 				for _, recv := range []heap.Value{heap.RefVal(str), short, good} {

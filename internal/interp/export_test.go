@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"reflect"
+
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
 	"ijvm/internal/core"
@@ -11,13 +13,33 @@ import (
 // streams; the oracle tests reach it through normal execution).
 func PrepareMethodForTest(m *classfile.Method) *bytecode.PCode { return prepareMethod(m) }
 
-// ClosureShapeForTest reports, for the closure program published for p,
-// how many micros cover more than one instruction (folded loads,
-// constants or a folded store) and how many blocks end in an inline
-// transfer — the links a chained step follows. ok is false when p has not
-// been promoted.
+// NewTableVMForTest is NewVM with the test switch on: frames never adopt
+// the closure program preparation compiled, so every prepared method runs
+// on the handler table alone — the table leg of the engine oracles.
+func NewTableVMForTest(opts Options) *VM {
+	vm := NewVM(opts)
+	vm.tableOnly = true
+	return vm
+}
+
+// HandlerTablesForTest returns the code address of every entry of the
+// Shared and Isolated handler tables and that of the invalid-opcode
+// handler (Go compares func values only to nil).
+func HandlerTablesForTest() (shared, isolated [256]uintptr, invalid uintptr) {
+	for i := range sharedTable {
+		shared[i] = reflect.ValueOf(sharedTable[i]).Pointer()
+		isolated[i] = reflect.ValueOf(isolatedTable[i]).Pointer()
+	}
+	return shared, isolated, reflect.ValueOf(pInvalid).Pointer()
+}
+
+// ClosureShapeForTest reports, for the closure program preparation
+// compiled for p, how many micros cover more than one instruction (folded
+// loads, constants or a folded store) and how many blocks end in an inline
+// transfer — the links a chained step follows. ok is false when p carries
+// no program.
 func ClosureShapeForTest(p *bytecode.PCode) (folded, links int, ok bool) {
-	cp, _ := p.Tier.Hot().(*closureProgram)
+	cp, _ := p.Closure.(*closureProgram)
 	if cp == nil {
 		return 0, 0, false
 	}
@@ -37,6 +59,18 @@ func ClosureShapeForTest(p *bytecode.PCode) (folded, links int, ok bool) {
 		}
 	}
 	return folded, links, true
+}
+
+// TopFrameForTest returns the method of t's top frame and the closure
+// program the frame adopted (nil when it runs on the handler table or the
+// seed switch). Only t's own goroutine may call it: a native t invokes,
+// whose caller is the top frame.
+func TopFrameForTest(t *Thread) (*classfile.Method, any) {
+	f := t.top()
+	if f.hot == nil {
+		return f.method, nil
+	}
+	return f.method, f.hot
 }
 
 // SnapshotAccount exposes the capture-time account a snapshot seeds its

@@ -24,11 +24,11 @@ import (
 //     the checked seed-style switch (result, failure, instruction
 //     count, also when the run ends in a host error) — the verifier's
 //     soundness contract;
-//   - the same holds with every method promoted to the closure tier on
-//     first activation: short fuzz programs never get hot on their own,
-//     and this leg is what drives the closure compiler's operand folding
-//     (symbol materialisation, follower-pc entries, bails with operands
-//     still symbolic) and chained steps over adversarial verified streams.
+//   - the same holds on the default engine, which runs every prepared
+//     method's closure blocks from its first call: this leg is what drives
+//     the closure compiler's operand folding (symbol materialisation,
+//     follower-pc entries, bails with operands still symbolic) and chained
+//     steps over adversarial verified streams.
 //
 // The corpus is seeded from the instruction streams of the shipped
 // example programs (encoded through the same 3-bytes-per-instruction
@@ -126,15 +126,15 @@ func FuzzPrepareVerifier(f *testing.F) {
 		}
 		// Accepted: the unchecked fast paths (table, then closure tier)
 		// must agree with the checked reference interpreter.
-		refV, refFail, refErr, refInstr := execFuzzProgram(t, code, interp.Options{DisablePrepare: true})
+		refV, refFail, refErr, refInstr := execFuzzProgram(t, code, newSeedVM)
 		for _, leg := range []struct {
-			name string
-			opts interp.Options
+			name  string
+			newVM func(interp.Options) *interp.VM
 		}{
-			{"prepared", interp.Options{}},
-			{"closure", interp.Options{TierPromoteThreshold: 1}},
+			{"table", interp.NewTableVMForTest},
+			{"closure", interp.NewVM},
 		} {
-			gotV, gotFail, gotErr, gotInstr := execFuzzProgram(t, code, leg.opts)
+			gotV, gotFail, gotErr, gotInstr := execFuzzProgram(t, code, leg.newVM)
 			if gotErr != refErr {
 				t.Fatalf("host-error divergence: %s=%v seed=%v", leg.name, gotErr, refErr)
 			}
@@ -214,16 +214,12 @@ func fuzzHostClass(code *bytecode.Code) *classfile.Class {
 	return b.MustBuild()
 }
 
-// execFuzzProgram runs the fuzzed body in a fresh small VM under one
-// dispatch leg (opts carries only the leg's dispatch switches) and
-// reports (result, failure, host-error?, instructions).
-func execFuzzProgram(t *testing.T, code *bytecode.Code, opts interp.Options) (int64, string, bool, int64) {
+// execFuzzProgram runs the fuzzed body in a fresh small VM built by one
+// dispatch leg's constructor and reports (result, failure, host-error?,
+// instructions).
+func execFuzzProgram(t *testing.T, code *bytecode.Code, newVM func(interp.Options) *interp.VM) (int64, string, bool, int64) {
 	t.Helper()
-	opts.Mode = core.ModeIsolated
-	opts.HeapLimit = 1 << 20
-	opts.MaxThreads = 8
-	opts.MaxFrameDepth = 64
-	vm := interp.NewVM(opts)
+	vm := newVM(interp.Options{Mode: core.ModeIsolated, HeapLimit: 1 << 20, MaxThreads: 8, MaxFrameDepth: 64})
 	syslib.MustInstall(vm)
 	iso, err := vm.NewIsolate("main")
 	if err != nil {

@@ -68,43 +68,26 @@ func init() {
 	reg(bytecode.OpFStore, pStore)
 	reg(bytecode.OpAStore, pStore)
 	reg(bytecode.OpIInc, pIInc)
-	reg(bytecode.OpIAdd, pIAdd)
-	reg(bytecode.OpISub, pISub)
-	reg(bytecode.OpIMul, pIMul)
-	reg(bytecode.OpIDiv, pIDiv)
-	reg(bytecode.OpIRem, pIRem)
+	regAll := func(h phandler, ops ...bytecode.Opcode) {
+		for _, op := range ops {
+			reg(op, h)
+		}
+	}
+	regAll(pIntBinop, bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul, bytecode.OpIDiv,
+		bytecode.OpIRem, bytecode.OpIShl, bytecode.OpIShr, bytecode.OpIUshr,
+		bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor)
 	reg(bytecode.OpINeg, pINeg)
-	reg(bytecode.OpIShl, pIShl)
-	reg(bytecode.OpIShr, pIShr)
-	reg(bytecode.OpIUshr, pIUshr)
-	reg(bytecode.OpIAnd, pIAnd)
-	reg(bytecode.OpIOr, pIOr)
-	reg(bytecode.OpIXor, pIXor)
-	reg(bytecode.OpFAdd, pFAdd)
-	reg(bytecode.OpFSub, pFSub)
-	reg(bytecode.OpFMul, pFMul)
-	reg(bytecode.OpFDiv, pFDiv)
+	regAll(pFloatBinop, bytecode.OpFAdd, bytecode.OpFSub, bytecode.OpFMul, bytecode.OpFDiv)
 	reg(bytecode.OpFNeg, pFNeg)
 	reg(bytecode.OpFCmp, pFCmp)
 	reg(bytecode.OpI2F, pI2F)
 	reg(bytecode.OpF2I, pF2I)
 	reg(bytecode.OpGoto, pGoto)
-	reg(bytecode.OpIfEq, pIfEq)
-	reg(bytecode.OpIfNe, pIfNe)
-	reg(bytecode.OpIfLt, pIfLt)
-	reg(bytecode.OpIfLe, pIfLe)
-	reg(bytecode.OpIfGt, pIfGt)
-	reg(bytecode.OpIfGe, pIfGe)
-	reg(bytecode.OpIfICmpEq, pIfICmpEq)
-	reg(bytecode.OpIfICmpNe, pIfICmpNe)
-	reg(bytecode.OpIfICmpLt, pIfICmpLt)
-	reg(bytecode.OpIfICmpLe, pIfICmpLe)
-	reg(bytecode.OpIfICmpGt, pIfICmpGt)
-	reg(bytecode.OpIfICmpGe, pIfICmpGe)
-	reg(bytecode.OpIfACmpEq, pIfACmpEq)
-	reg(bytecode.OpIfACmpNe, pIfACmpNe)
-	reg(bytecode.OpIfNull, pIfNull)
-	reg(bytecode.OpIfNonNull, pIfNonNull)
+	regAll(pIf, bytecode.OpIfEq, bytecode.OpIfNe, bytecode.OpIfLt, bytecode.OpIfLe,
+		bytecode.OpIfGt, bytecode.OpIfGe, bytecode.OpIfNull, bytecode.OpIfNonNull)
+	regAll(pIfCmp, bytecode.OpIfICmpEq, bytecode.OpIfICmpNe, bytecode.OpIfICmpLt,
+		bytecode.OpIfICmpLe, bytecode.OpIfICmpGt, bytecode.OpIfICmpGe,
+		bytecode.OpIfACmpEq, bytecode.OpIfACmpNe)
 	reg(bytecode.OpReturn, pReturn)
 	reg(bytecode.OpIReturn, pValueReturn)
 	reg(bytecode.OpFReturn, pValueReturn)
@@ -248,50 +231,20 @@ func pIInc(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 	return nil
 }
 
-// --- Integer arithmetic --------------------------------------------------
+// --- Arithmetic ----------------------------------------------------------
+//
+// The binops and branches have one handler per family, keyed by the opcode
+// in in.H, over the semantic functions the seed switch (exec.go) and the
+// closure micros (closure.go) also call.
 
-func pIAdd(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
+func pIntBinop(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 	b := f.upop()
 	a := f.upop()
-	f.push(heap.IntVal(a.I + b.I))
-	f.pc++
-	return nil
-}
-
-func pISub(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	f.push(heap.IntVal(a.I - b.I))
-	f.pc++
-	return nil
-}
-
-func pIMul(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	f.push(heap.IntVal(a.I * b.I))
-	f.pc++
-	return nil
-}
-
-func pIDiv(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	if b.I == 0 {
-		return vm.Throw(t, ClassArithmeticException, "/ by zero")
+	op := bytecode.Opcode(in.H)
+	if msg := zeroDivisor(op, b.I); msg != "" {
+		return vm.Throw(t, ClassArithmeticException, msg)
 	}
-	f.push(heap.IntVal(a.I / b.I))
-	f.pc++
-	return nil
-}
-
-func pIRem(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	if b.I == 0 {
-		return vm.Throw(t, ClassArithmeticException, "% by zero")
-	}
-	f.push(heap.IntVal(a.I % b.I))
+	f.push(heap.IntVal(intBinop(op, a.I, b.I)))
 	f.pc++
 	return nil
 }
@@ -303,84 +256,10 @@ func pINeg(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 	return nil
 }
 
-func pIShl(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
+func pFloatBinop(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 	b := f.upop()
 	a := f.upop()
-	f.push(heap.IntVal(a.I << (uint64(b.I) & 63)))
-	f.pc++
-	return nil
-}
-
-func pIShr(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	f.push(heap.IntVal(a.I >> (uint64(b.I) & 63)))
-	f.pc++
-	return nil
-}
-
-func pIUshr(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	f.push(heap.IntVal(int64(uint64(a.I) >> (uint64(b.I) & 63))))
-	f.pc++
-	return nil
-}
-
-func pIAnd(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	f.push(heap.IntVal(a.I & b.I))
-	f.pc++
-	return nil
-}
-
-func pIOr(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	f.push(heap.IntVal(a.I | b.I))
-	f.pc++
-	return nil
-}
-
-func pIXor(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	f.push(heap.IntVal(a.I ^ b.I))
-	f.pc++
-	return nil
-}
-
-// --- Float arithmetic ----------------------------------------------------
-
-func pFAdd(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	f.push(heap.FloatVal(a.F + b.F))
-	f.pc++
-	return nil
-}
-
-func pFSub(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	f.push(heap.FloatVal(a.F - b.F))
-	f.pc++
-	return nil
-}
-
-func pFMul(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	f.push(heap.FloatVal(a.F * b.F))
-	f.pc++
-	return nil
-}
-
-func pFDiv(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	f.push(heap.FloatVal(a.F / b.F))
+	f.push(heap.FloatVal(floatBinop(bytecode.Opcode(in.H), a.F, b.F)))
 	f.pc++
 	return nil
 }
@@ -428,159 +307,38 @@ func pGoto(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 	return nil
 }
 
-func pIfEq(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	if f.upop().I == 0 {
-		f.pc = in.A
-	} else {
-		f.pc++
+// pIf is the one-operand branch family: the six int tests against zero
+// and the two null tests.
+func pIf(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
+	v := f.upop()
+	var taken bool
+	switch op := bytecode.Opcode(in.H); op {
+	case bytecode.OpIfNull, bytecode.OpIfNonNull:
+		taken = (v.R == nil) == (op == bytecode.OpIfNull)
+	default:
+		taken = intCondition(op, v.I)
 	}
-	return nil
+	return branch(f, in, taken)
 }
 
-func pIfNe(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	if f.upop().I != 0 {
-		f.pc = in.A
-	} else {
-		f.pc++
-	}
-	return nil
-}
-
-func pIfLt(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	if f.upop().I < 0 {
-		f.pc = in.A
-	} else {
-		f.pc++
-	}
-	return nil
-}
-
-func pIfLe(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	if f.upop().I <= 0 {
-		f.pc = in.A
-	} else {
-		f.pc++
-	}
-	return nil
-}
-
-func pIfGt(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	if f.upop().I > 0 {
-		f.pc = in.A
-	} else {
-		f.pc++
-	}
-	return nil
-}
-
-func pIfGe(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	if f.upop().I >= 0 {
-		f.pc = in.A
-	} else {
-		f.pc++
-	}
-	return nil
-}
-
-func pIfICmpEq(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
+// pIfCmp is the two-operand branch family: the six int comparisons and
+// the two reference ones.
+func pIfCmp(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 	b := f.upop()
 	a := f.upop()
-	if a.I == b.I {
-		f.pc = in.A
-	} else {
-		f.pc++
+	var taken bool
+	switch op := bytecode.Opcode(in.H); op {
+	case bytecode.OpIfACmpEq, bytecode.OpIfACmpNe:
+		taken = (a.R == b.R) == (op == bytecode.OpIfACmpEq)
+	default:
+		taken = intCmpCondition(op, a.I, b.I)
 	}
-	return nil
+	return branch(f, in, taken)
 }
 
-func pIfICmpNe(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	if a.I != b.I {
-		f.pc = in.A
-	} else {
-		f.pc++
-	}
-	return nil
-}
-
-func pIfICmpLt(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	if a.I < b.I {
-		f.pc = in.A
-	} else {
-		f.pc++
-	}
-	return nil
-}
-
-func pIfICmpLe(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	if a.I <= b.I {
-		f.pc = in.A
-	} else {
-		f.pc++
-	}
-	return nil
-}
-
-func pIfICmpGt(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	if a.I > b.I {
-		f.pc = in.A
-	} else {
-		f.pc++
-	}
-	return nil
-}
-
-func pIfICmpGe(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	if a.I >= b.I {
-		f.pc = in.A
-	} else {
-		f.pc++
-	}
-	return nil
-}
-
-func pIfACmpEq(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	if a.R == b.R {
-		f.pc = in.A
-	} else {
-		f.pc++
-	}
-	return nil
-}
-
-func pIfACmpNe(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	b := f.upop()
-	a := f.upop()
-	if a.R != b.R {
-		f.pc = in.A
-	} else {
-		f.pc++
-	}
-	return nil
-}
-
-func pIfNull(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	if f.upop().R == nil {
-		f.pc = in.A
-	} else {
-		f.pc++
-	}
-	return nil
-}
-
-func pIfNonNull(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
-	if f.upop().R != nil {
+// branch moves f to in's target when taken, past in otherwise.
+func branch(f *Frame, in *bytecode.PInstr, taken bool) error {
+	if taken {
 		f.pc = in.A
 	} else {
 		f.pc++

@@ -357,12 +357,10 @@ func (vm *VM) pushFrame(t *Thread, m *classfile.Method, args []heap.Value, isoOv
 	f.method = m
 	f.iso = frameIso
 	f.pcode = pcode
-	if pcode != nil {
-		// Tier heat: count the activation and adopt (or build) the
-		// closure-threaded program once the body crosses the promotion
-		// threshold. Steady state for an already-hot method is one atomic
-		// load (the published program).
-		vm.noteActivation(f, m, pcode)
+	if pcode != nil && !vm.tableOnly {
+		// The closure program was compiled by preparation and published
+		// with the form: the frame runs its blocks from the first call.
+		f.hot, _ = pcode.Closure.(*closureProgram)
 	}
 	f.callerIso = callerIso
 	f.needsMonitor = mon

@@ -32,9 +32,9 @@ type migEnv struct {
 	probe          func()       // called by the caller's native, mid-quantum
 }
 
-func newMigEnv(t *testing.T, opts interp.Options) *migEnv {
+func newMigEnv(t *testing.T, newVM func(interp.Options) *interp.VM, opts interp.Options) *migEnv {
 	t.Helper()
-	e := &migEnv{vm: interp.NewVM(opts)}
+	e := &migEnv{vm: newVM(opts)}
 	syslib.MustInstall(e.vm)
 	var err error
 	if e.caller, err = e.vm.NewIsolate("caller"); err != nil {
@@ -108,12 +108,8 @@ func (e *migEnv) check(t *testing.T, where string) {
 }
 
 func TestMigrationAccountsExactAtFlushPoints(t *testing.T) {
-	for _, opts := range []interp.Options{
-		{Mode: core.ModeIsolated, Quantum: 64},
-		{Mode: core.ModeIsolated, Quantum: 64, TierPromoteThreshold: 1},
-		{Mode: core.ModeIsolated, Quantum: 64, DisablePrepare: true},
-	} {
-		e := newMigEnv(t, opts)
+	for name, newVM := range threeEngines {
+		e := newMigEnv(t, newVM, interp.Options{Mode: core.ModeIsolated, Quantum: 64})
 		// A host-side spawn whose entry method belongs to another isolate
 		// migrates outside any quantum and publishes directly.
 		direct, err := e.vm.SpawnThread("direct", e.caller, e.ping, []heap.Value{heap.IntVal(1)})
@@ -163,12 +159,12 @@ func TestMigrationAccountsExactAtFlushPoints(t *testing.T) {
 			e.check(t, "at a quantum boundary")
 		}
 		if !killed || slices < 10 || !direct.Done() {
-			t.Fatalf("%+v: killed=%v after %d slices, direct done=%v", opts, killed, slices, direct.Done())
+			t.Fatalf("%s: killed=%v after %d slices, direct done=%v", name, killed, slices, direct.Done())
 		}
 		// The loop dies on its first call into the killed isolate, which
 		// is refused before the thread migrates: nothing more is counted.
 		if th.Failure() == nil {
-			t.Fatalf("%+v: loop survived the callee's kill with result %d", opts, th.Result().I)
+			t.Fatalf("%s: loop survived the callee's kill with result %d", name, th.Result().I)
 		}
 		e.check(t, "after the run")
 	}
@@ -179,7 +175,7 @@ func TestMigrationAccountsExactAtFlushPoints(t *testing.T) {
 // capture parks them at quantum boundaries, so the captured count must lie
 // between the entry counts read before and after it.
 func TestMigrationAccountsExactAtSTWPark(t *testing.T) {
-	e := newMigEnv(t, interp.Options{Mode: core.ModeIsolated})
+	e := newMigEnv(t, interp.NewVM, interp.Options{Mode: core.ModeIsolated})
 	th, err := e.vm.SpawnThread("loop", e.caller, e.run, []heap.Value{heap.IntVal(20_000)})
 	if err != nil {
 		t.Fatal(err)
@@ -243,9 +239,8 @@ func (e *migEnv) observe() safepointObs {
 // a 1-worker internal/sched run.
 func TestSequentialSafepointMidQuantum(t *testing.T) {
 	const iters = 2000
-	run := func(opts interp.Options, workers int) (hits []safepointObs, final safepointObs, midQuantum int) {
-		opts.Mode, opts.SampleEvery = core.ModeIsolated, 7
-		e := newMigEnv(t, opts)
+	run := func(name string, newVM func(interp.Options) *interp.VM, quantum, workers int) (hits []safepointObs, final safepointObs, midQuantum int) {
+		e := newMigEnv(t, newVM, interp.Options{Mode: core.ModeIsolated, SampleEvery: 7, Quantum: quantum})
 		e.probe = func() {
 			now := e.vm.NowTicks()
 			if e.vm.Clock() < now {
@@ -257,11 +252,11 @@ func TestSequentialSafepointMidQuantum(t *testing.T) {
 			}
 			o := e.observe()
 			if after := e.vm.NowTicks(); o.now != now || after != now {
-				t.Fatalf("%+v: NowTicks %d before the stop, Clock %d and NowTicks %d after", opts, now, o.now, after)
+				t.Fatalf("%s: NowTicks %d before the stop, Clock %d and NowTicks %d after", name, now, o.now, after)
 			}
 			if total := e.vm.TotalInstructions(); total != now || o.caller[0]+o.callee[0] != now {
-				t.Fatalf("%+v: %d steps so far, VM total %d, caller %d + callee %d instructions",
-					opts, now, total, o.caller[0], o.callee[0])
+				t.Fatalf("%s: %d steps so far, VM total %d, caller %d + callee %d instructions",
+					name, now, total, o.caller[0], o.callee[0])
 			}
 			hits = append(hits, o)
 		}
@@ -276,37 +271,41 @@ func TestSequentialSafepointMidQuantum(t *testing.T) {
 			res = e.vm.Run(0)
 		}
 		if !res.AllDone || th.Failure() != nil || th.Result().I != iters {
-			t.Fatalf("%+v: %+v, result %d, failure %s", opts, res, th.Result().I, th.FailureString())
+			t.Fatalf("%s: %+v, result %d, failure %s", name, res, th.Result().I, th.FailureString())
 		}
 		e.check(t, "after the run")
 		return hits, e.observe(), midQuantum
 	}
-	refHits, refFinal, mid := run(interp.Options{Quantum: 1, DisablePrepare: true}, 0)
+	refHits, refFinal, mid := run("seed switch, quantum 1", newSeedVM, 1, 0)
 	if len(refHits) != iters/8 || mid != 0 {
 		t.Fatalf("reference: %d observations, %d of them with steps pending", len(refHits), mid)
 	}
-	for _, opts := range []interp.Options{
-		{Quantum: 1000, TierPromoteThreshold: -1},
-		{Quantum: 1000, TierPromoteThreshold: 1},
-		{Quantum: 61, TierPromoteThreshold: 1},
+	for _, leg := range []struct {
+		name    string
+		newVM   func(interp.Options) *interp.VM
+		quantum int
+	}{
+		{"table, quantum 1000", interp.NewTableVMForTest, 1000},
+		{"closure, quantum 1000", interp.NewVM, 1000},
+		{"closure, quantum 61", interp.NewVM, 61},
 	} {
-		hits, final, mid := run(opts, 0)
+		hits, final, mid := run(leg.name, leg.newVM, leg.quantum, 0)
 		if mid < len(hits)*9/10 {
-			t.Fatalf("%+v: only %d of %d stops came with steps pending", opts, mid, len(hits))
+			t.Fatalf("%s: only %d of %d stops came with steps pending", leg.name, mid, len(hits))
 		}
 		if len(hits) != len(refHits) {
-			t.Fatalf("%+v: %d stops, single-step reference %d", opts, len(hits), len(refHits))
+			t.Fatalf("%s: %d stops, single-step reference %d", leg.name, len(hits), len(refHits))
 		}
 		for i := range refHits {
 			if hits[i] != refHits[i] {
-				t.Fatalf("%+v: stop %d observed %+v, single-step reference %+v", opts, i, hits[i], refHits[i])
+				t.Fatalf("%s: stop %d observed %+v, single-step reference %+v", leg.name, i, hits[i], refHits[i])
 			}
 		}
 		if final != refFinal {
-			t.Fatalf("%+v: finished with %+v, single-step reference %+v", opts, final, refFinal)
+			t.Fatalf("%s: finished with %+v, single-step reference %+v", leg.name, final, refFinal)
 		}
 	}
-	if _, final, _ := run(interp.Options{Quantum: 1000, TierPromoteThreshold: 1}, 1); final != refFinal {
+	if _, final, _ := run("1-worker closure, quantum 1000", interp.NewVM, 1000, 1); final != refFinal {
 		t.Fatalf("1-worker sched.Run finished with %+v, sequential reference %+v", final, refFinal)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // behind an atomic pointer, so concurrent scheduler workers racing on
 // the same method both end up executing the single published form.
 //
-// The pass does three things:
+// The pass does four things:
 //
 //  1. Quickening: constant-pool operands (string/class/field/method
 //     references) are resolved to direct *classfile.PoolEntry pointers,
@@ -33,12 +33,17 @@ import (
 //  3. Sticky errors: the only remaining hot-loop failure check — the
 //     program counter escaping the code — returns a preformatted
 //     per-method error instead of constructing one.
+//  4. Compilation: the closure-threaded blocks of the method (closure.go)
+//     are built from the verified form and stored on it, so the form is
+//     published with its program and every frame runs the blocks from the
+//     method's first call — compile on first invocation, as VMKit's JVM
+//     does, with no warm-up tier in front.
 //
-// The prepared form is pure quickening: PInstr.H is always the
+// The prepared instructions are pure quickening: PInstr.H is always the
 // instruction's opcode, one handler per instruction. Group fusion — one
 // combined micro for a load/load/op/store run and the like — is a private
-// step of closure compilation (closure.go), which matches the shapes over
-// the original opcodes when a method gets hot.
+// step of closure compilation, which matches the shapes over the original
+// opcodes.
 
 // unpreparable is the published sentinel for methods the verifier
 // rejected; they execute through the reference switch path forever.
@@ -215,12 +220,17 @@ func prepareMethod(m *classfile.Method) *bytecode.PCode {
 			instrs[pc].FS = bytecode.NewFieldSlot()
 		}
 	}
-	return &bytecode.PCode{
+	p := &bytecode.PCode{
 		Instrs:    instrs,
 		MaxStack:  int(maxStack),
 		MaxLocals: maxLocals,
 		ErrPC:     fmt.Errorf("interp: pc out of range in %s", m.QualifiedName()),
 	}
+	// Last step: compile the closure blocks (closure.go). The program is
+	// in place before the caller publishes the form and never changes
+	// after, so adopting it is a plain field read.
+	p.Closure = buildClosureProgram(m, p)
+	return p
 }
 
 // poolKindOK reports whether a pool entry's kind matches what the opcode

@@ -11,12 +11,12 @@ import (
 // TestQuantumAllocatesNothing: a quantum's accountant (and the concurrent
 // engine's call-path batch) lives in the engine state that runs the
 // quantum, so driving a thread through one costs no host allocation on
-// either engine — it used to cost one and two. The thread sits in a
-// promoted loop, so the closure tier charges through the installed
-// accountant for the whole quantum.
+// either engine — it used to cost one and two. The thread sits in a loop
+// of chained closure blocks, so the closure tier charges through the
+// installed accountant for the whole quantum.
 func TestQuantumAllocatesNothing(t *testing.T) {
 	const quantum = 1000
-	vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, Quantum: quantum, TierPromoteThreshold: 1})
+	vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, Quantum: quantum})
 	syslib.MustInstall(vm)
 	if _, err := vm.NewIsolate("platform"); err != nil {
 		t.Fatal(err)
@@ -38,12 +38,12 @@ func TestQuantumAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sequential engine; the first quanta promote the loop.
+	// Sequential engine; the warm-up run spawns the frame.
 	if res := vm.RunUntil(th, 10*quantum); !res.BudgetExhausted {
 		t.Fatalf("warm-up run: %+v", res)
 	}
 	if _, links, ok := interp.ClosureShapeForTest(spin.Code.Prepared()); !ok || links == 0 {
-		t.Fatalf("the loop is not running chained closure blocks (promoted=%v, links=%d)", ok, links)
+		t.Fatalf("the loop is not running chained closure blocks (program=%v, links=%d)", ok, links)
 	}
 	before := vm.TotalInstructions()
 	if n := testing.AllocsPerRun(200, func() { vm.RunUntil(th, quantum) }); n != 0 {

@@ -38,8 +38,8 @@ import (
 // then pushes through snapshot → clone, rpc.DeepCopyValue and a frozen
 // zero-copy link call (coldGraphTrips).
 //
-// Every program is replayed under {quickened table, closure-threaded
-// hot tier, seed switch} × {Shared, Isolated} ×
+// Every program is replayed under {quickened table alone, closure-threaded
+// blocks (the default), seed switch} × {Shared, Isolated} ×
 // {exact (the reference collector: pressure and explicit collections
 // only), incremental (paced: threshold-opened cycles whose mark strides
 // interleave with mutator quanta under an armed barrier)}:
@@ -629,25 +629,26 @@ const (
 	// interpreter (DisablePrepare).
 	dispSeed oracleDispatch = iota
 	// dispPrepared is the plain table leg: the quickened,
-	// vtable-dispatched interpreter, one handler per instruction (the
-	// production default; the closure tier stays cold because the oracle
-	// programs never reach the promotion heat).
+	// vtable-dispatched interpreter, one handler per instruction, with the
+	// closure programs left unadopted (the test switch).
 	dispPrepared
-	// dispClosure forces every prepared method hot on first activation
-	// (TierPromoteThreshold 1), so the whole program executes through
-	// closure-threaded blocks and combined group micros, with table
-	// fallbacks at quantum boundaries, deopt shapes (exceptions inside
-	// compiled regions, caught and uncaught) and delegated finals.
+	// dispClosure is the default engine: every prepared method carries
+	// its closure program from its first call, so the whole program
+	// executes through closure-threaded blocks and combined group micros,
+	// with table fallbacks at quantum boundaries, deopt shapes (exceptions
+	// inside compiled regions, caught and uncaught) and delegated finals.
 	dispClosure
 )
 
-func (d oracleDispatch) apply(o *interp.Options) {
+// newVM builds the VM of one run on the engine d selects.
+func (d oracleDispatch) newVM(o interp.Options) *interp.VM {
 	switch d {
 	case dispSeed:
-		o.DisablePrepare = true
-	case dispClosure:
-		o.TierPromoteThreshold = 1
+		return newSeedVM(o)
+	case dispPrepared:
+		return interp.NewTableVMForTest(o)
 	}
+	return interp.NewVM(o)
 }
 
 // oracleGC selects the collector configuration of one run.
@@ -755,8 +756,7 @@ func runOracleProgram(t *testing.T, p oracleProgram, mode core.Mode, disp oracle
 		GCThresholdPercent: pct,
 		GCMarkStride:       stride,
 	}
-	disp.apply(&opts)
-	vm := interp.NewVM(opts)
+	vm := disp.newVM(opts)
 	syslib.MustInstall(vm)
 	iso, err := vm.NewIsolate("main")
 	if err != nil {

@@ -82,9 +82,9 @@ type Frame struct {
 	// the reference switch interpreter in exec.go.
 	pcode *bytecode.PCode
 
-	// hot is the adopted closure-threaded program for pcode (closure.go),
-	// nil while the frame executes through the handler table. Owned by
-	// the executing goroutine.
+	// hot is pcode's closure-threaded program (closure.go), adopted at
+	// the push; nil for the reference switch and on a table-only test VM.
+	// Owned by the executing goroutine.
 	hot *closureProgram
 
 	locals []heap.Value

@@ -1,10 +1,6 @@
 package interp
 
-import (
-	"ijvm/internal/bytecode"
-	"ijvm/internal/classfile"
-	"ijvm/internal/core"
-)
+import "ijvm/internal/core"
 
 // This file holds the quantum-accounting bridge that lets a chain of
 // closure-threaded blocks (closure.go) execute many guest instructions
@@ -113,78 +109,4 @@ func (vm *VM) barrierOn(t *Thread) bool {
 		return a.barrierOn
 	}
 	return vm.heap.BarrierActive()
-}
-
-// --- Closure-tier promotion ---------------------------------------------
-
-// tierThreshold returns the activation-heat threshold for promoting a
-// prepared method to the closure-threaded tier, or 0 when the tier is
-// disabled.
-func (vm *VM) tierThreshold() int64 {
-	th := vm.opts.TierPromoteThreshold
-	if th < 0 {
-		return 0
-	}
-	return int64(th)
-}
-
-// noteActivation accumulates one activation of p's method and adopts (or
-// builds) the closure-threaded program when the method is hot. Called by
-// pushFrame after the frame's prepared code is installed. The published
-// program is adopted with one atomic load in the steady state; heat only
-// accumulates while no program is published.
-func (vm *VM) noteActivation(f *Frame, m *classfile.Method, p *bytecode.PCode) {
-	th := vm.tierThreshold()
-	if th == 0 {
-		return
-	}
-	if hot := p.Tier.Hot(); hot != nil {
-		f.hot = hot.(*closureProgram)
-		return
-	}
-	if p.Tier.AddHeat(1) >= th {
-		f.hot = vm.promoteHot(m, p)
-	}
-}
-
-// noteQuantumHeat credits a finished quantum's n executed instructions as
-// heat to the thread's top frame, so a hot loop inside one long-lived
-// activation still promotes (pushFrame heat alone would never see it).
-// Runs at quantum end while the engine still owns the thread; adoption
-// of a program published by another worker also happens here, giving
-// running frames a bounded promotion latency of one quantum.
-func (vm *VM) noteQuantumHeat(t *Thread, n int64) {
-	th := vm.tierThreshold()
-	if th == 0 || n <= 0 {
-		return
-	}
-	f := t.top()
-	if f == nil || f.hot != nil {
-		return
-	}
-	p := f.pcode
-	if p == nil {
-		return
-	}
-	if hot := p.Tier.Hot(); hot != nil {
-		f.hot = hot.(*closureProgram)
-		return
-	}
-	if p.Tier.AddHeat(n) >= th {
-		f.hot = vm.promoteHot(f.method, p)
-	}
-}
-
-// promoteHot compiles the closure-threaded program for a hot method and
-// publishes it with a first-wins CAS; racing promoters build redundantly
-// but all adopt the single published program.
-func (vm *VM) promoteHot(m *classfile.Method, p *bytecode.PCode) *closureProgram {
-	if hot := p.Tier.Hot(); hot != nil {
-		return hot.(*closureProgram)
-	}
-	cp := buildClosureProgram(m, p)
-	if p.Tier.PublishHot(cp) {
-		return cp
-	}
-	return p.Tier.Hot().(*closureProgram)
 }

@@ -3,6 +3,7 @@ package interp_test
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,34 +16,39 @@ import (
 	"ijvm/internal/syslib"
 )
 
-// This file stress-tests the closure tier's concurrent promotion
-// protocol under -race: one method body shared by every shard (its
-// classes live in a registry loader owned by no isolate, so calls do not
-// migrate and all workers execute the same bytecode.PCode), a promotion
-// threshold low enough that several workers cross it in the same few
-// quanta, and an admin goroutine storming exact collections, incremental
-// cycle starts, interrupts and a mid-run kill. The contended surfaces:
-// TierState.AddHeat, the build-then-CAS publication of the closure
-// program (first winner publishes, losers adopt), per-frame adoption at activation and quantum boundaries, and
-// deopt interleaving with stop-the-world phases.
+// This file stress-tests the closure tier's publication under -race: one
+// set of method bodies shared by every shard (its classes live in a
+// registry loader owned by no isolate, so calls do not migrate and all
+// workers execute the same bytecode.Code), first invoked by several workers
+// at once, and an admin goroutine storming exact collections, incremental
+// cycle starts, interrupts and a mid-run kill. The contended surfaces: the
+// preparation race (every racer compiles a form with its closure program,
+// the first CAS publishes, the losers adopt the winner), per-frame
+// adoption of the published program, and deopt interleaving with
+// stop-the-world phases.
 
 const (
 	tierRaceIsolates = 8
 	tierRaceIters    = 1500
 )
 
-// tierRaceClasses builds the shared bundle: helper(x) = x*5 - 7 (its own
-// promotion races once per call site activation) and
-// spin(n) = n iterations of foldable arithmetic through helper.
-func tierRaceClasses() []*classfile.Class {
+// tierRaceClasses builds the shared bundle: helper(x) = x*5 - 7,
+// spin(n) = n iterations of foldable arithmetic through helper, and
+// run(n) = spin(n), the threads' entry (a spawn prepares its entry method
+// on the host, so spin and helper are first invoked on the workers). check
+// is the native both call to inspect the frame that called it.
+func tierRaceClasses(check interp.NativeFunc) []*classfile.Class {
 	shared := classfile.NewClass("tier/Shared").
+		NativeMethod("check", "(I)I", classfile.FlagStatic, check).
 		Method("helper", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
-			a.ILoad(0).Const(5).IMul().Const(7).ISub().IReturn()
+			a.ILoad(0).InvokeStatic("tier/Shared", "check", "(I)I").
+				Const(5).IMul().Const(7).ISub().IReturn()
 		}).
 		Method("spin", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
 			// Locals: 0 n, 1 acc, 2 i. The loop body compiles into four
 			// micros with their loads, constants and stores folded in, and
 			// the iinc+goto final chains back into the loop head.
+			a.ILoad(0).InvokeStatic("tier/Shared", "check", "(I)I").IStore(0)
 			a.Const(0).IStore(1)
 			a.Const(0).IStore(2)
 			a.Label("loop").ILoad(2).ILoad(0).IfICmpGe("done")
@@ -51,6 +57,9 @@ func tierRaceClasses() []*classfile.Class {
 			a.ILoad(1).InvokeStatic("tier/Shared", "helper", "(I)I").IStore(1)
 			a.IInc(2, 1).Goto("loop")
 			a.Label("done").ILoad(1).IReturn()
+		}).
+		Method("run", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.ILoad(0).InvokeStatic("tier/Shared", "spin", "(I)I").IReturn()
 		}).MustBuild()
 	return []*classfile.Class{shared}
 }
@@ -66,25 +75,40 @@ func tierRaceExpected(n int64) int64 {
 	return acc
 }
 
-func TestTierPromotionRaceStress(t *testing.T) {
+// TestPreparationRaceStress: eight shards first-invoke spin and helper on
+// four workers beside the admin storm. Every frame of either method — each
+// checked from inside, by the native it calls — must run the one closure
+// program published with the method's prepared form, and the results must
+// match the Go oracle.
+func TestPreparationRaceStress(t *testing.T) {
 	want := tierRaceExpected(tierRaceIters)
 	for round := 0; round < 2; round++ {
 		vm := interp.NewVM(interp.Options{
-			Mode: core.ModeIsolated,
-			// Low threshold: every shard's first quantum inside spin
-			// crosses it, so promotion builds race instead of one early
-			// winner publishing before anyone else warms up.
-			TierPromoteThreshold: 64,
-			HeapLimit:            256 << 10,
-			GCThresholdPercent:   50,
-			GCMarkStride:         64,
+			Mode:               core.ModeIsolated,
+			HeapLimit:          256 << 10,
+			GCThresholdPercent: 50,
+			GCMarkStride:       64,
 		})
 		syslib.MustInstall(vm)
+		var frames atomic.Int64
+		check := func(vm *interp.VM, th *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
+			m, program := interp.TopFrameForTest(th)
+			if program == nil || program != m.Code.Prepared().Closure {
+				t.Errorf("round %d: a frame of %s runs %p, the published program is %p",
+					round, m.QualifiedName(), program, m.Code.Prepared().Closure)
+			}
+			frames.Add(1)
+			return interp.NativeResult{Control: interp.NativeDone, Value: args[0]}, nil
+		}
 		sharedLoader := vm.Registry().NewLoader("tier-shared")
-		if err := sharedLoader.DefineAll(tierRaceClasses()); err != nil {
+		if err := sharedLoader.DefineAll(tierRaceClasses(check)); err != nil {
 			t.Fatal(err)
 		}
 		c, err := sharedLoader.Lookup("tier/Shared")
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := c.LookupMethod("run", "(I)I")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,12 +127,15 @@ func TestTierPromotionRaceStress(t *testing.T) {
 			if k == 1 {
 				victim = iso
 			}
-			th, err := vm.SpawnThread(fmt.Sprintf("tier%d", k), iso, spin,
+			th, err := vm.SpawnThread(fmt.Sprintf("tier%d", k), iso, run,
 				[]heap.Value{heap.IntVal(tierRaceIters)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			threads = append(threads, th)
+		}
+		if spin.Code.Prepared() != nil {
+			t.Fatal("spin was prepared before the workers started")
 		}
 
 		stop := make(chan struct{})
@@ -164,17 +191,19 @@ func TestTierPromotionRaceStress(t *testing.T) {
 				t.Fatalf("round %d: thread %d = %d, want %d", round, k, got, want)
 			}
 		}
+		if n := frames.Load(); n < (tierRaceIsolates-1)*tierRaceIters {
+			t.Fatalf("round %d: %d frames checked, want at least %d", round, n, (tierRaceIsolates-1)*tierRaceIters)
+		}
 
-		// The contention under test really happened: the shared body was
-		// promoted, and its closure program carries folded micros and chain
-		// links.
+		// The published program carries folded micros and chain links: the
+		// storm ran against them.
 		requireLiveChains(t, spin)
 	}
 }
 
-// requireLiveChains fails unless m's quickening was promoted to a closure
+// requireLiveChains fails unless m's prepared form carries a closure
 // program that holds micros covering more than one instruction and blocks
-// ending in an inline transfer, i.e. the storm ran against folded operands
+// ending in an inline transfer, i.e. the code ran against folded operands
 // and chained steps.
 func requireLiveChains(t *testing.T, m *classfile.Method) {
 	t.Helper()
@@ -184,7 +213,7 @@ func requireLiveChains(t *testing.T, m *classfile.Method) {
 	}
 	switch folded, links, ok := interp.ClosureShapeForTest(p); {
 	case !ok:
-		t.Fatalf("%s was never promoted to the closure tier", m.QualifiedName())
+		t.Fatalf("%s carries no closure program", m.QualifiedName())
 	case folded == 0 || links == 0:
 		t.Fatalf("%s: closure program has %d folded micros and %d chain links", m.QualifiedName(), folded, links)
 	}
@@ -192,7 +221,7 @@ func requireLiveChains(t *testing.T, m *classfile.Method) {
 
 // killStormClasses builds a counter class (static state) and a driver
 // whose run(I)I spins n iterations bumping the static counter through an
-// invokevirtual site — statics, virtual dispatch and a loop that promotes
+// invokevirtual site — statics, virtual dispatch and a loop that compiles
 // to folded micros and chained blocks.
 func killStormClasses() []*classfile.Class {
 	init := func(a *bytecode.Assembler) {
@@ -218,15 +247,15 @@ func killStormClasses() []*classfile.Class {
 	return []*classfile.Class{counter, driver}
 }
 
-// TestKillStormAgainstHotTier kills an isolate while its hot,
-// closure-promoted loop (folded micros and chains live) is mid-flight at
-// an arbitrary quantum boundary, and proves termination semantics are unchanged by the hot
-// tier: the victim thread dies with StoppedIsolateException-style
+// TestKillStormAgainstHotTier kills an isolate while its loop of closure
+// blocks (folded micros and chains live) is mid-flight at an arbitrary
+// quantum boundary, and proves termination semantics are unchanged by the
+// closure tier: the victim thread dies with StoppedIsolateException-style
 // failure (killed code never runs again), while a second isolate's
 // identical hot loop still computes the exact total afterwards.
 func TestKillStormAgainstHotTier(t *testing.T) {
 	for _, budget := range []int64{7, 101, 1009} {
-		vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, TierPromoteThreshold: 1})
+		vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated})
 		syslib.MustInstall(vm)
 		if _, err := vm.NewIsolate("platform"); err != nil { // Isolate0: unkillable
 			t.Fatal(err)
@@ -280,7 +309,7 @@ func TestKillStormAgainstHotTier(t *testing.T) {
 	}
 }
 
-// endlessLoopClass is spin/Main.spin()V: the tightest promoted loop there is —
+// endlessLoopClass is spin/Main.spin()V: the tightest compiled loop there is —
 // `iinc 0 1; goto` — one block that is nothing but its inline final and
 // chains into itself for as long as a step may run.
 func endlessLoopClass() *classfile.Class {
@@ -299,11 +328,11 @@ func endlessLoopClass() *classfile.Class {
 // in instructions, step by step; the second drives a real 1-worker
 // scheduler and requires a collection's world-stop, an isolate kill and a
 // platform shutdown to take effect on a thread that never leaves its
-// promoted loop.
+// compiled loop.
 func TestChainPollLatency(t *testing.T) {
 	const quantum = 1_000_000
 	newVM := func() (*interp.VM, *core.Isolate) {
-		vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, Quantum: quantum, TierPromoteThreshold: 1})
+		vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, Quantum: quantum})
 		syslib.MustInstall(vm)
 		if _, err := vm.NewIsolate("platform"); err != nil { // Isolate0: unkillable
 			t.Fatal(err)

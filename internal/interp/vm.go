@@ -79,12 +79,6 @@ type Options struct {
 	// engine performs per quantum boundary while a cycle is open. 0
 	// selects 256.
 	GCMarkStride int
-	// TierPromoteThreshold is the heat (activations plus quantum-resident
-	// instructions) at which a prepared method body is promoted to the
-	// closure-threaded hot tier. 0 selects 2048; negative disables the
-	// tier entirely; 1 promotes on first activation (the dispatch oracle's
-	// closure leg uses this to force every method hot).
-	TierPromoteThreshold int
 }
 
 func (o *Options) normalize() {
@@ -109,9 +103,6 @@ func (o *Options) normalize() {
 	if o.GCMarkStride <= 0 {
 		o.GCMarkStride = 256
 	}
-	if o.TierPromoteThreshold == 0 {
-		o.TierPromoteThreshold = 2048
-	}
 }
 
 // VM is one virtual machine instance: registry, isolate world, heap,
@@ -132,6 +123,12 @@ type VM struct {
 	// construction like the mode itself, so the execution engines read it
 	// without synchronization.
 	ptable *[256]phandler
+
+	// tableOnly leaves every prepared method on the handler table: frames
+	// do not adopt the closure program preparation compiled. Only the
+	// tests set it (export_test.go), to run the table as an engine of its
+	// own beside the seed switch and the default.
+	tableOnly bool
 
 	// threadsMu guards the thread registry (threads, nextThreadID) and
 	// stagedEntryArgs; liveThreads is atomic so schedulers can poll it

@@ -143,7 +143,6 @@ func TestVTableGuard(t *testing.T) {
 	for _, opts := range []interp.Options{
 		{Mode: core.ModeIsolated},
 		{Mode: core.ModeShared},
-		{Mode: core.ModeIsolated, TierPromoteThreshold: 1},
 	} {
 		got := run(opts)
 		for name, w := range want {

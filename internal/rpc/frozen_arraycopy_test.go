@@ -71,15 +71,15 @@ func requireUntouched(t *testing.T, arr *heap.Object) {
 // destination, so a callee handed a zero-copy payload, or a clone sharing
 // a FreezeShared snapshot array, could mutate memory another isolate
 // reads. Both must throw before any slot is written, whichever way the
-// calling code is dispatched.
+// calling code is dispatched: the seed switch, or the closure blocks every
+// prepared method runs.
 func TestArraycopyIntoFrozenArrayRejected(t *testing.T) {
 	legs := []struct {
 		name string
 		opts interp.Options
 	}{
 		{"seed", interp.Options{DisablePrepare: true}},
-		{"table", interp.Options{TierPromoteThreshold: -1}},
-		{"closure", interp.Options{TierPromoteThreshold: 1}},
+		{"closure", interp.Options{}},
 	}
 	for _, leg := range legs {
 		t.Run(leg.name+"/rpc-payload", func(t *testing.T) {

@@ -484,6 +484,11 @@ type GatewayConcurrentResult struct {
 	Governor sched.GovernorStats `json:"governor"`
 }
 
+// shedBudgetTicks bounds, in virtual ticks from the scheduler's start, how
+// long a governed RunGatewayConcurrent waits for the governor to throttle
+// every abuser.
+const shedBudgetTicks = 1 << 30
+
 // RunGatewayConcurrent executes one concurrent serving run: the
 // template is warmed and captured up front (pool mode primes the clone
 // pool from it), the scheduler runs on its own goroutine with a
@@ -621,12 +626,23 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 
 	// Abuser admission clients: hammer Acquire so throttle-stage shedding
 	// is observable at the admission edge. Pre-throttle admissions give
-	// the slot straight back.
+	// the slot straight back. In a governed run each abuser also records
+	// its first admission refused with core.ErrThrottled (shedWG), and the
+	// run is not over until every abuser has one: the tenants can finish
+	// before the governor's windows reach the throttle stage. An abuser
+	// still unshed shedBudgetTicks of virtual time after the start gives
+	// up (unshed) and the run fails.
 	stopAbuse := make(chan struct{})
-	var abuseWG sync.WaitGroup
+	var abuseWG, shedWG sync.WaitGroup
+	var unshed atomic.Int64
+	shedDeadline := vm.Clock() + shedBudgetTicks
 	if pool != nil {
 		for _, iso := range abusers {
 			abuseWG.Add(1)
+			awaitShed := gov != nil
+			if awaitShed {
+				shedWG.Add(1)
+			}
 			go func(iso *core.Isolate) {
 				defer abuseWG.Done()
 				for {
@@ -635,8 +651,16 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 						return
 					default:
 					}
-					if got, err := pool.Acquire(iso); err == nil {
+					got, err := pool.Acquire(iso)
+					if err == nil {
 						pool.Release(got)
+					}
+					if shed := errors.Is(err, core.ErrThrottled); awaitShed && (shed || vm.Clock() > shedDeadline) {
+						if !shed {
+							unshed.Add(1)
+						}
+						awaitShed = false
+						shedWG.Done()
 					}
 					time.Sleep(200 * time.Microsecond)
 				}
@@ -774,6 +798,7 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 	}
 	wg.Wait()
 	res.Wall = time.Since(start)
+	shedWG.Wait()
 	close(stopAbuse)
 	abuseWG.Wait()
 	res.TotalTicks = vm.Clock()
@@ -792,6 +817,10 @@ func RunGatewayConcurrent(cfg GatewayConcurrentConfig) (GatewayConcurrentResult,
 	}
 	if errp := clientErr.Load(); errp != nil {
 		return res, *errp
+	}
+	if n := unshed.Load(); n > 0 {
+		return res, fmt.Errorf("governed run: %d of %d abusers not shed within %d ticks, governor %+v",
+			n, len(abusers), shedBudgetTicks, gov.Stats())
 	}
 
 	res.Sessions = cfg.Tenants * cfg.SessionsPerTenant

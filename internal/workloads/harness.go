@@ -63,18 +63,6 @@ func (r *Runner) VM() *interp.VM { return r.vm }
 // Isolate returns the isolate the driver runs in.
 func (r *Runner) Isolate() *core.Isolate { return r.iso }
 
-// WithDriver rebinds the runner to another static driver method (same
-// descriptor) on the same driver class — e.g. the Table 1 drag loop.
-func (r *Runner) WithDriver(methodName string) (*Runner, error) {
-	m, err := r.driver.Class.LookupMethod(methodName, MicroDriverDesc)
-	if err != nil {
-		return nil, err
-	}
-	dup := *r
-	dup.driver = m
-	return &dup, nil
-}
-
 // Run performs one driver invocation run(n) and returns the checksum.
 func (r *Runner) Run() (int64, error) {
 	v, th, err := r.vm.CallRoot(r.iso, r.driver, []heap.Value{heap.IntVal(r.n)}, 0)
