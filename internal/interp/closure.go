@@ -3,6 +3,7 @@ package interp
 import (
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
+	"ijvm/internal/core"
 	"ijvm/internal/heap"
 )
 
@@ -17,10 +18,10 @@ import (
 // The contract every block keeps:
 //
 //   - a block's prefix holds only micros that cannot throw, allocate,
-//     park, or reach a safepoint; anything else (invokes, news, statics,
-//     monitors, returns, throws, ldc, checkcast ...) terminates the block
-//     and is delegated through the live handler table, with the frame in
-//     exactly the state single-step execution would leave it;
+//     park, or reach a safepoint; anything else (invokes, news, monitors,
+//     returns, throws, ldc, checkcast ...) terminates the block and is
+//     delegated through the live handler table, with the frame in exactly
+//     the state single-step execution would leave it;
 //   - operand folding: the builder keeps a compile-time operand stack.
 //     iload/fload/aload and the constant pushes emit nothing — they push
 //     a symbol (local k / constant c) — and the micro of the instruction
@@ -34,12 +35,20 @@ import (
 //     iinc to a local they name, and before every guarded micro — and in
 //     full before any transfer out of the block, so the real stack is
 //     exact wherever it can be observed;
-//   - guarded micros (field and array access, idiv/irem) check every
-//     failure condition BEFORE mutating anything; on failure they push
-//     their own symbolic operands in order and return microBail. The step
-//     then delegates the guarded instruction through the handler table
-//     (which resolves, or throws with the identical message) as its final
-//     sub-instruction, with the folded loads counted as retired (bail[i]);
+//   - guarded micros (field, static and array access, idiv/irem) check
+//     every failure condition BEFORE mutating anything; on failure they
+//     push their own symbolic operands in order and return microBail. The
+//     step then delegates the guarded instruction through the handler
+//     table (which resolves, initializes, waits, or throws with the
+//     identical message) as its final sub-instruction, with the folded
+//     loads counted as retired (bail[i]);
+//   - statics (§3.1) are guarded micros picked by the VM's mode when the
+//     program is built: the Isolated micro is the paper's inline sequence
+//     — the field resolved, the current isolate's mirror of its class
+//     present and initialized (or being initialized by this thread) —
+//     and the Shared micro probes the pool entry's ResolvedMirror cache
+//     as the Shared handler does. Neither creates a mirror nor runs a
+//     write barrier (statics are roots, re-scanned at cycle finish);
 //   - micros do not maintain f.pc: it is written at exits only — the
 //     target by a taken branch or inline goto, the guarded instruction's
 //     pc on a bail, the delegated final's pc on fall-through;
@@ -72,7 +81,9 @@ import (
 //
 // A program is built before its prepared form is published (the form's
 // CAS in bytecode.Code.StorePrepared) and is immutable after, so frames on
-// any worker adopt it with a plain read and no lock.
+// any worker adopt it with a plain read and no lock. It is built for one
+// mode: a class links into one VM, whose mode is fixed, so the program is
+// per-mode while the prepared instructions stay mode-neutral.
 
 // microStatus is a micro's verdict on how the block proceeds.
 type microStatus uint8
@@ -190,8 +201,9 @@ run:
 // exception-handler target, and every fall-through successor of a built
 // block, so steady-state execution (including returns from delegated
 // invokes) always lands on a compiled block; other pcs run through table
-// dispatch. The result is never nil (blocks may be sparse).
-func buildClosureProgram(m *classfile.Method, p *bytecode.PCode) *closureProgram {
+// dispatch. The result is never nil (blocks may be sparse). mode picks the
+// statics micros.
+func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, mode core.Mode) *closureProgram {
 	code := m.Code
 	n := len(code.Instrs)
 	cp := &closureProgram{blocks: make([]*closureBlock, n)}
@@ -218,7 +230,7 @@ func buildClosureProgram(m *classfile.Method, p *bytecode.PCode) *closureProgram
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		b, end, fall := buildClosureBlock(code, p, pc)
+		b, end, fall := buildClosureBlock(code, p, pc, mode)
 		if b != nil {
 			cp.blocks[pc] = b
 		}
@@ -311,6 +323,7 @@ type blockBuilder struct {
 	p    *bytecode.PCode
 	blk  *closureBlock
 	syms []operand
+	mode core.Mode
 }
 
 // emit appends the micro of the instruction at pc, whose last covered
@@ -399,9 +412,9 @@ func (bb *blockBuilder) produce(n int, pc int32) binding {
 // Conditional branches do not end the block: they compile as mid-block
 // micros and the fall-through path continues. The builder terminates
 // because the cursor strictly increases.
-func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32) (*closureBlock, int32, bool) {
+func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32, mode core.Mode) (*closureBlock, int32, bool) {
 	b := &closureBlock{pc0: pc}
-	bb := &blockBuilder{code: code, p: p, blk: b}
+	bb := &blockBuilder{code: code, p: p, blk: b, mode: mode}
 	n := int32(len(code.Instrs))
 	cur := pc
 	for ok := true; ok && cur < n && cur-pc < maxClosureBlock; {
@@ -451,8 +464,7 @@ func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32) (*closu
 // emitted) or one micro with its operands bound and a directly following
 // local store folded in — and returns the pc after what it covered. ok is
 // false, with pc unchanged, for ops that must end the block (may throw
-// beyond a guard, allocate, park, push/pop frames, or touch
-// mode-specialized state).
+// beyond a guard, allocate, park, or push/pop frames).
 func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 	in := &bb.p.Instrs[pc]
 	switch op := bb.code.Instrs[pc].Op; op {
@@ -683,6 +695,53 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			}
 			return microNext
 		}, pc, pc)
+	case bytecode.OpGetStatic:
+		// Guarded by the mode's mirror check (isolatedMirror, sharedMirror);
+		// a miss bails to the table handler, which resolves, initializes or
+		// waits.
+		bd, entry := bb.produce(0, pc), in.Ref.(*classfile.PoolEntry)
+		if bb.mode == core.ModeIsolated {
+			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+				m, slot := vm.isolatedMirror(t, entry)
+				if m == nil {
+					return microBail
+				}
+				f.result(0, bd.d, m.Statics[slot])
+				return microNext
+			}, pc, bd.last)
+		}
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			m, slot := sharedMirror(entry)
+			if m == nil {
+				return microBail
+			}
+			f.result(0, bd.d, m.Statics[slot])
+			return microNext
+		}, pc, bd.last)
+	case bytecode.OpPutStatic:
+		bd, entry := bb.bind(1, pc), in.Ref.(*classfile.PoolEntry)
+		if bb.mode == core.ModeIsolated {
+			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+				m, slot := vm.isolatedMirror(t, entry)
+				if m == nil {
+					return bail(f, bd.ops[0])
+				}
+				v := *bd.ops[0].at(f)
+				f.drop(bd.ns)
+				m.Statics[slot] = v
+				return microNext
+			}, pc, pc)
+		}
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			m, slot := sharedMirror(entry)
+			if m == nil {
+				return bail(f, bd.ops[0])
+			}
+			v := *bd.ops[0].at(f)
+			f.drop(bd.ns)
+			m.Statics[slot] = v
+			return microNext
+		}, pc, pc)
 	case bytecode.OpArrayLength:
 		bd := bb.produce(1, pc)
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
@@ -721,4 +780,32 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 		}, pc, pc)
 	}
 	return pc, false
+}
+
+// isolatedMirror is the guard of the Isolated statics micros, §3.1's
+// sequence inline: the field is resolved, the current isolate's mirror of
+// its class exists, and it is initialized or being initialized by this
+// thread (a <clinit> reaching its own statics). It returns the mirror and
+// the field's slot, or nil to bail.
+func (vm *VM) isolatedMirror(t *Thread, entry *classfile.PoolEntry) (*core.TaskClassMirror, int) {
+	field := entry.ResolvedField.Load()
+	if field == nil {
+		return nil, 0
+	}
+	m := vm.world.MirrorIfPresent(field.Class, t.cur)
+	if m == nil || m.State != core.InitDone && (m.State != core.InitRunning || m.InitThread != t.id) {
+		return nil, 0
+	}
+	return m, field.Slot
+}
+
+// sharedMirror is the guard of the Shared statics micros: the mirror the
+// Shared handlers cache on the pool entry after the first initialized
+// access, or nil to bail.
+func sharedMirror(entry *classfile.PoolEntry) (*core.TaskClassMirror, int) {
+	m, ok := entry.ResolvedMirror.(*core.TaskClassMirror)
+	if !ok {
+		return nil, 0
+	}
+	return m, entry.ResolvedField.Load().Slot
 }

@@ -245,11 +245,36 @@ func foldShapes() []foldShape {
 			a.Label("G0").ILoad(2).Label("G1").ILoad(1).Label("G2").Const(0).Label("G3").IRem().Label("G4").IAdd()
 		}, enter: []func(asm){nil, ints(1), ints(2), ints(3), ints(2)},
 			tail: topTail, catch: true, args: []foldArgs{{7, 3, "arr"}}},
+
+		// Statics: the first execution in each VM bails into fs/St's
+		// <clinit> (its own putstatic runs while the class is being
+		// initialized) with the pending operands materialised; later
+		// executions run the micro of the leg's mode.
+		{name: "getstatic_store", body: func(a asm) {
+			a.Label("G0").GetStatic(foldStatics, "v").Label("G1").IStore(4)
+		}, enter: []func(asm){nil, ints(1)}, tail: outTail},
+		{name: "getstatic_pending", body: func(a asm) {
+			a.Label("G0").ILoad(1).Label("G1").GetStatic(foldStatics, "v").Label("G2").IAdd().Label("G3").IStore(4)
+		}, enter: []func(asm){nil, ints(1), ints(2), ints(1)}, tail: outTail},
+		{name: "putstatic", body: func(a asm) {
+			a.Label("G0").ILoad(1).Label("G1").PutStatic(foldStatics, "v")
+		}, enter: []func(asm){nil, ints(1)},
+			tail: func(a asm) { a.GetStatic(foldStatics, "v").ILoad(2).IAdd().IReturn() }},
 	}
 }
 
-// classes builds fs/<name> with the static method shape and the Box the
-// field shapes use. The entry dispatch (iinc sel; iload sel; iflt) jumps
+const foldStatics = "fs/St"
+
+// staticsClass is fs/St: one int static its <clinit> sets to 21.
+func staticsClass() *classfile.Class {
+	return classfile.NewClass(foldStatics).StaticField("v", classfile.KindInt).
+		Method(classfile.ClinitName, "()V", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.Const(21).PutStatic(foldStatics, "v").Return()
+		}).MustBuild()
+}
+
+// classes builds fs/<name> with the static method shape, the Box the
+// field shapes use and the St the statics shapes use. The entry dispatch (iinc sel; iload sel; iflt) jumps
 // to one "Jk: pushes; goto Gk" stub per instruction of the run.
 func (s foldShape) classes() []*classfile.Class {
 	box := classfile.NewClass(foldBox).Field("v", classfile.KindInt).MustBuild()
@@ -279,7 +304,7 @@ func (s foldShape) classes() []*classfile.Class {
 				a.Handler("G0", "end", "catch", "")
 			}
 		}).MustBuild()
-	return []*classfile.Class{box, shape}
+	return []*classfile.Class{box, staticsClass(), shape}
 }
 
 // foldRun is one execution leg of the fold tests.
@@ -512,5 +537,173 @@ func TestClosureChainAccounting(t *testing.T) {
 			const longestIteration = 34 // array_float through "skip"
 			compareToSeed(t, longestIteration, classes, "chain/Main", "run", "(ILjava/lang/Object;)I", argv)
 		})
+	}
+}
+
+// The classes of TestStaticMicros: st/C's <clinit> sets x and sums
+// 0..stLoop-1 into sum in a static loop; st/Slow's <clinit> sleeps before
+// it sets y; st/Use holds the accessors.
+const (
+	stC, stSlow, stUse = "st/C", "st/Slow", "st/Use"
+	stLoop             = 400
+)
+
+func stClasses() []*classfile.Class {
+	static := classfile.FlagStatic
+	c := classfile.NewClass(stC).StaticField("x", classfile.KindInt).StaticField("sum", classfile.KindInt).
+		Method(classfile.ClinitName, "()V", static, func(a *bytecode.Assembler) {
+			a.Const(40).PutStatic(stC, "x")
+			a.Const(0).IStore(0)
+			a.Label("loop").ILoad(0).Const(stLoop).IfICmpGe("done")
+			a.GetStatic(stC, "sum").ILoad(0).IAdd().PutStatic(stC, "sum")
+			a.IInc(0, 1).Goto("loop")
+			a.Label("done").Return()
+		}).MustBuild()
+	slow := classfile.NewClass(stSlow).StaticField("y", classfile.KindInt).
+		Method(classfile.ClinitName, "()V", static, func(a *bytecode.Assembler) {
+			a.Const(50).InvokeStatic(interp.ClassThread, "sleep", "(I)V")
+			a.Const(7).PutStatic(stSlow, "y").Return()
+		}).MustBuild()
+	use := classfile.NewClass(stUse).
+		Method("first", "(I)I", static, func(a *bytecode.Assembler) {
+			a.ILoad(0).Const(2).GetStatic(stC, "x").IAdd().IMul().IReturn()
+		}).
+		Method("bump", "(I)I", static, func(a *bytecode.Assembler) {
+			a.Const(0).IStore(1)
+			a.Label("loop").ILoad(1).ILoad(0).IfICmpGe("done")
+			a.GetStatic(stC, "x").ILoad(1).IXor().PutStatic(stC, "x")
+			a.IInc(1, 1).Goto("loop")
+			a.Label("done").GetStatic(stC, "x").IReturn()
+		}).
+		Method("slowY", "()I", static, func(a *bytecode.Assembler) {
+			a.GetStatic(stSlow, "y").IReturn()
+		}).
+		Method("slowPlus", "(I)I", static, func(a *bytecode.Assembler) {
+			a.ILoad(0).GetStatic(stSlow, "y").IAdd().IReturn()
+		}).MustBuild()
+	return []*classfile.Class{c, slow, use}
+}
+
+// stVM defines stClasses in a fresh VM of the given engine and mode.
+func stVM(t *testing.T, newVM func(interp.Options) *interp.VM, mode core.Mode) (*interp.VM, *core.Isolate, *classfile.Class) {
+	t.Helper()
+	vm := newVM(interp.Options{Mode: mode})
+	syslib.MustInstall(vm)
+	iso, err := vm.NewIsolate("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := iso.Loader().DefineAll(stClasses()); err != nil {
+		t.Fatal(err)
+	}
+	use, err := iso.Loader().Lookup(stUse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vm, iso, use
+}
+
+// TestStaticMicros pins the statics micros of both modes on the step
+// level: a first access bails with the frame exact and <clinit> pushed; a
+// static loop inside <clinit> (the class is being initialized by the
+// accessing thread) and one after it run as chained compiled steps — the
+// Shared one through the mirror the pool entry caches; and an access
+// while another thread runs the <clinit> bails, waits, and reads the
+// initialized value, with results, instruction totals and clock equal on
+// the seed switch, the table and the closure blocks.
+func TestStaticMicros(t *testing.T) {
+	spawn := func(t *testing.T, vm *interp.VM, iso *core.Isolate, c *classfile.Class, name string, args ...heap.Value) *interp.Thread {
+		t.Helper()
+		th, err := vm.SpawnThread(name, iso, findMethod(t, c, name), args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return th
+	}
+	// chained runs th to completion one engine step at a time and fails
+	// unless the steps retired at least 32 instructions each on average
+	// (single-stepping after a bail retires a handful).
+	chained := func(t *testing.T, vm *interp.VM, th *interp.Thread, what string) {
+		t.Helper()
+		sizes, err := vm.StepSizesForTest(th, 1<<40, 1<<20)
+		if err != nil || !th.Done() {
+			t.Fatalf("%s: err %v, done %v", what, err, th.Done())
+		}
+		var retired int64
+		for _, s := range sizes {
+			retired += s
+		}
+		if int64(len(sizes))*32 > retired {
+			t.Fatalf("%s: %d instructions in %d engine steps, want compiled chains", what, retired, len(sizes))
+		}
+	}
+	for _, mode := range []core.Mode{core.ModeShared, core.ModeIsolated} {
+		t.Run(mode.String(), func(t *testing.T) {
+			vm, iso, use := stVM(t, interp.NewVM, mode)
+			c, err := iso.Loader().Lookup(stC)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// A first access: the block materialises iload/iconst, the
+			// getstatic micro bails, and the table handler pushes <clinit>.
+			th := spawn(t, vm, iso, use, "first", heap.IntVal(5))
+			sizes, err := vm.StepSizesForTest(th, 1<<40, 1)
+			if err != nil || !reflect.DeepEqual(sizes, []int64{3}) {
+				t.Fatalf("first step: sizes %v, err %v; want one step of 3 instructions", sizes, err)
+			}
+			frames := interp.FramesForTest(th)
+			want := []interp.FrameForTest{
+				{Method: findMethod(t, use, "first").QualifiedName(), PC: 2, Stack: []heap.Value{heap.IntVal(5), heap.IntVal(2)}},
+				{Method: c.Clinit.QualifiedName(), PC: 0},
+			}
+			if !reflect.DeepEqual(frames, want) {
+				t.Fatalf("frames after the bail:\n got %+v\nwant %+v", frames, want)
+			}
+			// The <clinit> loop, then the re-executed access.
+			chained(t, vm, th, "<clinit> static loop")
+			if got := th.Result().I; got != 5*42 {
+				t.Fatalf("first(5) = %d, want %d", got, 5*42)
+			}
+			if got := vm.World().Mirror(c, iso).Statics[1].I; got != stLoop*(stLoop-1)/2 {
+				t.Fatalf("sum = %d after <clinit>", got)
+			}
+
+			// After initialization: a read-modify-write loop.
+			th = spawn(t, vm, iso, use, "bump", heap.IntVal(1000))
+			chained(t, vm, th, "static loop")
+			x := int64(40)
+			for i := int64(0); i < 1000; i++ {
+				x ^= i
+			}
+			if got := th.Result().I; got != x {
+				t.Fatalf("bump(1000) = %d, want %d", got, x)
+			}
+		})
+	}
+
+	// <clinit> running in another thread: whichever of the two threads
+	// reaches st/Slow second finds it InitRunning under the other, bails
+	// and retries until the initializer has slept and set y.
+	var ref, refName string
+	for _, mode := range []core.Mode{core.ModeShared, core.ModeIsolated} {
+		for engine, newVM := range threeEngines {
+			name := fmt.Sprintf("%s/%v", engine, mode)
+			vm, iso, use := stVM(t, newVM, mode)
+			a := spawn(t, vm, iso, use, "slowY")
+			b := spawn(t, vm, iso, use, "slowPlus", heap.IntVal(10))
+			if res := vm.Run(1_000_000); !res.AllDone {
+				t.Fatalf("%s: run %+v", name, res)
+			}
+			if a.Result().I != 7 || b.Result().I != 17 {
+				t.Fatalf("%s: slowY %d, slowPlus(10) %d; want 7 and 17", name, a.Result().I, b.Result().I)
+			}
+			trace := fmt.Sprintf("%d instructions, clock %d", vm.TotalInstructions(), vm.Clock())
+			if ref == "" {
+				ref, refName = trace, name
+			} else if trace != ref {
+				t.Fatalf("%s: %s; %s: %s", name, trace, refName, ref)
+			}
+		}
 	}
 }

@@ -315,7 +315,10 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 	// after the first initialized access, the way a JIT folds the
 	// initialization check away. I-JVM must re-index the mirror array
 	// with the thread's current isolate and re-check initialization on
-	// every access — the paper's two extra loads plus init check.
+	// every access — the paper's two extra loads plus init check, which
+	// is one read of the class's own mirror state once it is initialized
+	// (ensureInitialized). The switch is the reference for the handlers
+	// and for the closure blocks' statics micros of both modes.
 	case bytecode.OpGetStatic:
 		mirror, field, err := vm.staticMirrorAt(t, f, in.A)
 		if err != nil || mirror == nil {
@@ -689,8 +692,9 @@ func (vm *VM) staticMirrorAt(t *Thread, f *Frame, idx int32) (*core.TaskClassMir
 
 // staticMirrorEntry resolves the task class mirror and field of a static
 // access through its pool entry, checking the mode dynamically (the
-// reference switch path; the prepared handlers are mode-specialized and
-// call staticMirrorResolve directly). It returns (nil, nil, nil) when
+// reference switch path; the prepared handlers and the closure micros are
+// mode-specialized, and the handlers call staticMirrorResolve directly).
+// It returns (nil, nil, nil) when
 // the instruction must re-execute (a <clinit> frame was pushed) or when
 // a guest exception was already delivered; a non-nil error is a
 // host-level failure.

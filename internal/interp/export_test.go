@@ -6,12 +6,15 @@ import (
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
 	"ijvm/internal/core"
+	"ijvm/internal/heap"
 )
 
 // PrepareMethodForTest exposes the preparation pass to the external test
 // package (the fuzz target drives it with adversarial instruction
 // streams; the oracle tests reach it through normal execution).
-func PrepareMethodForTest(m *classfile.Method) *bytecode.PCode { return prepareMethod(m) }
+func PrepareMethodForTest(m *classfile.Method, mode core.Mode) *bytecode.PCode {
+	return prepareMethod(m, mode)
+}
 
 // NewTableVMForTest is NewVM with the test switch on: frames never adopt
 // the closure program preparation compiled, so every prepared method runs
@@ -71,6 +74,23 @@ func TopFrameForTest(t *Thread) (*classfile.Method, any) {
 		return f.method, nil
 	}
 	return f.method, f.hot
+}
+
+// FrameForTest is one activation as FramesForTest reports it.
+type FrameForTest struct {
+	Method string
+	PC     int32
+	Stack  []heap.Value
+}
+
+// FramesForTest returns t's activations, outermost first, each with a copy
+// of its operand stack. Nothing may be running t.
+func FramesForTest(t *Thread) []FrameForTest {
+	out := make([]FrameForTest, len(t.frames))
+	for i, f := range t.frames {
+		out[i] = FrameForTest{f.method.QualifiedName(), f.pc, append([]heap.Value(nil), f.stack...)}
+	}
+	return out
 }
 
 // SnapshotAccount exposes the capture-time account a snapshot seeds its

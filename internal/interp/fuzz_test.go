@@ -113,7 +113,7 @@ func FuzzPrepareVerifier(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := interp.PrepareMethodForTest(m) // must not panic
+		p := interp.PrepareMethodForTest(m, core.ModeIsolated) // must not panic
 		if p == nil {
 			return // rejected to the reference switch path: the safe outcome
 		}

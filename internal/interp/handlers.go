@@ -364,12 +364,16 @@ func pValueReturn(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 // check away. The Isolated handlers are the paper's I-JVM sequence —
 // index the class's mirror row with the thread's current isolate and
 // re-check initialization on every access — with no Shared-cache probe
-// and no world.Isolated() branch left in the steady state.
+// and no world.Isolated() branch left in the steady state. Inside closure
+// blocks the steady state is a guarded micro of the same mode
+// (closure.go isolatedMirror, sharedMirror); these handlers are the first
+// access, every access that must initialize or wait, and the table
+// engine.
 
 func pGetStaticShared(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 	entry := in.Ref.(*classfile.PoolEntry)
-	if mirror, ok := entry.ResolvedMirror.(*core.TaskClassMirror); ok {
-		f.push(mirror.Statics[entry.ResolvedField.Load().Slot])
+	if mirror, slot := sharedMirror(entry); mirror != nil {
+		f.push(mirror.Statics[slot])
 		f.pc++
 		return nil
 	}
@@ -394,8 +398,8 @@ func pGetStaticIsolated(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error 
 
 func pPutStaticShared(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 	entry := in.Ref.(*classfile.PoolEntry)
-	if mirror, ok := entry.ResolvedMirror.(*core.TaskClassMirror); ok {
-		mirror.Statics[entry.ResolvedField.Load().Slot] = f.upop()
+	if mirror, slot := sharedMirror(entry); mirror != nil {
+		mirror.Statics[slot] = f.upop()
 		f.pc++
 		return nil
 	}

@@ -491,7 +491,17 @@ func (vm *VM) returnFromFrame(t *Thread, v heap.Value) error {
 // needed. It returns true when execution of the triggering instruction may
 // proceed; false means the instruction must re-execute later (a <clinit>
 // frame was pushed, or another thread is initializing).
+//
+// The steady state is one mirror read: c's own mirror is InitDone. That
+// implies every super's is too, or is being initialized by the thread that
+// initialized c (JVMS §5.5: a fully initialized class is not re-checked
+// against its supers), because a class only starts initializing once its
+// supers have, and restoreStatics never restores a class as initialized
+// beside a super it restores uninitialized.
 func (vm *VM) ensureInitialized(t *Thread, c *classfile.Class, iso *core.Isolate) (bool, error) {
+	if vm.world.Mirror(c, iso).State == core.InitDone {
+		return true, nil
+	}
 	for {
 		var target *classfile.Class
 		for k := c; k != nil; k = k.Super {

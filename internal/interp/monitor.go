@@ -137,7 +137,9 @@ func (vm *VM) monitorExitChecked(t *Thread, obj *heap.Object) (ok bool) {
 
 // MonitorWait implements Object.wait(timeoutTicks): the calling thread
 // must own the monitor; it releases it fully, parks, and re-acquires on
-// wake. timeoutTicks <= 0 waits until notified or interrupted. schedMu
+// wake, staging a void resume. timeoutTicks <= 0 waits until notified or
+// interrupted. A pending interrupt returns ErrInterrupted with the monitor
+// still held. schedMu
 // is held across the monitor release and the wait-set insertion, so a
 // racing notify (which requires schedMu) observes either a still-owned
 // monitor or a fully registered waiter — never the gap between.
@@ -150,6 +152,11 @@ func (vm *VM) MonitorWait(t *Thread, obj *heap.Object, timeoutTicks int64) error
 		mu.Unlock()
 		vm.schedMu.Unlock()
 		return fmt.Errorf("wait without ownership")
+	}
+	if t.takeInterruptLocked() {
+		mu.Unlock()
+		vm.schedMu.Unlock()
+		return ErrInterrupted
 	}
 	t.savedLock = m.Count
 	m.Owner = 0
@@ -164,6 +171,7 @@ func (vm *VM) MonitorWait(t *Thread, obj *heap.Object, timeoutTicks int64) error
 	}
 	vm.addSleepGaugeLocked(t)
 	vm.waiters[obj] = append(vm.waiters[obj], t)
+	t.StageResumeVoid()
 	vm.schedMu.Unlock()
 	// Releasing the monitor may unblock threads parked on it.
 	vm.notifyThreadsChanged()

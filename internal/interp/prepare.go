@@ -5,6 +5,7 @@ import (
 
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
+	"ijvm/internal/core"
 )
 
 // This file implements the code-preparation ("quickening") pass that
@@ -39,20 +40,23 @@ import (
 //     method's first call — compile on first invocation, as VMKit's JVM
 //     does, with no warm-up tier in front.
 //
-// The prepared instructions are pure quickening: PInstr.H is always the
-// instruction's opcode, one handler per instruction. Group fusion — one
-// combined micro for a load/load/op/store run and the like — is a private
-// step of closure compilation, which matches the shapes over the original
-// opcodes.
+// The prepared instructions are pure quickening and mode-neutral: PInstr.H
+// is always the instruction's opcode, one handler per instruction. Group
+// fusion — one combined micro for a load/load/op/store run and the like —
+// is a private step of closure compilation, which matches the shapes over
+// the original opcodes. The closure program is per-mode (its statics
+// micros are the mode's §3.1 check), which is sound because a class links
+// into one VM and a VM's mode is fixed at construction.
 
 // unpreparable is the published sentinel for methods the verifier
 // rejected; they execute through the reference switch path forever.
 var unpreparable = &bytecode.PCode{}
 
 // preparedCode returns the quickened form of m, preparing and caching it
-// on first invocation. The form is mode-neutral (PInstr.H is the opcode);
-// the handler table the VM dispatches it through was chosen for the VM's
-// mode in NewVM. It returns nil when the VM runs seed-style dispatch
+// on first invocation. The instructions are mode-neutral (PInstr.H is the
+// opcode), dispatched through the handler table NewVM chose for the VM's
+// mode; the closure program on the form is compiled for that mode. It
+// returns nil when the VM runs seed-style dispatch
 // (Options.DisablePrepare) or the method is unpreparable.
 func (vm *VM) preparedCode(m *classfile.Method) *bytecode.PCode {
 	if vm.opts.DisablePrepare {
@@ -61,7 +65,7 @@ func (vm *VM) preparedCode(m *classfile.Method) *bytecode.PCode {
 	code := m.Code
 	p := code.Prepared()
 	if p == nil {
-		p = prepareMethod(m)
+		p = prepareMethod(m, vm.opts.Mode)
 		if p == nil {
 			p = unpreparable
 		}
@@ -73,9 +77,10 @@ func (vm *VM) preparedCode(m *classfile.Method) *bytecode.PCode {
 	return p
 }
 
-// prepareMethod builds the prepared form of m, or returns nil when the
-// method cannot be verified for unchecked execution.
-func prepareMethod(m *classfile.Method) *bytecode.PCode {
+// prepareMethod builds the prepared form of m for a VM of the given mode,
+// or returns nil when the method cannot be verified for unchecked
+// execution.
+func prepareMethod(m *classfile.Method, mode core.Mode) *bytecode.PCode {
 	code := m.Code
 	n := len(code.Instrs)
 	if n == 0 {
@@ -229,7 +234,7 @@ func prepareMethod(m *classfile.Method) *bytecode.PCode {
 	// Last step: compile the closure blocks (closure.go). The program is
 	// in place before the caller publishes the form and never changes
 	// after, so adopting it is a plain field read.
-	p.Closure = buildClosureProgram(m, p)
+	p.Closure = buildClosureProgram(m, p, mode)
 	return p
 }
 

@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -36,7 +37,9 @@ import (
 // and objects that own a cold record (locked, hashed, string-holding)
 // beside zero-length arrays in one static-rooted graph, which the host
 // then pushes through snapshot → clone, rpc.DeepCopyValue and a frozen
-// zero-copy link call (coldGraphTrips).
+// zero-copy link call (coldGraphTrips), static loops inside <clinit> and
+// on one class's statics from two isolates, and a thread that interrupts
+// itself before it sleeps, joins and waits.
 //
 // Every program is replayed under {quickened table alone, closure-threaded
 // blocks (the default), seed switch} × {Shared, Isolated} ×
@@ -135,6 +138,20 @@ const (
 	// fragZeroArray parks a zero-length array in the keep array and
 	// reads its length back.
 	fragZeroArray
+	// fragClinitStatic reads ora/Tab's statics and bumps one: the first
+	// access in an isolate runs Tab's <clinit>, a read-modify-write loop
+	// over Tab's own statics while the accessing thread initializes it.
+	fragClinitStatic
+	// fragSharedStatic updates peer/Svc's static from the main isolate's
+	// code, then calls Svc.g, which updates it from the peer: one class
+	// shared through delegation, one mirror per isolate under I-JVM (one
+	// in all under the baseline), each initialized by Svc's <clinit> loop.
+	fragSharedStatic
+	// fragInterrupt interrupts the running thread before each of a
+	// forever sleep, a join on itself and a wait on a receiver it holds
+	// the monitor of: each finds the interrupt pending, throws
+	// InterruptedException on entry instead of parking, and is caught.
+	fragInterrupt
 	numFragKinds
 )
 
@@ -168,6 +185,8 @@ type oracleProgram struct {
 	// isolate can be snapshotted and cloned, so these programs also make
 	// the clone and link trips of coldGraphTrips. Isolated mode only.
 	templateLoaded bool
+	// tabN is the iteration count of ora/Tab's <clinit> loop.
+	tabN int64
 }
 
 // genOracleProgram derives a program deterministically from seed.
@@ -206,6 +225,7 @@ func genOracleProgram(seed int64) oracleProgram {
 		p.chainMask[l] = r.Intn(16)
 	}
 	p.templateLoaded = r.Intn(2) == 0
+	p.tabN = int64(1 + r.Intn(60))
 	return p
 }
 
@@ -222,7 +242,24 @@ const (
 	oraMute  = "ora/Mute"
 	oraXSub  = "ora/XSub"
 	oraPBase = "peer/PBase"
+	oraTab   = "ora/Tab"
 )
+
+// oraSvcClinitN is the iteration count of peer/Svc's <clinit> loop.
+const oraSvcClinitN = 12
+
+// staticLoopClinit emits a <clinit> that stores n in class's static n and
+// then folds 0..n-1 into its static sum, reading n back every iteration.
+func staticLoopClinit(class string, n int64) func(a *bytecode.Assembler) {
+	return func(a *bytecode.Assembler) {
+		a.Const(n).PutStatic(class, "n")
+		a.Const(0).IStore(0)
+		a.Label("loop").ILoad(0).GetStatic(class, "n").IfICmpGe("done")
+		a.GetStatic(class, "sum").Const(31).IMul().ILoad(0).IAdd().Const(0xFFFF).IAnd().PutStatic(class, "sum")
+		a.IInc(0, 1).Goto("loop")
+		a.Label("done").Return()
+	}
+}
 
 func oraImpl(k int) string { return fmt.Sprintf("ora/Impl%d", k) }
 
@@ -354,6 +391,10 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 			Method("h", "(I)I", 0, func(a *bytecode.Assembler) {
 				a.ILoad(1).Const(9).IAdd().IReturn()
 			}).MustBuild(),
+		classfile.NewClass(oraTab).
+			StaticField("n", classfile.KindInt).
+			StaticField("sum", classfile.KindInt).
+			Method(classfile.ClinitName, "()V", classfile.FlagStatic, staticLoopClinit(oraTab, p.tabN)).MustBuild(),
 	)
 
 	recvSlot := func(r int) int { return 3 + r }
@@ -560,6 +601,36 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 					a.GetStatic(oraMain, "keep").Const(2 + f.arrIdx%2).Const(0).NewArray("").ArrayStore()
 					a.ILoad(1).GetStatic(oraMain, "keep").Const(2 + f.arrIdx%2).ArrayLoad().
 						ArrayLength().IAdd().Const(f.c).IXor().IStore(1)
+				case fragClinitStatic:
+					a.ILoad(1).GetStatic(oraTab, "sum").IXor().Const(f.c).IAdd().IStore(1)
+					a.GetStatic(oraTab, "n").Const(1).IAdd().PutStatic(oraTab, "n")
+				case fragSharedStatic:
+					a.GetStatic(oraSvc, "s").ILoad(1).Const(0xFF).IAnd().IAdd().PutStatic(oraSvc, "s")
+					a.ILoad(1).GetStatic(oraSvc, "sum").IXor().GetStatic(oraSvc, "s").IAdd().IStore(1)
+					a.ILoad(1).Const(0xFFFF).IAnd().InvokeStatic(oraSvc, "g", "(I)I").IStore(1)
+				case fragInterrupt:
+					self := func() {
+						a.InvokeStatic(interp.ClassThread, "currentThread", "()Ljava/lang/Thread;")
+					}
+					recv := recvSlot(f.r1)
+					blocking := []func(){
+						func() { a.Const(0).InvokeStatic(interp.ClassThread, "sleep", "(I)V") },
+						func() { self(); a.InvokeVirtual(interp.ClassThread, "join", "()V") },
+						func() { a.ALoad(recv).InvokeVirtual(classfile.ObjectClassName, "wait", "()V") },
+					}
+					a.ALoad(recv).MonitorEnter()
+					for k, park := range blocking {
+						try, caught, next := fmt.Sprintf("it%d_%d", j, k), fmt.Sprintf("ic%d_%d", j, k), fmt.Sprintf("in%d_%d", j, k)
+						self()
+						a.InvokeVirtual(interp.ClassThread, "interrupt", "()V")
+						a.Label(try)
+						park()
+						a.Goto(next)
+						a.Label(caught).Pop().ILoad(1).Const(int64(k+1) * f.c).IAdd().IStore(1)
+						a.Label(next)
+						a.Handler(try, caught, caught, interp.ClassInterruptedException)
+					}
+					a.ALoad(recv).MonitorExit()
 				}
 			}
 			a.IInc(2, 1).Goto("loop")
@@ -594,6 +665,9 @@ func oraclePeerClasses() []*classfile.Class {
 			}).MustBuild(),
 		classfile.NewClass(oraSvc).
 			StaticField("s", classfile.KindInt).
+			StaticField("n", classfile.KindInt).
+			StaticField("sum", classfile.KindInt).
+			Method(classfile.ClinitName, "()V", classfile.FlagStatic, staticLoopClinit(oraSvc, oraSvcClinitN)).
 			Method("g", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
 				a.GetStatic(oraSvc, "s").ILoad(0).IAdd().
 					Dup().PutStatic(oraSvc, "s").IReturn()
@@ -940,13 +1014,29 @@ func coldGraphTrips(t *testing.T, vm *interp.VM, iso, peer *core.Isolate, main *
 		return summary
 	}
 
+	// Host-path allocation does not collect on exhaustion: its caller owns
+	// that decision (HostRoots.alloc). Under the exact collector the small
+	// heap may still hold garbage the paced one has already swept, so a
+	// trip that runs out of memory collects once and retries — whether it
+	// succeeds must not depend on the collector configuration.
+	retryOOM := func(f func() error) error {
+		err := f()
+		if errors.Is(err, heap.ErrOutOfMemory) {
+			vm.CollectGarbage(nil)
+			err = f()
+		}
+		return err
+	}
 	snap, err := vm.CaptureSnapshot(iso, interp.SnapshotOptions{})
 	if err != nil {
 		return summary + " capture: " + err.Error()
 	}
 	defer snap.Release()
-	clone, err := vm.CloneIsolate(snap, "clone")
-	if err != nil {
+	var clone *core.Isolate
+	if err := retryOOM(func() (err error) {
+		clone, err = vm.CloneIsolate(snap, "clone")
+		return err
+	}); err != nil {
 		return summary + " clone: " + err.Error()
 	}
 	if got, want := vm.ReachabilityFingerprint(clone), vm.ReachabilityFingerprint(iso); got != want {
@@ -960,8 +1050,11 @@ func coldGraphTrips(t *testing.T, vm *interp.VM, iso, peer *core.Isolate, main *
 	}
 	roots := vm.NewHostRoots(iso)
 	defer roots.Release()
-	payload, err := vm.AllocArrayRooted(roots, objClass, len(frozenElems)+1, iso)
-	if err != nil {
+	var payload *heap.Object
+	if err := retryOOM(func() (err error) {
+		payload, err = vm.AllocArrayRooted(roots, objClass, len(frozenElems)+1, iso)
+		return err
+	}); err != nil {
 		return summary + " payload: " + err.Error()
 	}
 	copy(payload.Elems, frozenElems)

@@ -1,6 +1,9 @@
 package interp
 
-import "math"
+import (
+	"errors"
+	"math"
+)
 
 // RunResult summarizes one scheduler run.
 type RunResult struct {
@@ -312,11 +315,45 @@ func (vm *VM) AdvanceClockTo(tick int64) {
 	}
 }
 
+// ErrInterrupted is returned by Sleep, Join and MonitorWait, without
+// parking, when the calling thread has an interrupt pending (InterruptThread
+// on a running thread sets it); the flag is cleared, and the natives throw
+// java/lang/InterruptedException, as the JVM does on entry.
+var ErrInterrupted = errors.New("interp: interrupted")
+
+// takeInterruptLocked consumes t's pending interrupt. schedMu held.
+func (t *Thread) takeInterruptLocked() bool {
+	pending := t.interrupted
+	t.interrupted = false
+	return pending
+}
+
 // Sleep parks the calling thread for d virtual ticks (SleepForever for an
-// unbounded sleep). Used by the Thread.sleep native.
-func (vm *VM) Sleep(t *Thread, d int64) {
+// unbounded sleep), or returns ErrInterrupted. Used by the Thread.sleep
+// native.
+func (vm *VM) Sleep(t *Thread, d int64) error {
 	now := vm.NowTicks() // before schedMu: exact, and keeps schedMu a leaf
 	vm.schedMu.Lock()
+	defer vm.schedMu.Unlock()
+	if t.takeInterruptLocked() {
+		return ErrInterrupted
+	}
+	vm.sleepLocked(t, now, d)
+	return nil
+}
+
+// Yield parks the calling thread for one tick. Thread.yield is no
+// interruption point: a pending interrupt stays pending.
+func (vm *VM) Yield(t *Thread) {
+	now := vm.NowTicks()
+	vm.schedMu.Lock()
+	vm.sleepLocked(t, now, 1)
+	vm.schedMu.Unlock()
+}
+
+// sleepLocked parks t until now+d (forever for SleepForever). schedMu
+// held.
+func (vm *VM) sleepLocked(t *Thread, now, d int64) {
 	t.setState(StateSleeping)
 	if d == SleepForever {
 		t.wakeAt = SleepForever
@@ -325,24 +362,29 @@ func (vm *VM) Sleep(t *Thread, d int64) {
 	}
 	vm.addSleepGaugeLocked(t)
 	t.StageResumeVoid()
-	vm.schedMu.Unlock()
 }
 
-// Join parks the calling thread until other finishes.
-func (vm *VM) Join(t *Thread, other *Thread) {
+// Join parks the calling thread until other finishes, or returns
+// ErrInterrupted.
+func (vm *VM) Join(t *Thread, other *Thread) error {
 	if other == nil || other.Done() {
-		return
+		return nil
 	}
 	vm.schedMu.Lock()
+	defer vm.schedMu.Unlock()
+	if t.takeInterruptLocked() {
+		return ErrInterrupted
+	}
 	t.setState(StateWaitingJoin)
 	t.joinOn = other
 	vm.addSleepGaugeLocked(t)
 	t.StageResumeVoid()
-	vm.schedMu.Unlock()
+	return nil
 }
 
-// InterruptThread sets the interrupt flag and wakes the thread with
-// InterruptedException if it is parked in sleep, wait or join. Threads
+// InterruptThread wakes the thread with InterruptedException if it is
+// parked in sleep, wait or join, and otherwise sets its interrupt flag,
+// which its next sleep, join or wait consumes (ErrInterrupted). Threads
 // blocked on monitor acquisition are not interruptible, as in the JVM.
 //
 // The wake happens in two phases: the thread is detached from its wait

@@ -111,10 +111,13 @@ func (s *snapSlots) fill(dst []heap.Value, objs []*heap.Object) {
 	}
 }
 
-// snapClass is one captured task class mirror.
+// snapClass is one captured task class mirror. fresh marks a capture that
+// raced the <clinit> of the class or of a super: the mirror restores
+// uninitialized (restoreStatics).
 type snapClass struct {
 	class       *classfile.Class
 	state       core.InitState
+	fresh       bool
 	statics     snapSlots
 	hasClassObj bool
 }
@@ -196,14 +199,39 @@ func (vm *VM) captureStopped(snap *Snapshot, src *core.Isolate, opts SnapshotOpt
 		snap.classes = append(snap.classes, snapClass{
 			class:       e.Class,
 			state:       e.Mirror.State,
+			fresh:       e.Mirror.State == core.InitRunning,
 			statics:     statics,
 			hasClassObj: e.Mirror.ClassObject.Load() != nil,
 		})
 	}
+	markRacedSubclasses(snap.classes)
 
 	snap.account = src.Account().Numbers()
 	snap.alloc = vm.heap.AllocStatsFor(src.ID())
 	return nil
+}
+
+// markRacedSubclasses extends fresh from every class whose <clinit> the
+// capture raced to its subclasses. A subclass can finish initializing
+// while a super's <clinit> still runs (the super's initializer touched it),
+// and restoring it initialized beside an uninitialized super would break
+// what the one-read initialization check (ensureInitialized) relies on:
+// an initialized class has initialized supers.
+func markRacedSubclasses(classes []snapClass) {
+	running := make(map[*classfile.Class]bool)
+	for _, sc := range classes {
+		if sc.fresh {
+			running[sc.class] = true
+		}
+	}
+	if len(running) == 0 {
+		return
+	}
+	for i := range classes {
+		for k := classes[i].class.Super; k != nil && !classes[i].fresh; k = k.Super {
+			classes[i].fresh = running[k]
+		}
+	}
 }
 
 // flattener serializes the reachable static object graph into flat
@@ -486,9 +514,9 @@ func (vm *VM) classObjectRooted(c *classfile.Class, iso *core.Isolate, roots *Ho
 }
 
 // buildMirror constructs one clone mirror from a captured class record. A
-// capture that raced a running <clinit> (state InitRunning) yields a
-// fresh uninitialized mirror: the clone re-runs the initializer from
-// scratch rather than resuming a half-run one.
+// capture that raced a running <clinit> of the class or of a super
+// (snapClass.fresh) yields a fresh uninitialized mirror: the clone re-runs
+// the initializer from scratch rather than resuming a half-run one.
 func (vm *VM) buildMirror(snap *Snapshot, sc *snapClass, iso *core.Isolate, roots *HostRoots, objs []*heap.Object, classObjs map[*classfile.Class]*heap.Object) (*core.TaskClassMirror, error) {
 	m := &core.TaskClassMirror{Statics: make([]heap.Value, len(sc.statics.vals))}
 	restoreStatics(m, sc, objs)
@@ -503,10 +531,10 @@ func (vm *VM) buildMirror(snap *Snapshot, sc *snapClass, iso *core.Isolate, root
 }
 
 // restoreStatics sets m's initialization state and statics to the captured
-// record's; a capture that raced a running <clinit> leaves them as a fresh
-// mirror's.
+// record's; a capture that raced a running <clinit> of the class or of a
+// super leaves them as a fresh mirror's.
 func restoreStatics(m *core.TaskClassMirror, sc *snapClass, objs []*heap.Object) {
-	if sc.state == core.InitRunning {
+	if sc.fresh {
 		m.State = core.InitNone
 		for i, f := range sc.class.StaticFields {
 			m.Statics[i] = heap.ZeroOf(f.Kind)

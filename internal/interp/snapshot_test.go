@@ -368,3 +368,101 @@ func TestRestoreInPlaceShared(t *testing.T) {
 		t.Fatalf("session#2 = %d, want %d", got, first)
 	}
 }
+
+const (
+	rsSuper = "rs/S"
+	rsSub   = "rs/Sub"
+	rsLog   = "rs/Log"
+)
+
+// rsClasses builds the restore case of TestInitDoneImpliesSupersDone.
+// rs/S's <clinit> first touches its subclass rs/Sub — which initializes
+// Sub completely while S is still being initialized — then sleeps forever
+// when S.hold is set, and finally counts itself in rs/Log. Sub.probe()
+// allocates a Sub and reads the count: 1 once S's <clinit> has run.
+func rsClasses() []*classfile.Class {
+	super := classfile.NewClass(rsSuper).StaticField("hold", classfile.KindInt).
+		Method(classfile.ClinitName, "()V", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.GetStatic(rsSub, "z").Pop()
+			a.GetStatic(rsSuper, "hold").IfEq("go")
+			a.Const(0).InvokeStatic(interp.ClassThread, "sleep", "(I)V")
+			a.Label("go").GetStatic(rsLog, "count").Const(1).IAdd().PutStatic(rsLog, "count")
+			a.Return()
+		}).MustBuild()
+	sub := classfile.NewClass(rsSub).Super(rsSuper).StaticField("z", classfile.KindInt).
+		Method(classfile.ClinitName, "()V", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.Const(5).PutStatic(rsSub, "z").Return()
+		}).
+		Method("probe", "()I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.New(rsSub).Pop().GetStatic(rsLog, "count").IReturn()
+		}).MustBuild()
+	log := classfile.NewClass(rsLog).StaticField("count", classfile.KindInt).MustBuild()
+	return []*classfile.Class{super, sub, log}
+}
+
+// TestInitDoneImpliesSupersDone: the one-read initialization check takes
+// an initialized class's supers as initialized, so a snapshot must never
+// restore a class as initialized beside a super it restores
+// uninitialized. Here the capture lands while rs/S's <clinit> sleeps and
+// its subclass rs/Sub is already initialized; S restores uninitialized (a
+// raced <clinit> reruns), so Sub must too — in an Isolated clone and in a
+// Shared RestoreInPlace. Then the first `new Sub` runs S's <clinit>.
+func TestInitDoneImpliesSupersDone(t *testing.T) {
+	for _, mode := range []core.Mode{core.ModeIsolated, core.ModeShared} {
+		t.Run(mode.String(), func(t *testing.T) {
+			vm := interp.NewVM(interp.Options{Mode: mode})
+			syslib.MustInstall(vm)
+			iso, err := vm.NewIsolate("template")
+			if err != nil {
+				t.Fatal(err)
+			}
+			classes := iso.Loader()
+			if mode == core.ModeIsolated { // cloneable: classes in an isolate-less loader
+				classes = vm.Registry().NewLoader("rs-template")
+				iso.Loader().AddDelegate(classes)
+			}
+			if err := classes.DefineAll(rsClasses()); err != nil {
+				t.Fatal(err)
+			}
+			super, _ := classes.Lookup(rsSuper)
+			sub, _ := classes.Lookup(rsSub)
+			vm.World().Mirror(super, iso).Statics[0] = heap.IntVal(1) // hold
+			th, err := vm.SpawnThread("warm", iso, findMethod(t, sub, "probe"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vm.Run(100_000)
+			if th.State() != interp.StateSleeping ||
+				vm.World().Mirror(super, iso).State != core.InitRunning || vm.World().Mirror(sub, iso).State != core.InitDone {
+				t.Fatalf("warm-up: thread %v, S %v, Sub %v; want sleeping in S's <clinit> with Sub initialized",
+					th.State(), vm.World().Mirror(super, iso).State, vm.World().Mirror(sub, iso).State)
+			}
+			snap, err := vm.CaptureSnapshot(iso, interp.SnapshotOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Release()
+			target := iso
+			if mode == core.ModeIsolated {
+				if target, err = vm.CloneIsolate(snap, "clone"); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := snap.RestoreInPlace(); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []*classfile.Class{super, sub} {
+				if m := vm.World().MirrorIfPresent(c, target); m == nil || m.State != core.InitDone {
+					continue
+				}
+				for k := c.Super; k != nil; k = k.Super {
+					if m := vm.World().MirrorIfPresent(k, target); m == nil || m.State != core.InitDone {
+						t.Fatalf("%s restored initialized, its super %s not", c.Name, k.Name)
+					}
+				}
+			}
+			if got := callStatic(t, vm, target, sub, "probe").I; got != 1 {
+				t.Fatalf("probe after restore = %d: S's <clinit> did not run", got)
+			}
+		})
+	}
+}

@@ -9,6 +9,7 @@
 package syslib
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -128,11 +129,11 @@ func waitImpl(vm *interp.VM, t *interp.Thread, obj *heap.Object, ticks int64) (i
 	if obj == nil {
 		return interp.NativeThrowName(vm, t, interp.ClassNullPointerException, "wait on null")
 	}
-	if err := vm.MonitorWait(t, obj, ticks); err != nil {
+	err := vm.MonitorWait(t, obj, ticks)
+	if err != nil && !errors.Is(err, interp.ErrInterrupted) {
 		return interp.NativeThrowName(vm, t, interp.ClassIllegalMonitorState, err.Error())
 	}
-	t.StageResumeVoid()
-	return interp.NativeBlocked()
+	return parked(vm, t, err)
 }
 
 func notifyImpl(vm *interp.VM, t *interp.Thread, obj *heap.Object, all bool) (interp.NativeResult, error) {

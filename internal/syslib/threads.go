@@ -28,6 +28,16 @@ func (p *threadPayload) Refs() []*heap.Object {
 
 var _ heap.RefHolder = (*threadPayload)(nil)
 
+// parked ends a blocking native whose park returned err: the thread
+// parked, or it had an interrupt pending and throws InterruptedException
+// instead (interp.ErrInterrupted).
+func parked(vm *interp.VM, t *interp.Thread, err error) (interp.NativeResult, error) {
+	if errors.Is(err, interp.ErrInterrupted) {
+		return interp.NativeThrowName(vm, t, interp.ClassInterruptedException, "interrupted")
+	}
+	return interp.NativeBlocked()
+}
+
 // threadClass builds java/lang/Thread. Threads run the run()V method of
 // their target (or of the Thread subclass itself). Thread creation is
 // charged to the creating isolate (§3.2: "threads are charged to their
@@ -99,8 +109,7 @@ func threadClass() *classfile.Class {
 			if p.thread.Done() {
 				return interp.NativeVoid()
 			}
-			vm.Join(t, p.thread)
-			return interp.NativeBlocked()
+			return parked(vm, t, vm.Join(t, p.thread))
 		}))
 
 	b.NativeMethod("isAlive", "()Z", pub, interp.NativeFunc(
@@ -128,17 +137,15 @@ func threadClass() *classfile.Class {
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
 			d := args[0].I
 			if d <= 0 {
-				vm.Sleep(t, interp.SleepForever)
-			} else {
-				vm.Sleep(t, d)
+				d = interp.SleepForever
 			}
-			return interp.NativeBlocked()
+			return parked(vm, t, vm.Sleep(t, d))
 		}))
 
 	b.NativeMethod("yield", "()V", statics, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
 			// One-tick sleep: reschedules without parking forever.
-			vm.Sleep(t, 1)
+			vm.Yield(t)
 			return interp.NativeBlocked()
 		}))
 
