@@ -16,9 +16,10 @@ import (
 	"ijvm/internal/rpc"
 )
 
-// This file pins the link call path's fixed costs and the two lock-free
-// admission protocol on it (see "The call path" in README.md; the future's
-// protocol is pinned in future_test.go): what a warm call allocates, that a
+// This file pins the link call path's fixed costs and the lock-free
+// admission protocol on it (see "The call path" in README.md; both
+// protocols are driven hub-less in protocol_test.go, the waiter's help in
+// help_test.go): what a warm call allocates, that a
 // link's admission word survives submitters and Close racing each other,
 // that a parked shell holds no guest object, and that a hub holds pools for
 // live callees only. The tests assert through Hub.Stats and the accounts,
@@ -49,10 +50,12 @@ func newExtraIsolate(t *testing.T, vm *interp.VM, name, method, desc string) (*c
 
 // TestLinkCallAllocations: a warm scalar call allocates the request that
 // carries its future and nothing else — plus a channel when the caller has
-// to sleep for the result, which a blocking Call always does and a
-// pipelining caller about once per window. (3.25 and 6.0 before the
-// dispatch shells, the worker-owned batch state and the quantum accountant
-// stopped allocating.)
+// to sleep for the result, which a pipelining caller does about once per
+// window. A blocking Call on an idle engine does not sleep: its caller
+// runs the call itself, with the batch state on its own stack. (3.25 and
+// 6.0 before the dispatch shells, the worker-owned batch state and the
+// quantum accountant stopped allocating; 2.0 for a blocking Call while it
+// always slept on a channel for a worker.)
 func TestLinkCallAllocations(t *testing.T) {
 	e, hub := newAsyncEnv(t)
 	defer hub.Close()
@@ -93,8 +96,8 @@ func TestLinkCallAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(200, pipelined) / window; n > 1.25 {
 		t.Errorf("CallAsync+Wait+Release allocates %.2f times per call, want <= 1.25", n)
 	}
-	if n := testing.AllocsPerRun(2000, blocking); n > 2.25 {
-		t.Errorf("Call allocates %.2f times, want <= 2.25", n)
+	if n := testing.AllocsPerRun(2000, blocking); n > 1.25 {
+		t.Errorf("Call allocates %.2f times, want <= 1.25", n)
 	}
 	if st := hub.Stats(); st.FreshSpawns > window || st.ShellReuses < st.Calls-window {
 		t.Errorf("dispatch threads were not recycled: %+v", st)
@@ -336,7 +339,9 @@ func TestParkedShellHoldsNoGuestObject(t *testing.T) {
 // TestHubPoolsBoundedByLiveCallees: a hub that serves one short-lived
 // callee after another — install, link, call, close, kill — holds a pool,
 // its worker goroutines and its shells for the callees that still have an
-// open link, not for every callee it has ever served.
+// open link, not for every callee it has ever served. Each call is made on
+// an idle engine with the pool's workers parked, so its caller runs it:
+// every batch is a helped one.
 func TestHubPoolsBoundedByLiveCallees(t *testing.T) {
 	e, hub := newAsyncEnv(t)
 	defer hub.Close()
@@ -348,6 +353,7 @@ func TestHubPoolsBoundedByLiveCallees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		link.AwaitParkedWorkersForTest(rpc.DefaultWorkers)
 		if v, err := link.Call([]heap.Value{heap.IntVal(5)}); err != nil || v.I != 5 {
 			t.Fatalf("cycle %d: spin(5) = %d, %v", i, v.I, err)
 		}
@@ -367,6 +373,9 @@ func TestHubPoolsBoundedByLiveCallees(t *testing.T) {
 	}
 	if st.Calls != cycles || st.FreshSpawns != cycles || st.MaxQueue != 1 {
 		t.Errorf("stats after %d one-call pools: %+v", cycles, st)
+	}
+	if st.Batches != cycles || st.Helped != cycles {
+		t.Errorf("%d of %d batches ran on the waiting caller's goroutine, want all of them: a Call on an idle engine runs its own request", st.Helped, st.Batches)
 	}
 	if now := runtime.NumGoroutine(); now > start+4 {
 		t.Errorf("%d goroutines after %d cycles, %d before them", now, cycles, start)

@@ -12,16 +12,21 @@ import (
 // one VM. The interpreter's engine is sequential — concurrent RunUntil
 // calls are unsound — so the hub funnels every dispatched call through
 // one execution lock and gives each callee isolate a small worker pool
-// that drains its request queue in slices. Administrative actions that
-// need the engine quiescent while traffic is flowing (isolate kills,
+// that drains its request queue in slices. A caller that waits for a
+// result serves the queue itself while the engine is free (Future.Wait),
+// so a blocking call on an idle engine runs on its caller's goroutine
+// and the workers take what nobody waiting could. Administrative actions
+// that need the engine quiescent while traffic is flowing (isolate kills,
 // explicit collections, interrupts) go through Sync, which takes the
-// same lock; workers release it between requests, so admin work lands
-// within one dispatch slice rather than behind a whole call budget.
+// same lock; whoever dispatches releases it between slices, so admin
+// work lands within one dispatch slice rather than behind a whole call
+// budget.
 //
 // Lock ordering: execMu -> (vm's pinMu -> threadsMu/schedMu -> monitor
-// stripe, heap's hostMu); mu -> a pool's queue mutex. The hub's own mu
-// (pool map) and each pool's queue mutex are leaves taken only around
-// queue manipulation, never while dispatching.
+// stripe, heap's hostMu); execMu -> a pool's queue mutex (a helping
+// waiter claims under the engine lock); mu -> a pool's queue mutex. The
+// hub's own mu (pool map) and each pool's queue mutex are leaves taken
+// only around queue manipulation, never while guest code runs.
 type Hub struct {
 	vm *interp.VM
 
@@ -43,13 +48,16 @@ type Hub struct {
 // HubStats are a hub's counters since it was created: plain integers
 // written under the locks the call path already holds. VM.Metrics() will
 // absorb them beside interp.StopStats and interp.SchedStats (ROADMAP
-// item 5).
+// item 10).
 type HubStats struct {
-	// Calls counts the requests workers claimed, Batches the engine
+	// Calls counts the requests claimed for execution, Batches the engine
 	// sessions they ran as, MaxBatch the largest of those: Calls/Batches is
 	// what one session's entry and hand-off costs are divided by.
 	Calls, Batches int64
 	MaxBatch       int
+	// Helped counts the batches a waiting caller ran on its own goroutine
+	// (Future.Wait on a free engine); the rest of Batches ran on workers.
+	Helped int64
 	// ShellReuses and FreshSpawns split the dispatched calls by where their
 	// thread came from: a parked shell (interp.RespawnThread) or
 	// interp.SpawnThread. Requests that fail before dispatch (closed link,
@@ -68,11 +76,11 @@ type HubStats struct {
 // many requests are in flight per callee, not parallelism.
 const DefaultWorkers = 2
 
-// batchMax bounds how many queued requests a worker claims per queue
-// visit. A claimed batch executes as one engine session — all threads
-// spawned up front, round-robined through shared slices — so engine
-// entry and handoff costs amortize across the batch; execMu is still
-// released between slices so admin Sync work can interleave.
+// batchMax bounds how many queued requests one claim takes, by a worker
+// or a helping waiter. A claimed batch executes as one engine session —
+// all threads spawned up front, round-robined through shared slices — so
+// engine entry and handoff costs amortize across the batch; execMu is
+// still released between slices so admin Sync work can interleave.
 const batchMax = 16
 
 // dispatchSlice is the instruction budget of one RunUntil slice. Between
@@ -120,9 +128,10 @@ func (h *Hub) Stats() HubStats {
 	return s
 }
 
-// Close fails all queued requests and stops the workers. In-flight
-// dispatches are cancelled at their next slice boundary. Links remain
-// usable only for error returns afterwards.
+// Close fails all queued requests and stops the workers, and waits for
+// them and for any waiter still running a batch. In-flight dispatches are
+// cancelled at their next slice boundary. Links remain usable only for
+// error returns afterwards.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	if h.closed.Load() {
@@ -187,18 +196,21 @@ func (h *Hub) releasePool(callee *core.Isolate, p *pool) {
 		return
 	}
 	// Every link is drained, so the queue is empty and stays empty; once
-	// the workers are gone nothing else reaches the spares.
+	// the workers and any helper still finishing its batch are gone nothing
+	// else reaches the spares.
 	p.close()
 	p.wg.Wait()
 	p.spare = nil
 }
 
 // pool is one callee isolate's request queue plus the workers draining
-// it. The queue itself is unbounded; per-link admission control (the slot
-// count in Link.state) bounds what can reach it.
+// it; waiters on its futures drain it too while the engine is free
+// (help). The queue itself is unbounded; per-link admission control (the
+// slot count in Link.state) bounds what can reach it.
 type pool struct {
 	hub *Hub
-	wg  sync.WaitGroup
+	// wg counts the workers and the helpers in the middle of a batch.
+	wg sync.WaitGroup
 	// links counts the open links this pool serves (hub.mu).
 	links int
 
@@ -248,7 +260,11 @@ func (p *pool) deepestQueue() int {
 	return p.maxQueue
 }
 
-func (p *pool) enqueue(req *request) bool {
+// enqueue appends req to the queue. signal asks for a parked worker to be
+// woken; a blocking Call passes false, because its caller waits at once
+// and either runs the request itself or wakes a worker before it sleeps
+// (Future.wait).
+func (p *pool) enqueue(req *request, signal bool) bool {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -259,12 +275,24 @@ func (p *pool) enqueue(req *request) bool {
 	// Signal only when a worker is parked: busy workers re-check the
 	// queue before waiting, and skipping the wakeup keeps the enqueue
 	// path off the runtime's notify list at call rate.
-	signal := p.idle > 0
+	signal = signal && p.idle > 0
 	p.mu.Unlock()
 	if signal {
 		p.cond.Signal()
 	}
 	return true
+}
+
+// wake signals a parked worker if requests are queued: a waiter that could
+// not run them (the engine was busy) calls it before it sleeps, so a
+// request enqueued without a signal is never left to nobody.
+func (p *pool) wake() {
+	p.mu.Lock()
+	signal := p.idle > 0 && len(p.queue) > 0
+	p.mu.Unlock()
+	if signal {
+		p.cond.Signal()
+	}
 }
 
 func (p *pool) close() {
@@ -274,17 +302,30 @@ func (p *pool) close() {
 	p.cond.Broadcast()
 }
 
-// worker drains the queue in batches. Requests claimed after the pool
-// closes are failed, not dropped: every submitted future resolves. The
-// claimed batch and its run records live in the worker — nothing is
-// allocated per batch — and are cleared after each one, so an idle worker
-// retains no request.
+// batch is one claim's requests and their run records. It lives in the
+// goroutine that serves it — a worker, or a waiter's stack frame — so
+// nothing is allocated per batch, and it is cleared after each one, so an
+// idle server retains no request.
+type batch struct {
+	reqs [batchMax]*request
+	runs [batchMax]run
+}
+
+// claimLocked moves up to batchMax requests from the head of the queue
+// into b and returns how many (p.mu held).
+func (p *pool) claimLocked(b *batch) int {
+	n := copy(b.reqs[:], p.queue)
+	rest := copy(p.queue, p.queue[n:])
+	clear(p.queue[rest:])
+	p.queue = p.queue[:rest]
+	return n
+}
+
+// worker drains the queue in batches, parking while it is empty, until
+// the pool closes and is drained.
 func (p *pool) worker() {
 	defer p.wg.Done()
-	var (
-		batch [batchMax]*request
-		runs  [batchMax]run
-	)
+	var b batch
 	for {
 		p.mu.Lock()
 		for len(p.queue) == 0 && !p.closed {
@@ -292,24 +333,71 @@ func (p *pool) worker() {
 			p.cond.Wait()
 			p.idle--
 		}
-		if len(p.queue) == 0 && p.closed {
+		if len(p.queue) == 0 {
 			p.mu.Unlock()
 			return
 		}
-		n := copy(batch[:], p.queue)
-		rest := copy(p.queue, p.queue[n:])
-		clear(p.queue[rest:])
-		p.queue = p.queue[:rest]
-		closed := p.closed
-		p.mu.Unlock()
-		if closed || p.hub.closed.Load() {
-			for _, req := range batch[:n] {
-				req.fail(ErrLinkClosed)
-			}
-		} else {
-			p.hub.dispatchBatch(batch[:n], runs[:n])
-		}
-		clear(batch[:n])
-		clear(runs[:n])
+		p.serveLocked(&b, false)
 	}
+}
+
+// help is a waiter's turn at the engine: while f is unresolved and the
+// engine is free, the waiting goroutine serves the queue — which holds f's
+// own request unless somebody has claimed it already — exactly as a worker
+// would, holding execMu from its TryLock into the execution. It stops when
+// the engine is busy (Sync, a worker, another helper) or the pool is
+// closed or empty; the waiter then parks as before. Inside Sync or a
+// native the caller holds the engine already, so TryLock fails and nothing
+// changes there. A helper registers in wg for each batch, so releasePool
+// and Hub.Close wait for it as for a worker.
+func (p *pool) help(f *Future) {
+	h := p.hub
+	if !h.execMu.TryLock() {
+		return
+	}
+	var b batch
+	for {
+		p.mu.Lock()
+		if p.closed || len(p.queue) == 0 {
+			p.mu.Unlock()
+			h.execMu.Unlock()
+			return
+		}
+		p.wg.Add(1)
+		p.serveLocked(&b, true)
+		p.wg.Done()
+		if f.resolved.Load() || !h.execMu.TryLock() {
+			return
+		}
+	}
+}
+
+// serveLocked is the one claim-and-execute pass of workers and helping
+// waiters: it claims a batch, executes it as one engine session and
+// resolves its futures. It is entered with p.mu held and the queue
+// non-empty, and by a helper with execMu held too; a worker takes execMu
+// after its claim. It returns with both released. Requests claimed after
+// the pool or hub closed are failed, not dropped: every submitted future
+// resolves.
+func (p *pool) serveLocked(b *batch, helper bool) {
+	h := p.hub
+	n := p.claimLocked(b)
+	closed := p.closed
+	p.mu.Unlock()
+	reqs, runs := b.reqs[:n], b.runs[:n]
+	if closed || h.closed.Load() {
+		if helper {
+			h.execMu.Unlock()
+		}
+		for _, req := range reqs {
+			req.fail(ErrLinkClosed)
+		}
+	} else {
+		if !helper {
+			h.execMu.Lock()
+		}
+		h.dispatchBatch(reqs, runs, helper)
+	}
+	clear(reqs)
+	clear(runs)
 }

@@ -82,7 +82,10 @@ func (o *LinkOptions) fill() {
 // direct (I-JVM) call.
 //
 // Calls pipeline: CallAsync returns a Future immediately and up to
-// QueueDepth calls may be in flight. Call is CallAsync plus Wait.
+// QueueDepth calls may be in flight. Call is CallAsync plus Wait, less
+// the worker wake-up: whoever waits on a call runs queued calls itself
+// while the engine is free, so a blocking call on an idle engine executes
+// on its caller's goroutine.
 type Link struct {
 	hub    *Hub
 	ownHub bool
@@ -250,6 +253,8 @@ func (h *Hub) NewLink(caller, callee *core.Isolate, m *classfile.Method, recv he
 // reference results, the copied object graph in the caller's space) is
 // GC-rooted until Release; callers that retain a reference result must
 // store it into guest-reachable structure (or pin it) before releasing.
+// Wait and Release run queued calls on the waiting goroutine while the
+// hub's engine is free, and sleep only when it is not.
 type Future struct {
 	link *Link
 
@@ -279,10 +284,22 @@ type Future struct {
 	released atomic.Bool
 }
 
-// wait blocks until resolve has published the outcome.
+// wait blocks until resolve has published the outcome. A waiter first
+// does the work it waits for (pool.help), so a call on an idle engine
+// resolves with no goroutine hand-off and no channel; it parks only if
+// that leaves the future unresolved, after waking a worker for whatever
+// is still queued (pool.wake).
 func (f *Future) wait() {
 	if f.resolved.Load() {
 		return
+	}
+	if f.link != nil {
+		p := f.link.pool
+		p.help(f)
+		if f.resolved.Load() {
+			return
+		}
+		p.wake()
 	}
 	f.mu.Lock()
 	if f.done == nil {
@@ -393,20 +410,22 @@ func (l *Link) CallAsync(args []heap.Value) (*Future, error) {
 	if err := l.acquireSlot(false); err != nil {
 		return nil, err
 	}
-	return l.submit(args)
+	return l.submit(args, true)
 }
 
 // Call performs one inter-isolate call synchronously: copy-in, queue,
 // execute, copy-out. It blocks for an admission credit when the link is
-// saturated (fail-fast callers use CallAsync). The returned result's
-// object graph is released from its GC roots before returning — callers
-// that must retain a reference result across allocations should use
-// CallAsync and hold the Future instead.
+// saturated (fail-fast callers use CallAsync). Its request is queued
+// without waking a worker: when the engine is free the calling goroutine
+// executes it (see Future), and otherwise it wakes a worker before it
+// sleeps. The returned result's object graph is released from its GC
+// roots before returning — callers that must retain a reference result
+// across allocations should use CallAsync and hold the Future instead.
 func (l *Link) Call(args []heap.Value) (heap.Value, error) {
 	if err := l.acquireSlot(true); err != nil {
 		return heap.Value{}, err
 	}
-	fut, err := l.submit(args)
+	fut, err := l.submit(args, false)
 	if err != nil {
 		return heap.Value{}, err
 	}
@@ -417,9 +436,9 @@ func (l *Link) Call(args []heap.Value) (heap.Value, error) {
 
 // submit copies the arguments into the callee's space on the calling
 // goroutine (pipelining: copy-in overlaps other calls' execution) and
-// enqueues the request. The admission slot is already held and is
-// released on every failure path.
-func (l *Link) submit(args []heap.Value) (*Future, error) {
+// enqueues the request, waking a parked worker if signal is set. The
+// admission slot is already held and is released on every failure path.
+func (l *Link) submit(args []heap.Value, signal bool) (*Future, error) {
 	vm := l.hub.vm
 	if l.callee.Killed() {
 		l.releaseSlot()
@@ -488,7 +507,7 @@ func (l *Link) submit(args []heap.Value) (*Future, error) {
 		req.pins = c.pins
 	}
 
-	if !l.pool.enqueue(req) {
+	if !l.pool.enqueue(req, signal) {
 		req.fail(ErrLinkClosed)
 		return nil, ErrLinkClosed
 	}
@@ -505,12 +524,13 @@ type run struct {
 	done  bool
 }
 
-// dispatchBatch executes a worker's claimed batch in one engine
-// session, then copies results out off the engine lock. Batching is
-// where pipelining pays: all threads of the batch are spawned up front
-// and the scheduler round-robins them through shared RunUntil slices,
-// so engine entry/exit and handoff costs amortize across the batch
-// instead of being paid per call (HubStats: Calls over Batches).
+// dispatchBatch executes a claimed batch in one engine session, then
+// copies results out off the engine lock. It is entered with execMu held,
+// by a worker or by a helping waiter (helped), and returns with it
+// released. Batching is where pipelining pays: all threads of the batch
+// are spawned up front and the scheduler round-robins them through shared
+// RunUntil slices, so engine entry/exit and handoff costs amortize across
+// the batch instead of being paid per call (HubStats: Calls over Batches).
 //
 // Execution happens in dispatchSlice-sized slices with the engine lock
 // released between them: cancellation (closure, budget) and Sync'd
@@ -522,8 +542,8 @@ type run struct {
 // call is in flight — a bound on engine time consumed on the call's
 // behalf, not an exact per-call instruction count (RunUntil also
 // advances co-scheduled threads).
-func (h *Hub) dispatchBatch(batch []*request, runs []run) {
-	h.executeBatch(batch, runs)
+func (h *Hub) dispatchBatch(reqs []*request, runs []run, helped bool) {
+	h.executeLocked(reqs, runs, helped)
 	for i := range runs {
 		r := &runs[i]
 		if r.err != nil {
@@ -534,17 +554,20 @@ func (h *Hub) dispatchBatch(batch []*request, runs []run) {
 	}
 }
 
-// executeBatch runs the guest side of every request under execMu and
-// leaves the per-request outcomes in runs (zeroed, one per request);
-// successful results are rooted in their request's root batch before the
-// engine lock is released.
-func (h *Hub) executeBatch(batch []*request, runs []run) {
-	h.execMu.Lock()
+// executeLocked runs the guest side of every request and leaves the
+// per-request outcomes in runs (zeroed, one per request); successful
+// results are rooted in their request's root batch before the engine lock
+// is released. It is entered with execMu held and returns with it
+// released.
+func (h *Hub) executeLocked(reqs []*request, runs []run, helped bool) {
 	st := &h.dispatched
 	st.Batches++
-	st.Calls += int64(len(batch))
-	st.MaxBatch = max(st.MaxBatch, len(batch))
-	for i, req := range batch {
+	if helped {
+		st.Helped++
+	}
+	st.Calls += int64(len(reqs))
+	st.MaxBatch = max(st.MaxBatch, len(reqs))
+	for i, req := range reqs {
 		l := req.link
 		r := &runs[i]
 		r.req = req
