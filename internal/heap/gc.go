@@ -311,13 +311,13 @@ func (h *Heap) terminateLocked(c *gcCycle, rescan []RootSet) CollectResult {
 		d.finalizable = waiting
 	}
 
-	// Sweep each domain's list in place, reclaiming its unused TLAB
-	// slack (domain owners are parked, so the swap cannot race a
-	// refill).
+	// Sweep each domain's list in place and reclaim its unused TLAB slack.
+	// Owners are parked, or past their last allocation and handing the
+	// domain off (Handoff), which the domain's lock orders with this.
 	for _, d := range domains {
-		if slack := d.reserved.Swap(0); slack != 0 {
-			h.used.Add(-slack)
-		}
+		d.mu.Lock()
+		h.used.Add(-d.slack)
+		d.slack = 0
 		live := d.objects[:0]
 		for _, o := range d.objects {
 			if o.clearFlag(flagMark) {
@@ -326,17 +326,17 @@ func (h *Heap) terminateLocked(c *gcCycle, rescan []RootSet) CollectResult {
 				res.LiveBytes += o.Size()
 				continue
 			}
-			o.dead = true
 			res.FreedObjects++
 			res.FreedBytes += o.Size()
+			o.sweep()
 		}
 		// Clear the tail so swept objects become collectible by the host
 		// GC.
-		for i := len(live); i < len(d.objects); i++ {
-			d.objects[i] = nil
-		}
+		clear(d.objects[len(live):])
 		d.objects = live
-		d.count.Store(int64(len(live)))
+		d.live = int64(len(live))
+		d.Publish()
+		d.mu.Unlock()
 	}
 	// Merge the allocate-black charges (objects born during the cycle,
 	// invisible to markers) into the published per-isolate live stats.

@@ -47,8 +47,8 @@ type AllocCounters struct {
 // (AllocDomain): each executing context — one scheduler worker, the
 // sequential engine, the host-side fallback — owns a private domain and
 // allocates through it with no global mutex. A domain owns its object
-// list (merged only at the stop-the-world collection) and a shard-local
-// atomic object count; the heap limit is enforced by one shared atomic
+// list (merged only at the stop-the-world collection), its TLAB slack
+// and its object count; the heap limit is enforced by one shared atomic
 // reservation counter (used), so admission is a single atomic
 // reserve-or-fail and two racing allocators can never jointly exceed the
 // limit (there is no check-then-act window).
@@ -172,8 +172,12 @@ func (h *Heap) TrackAlloc() bool { return h.trackAlloc.Load() }
 func (h *Heap) Limit() int64 { return h.limit }
 
 // Used returns the modelled bytes currently allocated: the shared
-// reservation counter minus the domains' unused TLAB slack. Lock-free;
-// mid-refill it may transiently over-report by at most one chunk.
+// reservation counter minus the domains' published TLAB slack. Lock-free.
+// A domain publishes at its owner's quantum boundaries and refills (see
+// AllocDomain), so mid-quantum the figure may trail by what the running
+// quanta have allocated since — the contract the batched byte accounts
+// already have. It is exact whenever every domain's owner is at a
+// boundary, and after every collection.
 func (h *Heap) Used() int64 {
 	used := h.used.Load()
 	for _, d := range *h.domains.Load() {
@@ -183,7 +187,8 @@ func (h *Heap) Used() int64 {
 }
 
 // NumObjects returns the number of live (unswept) objects, aggregated
-// from the per-domain atomic counters without taking a lock.
+// from the domains' published counts without taking a lock; it trails
+// like Used.
 func (h *Heap) NumObjects() int {
 	var n int64
 	for _, d := range *h.domains.Load() {
@@ -347,10 +352,18 @@ func (h *Heap) reserve(sz int64) error {
 // AllocDomain is one shard-local allocation context. Exactly one
 // executing goroutine may allocate through a domain at a time (a
 // scheduler worker, the sequential engine's goroutine, or the heap's own
-// mutex-guarded host path); the object list is owned by that goroutine
-// and is only touched by other code inside the stop-the-world
-// collection. The object count is atomic so aggregate metrics
-// (NumObjects) read it without stopping anything.
+// mutex-guarded host path); the object list, the TLAB slack and the
+// object count are owned by that goroutine, as plain fields, and are only
+// touched by other code inside the stop-the-world collection. Admission
+// therefore performs no locked instruction at all.
+//
+// Aggregate metrics (Used, NumObjects) read the published copies of the
+// slack and the count, which the owner refreshes at its quantum
+// boundaries (Publish), at every refill, and — on the host path — after
+// every allocation. A domain that changes owners (a worker exiting, the
+// next one adopting it) does so through Handoff, under the domain's lock,
+// which the collection also holds while it reclaims the slack: the one
+// moment an owner and a collection can touch a domain at once.
 type AllocDomain struct {
 	h       *Heap
 	objects []*Object
@@ -358,12 +371,19 @@ type AllocDomain struct {
 	// that has not been scheduled yet; the collector's finalizer pass
 	// walks it instead of every object. Same ownership as objects.
 	finalizable []*Object
-	count       atomic.Int64
-	// reserved is the domain's TLAB slack: bytes already reserved from
-	// the shared used counter but not yet consumed by an object.
-	// Owner-written (the single allocating goroutine), aggregate-read
-	// (Used subtracts it; the collection reclaims it), hence atomic.
+	// slack is the domain's TLAB slack: bytes already reserved from the
+	// shared used counter but not yet consumed by an object. live is the
+	// domain's object count. Both owner-plain.
+	slack, live int64
+	// reserved and count are slack and live as last published, read by
+	// Used and NumObjects on any goroutine.
 	reserved atomic.Int64
+	count    atomic.Int64
+	// mu orders an ownership handoff with a collection running beside it.
+	mu sync.Mutex
+	// slab is what is left of the domain's current block of object
+	// headers (header).
+	slab []Object
 	// seq drives monitor-stripe assignment: a cheap per-domain counter,
 	// seeded per domain so concurrently allocating shards spread over
 	// different stripes.
@@ -387,6 +407,12 @@ type AllocDomain struct {
 // bytes in slack.
 const domainChunk = 4096
 
+// slabHeaders is how many object headers one host allocation carries
+// (8 × 64 bytes: one 512-byte size class). Headers are never recycled, so
+// a swept header stays an emptied object for as long as the host holds
+// it; see README.md, "Header slabs".
+const slabHeaders = 8
+
 // NewDomain registers and returns a fresh allocation domain. Domains are
 // cheap and long-lived; execution engines acquire one per worker and
 // recycle it across runs.
@@ -405,10 +431,31 @@ func (h *Heap) NewDomain() *AllocDomain {
 // Heap returns the heap the domain allocates from.
 func (d *AllocDomain) Heap() *Heap { return d.h }
 
+// Publish copies the owner-plain slack and object count into the
+// published fields Used and NumObjects read. Owner only: the engines call
+// it at every quantum boundary, before the owner can park.
+func (d *AllocDomain) Publish() {
+	d.reserved.Store(d.slack)
+	d.count.Store(d.live)
+}
+
+// Handoff publishes like Publish, under the domain's lock. Call it when
+// the domain changes owner — the releasing goroutine before it lets go,
+// the adopting one before its first allocation: a worker that exits is
+// no longer parked for a stop-the-world, so its release may run beside a
+// collection, which takes the same lock to reclaim the slack.
+func (d *AllocDomain) Handoff() {
+	d.mu.Lock()
+	d.Publish()
+	d.mu.Unlock()
+}
+
 // refill grows the domain's slack by at least need bytes: it reserves
 // need+domainChunk from the shared counter, falling back to the exact
 // need when the chunk no longer fits (so admission near the limit stays
-// byte-exact rather than failing on slack it does not need).
+// byte-exact rather than failing on slack it does not need). The new
+// slack is published at once, so Used never counts a reservation the
+// published slack does not offset.
 func (d *AllocDomain) refill(need int64) error {
 	want := need + domainChunk
 	if err := d.h.reserve(want); err != nil {
@@ -417,7 +464,8 @@ func (d *AllocDomain) refill(need int64) error {
 			return err
 		}
 	}
-	d.reserved.Add(want)
+	d.slack += want
+	d.Publish()
 	return nil
 }
 
@@ -431,21 +479,32 @@ func (h *Heap) oomError(sz int64) error {
 // Every Alloc* calls it before it materialises anything, so a request
 // the limit refuses costs the host no memory.
 func (d *AllocDomain) take(sz int64) error {
-	r := d.reserved.Load()
-	if r >= sz {
+	if d.slack >= sz {
 		// TLAB fast path: consume shard-local slack, no shared access.
-		d.reserved.Store(r - sz)
+		d.slack -= sz
 		return nil
 	}
 	if sz > d.h.limit {
 		// Also keeps the reservation arithmetic from overflowing.
 		return d.h.oomError(sz)
 	}
-	if err := d.refill(sz - r); err != nil {
+	if err := d.refill(sz - d.slack); err != nil {
 		return err
 	}
-	d.reserved.Add(-sz)
+	d.slack -= sz
 	return nil
+}
+
+// header returns a zeroed object header from the domain's current slab,
+// starting a new slab of slabHeaders when it is used up: one host
+// allocation per slabHeaders guest objects instead of one each.
+func (d *AllocDomain) header() *Object {
+	if len(d.slab) == 0 {
+		d.slab = new([slabHeaders]Object)[:]
+	}
+	o := &d.slab[0]
+	d.slab = d.slab[1:]
+	return o
 }
 
 // admit stamps the identity fields of an object whose sz bytes take
@@ -453,7 +512,7 @@ func (d *AllocDomain) take(sz int64) error {
 // per-isolate statistics — the executing engine batches those
 // (core.ByteBatch); the Heap-level entry points charge directly.
 func (d *AllocDomain) admit(o *Object, sz int64, flags uint32, creator IsolateID) *Object {
-	o.size.Store(sz)
+	o.size = sz
 	o.Creator = creator
 	o.Charged = NoIsolate
 	if d.h.barrier.Load() {
@@ -488,7 +547,7 @@ func (d *AllocDomain) admit(o *Object, sz int64, flags uint32, creator IsolateID
 		d.finalizable = append(d.finalizable, o)
 	}
 	d.objects = append(d.objects, o)
-	d.count.Add(1)
+	d.live++
 	return o
 }
 
@@ -511,7 +570,12 @@ func (d *AllocDomain) allocSlots(class *classfile.Class, n int, flags uint32, cr
 			slots[i] = Null()
 		}
 	}
-	return d.admit(&Object{Class: class, Elems: slots}, sz, flags, creator), nil
+	o := d.header()
+	o.Class = class
+	if slots != nil { // the header is zeroed: skip the write (and its host write barrier)
+		o.Elems = slots
+	}
+	return d.admit(o, sz, flags, creator), nil
 }
 
 // AllocObject allocates an instance of class with zeroed fields.
@@ -547,7 +611,7 @@ func (d *AllocDomain) AllocNative(class *classfile.Class, payload any, size int6
 	if conn {
 		flags = flagConnection
 	}
-	return d.admit(newObjectWithCold(class, payload, size), sz, flags, creator), nil
+	return d.admit(newObjectWithCold(class, payload, size), ObjectHeaderBytes, flags, creator), nil
 }
 
 // --- Heap-level (host path) allocation ------------------------------------
@@ -558,8 +622,9 @@ func (d *AllocDomain) AllocNative(class *classfile.Class, payload any, size int6
 // keep every host-side caller (platform setup, RPC copies, wake-side
 // throwable allocation, tests) correct without an engine context.
 
-// hostAlloc runs one allocation on the host domain under hostMu and
-// charges creator.
+// hostAlloc runs one allocation on the host domain under hostMu, charges
+// creator and publishes the domain, so host-path allocation is exact in
+// Used and NumObjects at once.
 func (h *Heap) hostAlloc(creator IsolateID, alloc func(*AllocDomain) (*Object, error)) (*Object, error) {
 	h.hostMu.Lock()
 	defer h.hostMu.Unlock()
@@ -567,6 +632,7 @@ func (h *Heap) hostAlloc(creator IsolateID, alloc func(*AllocDomain) (*Object, e
 	if err != nil {
 		return nil, err
 	}
+	h.host.Publish()
 	h.chargeAlloc(creator, o)
 	return o, nil
 }
@@ -600,14 +666,13 @@ func (h *Heap) AllocNative(class *classfile.Class, payload any, size int64, conn
 // (e.g. a StringBuilder growing). Shrinking below zero is clamped. It can
 // push the heap over its limit; the overshoot is reconciled at the next
 // collection, mirroring how native buffers escape the Java heap limit.
-// Lock-free: the payload size lives in the object's cold record, and
-// racing resizers of one object each apply the delta from the value they
-// displaced, so size and used stay the sum of what was applied.
+// Lock-free: the payload size lives in the object's cold record (Size
+// adds it; the header is not written), and racing resizers of one object
+// each apply the delta from the value they displaced, so used stays the
+// sum of what was applied.
 func (h *Heap) ResizeNative(o *Object, newSize int64) {
 	if newSize < 0 {
 		newSize = 0
 	}
-	delta := newSize - o.coldRef().extra.Swap(newSize)
-	o.size.Add(delta)
-	h.used.Add(delta)
+	h.used.Add(newSize - o.coldRef().extra.Swap(newSize))
 }

@@ -46,10 +46,11 @@ type Object struct {
 	// else. IsArray tells the two apart.
 	Elems []Value
 
-	// size is the modelled byte size. It is atomic because concurrent
-	// markers read it for live-stats charging while ResizeNative (a
-	// native running on an executing thread) may grow it.
-	size atomic.Int64
+	// size is the modelled base size: the header and the slots. Admission
+	// writes it before the object is published and nothing writes it
+	// again; a native payload's bytes live in the cold record (extra),
+	// and Size adds them.
+	size int64
 
 	// Creator is the isolate that allocated the object; allocation is
 	// charged to it immediately (paper §3.2, "Memory and connections").
@@ -74,6 +75,22 @@ type Object struct {
 	// and a plain store under the stopped world costs a cycle where a
 	// compare-and-swap costs twenty. Read by tests after the collection.
 	dead bool
+}
+
+// sweep empties a header the collection frees: it is marked dead and lets
+// go of its slot vector and cold record, so a header that stays allocated
+// because a live neighbour shares its slab (AllocDomain.header) holds no
+// more than its own 64 bytes. Headers are never reused: a stale host
+// pointer finds an emptied object, never another live one. The world is
+// stopped.
+func (o *Object) sweep() {
+	o.dead = true
+	if o.Elems != nil {
+		o.Elems = nil
+	}
+	if o.cold.Load() != nil {
+		o.cold.Store(nil)
+	}
 }
 
 // Object flag bits.
@@ -113,7 +130,7 @@ type coldRecord struct {
 	// identityHash is the lazily assigned Object.hashCode value (0 means
 	// unassigned).
 	identityHash atomic.Int64
-	// extra is the native payload size included in Object.size.
+	// extra is the native payload size; Size adds it to the base size.
 	extra atomic.Int64
 }
 
@@ -218,8 +235,14 @@ func (o *Object) hasFlag(bit uint32) bool { return o.flags.Load()&bit != 0 }
 // by tests asserting GC soundness.
 func (o *Object) Dead() bool { return o.dead }
 
-// Size returns the modelled byte size of the object.
-func (o *Object) Size() int64 { return o.size.Load() }
+// Size returns the modelled byte size of the object: its base size plus
+// the native payload, if it has one.
+func (o *Object) Size() int64 {
+	if c := o.cold.Load(); c != nil {
+		return o.size + c.extra.Load()
+	}
+	return o.size
+}
 
 // Marked reports the object's mark bit. During an incremental cycle a
 // marked object is black (or allocate-black); between cycles the bit is

@@ -12,9 +12,13 @@ import (
 // executing shard's allocation domain (heap.AllocDomain) and batched
 // per-isolate byte accounting (core.ByteBatch) through every guest
 // allocation site, so the allocation fast path is a shard-local bump —
-// one atomic reservation CAS against the heap limit, an append to the
-// domain's private object list, and a plain-counter batch note — with no
-// global mutex and no shared statistic atomics.
+// a plain subtraction from the domain's TLAB slack (one reservation CAS
+// against the heap limit per refill), a header from the domain's slab,
+// an append to its private object list, and a plain-counter batch note —
+// with no global mutex, no shared statistic atomics and no locked
+// instruction. The closure tier's allocation micros (closure.go) take the
+// same path inside a block and bail to the table handler whenever it
+// would need more (a collection, an initialization, a resolution).
 //
 // # Ownership
 //
@@ -78,6 +82,15 @@ func (a *allocState) recordSATB(h *heap.Heap, old *heap.Object) {
 	}
 }
 
+// flush publishes everything a holds for other goroutines: the batched
+// byte accounts, the SATB buffer, and the domain's slack and object count
+// (Used, NumObjects). The owner calls it at every quantum boundary.
+func (a *allocState) flush(h *heap.Heap) {
+	a.batch.Flush()
+	a.flushSATB(h)
+	a.dom.Publish()
+}
+
 // flushSATB hands buffered barrier records to the heap (no-op when
 // empty). It must run before the owning goroutine parks for a
 // stop-the-world: the terminal mark phase is sound only if every
@@ -103,19 +116,25 @@ func (vm *VM) acquireAllocState() *allocState {
 		a := vm.allocFree[n-1]
 		vm.allocFree[n-1] = nil
 		vm.allocFree = vm.allocFree[:n-1]
+		// A collection may have reclaimed the domain's slack since its last
+		// owner let go; the handoff orders this owner after it.
+		a.dom.Handoff()
 		a.barrierOn = vm.heap.BarrierActive()
 		return a
 	}
 	return &allocState{dom: vm.heap.NewDomain(), barrierOn: vm.heap.BarrierActive()}
 }
 
-// releaseAllocState flushes and recycles a worker's allocation state.
+// releaseAllocState flushes and recycles a worker's allocation state. An
+// exiting worker is no longer parked for a stop-the-world, so this may
+// run beside a collection: the domain is published through Handoff.
 func (vm *VM) releaseAllocState(a *allocState) {
 	if a == nil {
 		return
 	}
 	a.batch.Flush()
 	a.flushSATB(vm.heap)
+	a.dom.Handoff()
 	a.gcIso = nil
 	vm.allocFreeMu.Lock()
 	vm.allocFree = append(vm.allocFree, a)
@@ -131,10 +150,21 @@ func allocOf(t *Thread) *allocState {
 	return t.alloc
 }
 
+// HeapUsed is Heap().Used() as the calling thread sees it: the domain
+// installed on t for its quantum publishes its slack and object count
+// first, so t's own allocations since the last quantum boundary show. A
+// nil t, or one between quanta, reads the published figure.
+func (vm *VM) HeapUsed(t *Thread) int64 {
+	if a := allocOf(t); a != nil {
+		a.dom.Publish()
+	}
+	return vm.heap.Used()
+}
+
 // domainAlloc runs fn against the executing shard's domain, charging the
-// batched per-isolate counters on success; on heap exhaustion it flushes
-// the batch (exact accounts for the stopped-world collection), runs an
-// accounting collection charged to iso, and retries once.
+// object on success (noteAlloc); on heap exhaustion it flushes the batch
+// (exact accounts for the stopped-world collection), runs an accounting
+// collection charged to iso, and retries once.
 func (vm *VM) domainAlloc(a *allocState, iso *core.Isolate, fn func() (*heap.Object, error)) (*heap.Object, error) {
 	obj, err := fn()
 	if err != nil {
@@ -149,13 +179,21 @@ func (vm *VM) domainAlloc(a *allocState, iso *core.Isolate, fn func() (*heap.Obj
 			return nil, err
 		}
 	}
+	vm.noteAlloc(a, iso, obj)
+	return obj, nil
+}
+
+// noteAlloc charges one admitted object to iso, as every engine allocation
+// is charged: a note in the batched byte accounts and, when occupancy has
+// crossed the background-cycle threshold, iso as the allocator the next
+// quantum boundary charges the cycle's activation to (gcIso).
+func (vm *VM) noteAlloc(a *allocState, iso *core.Isolate, obj *heap.Object) {
 	if vm.heap.TrackAlloc() {
 		a.batch.Note(vm.heap.CountersFor(iso.ID()), obj.Size(), obj.IsConnection())
 	}
 	if a.gcIso == nil && vm.heap.CrossedThreshold() {
 		a.gcIso = iso
 	}
-	return obj, nil
 }
 
 // allocRetry is the host-path twin of domainAlloc: fn goes through the

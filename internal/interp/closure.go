@@ -17,11 +17,13 @@ import (
 //
 // The contract every block keeps:
 //
-//   - a block's prefix holds only micros that cannot throw, allocate,
-//     park, or reach a safepoint; anything else (invokes, news, monitors,
+//   - a block's prefix holds only micros that cannot collect, throw,
+//     park, or reach a safepoint; anything else (invokes, monitors,
 //     returns, throws, ldc, checkcast ...) terminates the block and is
 //     delegated through the live handler table, with the frame in exactly
-//     the state single-step execution would leave it;
+//     the state single-step execution would leave it. A micro may
+//     allocate — new and newarray do — as long as the admission cannot
+//     collect: the object lands on the frame before anything can scan it;
 //   - operand folding: the builder keeps a compile-time operand stack.
 //     iload/fload/aload and the constant pushes emit nothing — they push
 //     a symbol (local k / constant c) — and the micro of the instruction
@@ -35,7 +37,8 @@ import (
 //     iinc to a local they name, and before every guarded micro — and in
 //     full before any transfer out of the block, so the real stack is
 //     exact wherever it can be observed;
-//   - guarded micros (field, static and array access, idiv/irem) check
+//   - guarded micros (field, static and array access, allocation,
+//     idiv/irem) check
 //     every failure condition BEFORE mutating anything; on failure they
 //     push their own symbolic operands in order and return microBail. The
 //     step then delegates the guarded instruction through the handler
@@ -49,6 +52,15 @@ import (
 //     and the Shared micro probes the pool entry's ResolvedMirror cache
 //     as the Shared handler does. Neither creates a mirror nor runs a
 //     write barrier (statics are roots, re-scanned at cycle finish);
+//   - allocation (§3.2) is a guarded micro too: new runs when its class is
+//     resolved and initialized — Isolated: the current isolate's mirror
+//     is InitDone, one read (isolatedInitDone); Shared: the pool entry
+//     caches the mirror — and newarray when its length is in 0..limit/8
+//     and its element class resolved; both need the quantum's domain
+//     (t.alloc) to admit the object from its slack or a refill. The
+//     object is charged as every engine allocation is (noteAlloc). A miss
+//     bails, and the handler resolves, initializes, collects and retries,
+//     or throws;
 //   - micros do not maintain f.pc: it is written at exits only — the
 //     target by a taken branch or inline goto, the guarded instruction's
 //     pc on a bail, the delegated final's pc on fall-through;
@@ -202,8 +214,10 @@ run:
 // block, so steady-state execution (including returns from delegated
 // invokes) always lands on a compiled block; other pcs run through table
 // dispatch. The result is never nil (blocks may be sparse). mode picks the
-// statics micros.
-func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, mode core.Mode) *closureProgram {
+// statics and new micros; objClass is the VM's java/lang/Object, the
+// element class of an untyped newarray (nil: those sites stay on the
+// table).
+func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, mode core.Mode, objClass *classfile.Class) *closureProgram {
 	code := m.Code
 	n := len(code.Instrs)
 	cp := &closureProgram{blocks: make([]*closureBlock, n)}
@@ -230,7 +244,7 @@ func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, mode core.Mode)
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		b, end, fall := buildClosureBlock(code, p, pc, mode)
+		b, end, fall := buildClosureBlock(code, p, pc, mode, objClass)
 		if b != nil {
 			cp.blocks[pc] = b
 		}
@@ -324,6 +338,8 @@ type blockBuilder struct {
 	blk  *closureBlock
 	syms []operand
 	mode core.Mode
+	// objClass is buildClosureProgram's; nil compiles no untyped newarray.
+	objClass *classfile.Class
 }
 
 // emit appends the micro of the instruction at pc, whose last covered
@@ -412,9 +428,9 @@ func (bb *blockBuilder) produce(n int, pc int32) binding {
 // Conditional branches do not end the block: they compile as mid-block
 // micros and the fall-through path continues. The builder terminates
 // because the cursor strictly increases.
-func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32, mode core.Mode) (*closureBlock, int32, bool) {
+func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32, mode core.Mode, objClass *classfile.Class) (*closureBlock, int32, bool) {
 	b := &closureBlock{pc0: pc}
-	bb := &blockBuilder{code: code, p: p, blk: b, mode: mode}
+	bb := &blockBuilder{code: code, p: p, blk: b, mode: mode, objClass: objClass}
 	n := int32(len(code.Instrs))
 	cur := pc
 	for ok := true; ok && cur < n && cur-pc < maxClosureBlock; {
@@ -742,6 +758,58 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			m.Statics[slot] = v
 			return microNext
 		}, pc, pc)
+	case bytecode.OpNew:
+		// Guarded: the class resolved, the mode's initialization check
+		// (isolatedInitDone, or the pool entry's ResolvedMirror cache as
+		// pNewShared keeps it), and a domain that admits the object
+		// without a collection; a miss bails to the table handler, which
+		// resolves, initializes, waits, collects and retries, or throws.
+		bd, entry := bb.produce(0, pc), in.Ref.(*classfile.PoolEntry)
+		initDone := (*VM).isolatedInitDone
+		if bb.mode != core.ModeIsolated {
+			initDone = func(*VM, *Thread, *classfile.Class) bool { return entry.ResolvedMirror != nil }
+		}
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			class, a := entry.ResolvedClass.Load(), t.alloc
+			if class == nil || a == nil || !initDone(vm, t, class) {
+				return microBail
+			}
+			obj, err := a.dom.AllocObject(class, t.cur.ID())
+			if err != nil {
+				return microBail
+			}
+			vm.noteAlloc(a, t.cur, obj)
+			f.result(0, bd.d, heap.RefVal(obj))
+			return microNext
+		}, pc, bd.last)
+	case bytecode.OpNewArray:
+		// Guarded: a length in 0..limit/8, the element class resolved (an
+		// untyped site's is java/lang/Object, bound here), and a domain that
+		// admits the array without a collection; a miss bails to pNewArray,
+		// which throws NegativeArraySizeException, resolves, or collects
+		// and retries.
+		entry, _ := in.Ref.(*classfile.PoolEntry)
+		untyped := bb.objClass
+		if entry == nil && untyped == nil {
+			return pc, false
+		}
+		bd := bb.produce(1, pc)
+		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+			n, a, elem := bd.ops[0].at(f).I, t.alloc, untyped
+			if entry != nil {
+				elem = entry.ResolvedClass.Load()
+			}
+			if elem == nil || a == nil || uint64(n) > uint64(vm.heap.Limit()/heap.ValueSlotBytes) {
+				return bail(f, bd.ops[0])
+			}
+			arr, err := a.dom.AllocArray(elem, int(n), t.cur.ID())
+			if err != nil {
+				return bail(f, bd.ops[0])
+			}
+			vm.noteAlloc(a, t.cur, arr)
+			f.result(bd.ns, bd.d, heap.RefVal(arr))
+			return microNext
+		}, pc, bd.last)
 	case bytecode.OpArrayLength:
 		bd := bb.produce(1, pc)
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
@@ -797,6 +865,16 @@ func (vm *VM) isolatedMirror(t *Thread, entry *classfile.PoolEntry) (*core.TaskC
 		return nil, 0
 	}
 	return m, field.Slot
+}
+
+// isolatedInitDone is the initialization guard of the Isolated new micro:
+// the current isolate's mirror of class is InitDone, one read. InitDone
+// implies every superclass's mirror is InitDone too (ensureInitialized
+// initializes supers first), so nothing else needs checking; a class
+// being initialized — even by this thread — bails to pNewIsolated.
+func (vm *VM) isolatedInitDone(t *Thread, class *classfile.Class) bool {
+	m := vm.world.MirrorIfPresent(class, t.cur)
+	return m != nil && m.State == core.InitDone
 }
 
 // sharedMirror is the guard of the Shared statics micros: the mirror the

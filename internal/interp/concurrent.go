@@ -348,7 +348,8 @@ func (vm *VM) RunThreadQuantum(t *Thread, home *core.Isolate, budget int64, stop
 
 // flushQuantum publishes everything s holds batched: the clock ticks and
 // the instruction total of the steps not yet published, the per-isolate
-// instruction and call counts, the byte accounts and the SATB buffer. It
+// instruction and call counts, the byte accounts, the SATB buffer and the
+// allocation domain's slack and object count (heap Used/NumObjects). It
 // runs when a quantum ends, on both engines, and at the sequential
 // safepoint (withWorldStopped, mid-quantum on the run-loop goroutine), so
 // stopped-world observers — the accounting GC, isolate kills, precise
@@ -362,7 +363,6 @@ func (vm *VM) flushQuantum(s *SampleState) {
 	}
 	s.batch.Flush()
 	if a := s.alloc; a != nil {
-		a.batch.Flush()
-		a.flushSATB(vm.heap)
+		a.flush(vm.heap)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // package (the fuzz target drives it with adversarial instruction
 // streams; the oracle tests reach it through normal execution).
 func PrepareMethodForTest(m *classfile.Method, mode core.Mode) *bytecode.PCode {
-	return prepareMethod(m, mode)
+	return prepareMethod(m, mode, nil)
 }
 
 // NewTableVMForTest is NewVM with the test switch on: frames never adopt
@@ -107,13 +107,20 @@ func (vm *VM) PreparedCodeForTest(m *classfile.Method) *bytecode.PCode { return 
 const MaxStepInstructionsForTest = maxStepSubs
 
 // StepSizesForTest drives t the way the quantum routine does — a quantum
-// accountant with the given limit installed, one stepThread call per
-// poll — for n steps, and returns how many instructions each step
-// retired. Nothing else may be running vm.
+// accountant with the given limit and the sequential engine's allocation
+// state installed, one stepThread call per poll — for n steps, and returns
+// how many instructions each step retired. Nothing else may be running vm.
 func (vm *VM) StepSizesForTest(t *Thread, limit int64, n int) ([]int64, error) {
-	qa := SampleState{quantumAcct: quantumAcct{limit: limit}}
-	t.qa = &qa
-	defer func() { t.qa = nil }()
+	if vm.seq.alloc == nil {
+		vm.seq.alloc = vm.acquireAllocState()
+	}
+	qa := SampleState{quantumAcct: quantumAcct{limit: limit}, alloc: vm.seq.alloc}
+	qa.alloc.barrierOn = vm.heap.BarrierActive()
+	t.qa, t.alloc = &qa, qa.alloc
+	defer func() {
+		t.qa, t.alloc = nil, nil
+		qa.alloc.flush(vm.heap)
+	}()
 	sizes := make([]int64, 0, n)
 	for len(sizes) < n && t.State() == StateRunnable {
 		before := qa.steps

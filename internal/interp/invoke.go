@@ -202,7 +202,7 @@ func (vm *VM) RespawnThread(t *Thread, name string, creator *core.Isolate, m *cl
 	t.lastSwitchTick = vm.NowTicks()
 	t.finishTick = 0
 	t.result = heap.Value{}
-	t.failure = nil
+	t.failure, t.failureText = nil, ""
 	t.err = nil
 	t.interrupted = false
 	t.threadObj = nil

@@ -65,7 +65,8 @@ func (vm *VM) preparedCode(m *classfile.Method) *bytecode.PCode {
 	code := m.Code
 	p := code.Prepared()
 	if p == nil {
-		p = prepareMethod(m, vm.opts.Mode)
+		objClass, _ := vm.lookupWellKnown(ClassObject)
+		p = prepareMethod(m, vm.opts.Mode, objClass)
 		if p == nil {
 			p = unpreparable
 		}
@@ -77,10 +78,10 @@ func (vm *VM) preparedCode(m *classfile.Method) *bytecode.PCode {
 	return p
 }
 
-// prepareMethod builds the prepared form of m for a VM of the given mode,
-// or returns nil when the method cannot be verified for unchecked
-// execution.
-func prepareMethod(m *classfile.Method, mode core.Mode) *bytecode.PCode {
+// prepareMethod builds the prepared form of m for a VM of the given mode
+// whose java/lang/Object is objClass (see buildClosureProgram), or returns
+// nil when the method cannot be verified for unchecked execution.
+func prepareMethod(m *classfile.Method, mode core.Mode, objClass *classfile.Class) *bytecode.PCode {
 	code := m.Code
 	n := len(code.Instrs)
 	if n == 0 {
@@ -234,7 +235,7 @@ func prepareMethod(m *classfile.Method, mode core.Mode) *bytecode.PCode {
 	// Last step: compile the closure blocks (closure.go). The program is
 	// in place before the caller publishes the form and never changes
 	// after, so adopting it is a plain field read.
-	p.Closure = buildClosureProgram(m, p, mode)
+	p.Closure = buildClosureProgram(m, p, mode, objClass)
 	return p
 }
 

@@ -281,6 +281,9 @@ type Thread struct {
 	result  heap.Value
 	failure *heap.Object // uncaught guest exception
 	err     error        // host-level execution error (VM bug or invalid code)
+	// failureText is failure rendered when the thread failed (a finished
+	// thread is no GC root: failure may be swept afterwards).
+	failureText string
 
 	// pruned records that compactThreadsLocked dropped this thread from
 	// the thread table (guarded by vm.threadsMu). RespawnThread re-appends
@@ -349,7 +352,10 @@ func (t *Thread) Creator() *core.Isolate { return t.creator }
 func (t *Thread) Result() heap.Value { return t.result }
 
 // Failure returns the uncaught guest exception that terminated the
-// thread, or nil.
+// thread, or nil. A finished thread is not a GC root: unless the host
+// roots the object itself (Pin, HostRoots) before the next collection,
+// that collection may sweep it and leave an emptied object behind. Use
+// FailureString for the text.
 func (t *Thread) Failure() *heap.Object { return t.failure }
 
 // Err returns the host-level error that aborted the thread, or nil. Host
@@ -362,7 +368,7 @@ func (t *Thread) Err() error { return t.err }
 // object (a finished thread is not a GC root: whatever the host still needs
 // it must have rooted itself).
 func (t *Thread) DropOutcome() {
-	t.result, t.failure, t.threadObj = heap.Value{}, nil, nil
+	t.result, t.failure, t.failureText, t.threadObj = heap.Value{}, nil, "", nil
 }
 
 // SpawnTick returns the virtual time at which the thread was (re)spawned.
@@ -400,10 +406,6 @@ func (t *Thread) top() *Frame {
 	return t.frames[len(t.frames)-1]
 }
 
-// FailureString renders the uncaught exception for diagnostics.
-func (t *Thread) FailureString() string {
-	if t.failure == nil {
-		return ""
-	}
-	return t.vm.describeThrowable(t.failure)
-}
+// FailureString renders the uncaught exception for diagnostics, as it
+// read when the thread failed.
+func (t *Thread) FailureString() string { return t.failureText }

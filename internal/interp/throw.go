@@ -22,7 +22,9 @@ func (vm *VM) NewThrowable(iso *core.Isolate, className, msg string) (*heap.Obje
 }
 
 // newThrowableT is NewThrowable with the executing thread's allocation
-// state (t may be nil for the host path).
+// state (t may be nil for the host path). The exception is rooted in a
+// HostRoots batch while its message string is allocated: that allocation
+// may collect, and nothing else references the exception yet.
 func (vm *VM) newThrowableT(t *Thread, iso *core.Isolate, className, msg string) (*heap.Object, error) {
 	class, err := vm.lookupWellKnown(className)
 	if err != nil {
@@ -34,7 +36,10 @@ func (vm *VM) newThrowableT(t *Thread, iso *core.Isolate, className, msg string)
 	}
 	if msg != "" {
 		if f, ferr := class.LookupField("message"); ferr == nil {
+			roots := vm.NewHostRoots(iso)
+			roots.Add(obj)
 			msgObj, serr := vm.NewStringObject(t, iso, msg)
+			roots.Release()
 			if serr != nil {
 				return nil, serr
 			}
@@ -112,6 +117,7 @@ func (vm *VM) DeliverException(t *Thread, exObj *heap.Object) error {
 		}
 	}
 	t.failure = exObj
+	t.failureText = vm.describeThrowable(exObj)
 	vm.finishThread(t)
 	return nil
 }

@@ -60,9 +60,10 @@ func (q *quantumAcct) reserve(extra int64) bool {
 // finish the thread (only a step's delegated final can, and the routine's
 // own post-step charge covers that one), so reading t.cur here matches
 // what the single-step loop would have read — and nothing can observe the
-// intermediate counters mid-step (no safepoint, throw, park or batch
-// flush is reachable from a prefix micro), so the batching is invisible
-// to the differential oracle.
+// intermediate counters mid-step (no safepoint, collection, throw, park or
+// instruction-batch flush is reachable from a prefix micro; an allocation
+// micro only notes bytes), so the batching is invisible to the
+// differential oracle.
 func (s *SampleState) chargeSubs(vm *VM, t *Thread, k int64) {
 	if k <= 0 {
 		return

@@ -95,7 +95,11 @@ func (s *RMIServer) handle(conn net.Conn) {
 func (s *RMIServer) dispatch(payload []byte) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	args, err := Unmarshal(s.vm, payload, s.callee, s.resolver)
+	// The arguments stay rooted until CallRoot has handed them to the
+	// callee thread.
+	roots := s.vm.NewHostRoots(s.callee)
+	defer roots.Release()
+	args, err := unmarshal(s.vm, payload, s.callee, s.resolver, roots)
 	if err != nil {
 		return errorFrame(err)
 	}

@@ -54,6 +54,9 @@ func newRPCEnv(t *testing.T) *rpcEnv {
 	if err != nil || th.Failure() != nil {
 		t.Fatalf("make service: %v / %s", err, th.FailureString())
 	}
+	// The receiver outlives every link a test makes to it: a probe after
+	// the last link closed and a collection ran must still find it.
+	vm.Pin(callee.ID(), recv.R)
 	incM, err := svcClass.LookupMethod("inc", "(I)I")
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +186,79 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 	if got.Elems[1].R != got {
 		t.Fatal("cycle lost through the wire")
+	}
+}
+
+// TestUnmarshalCollectsMidDecode decodes a nested array-of-strings payload
+// into a heap filled with garbage to within a few hundred bytes of its
+// limit, so an allocation part-way through the payload collects. The
+// containers decoded before that collection must survive it: a swept
+// array has no slot vector left, and the next element store would index
+// out of range.
+func TestUnmarshalCollectsMidDecode(t *testing.T) {
+	const outer, inner = 8, 8
+	vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, HeapLimit: 256 << 10})
+	syslib.MustInstall(vm)
+	iso, err := vm.World().NewIsolate("target", vm.Registry().NewLoader("target"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	objClass, err := vm.Registry().Bootstrap().Lookup(interp.ClassObject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The source graph is garbage once marshalled.
+	top, err := vm.AllocArrayIn(nil, objClass, outer, iso)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(i, j int) string { return strings.Repeat("x", i) + "/" + strings.Repeat("y", j) }
+	for i := 0; i < outer; i++ {
+		row, err := vm.AllocArrayIn(nil, objClass, inner, iso)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < inner; j++ {
+			s, err := vm.NewStringObject(nil, iso, want(i, j))
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.Elems[j] = heap.RefVal(s)
+		}
+		top.Elems[i] = heap.RefVal(row)
+	}
+	data, err := rpc.Marshal([]heap.Value{heap.RefVal(top)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := vm.Heap()
+	for h.Limit()-h.Used() > 512 {
+		if _, err := h.AllocObject(objClass, iso.ID()); err != nil {
+			break
+		}
+	}
+	before := h.GCCount()
+	vals, err := rpc.Unmarshal(vm, data, iso, iso.Loader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.GCCount() == before {
+		t.Fatal("decoding did not collect; the heap was not full enough to test anything")
+	}
+	got := vals[0].R
+	if len(got.Elems) != outer {
+		t.Fatalf("outer array has %d slots, want %d (swept mid-decode?)", len(got.Elems), outer)
+	}
+	for i := 0; i < outer; i++ {
+		row := got.Elems[i].R
+		if row == nil || len(row.Elems) != inner {
+			t.Fatalf("row %d lost its slots (swept mid-decode?)", i)
+		}
+		for j := 0; j < inner; j++ {
+			if s, _ := row.Elems[j].R.StringValue(); s != want(i, j) {
+				t.Fatalf("[%d][%d] = %q, want %q", i, j, s, want(i, j))
+			}
+		}
 	}
 }
 

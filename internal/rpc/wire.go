@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -100,14 +101,28 @@ func writeString(buf *bytes.Buffer, s string) {
 }
 
 // Unmarshal decodes a payload, materializing objects in the target
-// isolate via the given loader for class resolution.
+// isolate via the given loader for class resolution. The decoded objects
+// are released from their transient GC roots before returning: the caller
+// must root them (or hand them to a thread) before the next collection,
+// as with DeepCopyValue.
 func Unmarshal(vm *interp.VM, data []byte, target *core.Isolate, resolver *loader.Loader) ([]heap.Value, error) {
+	roots := vm.NewHostRoots(target)
+	defer roots.Release()
+	return unmarshal(vm, data, target, resolver, roots)
+}
+
+// unmarshal is Unmarshal with every decoded object rooted in roots, which
+// must be empty: a later allocation in the same payload may collect, and
+// until the payload is complete nothing but the batch references what was
+// decoded before it. The batch's roots double as the back-reference
+// table, in wire order.
+func unmarshal(vm *interp.VM, data []byte, target *core.Isolate, resolver *loader.Loader, roots *interp.HostRoots) ([]heap.Value, error) {
 	r := bytes.NewReader(data)
 	var n uint32
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return nil, err
 	}
-	dec := &decoder{vm: vm, r: r, target: target, resolver: resolver}
+	dec := &decoder{vm: vm, r: r, target: target, resolver: resolver, roots: roots}
 	out := make([]heap.Value, 0, n)
 	for i := uint32(0); i < n; i++ {
 		v, err := dec.value()
@@ -124,7 +139,18 @@ type decoder struct {
 	r        *bytes.Reader
 	target   *core.Isolate
 	resolver *loader.Loader
-	objects  []*heap.Object
+	roots    *interp.HostRoots
+}
+
+// alloc retries one rooted allocation across a collection charged to the
+// target: rooted allocations do not collect on their own.
+func (d *decoder) alloc(fn func() (*heap.Object, error)) (*heap.Object, error) {
+	obj, err := fn()
+	if errors.Is(err, heap.ErrOutOfMemory) {
+		d.vm.CollectGarbage(d.target)
+		obj, err = fn()
+	}
+	return obj, err
 }
 
 func (d *decoder) value() (heap.Value, error) {
@@ -154,21 +180,23 @@ func (d *decoder) value() (heap.Value, error) {
 		if err != nil {
 			return heap.Value{}, err
 		}
-		obj, err := d.vm.NewStringObject(nil, d.target, s)
+		obj, err := d.alloc(func() (*heap.Object, error) {
+			return d.vm.NewStringRooted(d.roots, s, d.target)
+		})
 		if err != nil {
 			return heap.Value{}, err
 		}
-		d.objects = append(d.objects, obj)
 		return heap.RefVal(obj), nil
 	case tagRef:
 		var id uint32
 		if err := binary.Read(d.r, binary.LittleEndian, &id); err != nil {
 			return heap.Value{}, err
 		}
-		if int(id) >= len(d.objects) {
+		decoded := d.roots.Refs()
+		if int(id) >= len(decoded) {
 			return heap.Value{}, fmt.Errorf("dangling back-reference %d", id)
 		}
-		return heap.RefVal(d.objects[id]), nil
+		return heap.RefVal(decoded[id]), nil
 	case tagArray:
 		className, err := d.readString()
 		if err != nil {
@@ -182,11 +210,12 @@ func (d *decoder) value() (heap.Value, error) {
 		if err := binary.Read(d.r, binary.LittleEndian, &n); err != nil {
 			return heap.Value{}, err
 		}
-		arr, err := d.vm.AllocArrayIn(nil, class, int(n), d.target)
+		arr, err := d.alloc(func() (*heap.Object, error) {
+			return d.vm.AllocArrayRooted(d.roots, class, int(n), d.target)
+		})
 		if err != nil {
 			return heap.Value{}, err
 		}
-		d.objects = append(d.objects, arr)
 		for i := uint32(0); i < n; i++ {
 			ev, err := d.value()
 			if err != nil {
@@ -208,7 +237,9 @@ func (d *decoder) value() (heap.Value, error) {
 		if err := binary.Read(d.r, binary.LittleEndian, &n); err != nil {
 			return heap.Value{}, err
 		}
-		obj, err := d.vm.AllocObjectIn(nil, class, d.target)
+		obj, err := d.alloc(func() (*heap.Object, error) {
+			return d.vm.AllocObjectRooted(d.roots, class, d.target)
+		})
 		if err != nil {
 			return heap.Value{}, err
 		}
@@ -216,7 +247,6 @@ func (d *decoder) value() (heap.Value, error) {
 			return heap.Value{}, fmt.Errorf("field count mismatch for %s: wire %d, class %d",
 				className, n, len(obj.Elems))
 		}
-		d.objects = append(d.objects, obj)
 		for i := uint32(0); i < n; i++ {
 			fv, err := d.value()
 			if err != nil {

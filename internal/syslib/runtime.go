@@ -69,9 +69,10 @@ func runtimeClass() *classfile.Class {
 		}))
 
 	// freeMemory/totalMemory: harmless introspection, available to all.
+	// freeMemory counts the caller's allocations up to the call.
 	b.NativeMethod("freeMemory", "()I", statics, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {
-			return interp.NativeReturn(heap.IntVal(vm.Heap().Limit() - vm.Heap().Used()))
+			return interp.NativeReturn(heap.IntVal(vm.Heap().Limit() - vm.HeapUsed(t)))
 		}))
 	b.NativeMethod("totalMemory", "()I", statics, interp.NativeFunc(
 		func(vm *interp.VM, t *interp.Thread, recv heap.Value, args []heap.Value) (interp.NativeResult, error) {

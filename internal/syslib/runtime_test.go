@@ -7,6 +7,7 @@ import (
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
 	"ijvm/internal/core"
+	"ijvm/internal/heap"
 	"ijvm/internal/interp"
 	"ijvm/internal/syslib"
 )
@@ -96,5 +97,26 @@ func TestRuntimeMemoryIntrospection(t *testing.T) {
 	})
 	if v.I < 0 {
 		t.Fatalf("total - free = %d, want >= 0", v.I)
+	}
+}
+
+// TestFreeMemorySeesOwnAllocations: a guest that allocates and then asks
+// for freeMemory in the same quantum sees the drop, byte for byte — the
+// native publishes its thread's allocation domain before it reads the
+// heap. Without the publish the objects sit in the domain's unpublished
+// slack until the quantum ends and the drop reads 0.
+func TestFreeMemorySeesOwnAllocations(t *testing.T) {
+	const n = 10
+	v, _ := runSnippet(t, func(a *bytecode.Assembler) {
+		a.InvokeStatic("java/lang/Runtime", "freeMemory", "()I")
+		for i := 0; i < n; i++ {
+			a.New(interp.ClassObject).Pop()
+		}
+		a.InvokeStatic("java/lang/Runtime", "freeMemory", "()I")
+		a.ISub().IReturn() // free before - free after
+	})
+	// java/lang/Object has no fields: each instance is one header.
+	if want := int64(n * heap.ObjectHeaderBytes); v.I != want {
+		t.Fatalf("freeMemory dropped by %d across %d allocations, want %d", v.I, n, want)
 	}
 }
