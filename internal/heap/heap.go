@@ -622,10 +622,11 @@ func (d *AllocDomain) AllocNative(class *classfile.Class, payload any, size int6
 // keep every host-side caller (platform setup, RPC copies, wake-side
 // throwable allocation, tests) correct without an engine context.
 
-// hostAlloc runs one allocation on the host domain under hostMu, charges
+// HostAlloc runs one allocation on the host domain under hostMu, charges
 // creator and publishes the domain, so host-path allocation is exact in
-// Used and NumObjects at once.
-func (h *Heap) hostAlloc(creator IsolateID, alloc func(*AllocDomain) (*Object, error)) (*Object, error) {
+// Used and NumObjects at once. It never collects: a refusal is returned as
+// ErrOutOfMemory, and what it costs is the caller's decision.
+func (h *Heap) HostAlloc(creator IsolateID, alloc func(*AllocDomain) (*Object, error)) (*Object, error) {
 	h.hostMu.Lock()
 	defer h.hostMu.Unlock()
 	o, err := alloc(h.host)
@@ -640,24 +641,24 @@ func (h *Heap) hostAlloc(creator IsolateID, alloc func(*AllocDomain) (*Object, e
 // AllocObject allocates an instance of class with zeroed fields, charging
 // the creator isolate.
 func (h *Heap) AllocObject(class *classfile.Class, creator IsolateID) (*Object, error) {
-	return h.hostAlloc(creator, func(d *AllocDomain) (*Object, error) { return d.AllocObject(class, creator) })
+	return h.HostAlloc(creator, func(d *AllocDomain) (*Object, error) { return d.AllocObject(class, creator) })
 }
 
 // AllocArray allocates an array of n null/zero slots, charging creator.
 func (h *Heap) AllocArray(class *classfile.Class, n int, creator IsolateID) (*Object, error) {
-	return h.hostAlloc(creator, func(d *AllocDomain) (*Object, error) { return d.AllocArray(class, n, creator) })
+	return h.HostAlloc(creator, func(d *AllocDomain) (*Object, error) { return d.AllocArray(class, n, creator) })
 }
 
 // AllocString allocates a string object with the given payload, charging
 // creator.
 func (h *Heap) AllocString(class *classfile.Class, s string, creator IsolateID) (*Object, error) {
-	return h.hostAlloc(creator, func(d *AllocDomain) (*Object, error) { return d.AllocString(class, s, creator) })
+	return h.HostAlloc(creator, func(d *AllocDomain) (*Object, error) { return d.AllocString(class, s, creator) })
 }
 
 // AllocNative allocates an object with an opaque native payload, charging
 // creator.
 func (h *Heap) AllocNative(class *classfile.Class, payload any, size int64, conn bool, creator IsolateID) (*Object, error) {
-	return h.hostAlloc(creator, func(d *AllocDomain) (*Object, error) {
+	return h.HostAlloc(creator, func(d *AllocDomain) (*Object, error) {
 		return d.AllocNative(class, payload, size, conn, creator)
 	})
 }

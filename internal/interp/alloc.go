@@ -19,6 +19,7 @@ import (
 // instruction. The closure tier's allocation micros (closure.go) take the
 // same path inside a block and bail to the table handler whenever it
 // would need more (a collection, an initialization, a resolution).
+// Everything else allocates through one routine, VM.alloc.
 //
 // # Ownership
 //
@@ -161,26 +162,75 @@ func (vm *VM) HeapUsed(t *Thread) int64 {
 	return vm.heap.Used()
 }
 
-// domainAlloc runs fn against the executing shard's domain, charging the
-// object on success (noteAlloc); on heap exhaustion it flushes the batch
-// (exact accounts for the stopped-world collection), runs an accounting
-// collection charged to iso, and retries once.
-func (vm *VM) domainAlloc(a *allocState, iso *core.Isolate, fn func() (*heap.Object, error)) (*heap.Object, error) {
-	obj, err := fn()
-	if err != nil {
-		if !errors.Is(err, heap.ErrOutOfMemory) {
+// alloc is the one allocation routine: every allocation outside the
+// closure tier's micros goes through it. fn admits one object on the
+// domain it is handed; alloc decides which domain that is, whether the
+// object is rooted, and what a refusal costs.
+//
+//   - On the executing thread (t.alloc installed) fn runs on the shard's
+//     domain and the object is charged through noteAlloc. On exhaustion
+//     the byte batch and the SATB buffer are flushed, so the stopped-world
+//     collection sees exact accounts and every barrier record; the
+//     collection is charged to iso, and fn runs once more.
+//   - Anywhere else fn runs on the heap's host domain (heap.HostAlloc),
+//     which charges iso itself. With roots set, the allocation and its
+//     root are one pinMu section: exact collections hold pinMu across
+//     snapshot-and-sweep, so none can sweep the object before it is
+//     rooted (under an open incremental cycle the heap also admits it
+//     allocate-black). On exhaustion an unrooted allocation collects
+//     charged to iso and retries once; a rooted one runs its batch's
+//     collector and retries once, or fails at once when the batch has
+//     none (NewCollectingRoots).
+//
+// A connection object counts as opened once it is admitted. Rooted
+// callers pass a nil t: a root batch belongs to host code.
+func (vm *VM) alloc(t *Thread, iso *core.Isolate, roots *HostRoots, fn func(*heap.AllocDomain) (*heap.Object, error)) (*heap.Object, error) {
+	a := allocOf(t)
+	obj, err := vm.admit(a, iso, roots, fn)
+	if errors.Is(err, heap.ErrOutOfMemory) {
+		switch {
+		case a != nil:
+			a.batch.Flush()
+			a.flushSATB(vm.heap)
+			vm.CollectGarbage(iso)
+		case roots == nil:
+			vm.CollectGarbage(iso)
+		case roots.collect != nil:
+			roots.collect()
+		default:
 			return nil, err
 		}
-		a.batch.Flush()
-		a.flushSATB(vm.heap)
-		vm.CollectGarbage(iso)
-		obj, err = fn()
-		if err != nil {
-			return nil, err
-		}
+		obj, err = vm.admit(a, iso, roots, fn)
 	}
-	vm.noteAlloc(a, iso, obj)
+	if err != nil {
+		return nil, err
+	}
+	if a != nil {
+		vm.noteAlloc(a, iso, obj)
+	}
+	if obj.IsConnection() {
+		iso.Account().ConnectionsOpened.Add(1)
+	}
 	return obj, nil
+}
+
+// admit runs fn once: on the executing shard's domain when a is set,
+// otherwise on the host domain, rooted in roots (when set) inside the
+// same pinMu section.
+func (vm *VM) admit(a *allocState, iso *core.Isolate, roots *HostRoots, fn func(*heap.AllocDomain) (*heap.Object, error)) (*heap.Object, error) {
+	if a != nil {
+		return fn(a.dom)
+	}
+	if roots == nil {
+		return vm.heap.HostAlloc(iso.ID(), fn)
+	}
+	vm.pinMu.Lock()
+	defer vm.pinMu.Unlock()
+	obj, err := vm.heap.HostAlloc(iso.ID(), fn)
+	if err == nil {
+		roots.addLocked(obj)
+	}
+	return obj, err
 }
 
 // noteAlloc charges one admitted object to iso, as every engine allocation
@@ -196,77 +246,52 @@ func (vm *VM) noteAlloc(a *allocState, iso *core.Isolate, obj *heap.Object) {
 	}
 }
 
-// allocRetry is the host-path twin of domainAlloc: fn goes through the
-// heap's mutex-guarded host domain (which charges counters directly), and
-// heap exhaustion triggers an accounting collection and one retry. The
-// second failure is surfaced to the caller, which raises
-// OutOfMemoryError in the guest.
-func (vm *VM) allocRetry(iso *core.Isolate, fn func() (*heap.Object, error)) (*heap.Object, error) {
-	obj, err := fn()
-	if err == nil {
-		return obj, nil
-	}
-	if !errors.Is(err, heap.ErrOutOfMemory) {
-		return nil, err
-	}
-	vm.CollectGarbage(iso)
-	return fn()
-}
-
 // AllocObjectIn allocates an instance of class charged to iso, collecting
 // on pressure. t, when executing, selects the shard-local allocation
 // domain; a nil t (host-side callers) selects the host path.
 func (vm *VM) AllocObjectIn(t *Thread, class *classfile.Class, iso *core.Isolate) (*heap.Object, error) {
-	if a := allocOf(t); a != nil {
-		return vm.domainAlloc(a, iso, func() (*heap.Object, error) {
-			return a.dom.AllocObject(class, iso.ID())
-		})
-	}
-	return vm.allocRetry(iso, func() (*heap.Object, error) {
-		return vm.heap.AllocObject(class, iso.ID())
+	return vm.alloc(t, iso, nil, func(d *heap.AllocDomain) (*heap.Object, error) {
+		return d.AllocObject(class, iso.ID())
 	})
 }
 
 // AllocArrayIn allocates an array charged to iso, collecting on pressure.
 func (vm *VM) AllocArrayIn(t *Thread, class *classfile.Class, n int, iso *core.Isolate) (*heap.Object, error) {
-	if a := allocOf(t); a != nil {
-		return vm.domainAlloc(a, iso, func() (*heap.Object, error) {
-			return a.dom.AllocArray(class, n, iso.ID())
-		})
-	}
-	return vm.allocRetry(iso, func() (*heap.Object, error) {
-		return vm.heap.AllocArray(class, n, iso.ID())
+	return vm.alloc(t, iso, nil, func(d *heap.AllocDomain) (*heap.Object, error) {
+		return d.AllocArray(class, n, iso.ID())
 	})
 }
 
-// allocStringRaw allocates a guest string charged to iso.
-func (vm *VM) allocStringRaw(t *Thread, class *classfile.Class, s string, iso *core.Isolate) (*heap.Object, error) {
-	if a := allocOf(t); a != nil {
-		return vm.domainAlloc(a, iso, func() (*heap.Object, error) {
-			return a.dom.AllocString(class, s, iso.ID())
-		})
-	}
-	return vm.allocRetry(iso, func() (*heap.Object, error) {
-		return vm.heap.AllocString(class, s, iso.ID())
-	})
-}
-
-// allocNativeRaw allocates a native-payload object charged to iso.
-func (vm *VM) allocNativeRaw(t *Thread, class *classfile.Class, payload any, size int64, conn bool, iso *core.Isolate) (*heap.Object, error) {
-	if a := allocOf(t); a != nil {
-		return vm.domainAlloc(a, iso, func() (*heap.Object, error) {
-			return a.dom.AllocNative(class, payload, size, conn, iso.ID())
-		})
-	}
-	return vm.allocRetry(iso, func() (*heap.Object, error) {
-		return vm.heap.AllocNative(class, payload, size, conn, iso.ID())
-	})
-}
-
-// AllocNativeIn allocates a native-payload object charged to iso.
+// AllocNativeIn allocates a native-payload object charged to iso; conn
+// marks a connection, counted as opened once it is admitted.
 func (vm *VM) AllocNativeIn(t *Thread, class *classfile.Class, payload any, size int64, conn bool, iso *core.Isolate) (*heap.Object, error) {
-	if conn {
-		iso.Account().ConnectionsOpened.Add(1)
+	return vm.alloc(t, iso, nil, func(d *heap.AllocDomain) (*heap.Object, error) {
+		return d.AllocNative(class, payload, size, conn, iso.ID())
+	})
+}
+
+// newString allocates a fresh guest string charged to iso, on t's domain
+// or rooted in roots: the one string allocation behind NewStringObject,
+// InternString and NewStringRooted.
+func (vm *VM) newString(t *Thread, roots *HostRoots, s string, iso *core.Isolate) (*heap.Object, error) {
+	strClass, err := vm.lookupWellKnown(ClassString)
+	if err != nil {
+		return nil, err
 	}
-	return vm.allocNativeRaw(t, class, payload, size, conn, iso)
+	return vm.alloc(t, iso, roots, func(d *heap.AllocDomain) (*heap.Object, error) {
+		return d.AllocString(strClass, s, iso.ID())
+	})
+}
+
+// newClassObject allocates iso's java.lang.Class object for c: the one
+// class-object allocation behind ClassObjectFor and snapshot
+// materialization.
+func (vm *VM) newClassObject(t *Thread, roots *HostRoots, c *classfile.Class, iso *core.Isolate) (*heap.Object, error) {
+	classClass, err := vm.lookupWellKnown(ClassClass)
+	if err != nil {
+		return nil, err
+	}
+	return vm.alloc(t, iso, roots, func(d *heap.AllocDomain) (*heap.Object, error) {
+		return d.AllocNative(classClass, c, 0, false, iso.ID())
+	})
 }

@@ -10,9 +10,9 @@ import (
 // (the RPC copier, in-flight call results) on behalf of one isolate. It
 // closes the window the per-object Pin API leaves open: with Pin, an
 // object exists unrooted between its allocation and the Pin call, and an
-// exact collection running in that window sweeps it. A HostRoots batch
-// instead allocates and roots under one pinMu critical section
-// (alloc/Add below), and exact collections hold pinMu across
+// exact collection running in that window sweeps it. A rooted allocation
+// into a batch instead allocates and roots under one pinMu critical
+// section (VM.alloc), and exact collections hold pinMu across
 // snapshot-and-sweep (see CollectGarbage), so a rooted host allocation
 // is atomic with respect to reclamation.
 //
@@ -32,21 +32,36 @@ type HostRoots struct {
 	// Registration is lazy — an empty batch never touches the VM map,
 	// which keeps scalar-only RPC calls off the pinMu root registry.
 	registered bool
+	// collect, when non-nil, is what a rooted allocation into the batch
+	// runs on heap exhaustion before its one retry (NewCollectingRoots).
+	collect func()
 }
 
 // NewHostRoots creates an empty root batch charged to iso. The batch
-// registers itself with the collector on first Add/alloc.
+// registers itself with the collector on first Add or rooted allocation.
+// A rooted allocation into it that finds the heap exhausted fails at
+// once; host code that may collect there uses NewCollectingRoots.
 func (vm *VM) NewHostRoots(iso *core.Isolate) *HostRoots {
 	return &HostRoots{vm: vm, iso: iso.ID()}
 }
 
-// registerLocked inserts the batch into the VM's root registry. Caller
-// holds pinMu.
-func (r *HostRoots) registerLocked() {
+// NewCollectingRoots is NewHostRoots with a collector: a rooted
+// allocation into the batch that finds the heap exhausted runs collect
+// and retries once. collect decides whom the collection is charged to and
+// must be safe in the allocating goroutine's locking context (an RPC link
+// collects through its hub, because the engine may be running on another
+// goroutine).
+func (vm *VM) NewCollectingRoots(iso *core.Isolate, collect func()) *HostRoots {
+	return &HostRoots{vm: vm, iso: iso.ID(), collect: collect}
+}
+
+// addLocked roots obj in the batch. Caller holds pinMu.
+func (r *HostRoots) addLocked(obj *heap.Object) {
 	if !r.registered {
 		r.registered = true
 		r.vm.hostRoots[r] = struct{}{}
 	}
+	r.refs = append(r.refs, obj)
 }
 
 // Add roots an existing object in the batch. If a mark phase is open the
@@ -60,8 +75,7 @@ func (r *HostRoots) Add(obj *heap.Object) {
 	}
 	vm := r.vm
 	vm.pinMu.Lock()
-	r.registerLocked()
-	r.refs = append(r.refs, obj)
+	r.addLocked(obj)
 	vm.pinMu.Unlock()
 	if vm.heap.BarrierActive() {
 		vm.heap.RecordWrite(obj)
@@ -94,54 +108,24 @@ func (r *HostRoots) Release() {
 	vm.pinMu.Unlock()
 }
 
-// alloc runs one host-path heap allocation and roots the result in the
-// batch atomically with respect to exact collections: pinMu is held
-// across both, and CollectGarbage holds pinMu across snapshot-and-sweep.
-// (Under an open incremental cycle the allocation is additionally
-// admitted allocate-black by the heap, so markers never sweep it either
-// way; the pinMu section is what protects against the exact path, which
-// abandons open cycles and their allocate-black marks.)
-//
-// Unlike the interpreter's allocation path this does NOT collect on
-// exhaustion — collection needs the world stopped and the caller (the
-// RPC copier) owns that decision. ErrOutOfMemory is returned as-is.
-func (r *HostRoots) alloc(fn func() (*heap.Object, error)) (*heap.Object, error) {
-	vm := r.vm
-	vm.pinMu.Lock()
-	defer vm.pinMu.Unlock()
-	obj, err := fn()
-	if err != nil {
-		return nil, err
-	}
-	r.registerLocked()
-	r.refs = append(r.refs, obj)
-	return obj, nil
-}
-
 // AllocObjectRooted allocates an instance of class charged to iso and
 // roots it in r before any collection can observe it.
 func (vm *VM) AllocObjectRooted(r *HostRoots, class *classfile.Class, iso *core.Isolate) (*heap.Object, error) {
-	return r.alloc(func() (*heap.Object, error) {
-		return vm.heap.AllocObject(class, iso.ID())
+	return vm.alloc(nil, iso, r, func(d *heap.AllocDomain) (*heap.Object, error) {
+		return d.AllocObject(class, iso.ID())
 	})
 }
 
 // AllocArrayRooted allocates an n-element array of class charged to iso
 // and roots it in r.
 func (vm *VM) AllocArrayRooted(r *HostRoots, class *classfile.Class, n int, iso *core.Isolate) (*heap.Object, error) {
-	return r.alloc(func() (*heap.Object, error) {
-		return vm.heap.AllocArray(class, n, iso.ID())
+	return vm.alloc(nil, iso, r, func(d *heap.AllocDomain) (*heap.Object, error) {
+		return d.AllocArray(class, n, iso.ID())
 	})
 }
 
 // NewStringRooted allocates a fresh (non-interned) guest string charged
 // to iso and roots it in r.
 func (vm *VM) NewStringRooted(r *HostRoots, s string, iso *core.Isolate) (*heap.Object, error) {
-	strClass, err := vm.lookupWellKnown(ClassString)
-	if err != nil {
-		return nil, err
-	}
-	return r.alloc(func() (*heap.Object, error) {
-		return vm.heap.AllocString(strClass, s, iso.ID())
-	})
+	return vm.newString(nil, r, s, iso)
 }

@@ -64,55 +64,13 @@ func (vm *VM) SpawnThread(name string, creator *core.Isolate, m *classfile.Metho
 		return nil, fmt.Errorf("%w (%d live)", ErrTooManyThreads, live)
 	}
 	vm.nextThreadID++
-	t := &Thread{
-		id:             vm.nextThreadID,
-		name:           name,
-		vm:             vm,
-		cur:            creator,
-		creator:        creator,
-		lastSwitchTick: vm.NowTicks(),
-	}
-	t.setState(StateRunnable)
-	creator.Account().ThreadsCreated.Add(1)
-	creator.Account().ThreadsLive.Add(1)
-	vm.liveThreads.Add(1)
-	vm.threadsMu.Unlock()
-	// The thread is NOT in vm.threads yet. Frame setup below runs on the
-	// caller's goroutine, which a concurrent run's stop-the-world does
-	// not park (only scheduler workers reach safepoints); publishing the
-	// thread first would let the root scan read t.frames while this
-	// goroutine writes them. So the frames are built on the still-private
-	// thread and published under threadsMu afterwards — the mutex edge
-	// makes them visible to any scan that observes the thread listed.
-	//
-	// That privacy means pendingArgs cannot root the entry arguments
-	// (the scan only walks listed threads); the staged-args registry
-	// keeps them alive across call setup instead, and records them with
-	// an open mark phase's barrier — host-held references entering the
-	// mutator world are outside the cycle's root snapshot, so without the
-	// record the new thread could store one into an already-scanned
-	// holder and the terminal re-scan would never see it (the heap fuzz
-	// harness reproduces exactly this).
-	vm.stageEntryArgs(t, creator, args)
-	err := vm.pushFrame(t, m, args, nil)
-	if err != nil {
-		vm.unstageEntryArgs(t)
-		vm.finishThread(t)
-		t.err = err
+	// A fresh thread is finished and unlisted (pruned) until start lists
+	// it and publishes its frames.
+	t := &Thread{id: vm.nextThreadID, vm: vm, pruned: true}
+	t.setState(StateDone)
+	if err := vm.start(t, name, creator, m, args); err != nil {
 		return nil, err
 	}
-	vm.threadsMu.Lock()
-	vm.threads = append(vm.threads, t)
-	delete(vm.stagedEntryArgs, t) // the frame locals root the arguments now
-	delete(vm.threadFree, creator)
-	vm.threadsMu.Unlock()
-	// The arrival stamp is taken here, not at construction: this is the
-	// moment the scheduler learns of the thread, and pushFrame above can
-	// do real work (frame setup, barrier records) during which a
-	// descheduled host goroutine must not bill the VM's progress as
-	// request queueing time.
-	t.spawnTick = vm.NowTicks()
-	vm.notifyThreadSpawned(t)
 	return t, nil
 }
 
@@ -127,7 +85,7 @@ type stagedArgs struct {
 
 // stageEntryArgs roots a spawn/respawn entry-argument window for the
 // interval during which its thread is invisible to the GC root scan
-// (unlisted, or listed but still Done). A window without references
+// (listed but still Done, see start). A window without references
 // stages nothing. Staged references are also recorded with an open
 // incremental cycle, keeping the SATB invariant for host-injected
 // values. The registry is threadsMu-guarded (not HostRoots/pinMu):
@@ -153,10 +111,8 @@ func (vm *VM) stageEntryArgs(t *Thread, creator *core.Isolate, args []heap.Value
 	}
 }
 
-// unstageEntryArgs drops a staged window and ends a respawn's arming
-// interval (RespawnThread's publication step, and the frame-setup failure
-// path of both spawns; SpawnThread's success path unstages inline with
-// its listing).
+// unstageEntryArgs drops a staged window and ends the thread's arming
+// interval (start's publication step and its frame-setup failure path).
 func (vm *VM) unstageEntryArgs(t *Thread) {
 	vm.threadsMu.Lock()
 	delete(vm.stagedEntryArgs, t)
@@ -195,6 +151,29 @@ func (vm *VM) RespawnThread(t *Thread, name string, creator *core.Isolate, m *cl
 		vm.threadsMu.Unlock()
 		return fmt.Errorf("%w (%d live)", ErrTooManyThreads, live)
 	}
+	t.shell = true
+	return vm.start(t, name, creator, m, args)
+}
+
+// start is the one thread start, of a fresh thread (SpawnThread) and of a
+// recycled one (RespawnThread): t is Done with no frames, and threadsMu is
+// held on entry and released inside. The start is charged to creator
+// (ThreadsCreated/ThreadsLive) and t is listed — again, if the table rule
+// dropped it — but stays Done, with arming set so the rule keeps it, while
+// its frames are built. Frame setup runs on the caller's goroutine, which
+// a concurrent run's stop-the-world does not park (only scheduler workers
+// reach safepoints), and the root scan skips Done threads, so a scan on
+// another goroutine never reads t.frames while this one writes them; the
+// atomic flip to Runnable is the publication point.
+//
+// Until then no scanned frame holds the entry arguments, so the
+// staged-args registry keeps them alive across call setup, and records
+// them with an open mark phase's barrier — host-held references entering
+// the mutator world are outside the cycle's root snapshot, so without the
+// record the new thread could store one into an already-scanned holder
+// and the terminal re-scan would never see it (the heap fuzz harness
+// reproduces exactly this).
+func (vm *VM) start(t *Thread, name string, creator *core.Isolate, m *classfile.Method, args []heap.Value) error {
 	delete(vm.threadFree, creator)
 	t.name = name
 	t.cur = creator
@@ -211,7 +190,6 @@ func (vm *VM) RespawnThread(t *Thread, name string, creator *core.Isolate, m *cl
 	t.savedLock = 0
 	t.resumeKind, t.resumeThrow = resumeNone, nil
 	t.slowStep = false
-	t.shell = true
 	creator.Account().ThreadsCreated.Add(1)
 	creator.Account().ThreadsLive.Add(1)
 	vm.liveThreads.Add(1)
@@ -219,17 +197,8 @@ func (vm *VM) RespawnThread(t *Thread, name string, creator *core.Isolate, m *cl
 		t.pruned = false
 		vm.threads = append(vm.threads, t)
 	}
-	// Still Done until the frames are built: a stop on another goroutine
-	// in between must not take the thread for a finished one and drop it
-	// from the table.
 	t.arming = true
 	vm.threadsMu.Unlock()
-	// Same publication discipline as SpawnThread: the thread stays Done —
-	// which the root scan skips — until its frames are fully built, so a
-	// stop-the-world scan on another goroutine never reads t.frames while
-	// this one writes them. The atomic state flip below is the
-	// publication point; the staged-args registry keeps the arguments
-	// alive (and SATB-recorded) while the thread is invisible.
 	vm.stageEntryArgs(t, creator, args)
 	err := vm.pushFrame(t, m, args, nil)
 	if err != nil {
@@ -238,9 +207,16 @@ func (vm *VM) RespawnThread(t *Thread, name string, creator *core.Isolate, m *cl
 		t.err = err
 		return err
 	}
-	// Same arrival-stamp placement as SpawnThread.
+	// The arrival stamp is taken here, not at the start: this is the moment
+	// the scheduler learns of the thread, and pushFrame above can do real
+	// work (frame setup, barrier records) during which a descheduled host
+	// goroutine must not bill the VM's progress as request queueing time.
 	t.spawnTick = vm.NowTicks()
-	t.setState(StateRunnable)
+	// A call into a killed isolate throws, uncaught, and pushFrame has
+	// finished the thread already: it stays Done.
+	if len(t.frames) > 0 {
+		t.setState(StateRunnable)
+	}
 	// Scannable now (a scan that misses the staged entry must have
 	// acquired threadsMu after this delete, hence after the state flip
 	// above, so it walks the completed frames instead).

@@ -499,13 +499,7 @@ func (vm *VM) classObjectRooted(c *classfile.Class, iso *core.Isolate, roots *Ho
 	if obj, ok := memo[c]; ok {
 		return obj, nil
 	}
-	classClass, err := vm.lookupWellKnown(ClassClass)
-	if err != nil {
-		return nil, err
-	}
-	obj, err := roots.alloc(func() (*heap.Object, error) {
-		return vm.heap.AllocNative(classClass, c, 0, false, iso.ID())
-	})
+	obj, err := vm.newClassObject(nil, roots, c, iso)
 	if err != nil {
 		return nil, err
 	}

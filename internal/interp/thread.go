@@ -285,12 +285,12 @@ type Thread struct {
 	// thread is no GC root: failure may be swept afterwards).
 	failureText string
 
-	// pruned records that compactThreadsLocked dropped this thread from
-	// the thread table (guarded by vm.threadsMu). RespawnThread re-appends
-	// pruned threads; without the flag it could not tell membership
-	// without an O(threads) scan.
+	// pruned records that the thread is not in the thread table: it is
+	// fresh, or compactThreadsLocked dropped it (guarded by vm.threadsMu).
+	// A thread start (VM.start) appends pruned threads; without the flag it
+	// could not tell membership without an O(threads) scan.
 	pruned bool
-	// arming is set while RespawnThread rebuilds the thread's frames: the
+	// arming is set while a thread start builds the thread's frames: the
 	// thread is listed and still Done, and the table rule must keep it
 	// (guarded by vm.threadsMu).
 	arming bool

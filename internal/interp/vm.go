@@ -422,11 +422,7 @@ func (vm *VM) InternString(t *Thread, iso *core.Isolate, s string) (*heap.Object
 	if obj, ok := iso.InternedString(s); ok {
 		return obj, nil
 	}
-	strClass, err := vm.lookupWellKnown(ClassString)
-	if err != nil {
-		return nil, err
-	}
-	obj, err := vm.allocStringRaw(t, strClass, s, iso)
+	obj, err := vm.newString(t, nil, s, iso)
 	if err != nil {
 		return nil, err
 	}
@@ -437,11 +433,7 @@ func (vm *VM) InternString(t *Thread, iso *core.Isolate, s string) (*heap.Object
 
 // NewStringObject allocates a fresh (non-interned) guest string.
 func (vm *VM) NewStringObject(t *Thread, iso *core.Isolate, s string) (*heap.Object, error) {
-	strClass, err := vm.lookupWellKnown(ClassString)
-	if err != nil {
-		return nil, err
-	}
-	return vm.allocStringRaw(t, strClass, s, iso)
+	return vm.newString(t, nil, s, iso)
 }
 
 // ClassObjectFor returns the per-isolate java.lang.Class object of class c
@@ -452,11 +444,7 @@ func (vm *VM) ClassObjectFor(t *Thread, c *classfile.Class, iso *core.Isolate) (
 	if obj := m.ClassObject.Load(); obj != nil {
 		return obj, nil
 	}
-	classClass, err := vm.lookupWellKnown(ClassClass)
-	if err != nil {
-		return nil, err
-	}
-	obj, err := vm.allocNativeRaw(t, classClass, c, 0, false, iso)
+	obj, err := vm.newClassObject(t, nil, c, iso)
 	if err != nil {
 		return nil, err
 	}

@@ -15,8 +15,6 @@ import (
 type AdminPolicy struct {
 	// Thresholds drive the detectors.
 	Thresholds core.Thresholds
-	// MaxKills bounds administrative kills per run (0 = unlimited).
-	MaxKills int
 	// DryRun reports findings without killing.
 	DryRun bool
 	// Protected lists bundle names the admin must never kill.
@@ -80,8 +78,6 @@ func (a *AutoAdmin) Tick() ([]AdminAction, error) {
 			action.Reason = "dry run"
 		case a.isProtected(b.Name()):
 			action.Reason = "protected bundle"
-		case a.policy.MaxKills > 0 && a.kills >= a.policy.MaxKills:
-			action.Reason = "kill budget exhausted"
 		default:
 			if err := a.fw.KillBundle(b); err != nil {
 				return actions, fmt.Errorf("auto-admin killing %s: %w", b.Name(), err)

@@ -61,10 +61,11 @@ type copier struct {
 	srcIso *core.Isolate
 	// roots is the destination-side root batch; every materialized copy
 	// and every shared object is added before any subsequent allocation.
+	// Its creator gave it the collector an exhausted heap runs before the
+	// one retry (interp.VM.NewCollectingRoots): the hub's for links, whose
+	// engine may be running on another goroutine, a plain collection
+	// charged to nobody for DeepCopyValue and the serial baseline.
 	roots *interp.HostRoots
-	// collect is invoked (once per allocation) on heap exhaustion before
-	// retrying; it must be safe in the caller's locking context.
-	collect func()
 
 	budget int64
 	copied int64
@@ -135,9 +136,7 @@ func (c *copier) translate(v heap.Value) (heap.Value, error) {
 				return heap.RefVal(shared), nil
 			}
 		}
-		dup, err := c.alloc(func() (*heap.Object, error) {
-			return c.vm.NewStringRooted(c.roots, s, c.target)
-		})
+		dup, err := c.vm.NewStringRooted(c.roots, s, c.target)
 		if err != nil {
 			return heap.Value{}, err
 		}
@@ -156,9 +155,7 @@ func (c *copier) translate(v heap.Value) (heap.Value, error) {
 			c.memo[src] = src
 			return heap.RefVal(src), nil
 		}
-		dup, err := c.alloc(func() (*heap.Object, error) {
-			return c.vm.AllocArrayRooted(c.roots, src.Class, len(src.Elems), c.target)
-		})
+		dup, err := c.vm.AllocArrayRooted(c.roots, src.Class, len(src.Elems), c.target)
 		if err != nil {
 			return heap.Value{}, err
 		}
@@ -169,9 +166,7 @@ func (c *copier) translate(v heap.Value) (heap.Value, error) {
 	if src.Native() != nil {
 		return heap.Value{}, fmt.Errorf("rpc: cannot copy native-payload object of class %s", src.Class.Name)
 	}
-	dup, err := c.alloc(func() (*heap.Object, error) {
-		return c.vm.AllocObjectRooted(c.roots, src.Class, c.target)
-	})
+	dup, err := c.vm.AllocObjectRooted(c.roots, src.Class, c.target)
 	if err != nil {
 		return heap.Value{}, err
 	}
@@ -186,18 +181,6 @@ func (c *copier) charge() error {
 		return ErrCopyBudget
 	}
 	return nil
-}
-
-// alloc retries one allocation across a collection: rooted allocations
-// do not collect internally (the collection strategy depends on whether
-// the caller already owns the engine), so exhaustion surfaces here.
-func (c *copier) alloc(fn func() (*heap.Object, error)) (*heap.Object, error) {
-	obj, err := fn()
-	if errors.Is(err, heap.ErrOutOfMemory) && c.collect != nil {
-		c.collect()
-		obj, err = fn()
-	}
-	return obj, err
 }
 
 // abandon releases the copier's roots and pins after a failed copy; the
@@ -228,11 +211,8 @@ func DeepCopyValue(vm *interp.VM, v heap.Value, target *core.Isolate) (heap.Valu
 	c := &copier{
 		vm:     vm,
 		target: target,
-		roots:  vm.NewHostRoots(target),
+		roots:  vm.NewCollectingRoots(target, func() { vm.CollectGarbage(nil) }),
 		budget: DefaultCopyBudget,
-		collect: func() {
-			vm.CollectGarbage(nil)
-		},
 	}
 	// Root the source too: the collection on the retry path must not
 	// sweep a source graph the caller holds only from host code.

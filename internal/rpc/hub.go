@@ -29,6 +29,9 @@ import (
 // only around queue manipulation, never while guest code runs.
 type Hub struct {
 	vm *interp.VM
+	// collect is Collect(nil), made once: the collector of every link
+	// copy's root batch.
+	collect func()
 
 	// execMu serializes all guest execution and engine-touching admin
 	// operations driven through this hub. Every pool's spare shells and
@@ -71,9 +74,9 @@ type HubStats struct {
 	PoolsRetired int64
 }
 
-// DefaultWorkers is the per-callee worker count when LinkOptions.Workers
-// is zero. Workers multiplex one sequential engine, so this bounds how
-// many requests are in flight per callee, not parallelism.
+// DefaultWorkers is the per-callee worker count. Workers multiplex one
+// sequential engine, so this bounds how many requests are in flight per
+// callee, not parallelism.
 const DefaultWorkers = 2
 
 // batchMax bounds how many queued requests one claim takes, by a worker
@@ -91,7 +94,9 @@ const dispatchSlice = 65536
 // NewHub creates a hub for vm. One hub should own all RPC traffic on a
 // VM: two hubs would each believe they own the engine.
 func NewHub(vm *interp.VM) *Hub {
-	return &Hub{vm: vm, pools: make(map[*core.Isolate]*pool)}
+	h := &Hub{vm: vm, pools: make(map[*core.Isolate]*pool)}
+	h.collect = func() { h.Collect(nil) }
+	return h
 }
 
 // VM returns the hub's virtual machine.
@@ -154,10 +159,7 @@ func (h *Hub) Close() {
 
 // poolFor returns the worker pool serving callee, claimed for one more
 // link; it starts the pool if the callee has none.
-func (h *Hub) poolFor(callee *core.Isolate, workers int) (*pool, error) {
-	if workers <= 0 {
-		workers = DefaultWorkers
-	}
+func (h *Hub) poolFor(callee *core.Isolate) (*pool, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed.Load() {
@@ -168,8 +170,8 @@ func (h *Hub) poolFor(callee *core.Isolate, workers int) (*pool, error) {
 		p = &pool{hub: h}
 		p.cond = sync.NewCond(&p.mu)
 		h.pools[callee] = p
-		p.wg.Add(workers)
-		for i := 0; i < workers; i++ {
+		p.wg.Add(DefaultWorkers)
+		for i := 0; i < DefaultWorkers; i++ {
 			go p.worker()
 		}
 	}

@@ -44,10 +44,6 @@ type LinkOptions struct {
 	// CopyBudget bounds objects materialized per argument/result copy.
 	// Default DefaultCopyBudget.
 	CopyBudget int64
-	// Workers is the callee's server-pool size (shared by all links to
-	// the same callee; the first link's value wins). Default
-	// DefaultWorkers.
-	Workers int
 	// ZeroCopy shares deeply immutable payloads instead of copying them:
 	// interned strings are published into the callee's pool, frozen
 	// arrays (heap.Freeze) are shared and pinned for the call window.
@@ -66,9 +62,6 @@ func (o *LinkOptions) fill() {
 	}
 	if o.CopyBudget <= 0 {
 		o.CopyBudget = DefaultCopyBudget
-	}
-	if o.Workers <= 0 {
-		o.Workers = DefaultWorkers
 	}
 }
 
@@ -224,7 +217,7 @@ func NewLink(vm *interp.VM, caller, callee *core.Isolate, m *classfile.Method, r
 // recv (Void for static methods) served by h's worker pool for callee.
 func (h *Hub) NewLink(caller, callee *core.Isolate, m *classfile.Method, recv heap.Value, opts LinkOptions) (*Link, error) {
 	opts.fill()
-	p, err := h.poolFor(callee, opts.Workers)
+	p, err := h.poolFor(callee)
 	if err != nil {
 		return nil, err
 	}
@@ -482,11 +475,10 @@ func (l *Link) submit(args []heap.Value, signal bool) (*Future, error) {
 			srcRoots.AddValue(args[i])
 		}
 		c := &copier{
-			vm:      vm,
-			target:  l.callee,
-			roots:   vm.NewHostRoots(l.callee),
-			budget:  l.opts.CopyBudget,
-			collect: func() { l.hub.Collect(nil) },
+			vm:     vm,
+			target: l.callee,
+			roots:  vm.NewCollectingRoots(l.callee, l.hub.collect),
+			budget: l.opts.CopyBudget,
 		}
 		if l.opts.ZeroCopy {
 			c.srcIso = l.caller
@@ -730,11 +722,10 @@ func (h *Hub) copyOut(req *request, v heap.Value) {
 		return
 	}
 	c := &copier{
-		vm:      h.vm,
-		target:  l.caller,
-		roots:   h.vm.NewHostRoots(l.caller),
-		budget:  l.opts.CopyBudget,
-		collect: func() { h.Collect(nil) },
+		vm:     h.vm,
+		target: l.caller,
+		roots:  h.vm.NewCollectingRoots(l.caller, h.collect),
+		budget: l.opts.CopyBudget,
 	}
 	if l.opts.ZeroCopy {
 		c.srcIso = l.callee

@@ -97,7 +97,7 @@ func (s *RMIServer) dispatch(payload []byte) []byte {
 	defer s.mu.Unlock()
 	// The arguments stay rooted until CallRoot has handed them to the
 	// callee thread.
-	roots := s.vm.NewHostRoots(s.callee)
+	roots := s.vm.NewCollectingRoots(s.callee, func() { s.vm.CollectGarbage(s.callee) })
 	defer roots.Release()
 	args, err := unmarshal(s.vm, payload, s.callee, s.resolver, roots)
 	if err != nil {

@@ -95,15 +95,9 @@ func (l *SerialLink) Call(args []heap.Value) (heap.Value, error) {
 	if l.closed {
 		return heap.Value{}, ErrLinkClosed
 	}
-	roots := l.vm.NewHostRoots(l.callee)
+	roots := l.vm.NewCollectingRoots(l.callee, func() { l.vm.CollectGarbage(nil) })
 	defer roots.Release()
-	in := &copier{
-		vm:      l.vm,
-		target:  l.callee,
-		roots:   roots,
-		budget:  DefaultCopyBudget,
-		collect: func() { l.vm.CollectGarbage(nil) },
-	}
+	in := &copier{vm: l.vm, target: l.callee, roots: roots, budget: DefaultCopyBudget}
 	// The source graph stays live across a copy-time collection in a batch
 	// charged to the caller, whose graph it is (as Link.submit roots it): an
 	// accounting collection inside the copy window must not bill it to the

@@ -3,7 +3,6 @@ package rpc
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -106,16 +105,16 @@ func writeString(buf *bytes.Buffer, s string) {
 // must root them (or hand them to a thread) before the next collection,
 // as with DeepCopyValue.
 func Unmarshal(vm *interp.VM, data []byte, target *core.Isolate, resolver *loader.Loader) ([]heap.Value, error) {
-	roots := vm.NewHostRoots(target)
+	roots := vm.NewCollectingRoots(target, func() { vm.CollectGarbage(target) })
 	defer roots.Release()
 	return unmarshal(vm, data, target, resolver, roots)
 }
 
 // unmarshal is Unmarshal with every decoded object rooted in roots, which
-// must be empty: a later allocation in the same payload may collect, and
-// until the payload is complete nothing but the batch references what was
-// decoded before it. The batch's roots double as the back-reference
-// table, in wire order.
+// must be empty: a later allocation in the same payload may collect (the
+// batch's collector, charged to the target), and until the payload is
+// complete nothing but the batch references what was decoded before it.
+// The batch's roots double as the back-reference table, in wire order.
 func unmarshal(vm *interp.VM, data []byte, target *core.Isolate, resolver *loader.Loader, roots *interp.HostRoots) ([]heap.Value, error) {
 	r := bytes.NewReader(data)
 	var n uint32
@@ -140,17 +139,6 @@ type decoder struct {
 	target   *core.Isolate
 	resolver *loader.Loader
 	roots    *interp.HostRoots
-}
-
-// alloc retries one rooted allocation across a collection charged to the
-// target: rooted allocations do not collect on their own.
-func (d *decoder) alloc(fn func() (*heap.Object, error)) (*heap.Object, error) {
-	obj, err := fn()
-	if errors.Is(err, heap.ErrOutOfMemory) {
-		d.vm.CollectGarbage(d.target)
-		obj, err = fn()
-	}
-	return obj, err
 }
 
 func (d *decoder) value() (heap.Value, error) {
@@ -180,9 +168,7 @@ func (d *decoder) value() (heap.Value, error) {
 		if err != nil {
 			return heap.Value{}, err
 		}
-		obj, err := d.alloc(func() (*heap.Object, error) {
-			return d.vm.NewStringRooted(d.roots, s, d.target)
-		})
+		obj, err := d.vm.NewStringRooted(d.roots, s, d.target)
 		if err != nil {
 			return heap.Value{}, err
 		}
@@ -210,9 +196,7 @@ func (d *decoder) value() (heap.Value, error) {
 		if err := binary.Read(d.r, binary.LittleEndian, &n); err != nil {
 			return heap.Value{}, err
 		}
-		arr, err := d.alloc(func() (*heap.Object, error) {
-			return d.vm.AllocArrayRooted(d.roots, class, int(n), d.target)
-		})
+		arr, err := d.vm.AllocArrayRooted(d.roots, class, int(n), d.target)
 		if err != nil {
 			return heap.Value{}, err
 		}
@@ -237,9 +221,7 @@ func (d *decoder) value() (heap.Value, error) {
 		if err := binary.Read(d.r, binary.LittleEndian, &n); err != nil {
 			return heap.Value{}, err
 		}
-		obj, err := d.alloc(func() (*heap.Object, error) {
-			return d.vm.AllocObjectRooted(d.roots, class, d.target)
-		})
+		obj, err := d.vm.AllocObjectRooted(d.roots, class, d.target)
 		if err != nil {
 			return heap.Value{}, err
 		}

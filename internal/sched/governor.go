@@ -65,9 +65,6 @@ type GovernorConfig struct {
 	// SleepersMax marks an isolate hot when its sleeping-thread gauge
 	// exceeds this (monitor/sleep hogs, attack A7; default 16).
 	SleepersMax int64
-	// SaturationsPerWindow marks an isolate hot when it drives at least
-	// this many saturated RPC submissions in one window (default 64).
-	SaturationsPerWindow int64
 	// DeprioritizeAfter / ThrottleAfter are the consecutive-hot-window
 	// counts that trigger each stage (defaults 2 and 3 — a single hot
 	// window is indistinguishable from an interactive tenant's request
@@ -79,16 +76,19 @@ type GovernorConfig struct {
 	DeprioritizeAfter int
 	ThrottleAfter     int
 	KillAfter         int
-	// CalmAfter is the consecutive-calm-window count that resets an
-	// isolate to normal, restoring its weight and admission (default 4).
-	CalmAfter int
 	// DeprioritizeDivisor divides the offender's weight while
 	// deprioritized (default 8).
 	DeprioritizeDivisor int64
-	// Exempt, when non-nil, excludes isolates from governance (Isolate0
-	// is always exempt).
-	Exempt func(*core.Isolate) bool
 }
+
+const (
+	// saturationsPerWindow marks an isolate hot when it drives at least
+	// this many saturated RPC submissions in one window.
+	saturationsPerWindow = 64
+	// calmAfter is the consecutive-calm-window count that resets an
+	// isolate to normal, restoring its weight and admission.
+	calmAfter = 4
+)
 
 func (c *GovernorConfig) fill() {
 	if c.WindowInstrs <= 0 {
@@ -106,9 +106,6 @@ func (c *GovernorConfig) fill() {
 	if c.SleepersMax <= 0 {
 		c.SleepersMax = 16
 	}
-	if c.SaturationsPerWindow <= 0 {
-		c.SaturationsPerWindow = 64
-	}
 	if c.DeprioritizeAfter <= 0 {
 		c.DeprioritizeAfter = 2
 	}
@@ -117,9 +114,6 @@ func (c *GovernorConfig) fill() {
 	}
 	if c.KillAfter <= 0 {
 		c.KillAfter = 6
-	}
-	if c.CalmAfter <= 0 {
-		c.CalmAfter = 4
 	}
 	if c.DeprioritizeDivisor <= 1 {
 		c.DeprioritizeDivisor = 8
@@ -257,9 +251,6 @@ func (g *Governor) sampleLocked(vm *interp.VM) []*core.Isolate {
 		if iso.IsIsolate0() || iso.Killed() {
 			continue
 		}
-		if g.cfg.Exempt != nil && g.cfg.Exempt(iso) {
-			continue
-		}
 		e, ok := g.entries[iso]
 		if !ok {
 			e = &govEntry{}
@@ -295,7 +286,7 @@ func (g *Governor) sampleLocked(vm *interp.VM) []*core.Isolate {
 			s.allocDelta >= 4*g.cfg.AllocBytesPerWindow
 		cpuHot := activeN > 1 && s.instrDelta*activeN > totalDelta*g.cfg.CPUFactor
 		sleeperHot := e.SleepingThreads.Load() > g.cfg.SleepersMax
-		satHot := s.satDelta >= g.cfg.SaturationsPerWindow
+		satHot := s.satDelta >= saturationsPerWindow
 		hot := critical || cpuHot || sleeperHot || satHot
 		if g.applyLocked(s.iso, s.e, hot, critical) {
 			kills = append(kills, s.iso)
@@ -321,7 +312,7 @@ func (g *Governor) applyLocked(iso *core.Isolate, e *govEntry, hot, critical boo
 	} else {
 		e.hotStreak = 0
 		e.calmStreak++
-		if e.stage != StageNormal && e.calmStreak >= g.cfg.CalmAfter {
+		if e.stage != StageNormal && e.calmStreak >= calmAfter {
 			iso.SetThrottled(false)
 			if e.baseWeight > 0 {
 				iso.SetWeight(e.baseWeight)

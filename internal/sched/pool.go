@@ -80,7 +80,7 @@ const sliceFactor = 8
 // remainder-carry division in advanceVrt.
 const vrtUnit = core.DefaultWeight
 
-// agingFactor sets the default aging threshold (in executed
+// agingFactor sets the aging threshold (in executed
 // instructions, global clock) as a multiple of the slice length: a
 // shard queued longer than this outranks class and virtual-time order
 // (FIFO among aged shards), bounding worst-case queue delay even under
@@ -115,10 +115,6 @@ type Config struct {
 	// Governor, when non-nil, is sampled at dispatch boundaries for
 	// admission control and load shedding.
 	Governor *Governor
-	// AgingInstrs overrides the aging threshold (global executed
-	// instructions a shard may wait queued before it outranks class and
-	// virtual-time order); 0 selects agingFactor×slice.
-	AgingInstrs int64
 }
 
 type shardState uint8
@@ -356,10 +352,7 @@ func RunConfig(vm *interp.VM, cfg Config) interp.RunResult {
 	p.slice = p.quantum * sliceFactor
 	p.nworkers = workers
 	p.procs = runtime.GOMAXPROCS(0)
-	p.aging = cfg.AgingInstrs
-	if p.aging <= 0 {
-		p.aging = p.slice * agingFactor
-	}
+	p.aging = p.slice * agingFactor
 	p.nextWake = math.MaxInt64
 	p.cond = sync.NewCond(&p.mu)
 	p.work = sync.NewCond(&p.mu)

@@ -46,11 +46,6 @@ type Config struct {
 	// ChurnEvery kills and reinstalls one service bundle each time the
 	// mesh completes that many requests (0 disables churn).
 	ChurnEvery int
-	// Retry makes frontends retry legs refused by transient
-	// backpressure (saturation, governor throttles) with jittered
-	// backoff instead of counting them rejected: pressure degrades to
-	// latency, not errors.
-	Retry bool
 }
 
 func (c *Config) fill() {
@@ -74,7 +69,6 @@ type Result struct {
 	Completed int64 // legs that returned a value
 	Failed    int64 // legs lost to kills, closed links, budgets
 	Rejected  int64 // legs refused fail-fast by queue backpressure
-	Retried   int64 // legs that went through the backoff-retry path
 	Churns    int   // kill + reinstall cycles performed
 	Checksum  int64 // sum of completed scalar results
 	Wall      time.Duration
@@ -84,8 +78,8 @@ type Result struct {
 }
 
 func (r *Result) String() string {
-	return fmt.Sprintf("mesh: %d req, %d ok / %d failed / %d rejected / %d retried legs, %d churns, p50=%s p99=%s, %.0f legs/s",
-		r.Requests, r.Completed, r.Failed, r.Rejected, r.Retried, r.Churns, r.P50, r.P99, r.Throughput)
+	return fmt.Sprintf("mesh: %d req, %d ok / %d failed / %d rejected legs, %d churns, p50=%s p99=%s, %.0f legs/s",
+		r.Requests, r.Completed, r.Failed, r.Rejected, r.Churns, r.P50, r.P99, r.Throughput)
 }
 
 const prefix = "mesh/svc/"
@@ -192,10 +186,10 @@ func Run(cfg Config) (*Result, error) {
 	opts := rpc.LinkOptions{QueueDepth: cfg.QueueDepth, ZeroCopy: cfg.ZeroCopy}
 
 	var (
-		completed, failed, rejected, retried, checksum, doneReqs int64
-		mismatch                                                 atomic.Value // first wrong-result error
-		latMu                                                    sync.Mutex
-		lats                                                     []time.Duration
+		completed, failed, rejected, checksum, doneReqs int64
+		mismatch                                        atomic.Value // first wrong-result error
+		latMu                                           sync.Mutex
+		lats                                            []time.Duration
 	)
 	classify := func(err error) {
 		if errors.Is(err, rpc.ErrSaturated) {
@@ -226,33 +220,10 @@ func Run(cfg Config) (*Result, error) {
 
 	start := time.Now()
 	var wg sync.WaitGroup
-	for fi, f := range fronts {
+	for _, f := range fronts {
 		wg.Add(1)
-		go func(fi int, f *frontend) {
+		go func(f *frontend) {
 			defer wg.Done()
-			var bo *rpc.Backoff
-			if cfg.Retry {
-				bo = &rpc.Backoff{Seed: uint64(fi) + 1}
-			}
-			// retryLeg re-submits one service's leg under backoff: the
-			// full service name is a single-match fan-out prefix.
-			retryLeg := func(service string, args []heap.Value) (heap.Value, error) {
-				var v heap.Value
-				err := bo.Do(func() error {
-					legs := reg.FanOut(hub, f.iso, service, method, desc, opts, args)
-					if len(legs) == 0 {
-						return rpc.ErrLinkClosed // churned away mid-retry
-					}
-					if legs[0].Err != nil {
-						return legs[0].Err
-					}
-					v2, werr := legs[0].Fut.Wait()
-					legs[0].Fut.Release()
-					v = v2
-					return werr
-				})
-				return v, err
-			}
 			myLats := make([]time.Duration, 0, cfg.Requests)
 			for r := 0; r < cfg.Requests; r++ {
 				x := int64(r % 1000)
@@ -269,10 +240,6 @@ func Run(cfg Config) (*Result, error) {
 					if err == nil {
 						v, err = leg.Fut.Wait()
 						leg.Fut.Release()
-					}
-					if err != nil && bo != nil && rpc.Retryable(err) {
-						atomic.AddInt64(&retried, 1)
-						v, err = retryLeg(leg.Service, args)
 					}
 					if err != nil {
 						classify(err)
@@ -292,7 +259,7 @@ func Run(cfg Config) (*Result, error) {
 			latMu.Lock()
 			lats = append(lats, myLats...)
 			latMu.Unlock()
-		}(fi, f)
+		}(f)
 	}
 	wg.Wait()
 	wall := time.Since(start)
@@ -315,7 +282,6 @@ func Run(cfg Config) (*Result, error) {
 		Completed: completed,
 		Failed:    failed,
 		Rejected:  rejected,
-		Retried:   retried,
 		Churns:    churns,
 		Checksum:  checksum,
 		Wall:      wall,
