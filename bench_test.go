@@ -194,8 +194,11 @@ type seedAllocator struct {
 	limit   int64
 	used    int64
 	objects []*heap.Object
-	allocs  map[heap.IsolateID]*heap.AllocStats
+	allocs  map[heap.IsolateID]*seedAllocStats
 }
+
+// seedAllocStats is one isolate's entry in the seed heap's statistics map.
+type seedAllocStats struct{ Objects, Bytes int64 }
 
 func (h *seedAllocator) allocObject(c *classfile.Class, iso heap.IsolateID) (*heap.Object, error) {
 	size := int64(heap.ObjectHeaderBytes)
@@ -209,7 +212,7 @@ func (h *seedAllocator) allocObject(c *classfile.Class, iso heap.IsolateID) (*he
 	h.objects = append(h.objects, o)
 	s := h.allocs[iso]
 	if s == nil {
-		s = &heap.AllocStats{}
+		s = &seedAllocStats{}
 		h.allocs[iso] = s
 	}
 	s.Objects++
@@ -218,7 +221,7 @@ func (h *seedAllocator) allocObject(c *classfile.Class, iso heap.IsolateID) (*he
 }
 
 // sampleAll mirrors one detector sweep against the seed heap: Used,
-// NumObjects and every isolate's AllocStatsFor, all behind the same
+// NumObjects and every isolate's allocated bytes, all behind the same
 // global mutex that admission takes (the seed accessors each locked
 // h.mu; Snapshots() made one such sweep per watchdog tick).
 func (h *seedAllocator) sampleAll(isolates int) int64 {
@@ -236,9 +239,9 @@ func (h *seedAllocator) sampleAll(isolates int) int64 {
 // allocBenchPollers is the number of monitoring goroutines sampling the
 // usage metrics while the allocators run — the paper's admin plane (the
 // watchdogs of internal/limits and the attack detectors poll
-// Used/NumObjects/AllocStatsFor continuously). Under the seed
-// discipline those reads took the allocator's global mutex; the sharded
-// heap serves them from atomic aggregates.
+// Used, NumObjects and the accounts' allocated bytes continuously). Under
+// the seed discipline those reads took the allocator's global mutex; the
+// sharded heap and the accounts serve them from atomics.
 const allocBenchPollers = 4
 
 func runAllocBatch(c *classfile.Class, shardLocal bool) error {
@@ -247,8 +250,9 @@ func runAllocBatch(c *classfile.Class, shardLocal bool) error {
 	if shardLocal {
 		h = heap.New(1 << 40) // never exhausts: measures admission, not GC
 	} else {
-		seed = &seedAllocator{limit: 1 << 40, allocs: make(map[heap.IsolateID]*heap.AllocStats)}
+		seed = &seedAllocator{limit: 1 << 40, allocs: make(map[heap.IsolateID]*seedAllocStats)}
 	}
+	accounts := make([]core.AccountCounters, allocBenchGoroutines)
 	done := make(chan struct{})
 	defer close(done)
 	for p := 0; p < allocBenchPollers; p++ {
@@ -262,8 +266,8 @@ func runAllocBatch(c *classfile.Class, shardLocal bool) error {
 				}
 				if shardLocal {
 					sink += h.Used() + int64(h.NumObjects())
-					for iso := 0; iso < allocBenchGoroutines; iso++ {
-						sink += h.AllocStatsFor(heap.IsolateID(iso)).Bytes
+					for iso := range accounts {
+						sink += accounts[iso].AllocatedBytes.Load()
 					}
 				} else {
 					sink += seed.sampleAll(allocBenchGoroutines)
@@ -281,14 +285,13 @@ func runAllocBatch(c *classfile.Class, shardLocal bool) error {
 			if shardLocal {
 				dom := h.NewDomain()
 				var batch core.ByteBatch
-				counters := h.CountersFor(iso)
 				for i := 0; i < allocBenchPerG; i++ {
 					obj, err := dom.AllocObject(c, iso)
 					if err != nil {
 						errs[g] = err
 						return
 					}
-					batch.Note(counters, obj.Size(), false)
+					batch.Note(&accounts[g], obj.Size())
 				}
 				batch.Flush()
 				return

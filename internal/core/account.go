@@ -1,15 +1,13 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"ijvm/internal/heap"
-)
+import "sync/atomic"
 
 // AccountCounters holds the mutable per-isolate resource counters the
-// paper's resource accounting maintains (§3.2). Memory counters live in
-// the heap (creator-charged allocation counters plus GC-recomputed live
-// usage) and are merged into Snapshot by the World.
+// paper's resource accounting maintains (§3.2), allocation totals
+// included: the heap charges no isolate, the interpreter charges every
+// admitted object here. The one per-isolate number that is not a counter
+// is live usage, which each collection recomputes and hands to the isolate
+// (Isolate.Live); it is not part of the account, so Seed never copies it.
 //
 // Every counter is an atomic: the concurrent scheduler (internal/sched)
 // lets threads of different isolates execute in parallel, and counters of
@@ -72,6 +70,13 @@ type AccountCounters struct {
 	// the governor's signal that the isolate floods a callee faster than
 	// it drains.
 	RPCSaturated atomic.Int64
+	// AllocatedObjects and AllocatedBytes are the monotonic
+	// creator-charged allocation totals: every object the isolate
+	// allocated, at its modelled size when admitted. The engines batch
+	// them (ByteBatch); the host path adds them directly. Shared mode (the
+	// baseline, §4.2) charges neither.
+	AllocatedObjects atomic.Int64
+	AllocatedBytes   atomic.Int64
 }
 
 // Numbers returns a plain-integer copy of the counters, suitable for
@@ -92,6 +97,8 @@ func (a *AccountCounters) Numbers() Account {
 		CPUTicks:            a.CPUTicks.Load(),
 		FinalizersRun:       a.FinalizersRun.Load(),
 		RPCSaturated:        a.RPCSaturated.Load(),
+		AllocatedObjects:    a.AllocatedObjects.Load(),
+		AllocatedBytes:      a.AllocatedBytes.Load(),
 	}
 }
 
@@ -117,6 +124,8 @@ func (a *AccountCounters) Seed(v Account) {
 	a.CPUTicks.Store(v.CPUTicks)
 	a.FinalizersRun.Store(v.FinalizersRun)
 	a.RPCSaturated.Store(v.RPCSaturated)
+	a.AllocatedObjects.Store(v.AllocatedObjects)
+	a.AllocatedBytes.Store(v.AllocatedBytes)
 }
 
 // InstrBatch accumulates the charges of the guest-call path — executed
@@ -209,8 +218,8 @@ func (b *InstrBatch) Flush() {
 	b.other.flush()
 }
 
-// ByteBatch accumulates per-isolate allocation charges (objects, bytes,
-// connections) in plain local counters and publishes them with a few
+// ByteBatch accumulates one isolate's allocation charges (AllocatedObjects,
+// AllocatedBytes) in plain local counters and publishes them with two
 // atomic adds when the charged isolate changes or a quantum/safepoint
 // boundary flushes the batch — the allocation counterpart of InstrBatch.
 // Both execution engines use it for domain (shard-local) allocation, so
@@ -218,41 +227,36 @@ func (b *InstrBatch) Flush() {
 // per-isolate attribution stays exact at every flush point, and the
 // stop-the-world accounting GC observes exact totals (workers flush at
 // quantum boundaries before parking, and the allocation-pressure path
-// flushes before triggering a collection).
+// flushes before triggering a collection). Connections are not batched:
+// the interpreter counts ConnectionsOpened directly on its one allocation
+// path, the only one that admits them.
 //
 // A ByteBatch is single-goroutine state: it must only be used by the
 // goroutine executing the allocations it charges.
 type ByteBatch struct {
-	acc     *heap.AllocCounters
+	acc     *AccountCounters
 	objects int64
 	bytes   int64
-	conns   int64
 }
 
 // Note charges one allocation of size bytes to acc, flushing the pending
 // batch first when the charged isolate changed.
-func (b *ByteBatch) Note(acc *heap.AllocCounters, size int64, conn bool) {
+func (b *ByteBatch) Note(acc *AccountCounters, size int64) {
 	if acc != b.acc {
 		b.Flush()
 		b.acc = acc
 	}
 	b.objects++
 	b.bytes += size
-	if conn {
-		b.conns++
-	}
 }
 
 // Flush publishes the pending charges with one atomic add per counter.
 func (b *ByteBatch) Flush() {
 	if b.acc != nil && b.objects != 0 {
-		b.acc.Objects.Add(b.objects)
-		b.acc.Bytes.Add(b.bytes)
-		if b.conns != 0 {
-			b.acc.Connections.Add(b.conns)
-		}
+		b.acc.AllocatedObjects.Add(b.objects)
+		b.acc.AllocatedBytes.Add(b.bytes)
 	}
-	b.objects, b.bytes, b.conns = 0, 0, 0
+	b.objects, b.bytes = 0, 0
 }
 
 // Account is an immutable plain-integer view of AccountCounters; see the
@@ -273,10 +277,12 @@ type Account struct {
 	CPUTicks            int64
 	FinalizersRun       int64
 	RPCSaturated        int64
+	AllocatedObjects    int64
+	AllocatedBytes      int64
 }
 
-// Snapshot is an immutable copy of one isolate's resource usage, combining
-// the interpreter-maintained Account with the heap's memory views.
+// Snapshot is an immutable copy of one isolate's resource usage: its
+// Account and its live usage as of the last collection.
 type Snapshot struct {
 	IsolateID   int32
 	IsolateName string
@@ -284,10 +290,6 @@ type Snapshot struct {
 
 	Account
 
-	// AllocatedObjects/AllocatedBytes are monotonic creator-charged
-	// allocation counters.
-	AllocatedObjects int64
-	AllocatedBytes   int64
 	// LiveObjects/LiveBytes/LiveConnections are the per-isolate usage
 	// recomputed by the last accounting GC ("first isolate that
 	// references it" charging).

@@ -177,8 +177,7 @@ func TestKilledIsolateContributesNoRoots(t *testing.T) {
 		t.Fatal("killed isolate must contribute no roots (§3.3 reclamation)")
 	}
 	// After a GC finds nothing charged to it, the isolate is disposed.
-	h.Collect(nil)
-	w.UpdateDisposal(h)
+	w.UpdateDisposal(h.Collect(nil).Live)
 	if !iso.Disposed() {
 		t.Fatal("killed isolate with no live objects must be disposed")
 	}
@@ -283,11 +282,21 @@ func TestSnapshotMergesHeapViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Collect([]heap.RootSet{{Isolate: iso.ID(), Refs: []*heap.Object{o}}})
+	if snap := w.Snapshot(iso); snap.LiveObjects != 0 {
+		t.Fatalf("live usage before any collection: %+v", snap)
+	}
+	w.UpdateDisposal(h.Collect([]heap.RootSet{{Isolate: iso.ID(), Refs: []*heap.Object{o}}}).Live)
 	iso.Account().ThreadsCreated.Store(7)
-	snap := w.Snapshot(iso, h)
-	if snap.ThreadsCreated != 7 || snap.AllocatedObjects != 1 || snap.LiveObjects != 1 {
+	iso.Account().AllocatedObjects.Store(1)
+	snap := w.Snapshot(iso)
+	if snap.ThreadsCreated != 7 || snap.AllocatedObjects != 1 || snap.LiveObjects != 1 || snap.LiveBytes != o.Size() {
 		t.Fatalf("snapshot = %+v", snap)
+	}
+	// A collection that finds nothing charged to the isolate zeroes its
+	// live usage; the account is untouched.
+	w.UpdateDisposal(h.Collect(nil).Live)
+	if snap := w.Snapshot(iso); snap.LiveObjects != 0 || snap.LiveBytes != 0 || snap.AllocatedObjects != 1 {
+		t.Fatalf("after a collection that freed everything: %+v", snap)
 	}
 	if snap.IsolateName != "bundle" || snap.State != core.StateLive {
 		t.Fatalf("identity = %q %v", snap.IsolateName, snap.State)
@@ -346,12 +355,11 @@ func TestLoaderBindingFollowsIsolateLifecycle(t *testing.T) {
 	if w.IsolateForLoaderID(l.ID()) != iso {
 		t.Fatal("binding not published")
 	}
-	h := heap.New(1 << 20)
 	if err := w.Kill(nil, iso); err != nil {
 		t.Fatal(err)
 	}
-	w.UpdateDisposal(h)
-	if err := w.FreeIsolate(iso, h); err != nil {
+	w.UpdateDisposal(nil)
+	if err := w.FreeIsolate(iso); err != nil {
 		t.Fatal(err)
 	}
 	if w.IsolateForLoaderID(l.ID()) != nil {
@@ -385,8 +393,8 @@ func TestLoaderBindingFollowsIsolateLifecycle(t *testing.T) {
 		if err := w.Kill(nil, iso); err != nil {
 			t.Fatal(err)
 		}
-		w.UpdateDisposal(h)
-		if err := w.FreeIsolate(iso, h); err != nil {
+		w.UpdateDisposal(nil)
+		if err := w.FreeIsolate(iso); err != nil {
 			t.Fatal(err)
 		}
 		delete(bound, id)

@@ -124,6 +124,10 @@ type Isolate struct {
 	state atomic.Uint32
 
 	account AccountCounters
+	// live is the isolate's live usage as of the last collection (nil:
+	// none yet), replaced whole by World.UpdateDisposal inside the
+	// collection's stop so a reader sees one collection's triple.
+	live atomic.Pointer[heap.LiveStats]
 
 	// weight, qos and throttled are the scheduler-QoS knobs (see qos.go).
 	// All atomics: the governor writes them from its own goroutine while
@@ -192,6 +196,17 @@ func (iso *Isolate) IsIsolate0() bool { return iso.id == 0 }
 // Account returns a pointer to the isolate's resource counters; the
 // interpreter updates them in place with atomic adds.
 func (iso *Isolate) Account() *AccountCounters { return &iso.account }
+
+// Live returns the isolate's live usage as computed by the last
+// collection: the objects, bytes and connections first traced from its
+// roots. A fresh isolate, a clone included, reads zero until a collection
+// has run since it was created.
+func (iso *Isolate) Live() heap.LiveStats {
+	if s := iso.live.Load(); s != nil {
+		return *s
+	}
+	return heap.LiveStats{}
+}
 
 // InternedString returns the isolate-private interned object for s, if
 // any. Lock-free: one atomic load plus a map lookup against the current

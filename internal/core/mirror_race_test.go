@@ -162,8 +162,8 @@ func TestMirrorRowsConcurrent(t *testing.T) {
 					fail(err)
 					return
 				}
-				w.UpdateDisposal(h)
-				if err := w.FreeIsolate(iso, h); err != nil {
+				w.UpdateDisposal(nil)
+				if err := w.FreeIsolate(iso); err != nil {
 					fail(err)
 					return
 				}

@@ -97,9 +97,8 @@ type World struct {
 	byLoader atomic.Pointer[[]atomic.Pointer[Isolate]]
 	// freeIDs is the isolate-recycling free-list: accounting IDs of
 	// disposed isolates returned by FreeIsolate, reused LIFO by NewIsolate
-	// so long-running gateways with tenant churn keep the isolate table,
-	// mirror rows and heap counter arrays dense instead of growing
-	// without bound.
+	// so long-running gateways with tenant churn keep the isolate table
+	// and mirror rows dense instead of growing without bound.
 	freeIDs []heap.IsolateID
 
 	mirrorMu sync.Mutex
@@ -362,18 +361,19 @@ var ErrNotDisposed = errors.New("core: isolate is not disposed")
 
 // FreeIsolate returns a disposed isolate's identity to service: its
 // accounting ID joins the free-list for the next NewIsolate, its mirrors
-// and heap counters are cleared, and its loader is unbound. Only fully
-// disposed isolates (killed, swept, no live charged objects) qualify, and
-// never Isolate0. The order is load-bearing: unbind the loader (one store
-// into its directory slot, under mu) so no invoke migrates into the corpse;
-// clear the mirror slot of every class the isolate lists, and the list
-// (mirrorMu); zero the heap counters; and only then publish the ID on the
-// free-list (mu), so a concurrent NewIsolate can never adopt an ID that
-// still shows the dead tenant's statics, class list or charges. Each step
-// costs what this isolate touched. The isolate struct itself stays in the
+// are cleared, and its loader is unbound. Only fully disposed isolates
+// (killed, swept, no live charged objects) qualify, and never Isolate0.
+// The order is load-bearing: unbind the loader (one store into its
+// directory slot, under mu) so no invoke migrates into the corpse; clear
+// the mirror slot of every class the isolate lists, and the list
+// (mirrorMu); and only then publish the ID on the free-list (mu), so a
+// concurrent NewIsolate can never adopt an ID that still shows the dead
+// tenant's statics or class list. Each step costs what this isolate
+// touched. The account needs no step: it lives on the isolate, and a
+// reused ID gets a fresh Isolate. The isolate struct itself stays in the
 // creation-order slice until the ID is reused (iterators rely on non-nil
-// entries and simply see a disposed corpse).
-func (w *World) FreeIsolate(iso *Isolate, h *heap.Heap) error {
+// entries and simply see a disposed corpse, with its final account).
+func (w *World) FreeIsolate(iso *Isolate) error {
 	if iso == nil {
 		return errors.New("core: free nil isolate")
 	}
@@ -394,9 +394,6 @@ func (w *World) FreeIsolate(iso *Isolate, h *heap.Heap) error {
 	w.mu.Unlock()
 
 	w.clearMirrors(iso)
-	if h != nil {
-		h.ResetIsolateStats(iso.id)
-	}
 
 	w.mu.Lock()
 	w.freeIDs = append(w.freeIDs, iso.id)
@@ -510,18 +507,19 @@ func (w *World) Kill(killer, target *Isolate) error {
 	return nil
 }
 
-// UpdateDisposal promotes killed isolates with no remaining live charged
-// objects to StateDisposed ("an isolate is only removed from memory when
-// there is no remaining object whose class is defined by the isolate",
-// §3.3). Call after an accounting collection; it returns the isolates it
-// promoted.
-func (w *World) UpdateDisposal(h *heap.Heap) []*Isolate {
+// UpdateDisposal hands a collection's per-isolate live usage (its
+// CollectResult.Live) to the isolates — an isolate absent from live holds
+// nothing live and reads zero — and promotes killed isolates with no
+// remaining live charged objects to StateDisposed ("an isolate is only
+// removed from memory when there is no remaining object whose class is
+// defined by the isolate", §3.3). Call it after every terminal trace,
+// inside the collection's stop; it returns the isolates it promoted.
+func (w *World) UpdateDisposal(live map[heap.IsolateID]*heap.LiveStats) []*Isolate {
 	var disposed []*Isolate
 	for _, iso := range w.Isolates() {
-		if iso.State() != StateKilled {
-			continue
-		}
-		if h.LiveStatsFor(iso.id).Objects == 0 {
+		s := live[iso.id]
+		iso.live.Store(s)
+		if iso.State() == StateKilled && (s == nil || s.Objects == 0) {
 			iso.setState(StateDisposed)
 			disposed = append(disposed, iso)
 		}
@@ -529,31 +527,26 @@ func (w *World) UpdateDisposal(h *heap.Heap) []*Isolate {
 	return disposed
 }
 
-// Snapshot builds a point-in-time resource snapshot of one isolate,
-// merging the interpreter-maintained account with the heap's memory
-// views.
-func (w *World) Snapshot(iso *Isolate, h *heap.Heap) Snapshot {
-	alloc := h.AllocStatsFor(iso.id)
-	live := h.LiveStatsFor(iso.id)
+// Snapshot builds a point-in-time resource snapshot of one isolate.
+func (w *World) Snapshot(iso *Isolate) Snapshot {
+	live := iso.Live()
 	return Snapshot{
-		IsolateID:        int32(iso.id),
-		IsolateName:      iso.name,
-		State:            iso.State(),
-		Account:          iso.account.Numbers(),
-		AllocatedObjects: alloc.Objects,
-		AllocatedBytes:   alloc.Bytes,
-		LiveObjects:      live.Objects,
-		LiveBytes:        live.Bytes,
-		LiveConnections:  live.Connections,
+		IsolateID:       int32(iso.id),
+		IsolateName:     iso.name,
+		State:           iso.State(),
+		Account:         iso.account.Numbers(),
+		LiveObjects:     live.Objects,
+		LiveBytes:       live.Bytes,
+		LiveConnections: live.Connections,
 	}
 }
 
 // Snapshots returns snapshots of all isolates in creation order.
-func (w *World) Snapshots(h *heap.Heap) []Snapshot {
+func (w *World) Snapshots() []Snapshot {
 	isolates := w.Isolates()
 	out := make([]Snapshot, 0, len(isolates))
 	for _, iso := range isolates {
-		out = append(out, w.Snapshot(iso, h))
+		out = append(out, w.Snapshot(iso))
 	}
 	return out
 }

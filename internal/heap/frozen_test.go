@@ -96,7 +96,7 @@ func TestSharedPinSurvivesCollection(t *testing.T) {
 		t.Fatalf("live objects = %d, want 2", res.LiveObjects)
 	}
 	// Pins are charged to the creator isolate.
-	if got := h.LiveStatsFor(2).Objects; got != 2 {
+	if got := res.Live[2]; got == nil || got.Objects != 2 {
 		t.Fatalf("creator live objects = %d, want 2", got)
 	}
 

@@ -61,6 +61,12 @@ type CollectResult struct {
 	FreedBytes   int64
 	LiveObjects  int64
 	LiveBytes    int64
+	// Live is each isolate's share of the survivors under first-tracer
+	// charging (§3.2 step 4), keyed by isolate ID; an isolate absent from
+	// it holds nothing live. The heap keeps no copy: the caller hands it
+	// to the isolates (core.World.UpdateDisposal), which share its
+	// entries, so it is read-only.
+	Live map[IsolateID]*LiveStats
 	// PendingFinalize lists unreachable objects whose finalize() must run
 	// before they can be reclaimed. They (and their subgraphs) survived
 	// this collection; the VM schedules their finalizers, and the next
@@ -339,7 +345,7 @@ func (h *Heap) terminateLocked(c *gcCycle, rescan []RootSet) CollectResult {
 		d.mu.Unlock()
 	}
 	// Merge the allocate-black charges (objects born during the cycle,
-	// invisible to markers) into the published per-isolate live stats.
+	// invisible to markers) into the per-isolate live stats.
 	for _, d := range domains {
 		for iso, s := range d.bornLive {
 			t := c.liveStats(iso)
@@ -350,8 +356,7 @@ func (h *Heap) terminateLocked(c *gcCycle, rescan []RootSet) CollectResult {
 		d.bornLive = nil
 	}
 	h.used.Add(-res.FreedBytes)
-	liveByIso := c.live
-	h.liveByIso.Store(&liveByIso)
+	res.Live = c.live
 	h.barrier.Store(false)
 	h.cycle.Store(nil)
 	return res

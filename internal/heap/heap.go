@@ -17,26 +17,6 @@ var ErrOutOfMemory = errors.New("heap: out of memory")
 // DefaultLimit is the default heap capacity (64 MiB modelled bytes).
 const DefaultLimit = 64 << 20
 
-// AllocStats are the monotonic per-isolate allocation counters maintained
-// at allocation time (creator-charged, per the paper), as a plain-integer
-// snapshot of the atomic AllocCounters.
-type AllocStats struct {
-	Objects     int64
-	Bytes       int64
-	Connections int64
-}
-
-// AllocCounters are the live per-isolate allocation counters. They are
-// atomics because they are charged from every allocating context —
-// scheduler workers flushing core.ByteBatch batches, the sequential
-// engine, and host-side allocators — and read by admin-side snapshot
-// code at any time.
-type AllocCounters struct {
-	Objects     atomic.Int64
-	Bytes       atomic.Int64
-	Connections atomic.Int64
-}
-
 // Heap is the single shared heap of the VM. All isolates allocate from it;
 // isolation is purely logical (per-isolate statics/strings/Class objects),
 // exactly as in the paper.
@@ -53,15 +33,15 @@ type AllocCounters struct {
 // reserve-or-fail and two racing allocators can never jointly exceed the
 // limit (there is no check-then-act window).
 //
-// Per-isolate allocation statistics live in AllocCounters (atomics).
-// Domain allocation does NOT charge them: the executing engine batches
-// charges in a core.ByteBatch (plain counters, one atomic flush per
-// quantum/isolate switch), exactly like instruction accounting. The
+// The heap charges no isolate at allocation: an object records its
+// creator, and the allocation totals of each isolate live in the
+// isolate's own account, charged by the interpreter (core.AccountCounters).
+// What the heap computes per isolate is live usage, the first-tracer
+// charges of a collection, and it hands that over in the collection's
+// result (CollectResult.Live). The
 // Heap-level Alloc* entry points below — the host path used by setup
 // code, RPC endpoint machinery, tests and wake-side throwable
-// allocation — serialize on an internal mutex-guarded host domain and
-// charge the counters directly, so their accounting is exact without a
-// batch to flush.
+// allocation — serialize on an internal mutex-guarded host domain.
 //
 // # Locking discipline
 //
@@ -72,7 +52,7 @@ type AllocCounters struct {
 // all workers first. Collect additionally takes the host-domain mutex so
 // concurrent host-side allocators (which do not participate in
 // safepoints) cannot race the sweep. Host-side metric reads (Used,
-// NumObjects, GCCount, stats accessors) are lock-free at any time.
+// NumObjects, GCCount) are lock-free at any time.
 type Heap struct {
 	limit int64
 	// used is the shared reservation counter: every admission reserves
@@ -93,12 +73,6 @@ type Heap struct {
 	hostMu sync.Mutex
 	host   *AllocDomain
 
-	// counters is the per-isolate allocation-counter table, indexed by
-	// IsolateID (IDs are dense and assigned in creation order);
-	// countersMu serializes growth, reads are lock-free.
-	countersMu sync.Mutex
-	counters   atomic.Pointer[[]*AllocCounters]
-
 	gcCount atomic.Int64
 
 	// cycle is the open incremental collection cycle (nil when idle);
@@ -113,18 +87,6 @@ type Heap struct {
 	incCycles      atomic.Int64
 	barrierRecords atomic.Int64
 
-	// trackAlloc enables the per-isolate allocation counters; the
-	// baseline (Shared) VM disables it — no resource accounting exists
-	// there, which is part of the A3-A6 story and of I-JVM's measured
-	// allocation overhead (§4.2: "18% overhead ... due to resource
-	// accounting, testing the memory limit ...").
-	trackAlloc atomic.Bool
-
-	// liveByIso is the result of the last accounting collection,
-	// published atomically (written only under the collection's
-	// stop-the-world section).
-	liveByIso atomic.Pointer[map[IsolateID]*LiveStats]
-
 	// gcMu serializes collections (belt and braces under the
 	// stop-the-world contract).
 	gcMu sync.Mutex
@@ -136,7 +98,8 @@ type Heap struct {
 	sharedPins  map[*Object]int64
 }
 
-// LiveStats are the per-isolate results of one accounting collection.
+// LiveStats are one isolate's share of a collection's survivors: the
+// objects, bytes and connections first traced from its roots.
 type LiveStats struct {
 	Objects     int64
 	Bytes       int64
@@ -152,21 +115,9 @@ func New(limit int64) *Heap {
 	h := &Heap{limit: limit}
 	empty := []*AllocDomain{}
 	h.domains.Store(&empty)
-	counters := []*AllocCounters{}
-	h.counters.Store(&counters)
-	h.trackAlloc.Store(true)
 	h.host = h.NewDomain()
 	return h
 }
-
-// SetAllocTracking toggles the per-isolate allocation counters (disabled
-// by the baseline VM at construction).
-func (h *Heap) SetAllocTracking(on bool) { h.trackAlloc.Store(on) }
-
-// TrackAlloc reports whether per-isolate allocation counters are
-// maintained. Callers charging through a core.ByteBatch consult it
-// before noting a charge.
-func (h *Heap) TrackAlloc() bool { return h.trackAlloc.Load() }
 
 // Limit returns the heap capacity in modelled bytes.
 func (h *Heap) Limit() int64 { return h.limit }
@@ -215,119 +166,6 @@ func (h *Heap) PressurePercent() int64 {
 		pct = 100
 	}
 	return pct
-}
-
-// CountersFor returns the live allocation counters of an isolate,
-// creating the slot on first use. The lookup is lock-free after the
-// first access (an atomic load plus an index).
-func (h *Heap) CountersFor(iso IsolateID) *AllocCounters {
-	if iso < 0 {
-		iso = 0 // NoIsolate never allocates; fold defensively onto isolate 0
-	}
-	tab := *h.counters.Load()
-	if int(iso) < len(tab) {
-		return tab[iso]
-	}
-	return h.growCounters(iso)
-}
-
-func (h *Heap) growCounters(iso IsolateID) *AllocCounters {
-	h.countersMu.Lock()
-	defer h.countersMu.Unlock()
-	tab := *h.counters.Load()
-	if int(iso) < len(tab) {
-		return tab[iso]
-	}
-	grown := make([]*AllocCounters, iso+1)
-	copy(grown, tab)
-	for i := len(tab); i < len(grown); i++ {
-		grown[i] = &AllocCounters{}
-	}
-	h.counters.Store(&grown)
-	return grown[iso]
-}
-
-// AllocStatsFor returns a copy of the monotonic allocation counters of an
-// isolate.
-func (h *Heap) AllocStatsFor(iso IsolateID) AllocStats {
-	if iso < 0 {
-		return AllocStats{}
-	}
-	tab := *h.counters.Load()
-	if int(iso) >= len(tab) {
-		return AllocStats{}
-	}
-	c := tab[iso]
-	return AllocStats{
-		Objects:     c.Objects.Load(),
-		Bytes:       c.Bytes.Load(),
-		Connections: c.Connections.Load(),
-	}
-}
-
-// LiveStatsFor returns the per-isolate live memory computed by the last
-// accounting collection.
-func (h *Heap) LiveStatsFor(iso IsolateID) LiveStats {
-	m := h.liveByIso.Load()
-	if m == nil {
-		return LiveStats{}
-	}
-	if s, ok := (*m)[iso]; ok {
-		return *s
-	}
-	return LiveStats{}
-}
-
-// SeedAllocCounters overwrites an isolate's monotonic allocation counters
-// with absolute values. The snapshot-clone path uses it so a freshly
-// materialized clone reports exactly the allocation totals the warmed
-// template had at capture (the clone's graph was charged normally during
-// materialization; seeding replaces those charges with the canonical
-// warm-up totals). Callers seed only while the isolate runs no guest
-// code.
-func (h *Heap) SeedAllocCounters(iso IsolateID, stats AllocStats) {
-	c := h.CountersFor(iso)
-	c.Objects.Store(stats.Objects)
-	c.Bytes.Store(stats.Bytes)
-	c.Connections.Store(stats.Connections)
-}
-
-// ResetIsolateStats clears every heap-side statistic of an isolate —
-// monotonic allocation counters and the live-usage entry of the last
-// accounting collection — so a recycled isolate ID starts with a clean
-// slate. The live map is republished copy-on-write under gcMu (the same
-// serialization collections use), so a reset never races a terminal
-// trace's publication.
-func (h *Heap) ResetIsolateStats(iso IsolateID) {
-	h.SeedAllocCounters(iso, AllocStats{})
-	h.gcMu.Lock()
-	defer h.gcMu.Unlock()
-	if m := h.liveByIso.Load(); m != nil {
-		if _, ok := (*m)[iso]; ok {
-			fresh := make(map[IsolateID]*LiveStats, len(*m))
-			for k, v := range *m {
-				if k != iso {
-					fresh[k] = v
-				}
-			}
-			h.liveByIso.Store(&fresh)
-		}
-	}
-}
-
-// chargeAlloc records one admitted object on the creator's counters
-// (direct atomic adds; the host path's exact counterpart of the engines'
-// batched core.ByteBatch charging).
-func (h *Heap) chargeAlloc(creator IsolateID, o *Object) {
-	if !h.trackAlloc.Load() {
-		return
-	}
-	c := h.CountersFor(creator)
-	c.Objects.Add(1)
-	c.Bytes.Add(o.Size())
-	if o.IsConnection() {
-		c.Connections.Add(1)
-	}
 }
 
 // reserve is the single-step admission check: one atomic reserve-or-fail
@@ -391,8 +229,8 @@ type AllocDomain struct {
 	// bornLive accumulates the per-isolate live-stat charges of objects
 	// allocated while a mark phase was open (allocate-black objects
 	// never pass through a marker, so without this they would be absent
-	// from the cycle's published per-isolate live stats until the next
-	// exact collection). Owner-written like the object list; the
+	// from the cycle's CollectResult.Live until the next exact
+	// collection). Owner-written like the object list; the
 	// terminal stop-the-world merges and clears it, an abandoned cycle
 	// discards it (the fresh exact pass recomputes charges).
 	bornLive map[IsolateID]*LiveStats
@@ -508,9 +346,8 @@ func (d *AllocDomain) header() *Object {
 }
 
 // admit stamps the identity fields of an object whose sz bytes take
-// already reserved and appends it to the domain. It does not charge
-// per-isolate statistics — the executing engine batches those
-// (core.ByteBatch); the Heap-level entry points charge directly.
+// already reserved and appends it to the domain. It charges no isolate:
+// allocation totals are the interpreter's (core.AccountCounters).
 func (d *AllocDomain) admit(o *Object, sz int64, flags uint32, creator IsolateID) *Object {
 	o.size = sz
 	o.Creator = creator
@@ -616,17 +453,17 @@ func (d *AllocDomain) AllocNative(class *classfile.Class, payload any, size int6
 
 // --- Heap-level (host path) allocation ------------------------------------
 //
-// These entry points serialize on the internal host domain and charge
-// the per-isolate counters directly. They are NOT the guest fast path —
+// These entry points serialize on the internal host domain. They are NOT
+// the guest fast path —
 // the execution engines allocate through their own domains — but they
 // keep every host-side caller (platform setup, RPC copies, wake-side
 // throwable allocation, tests) correct without an engine context.
 
-// HostAlloc runs one allocation on the host domain under hostMu, charges
-// creator and publishes the domain, so host-path allocation is exact in
-// Used and NumObjects at once. It never collects: a refusal is returned as
+// HostAlloc runs one allocation on the host domain under hostMu and
+// publishes the domain, so host-path allocation is exact in Used and
+// NumObjects at once. It never collects: a refusal is returned as
 // ErrOutOfMemory, and what it costs is the caller's decision.
-func (h *Heap) HostAlloc(creator IsolateID, alloc func(*AllocDomain) (*Object, error)) (*Object, error) {
+func (h *Heap) HostAlloc(alloc func(*AllocDomain) (*Object, error)) (*Object, error) {
 	h.hostMu.Lock()
 	defer h.hostMu.Unlock()
 	o, err := alloc(h.host)
@@ -634,31 +471,28 @@ func (h *Heap) HostAlloc(creator IsolateID, alloc func(*AllocDomain) (*Object, e
 		return nil, err
 	}
 	h.host.Publish()
-	h.chargeAlloc(creator, o)
 	return o, nil
 }
 
-// AllocObject allocates an instance of class with zeroed fields, charging
-// the creator isolate.
+// AllocObject allocates an instance of class with zeroed fields, created
+// by creator.
 func (h *Heap) AllocObject(class *classfile.Class, creator IsolateID) (*Object, error) {
-	return h.HostAlloc(creator, func(d *AllocDomain) (*Object, error) { return d.AllocObject(class, creator) })
+	return h.HostAlloc(func(d *AllocDomain) (*Object, error) { return d.AllocObject(class, creator) })
 }
 
-// AllocArray allocates an array of n null/zero slots, charging creator.
+// AllocArray allocates an array of n null/zero slots.
 func (h *Heap) AllocArray(class *classfile.Class, n int, creator IsolateID) (*Object, error) {
-	return h.HostAlloc(creator, func(d *AllocDomain) (*Object, error) { return d.AllocArray(class, n, creator) })
+	return h.HostAlloc(func(d *AllocDomain) (*Object, error) { return d.AllocArray(class, n, creator) })
 }
 
-// AllocString allocates a string object with the given payload, charging
-// creator.
+// AllocString allocates a string object with the given payload.
 func (h *Heap) AllocString(class *classfile.Class, s string, creator IsolateID) (*Object, error) {
-	return h.HostAlloc(creator, func(d *AllocDomain) (*Object, error) { return d.AllocString(class, s, creator) })
+	return h.HostAlloc(func(d *AllocDomain) (*Object, error) { return d.AllocString(class, s, creator) })
 }
 
-// AllocNative allocates an object with an opaque native payload, charging
-// creator.
+// AllocNative allocates an object with an opaque native payload.
 func (h *Heap) AllocNative(class *classfile.Class, payload any, size int64, conn bool, creator IsolateID) (*Object, error) {
-	return h.HostAlloc(creator, func(d *AllocDomain) (*Object, error) {
+	return h.HostAlloc(func(d *AllocDomain) (*Object, error) {
 		return d.AllocNative(class, payload, size, conn, creator)
 	})
 }

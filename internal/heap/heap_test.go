@@ -25,6 +25,18 @@ func testClass(t *testing.T, fields int) *classfile.Class {
 	return c
 }
 
+// liveOf reads one isolate's share of a collection's survivors; an isolate
+// absent from the result holds nothing live.
+func liveOf(res heap.CollectResult, iso heap.IsolateID) heap.LiveStats {
+	if s := res.Live[iso]; s != nil {
+		return *s
+	}
+	return heap.LiveStats{}
+}
+
+// TestAllocationAccounting: the heap admits at the modelled size and
+// records the creator; it charges no isolate (the interpreter's accounts
+// do, see interp's TestHostAllocationChargesCreator).
 func TestAllocationAccounting(t *testing.T) {
 	h := heap.New(1 << 20)
 	c := testClass(t, 2)
@@ -39,9 +51,8 @@ func TestAllocationAccounting(t *testing.T) {
 	if h.Used() != wantSize {
 		t.Fatalf("used = %d, want %d", h.Used(), wantSize)
 	}
-	stats := h.AllocStatsFor(3)
-	if stats.Objects != 1 || stats.Bytes != wantSize {
-		t.Fatalf("alloc stats = %+v", stats)
+	if h.NumObjects() != 1 {
+		t.Fatalf("objects = %d, want 1", h.NumObjects())
 	}
 	if obj.Creator != 3 || obj.Charged != heap.NoIsolate {
 		t.Fatalf("creator/charged = %d/%d", obj.Creator, obj.Charged)
@@ -102,7 +113,7 @@ func TestCollectFreesUnreachableAndCharges(t *testing.T) {
 	if root.Charged != 0 || kept.Charged != 0 {
 		t.Fatalf("charging: root=%d kept=%d", root.Charged, kept.Charged)
 	}
-	live := h.LiveStatsFor(0)
+	live := liveOf(res, 0)
 	if live.Objects != 2 || live.Bytes != root.Size()+kept.Size() {
 		t.Fatalf("live stats = %+v", live)
 	}
@@ -117,14 +128,14 @@ func TestFirstIsolateChargingOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Collect([]heap.RootSet{
+	res := h.Collect([]heap.RootSet{
 		{Isolate: 0, Refs: []*heap.Object{shared}},
 		{Isolate: 1, Refs: []*heap.Object{shared}},
 	})
 	if shared.Charged != 0 {
 		t.Fatalf("charged to %d, want 0 (first tracer)", shared.Charged)
 	}
-	if h.LiveStatsFor(1).Objects != 0 {
+	if liveOf(res, 1).Objects != 0 {
 		t.Fatal("second isolate must not be charged for the shared object")
 	}
 }
@@ -147,6 +158,9 @@ func TestResizeNativeAdjustsUsage(t *testing.T) {
 	}
 }
 
+// TestConnectionCounting: the collector counts a live connection for the
+// isolate that traces it (opened connections are the interpreter's count,
+// see interp's TestRefusedConnectionNotCounted).
 func TestConnectionCounting(t *testing.T) {
 	h := heap.New(1 << 20)
 	c := testClass(t, 0)
@@ -154,12 +168,15 @@ func TestConnectionCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.AllocStatsFor(2).Connections != 1 {
-		t.Fatal("connection not counted at allocation")
+	if !conn.IsConnection() {
+		t.Fatal("connection flag not set at allocation")
 	}
-	h.Collect([]heap.RootSet{{Isolate: 2, Refs: []*heap.Object{conn}}})
-	if h.LiveStatsFor(2).Connections != 1 {
+	res := h.Collect([]heap.RootSet{{Isolate: 2, Refs: []*heap.Object{conn}}})
+	if liveOf(res, 2).Connections != 1 {
 		t.Fatal("connection not counted by the collector")
+	}
+	if res = h.Collect(nil); liveOf(res, 2).Connections != 0 {
+		t.Fatal("a swept connection still counted")
 	}
 }
 
@@ -249,7 +266,7 @@ func TestQuickGCSoundness(t *testing.T) {
 		}
 		var statTotal int64
 		for iso := heap.IsolateID(0); iso < 3; iso++ {
-			statTotal += h.LiveStatsFor(iso).Objects
+			statTotal += liveOf(res, iso).Objects
 		}
 		return statTotal == int64(len(reachable))
 	}

@@ -38,12 +38,12 @@ func TestPreciseAccountingChargesSharersTwice(t *testing.T) {
 	}
 	// Contrast with the adopted first-tracer design: the same setup
 	// charges the shared object once, to isolate 0.
-	h.Collect([]heap.RootSet{
+	res := h.Collect([]heap.RootSet{
 		{Isolate: 0, Refs: []*heap.Object{private0}},
 		{Isolate: 1, Refs: []*heap.Object{private1}},
 	})
-	if h.LiveStatsFor(0).Objects != 2 || h.LiveStatsFor(1).Objects != 1 {
-		t.Fatalf("first-tracer: iso0=%+v iso1=%+v", h.LiveStatsFor(0), h.LiveStatsFor(1))
+	if liveOf(res, 0).Objects != 2 || liveOf(res, 1).Objects != 1 {
+		t.Fatalf("first-tracer: iso0=%+v iso1=%+v", liveOf(res, 0), liveOf(res, 1))
 	}
 }
 
@@ -82,10 +82,10 @@ func TestQuickPreciseSupersetOfFirstTracer(t *testing.T) {
 			rootSets = append(rootSets, heap.RootSet{Isolate: iso, Refs: refs})
 		}
 		precise := h.PreciseAccounting(rootSets)
-		h.Collect(rootSets)
+		res := h.Collect(rootSets)
 		var preciseTotal, firstTotal int64
 		for iso := heap.IsolateID(0); iso < 3; iso++ {
-			first := h.LiveStatsFor(iso)
+			first := liveOf(res, iso)
 			p := precise[iso]
 			var pBytes int64
 			if p != nil {

@@ -33,8 +33,8 @@ import (
 // allocates through it; everything else (host-side setup, RPC copies,
 // wake-side throwable allocation such as InterruptThread, tests) passes
 // a nil thread or a thread without an installed state and falls back to
-// the heap's mutex-guarded host path, which charges counters directly
-// and therefore needs no flush.
+// the heap's mutex-guarded host path, which VM.alloc charges to the
+// isolate's account directly and therefore needs no flush.
 //
 // # Exactness
 //
@@ -173,16 +173,18 @@ func (vm *VM) HeapUsed(t *Thread) int64 {
 //     collection sees exact accounts and every barrier record; the
 //     collection is charged to iso, and fn runs once more.
 //   - Anywhere else fn runs on the heap's host domain (heap.HostAlloc),
-//     which charges iso itself. With roots set, the allocation and its
-//     root are one pinMu section: exact collections hold pinMu across
-//     snapshot-and-sweep, so none can sweep the object before it is
-//     rooted (under an open incremental cycle the heap also admits it
-//     allocate-black). On exhaustion an unrooted allocation collects
-//     charged to iso and retries once; a rooted one runs its batch's
-//     collector and retries once, or fails at once when the batch has
-//     none (NewCollectingRoots).
+//     and the object is charged to iso's account directly once admitted.
+//     With roots set, the allocation and its root are one pinMu section:
+//     exact collections hold pinMu across snapshot-and-sweep, so none can
+//     sweep the object before it is rooted (under an open incremental
+//     cycle the heap also admits it allocate-black). On exhaustion an
+//     unrooted allocation collects charged to iso and retries once; a
+//     rooted one runs its batch's collector and retries once, or fails at
+//     once when the batch has none (NewCollectingRoots).
 //
-// A connection object counts as opened once it is admitted. Rooted
+// Shared mode charges no objects or bytes (vm.allocAccounts). A
+// connection object counts as opened once it is admitted, in both modes.
+// Rooted
 // callers pass a nil t: a root batch belongs to host code.
 func (vm *VM) alloc(t *Thread, iso *core.Isolate, roots *HostRoots, fn func(*heap.AllocDomain) (*heap.Object, error)) (*heap.Object, error) {
 	a := allocOf(t)
@@ -207,6 +209,10 @@ func (vm *VM) alloc(t *Thread, iso *core.Isolate, roots *HostRoots, fn func(*hea
 	}
 	if a != nil {
 		vm.noteAlloc(a, iso, obj)
+	} else if vm.allocAccounts {
+		acc := iso.Account()
+		acc.AllocatedObjects.Add(1)
+		acc.AllocatedBytes.Add(obj.Size())
 	}
 	if obj.IsConnection() {
 		iso.Account().ConnectionsOpened.Add(1)
@@ -222,11 +228,11 @@ func (vm *VM) admit(a *allocState, iso *core.Isolate, roots *HostRoots, fn func(
 		return fn(a.dom)
 	}
 	if roots == nil {
-		return vm.heap.HostAlloc(iso.ID(), fn)
+		return vm.heap.HostAlloc(fn)
 	}
 	vm.pinMu.Lock()
 	defer vm.pinMu.Unlock()
-	obj, err := vm.heap.HostAlloc(iso.ID(), fn)
+	obj, err := vm.heap.HostAlloc(fn)
 	if err == nil {
 		roots.addLocked(obj)
 	}
@@ -238,8 +244,8 @@ func (vm *VM) admit(a *allocState, iso *core.Isolate, roots *HostRoots, fn func(
 // crossed the background-cycle threshold, iso as the allocator the next
 // quantum boundary charges the cycle's activation to (gcIso).
 func (vm *VM) noteAlloc(a *allocState, iso *core.Isolate, obj *heap.Object) {
-	if vm.heap.TrackAlloc() {
-		a.batch.Note(vm.heap.CountersFor(iso.ID()), obj.Size(), obj.IsConnection())
+	if vm.allocAccounts {
+		a.batch.Note(iso.Account(), obj.Size())
 	}
 	if a.gcIso == nil && vm.heap.CrossedThreshold() {
 		a.gcIso = iso

@@ -244,14 +244,14 @@ func TestAllocationMicros(t *testing.T) {
 				}
 			}
 
-			before := vm.Heap().AllocStatsFor(iso.ID()).Objects
+			before := iso.Account().AllocatedObjects.Load()
 			th := amSpawn(t, vm, iso, use, "churn", heap.IntVal(2000))
 			chained(t, vm, th, "new loop")
 			if th.Result().I != 2000 {
 				t.Fatalf("churn(2000) = %d", th.Result().I)
 			}
 			if mode == core.ModeIsolated {
-				if got := vm.Heap().AllocStatsFor(iso.ID()).Objects - before; got != 2000 {
+				if got := iso.Account().AllocatedObjects.Load() - before; got != 2000 {
 					t.Fatalf("the loop charged %d objects, want 2000", got)
 				}
 			}
@@ -463,16 +463,16 @@ func TestHeapCountsExactAtQuantumBoundaries(t *testing.T) {
 			h := vm.Heap()
 			res := vm.CollectGarbage(nil)
 			baseBytes, baseObjects := res.LiveBytes, res.LiveObjects
-			alloc := h.AllocStatsFor(iso.ID())
+			alloc := iso.Account().Numbers()
 			for q := 0; !th.Done(); q++ {
 				if engine == "sequential" {
 					vm.RunUntil(th, quantum)
 				} else {
 					vm.RunThreadQuantum(th, iso, quantum, nil, &worker, nil)
 				}
-				now := h.AllocStatsFor(iso.ID())
-				wantBytes := baseBytes + now.Bytes - alloc.Bytes
-				wantObjects := baseObjects + now.Objects - alloc.Objects
+				now := iso.Account().Numbers()
+				wantBytes := baseBytes + now.AllocatedBytes - alloc.AllocatedBytes
+				wantObjects := baseObjects + now.AllocatedObjects - alloc.AllocatedObjects
 				if h.Used() != wantBytes || int64(h.NumObjects()) != wantObjects {
 					t.Fatalf("quantum %d: used %d / %d objects, want %d / %d", q, h.Used(), h.NumObjects(), wantBytes, wantObjects)
 				}
@@ -481,7 +481,7 @@ func TestHeapCountsExactAtQuantumBoundaries(t *testing.T) {
 					if h.Used() != res.LiveBytes || int64(h.NumObjects()) != res.LiveObjects {
 						t.Fatalf("quantum %d: used %d / %d objects after a collection, live %d / %d", q, h.Used(), h.NumObjects(), res.LiveBytes, res.LiveObjects)
 					}
-					baseBytes, baseObjects, alloc = res.LiveBytes, res.LiveObjects, h.AllocStatsFor(iso.ID())
+					baseBytes, baseObjects, alloc = res.LiveBytes, res.LiveObjects, iso.Account().Numbers()
 				}
 			}
 			if th.Err() != nil || th.Failure() != nil {

@@ -13,9 +13,9 @@ import (
 )
 
 // TestRefusedConnectionNotCounted: a connection the heap refuses was never
-// opened. ConnectionsOpened counts connection objects the isolate created
-// and must agree with the heap's own AllocStats.Connections after a failed
-// open, so a Connection.open that throws OutOfMemoryError counts nothing.
+// opened. ConnectionsOpened counts connection objects the isolate created,
+// so a Connection.open that throws OutOfMemoryError counts nothing, and
+// neither do the allocation totals.
 func TestRefusedConnectionNotCounted(t *testing.T) {
 	vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, HeapLimit: 64 << 10})
 	syslib.MustInstall(vm)
@@ -31,17 +31,61 @@ func TestRefusedConnectionNotCounted(t *testing.T) {
 	if !errors.Is(err, heap.ErrOutOfMemory) {
 		t.Fatalf("oversized connection: %v, want heap.ErrOutOfMemory", err)
 	}
-	if n := iso.Account().ConnectionsOpened.Load(); n != 0 {
-		t.Errorf("ConnectionsOpened = %d after a refused open, want 0", n)
-	}
-	if n := vm.Heap().CountersFor(iso.ID()).Connections.Load(); n != 0 {
-		t.Errorf("heap counts %d connections, want 0", n)
+	if a := iso.Account().Numbers(); a.ConnectionsOpened != 0 || a.AllocatedObjects != 0 {
+		t.Errorf("after a refused open: ConnectionsOpened %d, AllocatedObjects %d, want 0 and 0", a.ConnectionsOpened, a.AllocatedObjects)
 	}
 	if _, err := vm.AllocNativeIn(nil, objClass, struct{}{}, 64, true, iso); err != nil {
 		t.Fatal(err)
 	}
-	if n, h := iso.Account().ConnectionsOpened.Load(), vm.Heap().CountersFor(iso.ID()).Connections.Load(); n != 1 || h != 1 {
-		t.Errorf("after one open: ConnectionsOpened %d, heap %d, want 1 and 1", n, h)
+	if a := iso.Account().Numbers(); a.ConnectionsOpened != 1 || a.AllocatedObjects != 1 {
+		t.Errorf("after one open: ConnectionsOpened %d, AllocatedObjects %d, want 1 and 1", a.ConnectionsOpened, a.AllocatedObjects)
+	}
+}
+
+// TestHostAllocationChargesCreator: the heap charges no isolate, so the
+// host path (no executing thread) is charged by the interpreter, to the
+// isolate it allocates for, at the modelled size — in Isolated mode. The
+// Shared baseline (§4.2) charges no objects or bytes, and counts opened
+// connections in both modes.
+func TestHostAllocationChargesCreator(t *testing.T) {
+	for _, mode := range []core.Mode{core.ModeIsolated, core.ModeShared} {
+		t.Run(mode.String(), func(t *testing.T) {
+			vm := interp.NewVM(interp.Options{Mode: mode})
+			syslib.MustInstall(vm)
+			iso, err := vm.NewIsolate("creator")
+			if err != nil {
+				t.Fatal(err)
+			}
+			objClass, err := vm.Registry().Bootstrap().Lookup(interp.ClassObject)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := iso.Account().Numbers()
+			obj, err := vm.AllocArrayIn(nil, objClass, 2, iso)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := vm.AllocNativeIn(nil, objClass, struct{}{}, 64, true, iso); err != nil {
+				t.Fatal(err)
+			}
+			if obj.Creator != iso.ID() {
+				t.Errorf("creator = %d, want %d", obj.Creator, iso.ID())
+			}
+			a := iso.Account().Numbers()
+			wantObjs, wantBytes := int64(2), obj.Size()+heap.ObjectHeaderBytes+64
+			if mode == core.ModeShared {
+				wantObjs, wantBytes = 0, 0
+			}
+			if got := a.AllocatedObjects - before.AllocatedObjects; got != wantObjs {
+				t.Errorf("AllocatedObjects charged %d, want %d", got, wantObjs)
+			}
+			if got := a.AllocatedBytes - before.AllocatedBytes; got != wantBytes {
+				t.Errorf("AllocatedBytes charged %d, want %d", got, wantBytes)
+			}
+			if got := a.ConnectionsOpened - before.ConnectionsOpened; got != 1 {
+				t.Errorf("ConnectionsOpened counted %d, want 1", got)
+			}
+		})
 	}
 }
 
@@ -57,7 +101,7 @@ type byteObserver struct {
 }
 
 func (o *byteObserver) StopTheWorld(fn func()) {
-	o.bytes = append(o.bytes, o.vm.Heap().CountersFor(o.iso.ID()).Bytes.Load())
+	o.bytes = append(o.bytes, o.iso.Account().AllocatedBytes.Load())
 	fn()
 }
 
@@ -102,7 +146,7 @@ func TestPressureCollectionSeesExactBytes(t *testing.T) {
 	obs := &byteObserver{vm: vm, iso: iso}
 	vm.SetSafepointer(obs)
 	defer vm.SetSafepointer(nil)
-	before := h.CountersFor(iso.ID()).Bytes.Load()
+	before := iso.Account().AllocatedBytes.Load()
 	v, th, err := vm.CallRoot(iso, m, nil, 1_000_000)
 	if err != nil || th.Failure() != nil {
 		t.Fatalf("run: %v / %s", err, th.FailureString())
@@ -117,7 +161,7 @@ func TestPressureCollectionSeesExactBytes(t *testing.T) {
 	if got := obs.bytes[0] - before; got != smallBytes {
 		t.Errorf("the collection saw %d bytes charged, want the %d of the objects allocated before it", got, smallBytes)
 	}
-	if got, want := h.CountersFor(iso.ID()).Bytes.Load()-before, smallBytes+heap.ObjectHeaderBytes+bigLen*heap.ValueSlotBytes; got != want {
+	if got, want := iso.Account().AllocatedBytes.Load()-before, smallBytes+heap.ObjectHeaderBytes+bigLen*heap.ValueSlotBytes; got != want {
 		t.Errorf("%d bytes charged in all, want %d", got, want)
 	}
 }

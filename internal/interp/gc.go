@@ -97,7 +97,7 @@ func (vm *VM) FinishIncrementalCycle() (heap.CollectResult, bool) {
 		}
 		res, ok = vm.heap.FinishCycle(vm.buildRootSets())
 		if ok {
-			vm.noteThreadFree(vm.world.UpdateDisposal(vm.heap))
+			vm.noteThreadFree(vm.world.UpdateDisposal(res.Live))
 			vm.scheduleFinalizers(res.PendingFinalize)
 		}
 	})

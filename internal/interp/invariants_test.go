@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"fmt"
 	"testing"
 
 	"ijvm/internal/bytecode"
@@ -8,6 +9,7 @@ import (
 	"ijvm/internal/core"
 	"ijvm/internal/heap"
 	"ijvm/internal/interp"
+	"ijvm/internal/sched"
 	"ijvm/internal/syslib"
 )
 
@@ -58,6 +60,208 @@ func TestInstructionAccountingSumsToTotal(t *testing.T) {
 	}
 	if res.Instructions != vm.TotalInstructions() {
 		t.Fatalf("run result %d != total %d", res.Instructions, vm.TotalInstructions())
+	}
+}
+
+// sumClasses are the programs of TestAllocationAccountingSumsToHeap, one
+// copy per isolate: work(n, keep) allocates and drops n objects and n
+// small arrays (the closure micros), then one sum/K, whose first new runs
+// the table handler that initializes it, and, when keep is set, retains a
+// 16-slot array in a static.
+func sumClasses() []*classfile.Class {
+	static := classfile.FlagStatic | classfile.FlagPublic
+	k := classfile.NewClass("sum/K").
+		Field("v", classfile.KindInt).
+		StaticField("inits", classfile.KindInt).
+		Method(classfile.ClinitName, "()V", static, func(a *bytecode.Assembler) {
+			a.GetStatic("sum/K", "inits").Const(1).IAdd().PutStatic("sum/K", "inits").Return()
+		}).MustBuild()
+	use := classfile.NewClass("sum/Use").
+		StaticField("keep", classfile.KindRef).
+		Method("work", "(II)I", static, func(a *bytecode.Assembler) {
+			a.Const(0).IStore(2)
+			a.Label("loop").ILoad(2).ILoad(0).IfICmpGe("done")
+			a.New(interp.ClassObject).Pop()
+			a.ILoad(2).Const(7).IAnd().NewArray("").Pop()
+			a.IInc(2, 1).Goto("loop")
+			a.Label("done").New("sum/K").Pop()
+			a.ILoad(1).IfEq("out")
+			a.Const(16).NewArray("").PutStatic("sum/Use", "keep")
+			a.Label("out").ILoad(2).IReturn()
+		}).MustBuild()
+	return []*classfile.Class{k, use}
+}
+
+// TestAllocationAccountingSumsToHeap is the allocation counterpart of
+// TestInstructionAccountingSumsToTotal: with no collection and no native
+// growth, every object in the heap was charged to exactly one isolate at
+// its modelled size, whichever path admitted it — closure micros, the
+// table's first-execution handlers, host allocation, rooted host
+// allocation, on the sequential engine and on two workers — so the
+// isolates' allocation totals sum to NumObjects() and Used(). After an
+// exact collection, live usage sums to them the same way, and an isolate
+// whose objects all died reads zero: one that never held anything at a
+// collection, and one whose last survivors the next collection frees.
+func TestAllocationAccountingSumsToHeap(t *testing.T) {
+	vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated, HeapLimit: 256 << 20, GCThresholdPercent: -1, Quantum: 137})
+	syslib.MustInstall(vm)
+	if n := vm.Heap().NumObjects(); n != 0 {
+		t.Fatalf("%d objects allocated before any isolate exists", n)
+	}
+	isos := make(map[string]*core.Isolate)
+	work := make(map[string]*classfile.Method)
+	for _, name := range []string{"runtime", "seq", "w1", "w2", "dead", "host"} {
+		iso, err := vm.NewIsolate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes := sumClasses()
+		if err := iso.Loader().DefineAll(classes); err != nil {
+			t.Fatal(err)
+		}
+		m, err := classes[1].LookupMethod("work", "(II)I")
+		if err != nil {
+			t.Fatal(err)
+		}
+		isos[name], work[name] = iso, m
+	}
+	objClass, err := vm.Registry().Bootstrap().Lookup(interp.ClassObject)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Host paths: plain, string and rooted, the rooted ones kept alive
+	// through the collection below.
+	host := isos["host"]
+	roots := vm.NewHostRoots(host)
+	defer roots.Release()
+	for i := 0; i < 50; i++ {
+		if _, err := vm.AllocObjectIn(nil, objClass, host); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vm.AllocArrayIn(nil, objClass, i%5, host); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vm.NewStringObject(nil, host, fmt.Sprintf("s%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vm.AllocObjectRooted(roots, objClass, host); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vm.NewStringRooted(roots, "rooted", host); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	spawn := func(name string, n, keep int64) {
+		t.Helper()
+		if _, err := vm.SpawnThread(name, isos[name], work[name], []heap.Value{heap.IntVal(n), heap.IntVal(keep)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spawn("seq", 700, 1)
+	if res := vm.Run(0); !res.AllDone {
+		t.Fatalf("sequential run = %+v", res)
+	}
+	spawn("w1", 900, 1)
+	spawn("w2", 1100, 1)
+	spawn("dead", 500, 0)
+	if res := sched.Run(vm, 2, 0); !res.AllDone {
+		t.Fatalf("2-worker run = %+v", res)
+	}
+	if vm.Heap().GCCount() != 0 {
+		t.Fatalf("%d collections ran; the sums hold only without one", vm.Heap().GCCount())
+	}
+
+	var objs, bytes int64
+	for _, s := range vm.Snapshots() {
+		if s.IsolateName != "runtime" && s.AllocatedObjects == 0 {
+			t.Errorf("%s charged no allocation", s.IsolateName)
+		}
+		objs += s.AllocatedObjects
+		bytes += s.AllocatedBytes
+	}
+	if h := vm.Heap(); objs != int64(h.NumObjects()) || bytes != h.Used() {
+		t.Fatalf("accounts sum to %d objects / %d bytes, the heap holds %d / %d", objs, bytes, h.NumObjects(), h.Used())
+	}
+	t.Logf("%d objects, %d bytes charged", objs, bytes)
+
+	collect := func(retained []string, died string) {
+		t.Helper()
+		if res := vm.CollectGarbage(nil); res.FreedObjects == 0 {
+			t.Fatal("the collection freed nothing")
+		}
+		var liveObjs, liveBytes int64
+		for _, s := range vm.Snapshots() {
+			liveObjs += s.LiveObjects
+			liveBytes += s.LiveBytes
+		}
+		if h := vm.Heap(); liveObjs != int64(h.NumObjects()) || liveBytes != h.Used() {
+			t.Fatalf("live usage sums to %d objects / %d bytes, the heap holds %d / %d", liveObjs, liveBytes, h.NumObjects(), h.Used())
+		}
+		for _, name := range retained {
+			if s := vm.SnapshotOf(isos[name]); s.LiveObjects == 0 {
+				t.Errorf("%s retained a graph but reads %d live objects", name, s.LiveObjects)
+			}
+		}
+		if s := vm.SnapshotOf(isos[died]); s.LiveObjects != 0 || s.LiveBytes != 0 {
+			t.Errorf("%s's objects all died, yet it reads %d live objects / %d bytes", died, s.LiveObjects, s.LiveBytes)
+		}
+	}
+	collect([]string{"seq", "w1", "w2", "host"}, "dead")
+	roots.Release()
+	collect([]string{"seq", "w1", "w2"}, "host")
+}
+
+// TestFreedIsolateSnapshotConsistent: freeing a disposed isolate recycles
+// its ID, not its history. Until the ID is reused, the corpse's snapshot
+// reads exactly what it read before the free: its final account,
+// allocation totals included, and no live usage.
+func TestFreedIsolateSnapshotConsistent(t *testing.T) {
+	vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated})
+	syslib.MustInstall(vm)
+	if _, err := vm.NewIsolate("runtime"); err != nil {
+		t.Fatal(err)
+	}
+	tenant, err := vm.NewIsolate("tenant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := classfile.NewClass("free/T").
+		Method("churn", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.Const(0).IStore(1)
+			a.Label("loop").ILoad(1).ILoad(0).IfICmpGe("done")
+			a.New(interp.ClassObject).Pop()
+			a.IInc(1, 1).Goto("loop")
+			a.Label("done").ILoad(1).IReturn()
+		}).MustBuild()
+	if err := tenant.Loader().Define(c); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := c.LookupMethod("churn", "(I)I")
+	if v, th, err := vm.CallRoot(tenant, m, []heap.Value{heap.IntVal(100)}, 1_000_000); err != nil || th.Failure() != nil || v.I != 100 {
+		t.Fatalf("churn(100) = %d: %v / %v", v.I, err, th.Failure())
+	}
+	if err := vm.KillIsolate(nil, tenant); err != nil {
+		t.Fatal(err)
+	}
+	vm.CollectGarbage(nil)
+	if !tenant.Disposed() {
+		t.Fatal("tenant not disposed after kill and collection")
+	}
+	before := vm.SnapshotOf(tenant)
+	if before.AllocatedObjects < 100 || before.AllocatedBytes < 100*heap.ObjectHeaderBytes || before.Instructions == 0 {
+		t.Fatalf("the tenant's account before the free: %+v", before)
+	}
+	if err := vm.FreeIsolate(tenant); err != nil {
+		t.Fatal(err)
+	}
+	if after := vm.SnapshotOf(tenant); after != before {
+		t.Fatalf("freed corpse reads %+v, before the free %+v", after, before)
+	}
+	snaps := vm.Snapshots()
+	if corpse := snaps[tenant.ID()]; corpse != before {
+		t.Fatalf("Snapshots lists the corpse as %+v, want %+v", corpse, before)
 	}
 }
 

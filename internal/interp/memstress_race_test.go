@@ -204,8 +204,8 @@ func TestShardedAllocMonitorStress(t *testing.T) {
 
 		// Kill-then-recycle accounting regression: the disposed victim's
 		// slot goes back through FreeIsolate, and the isolate that reuses
-		// the ID must start from zero — a stale account, stale allocation
-		// stats, or a stale GCActivations counter would bill the new
+		// the ID must start from zero on every field — a stale allocation
+		// total, live usage or GCActivations counter would bill the new
 		// tenant for the dead one's history. A fast run may finish before
 		// the admin's mid-run kill lands, so make sure the victim is dead
 		// before demanding disposal.
@@ -229,11 +229,9 @@ func TestShardedAllocMonitorStress(t *testing.T) {
 		if reborn.ID() != victimID {
 			t.Fatalf("round %d: recycled isolate got ID %d, want victim's %d", round, reborn.ID(), victimID)
 		}
-		if acct := reborn.Account().Numbers(); acct != (core.Account{}) {
-			t.Fatalf("round %d: recycled isolate inherits account %+v", round, acct)
-		}
-		if as := vm.Heap().AllocStatsFor(reborn.ID()); as != (heap.AllocStats{}) {
-			t.Fatalf("round %d: recycled isolate inherits alloc stats %+v", round, as)
+		fresh := core.Snapshot{IsolateID: int32(victimID), IsolateName: "reborn", State: core.StateLive}
+		if snap := vm.SnapshotOf(reborn); snap != fresh {
+			t.Fatalf("round %d: recycled isolate inherits %+v", round, snap)
 		}
 		// The recycled slot must be fully serviceable: run the same
 		// workload in it and check both the result and that charging
@@ -262,8 +260,8 @@ func TestShardedAllocMonitorStress(t *testing.T) {
 		if acct.Instructions == 0 || acct.ThreadsCreated == 0 {
 			t.Fatalf("round %d: reborn account not charged: %+v", round, acct)
 		}
-		if as := vm.Heap().AllocStatsFor(reborn.ID()); as.Objects == 0 || as.Bytes == 0 {
-			t.Fatalf("round %d: reborn allocations not charged: %+v", round, as)
+		if acct.AllocatedObjects == 0 || acct.AllocatedBytes == 0 {
+			t.Fatalf("round %d: reborn allocations not charged: %+v", round, acct)
 		}
 		after := vm.CollectGarbage(nil)
 		if used := vm.Heap().Used(); used != after.LiveBytes {

@@ -220,8 +220,8 @@ type safepointObs struct {
 
 func (e *migEnv) observe() safepointObs {
 	row := func(iso *core.Isolate) [6]int64 {
-		a, m := iso.Account().Numbers(), e.vm.Heap().AllocStatsFor(iso.ID())
-		return [6]int64{a.Instructions, a.CPUSamples, m.Objects, m.Bytes, a.InterBundleCallsIn, a.InterBundleCallsOut}
+		a := iso.Account().Numbers()
+		return [6]int64{a.Instructions, a.CPUSamples, a.AllocatedObjects, a.AllocatedBytes, a.InterBundleCallsIn, a.InterBundleCallsOut}
 	}
 	return safepointObs{now: e.vm.Clock(), caller: row(e.caller), callee: row(e.callee)}
 }

@@ -74,7 +74,6 @@ type Snapshot struct {
 	frozen []*heap.Object
 
 	account core.Account
-	alloc   heap.AllocStats
 
 	released atomic.Bool
 }
@@ -207,7 +206,6 @@ func (vm *VM) captureStopped(snap *Snapshot, src *core.Isolate, opts SnapshotOpt
 	markRacedSubclasses(snap.classes)
 
 	snap.account = src.Account().Numbers()
-	snap.alloc = vm.heap.AllocStatsFor(src.ID())
 	return nil
 }
 
@@ -401,7 +399,6 @@ func (vm *VM) CloneIsolate(snap *Snapshot, name string) (*core.Isolate, error) {
 	}
 	iso.AdoptStringPool(snap.pool)
 	iso.Account().Seed(snap.account)
-	vm.heap.SeedAllocCounters(iso.ID(), snap.alloc)
 	return iso, nil
 }
 
@@ -421,8 +418,8 @@ func (vm *VM) CloneIsolate(snap *Snapshot, name string) (*core.Isolate, error) {
 // the accounting collection then sweeps every byte the attempt charged
 // and flips the corpse to Disposed (nothing else can root a clone that
 // never ran); FreeIsolate finally returns the dense ID to the world's
-// free list, clears any installed mirrors, resets the heap
-// counters and releases the classless loader back to the registry. Every
+// free list, clears any installed mirrors and releases the classless
+// loader back to the registry. Every
 // step is host-side and safepoint-aware, so a failed clone behind a live
 // scheduler unwinds without stopping tenant progress beyond the one
 // collection. The original cause is returned, annotated if the unwind
@@ -599,7 +596,6 @@ func (snap *Snapshot) RestoreInPlace() error {
 		}
 		iso.AdoptStringPool(snap.pool)
 		iso.Account().Seed(snap.account)
-		vm.heap.SeedAllocCounters(iso.ID(), snap.alloc)
 	})
 	return rerr
 }
@@ -619,7 +615,7 @@ func restoreMirror(m *core.TaskClassMirror, sc *snapClass, objs []*heap.Object, 
 }
 
 // FreeIsolate returns a disposed isolate to the recycling pool: its
-// accounting ID, mirror slots, heap counters and (if classless) loader
+// accounting ID, mirror slots and (if classless) loader
 // are all reclaimed for the next NewIsolate/CloneIsolate. The isolate
 // must be fully disposed — killed, swept by an accounting collection, no
 // live charged objects — and must have no undone threads still bound to
@@ -658,7 +654,7 @@ func (vm *VM) FreeIsolate(iso *core.Isolate) error {
 		return fmt.Errorf("interp: thread %d still executes in %s", busy.ID(), iso.Name())
 	}
 	l := iso.Loader()
-	if err := vm.world.FreeIsolate(iso, vm.heap); err != nil {
+	if err := vm.world.FreeIsolate(iso); err != nil {
 		return err
 	}
 	vm.pinMu.Lock()

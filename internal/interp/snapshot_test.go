@@ -108,13 +108,19 @@ func snapCall(t *testing.T, vm *interp.VM, iso *core.Isolate, arg int64) int64 {
 // TestSnapshotCloneBasics proves the core clone contract: statics arrive
 // initialized (no <clinit> replay), aliasing and cycles survive, the
 // interned pool is shared by pointer, mutations stay private, and the
-// clone's account, allocation counters and reachability fingerprint are
-// byte-identical to the template's at capture.
+// clone's whole account (allocation totals included) and reachability
+// fingerprint are byte-identical to the template's at capture. Live usage
+// is not part of the account: a clone reads zero until its first
+// collection.
 func TestSnapshotCloneBasics(t *testing.T) {
 	vm, warmer := snapVM(t)
 	// Warm: clinit (count=7) + bump(5) -> count=12; bump returns 12+9+11.
 	if got := snapCall(t, vm, warmer, 5); got != 32 {
 		t.Fatalf("warm bump = %d, want 32", got)
+	}
+	vm.CollectGarbage(nil)
+	if warmer.Live().Objects == 0 {
+		t.Fatal("the warmed template holds nothing live")
 	}
 	snap, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{})
 	if err != nil {
@@ -122,7 +128,9 @@ func TestSnapshotCloneBasics(t *testing.T) {
 	}
 	defer snap.Release()
 	wantAccount := warmer.Account().Numbers()
-	wantAlloc := vm.Heap().AllocStatsFor(warmer.ID())
+	if wantAccount.AllocatedObjects == 0 || wantAccount.AllocatedBytes == 0 {
+		t.Fatalf("the warm-up charged no allocations: %+v", wantAccount)
+	}
 	wantFP := vm.ReachabilityFingerprint(warmer)
 
 	clone, err := vm.CloneIsolate(snap, "tenant")
@@ -132,8 +140,8 @@ func TestSnapshotCloneBasics(t *testing.T) {
 	if got := clone.Account().Numbers(); got != wantAccount {
 		t.Fatalf("clone account = %+v, want %+v", got, wantAccount)
 	}
-	if got := vm.Heap().AllocStatsFor(clone.ID()); got != wantAlloc {
-		t.Fatalf("clone alloc = %+v, want %+v", got, wantAlloc)
+	if got := vm.SnapshotOf(clone); got.LiveObjects != 0 || got.LiveBytes != 0 {
+		t.Fatalf("clone reads live usage %d objects / %d bytes before any collection, want 0", got.LiveObjects, got.LiveBytes)
 	}
 	if got := vm.ReachabilityFingerprint(clone); got != wantFP {
 		t.Fatalf("clone fingerprint = %x, want %x", got, wantFP)

@@ -124,6 +124,13 @@ type VM struct {
 	// without synchronization.
 	ptable *[256]phandler
 
+	// allocAccounts says whether allocations charge the allocating
+	// isolate's AllocatedObjects and AllocatedBytes: Isolated mode only,
+	// fixed at construction like the mode (Shared is §4.2's baseline,
+	// which does no per-bundle accounting). ConnectionsOpened is counted
+	// in both modes.
+	allocAccounts bool
+
 	// tableOnly leaves every prepared method on the handler table: frames
 	// do not adopt the closure program preparation compiled. Only the
 	// tests set it (export_test.go), to run the table as an engine of its
@@ -269,22 +276,19 @@ func NewVM(opts Options) *VM {
 	opts.normalize()
 	registry := loader.NewRegistry()
 	h := heap.New(opts.HeapLimit)
-	if opts.Mode == core.ModeShared {
-		// The baseline JVM performs no per-bundle resource accounting.
-		h.SetAllocTracking(false)
-	}
 	if opts.GCThresholdPercent > 0 {
 		h.SetGCThreshold(h.Limit() * int64(opts.GCThresholdPercent) / 100)
 	}
 	return &VM{
-		opts:      opts,
-		registry:  registry,
-		world:     core.NewWorld(opts.Mode, registry),
-		heap:      h,
-		ptable:    handlerTable(opts.Mode),
-		pinned:    make(map[heap.IsolateID][]*heap.Object),
-		hostRoots: make(map[*HostRoots]struct{}),
-		waiters:   make(map[*heap.Object][]*Thread),
+		opts:          opts,
+		registry:      registry,
+		world:         core.NewWorld(opts.Mode, registry),
+		heap:          h,
+		ptable:        handlerTable(opts.Mode),
+		allocAccounts: opts.Mode == core.ModeIsolated,
+		pinned:        make(map[heap.IsolateID][]*heap.Object),
+		hostRoots:     make(map[*HostRoots]struct{}),
+		waiters:       make(map[*heap.Object][]*Thread),
 
 		stagedEntryArgs: make(map[*Thread]stagedArgs),
 		wellKnown:       make(map[string]*classfile.Class),
@@ -492,7 +496,7 @@ func (vm *VM) CollectGarbage(triggeredBy *core.Isolate) heap.CollectResult {
 		defer vm.pinMu.Unlock()
 		rootSets := vm.buildRootSetsLocked()
 		res = vm.heap.Collect(rootSets)
-		vm.noteThreadFree(vm.world.UpdateDisposal(vm.heap))
+		vm.noteThreadFree(vm.world.UpdateDisposal(res.Live))
 		vm.scheduleFinalizers(res.PendingFinalize)
 	})
 	return res
@@ -665,12 +669,12 @@ func (vm *VM) MemoryFootprint() int64 {
 // Snapshots returns per-isolate resource snapshots (refreshing nothing;
 // call CollectGarbage first for up-to-date live memory).
 func (vm *VM) Snapshots() []core.Snapshot {
-	return vm.world.Snapshots(vm.heap)
+	return vm.world.Snapshots()
 }
 
 // SnapshotOf returns the snapshot of one isolate.
 func (vm *VM) SnapshotOf(iso *core.Isolate) core.Snapshot {
-	return vm.world.Snapshot(iso, vm.heap)
+	return vm.world.Snapshot(iso)
 }
 
 // NextRand returns a deterministic pseudo-random uint64 (xorshift*), used

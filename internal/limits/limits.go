@@ -256,6 +256,5 @@ func SharedMemoryChargeWith(collector Collector, payloadSlots int64) (serviceByt
 		return 0, 0, err
 	}
 	e.vm.CollectGarbage(nil)
-	return e.vm.Heap().LiveStatsFor(e.service.ID()).Bytes,
-		e.vm.Heap().LiveStatsFor(e.driver.ID()).Bytes, nil
+	return e.service.Live().Bytes, e.driver.Live().Bytes, nil
 }

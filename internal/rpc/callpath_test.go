@@ -117,7 +117,7 @@ func TestAdmissionRacesClose(t *testing.T) {
 	const submitters, rounds = 4, 300
 	liveCallee := func() int64 {
 		hub.Collect(nil)
-		return e.vm.Heap().LiveStatsFor(e.callee.ID()).Objects
+		return e.callee.Live().Objects
 	}
 	base := liveCallee()
 	var admitted, resolved atomic.Int64
@@ -283,7 +283,7 @@ func TestParkedShellHoldsNoGuestObject(t *testing.T) {
 
 	liveCallee := func() heap.LiveStats {
 		hub.Collect(nil)
-		return vm.Heap().LiveStatsFor(callee.ID())
+		return callee.Live()
 	}
 	// roundTrip sends a reference argument through the deep-copy link, gets
 	// a reference result back and lets go of it.

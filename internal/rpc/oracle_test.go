@@ -235,13 +235,12 @@ func TestOracleSyncVsAsyncMessaging(t *testing.T) {
 			async.vm.CollectGarbage(nil)
 			for _, iso := range []struct {
 				name string
-				s, a heap.IsolateID
+				s, a *core.Isolate
 			}{
-				{"caller", serial.caller.ID(), async.caller.ID()},
-				{"callee", serial.callee.ID(), async.callee.ID()},
+				{"caller", serial.caller, async.caller},
+				{"callee", serial.callee, async.callee},
 			} {
-				ls := serial.vm.Heap().LiveStatsFor(iso.s)
-				la := async.vm.Heap().LiveStatsFor(iso.a)
+				ls, la := iso.s.Live(), iso.a.Live()
 				if ls.Objects != la.Objects || ls.Bytes != la.Bytes {
 					t.Fatalf("%s accounting diverged: serial %d obj/%d B, async %d obj/%d B",
 						iso.name, ls.Objects, ls.Bytes, la.Objects, la.Bytes)

@@ -257,7 +257,7 @@ func (g *Governor) sampleLocked(vm *interp.VM) []*core.Isolate {
 			g.entries[iso] = e
 		}
 		instr := iso.Account().Instructions.Load()
-		alloc := vm.Heap().CountersFor(iso.ID()).Bytes.Load()
+		alloc := iso.Account().AllocatedBytes.Load()
 		sat := iso.Account().RPCSaturated.Load()
 		if !e.primed {
 			e.primed = true

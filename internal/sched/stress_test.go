@@ -147,7 +147,7 @@ func TestConcurrentStressKillsUnderRace(t *testing.T) {
 		t.Errorf("heap grew across the post-kill collection: %d -> %d", before, after)
 	}
 	for _, iso := range isos {
-		if live := vm.Heap().LiveStatsFor(iso.ID()).Bytes; live != 0 {
+		if live := iso.Live().Bytes; live != 0 {
 			t.Errorf("killed isolate %s still charged %d live bytes", iso.Name(), live)
 		}
 	}

@@ -12,7 +12,7 @@
 // CloneIsolate copies off the request path, and it retires returned
 // sessions through the sanctioned teardown pipeline
 // (kill -> accounting collection -> FreeIsolate), which recycles the
-// dense isolate ID, mirror slots, heap counters and registry loader of
+// dense isolate ID, mirror slots and registry loader of
 // every finished session. Clone materialization is GC-safe behind a
 // running scheduler (HostRoots keeps the partial copy rooted until the
 // mirrors are published), so refill happens while tenants execute.
