@@ -10,6 +10,8 @@
 //   - resource accounting: non-existent on the baseline, per-bundle under
 //     I-JVM.
 //
+// Run it with:
+//
 //	go run ./examples/comparison
 package main
 

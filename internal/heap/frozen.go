@@ -2,12 +2,8 @@ package heap
 
 import "fmt"
 
-// This file is the zero-copy handoff facility of the RPC layer: frozen
-// (deeply immutable) arrays, and a heap-level shared-pin table that keeps
-// payloads handed across an isolate boundary alive while neither side's
-// reachable graph roots them yet.
-//
-// # Frozen arrays
+// This file is the zero-copy handoff facility of the RPC layer and the
+// snapshot machinery: frozen (deeply immutable) arrays.
 //
 // A frozen array is deeply immutable: every element is a scalar, a
 // string, or another frozen array. Freezing is a one-way, host-side
@@ -18,15 +14,11 @@ import "fmt"
 // isolate links — the accounting collector charges it to the first
 // isolate that traces it, exactly like any other shared object.
 //
-// # Shared pins
-//
-// A shared payload is in neither isolate's reachable graph while it sits
-// in a link's request queue (the caller may drop its reference the
-// moment the call is submitted; the callee has not seen it yet). The
-// pin table bridges that window: PinShared/UnpinShared maintain a
-// reference-counted root set that every collection — exact or the
-// terminal phase of an incremental cycle — traces before sweeping,
-// charged to the object's creator.
+// The heap keeps no root table for such payloads. A shared payload is in
+// neither isolate's reachable graph while it sits in a link's request
+// queue or a snapshot; the host that holds it roots it in a root set
+// charged to the object's creator (the interpreter's shared HostRoots
+// batches), which the caller passes in ahead of the isolate-ordered sets.
 
 // Freeze marks an array graph deeply immutable. It validates that every
 // element reachable from o is a scalar, a string, or an array, then sets
@@ -104,60 +96,3 @@ func Unfreeze(flipped []*Object) {
 // array. The interpreter's array-store paths consult it to reject
 // mutation.
 func (o *Object) Frozen() bool { return o.hasFlag(flagFrozen) }
-
-// PinShared adds one reference count to the heap-level shared-pin table:
-// the object (and everything reachable from it) survives every
-// collection, charged to its creator, until a matching UnpinShared. Used
-// by the RPC layer for zero-copy payloads during the handoff window in
-// which neither isolate's graph roots them.
-func (h *Heap) PinShared(o *Object) {
-	if o == nil {
-		return
-	}
-	h.sharedPinMu.Lock()
-	if h.sharedPins == nil {
-		h.sharedPins = make(map[*Object]int64)
-	}
-	h.sharedPins[o]++
-	h.sharedPinMu.Unlock()
-}
-
-// UnpinShared removes one reference count added by PinShared; the entry
-// disappears when the count reaches zero. Unpinning an object that was
-// never pinned is a no-op.
-func (h *Heap) UnpinShared(o *Object) {
-	if o == nil {
-		return
-	}
-	h.sharedPinMu.Lock()
-	if n, ok := h.sharedPins[o]; ok {
-		if n <= 1 {
-			delete(h.sharedPins, o)
-		} else {
-			h.sharedPins[o] = n - 1
-		}
-	}
-	h.sharedPinMu.Unlock()
-}
-
-// SharedPins returns the number of distinct objects currently pinned
-// (diagnostics; tests assert the handoff windows balance).
-func (h *Heap) SharedPins() int {
-	h.sharedPinMu.Lock()
-	defer h.sharedPinMu.Unlock()
-	return len(h.sharedPins)
-}
-
-// injectSharedPins grays every pinned object, charged to its creator, at
-// the start of a terminal trace. Called with gcMu/hostMu held.
-func (h *Heap) injectSharedPins(c *gcCycle) {
-	h.sharedPinMu.Lock()
-	if len(h.sharedPins) > 0 {
-		c.mu.Lock()
-		for o := range h.sharedPins {
-			c.gray = append(c.gray, grayItem{o, o.Creator})
-		}
-		c.mu.Unlock()
-	}
-	h.sharedPinMu.Unlock()
-}

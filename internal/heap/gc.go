@@ -264,10 +264,6 @@ func (h *Heap) abandonLocked() {
 // held, world stopped.
 func (h *Heap) terminateLocked(c *gcCycle, rescan []RootSet) CollectResult {
 	h.gcCount.Add(1)
-	// Shared-pin roots (zero-copy RPC payloads in their handoff window)
-	// are injected before the drain so they are traced — and charged to
-	// their creator — like any other root that appeared mid-cycle.
-	h.injectSharedPins(c)
 	m := marker{h: h, c: c}
 	m.run(-1, true)
 

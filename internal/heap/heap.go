@@ -90,12 +90,6 @@ type Heap struct {
 	// gcMu serializes collections (belt and braces under the
 	// stop-the-world contract).
 	gcMu sync.Mutex
-
-	// sharedPins is the reference-counted root table of cross-isolate
-	// shared payloads (see frozen.go); sharedPinMu guards it. Every
-	// terminal trace injects the pinned objects as creator-charged roots.
-	sharedPinMu sync.Mutex
-	sharedPins  map[*Object]int64
 }
 
 // LiveStats are one isolate's share of a collection's survivors: the

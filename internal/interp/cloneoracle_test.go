@@ -100,7 +100,7 @@ func cloneOracleClasses(p cloneProgram) []*classfile.Class {
 			a.Const(ln).NewArray("").AStore(0)
 			a.Const(0).IStore(1)
 			a.Label(loop).ILoad(1).Const(ln).IfICmpGe(done)
-			a.ALoad(0).ILoad(1).ILoad(1).Const(int64(k*7+3)).IMul().ArrayStore()
+			a.ALoad(0).ILoad(1).ILoad(1).Const(int64(k*7 + 3)).IMul().ArrayStore()
 			a.IInc(1, 1).Goto(loop)
 			a.Label(done).ALoad(0).PutStatic(cloneOracleApp, fmt.Sprintf("a%d", k))
 		}
@@ -112,7 +112,7 @@ func cloneOracleClasses(p cloneProgram) []*classfile.Class {
 		a.New(cloneOracleNode).Dup().InvokeSpecial(cloneOracleNode, classfile.InitName, "()V").AStore(3)
 		a.ALoad(2).ALoad(3).PutField(cloneOracleNode, "next")
 		a.ALoad(3).ALoad(2).PutField(cloneOracleNode, "next")
-		a.ALoad(2).Const(p.seed % 13).PutField(cloneOracleNode, "v")
+		a.ALoad(2).Const(p.seed%13).PutField(cloneOracleNode, "v")
 		a.ALoad(2).PutStatic(cloneOracleApp, "ring")
 		// Warm loop: what makes the snapshot worth taking.
 		a.Const(0).IStore(1)
@@ -139,7 +139,7 @@ func cloneOracleClasses(p cloneProgram) []*classfile.Class {
 				k := op.a % len(p.arrs)
 				a.ILoad(1).
 					GetStatic(cloneOracleApp, fmt.Sprintf("a%d", k)).
-					ILoad(1).Const(p.arrs[k]-1).IAnd().ArrayLoad().
+					ILoad(1).Const(p.arrs[k] - 1).IAnd().ArrayLoad().
 					IAdd().IStore(1)
 			case 3: // array write (sessions age the warm arrays)
 				k := op.a % len(p.arrs)

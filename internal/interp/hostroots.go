@@ -6,18 +6,28 @@ import (
 	"ijvm/internal/heap"
 )
 
-// HostRoots is a transient batch of GC roots held by host-side machinery
-// (the RPC copier, in-flight call results) on behalf of one isolate. It
-// closes the window the per-object Pin API leaves open: with Pin, an
-// object exists unrooted between its allocation and the Pin call, and an
-// exact collection running in that window sweeps it. A rooted allocation
-// into a batch instead allocates and roots under one pinMu critical
-// section (VM.alloc), and exact collections hold pinMu across
+// HostRoots is a batch of GC roots held by host-side machinery (the RPC
+// copier, in-flight call results, snapshots, the OSGi service registry).
+// The VM's registry of batches is the one table of host-held roots the
+// collector traces: buildRootSetsLocked turns every registered batch into
+// root sets, and the heap keeps none of its own.
+//
+// A batch closes the window the per-object Pin API leaves open: with Pin,
+// an object exists unrooted between its allocation and the Pin call, and
+// an exact collection running in that window sweeps it. A rooted
+// allocation into a batch instead allocates and roots under one pinMu
+// critical section (VM.alloc), and exact collections hold pinMu across
 // snapshot-and-sweep (see CollectGarbage), so a rooted host allocation
 // is atomic with respect to reclamation.
 //
-// All refs in a batch are attributed to the batch's isolate for the
-// paper's §3.2 accounting, matching Pin's contract.
+// A batch charges its refs for the paper's §3.2 accounting in one of two
+// ways. An isolate batch (NewHostRoots) attributes them all to its
+// isolate, matching Pin's contract. A shared batch (NewSharedRoots)
+// charges each ref to the object's own creator: it holds payloads that
+// sit between isolates — zero-copy link payloads in flight, a snapshot's
+// shared strings and frozen arrays — and its root sets lead the
+// isolate-ordered ones, so every collection, exact or incremental,
+// charges such an object to its creator.
 //
 // A batch is not internally locked against its own concurrent use: one
 // goroutine owns a HostRoots at a time (the RPC layer hands batches from
@@ -25,13 +35,15 @@ import (
 // Registration, growth, and release synchronize with the collector via
 // vm.pinMu only.
 type HostRoots struct {
-	vm   *VM
-	iso  heap.IsolateID
-	refs []*heap.Object
-	// registered tracks membership in vm.hostRoots (guarded by pinMu).
-	// Registration is lazy — an empty batch never touches the VM map,
-	// which keeps scalar-only RPC calls off the pinMu root registry.
-	registered bool
+	vm     *VM
+	iso    heap.IsolateID
+	shared bool
+	refs   []*heap.Object
+	// slot is the batch's position in vm.hostRoots plus one, 0 while it
+	// is not registered (guarded by pinMu). Registration is lazy — an
+	// empty batch never touches the registry, which keeps scalar-only
+	// RPC calls off the pinMu root registry.
+	slot int
 	// collect, when non-nil, is what a rooted allocation into the batch
 	// runs on heap exhaustion before its one retry (NewCollectingRoots).
 	collect func()
@@ -55,11 +67,27 @@ func (vm *VM) NewCollectingRoots(iso *core.Isolate, collect func()) *HostRoots {
 	return &HostRoots{vm: vm, iso: iso.ID(), collect: collect}
 }
 
+// NewSharedRoots creates an empty root batch that charges every root to
+// the object's creator (heap.Object.Creator) and belongs to no isolate:
+// FreeIsolate leaves it alone. It is for objects that already exist; it
+// takes no rooted allocations.
+func (vm *VM) NewSharedRoots() *HostRoots {
+	return &HostRoots{vm: vm, shared: true}
+}
+
+// HostRootBatches returns the number of registered batches (diagnostics;
+// tests assert that host-held roots balance).
+func (vm *VM) HostRootBatches() int {
+	vm.pinMu.Lock()
+	defer vm.pinMu.Unlock()
+	return len(vm.hostRoots)
+}
+
 // addLocked roots obj in the batch. Caller holds pinMu.
 func (r *HostRoots) addLocked(obj *heap.Object) {
-	if !r.registered {
-		r.registered = true
-		r.vm.hostRoots[r] = struct{}{}
+	if r.slot == 0 {
+		r.vm.hostRoots = append(r.vm.hostRoots, r)
+		r.slot = len(r.vm.hostRoots)
 	}
 	r.refs = append(r.refs, obj)
 }
@@ -93,18 +121,25 @@ func (r *HostRoots) AddValue(v heap.Value) {
 // owning goroutine; see the type comment).
 func (r *HostRoots) Refs() []*heap.Object { return r.refs }
 
-// Release unregisters the batch. The objects stay referenced by the
-// slice until the map entry is gone, so nothing can be swept mid-release;
-// after Release they are reachable only through whatever guest or pin
-// structure they were handed to.
+// Release unregisters the batch; releasing a nil or unregistered batch
+// is a no-op. The objects stay referenced by the batch until it leaves
+// the registry, so nothing can be swept mid-release; after Release they
+// are reachable only through whatever guest or host structure they were
+// handed to.
 func (r *HostRoots) Release() {
-	if !r.registered {
-		return
+	if r == nil || len(r.refs) == 0 {
+		return // never registered: only the owner appends to refs
 	}
 	vm := r.vm
 	vm.pinMu.Lock()
-	delete(vm.hostRoots, r)
-	r.registered = false
+	if i := r.slot - 1; i >= 0 {
+		last := len(vm.hostRoots) - 1
+		moved := vm.hostRoots[last]
+		vm.hostRoots[i], moved.slot = moved, i+1
+		vm.hostRoots[last] = nil
+		vm.hostRoots = vm.hostRoots[:last]
+		r.slot = 0
+	}
 	vm.pinMu.Unlock()
 }
 
@@ -121,6 +156,14 @@ func (vm *VM) AllocObjectRooted(r *HostRoots, class *classfile.Class, iso *core.
 func (vm *VM) AllocArrayRooted(r *HostRoots, class *classfile.Class, n int, iso *core.Isolate) (*heap.Object, error) {
 	return vm.alloc(nil, iso, r, func(d *heap.AllocDomain) (*heap.Object, error) {
 		return d.AllocArray(class, n, iso.ID())
+	})
+}
+
+// AllocNativeRooted allocates a native-payload object charged to iso and
+// roots it in r; conn marks a connection, as in AllocNativeIn.
+func (vm *VM) AllocNativeRooted(r *HostRoots, class *classfile.Class, payload any, size int64, conn bool, iso *core.Isolate) (*heap.Object, error) {
+	return vm.alloc(nil, iso, r, func(d *heap.AllocDomain) (*heap.Object, error) {
+		return d.AllocNative(class, payload, size, conn, iso.ID())
 	})
 }
 

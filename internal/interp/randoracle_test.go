@@ -1077,7 +1077,7 @@ func coldGraphTrips(t *testing.T, vm *interp.VM, iso, peer *core.Isolate, main *
 		t.Fatal(err)
 	}
 	defer link.Close()
-	pinsBefore := vm.Heap().SharedPins()
+	batchesBefore := vm.HostRootBatches()
 	fut, err := link.CallAsync([]heap.Value{heap.RefVal(payload)})
 	if err != nil {
 		t.Fatal(err)
@@ -1090,8 +1090,8 @@ func coldGraphTrips(t *testing.T, vm *interp.VM, iso, peer *core.Isolate, main *
 		t.Fatal("the frozen payload was copied")
 	}
 	fut.Release()
-	if n := vm.Heap().SharedPins() - pinsBefore; n != 0 {
-		t.Fatalf("%d shared pins leaked by the zero-copy call", n)
+	if n := vm.HostRootBatches() - batchesBefore; n != 0 {
+		t.Fatalf("%d host root batches leaked by the zero-copy call", n)
 	}
 	return summary + fmt.Sprintf(" frozen=%x", graphShape(got))
 }

@@ -36,7 +36,7 @@ import (
 //     string objects are immutable, and pool identity is what keeps
 //     guest == semantics identical to a cold start;
 //   - frozen arrays (heap.Freeze) are shared by pointer and kept alive
-//     by the snapshot's shared pins; CaptureSnapshot can optionally
+//     by the snapshot's shared root batch; CaptureSnapshot can optionally
 //     freeze the captured static arrays first (FreezeShared) to maximize
 //     sharing when tenants treat warm-up data as read-only;
 //   - everything else — mutable statics, the reachable object graph, the
@@ -63,9 +63,10 @@ type Snapshot struct {
 	objects []snapObject
 	pool    map[string]*heap.Object
 
-	// pinned holds every shared-by-pointer object, pinned for the
-	// snapshot's lifetime so clones stay valid after the template dies.
-	pinned []*heap.Object
+	// shared roots every shared-by-pointer object for the snapshot's
+	// lifetime, charged to its creator, so clones stay valid after the
+	// template dies. It belongs to no isolate: FreeIsolate leaves it be.
+	shared *HostRoots
 
 	// frozen is the undo record of arrays this capture speculatively
 	// froze (FreezeShared). Only a failed capture consults it — success
@@ -143,8 +144,8 @@ type snapObject struct {
 // statics); warm-up code should leave only data behind.
 //
 // The caller must Release the snapshot when no more clones will be made;
-// Release drops the shared pins that keep pool strings and frozen arrays
-// alive after the template isolate dies.
+// Release drops the shared root batch that keeps pool strings and frozen
+// arrays alive after the template isolate dies.
 func (vm *VM) CaptureSnapshot(src *core.Isolate, opts SnapshotOptions) (*Snapshot, error) {
 	if src == nil {
 		return nil, errors.New("interp: capture nil isolate")
@@ -152,7 +153,7 @@ func (vm *VM) CaptureSnapshot(src *core.Isolate, opts SnapshotOptions) (*Snapsho
 	if src.Killed() {
 		return nil, fmt.Errorf("interp: cannot capture killed isolate %s", src.Name())
 	}
-	snap := &Snapshot{vm: vm, srcID: src.ID(), srcName: src.Name()}
+	snap := &Snapshot{vm: vm, srcID: src.ID(), srcName: src.Name(), shared: vm.NewSharedRoots()}
 	var err error
 	vm.withWorldStopped(func() {
 		err = vm.captureStopped(snap, src, opts)
@@ -161,8 +162,8 @@ func (vm *VM) CaptureSnapshot(src *core.Isolate, opts SnapshotOptions) (*Snapsho
 		// Unwind everything the partial capture did to the template:
 		// thaw the arrays this capture froze (still inside the stopped
 		// world on the flattener's path out, but harmless here too — no
-		// guest observed the bits), then drop every shared pin taken so
-		// far so the pin table is exactly as it was. A failed capture
+		// guest observed the bits), then release the shared root batch
+		// so the root registry is exactly as it was. A failed capture
 		// must be a pure no-op: the template keeps serving.
 		heap.Unfreeze(snap.frozen)
 		snap.frozen = nil
@@ -185,8 +186,7 @@ func (vm *VM) captureStopped(snap *Snapshot, src *core.Isolate, opts SnapshotOpt
 	poolSet := make(map[*heap.Object]bool, len(snap.pool))
 	for _, obj := range snap.pool {
 		poolSet[obj] = true
-		vm.heap.PinShared(obj)
-		snap.pinned = append(snap.pinned, obj)
+		snap.shared.Add(obj)
 	}
 
 	fl := &flattener{vm: vm, snap: snap, poolSet: poolSet, opts: opts, memo: make(map[*heap.Object]int32)}
@@ -273,8 +273,7 @@ func (fl *flattener) flatten(o *heap.Object) (int32, error) {
 
 	share := func() {
 		rec.shared = o
-		fl.vm.heap.PinShared(o)
-		fl.snap.pinned = append(fl.snap.pinned, o)
+		fl.snap.shared.Add(o)
 	}
 
 	if fl.poolSet[o] || o.Frozen() {
@@ -326,17 +325,14 @@ func (snap *Snapshot) NumClasses() int { return len(snap.classes) }
 // NumObjects returns the number of captured graph nodes.
 func (snap *Snapshot) NumObjects() int { return len(snap.objects) }
 
-// Release drops the snapshot's shared pins. Existing clones stay valid —
+// Release drops the snapshot's shared root batch. Existing clones stay valid —
 // their mirrors and pools root everything they use — but no further
 // clones may be made.
 func (snap *Snapshot) Release() {
 	if !snap.released.CompareAndSwap(false, true) {
 		return
 	}
-	for _, o := range snap.pinned {
-		snap.vm.heap.UnpinShared(o)
-	}
-	snap.pinned = nil
+	snap.shared.Release()
 }
 
 // CloneIsolate materializes a new tenant isolate from a warmed snapshot:
@@ -441,8 +437,8 @@ func (vm *VM) unwindClone(iso *core.Isolate, roots *HostRoots, cause error) erro
 }
 
 // materializeGraph allocates the private copies of the captured graph,
-// charged to iso and rooted in roots. Shared records reuse the pinned
-// template object by pointer.
+// charged to iso and rooted in roots. Shared records reuse the template
+// object, rooted by the snapshot's shared batch, by pointer.
 func (vm *VM) materializeGraph(snap *Snapshot, iso *core.Isolate, roots *HostRoots) ([]*heap.Object, map[*classfile.Class]*heap.Object, error) {
 	objs := make([]*heap.Object, len(snap.objects))
 	classObjs := make(map[*classfile.Class]*heap.Object)

@@ -9,7 +9,7 @@ import (
 )
 
 // Error-path regression tests for the snapshot/clone machinery: a failed
-// CaptureSnapshot must leave the shared-pin table and the template's
+// CaptureSnapshot must leave the host root registry and the template's
 // frozen bits exactly as it found them, and a failed CloneIsolate must
 // return its consumed dense isolate ID and registry loader slot. Both
 // paths run forever in a serving gateway (the clone pool retries
@@ -30,24 +30,24 @@ func appMirror(t *testing.T, vm *interp.VM, iso *core.Isolate) core.MirrorEntry 
 // TestCaptureFailureRestoresPinsAndFrozenBits forces CaptureSnapshot to
 // fail mid-flatten (an opaque native payload parked in a static — the
 // documented unsnapshotable shape) after the flattener has already
-// pinned the string pool and, on the FreezeShared leg, frozen and pinned
-// the statics table. The failed captures must restore the pin table
-// refcounts and thaw the speculatively frozen array; afterwards the
-// template must still capture, clone and serve.
+// rooted the string pool in the capture's shared batch and, on the
+// FreezeShared leg, frozen and rooted the statics table. The failed
+// captures must release that batch and thaw the speculatively frozen
+// array; afterwards the template must still capture, clone and serve.
 func TestCaptureFailureRestoresPinsAndFrozenBits(t *testing.T) {
 	vm, warmer := snapVM(t)
 	if got := snapCall(t, vm, warmer, 5); got != 32 {
 		t.Fatalf("warm-up bump = %d, want 32", got)
 	}
-	basePins := vm.Heap().SharedPins()
+	baseRoots := vm.HostRootBatches()
 
 	snapA, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinsA := vm.Heap().SharedPins()
-	if pinsA <= basePins {
-		t.Fatalf("good capture pinned nothing: base=%d with-snapshot=%d", basePins, pinsA)
+	rootsA := vm.HostRootBatches()
+	if rootsA != baseRoots+1 {
+		t.Fatalf("good capture registered no shared batch: base=%d with-snapshot=%d", baseRoots, rootsA)
 	}
 
 	m := appMirror(t, vm, warmer)
@@ -62,8 +62,8 @@ func TestCaptureFailureRestoresPinsAndFrozenBits(t *testing.T) {
 	if _, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{}); err == nil {
 		t.Fatal("capture of opaque native payload succeeded")
 	}
-	if got := vm.Heap().SharedPins(); got != pinsA {
-		t.Fatalf("failed capture leaked pins: %d, want %d", got, pinsA)
+	if got := vm.HostRootBatches(); got != rootsA {
+		t.Fatalf("failed capture leaked a root batch: %d, want %d", got, rootsA)
 	}
 
 	// FreezeShared leg: the flattener freezes+pins the table static
@@ -71,8 +71,8 @@ func TestCaptureFailureRestoresPinsAndFrozenBits(t *testing.T) {
 	if _, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{FreezeShared: true}); err == nil {
 		t.Fatal("FreezeShared capture of opaque native payload succeeded")
 	}
-	if got := vm.Heap().SharedPins(); got != pinsA {
-		t.Fatalf("failed FreezeShared capture leaked pins: %d, want %d", got, pinsA)
+	if got := vm.HostRootBatches(); got != rootsA {
+		t.Fatalf("failed FreezeShared capture leaked a root batch: %d, want %d", got, rootsA)
 	}
 	if table.Frozen() {
 		t.Fatal("failed FreezeShared capture left the statics table frozen")
@@ -95,14 +95,14 @@ func TestCaptureFailureRestoresPinsAndFrozenBits(t *testing.T) {
 		t.Fatalf("clone bump = %d, want 37", got)
 	}
 
-	// Releasing both snapshots must return the pin table to its pre-test
-	// state. This also catches refcount (not just distinct-entry) leaks:
-	// pool strings are pinned by both snapshots, so a stray count left by
-	// a failed capture would keep the entry alive past the final release.
+	// Releasing both snapshots must return the registry to its pre-test
+	// state: pool strings are rooted by both snapshots' batches, and a
+	// batch left by a failed capture would keep them alive past the final
+	// release.
 	snapB.Release()
 	snapA.Release()
-	if got := vm.Heap().SharedPins(); got != basePins {
-		t.Fatalf("pins after releasing all snapshots: %d, want %d", got, basePins)
+	if got := vm.HostRootBatches(); got != baseRoots {
+		t.Fatalf("root batches after releasing all snapshots: %d, want %d", got, baseRoots)
 	}
 }
 

@@ -218,15 +218,14 @@ type VM struct {
 	// see monitor.go for the full discipline.
 	monStripes [monStripeCount]sync.Mutex
 
-	// pinned holds host-side references (OSGi registry, RPC endpoints)
-	// that act as GC roots attributed to an isolate. hostRoots is the
-	// registry of live HostRoots sets (see hostroots.go) — transient
-	// host-side root batches with the same attribution, guarded by the
+	// pinned holds host-side references (Pin) that act as GC roots
+	// attributed to an isolate. hostRoots is the registry of HostRoots
+	// batches (see hostroots.go) in registration order, guarded by the
 	// same mutex so rooted allocation is atomic with respect to root-set
 	// construction.
 	pinMu     sync.Mutex
 	pinned    map[heap.IsolateID][]*heap.Object
-	hostRoots map[*HostRoots]struct{}
+	hostRoots []*HostRoots
 
 	// waiters tracks Object.wait sets per monitor object (schedMu).
 	waiters map[*heap.Object][]*Thread
@@ -287,7 +286,6 @@ func NewVM(opts Options) *VM {
 		ptable:        handlerTable(opts.Mode),
 		allocAccounts: opts.Mode == core.ModeIsolated,
 		pinned:        make(map[heap.IsolateID][]*heap.Object),
-		hostRoots:     make(map[*HostRoots]struct{}),
 		waiters:       make(map[*heap.Object][]*Thread),
 
 		stagedEntryArgs: make(map[*Thread]stagedArgs),
@@ -373,8 +371,9 @@ func (vm *VM) NewIsolate(name string) (*core.Isolate, error) {
 	return vm.world.NewIsolate(name, l)
 }
 
-// Pin registers a host-held reference as a GC root charged to iso (OSGi
-// service registry entries, RPC endpoints).
+// Pin registers a host-held reference as a GC root charged to iso, until
+// FreeIsolate frees iso. It is not atomic with the object's allocation:
+// host code that allocates and roots uses a HostRoots batch instead.
 func (vm *VM) Pin(iso heap.IsolateID, obj *heap.Object) {
 	if obj == nil {
 		return
@@ -382,19 +381,6 @@ func (vm *VM) Pin(iso heap.IsolateID, obj *heap.Object) {
 	vm.pinMu.Lock()
 	vm.pinned[iso] = append(vm.pinned[iso], obj)
 	vm.pinMu.Unlock()
-}
-
-// Unpin removes a previously pinned reference.
-func (vm *VM) Unpin(iso heap.IsolateID, obj *heap.Object) {
-	vm.pinMu.Lock()
-	defer vm.pinMu.Unlock()
-	refs := vm.pinned[iso]
-	for i, r := range refs {
-		if r == obj {
-			vm.pinned[iso] = append(refs[:i], refs[i+1:]...)
-			return
-		}
-	}
 }
 
 // lookupWellKnown resolves a bootstrap class by name with caching.
@@ -567,7 +553,9 @@ func (vm *VM) PreciseAccounting() map[heap.IsolateID]*heap.PreciseStats {
 // buildRootSets assembles the accounting root sets: per-isolate mirrors
 // and string pools (step 2), pinned host references, and thread frames
 // attributed to the frame's isolate (step 3), ordered by isolate ID so
-// charging follows the paper's first-tracer rule (step 4).
+// charging follows the paper's first-tracer rule (step 4). The shared
+// HostRoots batches lead, ahead of every isolate: their objects are
+// charged to their creators whichever isolate also holds them.
 func (vm *VM) buildRootSets() []heap.RootSet {
 	vm.pinMu.Lock()
 	defer vm.pinMu.Unlock()
@@ -584,9 +572,19 @@ func (vm *VM) buildRootSetsLocked() []heap.RootSet {
 	for iso, objs := range vm.pinned {
 		rootsByIso[iso] = append(rootsByIso[iso], objs...)
 	}
-	for r := range vm.hostRoots {
-		if len(r.refs) != 0 {
+	var rootSets []heap.RootSet
+	for _, r := range vm.hostRoots {
+		if !r.shared {
 			rootsByIso[r.iso] = append(rootsByIso[r.iso], r.refs...)
+			continue
+		}
+		// One set per run of equal creators, extended across batches.
+		for _, o := range r.refs {
+			if n := len(rootSets); n > 0 && rootSets[n-1].Isolate == o.Creator {
+				rootSets[n-1].Refs = append(rootSets[n-1].Refs, o)
+			} else {
+				rootSets = append(rootSets, heap.RootSet{Isolate: o.Creator, Refs: []*heap.Object{o}})
+			}
 		}
 	}
 	vm.threadsMu.Lock()
@@ -650,7 +648,6 @@ func (vm *VM) buildRootSetsLocked() []heap.RootSet {
 			rootsByIso[isoID] = refs
 		}
 	}
-	rootSets := make([]heap.RootSet, 0, len(rootsByIso))
 	for _, iso := range vm.world.Isolates() {
 		if refs, ok := rootsByIso[iso.ID()]; ok {
 			rootSets = append(rootSets, heap.RootSet{Isolate: iso.ID(), Refs: refs})

@@ -31,6 +31,9 @@ type Framework struct {
 	bundles  []*Bundle
 	registry *ServiceRegistry
 	ctxClass *classfile.Class
+	// ctxRoots roots the bundles' context objects for the framework's
+	// lifetime, charged to Isolate0.
+	ctxRoots *interp.HostRoots
 
 	// pendingEvents queues service events raised from guest natives;
 	// they are dispatched at the next framework safe point (event
@@ -55,6 +58,7 @@ func NewFramework(vm *interp.VM) (*Framework, error) {
 		loader0:  l,
 		isolate0: iso0,
 		registry: newServiceRegistry(vm),
+		ctxRoots: vm.NewCollectingRoots(iso0, func() { vm.CollectGarbage(iso0) }),
 	}
 	f.registry.onChange = f.queueServiceEvent
 	ctxClass, err := f.buildContextClass()
@@ -287,11 +291,10 @@ func (f *Framework) contextObjectFor(b *Bundle) (*heap.Object, error) {
 	if b.ctxObj != nil {
 		return b.ctxObj, nil
 	}
-	obj, err := f.vm.AllocNativeIn(nil, f.ctxClass, b, 64, false, f.isolate0)
+	obj, err := f.vm.AllocNativeRooted(f.ctxRoots, f.ctxClass, b, 64, false, f.isolate0)
 	if err != nil {
 		return nil, err
 	}
-	f.vm.Pin(f.isolate0.ID(), obj)
 	b.ctxObj = obj
 	return obj, nil
 }

@@ -31,9 +31,12 @@ type ServiceRegistry struct {
 }
 
 type serviceEntry struct {
-	name   string
-	obj    *heap.Object
-	owner  *Bundle
+	name  string
+	obj   *heap.Object
+	owner *Bundle
+	// roots roots obj as a GC root charged to the owner while the entry
+	// is registered.
+	roots  *interp.HostRoots
 	usedBy map[int]bool // bundle IDs that looked the service up
 }
 
@@ -42,7 +45,7 @@ func newServiceRegistry(vm *interp.VM) *ServiceRegistry {
 }
 
 // Register publishes a service object under a name, owned by a bundle.
-// The registry entry pins the object as a GC root charged to the owner.
+// The registry entry roots the object as a GC root charged to the owner.
 func (r *ServiceRegistry) Register(name string, obj *heap.Object, owner *Bundle) error {
 	if obj == nil {
 		return fmt.Errorf("osgi: registering nil service %q", name)
@@ -52,13 +55,15 @@ func (r *ServiceRegistry) Register(name string, obj *heap.Object, owner *Bundle)
 	if _, dup := r.services[name]; dup {
 		return fmt.Errorf("osgi: service %q already registered", name)
 	}
+	roots := r.vm.NewHostRoots(owner.iso)
+	roots.Add(obj)
 	r.services[name] = &serviceEntry{
 		name:   name,
 		obj:    obj,
 		owner:  owner,
+		roots:  roots,
 		usedBy: make(map[int]bool),
 	}
-	r.vm.Pin(owner.iso.ID(), obj)
 	if r.onChange != nil {
 		r.onChange(name, 1 /* ServiceRegistered */, owner)
 	}
@@ -88,7 +93,7 @@ func (r *ServiceRegistry) Unregister(name string) {
 	if !ok {
 		return
 	}
-	r.vm.Unpin(e.owner.iso.ID(), e.obj)
+	e.roots.Release()
 	delete(r.services, name)
 	r.dropLinksFor(name)
 	if r.onChange != nil {
@@ -103,7 +108,7 @@ func (r *ServiceRegistry) unregisterOwnedBy(b *Bundle) {
 	defer r.mu.Unlock()
 	for name, e := range r.services {
 		if e.owner == b {
-			r.vm.Unpin(e.owner.iso.ID(), e.obj)
+			e.roots.Release()
 			delete(r.services, name)
 			r.dropLinksFor(name)
 			if r.onChange != nil {

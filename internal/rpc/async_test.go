@@ -420,7 +420,8 @@ func TestZeroCopyInternedString(t *testing.T) {
 }
 
 // TestZeroCopyFrozenArray: frozen arrays cross by reference, guest
-// stores into them are rejected, and shared pins drain after release.
+// stores into them are rejected, and the call's root batches drain after
+// release.
 func TestZeroCopyFrozenArray(t *testing.T) {
 	e, hub := newAsyncEnv(t)
 	defer hub.Close()
@@ -440,6 +441,7 @@ func TestZeroCopyFrozenArray(t *testing.T) {
 	if err := heap.Freeze(arr); err != nil {
 		t.Fatal(err)
 	}
+	baseRoots := e.vm.HostRootBatches()
 
 	id := e.extraMethod(t, "id", "(Ljava/lang/Object;)Ljava/lang/Object;")
 	link, err := hub.NewLink(e.caller, e.callee, id, heap.Value{}, rpc.LinkOptions{ZeroCopy: true})
@@ -458,8 +460,8 @@ func TestZeroCopyFrozenArray(t *testing.T) {
 		t.Fatal("frozen array was copied")
 	}
 	fut.Release()
-	if n := e.vm.Heap().SharedPins(); n != 0 {
-		t.Fatalf("%d shared pins leaked after release", n)
+	if n := e.vm.HostRootBatches(); n != baseRoots {
+		t.Fatalf("%d host root batches registered after release, want %d", n, baseRoots)
 	}
 
 	// Guest stores into the shared frozen payload must be rejected.
@@ -491,4 +493,63 @@ func TestZeroCopyFrozenArray(t *testing.T) {
 	if arr.Elems[0].I != 0 {
 		t.Fatal("deep-copy call mutated the caller's array")
 	}
+}
+
+// TestThrottledCallerRefused: a governor-throttled caller is refused at
+// submission (before any queue or dispatch work), and admission returns
+// as soon as the throttle lifts.
+func TestThrottledCallerRefused(t *testing.T) {
+	e, hub := newAsyncEnv(t)
+	defer hub.Close()
+	link, err := hub.NewLink(e.caller, e.callee, e.method, e.recv, rpc.LinkOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+
+	e.caller.SetThrottled(true)
+	if _, err := link.CallAsync([]heap.Value{heap.IntVal(1)}); !errors.Is(err, rpc.ErrThrottled) {
+		t.Fatalf("throttled CallAsync: %v, want ErrThrottled", err)
+	}
+	if _, err := link.Call([]heap.Value{heap.IntVal(1)}); !errors.Is(err, rpc.ErrThrottled) {
+		t.Fatalf("throttled Call: %v, want ErrThrottled", err)
+	}
+
+	e.caller.SetThrottled(false)
+	v, err := link.Call([]heap.Value{heap.IntVal(2)})
+	if err != nil {
+		t.Fatalf("unthrottled call: %v", err)
+	}
+	if v.I != 2 {
+		t.Fatalf("unthrottled call = %d, want 2", v.I)
+	}
+}
+
+// TestSaturationChargesCaller: a submission refused by a full
+// pipelining window charges the caller's RPCSaturated counter — the
+// governor's flood signal.
+func TestSaturationChargesCaller(t *testing.T) {
+	e, hub := newAsyncEnv(t)
+	defer hub.Close()
+	spin := e.extraMethod(t, "spin", "(I)I")
+	link, err := hub.NewLink(e.caller, e.callee, spin, heap.Value{}, rpc.LinkOptions{QueueDepth: 1, CallBudget: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.caller.Account().RPCSaturated.Load()
+	fut, err := link.CallAsync([]heap.Value{heap.IntVal(1 << 30)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := link.CallAsync([]heap.Value{heap.IntVal(1)}); !errors.Is(err, rpc.ErrSaturated) {
+		t.Fatalf("saturated submission: %v, want ErrSaturated", err)
+	}
+	if got := e.caller.Account().RPCSaturated.Load(); got != before+1 {
+		t.Fatalf("RPCSaturated = %d, want %d", got, before+1)
+	}
+	link.Close()
+	if _, err := fut.Wait(); !errors.Is(err, rpc.ErrLinkClosed) {
+		t.Fatalf("cancelled call: %v, want ErrLinkClosed", err)
+	}
+	fut.Release()
 }

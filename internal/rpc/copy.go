@@ -47,8 +47,8 @@ var ErrCopyBudget = errors.New("rpc: copy budget exhausted")
 // With srcIso set (zero-copy links), deeply immutable payloads are
 // shared instead of copied: a string that is srcIso's canonical interned
 // object is published into target's pool (first publisher wins), and a
-// frozen array (heap.Freeze) is shared as-is, pinned via the heap's
-// shared-pin table for its flight window.
+// frozen array (heap.Freeze) is shared as-is, rooted for its flight
+// window in the shared batch, which charges it to its creator.
 //
 // The copier does not lock payloads: the caller must guarantee the
 // source graph is not concurrently mutated (the link contract — in-flight
@@ -69,8 +69,10 @@ type copier struct {
 
 	budget int64
 	copied int64
+	// shared roots the frozen arrays shared as-is (interp.VM.NewSharedRoots),
+	// created on the first one: their creator keeps the charge.
+	shared *interp.HostRoots
 	memo   map[*heap.Object]*heap.Object
-	pins   []*heap.Object
 	stack  []copyTask
 }
 
@@ -146,12 +148,12 @@ func (c *copier) translate(v heap.Value) (heap.Value, error) {
 	if src.IsArray() {
 		if c.srcIso != nil && src.Frozen() {
 			// Zero-copy: a frozen array's graph is deeply immutable, so the
-			// object itself crosses the boundary. The shared pin keeps it a
-			// creator-charged root for the flight window even across
-			// incremental cycle boundaries; c.roots covers exact collections.
-			c.vm.Heap().PinShared(src)
-			c.pins = append(c.pins, src)
-			c.roots.Add(src)
+			// object itself crosses the boundary, rooted for the flight
+			// window charged to its creator.
+			if c.shared == nil {
+				c.shared = c.vm.NewSharedRoots()
+			}
+			c.shared.Add(src)
 			c.memo[src] = src
 			return heap.RefVal(src), nil
 		}
@@ -183,14 +185,11 @@ func (c *copier) charge() error {
 	return nil
 }
 
-// abandon releases the copier's roots and pins after a failed copy; the
+// abandon releases the copier's root batches after a failed copy; the
 // half-built graph becomes garbage for the next collection.
 func (c *copier) abandon() {
 	c.roots.Release()
-	for _, o := range c.pins {
-		c.vm.Heap().UnpinShared(o)
-	}
-	c.pins = nil
+	c.shared.Release()
 }
 
 // DeepCopyValue copies a value graph into the target isolate's space:
@@ -221,9 +220,6 @@ func DeepCopyValue(vm *interp.VM, v heap.Value, target *core.Isolate) (heap.Valu
 	}
 	out, err := c.copyValue(v)
 	c.roots.Release()
-	for _, o := range c.pins {
-		vm.Heap().UnpinShared(o)
-	}
 	if err != nil {
 		return heap.Value{}, err
 	}

@@ -46,7 +46,7 @@ type LinkOptions struct {
 	CopyBudget int64
 	// ZeroCopy shares deeply immutable payloads instead of copying them:
 	// interned strings are published into the callee's pool, frozen
-	// arrays (heap.Freeze) are shared and pinned for the call window.
+	// arrays (heap.Freeze) are shared and rooted for the call window.
 	// Off by default — sharing changes which isolate is charged for the
 	// payload bytes (creator keeps the charge), where a deep copy
 	// charges the receiver.
@@ -81,7 +81,6 @@ func (o *LinkOptions) fill() {
 // on its caller's goroutine.
 type Link struct {
 	hub    *Hub
-	ownHub bool
 	caller *core.Isolate
 	callee *core.Isolate
 	method *classfile.Method
@@ -197,22 +196,6 @@ func (l *Link) releaseSlot() {
 // Caller returns the link's calling isolate.
 func (l *Link) Caller() *core.Isolate { return l.caller }
 
-// NewLink creates a link with seed-compatible behavior: a private hub,
-// default options, deep-copy semantics. Close tears the hub down too.
-// When several links share traffic on one VM, create one Hub and use
-// Hub.NewLink instead.
-func NewLink(vm *interp.VM, caller, callee *core.Isolate, m *classfile.Method, recv heap.Value) *Link {
-	hub := NewHub(vm)
-	l, err := hub.NewLink(caller, callee, m, recv, LinkOptions{})
-	if err != nil {
-		// A fresh hub only fails link creation when closed, which cannot
-		// happen here.
-		panic(err)
-	}
-	l.ownHub = true
-	return l
-}
-
 // NewLink creates a link from caller into callee's method on receiver
 // recv (Void for static methods) served by h's worker pool for callee.
 func (h *Hub) NewLink(caller, callee *core.Isolate, m *classfile.Method, recv heap.Value, opts LinkOptions) (*Link, error) {
@@ -270,10 +253,10 @@ type Future struct {
 	val heap.Value
 	err error
 
-	// roots keeps the caller-space result graph alive; pins are
-	// zero-copy shares pinned for the result's flight window.
+	// roots keeps the caller-space result graph alive; shared roots the
+	// zero-copy shares for the result's flight window.
 	roots    *interp.HostRoots
-	pins     []*heap.Object
+	shared   *interp.HostRoots
 	released atomic.Bool
 }
 
@@ -328,13 +311,8 @@ func (f *Future) Release() {
 	if !f.released.CompareAndSwap(false, true) {
 		return
 	}
-	if f.roots != nil {
-		f.roots.Release()
-	}
-	for _, o := range f.pins {
-		f.link.hub.vm.Heap().UnpinShared(o)
-	}
-	f.pins = nil
+	f.roots.Release()
+	f.shared.Release()
 }
 
 // resolve publishes the outcome. Called exactly once per future. The
@@ -359,11 +337,11 @@ type request struct {
 	// instance methods — living in the callee's space (copied/shared at
 	// submit time on the caller's goroutine). roots keeps the copied
 	// graph — and later the result — alive until dispatch completes;
-	// it is nil for scalar-only traffic, which roots nothing. pins are
-	// zero-copy shares held for the flight window.
+	// it is nil for scalar-only traffic, which roots nothing. shared
+	// roots the zero-copy shares for the flight window.
 	args   []heap.Value
 	roots  *interp.HostRoots
-	pins   []*heap.Object
+	shared *interp.HostRoots
 	fut    Future
 	argbuf [4]heap.Value
 }
@@ -385,14 +363,9 @@ func (req *request) resolve(v heap.Value, err error) {
 }
 
 func (req *request) release() {
-	if req.roots != nil {
-		req.roots.Release()
-		req.roots = nil
-	}
-	for _, o := range req.pins {
-		req.link.hub.vm.Heap().UnpinShared(o)
-	}
-	req.pins = nil
+	req.roots.Release()
+	req.shared.Release()
+	req.roots, req.shared = nil, nil
 }
 
 // CallAsync submits one call and returns its future without waiting.
@@ -496,7 +469,7 @@ func (l *Link) submit(args []heap.Value, signal bool) (*Future, error) {
 			return nil, err
 		}
 		req.roots = c.roots
-		req.pins = c.pins
+		req.shared = c.shared
 	}
 
 	if !l.pool.enqueue(req, signal) {
@@ -738,7 +711,7 @@ func (h *Hub) copyOut(req *request, v heap.Value) {
 		return
 	}
 	req.fut.roots = c.roots
-	req.fut.pins = c.pins
+	req.fut.shared = c.shared
 	req.resolve(cv, nil)
 }
 
@@ -763,8 +736,5 @@ func (l *Link) Close() {
 			l.recvRoots.Release()
 		}
 		l.hub.releasePool(l.callee, l.pool)
-		if l.ownHub {
-			l.hub.Close()
-		}
 	})
 }

@@ -66,7 +66,12 @@ func newRPCEnv(t *testing.T) *rpcEnv {
 
 func TestIncommunicadoLink(t *testing.T) {
 	e := newRPCEnv(t)
-	link := rpc.NewLink(e.vm, e.caller, e.callee, e.method, e.recv)
+	hub := rpc.NewHub(e.vm)
+	defer hub.Close()
+	link, err := hub.NewLink(e.caller, e.callee, e.method, e.recv, rpc.LinkOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer link.Close()
 	var last int64
 	for i := 0; i < 10; i++ {

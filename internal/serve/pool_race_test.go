@@ -125,6 +125,7 @@ func TestClonePoolConcurrentChurn(t *testing.T) {
 	if _, th, err := vm.CallRoot(warmer, serveM, []heap.Value{heap.IntVal(1)}, 0); err != nil || th.Failure() != nil {
 		t.Fatalf("warm-up: %v / %s", err, th.FailureString())
 	}
+	baseRoots := vm.HostRootBatches()
 	snap, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -284,8 +285,8 @@ func TestClonePoolConcurrentChurn(t *testing.T) {
 	}
 	pool.Close()
 	snap.Release()
-	if pins := vm.Heap().SharedPins(); pins != 0 {
-		t.Fatalf("%d shared pins leaked after teardown", pins)
+	if n := vm.HostRootBatches(); n != baseRoots {
+		t.Fatalf("%d host root batches registered after teardown, want %d", n, baseRoots)
 	}
 	final := vm.CollectGarbage(nil)
 	if used := vm.Heap().Used(); used != final.LiveBytes {
