@@ -186,11 +186,9 @@ func (h *Heap) MarkQuantum(budget int) (done bool) {
 	if c == nil {
 		return false
 	}
-	m := marker{h: h, c: c}
-	m.run(budget, false)
-	c.mu.Lock()
-	done = c.exhaustedLocked()
-	c.mu.Unlock()
+	m := getMarker(h, c)
+	done = m.run(budget, false)
+	putMarker(m)
 	return done
 }
 
@@ -264,7 +262,8 @@ func (h *Heap) abandonLocked() {
 // held, world stopped.
 func (h *Heap) terminateLocked(c *gcCycle, rescan []RootSet) CollectResult {
 	h.gcCount.Add(1)
-	m := marker{h: h, c: c}
+	m := getMarker(h, c)
+	defer putMarker(m)
 	m.run(-1, true)
 
 	// Terminal re-scan: roots that appeared after the snapshot (new
@@ -368,28 +367,58 @@ const (
 	spillAt   = 256
 )
 
-// marker performs mark work against one cycle. It is created per call
-// (MarkQuantum / terminal drain); local is the private trace stack.
+// marker performs mark work against one cycle for one call (MarkQuantum
+// / terminal drain). Its scratch — the private trace stack and the
+// per-isolate stats — is recycled through markerPool, so a mark step
+// allocates nothing once the pool is warm.
 type marker struct {
 	h     *Heap
 	c     *gcCycle
 	local []grayItem
-	// localStats batches live-stat charges per call, merged under c.mu
-	// once at the end so concurrent markers do not contend per object.
-	localStats map[IsolateID]*LiveStats
+	// stats batches live-stat charges per call, merged under c.mu once at
+	// the end so concurrent markers do not contend per object; at most
+	// maxMarkerStats isolates, merged early when a further one shows up.
+	stats []isoStats
+	// holding reports that the marker is counted in c.active: it took
+	// work from the cycle, in the same locked section.
+	holding bool
+}
+
+// isoStats is one isolate's batched live-stat charges.
+type isoStats struct {
+	iso IsolateID
+	LiveStats
+}
+
+const maxMarkerStats = 8
+
+var markerPool = sync.Pool{New: func() any { return new(marker) }}
+
+func getMarker(h *Heap, c *gcCycle) *marker {
+	m := markerPool.Get().(*marker)
+	m.h, m.c = h, c
+	return m
+}
+
+// putMarker recycles m's scratch. It holds no object: the trace stack is
+// empty, and every slot it vacated was cleared (pop, spill).
+func putMarker(m *marker) {
+	m.h, m.c = nil, nil
+	markerPool.Put(m)
 }
 
 // run performs up to budget units of work (budget < 0 means until
-// exhausted). stw marks the stop-the-world drains: RefHolder payloads
-// are scanned inline (the world is quiescent) instead of deferred.
-func (m *marker) run(budget int, stw bool) {
+// exhausted) and reports whether the cycle's mark work is exhausted. stw
+// marks the stop-the-world drains: RefHolder payloads are scanned inline
+// (the world is quiescent) instead of deferred. A step takes c.mu once per
+// steal — taking no more than its remaining budget — and once at the end,
+// where it spills its leftovers, merges its stats, leaves c.active and
+// reads the verdict.
+func (m *marker) run(budget int, stw bool) (exhausted bool) {
 	c := m.c
-	c.mu.Lock()
-	c.active++
-	c.mu.Unlock()
 	n := 0
 	for budget < 0 || n < budget {
-		it, ok := m.next(stw)
+		it, ok := m.next(stw, budget-n)
 		if !ok {
 			break
 		}
@@ -403,44 +432,64 @@ func (m *marker) run(budget int, stw bool) {
 	// Spill leftovers (budget exhausted mid-trace) and merge stats.
 	c.mu.Lock()
 	c.gray = append(c.gray, m.local...)
-	m.local = nil
-	for iso, s := range m.localStats {
-		t := c.liveStats(iso)
+	clear(m.local)
+	m.local = m.local[:0]
+	m.mergeLocked()
+	if m.holding {
+		m.holding = false
+		c.active--
+	}
+	exhausted = c.exhaustedLocked()
+	c.mu.Unlock()
+	return exhausted
+}
+
+// mergeLocked adds the batched stats to the cycle's; c.mu held.
+func (m *marker) mergeLocked() {
+	for i := range m.stats {
+		s := &m.stats[i]
+		t := m.c.liveStats(s.iso)
 		t.Objects += s.Objects
 		t.Bytes += s.Bytes
 		t.Connections += s.Connections
 	}
-	m.localStats = nil
-	c.active--
-	c.mu.Unlock()
+	m.stats = m.stats[:0]
+}
+
+// hold counts the marker in c.active as it takes its first work; c.mu
+// held.
+func (m *marker) hold() {
+	if !m.holding {
+		m.holding = true
+		m.c.active++
+	}
 }
 
 // next produces the marker's next work item: local stack first, then a
-// chunk stolen from the shared pool, then the root cursor in strict
-// isolate order, then buffered SATB records, and under stop-the-world
-// also the deferred native payloads.
-func (m *marker) next(stw bool) (grayItem, bool) {
+// chunk stolen from the shared pool — at most max items, when max >= 0 —
+// then the root cursor in strict isolate order, then buffered SATB
+// records, and under stop-the-world also the deferred native payloads.
+// Taking from the pool's top leaves the trace order what it is with any
+// chunk size: the local stack is the pool's continuation.
+func (m *marker) next(stw bool, max int) (grayItem, bool) {
 	if n := len(m.local); n > 0 {
-		it := m.local[n-1]
-		m.local = m.local[:n-1]
-		return it, true
+		return m.pop(n), true
 	}
 	c := m.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n := len(c.gray); n > 0 {
-		take := grayChunk
-		if take > n {
-			take = n
+		take := min(grayChunk, n)
+		if max >= 0 {
+			take = min(take, max)
 		}
+		m.hold()
 		m.local = append(m.local, c.gray[n-take:]...)
 		for i := n - take; i < n; i++ {
 			c.gray[i] = grayItem{}
 		}
 		c.gray = c.gray[:n-take]
-		it := m.local[len(m.local)-1]
-		m.local = m.local[:len(m.local)-1]
-		return it, true
+		return m.pop(len(m.local)), true
 	}
 	for c.setIdx < len(c.rootSets) {
 		rs := &c.rootSets[c.setIdx]
@@ -448,6 +497,7 @@ func (m *marker) next(stw bool) (grayItem, bool) {
 			root := rs.Refs[c.refIdx]
 			c.refIdx++
 			if root != nil {
+				m.hold()
 				return grayItem{root, rs.Isolate}, true
 			}
 			continue
@@ -459,6 +509,7 @@ func (m *marker) next(stw bool) (grayItem, bool) {
 		o := c.satb[n-1]
 		c.satb[n-1] = nil
 		c.satb = c.satb[:n-1]
+		m.hold()
 		// A barrier-rescued object was live at the snapshot but no
 		// isolate traced a path to it this cycle: charge its creator,
 		// like finalizer resurrection.
@@ -469,6 +520,7 @@ func (m *marker) next(stw bool) (grayItem, bool) {
 			it := c.deferred[n-1]
 			c.deferred[n-1] = grayItem{}
 			c.deferred = c.deferred[:n-1]
+			m.hold()
 			// Already marked and charged; re-run only the native scan.
 			c.mu.Unlock()
 			m.scanNative(it)
@@ -484,9 +536,7 @@ func (m *marker) next(stw bool) (grayItem, bool) {
 // next's defer).
 func (m *marker) nextDeferredOrRetry(stw bool) (grayItem, bool) {
 	if n := len(m.local); n > 0 {
-		it := m.local[n-1]
-		m.local = m.local[:n-1]
-		return it, true
+		return m.pop(n), true
 	}
 	if n := len(m.c.deferred); n > 0 {
 		it := m.c.deferred[n-1]
@@ -503,13 +553,21 @@ func (m *marker) nextDeferredOrRetry(stw bool) (grayItem, bool) {
 // charge accumulates the first-tracer live statistics for a freshly
 // marked object.
 func (m *marker) charge(it grayItem) {
-	if m.localStats == nil {
-		m.localStats = make(map[IsolateID]*LiveStats, 4)
+	var s *LiveStats
+	for i := range m.stats {
+		if m.stats[i].iso == it.iso {
+			s = &m.stats[i].LiveStats
+			break
+		}
 	}
-	s, ok := m.localStats[it.iso]
-	if !ok {
-		s = &LiveStats{}
-		m.localStats[it.iso] = s
+	if s == nil {
+		if len(m.stats) == maxMarkerStats {
+			m.c.mu.Lock()
+			m.mergeLocked()
+			m.c.mu.Unlock()
+		}
+		m.stats = append(m.stats, isoStats{iso: it.iso})
+		s = &m.stats[len(m.stats)-1].LiveStats
 	}
 	o := it.obj
 	o.Charged = it.iso
@@ -557,6 +615,15 @@ func (m *marker) scanNative(it grayItem) {
 	}
 }
 
+// pop takes the top of the local stack, whose length is n, clearing the
+// slot it vacates.
+func (m *marker) pop(n int) grayItem {
+	it := m.local[n-1]
+	m.local[n-1] = grayItem{}
+	m.local = m.local[:n-1]
+	return it
+}
+
 // push adds one item to the local stack, spilling half to the shared
 // pool when it grows past spillAt so other markers can steal it.
 func (m *marker) push(it grayItem) {
@@ -567,6 +634,7 @@ func (m *marker) push(it grayItem) {
 		m.c.gray = append(m.c.gray, m.local[:half]...)
 		m.c.mu.Unlock()
 		copy(m.local, m.local[half:])
+		clear(m.local[len(m.local)-half:])
 		m.local = m.local[:len(m.local)-half]
 	}
 }

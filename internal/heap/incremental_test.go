@@ -424,3 +424,80 @@ func (f *fuzzHeap) afterSweepChecks() {
 		}
 	}
 }
+
+// TestMarkStepAllocatesNothing pins the marker's recycled scratch: once
+// warm, a mark step — one unit or several, on a 1000-object list — makes
+// no host allocation (not checked under the race detector, whose sync.Pool
+// drops items on purpose), and the cycle's live stats come out exact. A second
+// heap roots lists in 20 isolates (more than a marker batches at once)
+// and one step traces them all: the first-tracer live stats must equal an
+// exact collection's.
+func TestMarkStepAllocatesNothing(t *testing.T) {
+	const n = 1000
+	c := incClass(1)
+	h := New(1 << 22)
+	var head *Object
+	for i := 0; i < n; i++ {
+		o, err := h.AllocObject(c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if head != nil {
+			o.Elems[0] = RefVal(head)
+		}
+		head = o
+	}
+	if !h.BeginCycle([]RootSet{{Isolate: 0, Refs: []*Object{head}}}) {
+		t.Fatal("BeginCycle refused")
+	}
+	step := func(budget int) {
+		if h.MarkQuantum(budget) {
+			t.Fatal("the cycle was exhausted with most of the list untraced")
+		}
+	}
+	step(1)
+	step(1)
+	one := testing.AllocsPerRun(200, func() { step(1) })
+	eight := testing.AllocsPerRun(50, func() { step(8) })
+	if !raceEnabled && (one != 0 || eight != 0) {
+		t.Fatalf("a one-unit mark step allocates %v times, an eight-unit one %v", one, eight)
+	}
+	for !h.MarkQuantum(1) {
+	}
+	res, ok := h.FinishCycle(nil)
+	if !ok || res.Live[0] == nil || res.Live[0].Objects != n {
+		t.Fatalf("cycle finished %v with live %+v, want %d objects", ok, res.Live[0], n)
+	}
+
+	build := func() (*Heap, []RootSet) {
+		h := New(1 << 22)
+		var sets []RootSet
+		for iso := IsolateID(1); iso <= 20; iso++ {
+			var head *Object
+			for i := 0; i < int(iso); i++ {
+				o, err := h.AllocObject(c, iso)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if head != nil {
+					o.Elems[0] = RefVal(head)
+				}
+				head = o
+			}
+			sets = append(sets, RootSet{Isolate: iso, Refs: []*Object{head}})
+		}
+		return h, sets
+	}
+	hi, sets := build()
+	if !hi.BeginCycle(sets) || !hi.MarkQuantum(1000) {
+		t.Fatal("one step did not exhaust the cycle")
+	}
+	inc, _ := hi.FinishCycle(nil)
+	he, sets := build()
+	exact := he.Collect(sets)
+	for iso := IsolateID(1); iso <= 20; iso++ {
+		if inc.Live[iso] == nil || *inc.Live[iso] != *exact.Live[iso] {
+			t.Fatalf("isolate %d: incremental live %+v, exact %+v", iso, inc.Live[iso], exact.Live[iso])
+		}
+	}
+}

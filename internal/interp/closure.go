@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"sync/atomic"
+
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
 	"ijvm/internal/core"
@@ -18,12 +20,13 @@ import (
 // The contract every block keeps:
 //
 //   - a block's prefix holds only micros that cannot collect, throw,
-//     park, or reach a safepoint; anything else (invokes, monitors,
-//     returns, throws, ldc, checkcast ...) terminates the block and is
-//     delegated through the live handler table, with the frame in exactly
-//     the state single-step execution would leave it. A micro may
-//     allocate — new and newarray do — as long as the admission cannot
-//     collect: the object lands on the frame before anything can scan it;
+//     park, or reach a safepoint; anything else (monitors, returns,
+//     throws, ldc, checkcast, an invoke at the block's head ...)
+//     terminates the block and is delegated through the live handler
+//     table, with the frame in exactly the state single-step execution
+//     would leave it. A micro may allocate — new and newarray do — as long
+//     as the admission cannot collect: the object lands on the frame
+//     before anything can scan it;
 //   - operand folding: the builder keeps a compile-time operand stack.
 //     iload/fload/aload and the constant pushes emit nothing — they push
 //     a symbol (local k / constant c) — and the micro of the instruction
@@ -38,7 +41,7 @@ import (
 //     full before any transfer out of the block, so the real stack is
 //     exact wherever it can be observed;
 //   - guarded micros (field, static and array access, allocation,
-//     idiv/irem) check
+//     calls, idiv/irem) check
 //     every failure condition BEFORE mutating anything; on failure they
 //     push their own symbolic operands in order and return microBail. The
 //     step then delegates the guarded instruction through the handler
@@ -67,6 +70,15 @@ import (
 //   - conditional branches do not end a block: they are mid-block micros
 //     that fall through into the block's continuation when not taken and
 //     transfer (microStop) when taken;
+//   - calls (§3.1: only an inter-bundle call is special) are guarded
+//     micros: invokevirtual, invokespecial and invokestatic bind their
+//     argument window like any consumer, and a value-returning call folds
+//     the local store that follows it. When the target is a leaf — a
+//     straight-line body of non-failing micros ending in its return
+//     (leafBody) — defined by the caller's own loader, the micro runs the
+//     body on the thread's next cached frame without publishing it and
+//     delivers the result: no frame is pushed and no step ends. Anything
+//     else bails, and the table handler makes the real call;
 //   - chaining: after an inline transfer — a taken branch, the inline
 //     goto / iinc+goto final — the step continues into the block at the
 //     new pc when one is compiled there and still fits (runClosureBlock),
@@ -74,8 +86,12 @@ import (
 //     retire as one engine step. A step ends at the first delegated
 //     final, bail, pc without a block head, quantum boundary, or once it
 //     has retired maxStepSubs instructions;
-//   - a block reserves its sub-instruction width against the quantum
-//     before it runs, and the step charges everything it retired through
+//   - a block reserves its sub-instruction width — up to its first call
+//     micro when it has one — against the quantum before it runs, and a
+//     call micro inlines a leaf only when the rest of the block, the body
+//     and its return fit in what the step may still retire
+//     (quantumAcct.spare); the step charges everything it retired
+//     (an inlined leaf adds its body and return to quantumAcct.inl) through
 //     the quantum routine's own accounting sequence in one batched,
 //     arithmetically identical call at its single exit (tier.go
 //     chargeSubs), so quantum boundaries, per-isolate accounts, GC mark
@@ -128,23 +144,30 @@ type closureMicro func(vm *VM, t *Thread, f *Frame) microStatus
 // completes, bail[i] the count retired when it bails (everything before
 // the guarded instruction, its folded operand loads included — the bail
 // pushed them), and width the count before the block's final instruction.
-// reserve(width) is conservative on early-taken branches: the block runs
-// compiled only when its longest path fits the quantum, and single-steps
-// (the table engine's own boundary behavior) otherwise.
+// need is what must fit in the quantum before the block runs: its width,
+// or, when it holds call micros, the count before the first — a call
+// bails unless everything after it, the leaf it inlines included, fits
+// (quantumAcct.spare), and a bail ends the block. reserve(need) is
+// conservative on early-taken branches: the block runs compiled only when
+// its longest path fits the quantum, and single-steps (the table engine's
+// own boundary behavior) otherwise.
 type closureBlock struct {
 	prefix []closureMicro
 	cum    []int64
 	bail   []int64
 	width  int64
+	need   int64
 	pc0    int32
 	last   closureMicro
 }
 
 // closureProgram maps each block-head pc to its compiled block; nil
 // entries are pcs reached only mid-block (or blocks too trivial to win),
-// which execute through normal table dispatch.
+// which execute through normal table dispatch. leaf is the method's
+// inlinable form, or nil.
 type closureProgram struct {
 	blocks []*closureBlock
+	leaf   *leafBody
 }
 
 const (
@@ -157,6 +180,8 @@ const (
 	// shutdown and target completion between steps, so this — not
 	// Options.Quantum — bounds their latency.
 	maxStepSubs = 256
+	// maxLeafWidth bounds the body of an inlinable leaf.
+	maxLeafWidth = 16
 )
 
 // runClosureBlock executes a chain of compiled blocks as one engine step.
@@ -164,10 +189,13 @@ const (
 // charge covers the step's final one (a taken branch, an inline final, or
 // the delegated instruction) and chargeSubs batches the rest at the single
 // exit — charge order within a step is unobservable, so batching is
-// identical to charging each micro as it retires.
+// identical to charging each micro as it retires. Before each block, q.spare
+// is what the step may still retire beside it — the rest of room after the
+// block's width and final, negative when only its need fit — and leaves
+// inlined by its call micros count in q.inl, which joins n after the block.
 func (vm *VM) runClosureBlock(t *Thread, f *Frame, b *closureBlock) error {
 	q := t.qa
-	if q == nil || !q.reserve(b.width) {
+	if q == nil || !q.reserve(b.need) {
 		in := &f.pcode.Instrs[f.pc]
 		return vm.ptable[in.H](vm, t, f, in)
 	}
@@ -177,6 +205,7 @@ func (vm *VM) runClosureBlock(t *Thread, f *Frame, b *closureBlock) error {
 	var n int64
 run:
 	for {
+		q.spare = room - n - b.width - 1
 		for i, m := range b.prefix {
 			switch m(vm, t, f) {
 			case microNext:
@@ -197,12 +226,16 @@ run:
 		b.last(vm, t, f)
 		n++
 	transferred:
+		n += q.inl
+		q.inl = 0
 		b = f.hot.blocks[f.pc]
-		if b == nil || n+b.width >= room {
+		if b == nil || n+b.need >= room {
 			q.chargeSubs(vm, t, n-1)
 			return nil
 		}
 	}
+	n += q.inl
+	q.inl = 0
 	q.chargeSubs(vm, t, n)
 	in := &f.pcode.Instrs[f.pc]
 	return vm.ptable[in.H](vm, t, f, in)
@@ -210,13 +243,14 @@ run:
 
 // buildClosureProgram compiles the prepared method into closure-threaded
 // blocks. Block heads are the method entry, every branch target, every
-// exception-handler target, and every fall-through successor of a built
-// block, so steady-state execution (including returns from delegated
-// invokes) always lands on a compiled block; other pcs run through table
-// dispatch. The result is never nil (blocks may be sparse). mode picks the
-// statics and new micros; objClass is the VM's java/lang/Object, the
-// element class of an untyped newarray (nil: those sites stay on the
-// table).
+// exception-handler target, the pc after every invoke, and every
+// fall-through successor of a built block, so steady-state execution
+// (including returns from real calls) always lands on a compiled block;
+// other pcs run through table dispatch. The result is never nil (blocks
+// may be sparse); it carries the method's leaf form when it has one.
+// mode picks the statics, new and invokestatic micros; objClass is the
+// VM's java/lang/Object, the element class of an untyped newarray (nil:
+// those sites stay on the table).
 func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, mode core.Mode, objClass *classfile.Class) *closureProgram {
 	code := m.Code
 	n := len(code.Instrs)
@@ -233,9 +267,12 @@ func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, mode core.Mode,
 		}
 	}
 	add(0)
-	for _, in := range code.Instrs {
-		if in.Op.IsBranch() {
+	for pc, in := range code.Instrs {
+		switch {
+		case in.Op.IsBranch():
 			add(in.A)
+		case in.Op == bytecode.OpInvokeVirtual || in.Op == bytecode.OpInvokeSpecial || in.Op == bytecode.OpInvokeStatic:
+			add(int32(pc) + 1)
 		}
 	}
 	for _, h := range code.Handlers {
@@ -244,7 +281,7 @@ func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, mode core.Mode,
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		b, end, fall := buildClosureBlock(code, p, pc, mode, objClass)
+		b, end, fall := buildClosureBlock(m, p, pc, mode, objClass)
 		if b != nil {
 			cp.blocks[pc] = b
 		}
@@ -252,6 +289,7 @@ func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, mode core.Mode,
 			add(end + 1)
 		}
 	}
+	cp.leaf = leafForm(m, p, cp.blocks[0])
 	return cp
 }
 
@@ -333,6 +371,7 @@ func (f *Frame) result(ns int, d int32, v heap.Value) {
 // deepest first; at run time they sit (virtually) on top of the frame's
 // real stack.
 type blockBuilder struct {
+	m    *classfile.Method
 	code *bytecode.Code
 	p    *bytecode.PCode
 	blk  *closureBlock
@@ -340,6 +379,16 @@ type blockBuilder struct {
 	mode core.Mode
 	// objClass is buildClosureProgram's; nil compiles no untyped newarray.
 	objClass *classfile.Class
+	// called records that the block holds a call micro (blk.need is set).
+	called bool
+}
+
+// seal records the block's width, and its need unless a call micro set it.
+func (bb *blockBuilder) seal(width int32) {
+	bb.blk.width = int64(width)
+	if !bb.called {
+		bb.blk.need = bb.blk.width
+	}
 }
 
 // emit appends the micro of the instruction at pc, whose last covered
@@ -390,19 +439,41 @@ func (bb *blockBuilder) flush(keep int) {
 	}, last, last)
 }
 
-// bind takes the top n entries of the virtual stack as the operands of
-// the consumer at pc and materialises every symbol below them, so the
-// only pending symbols when the micro runs are its own.
-func (bb *blockBuilder) bind(n int, pc int32) binding {
+// take binds the top len(ops) entries of the virtual stack as a
+// consumer's operands, deepest first, and materialises every symbol below
+// them, so the only pending symbols when the micro runs are its own. It
+// returns how many of the operands are on the real stack.
+func (bb *blockBuilder) take(ops []operand) (ns int) {
+	n := len(ops)
 	k := min(n, len(bb.syms))
 	bb.flush(k)
-	bd := binding{ns: n - k, d: -1, last: pc}
-	for i := 0; i < bd.ns; i++ {
-		bd.ops[i] = operand{kind: onStack, slot: int32(bd.ns - 1 - i)}
+	ns = n - k
+	for i := 0; i < ns; i++ {
+		ops[i] = operand{kind: onStack, slot: int32(ns - 1 - i)}
 	}
-	copy(bd.ops[bd.ns:], bb.syms)
+	copy(ops[ns:], bb.syms)
 	bb.syms = nil
+	return ns
+}
+
+// bind takes the top n (at most 3) entries of the virtual stack as the
+// operands of the consumer at pc.
+func (bb *blockBuilder) bind(n int, pc int32) binding {
+	bd := binding{d: -1, last: pc}
+	bd.ns = bb.take(bd.ops[:n])
 	return bd
+}
+
+// storeAfter reports the local a store directly after the producer at pc
+// writes, and that store's pc, or -1 and pc when none follows.
+func (bb *blockBuilder) storeAfter(pc int32) (d, last int32) {
+	if next := pc + 1; int(next) < len(bb.code.Instrs) {
+		switch in := bb.code.Instrs[next]; in.Op {
+		case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore:
+			return in.A, next
+		}
+	}
+	return -1, pc
 }
 
 // produce is bind for an instruction that yields a value: a local store
@@ -410,12 +481,7 @@ func (bb *blockBuilder) bind(n int, pc int32) binding {
 // local.
 func (bb *blockBuilder) produce(n int, pc int32) binding {
 	bd := bb.bind(n, pc)
-	if next := pc + 1; int(next) < len(bb.code.Instrs) {
-		switch in := bb.code.Instrs[next]; in.Op {
-		case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore:
-			bd.d, bd.last = in.A, next
-		}
-	}
+	bd.d, bd.last = bb.storeAfter(pc)
 	return bd
 }
 
@@ -428,9 +494,10 @@ func (bb *blockBuilder) produce(n int, pc int32) binding {
 // Conditional branches do not end the block: they compile as mid-block
 // micros and the fall-through path continues. The builder terminates
 // because the cursor strictly increases.
-func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32, mode core.Mode, objClass *classfile.Class) (*closureBlock, int32, bool) {
+func buildClosureBlock(m *classfile.Method, p *bytecode.PCode, pc int32, mode core.Mode, objClass *classfile.Class) (*closureBlock, int32, bool) {
+	code := m.Code
 	b := &closureBlock{pc0: pc}
-	bb := &blockBuilder{code: code, p: p, blk: b, mode: mode, objClass: objClass}
+	bb := &blockBuilder{m: m, code: code, p: p, blk: b, mode: mode, objClass: objClass}
 	n := int32(len(code.Instrs))
 	cur := pc
 	for ok := true; ok && cur < n && cur-pc < maxClosureBlock; {
@@ -443,7 +510,7 @@ func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32, mode co
 				f.pc = tgt
 				return microStop
 			}
-			b.width = int64(cur - pc)
+			bb.seal(cur - pc)
 			return b, cur, false
 		case in.Op == bytecode.OpIInc && cur+1 < n && code.Instrs[cur+1].Op == bytecode.OpGoto:
 			// iinc+goto as one inline final; width covers the iinc.
@@ -456,7 +523,7 @@ func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32, mode co
 				f.pc = tgt
 				return microStop
 			}
-			b.width = int64(cur + 1 - pc)
+			bb.seal(cur + 1 - pc)
 			return b, cur + 1, false
 		}
 		cur, ok = bb.compile(cur)
@@ -465,10 +532,11 @@ func buildClosureBlock(code *bytecode.Code, p *bytecode.PCode, pc int32, mode co
 		// Unreachable for verified code (control never falls off the end).
 		return nil, n - 1, false
 	}
-	// Delegated final: an instruction no micro covers (invoke, allocation,
-	// return, throw, ...) or the one at the width cap.
+	// Delegated final: an instruction no micro covers (return, throw,
+	// monitors, an invoke at the block's head, ...) or the one at the
+	// width cap.
 	bb.flush(0)
-	b.width = int64(cur - pc)
+	bb.seal(cur - pc)
 	fall := !code.Instrs[cur].Op.IsTerminator()
 	if len(b.prefix) == 0 {
 		return nil, cur, fall
@@ -810,6 +878,14 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			f.result(bd.ns, bd.d, heap.RefVal(arr))
 			return microNext
 		}, pc, bd.last)
+	case bytecode.OpInvokeVirtual, bytecode.OpInvokeSpecial, bytecode.OpInvokeStatic:
+		// An invoke at the head of a block (its arguments came from a
+		// delegated instruction, such as a real call) stays the table's:
+		// a block that would only bail to it costs more than no block.
+		if pc == bb.blk.pc0 {
+			return pc, false
+		}
+		return bb.call(op, in, pc)
 	case bytecode.OpArrayLength:
 		bd := bb.produce(1, pc)
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
@@ -886,4 +962,327 @@ func sharedMirror(entry *classfile.PoolEntry) (*core.TaskClassMirror, int) {
 		return nil, 0
 	}
 	return m, entry.ResolvedField.Load().Slot
+}
+
+// --- Calls -----------------------------------------------------------------
+
+// leafBody is the inlinable form of a method: its body is the one block at
+// pc 0, of width at most maxLeafWidth, whose final is the method's return
+// and whose micros cannot bail — loads, constants, local stores, int and
+// float arithmetic without idiv/irem, iinc, pop/dup/swap — except
+// getfield/putfield on the receiver (local 0, which the body never
+// writes): those cannot bail either once the call checked each field slot
+// against the receiver (fits). There are no handlers, and the method is
+// neither synchronized nor native. Running it retires inl instructions.
+type leafBody struct {
+	prefix            []closureMicro
+	inl               int64
+	nLocals, maxStack int
+	fields            []*bytecode.FieldSlot
+}
+
+// leafForm returns m's leaf form, or nil. b is the block compiled at pc 0
+// (nil: an empty prefix, so only a bare return qualifies).
+func leafForm(m *classfile.Method, p *bytecode.PCode, b *closureBlock) *leafBody {
+	code := m.Code
+	if len(code.Handlers) > 0 || m.IsSynchronized() || m.IsNative() {
+		return nil
+	}
+	var width int
+	var prefix []closureMicro
+	if b != nil {
+		if b.last != nil {
+			return nil
+		}
+		width, prefix = int(b.width), b.prefix
+	}
+	if width > maxLeafWidth || width >= len(code.Instrs) {
+		return nil
+	}
+	value := m.Desc.Return != classfile.KindVoid
+	switch code.Instrs[width].Op {
+	case bytecode.OpReturn:
+		if value {
+			return nil
+		}
+	case bytecode.OpIReturn, bytecode.OpFReturn, bytecode.OpAReturn:
+		if !value {
+			return nil
+		}
+	default:
+		return nil
+	}
+	fields, ok := leafFields(m, p, width)
+	if !ok {
+		return nil
+	}
+	return &leafBody{
+		prefix:   prefix,
+		inl:      int64(width) + 1,
+		nLocals:  p.MaxLocals,
+		maxStack: p.MaxStack,
+		fields:   fields,
+	}
+}
+
+// leafFields checks that every instruction before the return at width is
+// one a leaf may hold, and returns the field slots of its getfield and
+// putfield sites, whose receivers it proves to be the method's own by
+// following local 0 through the operand stack.
+func leafFields(m *classfile.Method, p *bytecode.PCode, width int) ([]*bytecode.FieldSlot, bool) {
+	instrs := m.Code.Instrs[:width]
+	this := !m.IsStatic()
+	for _, in := range instrs {
+		switch in.Op {
+		case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore, bytecode.OpIInc:
+			if in.A == 0 {
+				this = false
+			}
+		}
+	}
+	var fields []*bytecode.FieldSlot
+	var recv []bool // the operand stack: is the entry the receiver?
+	pop := func() bool {
+		r := recv[len(recv)-1]
+		recv = recv[:len(recv)-1]
+		return r
+	}
+	for pc, in := range instrs {
+		switch in.Op {
+		case bytecode.OpNop, bytecode.OpIInc:
+		case bytecode.OpALoad:
+			recv = append(recv, this && in.A == 0)
+		case bytecode.OpILoad, bytecode.OpFLoad,
+			bytecode.OpIConst, bytecode.OpFConst, bytecode.OpAConstNull:
+			recv = append(recv, false)
+		case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore, bytecode.OpPop:
+			pop()
+		case bytecode.OpDup:
+			recv = append(recv, recv[len(recv)-1])
+		case bytecode.OpDupX1:
+			a, b := pop(), pop()
+			recv = append(recv, a, b, a)
+		case bytecode.OpSwap:
+			a, b := pop(), pop()
+			recv = append(recv, a, b)
+		case bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul,
+			bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor,
+			bytecode.OpIShl, bytecode.OpIShr, bytecode.OpIUshr,
+			bytecode.OpFAdd, bytecode.OpFSub, bytecode.OpFMul, bytecode.OpFDiv, bytecode.OpFCmp:
+			pop()
+			pop()
+			recv = append(recv, false)
+		case bytecode.OpINeg, bytecode.OpFNeg, bytecode.OpI2F, bytecode.OpF2I:
+			pop()
+			recv = append(recv, false)
+		case bytecode.OpGetField:
+			if !pop() {
+				return nil, false
+			}
+			fields = append(fields, p.Instrs[pc].FS)
+			recv = append(recv, false)
+		case bytecode.OpPutField:
+			pop()
+			if !pop() {
+				return nil, false
+			}
+			fields = append(fields, p.Instrs[pc].FS)
+		default:
+			return nil, false
+		}
+	}
+	return fields, true
+}
+
+// fits reports whether every receiver field site of the leaf is resolved
+// to a slot recv has, so none of its field micros can bail.
+func (lf *leafBody) fits(recv *heap.Object) bool {
+	for _, fs := range lf.fields {
+		if uint(fs.Get()) >= uint(len(recv.Elems)) {
+			return false
+		}
+	}
+	return true
+}
+
+// leafOf returns target's leaf form, or nil; final reports that the
+// verdict cannot change (no code, an unpreparable body, or a prepared body
+// with no leaf form), as opposed to a target that is not prepared yet.
+func leafOf(target *classfile.Method) (lf *leafBody, final bool) {
+	code := target.Code
+	if code == nil {
+		return nil, true
+	}
+	p := code.Prepared()
+	if p == nil {
+		return nil, false
+	}
+	cp, _ := p.Closure.(*closureProgram)
+	if cp == nil || cp.leaf == nil {
+		return nil, true
+	}
+	return cp.leaf, true
+}
+
+// callSite is one call micro: the pool entry, the bound argument window
+// (receiver first), where the result goes, and the loader that defined the
+// caller. miss is the site's cache: a class — the receiver's for
+// invokevirtual, the target's otherwise — whose target here is
+// permanently not inlinable, so that target bails after one compare.
+// Workers running the program race on it harmlessly: every key stored is
+// a true verdict.
+type callSite struct {
+	entry  *classfile.PoolEntry
+	ops    []operand
+	ns     int
+	d      int32
+	value  bool
+	loader int
+	miss   atomic.Pointer[classfile.Class]
+}
+
+// call compiles the invoke at pc into a call micro; a value-returning call
+// folds the local store that follows it.
+func (bb *blockBuilder) call(op bytecode.Opcode, in *bytecode.PInstr, pc int32) (next int32, ok bool) {
+	entry := in.Ref.(*classfile.PoolEntry)
+	desc, err := classfile.ParseDescriptor(entry.Descriptor)
+	if err != nil {
+		return pc, false // unreachable: preparation parsed it
+	}
+	if !bb.called {
+		bb.called, bb.blk.need = true, int64(pc-bb.blk.pc0)
+	}
+	s := &callSite{entry: entry, ops: make([]operand, in.B), d: -1, loader: bb.m.Class.LoaderID}
+	s.ns = bb.take(s.ops)
+	last := pc
+	if s.value = desc.Return != classfile.KindVoid; s.value {
+		s.d, last = bb.storeAfter(pc)
+	}
+	// Each micro makes its site-cache check inline, so a call that never
+	// inlines bails after one compare and one call.
+	var m closureMicro
+	switch {
+	case op == bytecode.OpInvokeVirtual:
+		m = func(vm *VM, t *Thread, f *Frame) microStatus {
+			recv := s.ops[0].at(f).R
+			if recv == nil || recv.Class == s.miss.Load() {
+				return bail(f, s.ops...)
+			}
+			return s.virtual(vm, t, f, recv)
+		}
+	case op == bytecode.OpInvokeSpecial:
+		// The resolved method on a non-null receiver, as pInvokeSpecial.
+		m = func(vm *VM, t *Thread, f *Frame) microStatus {
+			recv, target := s.ops[0].at(f).R, s.entry.ResolvedMethod.Load()
+			if recv == nil || target == nil || target.Class == s.miss.Load() {
+				return bail(f, s.ops...)
+			}
+			return s.inline(vm, t, f, target, recv, target.Class)
+		}
+	case bb.mode == core.ModeIsolated:
+		// invokestatic: the class's mirror in the current isolate is
+		// InitDone (pInvokeStaticIsolated initializes or waits otherwise).
+		m = func(vm *VM, t *Thread, f *Frame) microStatus {
+			target := s.entry.ResolvedMethod.Load()
+			if target == nil || target.Class == s.miss.Load() || !vm.isolatedInitDone(t, target.Class) {
+				return bail(f, s.ops...)
+			}
+			return s.inline(vm, t, f, target, nil, target.Class)
+		}
+	default:
+		// invokestatic: the pool entry caches the initialized mirror, as
+		// pInvokeStaticShared checks.
+		m = func(vm *VM, t *Thread, f *Frame) microStatus {
+			target := s.entry.ResolvedMethod.Load()
+			if target == nil || target.Class == s.miss.Load() || s.entry.ResolvedMirror == nil {
+				return bail(f, s.ops...)
+			}
+			return s.inline(vm, t, f, target, nil, target.Class)
+		}
+	}
+	return bb.emit(m, pc, last)
+}
+
+// virtual is the rest of the invokevirtual micro: pInvokeVirtual's vtable
+// guard on the non-null recv, then inline.
+func (s *callSite) virtual(vm *VM, t *Thread, f *Frame, recv *heap.Object) microStatus {
+	m := s.entry.ResolvedMethod.Load()
+	if m == nil {
+		return bail(f, s.ops...)
+	}
+	vt := recv.Class.VTable
+	if uint(m.VSlot) >= uint(len(vt)) || vt[m.VSlot].VRoot != m.VRoot {
+		s.miss.Store(recv.Class)
+		return bail(f, s.ops...)
+	}
+	return s.inline(vm, t, f, vt[m.VSlot], recv, recv.Class)
+}
+
+// inline runs target's leaf in place of the call, or bails: the target
+// must be a leaf defined by the caller's loader (in both modes, so a call
+// across bundles is always a real call), and the call must be one that
+// pushes a frame in the current isolate with nothing observing it
+// (mayInline). key is the site's cache key for target.
+func (s *callSite) inline(vm *VM, t *Thread, f *Frame, target *classfile.Method, recv *heap.Object, key *classfile.Class) microStatus {
+	if target.Class.LoaderID != s.loader {
+		s.miss.Store(key)
+		return bail(f, s.ops...)
+	}
+	lf, final := leafOf(target)
+	if lf == nil {
+		if final {
+			s.miss.Store(key)
+		}
+		return bail(f, s.ops...)
+	}
+	q := t.qa
+	if q.inl+lf.inl > q.spare || !vm.mayInline(t, f, target) || !lf.fits(recv) {
+		return bail(f, s.ops...)
+	}
+	// The callee's activation: the thread's next cached frame, filled as
+	// pushFrame would, never published (no root scan can run before it is
+	// cleared again) and released as releaseFrame would.
+	g := t.acquireFrame(max(lf.nLocals, len(s.ops)), lf.maxStack)
+	for i := range s.ops {
+		g.locals[i] = *s.ops[i].at(f)
+	}
+	for i := len(s.ops); i < len(g.locals); i++ {
+		g.locals[i] = heap.Null()
+	}
+	for _, m := range lf.prefix {
+		m(vm, t, g)
+	}
+	q.inl += lf.inl
+	if s.value {
+		f.result(s.ns, s.d, g.stack[len(g.stack)-1])
+	} else {
+		f.drop(s.ns)
+	}
+	// Drop the references the activation held, slot by slot: the frame is
+	// a few values wide, and a bulk clear costs more than it.
+	for i := range g.locals {
+		g.locals[i].R = nil
+	}
+	for i := range g.stack[:lf.maxStack] {
+		g.stack[:lf.maxStack][i].R = nil
+	}
+	g.stack = g.stack[:0]
+	return microNext
+}
+
+// mayInline reports whether a call to target from f is one an inlined
+// leaf reproduces exactly: pushFrame would neither overflow the stack nor
+// trace the entry, the thread would stay in its current isolate — which is
+// f's, so the return lands there too — and that isolate is not killed (a
+// call or a return into a killed isolate throws).
+func (vm *VM) mayInline(t *Thread, f *Frame, target *classfile.Method) bool {
+	cur := t.cur
+	if len(t.frames) >= vm.opts.MaxFrameDepth || vm.TraceMethodEntry != nil || cur != f.iso || cur.Killed() {
+		return false
+	}
+	if target.Class.IsSystem() {
+		return true
+	}
+	iso := vm.world.IsolateForLoaderID(target.Class.LoaderID)
+	return iso == nil || iso == cur
 }

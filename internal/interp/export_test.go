@@ -64,6 +64,13 @@ func ClosureShapeForTest(p *bytecode.PCode) (folded, links int, ok bool) {
 	return folded, links, true
 }
 
+// LeafFormForTest reports whether the closure program of p carries a leaf
+// form: whether a call micro may inline the method.
+func LeafFormForTest(p *bytecode.PCode) bool {
+	cp, _ := p.Closure.(*closureProgram)
+	return cp != nil && cp.leaf != nil
+}
+
 // TopFrameForTest returns the method of t's top frame and the closure
 // program the frame adopted (nil when it runs on the handler table or the
 // seed switch). Only t's own goroutine may call it: a native t invokes,

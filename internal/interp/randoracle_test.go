@@ -38,8 +38,11 @@ import (
 // beside zero-length arrays in one static-rooted graph, which the host
 // then pushes through snapshot → clone, rpc.DeepCopyValue and a frozen
 // zero-copy link call (coldGraphTrips), static loops inside <clinit> and
-// on one class's statics from two isolates, and a thread that interrupts
-// itself before it sleeps, joins and waits.
+// on one class's statics from two isolates, a thread that interrupts
+// itself before it sleeps, joins and waits, and calls the closure tier
+// inlines (leaves: an 8-receiver megamorphic site, receiver getters and
+// setters, an empty void body, a static leaf whose class initializes per
+// isolate, and a leaf at the frame-depth limit).
 //
 // Every program is replayed under {quickened table alone, closure-threaded
 // blocks (the default), seed switch} × {Shared, Isolated} ×
@@ -152,6 +155,24 @@ const (
 	// the monitor of: each finds the interrupt pending, throws
 	// InterruptedException on entry instead of parking, and is caught.
 	fragInterrupt
+	// fragMegaLeaf calls f through one site on eight receiver classes
+	// (ora/L0..L7), each f a leaf: the megamorphic site whose every target
+	// is inlined.
+	fragMegaLeaf
+	// fragFieldLeaf sets and reads a receiver's int field through setter
+	// and getter leaves, stores a fresh array into its reference field
+	// through a setter leaf (a barrier record under an open cycle), reads
+	// it back and calls an empty void leaf.
+	fragFieldLeaf
+	// fragStaticLeaf calls peer/SLeaf.s, a static leaf whose class runs a
+	// <clinit> loop, directly (across loaders: a real call) and through
+	// peer/Svc.gs (same loader: inlined once the peer isolate's mirror is
+	// initialized).
+	fragStaticLeaf
+	// fragDeepLeaf recurses until the next call is a leaf at the frame
+	// limit's last slot (even iterations) or one past it, where the leaf
+	// call throws StackOverflowError (caught).
+	fragDeepLeaf
 	numFragKinds
 )
 
@@ -233,6 +254,9 @@ func genOracleProgram(seed int64) oracleProgram {
 // cold objects, 2-3 the zero-length arrays.
 const oraKeepSlots = 4
 
+// oraDepth is the oracle VMs' MaxFrameDepth.
+const oraDepth = 64
+
 const (
 	oraBase  = "ora/Base"
 	oraSvc   = "peer/Svc"
@@ -243,7 +267,10 @@ const (
 	oraXSub  = "ora/XSub"
 	oraPBase = "peer/PBase"
 	oraTab   = "ora/Tab"
+	oraSLeaf = "peer/SLeaf"
 )
+
+func oraLeaf(j int) string { return fmt.Sprintf("ora/L%d", j) }
 
 // oraSvcClinitN is the iteration count of peer/Svc's <clinit> loop.
 const oraSvcClinitN = 12
@@ -345,7 +372,17 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 			// it reads and writes the inherited field.
 			a.ALoad(0).ILoad(1).PutField(oraBase, "v")
 			a.ALoad(0).GetField(oraBase, "v").Const(5).IAdd().IReturn()
-		}).MustBuild()
+		}).
+		Method("get", "()I", 0, func(a *bytecode.Assembler) { a.ALoad(0).GetField(oraBase, "v").IReturn() }).
+		Method("set", "(I)V", 0, func(a *bytecode.Assembler) { a.ALoad(0).ILoad(1).PutField(oraBase, "v").Return() }).
+		Method("getLink", "()Ljava/lang/Object;", 0, func(a *bytecode.Assembler) {
+			a.ALoad(0).GetField(oraBase, "link").AReturn()
+		}).
+		Method("setLink", "(Ljava/lang/Object;)V", 0, func(a *bytecode.Assembler) {
+			a.ALoad(0).ALoad(1).PutField(oraBase, "link").Return()
+		}).
+		Method("nop", "()V", 0, func(a *bytecode.Assembler) { a.Return() }).
+		MustBuild()
 	classes := []*classfile.Class{base}
 	for k := 0; k < p.numImpls; k++ {
 		kind, c := p.implKind[k], p.implConst[k]
@@ -365,6 +402,18 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 			}).MustBuild())
 	}
 
+	for j := 0; j < 8; j++ {
+		k, reads := int64(j+1), j%2 == 1
+		classes = append(classes, classfile.NewClass(oraLeaf(j)).Super(oraBase).
+			Method(classfile.InitName, "()V", 0, defaultInit(oraBase)).
+			Method("f", "(I)I", 0, func(a *bytecode.Assembler) {
+				a.ILoad(1)
+				if reads {
+					a.ALoad(0).GetField(oraBase, "v").IXor()
+				}
+				a.Const(k).IAdd().Const(0xFFFF).IAnd().IReturn()
+			}).MustBuild())
+	}
 	classes = append(classes, oracleChainClasses(p, defaultInit)...)
 	classes = append(classes,
 		classfile.NewClass(oraIface).SetFlags(classfile.FlagInterface|classfile.FlagAbstract).
@@ -404,11 +453,21 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 	rogueSlot := chainSlot(4)
 	muteSlot := rogueSlot + 1
 	xsubSlot := muteSlot + 1
+	leavesSlot := xsubSlot + 1
 	newInto := func(a *bytecode.Assembler, class string, slot int) {
 		a.New(class).Dup().InvokeSpecial(class, classfile.InitName, "()V").AStore(slot)
 	}
 	main := classfile.NewClass(oraMain).
 		StaticField("keep", classfile.KindRef).
+		// deep(k) recurses k times, then calls the leaf sq.
+		Method("sq", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.ILoad(0).Const(3).IMul().IReturn()
+		}).
+		Method("deep", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.ILoad(0).IfNe("rec")
+			a.Const(7).InvokeStatic(oraMain, "sq", "(I)I").IReturn()
+			a.Label("rec").ILoad(0).Const(1).ISub().InvokeStatic(oraMain, "deep", "(I)I").IReturn()
+		}).
 		Method("run", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
 			a.Const(oraKeepSlots).NewArray("").PutStatic(oraMain, "keep")
 			for k := 0; k < p.numImpls; k++ {
@@ -427,6 +486,11 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 			newInto(a, oraRogue, rogueSlot)
 			newInto(a, oraMute, muteSlot)
 			newInto(a, oraXSub, xsubSlot)
+			a.Const(8).NewArray("").AStore(leavesSlot)
+			for j := 0; j < 8; j++ {
+				a.ALoad(leavesSlot).Const(int64(j)).New(oraLeaf(j)).Dup().
+					InvokeSpecial(oraLeaf(j), classfile.InitName, "()V").ArrayStore()
+			}
 			a.ILoad(0).IStore(1)
 			a.Const(0).IStore(2)
 			a.Label("loop")
@@ -631,6 +695,26 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 						a.Handler(try, caught, caught, interp.ClassInterruptedException)
 					}
 					a.ALoad(recv).MonitorExit()
+				case fragMegaLeaf:
+					a.ALoad(leavesSlot).ILoad(2).ILoad(1).IAdd().Const(f.c&0xFF).IAdd().Const(7).IAnd().ArrayLoad().
+						ILoad(1).InvokeVirtual(oraBase, "f", "(I)I").IStore(1)
+				case fragFieldLeaf:
+					recv := recvSlot(f.r1)
+					a.ALoad(recv).ILoad(1).Const(f.c&0xFF).IXor().InvokeVirtual(oraBase, "set", "(I)V")
+					a.ILoad(1).ALoad(recvSlot(f.r2)).InvokeVirtual(oraBase, "get", "()I").IAdd().IStore(1)
+					a.ALoad(recv).Const(f.arrLen).NewArray("").InvokeVirtual(oraBase, "setLink", "(Ljava/lang/Object;)V")
+					a.ALoad(recvSlot(f.r2)).InvokeVirtual(oraBase, "getLink", "()Ljava/lang/Object;").IfNull(s)
+					a.IInc(1, 3)
+					a.Label(s).ALoad(recv).InvokeVirtual(oraBase, "nop", "()V")
+				case fragStaticLeaf:
+					a.ILoad(1).InvokeStatic(oraSLeaf, "s", "(I)I").
+						InvokeStatic(oraSvc, "gs", "(I)I").Const(f.c).IXor().IStore(1)
+				case fragDeepLeaf:
+					a.Label(s).ILoad(2).Const(1).IAnd().Const(oraDepth-3).IAdd().
+						InvokeStatic(oraMain, "deep", "(I)I").ILoad(1).IXor().IStore(1).Goto(after)
+					a.Label(h).Pop().ILoad(1).Const(29).IXor().IStore(1)
+					a.Label(after)
+					a.Handler(s, h, h, interp.ClassStackOverflowError)
 				}
 			}
 			a.IInc(2, 1).Goto("loop")
@@ -684,9 +768,20 @@ func oraclePeerClasses() []*classfile.Class {
 				a.New(oraPBase).Dup().
 					InvokeSpecial(oraPBase, classfile.InitName, "()V").AReturn()
 			}).
+			// gs calls the static leaf SLeaf.s from SLeaf's own loader.
+			Method("gs", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+				a.ILoad(0).InvokeStatic(oraSLeaf, "s", "(I)I").IReturn()
+			}).
 			// id is the callee of the host's frozen zero-copy link call.
 			Method("id", "(Ljava/lang/Object;)Ljava/lang/Object;", classfile.FlagStatic, func(a *bytecode.Assembler) {
 				a.ALoad(0).AReturn()
+			}).MustBuild(),
+		classfile.NewClass(oraSLeaf).
+			StaticField("n", classfile.KindInt).
+			StaticField("sum", classfile.KindInt).
+			Method(classfile.ClinitName, "()V", classfile.FlagStatic, staticLoopClinit(oraSLeaf, 5)).
+			Method("s", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+				a.ILoad(0).Const(5).IMul().Const(0xFFFF).IAnd().IReturn()
 			}).MustBuild(),
 	}
 }
@@ -827,6 +922,7 @@ func runOracleProgram(t *testing.T, p oracleProgram, mode core.Mode, disp oracle
 	opts := interp.Options{
 		Mode:               mode,
 		HeapLimit:          32 << 10,
+		MaxFrameDepth:      oraDepth,
 		GCThresholdPercent: pct,
 		GCMarkStride:       stride,
 	}

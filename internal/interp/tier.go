@@ -37,10 +37,16 @@ import "ijvm/internal/core"
 // sub-instructions the step inlined before it. published is how many of
 // them the clock and the instruction total already hold — a sequential
 // safepoint publishes mid-quantum (flushQuantum) — so steps − published
-// is the virtual time still pending (NowTicks). It lives in the driver's
-// SampleState, beside the batch and the sampling countdown it charges.
+// is the virtual time still pending (NowTicks). spare and inl are
+// block-local: spare is what the running block's call micros may retire
+// in inlined leaves without the step passing the quantum or maxStepSubs,
+// and inl what they did retire (a body and its return each), which
+// runClosureBlock adds to the step's count after the block, before
+// chargeSubs. It lives in the driver's SampleState, beside the batch and
+// the sampling countdown it charges.
 type quantumAcct struct {
 	steps, limit, published int64
+	spare, inl              int64
 	isolated                bool
 }
 
@@ -56,7 +62,8 @@ func (q *quantumAcct) reserve(extra int64) bool {
 // account notes batch through InstrBatch.NoteN and the CPU-sampling
 // counter is folded modulo SampleEvery (floor((old+k)/every) samples,
 // remainder kept), which is exactly what k unit increments with
-// reset-at-threshold produce. Inlined sub-instructions cannot migrate or
+// reset-at-threshold produce. Inlined sub-instructions — an inlined leaf's
+// too: its call stays in the current isolate — cannot migrate or
 // finish the thread (only a step's delegated final can, and the routine's
 // own post-step charge covers that one), so reading t.cur here matches
 // what the single-step loop would have read — and nothing can observe the

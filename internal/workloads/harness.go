@@ -63,6 +63,10 @@ func (r *Runner) VM() *interp.VM { return r.vm }
 // Isolate returns the isolate the driver runs in.
 func (r *Runner) Isolate() *core.Isolate { return r.iso }
 
+// Driver returns the driver method, run(n); the class that declares it
+// declares the benchmark's other drivers too (rundrag).
+func (r *Runner) Driver() *classfile.Method { return r.driver }
+
 // Run performs one driver invocation run(n) and returns the checksum.
 func (r *Runner) Run() (int64, error) {
 	v, th, err := r.vm.CallRoot(r.iso, r.driver, []heap.Value{heap.IntVal(r.n)}, 0)
