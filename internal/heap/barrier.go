@@ -33,11 +33,50 @@ import (
 // marked at birth), this keeps every snapshot-reachable object alive.
 // Objects that die during the cycle float until the next exact
 // collection, which is the standard SATB trade.
+//
+// # The traced-holder rule
+//
+// Only an edge deleted *before* its holder is scanned needs a record:
+// one deleted after the scan was already followed by it (the weak
+// tri-colour argument). So a concurrent scan marks its object traced
+// after its last slot load (flagTraced), admission marks allocate-black
+// objects traced at birth, and StoreRef — the one reference-slot store
+// of an open cycle — stores into a traced holder plainly and records
+// nothing. The order comes from the flags word: the marker's
+// compare-and-swap that sets the bit follows its slot loads, and the
+// store's load that reads the bit precedes its plain write, so a marker
+// never reads a slot a plain store writes. An untraced holder takes the
+// full barrier: the overwritten reference is returned for recording
+// when it is unmarked, and the new one is published atomically. The
+// sweep and an abandon clear the bit with the mark bit, so each cycle
+// starts with every holder untraced. Stop-the-world drains (exact
+// collections, the terminal phase) set no bit: no mutator runs before
+// their sweep.
+
+// StoreRef stores v into slot, one of holder's slots, while a mark phase
+// is open, and returns the overwritten reference the caller must record
+// with the cycle (RecordWrite, FlushSATB), or nil when none needs one.
+// A traced holder takes a plain store; any other holder records an
+// unmarked overwritten reference and publishes the new reference word
+// atomically (StoreSlotBarriered). Outside a cycle a store is a plain
+// assignment and callers do not come here.
+func StoreRef(holder *Object, slot *Value, v Value) (record *Object) {
+	if holder.flags.Load()&flagTraced != 0 {
+		*slot = v
+		return nil
+	}
+	old := slot.R
+	StoreSlotBarriered(slot, v)
+	if old == nil || old.Marked() {
+		return nil
+	}
+	return old
+}
 
 // StoreSlotBarriered stores v into *dst, publishing the reference word
 // atomically so a concurrent marker never reads a torn or stale pointer.
-// Callers must have recorded the overwritten reference first (the
-// interpreter's barrier helper does both).
+// It records nothing: guest stores go through StoreRef, which uses it;
+// host-side writers into fresh objects (the RPC copier) call it directly.
 func StoreSlotBarriered(dst *Value, v Value) {
 	dst.Kind = v.Kind
 	dst.I = v.I

@@ -237,9 +237,9 @@ func (h *Heap) Collect(rootSets []RootSet) CollectResult {
 	return h.terminateLocked(c, nil)
 }
 
-// abandonLocked discards an open cycle: every mark bit set so far is
-// cleared (including allocate-black objects), the gray/SATB state is
-// dropped and the barrier disarmed. gcMu held, world stopped.
+// abandonLocked discards an open cycle: every mark and traced bit set so
+// far is cleared (including allocate-black objects), the gray/SATB state
+// is dropped and the barrier disarmed. gcMu held, world stopped.
 func (h *Heap) abandonLocked() {
 	c := h.cycle.Load()
 	if c == nil {
@@ -249,7 +249,7 @@ func (h *Heap) abandonLocked() {
 	h.cycle.Store(nil)
 	for _, d := range *h.domains.Load() {
 		for _, o := range d.objects {
-			o.clearFlag(flagMark)
+			o.clearFlag(flagMarks)
 		}
 		// Discard the cycle's allocate-black charges: the exact pass
 		// that follows recomputes every charge from fresh roots.
@@ -321,7 +321,7 @@ func (h *Heap) terminateLocked(c *gcCycle, rescan []RootSet) CollectResult {
 		d.slack = 0
 		live := d.objects[:0]
 		for _, o := range d.objects {
-			if o.clearFlag(flagMark) {
+			if o.clearFlag(flagMarks) {
 				live = append(live, o)
 				res.LiveObjects++
 				res.LiveBytes += o.Size()
@@ -582,13 +582,19 @@ func (m *marker) charge(it grayItem) {
 // the atomic slot load so concurrent barriered mutator stores are
 // race-free; native RefHolder payloads are scanned inline under
 // stop-the-world and deferred to the terminal phase otherwise (guest
-// natives mutate them without barriered slots).
+// natives mutate them without barriered slots). A concurrent scan marks
+// the object traced after its last slot load, so later stores into it
+// take no record (StoreRef); a stop-the-world drain need not, no mutator
+// runs before its sweep.
 func (m *marker) scan(it grayItem, stw bool) {
 	o := it.obj
 	for i := range o.Elems {
 		if r := loadSlotRef(&o.Elems[i]); r != nil && !r.Marked() {
 			m.push(grayItem{r, it.iso})
 		}
+	}
+	if !stw && len(o.Elems) != 0 {
+		o.setFlag(flagTraced)
 	}
 	if _, ok := o.Native().(RefHolder); ok {
 		if stw {

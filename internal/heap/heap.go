@@ -348,12 +348,12 @@ func (d *AllocDomain) admit(o *Object, sz int64, flags uint32, creator IsolateID
 	o.Charged = NoIsolate
 	if d.h.barrier.Load() {
 		// Allocate-black: objects born during an open mark phase are
-		// marked at birth, so the cycle never sweeps them and their
-		// initializing stores need no barrier (a marker skips marked
-		// objects, so it never scans a half-built one). They are
+		// marked at birth, so the cycle never sweeps them, and traced:
+		// a marker skips marked objects, so it never scans a half-built
+		// one, and every store into them is a plain one. They are
 		// charged to their creator in the cycle's live stats here —
 		// markers never see them.
-		flags |= flagMark
+		flags |= flagMarks
 		o.Charged = creator
 		if d.bornLive == nil {
 			d.bornLive = make(map[IsolateID]*LiveStats, 4)

@@ -26,51 +26,59 @@ func incClass(fields int) *classfile.Class {
 	return c
 }
 
-// mutStore is the test's replica of the interpreter's barriered
-// reference-slot store.
-func mutStore(h *Heap, slot *Value, v Value) {
-	if h.BarrierActive() {
-		if old := slot.R; old != nil {
-			h.RecordWrite(old)
-		}
-		StoreSlotBarriered(slot, v)
-	} else {
+// mutStore is a guest store into slot i of holder as the engines make
+// it: a plain assignment while no barrier is armed, else the production
+// StoreRef with the record it returns taken (interp's VM.StoreRef buffers
+// it; RecordWrite is the same record unbuffered).
+func mutStore(h *Heap, holder *Object, i int, v Value) {
+	slot := &holder.Elems[i]
+	if !h.BarrierActive() {
 		*slot = v
+		return
+	}
+	if old := StoreRef(holder, slot, v); old != nil {
+		h.RecordWrite(old)
 	}
 }
 
 // TestIncrementalSATBKeepsRelinkedObject is the classic SATB scenario:
 // an object is re-linked into an already-scanned (black) holder and its
-// original edge deleted mid-cycle. The deletion record must keep it
-// alive through the terminal phase; the next exact collection reclaims
-// it once it is truly dead.
+// original edge — in a holder not scanned yet — deleted mid-cycle. The
+// store into the black holder is plain (it is traced); the deletion
+// record must keep the object alive through the terminal phase; the
+// next exact collection reclaims it once it is truly dead.
 func TestIncrementalSATBKeepsRelinkedObject(t *testing.T) {
 	h := New(1 << 20)
 	c := incClass(2)
 	rootObj, _ := h.AllocObject(c, 0)
+	mid, _ := h.AllocObject(c, 0)
 	holder, _ := h.AllocObject(c, 0)
 	x, _ := h.AllocObject(c, 0)
-	rootObj.Elems[0] = RefVal(x) // x initially reachable via rootObj.f0
+	rootObj.Elems[0] = RefVal(mid)
 	rootObj.Elems[1] = RefVal(holder)
+	mid.Elems[0] = RefVal(x) // x initially reachable only via mid.f0
 
 	roots := []RootSet{{Isolate: 0, Refs: []*Object{rootObj}}}
 	if !h.BeginCycle(roots) {
 		t.Fatal("BeginCycle refused")
 	}
-	// Two mark units: rootObj is claimed and scanned (pushing x then
-	// holder), then holder (LIFO) turns black. x is still white.
+	// Two mark units: rootObj is claimed and scanned (pushing mid then
+	// holder), then holder (LIFO) turns black. mid is gray, x white.
 	h.MarkQuantum(2)
-	if !rootObj.Marked() || !holder.Marked() || x.Marked() {
-		t.Fatalf("unexpected mark state: root=%v holder=%v x=%v",
-			rootObj.Marked(), holder.Marked(), x.Marked())
+	if !rootObj.Traced() || !holder.Traced() || mid.Marked() || x.Marked() {
+		t.Fatalf("unexpected mark state: root=%v holder=%v mid=%v x=%v",
+			rootObj.Traced(), holder.Traced(), mid.Marked(), x.Marked())
 	}
 	// Mutator: move x into the black holder and erase the original
 	// edge — the erase must be recorded, or x is lost (the black holder
-	// is never re-scanned).
-	mutStore(h, &holder.Elems[0], RefVal(x))
-	mutStore(h, &rootObj.Elems[0], Null())
-	if h.BarrierRecords() == 0 {
-		t.Fatal("deletion barrier did not record the erased edge")
+	// is never re-scanned, and mid's scan no longer finds x).
+	mutStore(h, holder, 0, RefVal(x))
+	if n := h.BarrierRecords(); n != 0 {
+		t.Fatalf("a store into a traced holder took %d records, want 0", n)
+	}
+	mutStore(h, mid, 0, Null())
+	if n := h.BarrierRecords(); n != 1 {
+		t.Fatalf("deletion barrier took %d records of the erased edge, want 1", n)
 	}
 	for !h.MarkQuantum(8) {
 	}
@@ -86,7 +94,7 @@ func TestIncrementalSATBKeepsRelinkedObject(t *testing.T) {
 	}
 
 	// Drop x for real; the next exact collection reclaims it.
-	mutStore(h, &holder.Elems[0], Null())
+	mutStore(h, holder, 0, Null())
 	res = h.Collect(roots)
 	if !x.Dead() || res.FreedObjects != 1 {
 		t.Fatalf("exact collection: freed=%d xDead=%v", res.FreedObjects, x.Dead())
@@ -110,7 +118,7 @@ func TestIncrementalFloatsDeadButExactCollectReclaims(t *testing.T) {
 
 	// Cycle 1: doomed dies after the snapshot -> floats.
 	h.BeginCycle(roots)
-	mutStore(h, &rootObj.Elems[0], Null()) // recorded, so it floats
+	mutStore(h, rootObj, 0, Null()) // recorded, so it floats
 	for !h.MarkQuantum(8) {
 	}
 	if _, ok := h.FinishCycle(roots); !ok {
@@ -162,6 +170,75 @@ func TestAllocateBlackSurvivesCycle(t *testing.T) {
 	h.Collect(roots)
 	if !born.Dead() {
 		t.Fatal("dead born object survived an exact collection")
+	}
+}
+
+// TestTracedBitLifecycle pins where the traced bit comes from and where
+// it goes: a concurrent mark step sets it on the objects it scanned that
+// have slots (and on no other), allocate-black admission sets it at
+// birth, an exact collection never sets it, and it is clear after
+// FinishCycle and after an abandon. A cleared bit brings the barrier
+// back: the next cycle records a store into the same holder again.
+func TestTracedBitLifecycle(t *testing.T) {
+	h := New(1 << 20)
+	c := incClass(1)
+	root, _ := h.AllocObject(c, 0)
+	child, _ := h.AllocObject(c, 0)
+	leaf, _ := h.AllocObject(incClass(0), 0)
+	root.Elems[0] = RefVal(child)
+	child.Elems[0] = RefVal(leaf)
+	all := []*Object{root, child, leaf}
+	roots := []RootSet{{Isolate: 0, Refs: []*Object{root}}}
+	clean := func(when string) {
+		t.Helper()
+		for i, o := range all {
+			if o.Marked() || o.Traced() {
+				t.Fatalf("%s: object %d marked=%v traced=%v", when, i, o.Marked(), o.Traced())
+			}
+		}
+	}
+
+	h.Collect(roots)
+	clean("after an exact collection")
+
+	h.BeginCycle(roots)
+	if root.Traced() {
+		t.Fatal("opening a cycle traced a root")
+	}
+	h.MarkQuantum(1)
+	if !root.Traced() || child.Traced() {
+		t.Fatalf("one mark unit: root traced=%v child traced=%v, want the scanned root only", root.Traced(), child.Traced())
+	}
+	born, _ := h.AllocObject(c, 0)
+	all = append(all, born)
+	if !born.Marked() || !born.Traced() {
+		t.Fatalf("allocate-black admission: marked=%v traced=%v", born.Marked(), born.Traced())
+	}
+	for !h.MarkQuantum(8) {
+	}
+	if !child.Traced() || !leaf.Marked() || leaf.Traced() {
+		t.Fatalf("exhausted mark: child traced=%v, leaf marked=%v traced=%v (a slotless object needs no bit)",
+			child.Traced(), leaf.Marked(), leaf.Traced())
+	}
+	if _, ok := h.FinishCycle(roots); !ok {
+		t.Fatal("FinishCycle refused")
+	}
+	clean("after FinishCycle")
+
+	// The same holder records again in the next cycle before its re-scan.
+	h.BeginCycle(roots)
+	mutStore(h, root, 0, RefVal(born))
+	if n := h.BarrierRecords(); n != 1 {
+		t.Fatalf("a store into the unscanned root took %d records, want 1", n)
+	}
+	h.MarkQuantum(2)
+	if !root.Traced() || !born.Traced() {
+		t.Fatalf("mark step: root traced=%v born traced=%v", root.Traced(), born.Traced())
+	}
+	h.Collect(roots) // abandons the open cycle
+	clean("after an abandon")
+	if h.CycleOpen() {
+		t.Fatal("Collect left the cycle open")
 	}
 }
 
@@ -276,6 +353,23 @@ func FuzzMarkInvariant(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 4, 1, 5, 6})
 	f.Add([]byte{0, 0, 0, 3, 16, 4, 1, 2, 33, 5, 1, 9, 6, 7})
 	f.Add([]byte{0, 0, 0, 0, 3, 0, 3, 17, 4, 5, 1, 1, 2, 1, 18, 5, 2, 40, 6, 0, 3, 2, 7, 7})
+	// The seeds below root o0, o1 and o2 (op 3), link o0 -> o1 -> o2
+	// or o0 -> {o1, o2}, and unroot o1 and o2 before the cycle opens;
+	// one mark unit then scans (traces) o0.
+	//
+	// Stores into a scanned holder: o0.f0 is cleared and o0.f1 = o2
+	// stored plainly. In the next cycle, before o0's re-scan, o2 moves
+	// into the allocate-black o3 and both of o0's edges to it are
+	// cleared: only their records keep o2 alive.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 3, 5, 3, 10, 1, 9, 1, 15, 3, 1, 3, 2, 4, 0, 5, 0, 2, 0, 5, 1, 1, 39, 5, 4, 6, 0,
+		4, 0, 0, 0, 3, 17, 1, 19, 2, 4, 2, 8, 5, 4, 6, 0})
+	// Yuasa's case: o2 is held only by the gray o1; it moves into the
+	// scanned o0 with a plain store, and only the record of o1.f0's
+	// deletion keeps it covered.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 3, 5, 3, 10, 1, 9, 1, 19, 3, 1, 3, 2, 4, 0, 5, 0, 1, 39, 2, 1, 5, 1, 5, 4, 6, 0})
+	// An allocate-black holder: o3 is born traced mid-cycle, and
+	// stores into it are plain.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 4, 0, 0, 0, 5, 0, 1, 3, 2, 3, 5, 4, 6, 0, 7, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fh := &fuzzHeap{
 			t:     t,
@@ -329,13 +423,13 @@ func FuzzMarkInvariant(f *testing.F) {
 				if !legal(a) || !legal(b) {
 					continue
 				}
-				mutStore(fh.h, &a.Elems[int(arg/3)%len(a.Elems)], RefVal(b))
+				mutStore(fh.h, a, int(arg/3)%len(a.Elems), RefVal(b))
 			case 2: // barriered null store
 				a := pick(0, arg)
 				if !legal(a) {
 					continue
 				}
-				mutStore(fh.h, &a.Elems[int(arg/3)%len(a.Elems)], Null())
+				mutStore(fh.h, a, int(arg/3)%len(a.Elems), Null())
 			case 3: // root injection: a host-held reference enters the
 				// mutator world (the SpawnThread-argument path). Mid-
 				// cycle injections are recorded, exactly as SpawnThread
@@ -417,10 +511,10 @@ func (f *fuzzHeap) afterSweepChecks() {
 	if f.h.CycleOpen() || f.h.BarrierActive() {
 		f.t.Fatal("cycle state leaked past a terminal phase")
 	}
-	// Mark bits must be clean between cycles.
+	// Mark and traced bits must be clean between cycles.
 	for _, o := range f.objs {
-		if !o.Dead() && o.Marked() {
-			f.t.Fatal("mark bit leaked past a sweep")
+		if !o.Dead() && (o.Marked() || o.Traced()) {
+			f.t.Fatal("mark or traced bit leaked past a sweep")
 		}
 	}
 }

@@ -116,7 +116,16 @@ const (
 	// finalizer runs at most once, and the object is reclaimed by the
 	// following collection (unless the finalizer resurrected it).
 	flagFinalized
+	// flagTraced marks an object whose slots the open cycle no longer
+	// reads: a concurrent marker set it after its last slot load, or
+	// admission set it with flagMark (allocate-black). A store into a
+	// traced object is a plain store (StoreRef). It implies flagMark, and
+	// the sweep and an abandon clear both in one compare-and-swap.
+	flagTraced
 )
+
+// flagMarks is the per-cycle part of the flags word.
+const flagMarks = flagMark | flagTraced
 
 // coldRecord is the lazily attached part of an object. Strings and
 // native-payload objects are born with theirs in the same host
@@ -204,7 +213,8 @@ func (o *Object) AssignIdentityHash(h int64) int64 {
 
 // setFlag and clearFlag update the flags word with a compare-and-swap
 // loop (the module targets go 1.22: no atomic And/Or) and report whether
-// this call changed the bit.
+// this call changed it: whether it set the bit, or cleared any of the
+// bits given.
 func (o *Object) setFlag(bit uint32) bool {
 	for {
 		f := o.flags.Load()
@@ -252,6 +262,10 @@ func (o *Object) Marked() bool { return o.hasFlag(flagMark) }
 // tryMark claims the object for one marker: exactly one caller per cycle
 // wins, and only the winner charges live statistics and scans children.
 func (o *Object) tryMark() bool { return o.setFlag(flagMark) }
+
+// Traced reports whether the open cycle is done reading the object's
+// slots (see flagTraced); between cycles it is always false.
+func (o *Object) Traced() bool { return o.hasFlag(flagTraced) }
 
 // MonitorStripe returns the object's monitor-stripe index (assigned once
 // at admission, immutable afterwards).

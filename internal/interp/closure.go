@@ -773,7 +773,7 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			}
 			f.drop(bd.ns)
 			if sp := &recv.Elems[slot]; vm.barrierOn(t) {
-				vm.gcWriteSlot(t, sp, v)
+				vm.StoreRef(t, recv, sp, v)
 			} else {
 				*sp = v
 			}
@@ -916,7 +916,7 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			}
 			f.drop(bd.ns)
 			if sp := &arr.Elems[idx]; vm.barrierOn(t) {
-				vm.gcWriteSlot(t, sp, v)
+				vm.StoreRef(t, arr, sp, v)
 			} else {
 				*sp = v
 			}

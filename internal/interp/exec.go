@@ -376,7 +376,7 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 		// switch carries the identical store discipline, including the
 		// per-quantum cached barrier flag.
 		if sp := &recv.R.Elems[field.Slot]; vm.barrierOn(t) {
-			vm.gcWriteSlot(t, sp, v)
+			vm.StoreRef(t, recv.R, sp, v)
 		} else {
 			*sp = v
 		}
@@ -479,7 +479,7 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 		}
 		// SATB write barrier (see handlers.go pArrayStore).
 		if sp := &arr.R.Elems[idx.I]; vm.barrierOn(t) {
-			vm.gcWriteSlot(t, sp, v)
+			vm.StoreRef(t, arr.R, sp, v)
 		} else {
 			*sp = v
 		}

@@ -104,33 +104,30 @@ func (vm *VM) FinishIncrementalCycle() (heap.CollectResult, bool) {
 	return res, ok
 }
 
-// gcBarrier records one overwritten reference while a cycle is open.
-// The executing engine's allocation state buffers records and hands
-// them to the heap in batches at quantum boundaries (and when the
+// StoreRef is the engines' reference-slot store while the barrier is
+// armed (barrierOn): heap.StoreRef applies the traced-holder rule and
+// publishes the store, and the overwritten reference it hands back is
+// recorded with the cycle. Every guest store into a heap slot — the
+// closure micros, the table handlers, the seed switch and
+// System.arraycopy — goes through it; the idle path stays a plain
+// assignment at the store site.
+func (vm *VM) StoreRef(t *Thread, holder *heap.Object, slot *heap.Value, v heap.Value) {
+	if old := heap.StoreRef(holder, slot, v); old != nil {
+		vm.recordSATB(t, old)
+	}
+}
+
+// recordSATB records one overwritten, unmarked reference with the open
+// cycle. The executing engine's allocation state buffers records and
+// hands them to the heap in batches at quantum boundaries (and when the
 // buffer fills); callers without an installed state fall back to the
 // heap's locked path.
-func (vm *VM) gcBarrier(t *Thread, old *heap.Object) {
-	if old.Marked() {
-		return
-	}
+func (vm *VM) recordSATB(t *Thread, old *heap.Object) {
 	if a := allocOf(t); a != nil {
 		a.recordSATB(vm.heap, old)
 		return
 	}
 	vm.heap.RecordWrite(old)
-}
-
-// gcWriteSlot performs one reference-slot store under an armed barrier:
-// the overwritten reference is recorded (SATB's deletion barrier) and
-// the reference word of the slot is published atomically so concurrent
-// markers never read a torn pointer. Store handlers call it only after
-// BarrierActive() reported true; the idle fast path stays a plain
-// assignment.
-func (vm *VM) gcWriteSlot(t *Thread, slot *heap.Value, v heap.Value) {
-	if old := slot.R; old != nil {
-		vm.gcBarrier(t, old)
-	}
-	heap.StoreSlotBarriered(slot, v)
 }
 
 // WriteBarrier records old as overwritten if it is a reference and a
@@ -140,7 +137,7 @@ func (vm *VM) gcWriteSlot(t *Thread, slot *heap.Value, v heap.Value) {
 // so the deletion record is what keeps a reference removed mid-cycle
 // alive until the terminal phase.
 func (vm *VM) WriteBarrier(t *Thread, old heap.Value) {
-	if old.R != nil && vm.heap.BarrierActive() {
-		vm.gcBarrier(t, old.R)
+	if old.R != nil && vm.heap.BarrierActive() && !old.R.Marked() {
+		vm.recordSATB(t, old.R)
 	}
 }

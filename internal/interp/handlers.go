@@ -469,14 +469,15 @@ func pPutField(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 	if uint(slot) >= uint(len(recv.R.Elems)) {
 		return vm.throwNoSuchSlot(t, "putfield", pFieldName(in), recv.R)
 	}
-	// SATB write barrier: while a mark phase is open, record the
-	// overwritten reference and publish the new one atomically for
-	// concurrent markers. Idle fast path: one plain flag load (the
+	// SATB write barrier: while a mark phase is open, the store goes
+	// through VM.StoreRef — a plain store into a holder the marker has
+	// traced, else a recorded overwritten reference and an atomically
+	// published new one. Idle fast path: one plain flag load (the
 	// per-quantum cached barrier flag, tier.go barrierOn), plain
 	// store. (Statics and locals need no barrier — root sets are
 	// snapshot copies.)
 	if sp := &recv.R.Elems[slot]; vm.barrierOn(t) {
-		vm.gcWriteSlot(t, sp, v)
+		vm.StoreRef(t, recv.R, sp, v)
 	} else {
 		*sp = v
 	}
@@ -702,7 +703,7 @@ func pArrayStore(vm *VM, t *Thread, f *Frame, in *bytecode.PInstr) error {
 	}
 	// SATB write barrier, as in pPutField.
 	if sp := &arr.R.Elems[idx.I]; vm.barrierOn(t) {
-		vm.gcWriteSlot(t, sp, v)
+		vm.StoreRef(t, arr.R, sp, v)
 	} else {
 		*sp = v
 	}

@@ -83,10 +83,36 @@ func TestHostGoroutineNotStarved(t *testing.T) {
 	}
 }
 
-// lockLoopClass builds run(lock, n): n times, enter lock's monitor, call
-// the synchronized static hold(spin) — which burns spin iterations with
-// both monitors held — and exit. Locals: 0 lock, 1 n, 2 i, 3 acc.
-func lockLoopClass(cn string, spin int) *classfile.Class {
+// Roles in lockLoopClass's contention handshake.
+const (
+	lockAlone = iota
+	lockHolder
+	lockContender
+)
+
+// lockLoopClass builds run(lock, n, flags): n times, enter lock's monitor,
+// call the synchronized static hold(spin) — which burns spin iterations
+// with both monitors held — and exit. A holder and a contender first meet
+// on flags, a two-slot array whose slots they set and read under its own
+// monitor: the holder enters lock and sets flags[0]; the contender waits
+// for it, sets flags[1] just before its first monitorenter; the holder
+// waits for that, burns one more hold(spin) and only then lets go. So the
+// contender is at lock's monitorenter while the holder owns it, however
+// the host schedules the two workers. Locals: 0 lock, 1 n, 2 flags, 3 i,
+// 4 acc, 5 tmp.
+func lockLoopClass(cn string, spin, role int) *classfile.Class {
+	set := func(a *bytecode.Assembler, slot int64) {
+		a.ALoad(2).MonitorEnter()
+		a.ALoad(2).Const(slot).ALoad(2).ArrayStore()
+		a.ALoad(2).MonitorExit()
+	}
+	await := func(a *bytecode.Assembler, slot int64) {
+		label := fmt.Sprintf("await%d", slot)
+		a.Label(label).ALoad(2).MonitorEnter()
+		a.ALoad(2).Const(slot).ArrayLoad().AStore(5)
+		a.ALoad(2).MonitorExit()
+		a.ALoad(5).IfNull(label)
+	}
 	return classfile.NewClass(cn).
 		Method("hold", "(I)I", classfile.FlagStatic|classfile.FlagSynchronized, func(a *bytecode.Assembler) {
 			a.Const(0).IStore(1)
@@ -94,20 +120,32 @@ func lockLoopClass(cn string, spin int) *classfile.Class {
 			a.IInc(1, 1).Goto("loop")
 			a.Label("done").Const(1).IReturn()
 		}).
-		Method("run", "(Ljava/lang/Object;I)I", classfile.FlagStatic|classfile.FlagPublic, func(a *bytecode.Assembler) {
-			a.Const(0).IStore(2)
+		Method("run", "(Ljava/lang/Object;ILjava/lang/Object;)I", classfile.FlagStatic|classfile.FlagPublic, func(a *bytecode.Assembler) {
+			switch role {
+			case lockHolder:
+				a.ALoad(0).MonitorEnter()
+				set(a, 0)
+				await(a, 1)
+				a.Const(int64(spin)).InvokeStatic(cn, "hold", "(I)I").Pop()
+				a.ALoad(0).MonitorExit()
+			case lockContender:
+				await(a, 0)
+				set(a, 1)
+			}
 			a.Const(0).IStore(3)
-			a.Label("loop").ILoad(2).ILoad(1).IfICmpGe("done")
+			a.Const(0).IStore(4)
+			a.Label("loop").ILoad(3).ILoad(1).IfICmpGe("done")
 			a.ALoad(0).MonitorEnter()
-			a.ILoad(3).Const(int64(spin)).InvokeStatic(cn, "hold", "(I)I").IAdd().IStore(3)
+			a.ILoad(4).Const(int64(spin)).InvokeStatic(cn, "hold", "(I)I").IAdd().IStore(4)
 			a.ALoad(0).MonitorExit()
-			a.IInc(2, 1).Goto("loop")
-			a.Label("done").ILoad(3).IReturn()
+			a.IInc(3, 1).Goto("loop")
+			a.Label("done").ILoad(4).IReturn()
 		}).MustBuild()
 }
 
 // lockLoopRun runs one lockLoopClass thread in each of two isolates on 2
-// workers; shared selects one lock object for both or one each.
+// workers; shared selects one lock object for both, the first thread its
+// holder and the second its contender, or one lock each.
 func lockLoopRun(t *testing.T, iters, spin int, shared bool) interp.RunResult {
 	t.Helper()
 	vm := newIsolatedVM(t, interp.Options{})
@@ -116,6 +154,7 @@ func lockLoopRun(t *testing.T, iters, spin int, shared bool) interp.RunResult {
 		t.Fatal(err)
 	}
 	var lock *heap.Object
+	flags := heap.Null()
 	var threads []*interp.Thread
 	for k := 0; k < 2; k++ {
 		iso, err := vm.NewIsolate(fmt.Sprintf("locker%d", k))
@@ -128,13 +167,24 @@ func lockLoopRun(t *testing.T, iters, spin int, shared bool) interp.RunResult {
 				t.Fatal(err)
 			}
 		}
+		role := lockAlone
+		if shared {
+			role = lockHolder + k
+			if flags.R == nil {
+				a, err := vm.AllocArrayIn(nil, objClass, 2, iso)
+				if err != nil {
+					t.Fatal(err)
+				}
+				flags = heap.RefVal(a)
+			}
+		}
 		cn := fmt.Sprintf("share/Lock%d", k)
-		c := lockLoopClass(cn, spin)
+		c := lockLoopClass(cn, spin, role)
 		if err := iso.Loader().Define(c); err != nil {
 			t.Fatal(err)
 		}
-		m, _ := c.LookupMethod("run", "(Ljava/lang/Object;I)I")
-		th, err := vm.SpawnThread(cn, iso, m, []heap.Value{heap.RefVal(lock), heap.IntVal(int64(iters))})
+		m, _ := c.LookupMethod("run", "(Ljava/lang/Object;ILjava/lang/Object;)I")
+		th, err := vm.SpawnThread(cn, iso, m, []heap.Value{heap.RefVal(lock), heap.IntVal(int64(iters)), flags})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -233,24 +233,21 @@ func systemClass() *classfile.Class {
 				return interp.NativeThrowName(vm, t, interp.ClassIllegalState, "store to frozen array")
 			}
 			if vm.Heap().BarrierActive() {
-				// Array slots are scanned by concurrent markers: record
-				// each overwritten reference (SATB) and publish the new
-				// reference words atomically. src is read plainly — the
-				// executing thread is this one, and cross-thread guest
-				// races on array slots are the guest's own (as in the
-				// interpreter's store handlers).
+				// Array slots are scanned by concurrent markers: each
+				// element goes through the engines' store (VM.StoreRef),
+				// which records an overwritten reference unless the
+				// destination is already traced. src is read plainly —
+				// the executing thread is this one, and cross-thread
+				// guest races on array slots are the guest's own (as in
+				// the interpreter's store handlers).
 				if src == dst && dp > sp {
 					// memmove semantics for overlapping self-copies.
 					for i := n - 1; i >= 0; i-- {
-						d := &dst.Elems[dp+i]
-						vm.WriteBarrier(t, *d)
-						heap.StoreSlotBarriered(d, src.Elems[sp+i])
+						vm.StoreRef(t, dst, &dst.Elems[dp+i], src.Elems[sp+i])
 					}
 				} else {
 					for i := int64(0); i < n; i++ {
-						d := &dst.Elems[dp+i]
-						vm.WriteBarrier(t, *d)
-						heap.StoreSlotBarriered(d, src.Elems[sp+i])
+						vm.StoreRef(t, dst, &dst.Elems[dp+i], src.Elems[sp+i])
 					}
 				}
 			} else {
