@@ -10,8 +10,9 @@ import "sync/atomic"
 // no pool-entry indirection and no pointer chase.
 //
 // The cache lives on the prepared instruction — not the pool entry — so
-// the handler and the closure micro of a site read it off the PInstr they
-// already hold.
+// the closure micro of a site captures it when the block is compiled, and
+// the reference switch publishes it when it resolves the site on a
+// prepared frame.
 type FieldSlot struct {
 	slot atomic.Int32
 }

@@ -2,25 +2,22 @@ package bytecode
 
 // PInstr is one prepared ("quickened") instruction. The interpreter's
 // code-preparation pass runs once per method on first invocation and
-// rewrites the decoded Instr stream into this form:
+// rewrites the decoded Instr stream into this form, from which it compiles
+// the method's closure blocks; the instruction at a pc no block covers
+// runs from the decoded Instr on the reference switch:
 //
-//   - H is the dispatch handler index into the interpreter's flat handler
-//     table, replacing the opcode switch. It is always the instruction's
-//     opcode value: the prepared form is pure quickening, and anything
-//     that covers several instructions (the closure tier's combined
-//     micros) is built from it, never written back into it.
 //   - Ref carries the pre-resolved constant-pool operand (the pool entry
 //     pointer for field/method/class/string references). It is opaque at
 //     this layer so the package stays free of classfile dependencies.
 //   - FS is the resolved-field slot cache of a getfield/putfield site
 //     (nil for every other instruction), published once on first
 //     resolution so later executions index the receiver's field array
-//     directly. Invoke sites carry no per-site state: invokevirtual
+//     directly. Invoke sites carry no per-site state here: invokevirtual
 //     dispatches through the receiver class's link-time VTable at the
 //     slot of the pool entry's resolved method.
 //   - B holds, for the three invoke opcodes, the argument-window size
 //     (declared parameters plus the receiver for instance calls),
-//     precomputed from the referenced descriptor so fast paths never
+//     precomputed from the referenced descriptor so the call micros never
 //     re-derive it. All other opcodes keep the decoded operand.
 //   - A, I, F mirror the decoded Instr operands.
 type PInstr struct {
@@ -30,11 +27,6 @@ type PInstr struct {
 	F   float64
 	A   int32
 	B   int32
-	H   uint8
-	// Pads the struct to 64 bytes, one cache line per instruction and a
-	// shift for the index: at 56 bytes the loop-heavy spec_compute
-	// programs ran 4-10% slower.
-	_ [8]byte
 }
 
 // PCode is the prepared executable form of a method body. Unlike Code,
@@ -64,8 +56,8 @@ type PCode struct {
 // preparer's "unpreparable" sentinel: the method permanently executes
 // through the reference switch interpreter. A Code has one form because
 // its class links into one registry, hence one VM, and a VM's isolation
-// mode — which selects the handler table the form runs on — is fixed at
-// construction.
+// mode — which selects the micros the form's closure program is compiled
+// with — is fixed at construction.
 func (c *Code) Prepared() *PCode { return c.prepared.Load() }
 
 // StorePrepared publishes p as the code's prepared form. Preparation is

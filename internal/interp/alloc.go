@@ -17,7 +17,7 @@ import (
 // an append to its private object list, and a plain-counter batch note —
 // with no global mutex, no shared statistic atomics and no locked
 // instruction. The closure tier's allocation micros (closure.go) take the
-// same path inside a block and bail to the table handler whenever it
+// same path inside a block and bail to the reference switch whenever it
 // would need more (a collection, an initialization, a resolution).
 // Everything else allocates through one routine, VM.alloc.
 //
@@ -29,7 +29,7 @@ import (
 // life; a concurrent worker's is recycled through vm's free list across
 // runs), and the quantum routine installs it on the executing thread
 // (t.alloc) only for the duration of a quantum. Code running on the executing goroutine —
-// prepared handlers, the reference switch path, natives, vm.Throw —
+// the closure micros, the reference switch path, natives, vm.Throw —
 // allocates through it; everything else (host-side setup, RPC copies,
 // wake-side throwable allocation such as InterruptThread, tests) passes
 // a nil thread or a thread without an installed state and falls back to

@@ -189,13 +189,13 @@ func amCall(t *testing.T, vm *interp.VM, iso *core.Isolate, use *classfile.Class
 }
 
 // TestAllocationMicros pins the new and newarray micros on the step level
-// and against the other two engines: a first new bails with the frame
-// exact and <clinit> pushed; an allocation loop retires compiled chains; a
-// newarray whose length the guard refuses throws the handler's exception;
-// a full heap bails to the handler, which collects and retries; under an
-// open mark cycle the micro allocates black; and the oracle fragment —
-// finalizable garbage, message-bearing exceptions, a small heap — agrees
-// on the three engines in both modes under both collectors.
+// and against the seed switch: a first new bails with the frame exact and
+// <clinit> pushed; an allocation loop retires compiled chains; a newarray
+// whose length the guard refuses throws the switch's exception; a full
+// heap bails to the switch, which collects and retries; under an open mark
+// cycle the micro allocates black; and the oracle fragment — finalizable
+// garbage, message-bearing exceptions, a small heap — agrees on both
+// engines in both modes under both collectors.
 func TestAllocationMicros(t *testing.T) {
 	chained := func(t *testing.T, vm *interp.VM, th *interp.Thread, what string) {
 		t.Helper()
@@ -220,7 +220,7 @@ func TestAllocationMicros(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The block materialises iload/iconst, the new micro bails, and
-			// the table handler pushes <clinit> — in the second isolate too
+			// the switch pushes <clinit> — in the second isolate too
 			// under I-JVM, where the class is resolved but its mirror there
 			// is not initialized.
 			for _, iso := range isos {
@@ -257,7 +257,7 @@ func TestAllocationMicros(t *testing.T) {
 			}
 
 			// A refused length bails with its operand materialised; the
-			// handler throws.
+			// switch throws.
 			th = amSpawn(t, vm, iso, use, "arr", heap.IntVal(-5))
 			if sizes, err := vm.StepSizesForTest(th, 1<<40, 4); err != nil || !reflect.DeepEqual(sizes, []int64{2}) || !th.Done() {
 				t.Fatalf("arr(-5): sizes %v, err %v, done %v; want one step of 2", sizes, err, th.Done())
@@ -268,7 +268,7 @@ func TestAllocationMicros(t *testing.T) {
 		})
 	}
 
-	// Every outcome on the three engines, both modes: newarray lengths the
+	// Every outcome on both engines, both modes: newarray lengths the
 	// guard refuses, a churn on a full heap, allocate-black.
 	type outcome struct {
 		neg, huge, ok, churn string
@@ -278,7 +278,7 @@ func TestAllocationMicros(t *testing.T) {
 	var ref outcome
 	var refName string
 	for _, mode := range []core.Mode{core.ModeShared, core.ModeIsolated} {
-		for engine, newVM := range threeEngines {
+		for engine, newVM := range engines {
 			name := fmt.Sprintf("%s/%v", engine, mode)
 			vm, iso, use := amVM(t, newVM, interp.Options{Mode: mode, HeapLimit: 64 << 10, GCThresholdPercent: -1})
 			var o outcome
@@ -330,7 +330,7 @@ func TestAllocationMicros(t *testing.T) {
 	for _, paced := range []bool{false, true} {
 		for _, mode := range []core.Mode{core.ModeShared, core.ModeIsolated} {
 			var ref, refName string
-			for engine, newVM := range threeEngines {
+			for engine, newVM := range engines {
 				name := fmt.Sprintf("%s/%v/paced=%v", engine, mode, paced)
 				opts := interp.Options{Mode: mode, HeapLimit: 32 << 10, GCThresholdPercent: -1}
 				if paced {

@@ -9,24 +9,26 @@ import (
 	"ijvm/internal/heap"
 )
 
-// The closure-threaded tier. The preparation pass (prepare.go) ends with
-// buildClosureProgram, which compiles the method into one Go closure chain
-// per extended basic block: every operand —
-// local slots, immediates, branch targets, pre-resolved pool entries, field
-// slots — is captured at build time, so executing a block is a straight
-// run of closure calls with no table dispatch and no PInstr decoding
-// between sub-instructions.
+// The closure-threaded tier, the engine of prepared code. A prepared
+// method runs on two layers: the closure blocks compiled here, and under
+// them the reference switch (exec.go execInstr), which single-steps every
+// instruction a block hands off with the same frame and pc. The
+// preparation pass (prepare.go) ends with buildClosureProgram, which
+// compiles the method into one Go closure chain per extended basic block:
+// every operand — local slots, immediates, branch targets, pre-resolved
+// pool entries, field slots — is captured at build time, so executing a
+// block is a straight run of closure calls with no dispatch and no
+// instruction decoding between sub-instructions.
 //
 // The contract every block keeps:
 //
 //   - a block's prefix holds only micros that cannot collect, throw,
 //     park, or reach a safepoint; anything else (monitors, returns,
-//     throws, ldc, checkcast, an invoke at the block's head ...)
-//     terminates the block and is delegated through the live handler
-//     table, with the frame in exactly the state single-step execution
-//     would leave it. A micro may allocate — new and newarray do — as long
-//     as the admission cannot collect: the object lands on the frame
-//     before anything can scan it;
+//     throws, ldc, checkcast ...) terminates the block and single-steps on
+//     the reference switch, with the frame in exactly the state
+//     single-step execution would leave it. A micro may allocate — new and
+//     newarray do — as long as the admission cannot collect: the object
+//     lands on the frame before anything can scan it;
 //   - operand folding: the builder keeps a compile-time operand stack.
 //     iload/fload/aload and the constant pushes emit nothing — they push
 //     a symbol (local k / constant c) — and the micro of the instruction
@@ -44,17 +46,18 @@ import (
 //     calls, idiv/irem) check
 //     every failure condition BEFORE mutating anything; on failure they
 //     push their own symbolic operands in order and return microBail. The
-//     step then delegates the guarded instruction through the handler
-//     table (which resolves, initializes, waits, or throws with the
-//     identical message) as its final sub-instruction, with the folded
-//     loads counted as retired (bail[i]);
+//     step then single-steps the guarded instruction on the reference
+//     switch (which resolves and fills the caches the micro reads,
+//     initializes, waits, or throws) as its final sub-instruction, with
+//     the folded loads counted as retired (bail[i]);
 //   - statics (§3.1) are guarded micros picked by the VM's mode when the
 //     program is built: the Isolated micro is the paper's inline sequence
 //     — the field resolved, the current isolate's mirror of its class
 //     present and initialized (or being initialized by this thread) —
-//     and the Shared micro probes the pool entry's ResolvedMirror cache
-//     as the Shared handler does. Neither creates a mirror nor runs a
-//     write barrier (statics are roots, re-scanned at cycle finish);
+//     and the Shared micro probes the pool entry's ResolvedMirror cache,
+//     which the switch fills on the first initialized access. Neither
+//     creates a mirror nor runs a write barrier (statics are roots,
+//     re-scanned at cycle finish);
 //   - allocation (§3.2) is a guarded micro too: new runs when its class is
 //     resolved and initialized — Isolated: the current isolate's mirror
 //     is InitDone, one read (isolatedInitDone); Shared: the pool entry
@@ -62,7 +65,7 @@ import (
 //     and its element class resolved; both need the quantum's domain
 //     (t.alloc) to admit the object from its slack or a refill. The
 //     object is charged as every engine allocation is (noteAlloc). A miss
-//     bails, and the handler resolves, initializes, collects and retries,
+//     bails, and the switch resolves, initializes, collects and retries,
 //     or throws;
 //   - micros do not maintain f.pc: it is written at exits only — the
 //     target by a taken branch or inline goto, the guarded instruction's
@@ -77,15 +80,19 @@ import (
 //     straight-line body of non-failing micros ending in its return
 //     (leafBody) — defined by the caller's own loader, the micro runs the
 //     body on the thread's next cached frame without publishing it and
-//     delivers the result: no frame is pushed and no step ends. Anything
-//     else bails, and the table handler makes the real call;
+//     delivers the result: no frame is pushed and no step ends. Any other
+//     call whose guards hold — the receiver non-null and, for
+//     invokevirtual, the vtable entry the resolved method's; the class
+//     initialized for invokestatic — ends the step with the real call
+//     (microCall, invokeResolved) as its final sub-instruction, charged
+//     before it; a failed guard bails, and the switch dispatches by name;
 //   - chaining: after an inline transfer — a taken branch, the inline
 //     goto / iinc+goto final — the step continues into the block at the
 //     new pc when one is compiled there and still fits (runClosureBlock),
 //     so a loop iteration made of several blocks, and several iterations,
 //     retire as one engine step. A step ends at the first delegated
-//     final, bail, pc without a block head, quantum boundary, or once it
-//     has retired maxStepSubs instructions;
+//     final, bail, real call, pc without a block head, quantum boundary,
+//     or once it has retired maxStepSubs instructions;
 //   - a block reserves its sub-instruction width — up to its first call
 //     micro when it has one — against the quantum before it runs, and a
 //     call micro inlines a leaf only when the rest of the block, the body
@@ -98,12 +105,12 @@ import (
 //     strides, interrupt/kill polls and STW parking all land at
 //     instruction counts single-step execution also produces.
 //
-// The prepared form is untouched (PInstr.H stays the opcode): a block
-// entered at a follower pc compiles from there, and every table fallback
-// executes one original instruction.
+// The prepared form is untouched, one PInstr per instruction: a block
+// entered at a follower pc compiles from there, and every hand-off to the
+// switch executes one original instruction.
 //
 // Deopt: a frame never drops an adopted program (a VM's mode, hence its
-// handler table, is fixed at construction). Exceptions and unresolved
+// programs' micros, is fixed at construction). Exceptions and unresolved
 // sites deopt per-step via the bail path with no state to unwind. Kill
 // and interrupts act at step boundaries exactly as before.
 //
@@ -124,9 +131,13 @@ const (
 	// ends.
 	microStop
 	// microBail: the micro applied NO effect beyond materialising its own
-	// symbolic operands; the guarded instruction is delegated through the
-	// handler table as the step's final sub-instruction.
+	// symbolic operands; the guarded instruction single-steps on the
+	// reference switch as the step's final sub-instruction.
 	microBail
+	// microCall: a call micro whose guards held materialised its argument
+	// window and left the target in quantumAcct.callee; the step makes the
+	// real call as its final sub-instruction.
+	microCall
 )
 
 // closureMicro executes one guest instruction, together with the loads,
@@ -137,7 +148,7 @@ type closureMicro func(vm *VM, t *Thread, f *Frame) microStatus
 // at pc0. The prefix holds micros for straight-line instructions and
 // conditional branches. last is an optional inline unconditional final
 // (goto, or iinc+goto); nil last means the block's final instruction is
-// delegated through the handler table (invokes, allocation, returns, ...).
+// delegated to the reference switch (returns, monitors, ldc, ...).
 //
 // A prefix entry may cover several guest instructions, so charging is
 // position-based: cum[i] is the instruction count retired once prefix[i]
@@ -146,11 +157,11 @@ type closureMicro func(vm *VM, t *Thread, f *Frame) microStatus
 // pushed them), and width the count before the block's final instruction.
 // need is what must fit in the quantum before the block runs: its width,
 // or, when it holds call micros, the count before the first — a call
-// bails unless everything after it, the leaf it inlines included, fits
-// (quantumAcct.spare), and a bail ends the block. reserve(need) is
-// conservative on early-taken branches: the block runs compiled only when
-// its longest path fits the quantum, and single-steps (the table engine's
-// own boundary behavior) otherwise.
+// inlines only when everything after it, the leaf included, fits
+// (quantumAcct.spare), and a real call, like a bail, ends the block.
+// reserve(need) is conservative on early-taken branches: the block runs
+// compiled only when its longest path fits the quantum, and its first
+// instruction single-steps on the switch otherwise.
 type closureBlock struct {
 	prefix []closureMicro
 	cum    []int64
@@ -162,9 +173,9 @@ type closureBlock struct {
 }
 
 // closureProgram maps each block-head pc to its compiled block; nil
-// entries are pcs reached only mid-block (or blocks too trivial to win),
-// which execute through normal table dispatch. leaf is the method's
-// inlinable form, or nil.
+// entries are pcs reached only mid-block (or blocks with no micro), which
+// single-step on the reference switch. leaf is the method's inlinable
+// form, or nil.
 type closureProgram struct {
 	blocks []*closureBlock
 	leaf   *leafBody
@@ -186,18 +197,18 @@ const (
 
 // runClosureBlock executes a chain of compiled blocks as one engine step.
 // n counts the instructions the chain has retired; the loop's post-step
-// charge covers the step's final one (a taken branch, an inline final, or
-// the delegated instruction) and chargeSubs batches the rest at the single
-// exit — charge order within a step is unobservable, so batching is
-// identical to charging each micro as it retires. Before each block, q.spare
+// charge covers the step's final one (a taken branch, an inline final, the
+// real call of a call micro, or the instruction handed to the switch) and
+// chargeSubs batches the rest at the single exit — charge order within a
+// step is unobservable, so batching is identical to charging each micro as
+// it retires. Before each block, q.spare
 // is what the step may still retire beside it — the rest of room after the
 // block's width and final, negative when only its need fit — and leaves
 // inlined by its call micros count in q.inl, which joins n after the block.
 func (vm *VM) runClosureBlock(t *Thread, f *Frame, b *closureBlock) error {
 	q := t.qa
 	if q == nil || !q.reserve(b.need) {
-		in := &f.pcode.Instrs[f.pc]
-		return vm.ptable[in.H](vm, t, f, in)
+		return vm.execInstr(t, f, &f.method.Code.Instrs[f.pc])
 	}
 	// room is what the step may still retire: the rest of the quantum,
 	// capped.
@@ -212,7 +223,7 @@ run:
 			case microStop:
 				n += b.cum[i]
 				goto transferred
-			default: // microBail: delegate the guarded instruction.
+			default: // microBail, microCall: the micro's instruction ends the step.
 				n += b.bail[i]
 				f.pc = b.pc0 + int32(b.bail[i])
 				break run
@@ -236,9 +247,15 @@ run:
 	}
 	n += q.inl
 	q.inl = 0
+	// Charge before the final: a call may migrate the thread, and what the
+	// step retired belongs to the caller's isolate.
 	q.chargeSubs(vm, t, n)
-	in := &f.pcode.Instrs[f.pc]
-	return vm.ptable[in.H](vm, t, f, in)
+	if target := q.callee; target != nil {
+		s := q.site
+		q.callee, q.site = nil, nil
+		return vm.invokeResolved(t, f, target, len(s.ops), s.recv, f.pc+1)
+	}
+	return vm.execInstr(t, f, &f.method.Code.Instrs[f.pc])
 }
 
 // buildClosureProgram compiles the prepared method into closure-threaded
@@ -246,11 +263,11 @@ run:
 // exception-handler target, the pc after every invoke, and every
 // fall-through successor of a built block, so steady-state execution
 // (including returns from real calls) always lands on a compiled block;
-// other pcs run through table dispatch. The result is never nil (blocks
-// may be sparse); it carries the method's leaf form when it has one.
-// mode picks the statics, new and invokestatic micros; objClass is the
-// VM's java/lang/Object, the element class of an untyped newarray (nil:
-// those sites stay on the table).
+// other pcs single-step on the reference switch. The result is never nil
+// (blocks may be sparse); it carries the method's leaf form when it has
+// one. mode picks the statics, new and invokestatic micros; objClass is
+// the VM's java/lang/Object, the element class of an untyped newarray
+// (nil: those sites stay on the switch).
 func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, mode core.Mode, objClass *classfile.Class) *closureProgram {
 	code := m.Code
 	n := len(code.Instrs)
@@ -486,11 +503,11 @@ func (bb *blockBuilder) produce(n int, pc int32) binding {
 }
 
 // buildClosureBlock compiles one extended block starting at pc. It
-// returns the block (nil when too trivial to beat table dispatch), the
-// pc of the block's final instruction, and whether control may fall
-// through past it. A block entered at a follower pc of a folded run
-// compiles from that pc with an empty symbol stack, so its operands bind
-// to the real stack the single-stepped instructions before it filled.
+// returns the block (nil when it would hold no micro), the pc of the
+// block's final instruction, and whether control may fall through past
+// it. A block entered at a follower pc of a folded run compiles from that
+// pc with an empty symbol stack, so its operands bind to the real stack
+// the single-stepped instructions before it filled.
 // Conditional branches do not end the block: they compile as mid-block
 // micros and the fall-through path continues. The builder terminates
 // because the cursor strictly increases.
@@ -533,8 +550,7 @@ func buildClosureBlock(m *classfile.Method, p *bytecode.PCode, pc int32, mode co
 		return nil, n - 1, false
 	}
 	// Delegated final: an instruction no micro covers (return, throw,
-	// monitors, an invoke at the block's head, ...) or the one at the
-	// width cap.
+	// monitors, ...) or the one at the width cap.
 	bb.flush(0)
 	bb.seal(cur - pc)
 	fall := !code.Instrs[cur].Op.IsTerminator()
@@ -640,7 +656,7 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			return microNext
 		}, pc, bd.last)
 	case bytecode.OpIDiv, bytecode.OpIRem:
-		// Guarded: a zero divisor bails (the table handler throws).
+		// Guarded: a zero divisor bails (the switch throws).
 		bd := bb.produce(2, pc)
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 			x, y := bd.ops[0].at(f).I, bd.ops[1].at(f).I
@@ -753,8 +769,7 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 	case bytecode.OpGetField:
 		// Guarded: an unresolved slot (negative, so out of range as an
 		// unsigned index), a null receiver or a receiver without the slot
-		// bails (the table handler resolves or throws with the identical
-		// message).
+		// bails (the switch resolves and publishes the slot, or throws).
 		bd, fs := bb.produce(1, pc), in.FS
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 			slot, recv := int(fs.Get()), bd.ops[0].at(f).R
@@ -781,8 +796,7 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 		}, pc, pc)
 	case bytecode.OpGetStatic:
 		// Guarded by the mode's mirror check (isolatedMirror, sharedMirror);
-		// a miss bails to the table handler, which resolves, initializes or
-		// waits.
+		// a miss bails to the switch, which resolves, initializes or waits.
 		bd, entry := bb.produce(0, pc), in.Ref.(*classfile.PoolEntry)
 		if bb.mode == core.ModeIsolated {
 			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
@@ -829,9 +843,10 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 	case bytecode.OpNew:
 		// Guarded: the class resolved, the mode's initialization check
 		// (isolatedInitDone, or the pool entry's ResolvedMirror cache as
-		// pNewShared keeps it), and a domain that admits the object
-		// without a collection; a miss bails to the table handler, which
-		// resolves, initializes, waits, collects and retries, or throws.
+		// the switch's classInitReadyAt keeps it), and a domain that admits
+		// the object without a collection; a miss bails to the switch,
+		// which resolves, initializes, waits, collects and retries, or
+		// throws.
 		bd, entry := bb.produce(0, pc), in.Ref.(*classfile.PoolEntry)
 		initDone := (*VM).isolatedInitDone
 		if bb.mode != core.ModeIsolated {
@@ -853,9 +868,9 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 	case bytecode.OpNewArray:
 		// Guarded: a length in 0..limit/8, the element class resolved (an
 		// untyped site's is java/lang/Object, bound here), and a domain that
-		// admits the array without a collection; a miss bails to pNewArray,
-		// which throws NegativeArraySizeException, resolves, or collects
-		// and retries.
+		// admits the array without a collection; a miss bails to the
+		// switch, which throws NegativeArraySizeException, resolves, or
+		// collects and retries.
 		entry, _ := in.Ref.(*classfile.PoolEntry)
 		untyped := bb.objClass
 		if entry == nil && untyped == nil {
@@ -879,12 +894,6 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			return microNext
 		}, pc, bd.last)
 	case bytecode.OpInvokeVirtual, bytecode.OpInvokeSpecial, bytecode.OpInvokeStatic:
-		// An invoke at the head of a block (its arguments came from a
-		// delegated instruction, such as a real call) stays the table's:
-		// a block that would only bail to it costs more than no block.
-		if pc == bb.blk.pc0 {
-			return pc, false
-		}
 		return bb.call(op, in, pc)
 	case bytecode.OpArrayLength:
 		bd := bb.produce(1, pc)
@@ -947,15 +956,15 @@ func (vm *VM) isolatedMirror(t *Thread, entry *classfile.PoolEntry) (*core.TaskC
 // the current isolate's mirror of class is InitDone, one read. InitDone
 // implies every superclass's mirror is InitDone too (ensureInitialized
 // initializes supers first), so nothing else needs checking; a class
-// being initialized — even by this thread — bails to pNewIsolated.
+// being initialized — even by this thread — bails to the switch.
 func (vm *VM) isolatedInitDone(t *Thread, class *classfile.Class) bool {
 	m := vm.world.MirrorIfPresent(class, t.cur)
 	return m != nil && m.State == core.InitDone
 }
 
 // sharedMirror is the guard of the Shared statics micros: the mirror the
-// Shared handlers cache on the pool entry after the first initialized
-// access, or nil to bail.
+// switch caches on the pool entry after the first initialized access
+// (staticMirrorAt), or nil to bail.
 func sharedMirror(entry *classfile.PoolEntry) (*core.TaskClassMirror, int) {
 	m, ok := entry.ResolvedMirror.(*core.TaskClassMirror)
 	if !ok {
@@ -1125,18 +1134,19 @@ func leafOf(target *classfile.Method) (lf *leafBody, final bool) {
 }
 
 // callSite is one call micro: the pool entry, the bound argument window
-// (receiver first), where the result goes, and the loader that defined the
-// caller. miss is the site's cache: a class — the receiver's for
-// invokevirtual, the target's otherwise — whose target here is
-// permanently not inlinable, so that target bails after one compare.
-// Workers running the program race on it harmlessly: every key stored is
-// a true verdict.
+// (receiver first), whether it has a receiver, where the result goes, and
+// the loader that defined the caller. miss is the site's cache: a class —
+// the receiver's for invokevirtual, the target's otherwise — whose target
+// here is permanently not inlinable, so a guarded call makes the real
+// call after one compare. Workers running the program race on it
+// harmlessly: every key stored is a true verdict.
 type callSite struct {
 	entry  *classfile.PoolEntry
 	ops    []operand
 	ns     int
 	d      int32
 	value  bool
+	recv   bool
 	loader int
 	miss   atomic.Pointer[classfile.Class]
 }
@@ -1152,50 +1162,60 @@ func (bb *blockBuilder) call(op bytecode.Opcode, in *bytecode.PInstr, pc int32) 
 	if !bb.called {
 		bb.called, bb.blk.need = true, int64(pc-bb.blk.pc0)
 	}
-	s := &callSite{entry: entry, ops: make([]operand, in.B), d: -1, loader: bb.m.Class.LoaderID}
+	s := &callSite{entry: entry, ops: make([]operand, in.B), d: -1, recv: op != bytecode.OpInvokeStatic, loader: bb.m.Class.LoaderID}
 	s.ns = bb.take(s.ops)
 	last := pc
 	if s.value = desc.Return != classfile.KindVoid; s.value {
 		s.d, last = bb.storeAfter(pc)
 	}
-	// Each micro makes its site-cache check inline, so a call that never
-	// inlines bails after one compare and one call.
+	// Each micro makes its guards and then its site-cache check inline, so
+	// a guarded call that never inlines reaches the real call after one
+	// compare.
 	var m closureMicro
 	switch {
 	case op == bytecode.OpInvokeVirtual:
 		m = func(vm *VM, t *Thread, f *Frame) microStatus {
 			recv := s.ops[0].at(f).R
-			if recv == nil || recv.Class == s.miss.Load() {
+			if recv == nil {
 				return bail(f, s.ops...)
 			}
 			return s.virtual(vm, t, f, recv)
 		}
 	case op == bytecode.OpInvokeSpecial:
-		// The resolved method on a non-null receiver, as pInvokeSpecial.
+		// The resolved method on a non-null receiver.
 		m = func(vm *VM, t *Thread, f *Frame) microStatus {
 			recv, target := s.ops[0].at(f).R, s.entry.ResolvedMethod.Load()
-			if recv == nil || target == nil || target.Class == s.miss.Load() {
+			if recv == nil || target == nil {
 				return bail(f, s.ops...)
+			}
+			if target.Class == s.miss.Load() {
+				return s.call(t, f, target)
 			}
 			return s.inline(vm, t, f, target, recv, target.Class)
 		}
 	case bb.mode == core.ModeIsolated:
 		// invokestatic: the class's mirror in the current isolate is
-		// InitDone (pInvokeStaticIsolated initializes or waits otherwise).
+		// InitDone (the switch initializes or waits otherwise).
 		m = func(vm *VM, t *Thread, f *Frame) microStatus {
 			target := s.entry.ResolvedMethod.Load()
-			if target == nil || target.Class == s.miss.Load() || !vm.isolatedInitDone(t, target.Class) {
+			if target == nil || !vm.isolatedInitDone(t, target.Class) {
 				return bail(f, s.ops...)
+			}
+			if target.Class == s.miss.Load() {
+				return s.call(t, f, target)
 			}
 			return s.inline(vm, t, f, target, nil, target.Class)
 		}
 	default:
-		// invokestatic: the pool entry caches the initialized mirror, as
-		// pInvokeStaticShared checks.
+		// invokestatic: the pool entry caches the initialized mirror
+		// (classInitReadyAt).
 		m = func(vm *VM, t *Thread, f *Frame) microStatus {
 			target := s.entry.ResolvedMethod.Load()
-			if target == nil || target.Class == s.miss.Load() || s.entry.ResolvedMirror == nil {
+			if target == nil || s.entry.ResolvedMirror == nil {
 				return bail(f, s.ops...)
+			}
+			if target.Class == s.miss.Load() {
+				return s.call(t, f, target)
 			}
 			return s.inline(vm, t, f, target, nil, target.Class)
 		}
@@ -1203,8 +1223,15 @@ func (bb *blockBuilder) call(op bytecode.Opcode, in *bytecode.PInstr, pc int32) 
 	return bb.emit(m, pc, last)
 }
 
-// virtual is the rest of the invokevirtual micro: pInvokeVirtual's vtable
-// guard on the non-null recv, then inline.
+// virtual is the rest of the invokevirtual micro: the vtable guard on the
+// non-null recv, then inline or the real call. Bytecode is not
+// type-checked and the static type may be an interface, so the resolved
+// method's slot only means "this method" in classes below the one that
+// introduced it; an entry with the resolved method's VRoot proves the
+// receiver's class is one of them, and there the entry is what dispatch by
+// name would find (classfile AssignMethodSlots). Slot-less methods (VSlot
+// -1) fail the bounds check. A failed guard bails, and the switch
+// dispatches by name.
 func (s *callSite) virtual(vm *VM, t *Thread, f *Frame, recv *heap.Object) microStatus {
 	m := s.entry.ResolvedMethod.Load()
 	if m == nil {
@@ -1212,32 +1239,43 @@ func (s *callSite) virtual(vm *VM, t *Thread, f *Frame, recv *heap.Object) micro
 	}
 	vt := recv.Class.VTable
 	if uint(m.VSlot) >= uint(len(vt)) || vt[m.VSlot].VRoot != m.VRoot {
-		s.miss.Store(recv.Class)
 		return bail(f, s.ops...)
+	}
+	if recv.Class == s.miss.Load() {
+		return s.call(t, f, vt[m.VSlot])
 	}
 	return s.inline(vm, t, f, vt[m.VSlot], recv, recv.Class)
 }
 
-// inline runs target's leaf in place of the call, or bails: the target
-// must be a leaf defined by the caller's loader (in both modes, so a call
-// across bundles is always a real call), and the call must be one that
-// pushes a frame in the current isolate with nothing observing it
+// call ends the step with the real call to target, whose guards held: it
+// materialises the argument window and leaves the target to
+// runClosureBlock, which charges what the step retired and then calls.
+func (s *callSite) call(t *Thread, f *Frame, target *classfile.Method) microStatus {
+	pushSymbols(f, s.ops)
+	t.qa.callee, t.qa.site = target, s
+	return microCall
+}
+
+// inline runs target's leaf in place of the call, or makes the real call:
+// the target must be a leaf defined by the caller's loader (in both modes,
+// so a call across bundles is always a real call), and the call must be
+// one that pushes a frame in the current isolate with nothing observing it
 // (mayInline). key is the site's cache key for target.
 func (s *callSite) inline(vm *VM, t *Thread, f *Frame, target *classfile.Method, recv *heap.Object, key *classfile.Class) microStatus {
 	if target.Class.LoaderID != s.loader {
 		s.miss.Store(key)
-		return bail(f, s.ops...)
+		return s.call(t, f, target)
 	}
 	lf, final := leafOf(target)
 	if lf == nil {
 		if final {
 			s.miss.Store(key)
 		}
-		return bail(f, s.ops...)
+		return s.call(t, f, target)
 	}
 	q := t.qa
 	if q.inl+lf.inl > q.spare || !vm.mayInline(t, f, target) || !lf.fits(recv) {
-		return bail(f, s.ops...)
+		return s.call(t, f, target)
 	}
 	// The callee's activation: the thread's next cached frame, filled as
 	// pushFrame would, never published (no root scan can run before it is

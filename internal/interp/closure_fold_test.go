@@ -20,9 +20,9 @@ import (
 
 // TestPreparedFormIsPureQuickening pins the prepared form's shape: for
 // every method of syslib, the shipped example programs and the SPEC
-// workloads, in both isolation modes, each PInstr's handler index is its
-// instruction's opcode (nothing rewrites heads), and a Code caches one
-// prepared form and nothing else.
+// workloads, in both isolation modes, the form holds one PInstr per
+// instruction (nothing fuses or rewrites instructions), and a Code caches
+// one prepared form and nothing else.
 func TestPreparedFormIsPureQuickening(t *testing.T) {
 	programs, err := filepath.Glob("../../examples/programs/*.jasm")
 	if err != nil || len(programs) == 0 {
@@ -72,11 +72,8 @@ func TestPreparedFormIsPureQuickening(t *testing.T) {
 					if m.Code.Prepared() != p {
 						t.Fatalf("%s: prepared form not cached on its Code", m.QualifiedName())
 					}
-					for pc := range p.Instrs {
-						if p.Instrs[pc].H != uint8(m.Code.Instrs[pc].Op) {
-							t.Fatalf("%s pc %d: H = %d, opcode %s = %d", m.QualifiedName(), pc,
-								p.Instrs[pc].H, m.Code.Instrs[pc].Op, uint8(m.Code.Instrs[pc].Op))
-						}
+					if len(p.Instrs) != len(m.Code.Instrs) {
+						t.Fatalf("%s: %d prepared instructions for %d", m.QualifiedName(), len(p.Instrs), len(m.Code.Instrs))
 					}
 					checked++
 				}
@@ -610,7 +607,7 @@ func stVM(t *testing.T, newVM func(interp.Options) *interp.VM, mode core.Mode) (
 // Shared one through the mirror the pool entry caches; and an access
 // while another thread runs the <clinit> bails, waits, and reads the
 // initialized value, with results, instruction totals and clock equal on
-// the seed switch, the table and the closure blocks.
+// the seed switch and the closure blocks.
 func TestStaticMicros(t *testing.T) {
 	spawn := func(t *testing.T, vm *interp.VM, iso *core.Isolate, c *classfile.Class, name string, args ...heap.Value) *interp.Thread {
 		t.Helper()
@@ -646,7 +643,7 @@ func TestStaticMicros(t *testing.T) {
 			}
 
 			// A first access: the block materialises iload/iconst, the
-			// getstatic micro bails, and the table handler pushes <clinit>.
+			// getstatic micro bails, and the switch pushes <clinit>.
 			th := spawn(t, vm, iso, use, "first", heap.IntVal(5))
 			sizes, err := vm.StepSizesForTest(th, 1<<40, 1)
 			if err != nil || !reflect.DeepEqual(sizes, []int64{3}) {
@@ -687,7 +684,7 @@ func TestStaticMicros(t *testing.T) {
 	// and retries until the initializer has slept and set y.
 	var ref, refName string
 	for _, mode := range []core.Mode{core.ModeShared, core.ModeIsolated} {
-		for engine, newVM := range threeEngines {
+		for engine, newVM := range engines {
 			name := fmt.Sprintf("%s/%v", engine, mode)
 			vm, iso, use := stVM(t, newVM, mode)
 			a := spawn(t, vm, iso, use, "slowY")

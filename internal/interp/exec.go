@@ -10,12 +10,13 @@ import (
 	"ijvm/internal/heap"
 )
 
-// stepThread executes one instruction (or one pending action: monitor
+// stepThread executes one engine step (or one pending action: monitor
 // acquisition for a synchronized entry, or a staged native resume) of a
-// runnable thread. Prepared methods dispatch through the flat handler
-// table (handlers.go); methods without a prepared body run the reference
-// switch interpreter below, which preserves the seed's checked
-// semantics.
+// runnable thread. A prepared method runs the closure block compiled at
+// its pc (closure.go), which may retire a chain of instructions; every
+// other instruction — of a prepared method at a pc with no block, or of a
+// method without a prepared body — runs alone on the reference switch
+// below, which keeps the seed's checked semantics.
 func (vm *VM) stepThread(t *Thread) error {
 	f := t.top()
 	if f == nil {
@@ -39,25 +40,20 @@ func (vm *VM) stepThread(t *Thread) error {
 		if uint32(pc) >= uint32(len(p.Instrs)) {
 			return p.ErrPC // preformatted at prepare time
 		}
-		// Closure blocks: the frame adopted the program compiled at
-		// preparation; if a block starts at this pc, run the whole block
-		// in one step (closure.go). Pcs without a block head (mid-block
-		// resumes after a deopt bail) fall through to table dispatch.
-		if h := f.hot; h != nil {
-			if b := h.blocks[pc]; b != nil {
-				return vm.runClosureBlock(t, f, b)
-			}
+		// The frame adopted the program compiled at preparation; if a block
+		// starts at this pc, run it (closure.go). Pcs without a block head
+		// (mid-block resumes after a bail) single-step on the switch.
+		if b := f.hot.blocks[pc]; b != nil {
+			return vm.runClosureBlock(t, f, b)
 		}
-		in := &p.Instrs[pc]
-		return vm.ptable[in.H](vm, t, f, in)
+		return vm.execInstr(t, f, &f.method.Code.Instrs[pc])
 	}
 
 	code := f.method.Code
 	if f.pc < 0 || int(f.pc) >= len(code.Instrs) {
 		return fmt.Errorf("pc %d out of range in %s", f.pc, f.method.QualifiedName())
 	}
-	in := code.Instrs[f.pc]
-	return vm.execInstr(t, f, in)
+	return vm.execInstr(t, f, &code.Instrs[f.pc])
 }
 
 // stepStaged drains the thread's staged work before the next
@@ -96,7 +92,7 @@ func (vm *VM) stepStaged(t *Thread, f *Frame) (done bool, err error) {
 
 // execInstr dispatches one instruction. Cases that park the thread or push
 // a frame manage f.pc themselves; all others fall through to f.pc = next.
-func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
+func (vm *VM) execInstr(t *Thread, f *Frame, in *bytecode.Instr) error {
 	next := f.pc + 1
 
 	switch in.Op {
@@ -317,8 +313,8 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 	// with the thread's current isolate and re-check initialization on
 	// every access — the paper's two extra loads plus init check, which
 	// is one read of the class's own mirror state once it is initialized
-	// (ensureInitialized). The switch is the reference for the handlers
-	// and for the closure blocks' statics micros of both modes.
+	// (ensureInitialized). The switch is the reference for the closure
+	// blocks' statics micros of both modes, and their slow path.
 	case bytecode.OpGetStatic:
 		mirror, field, err := vm.staticMirrorAt(t, f, in.A)
 		if err != nil || mirror == nil {
@@ -342,6 +338,7 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 		if err != nil {
 			return vm.Throw(t, ClassNullPointerException, err.Error())
 		}
+		f.publishSlot(field)
 		recv, err := f.pop()
 		if err != nil {
 			return err
@@ -358,6 +355,7 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 		if err != nil {
 			return vm.Throw(t, ClassNullPointerException, err.Error())
 		}
+		f.publishSlot(field)
 		v, err := f.pop()
 		if err != nil {
 			return err
@@ -372,9 +370,13 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 		if uint(field.Slot) >= uint(len(recv.R.Elems)) {
 			return vm.throwNoSuchSlot(t, "putfield", field.QualifiedName(), recv.R)
 		}
-		// SATB write barrier (see handlers.go pPutField); the seed
-		// switch carries the identical store discipline, including the
-		// per-quantum cached barrier flag.
+		// SATB write barrier: while a mark phase is open, the store goes
+		// through VM.StoreRef — a plain store into a holder the marker has
+		// traced, else a recorded overwritten reference and an atomically
+		// published new one. Idle fast path: one plain flag load (the
+		// per-quantum cached barrier flag, tier.go barrierOn), plain store.
+		// (Statics and locals need no barrier — root sets are snapshot
+		// copies.)
 		if sp := &recv.R.Elems[field.Slot]; vm.barrierOn(t) {
 			vm.StoreRef(t, recv.R, sp, v)
 		} else {
@@ -477,7 +479,7 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 		if arr.R.Frozen() {
 			return vm.Throw(t, ClassIllegalState, "store to frozen array")
 		}
-		// SATB write barrier (see handlers.go pArrayStore).
+		// SATB write barrier, as for putfield.
 		if sp := &arr.R.Elems[idx.I]; vm.barrierOn(t) {
 			vm.StoreRef(t, arr.R, sp, v)
 		} else {
@@ -560,22 +562,17 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in bytecode.Instr) error {
 }
 
 // execInvoke handles the three invoke opcodes of the reference switch
-// path; the shared invokeEntry below does the work.
-func (vm *VM) execInvoke(t *Thread, f *Frame, in bytecode.Instr, next int32) error {
+// path, which dispatches by name; the call micros' guarded calls take
+// invokeResolved. The caller's pc is advanced before frames are pushed so
+// returns resume after the call site. The argument window is passed as a
+// view of the caller's operand stack — pushFrame copies it into the
+// callee's locals and callNative consumes it synchronously, so no
+// per-call argument slice is allocated.
+func (vm *VM) execInvoke(t *Thread, f *Frame, in *bytecode.Instr, next int32) error {
 	entry, err := f.method.Class.Pool.Entry(in.A)
 	if err != nil {
 		return err
 	}
-	return vm.invokeEntry(t, f, entry, in.Op, next)
-}
-
-// invokeEntry is the invocation core shared by the prepared handlers and
-// the reference switch path. The caller's pc is advanced before frames
-// are pushed so returns resume after the call site. The argument window
-// is passed as a view of the caller's operand stack — pushFrame copies
-// it into the callee's locals and callNative consumes it synchronously,
-// so no per-call argument slice is allocated.
-func (vm *VM) invokeEntry(t *Thread, f *Frame, entry *classfile.PoolEntry, op bytecode.Opcode, next int32) error {
 	m, err := vm.resolveMethodEntry(f, entry)
 	if err != nil {
 		return vm.Throw(t, ClassNullPointerException, err.Error())
@@ -583,7 +580,7 @@ func (vm *VM) invokeEntry(t *Thread, f *Frame, entry *classfile.PoolEntry, op by
 
 	// Static methods trigger class initialization before arguments are
 	// consumed, so a pushed <clinit> frame can re-execute this invoke.
-	if op == bytecode.OpInvokeStatic {
+	if in.Op == bytecode.OpInvokeStatic {
 		ready, ierr := vm.classInitReadyAt(t, entry, m.Class)
 		if ierr != nil || !ready {
 			return ierr
@@ -591,7 +588,7 @@ func (vm *VM) invokeEntry(t *Thread, f *Frame, entry *classfile.PoolEntry, op by
 	}
 
 	nargs := m.Desc.NumParams()
-	hasRecv := op != bytecode.OpInvokeStatic
+	hasRecv := in.Op != bytecode.OpInvokeStatic
 	if hasRecv {
 		nargs++
 	}
@@ -606,7 +603,7 @@ func (vm *VM) invokeEntry(t *Thread, f *Frame, entry *classfile.PoolEntry, op by
 			f.stack = f.stack[:len(f.stack)-nargs]
 			return vm.Throw(t, ClassNullPointerException, "invoke on null: "+m.QualifiedName())
 		}
-		if op == bytecode.OpInvokeVirtual {
+		if in.Op == bytecode.OpInvokeVirtual {
 			resolved, lerr := args[0].R.Class.Dispatch(m)
 			if lerr != nil {
 				f.stack = f.stack[:len(f.stack)-nargs]
@@ -680,55 +677,35 @@ func (vm *VM) callNative(t *Thread, f *Frame, m *classfile.Method, args []heap.V
 	}
 }
 
-// staticMirrorAt resolves the task class mirror and field for a
-// getstatic/putstatic of the reference switch path.
+// staticMirrorAt resolves the task class mirror and field of the
+// getstatic/putstatic whose pool entry is at idx: resolve the field,
+// guarantee the accessing isolate's initialization, and index the mirror.
+// Shared mode also publishes the mirror on the pool entry — legal only
+// under Shared semantics, where one mirror exists per class — and later
+// accesses take it with one load, as after JIT optimization (the Shared
+// statics micros read the same cache, sharedMirror). It returns (nil,
+// nil, nil) when the instruction must re-execute (a <clinit> frame was
+// pushed) or when a guest exception was already delivered; a non-nil
+// error is a host-level failure.
 func (vm *VM) staticMirrorAt(t *Thread, f *Frame, idx int32) (*core.TaskClassMirror, *classfile.Field, error) {
 	entry, err := f.method.Class.Pool.Entry(idx)
 	if err != nil {
 		return nil, nil, err
 	}
-	return vm.staticMirrorEntry(t, f, entry)
-}
-
-// staticMirrorEntry resolves the task class mirror and field of a static
-// access through its pool entry, checking the mode dynamically (the
-// reference switch path; the prepared handlers and the closure micros are
-// mode-specialized, and the handlers call staticMirrorResolve directly).
-// It returns (nil, nil, nil) when
-// the instruction must re-execute (a <clinit> frame was pushed) or when
-// a guest exception was already delivered; a non-nil error is a
-// host-level failure.
-func (vm *VM) staticMirrorEntry(t *Thread, f *Frame, entry *classfile.PoolEntry) (*core.TaskClassMirror, *classfile.Field, error) {
-	if !vm.world.Isolated() {
-		// Baseline fast path: one load, as after JIT optimization.
-		if m, ok := entry.ResolvedMirror.(*core.TaskClassMirror); ok {
-			return m, entry.ResolvedField.Load(), nil
-		}
-		return vm.staticMirrorResolve(t, f, entry, true)
+	shared := !vm.world.Isolated()
+	if m, ok := entry.ResolvedMirror.(*core.TaskClassMirror); shared && ok {
+		return m, entry.ResolvedField.Load(), nil
 	}
-	return vm.staticMirrorResolve(t, f, entry, false)
-}
-
-// staticMirrorResolve is the static-access slow path shared by both
-// dispatch modes: resolve the field, guarantee the accessing isolate's
-// initialization, and index the mirror. cacheShared additionally
-// publishes the mirror on the pool entry — legal only under Shared
-// semantics, where one mirror exists per class.
-func (vm *VM) staticMirrorResolve(t *Thread, f *Frame, entry *classfile.PoolEntry, cacheShared bool) (*core.TaskClassMirror, *classfile.Field, error) {
-	field := entry.ResolvedField.Load()
-	if field == nil {
-		var err error
-		field, err = vm.resolveFieldEntry(f, entry, true)
-		if err != nil {
-			return nil, nil, vm.Throw(t, ClassNullPointerException, err.Error())
-		}
+	field, err := vm.resolveFieldEntry(f, entry, true)
+	if err != nil {
+		return nil, nil, vm.Throw(t, ClassNullPointerException, err.Error())
 	}
 	ready, err := vm.ensureInitialized(t, field.Class, t.cur)
 	if err != nil || !ready {
 		return nil, nil, err
 	}
 	mirror := vm.world.Mirror(field.Class, t.cur)
-	if cacheShared {
+	if shared {
 		entry.ResolvedMirror = mirror
 	}
 	return mirror, field, nil
@@ -752,6 +729,18 @@ func (vm *VM) classInitReadyAt(t *Thread, entry *classfile.PoolEntry, class *cla
 	return true, nil
 }
 
+// publishSlot fills the field-slot cache of the prepared getfield or
+// putfield at f's pc (bytecode.FieldSlot), which the closure micros and the
+// leaf check read: a site's first execution resolves here, on the switch.
+// Unprepared frames have no cache.
+func (f *Frame) publishSlot(field *classfile.Field) {
+	if f.pcode != nil {
+		if fs := f.pcode.Instrs[f.pc].FS; fs.Get() < 0 {
+			fs.Publish(int32(field.Slot))
+		}
+	}
+}
+
 // resolveFieldEntryAt resolves a FieldRef pool entry by index with
 // caching (reference switch path).
 func (vm *VM) resolveFieldEntryAt(f *Frame, idx int32, wantStatic bool) (*classfile.Field, error) {
@@ -764,10 +753,11 @@ func (vm *VM) resolveFieldEntryAt(f *Frame, idx int32, wantStatic bool) (*classf
 
 // throwNoSuchSlot raises the exception of a getfield/putfield whose
 // receiver has no slot at the field's index. Bytecode is not type-checked
-// (ROADMAP item 3), so a receiver of a class unrelated to the field's can
+// (ROADMAP item 8), so a receiver of a class unrelated to the field's can
 // reach the access, and guest code must not index the host's slot vector
-// out of range (§4.3). All three engines throw through here; a receiver
-// with enough slots of its own is read or written at the index, as before.
+// out of range (§4.3). The closure micros bail to the switch, which throws
+// through here; a receiver with enough slots of its own is read or written
+// at the index, as before.
 func (vm *VM) throwNoSuchSlot(t *Thread, op, field string, recv *heap.Object) error {
 	return vm.Throw(t, ClassClassCastException, op+" "+field+" on a "+recv.Class.Name)
 }
@@ -828,8 +818,8 @@ func (vm *VM) arrayElemClass(f *Frame, idx int32) (*classfile.Class, error) {
 }
 
 // intBinop evaluates one of the eleven int binops (shift counts masked to
-// 63). It is the one definition the seed switch, the table handler and the
-// closure micros share; each checks the divisor of an idiv or irem first
+// 63). It is the one definition the switch and the closure micros share;
+// each checks the divisor of an idiv or irem first
 // (zeroDivisor), so b is never zero for those two here.
 func intBinop(op bytecode.Opcode, a, b int64) int64 {
 	switch op {

@@ -206,18 +206,17 @@ func newSeedVM(opts interp.Options) *interp.VM {
 	return interp.NewVM(opts)
 }
 
-// threeEngines selects each way a bytecode executes, by the constructor of
-// its VM: the reference switch, the quickened table alone (the test
-// switch), and the default — closure blocks compiled at preparation and
-// run from the first call.
-var threeEngines = map[string]func(interp.Options) *interp.VM{
+// engines selects each way a bytecode executes, by the constructor of its
+// VM: the reference switch alone, and the default — closure blocks
+// compiled at preparation and run from the first call, over the reference
+// switch as their one slow path.
+var engines = map[string]func(interp.Options) *interp.VM{
 	"seed switch": newSeedVM,
-	"table":       interp.NewTableVMForTest,
 	"closure":     interp.NewVM,
 }
 
 // TestF2ISaturates pins float-to-int conversion to the JVM's semantics in
-// all three engines: NaN is 0 and out-of-range values saturate, whatever
+// both engines: NaN is 0 and out-of-range values saturate, whatever
 // the host CPU does with an out-of-range conversion (amd64 yields
 // MinInt64 for all of them, arm64 saturates).
 func TestF2ISaturates(t *testing.T) {
@@ -236,7 +235,7 @@ func TestF2ISaturates(t *testing.T) {
 		{-2.75, -2},
 		{1e15 + 0.5, 1e15},
 	}
-	for name, newVM := range threeEngines {
+	for name, newVM := range engines {
 		vm := newVM(interp.Options{Mode: core.ModeIsolated})
 		syslib.MustInstall(vm)
 		iso, err := vm.NewIsolate("main")
@@ -267,7 +266,7 @@ func TestF2ISaturates(t *testing.T) {
 // "out of memory" for 1<<40, a makeslice panic past MaxInt/32).
 func TestHugeArrayLengthIsOutOfMemory(t *testing.T) {
 	lengths := []int64{1 << 40, math.MaxInt64/32 + 1, math.MaxInt64}
-	for name, newVM := range threeEngines {
+	for name, newVM := range engines {
 		opts := interp.Options{Mode: core.ModeIsolated, HeapLimit: 1 << 20}
 		vm := newVM(opts)
 		syslib.MustInstall(vm)
@@ -328,9 +327,9 @@ func TestHugeArrayLengthIsOutOfMemory(t *testing.T) {
 // `ldc "s"; getfield Holder.x` reaches a field access whose receiver has
 // no slot at the field's index. Before the guard that indexed the host's
 // slot vector out of range and took the process down from guest code, in
-// all three engines (§4.3: a guest must never be able to). Now it is a
+// every engine (§4.3: a guest must never be able to). Now it is a
 // ClassCastException — the same class, message and instruction count on
-// the seed switch, the table and the closure tier, in both modes, on the
+// the seed switch and the closure tier, in both modes, on the
 // resolving first execution and on the cached-slot ones after it, with
 // the receiver a constant, a folded local and a too-short array — and a
 // proper receiver still reads and writes its field.
@@ -374,7 +373,7 @@ func TestFieldAccessOnUnrelatedReceiver(t *testing.T) {
 	var ref []string
 	var refName string
 	for _, mode := range []core.Mode{core.ModeShared, core.ModeIsolated} {
-		for engine, newVM := range threeEngines {
+		for engine, newVM := range engines {
 			name := fmt.Sprintf("%s/%v", engine, mode)
 			vm := newVM(interp.Options{Mode: mode})
 			syslib.MustInstall(vm)

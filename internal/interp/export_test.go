@@ -1,8 +1,6 @@
 package interp
 
 import (
-	"reflect"
-
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
 	"ijvm/internal/core"
@@ -14,26 +12,6 @@ import (
 // streams; the oracle tests reach it through normal execution).
 func PrepareMethodForTest(m *classfile.Method, mode core.Mode) *bytecode.PCode {
 	return prepareMethod(m, mode, nil)
-}
-
-// NewTableVMForTest is NewVM with the test switch on: frames never adopt
-// the closure program preparation compiled, so every prepared method runs
-// on the handler table alone — the table leg of the engine oracles.
-func NewTableVMForTest(opts Options) *VM {
-	vm := NewVM(opts)
-	vm.tableOnly = true
-	return vm
-}
-
-// HandlerTablesForTest returns the code address of every entry of the
-// Shared and Isolated handler tables and that of the invalid-opcode
-// handler (Go compares func values only to nil).
-func HandlerTablesForTest() (shared, isolated [256]uintptr, invalid uintptr) {
-	for i := range sharedTable {
-		shared[i] = reflect.ValueOf(sharedTable[i]).Pointer()
-		isolated[i] = reflect.ValueOf(isolatedTable[i]).Pointer()
-	}
-	return shared, isolated, reflect.ValueOf(pInvalid).Pointer()
 }
 
 // ClosureShapeForTest reports, for the closure program preparation
@@ -72,8 +50,7 @@ func LeafFormForTest(p *bytecode.PCode) bool {
 }
 
 // TopFrameForTest returns the method of t's top frame and the closure
-// program the frame adopted (nil when it runs on the handler table or the
-// seed switch). Only t's own goroutine may call it: a native t invokes,
+// program the frame adopted (nil when it runs on the seed switch). Only t's own goroutine may call it: a native t invokes,
 // whose caller is the top frame.
 func TopFrameForTest(t *Thread) (*classfile.Method, any) {
 	f := t.top()

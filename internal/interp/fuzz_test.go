@@ -19,14 +19,13 @@ import (
 //
 //   - prepareMethod never panics — garbage is rejected to the reference
 //     switch path (nil), never crashed on;
-//   - anything the verifier ACCEPTS must then execute on the unchecked
-//     prepared handlers without a host panic, and byte-identically to
-//     the checked seed-style switch (result, failure, instruction
-//     count, also when the run ends in a host error) — the verifier's
-//     soundness contract;
-//   - the same holds on the default engine, which runs every prepared
-//     method's closure blocks from its first call: this leg is what drives
-//     the closure compiler's operand folding (symbol materialisation,
+//   - anything the verifier ACCEPTS must then execute on the default
+//     engine — the method's closure blocks from its first call, with their
+//     unchecked micros, over the reference switch — without a host panic,
+//     and byte-identically to the checked seed-style switch (result,
+//     failure, instruction count, also when the run ends in a host error)
+//     — the verifier's soundness contract. This leg is what drives the
+//     closure compiler's operand folding (symbol materialisation,
 //     follower-pc entries, bails with operands still symbolic) and chained
 //     steps over adversarial verified streams.
 //
@@ -79,8 +78,8 @@ func FuzzPrepareVerifier(f *testing.F) {
 	}
 	// A field access on a receiver of an unrelated class (the verifier does
 	// not type operands): `ldc "fz"; getfield inst` and its putfield twin
-	// indexed the slot vector out of range and panicked the host in all
-	// three engines (TestFieldAccessOnUnrelatedReceiver).
+	// indexed the slot vector out of range and panicked the host in every
+	// engine (TestFieldAccessOnUnrelatedReceiver).
 	pool := fuzzHostClass(&bytecode.Code{Instrs: []bytecode.Instr{op(bytecode.OpReturn, 0)}}).Pool
 	str, inst := pool.StringIndex("fz"), pool.FieldIndex("fz/Fuzz", "inst")
 	f.Add(encodeFuzzProgram([]bytecode.Instr{op(bytecode.OpLdcString, str), op(bytecode.OpGetField, inst), op(bytecode.OpIReturn, 0)}))
@@ -124,24 +123,16 @@ func FuzzPrepareVerifier(f *testing.F) {
 		if bytecode.Validate(code) != nil {
 			return
 		}
-		// Accepted: the unchecked fast paths (table, then closure tier)
-		// must agree with the checked reference interpreter.
+		// Accepted: the closure tier's unchecked fast paths must agree with
+		// the checked reference interpreter.
 		refV, refFail, refErr, refInstr := execFuzzProgram(t, code, newSeedVM)
-		for _, leg := range []struct {
-			name  string
-			newVM func(interp.Options) *interp.VM
-		}{
-			{"table", interp.NewTableVMForTest},
-			{"closure", interp.NewVM},
-		} {
-			gotV, gotFail, gotErr, gotInstr := execFuzzProgram(t, code, leg.newVM)
-			if gotErr != refErr {
-				t.Fatalf("host-error divergence: %s=%v seed=%v", leg.name, gotErr, refErr)
-			}
-			if gotV != refV || gotFail != refFail || gotInstr != refInstr {
-				t.Fatalf("verified-but-divergent: %s {v:%d fail:%q n:%d} seed {v:%d fail:%q n:%d}",
-					leg.name, gotV, gotFail, gotInstr, refV, refFail, refInstr)
-			}
+		gotV, gotFail, gotErr, gotInstr := execFuzzProgram(t, code, interp.NewVM)
+		if gotErr != refErr {
+			t.Fatalf("host-error divergence: closure=%v seed=%v", gotErr, refErr)
+		}
+		if gotV != refV || gotFail != refFail || gotInstr != refInstr {
+			t.Fatalf("verified-but-divergent: closure {v:%d fail:%q n:%d} seed {v:%d fail:%q n:%d}",
+				gotV, gotFail, gotInstr, refV, refFail, refInstr)
 		}
 	})
 }

@@ -108,9 +108,8 @@ func (vm *VM) FinishIncrementalCycle() (heap.CollectResult, bool) {
 // armed (barrierOn): heap.StoreRef applies the traced-holder rule and
 // publishes the store, and the overwritten reference it hands back is
 // recorded with the cycle. Every guest store into a heap slot — the
-// closure micros, the table handlers, the seed switch and
-// System.arraycopy — goes through it; the idle path stays a plain
-// assignment at the store site.
+// closure micros, the reference switch and System.arraycopy — goes
+// through it; the idle path stays a plain assignment at the store site.
 func (vm *VM) StoreRef(t *Thread, holder *heap.Object, slot *heap.Value, v heap.Value) {
 	if old := heap.StoreRef(holder, slot, v); old != nil {
 		vm.recordSATB(t, old)

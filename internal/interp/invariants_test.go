@@ -66,7 +66,7 @@ func TestInstructionAccountingSumsToTotal(t *testing.T) {
 // sumClasses are the programs of TestAllocationAccountingSumsToHeap, one
 // copy per isolate: work(n, keep) allocates and drops n objects and n
 // small arrays (the closure micros), then one sum/K, whose first new runs
-// the table handler that initializes it, and, when keep is set, retains a
+// on the switch, which initializes it, and, when keep is set, retains a
 // 16-slot array in a static.
 func sumClasses() []*classfile.Class {
 	static := classfile.FlagStatic | classfile.FlagPublic
@@ -96,7 +96,7 @@ func sumClasses() []*classfile.Class {
 // TestInstructionAccountingSumsToTotal: with no collection and no native
 // growth, every object in the heap was charged to exactly one isolate at
 // its modelled size, whichever path admitted it — closure micros, the
-// table's first-execution handlers, host allocation, rooted host
+// switch's first executions, host allocation, rooted host
 // allocation, on the sequential engine and on two workers — so the
 // isolates' allocation totals sum to NumObjects() and Used(). After an
 // exact collection, live usage sums to them the same way, and an isolate

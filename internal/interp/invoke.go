@@ -225,8 +225,8 @@ func (vm *VM) start(t *Thread, name string, creator *core.Isolate, m *classfile.
 	return nil
 }
 
-// invokeResolved is the invocation tail shared by the vtable and
-// resolved-entry fast paths: target is already resolved — and, for
+// invokeResolved is the real call of a call micro whose guards held
+// (closure.go callSite.call): target is already resolved — and, for
 // instance calls, the receiver known non-null; for static calls, the
 // class known initialized — so only the argument hand-off remains. The
 // caller's pc advances before frames are pushed so returns resume after
@@ -236,7 +236,7 @@ func (vm *VM) start(t *Thread, name string, creator *core.Isolate, m *classfile.
 func (vm *VM) invokeResolved(t *Thread, f *Frame, target *classfile.Method, nargs int, hasRecv bool, next int32) error {
 	args := f.stack[len(f.stack)-nargs:]
 	f.pc = next
-	// As in invokeEntry: pendingArgs keeps the truncated window visible
+	// As in execInvoke: pendingArgs keeps the truncated window visible
 	// to the GC root scan until the callee owns the values.
 	t.pendingArgs = args
 	f.stack = f.stack[:len(f.stack)-nargs]
@@ -333,10 +333,10 @@ func (vm *VM) pushFrame(t *Thread, m *classfile.Method, args []heap.Value, isoOv
 	f.method = m
 	f.iso = frameIso
 	f.pcode = pcode
-	if pcode != nil && !vm.tableOnly {
+	if pcode != nil {
 		// The closure program was compiled by preparation and published
 		// with the form: the frame runs its blocks from the first call.
-		f.hot, _ = pcode.Closure.(*closureProgram)
+		f.hot = pcode.Closure.(*closureProgram)
 	}
 	f.callerIso = callerIso
 	f.needsMonitor = mon

@@ -23,8 +23,8 @@ import (
 // straight-line body, defined by the caller's own loader, runs inside the
 // caller's closure block. These tests pin that it is invisible — the same
 // results, failures, instruction counts, clocks and accounts as the seed
-// switch and the table, which make every call — and that it happens where
-// it should and nowhere else.
+// switch, which makes every call — and that it happens where it should and
+// nowhere else.
 
 const (
 	lfBase = "lf/Base"
@@ -219,38 +219,33 @@ func snapshotColumns(vm *interp.VM) map[string][9]int64 {
 	return cols
 }
 
-// TestLeafInlineOracle runs the leaf program on {seed switch, table,
-// closure blocks} × {Shared, Isolated} × {exact, paced collector}, traced
-// and untraced: every engine must agree with the seed switch on results,
+// TestLeafInlineOracle runs the leaf program on {seed switch, closure
+// blocks} × {Shared, Isolated} × {exact, paced collector}, traced and
+// untraced: the closure blocks must agree with the seed switch on results,
 // failures, instruction totals, clock and per-isolate accounts, the paced
 // runs with the exact ones but for GCActivations, and a traced run with
-// the untraced one and with every engine's entry counts. The program's
+// the untraced one and with the closure run's entry counts. The program's
 // even iterations reach a leaf at MaxFrameDepth-1, its odd ones overflow
 // the stack at that leaf, and the paced runs record barrier traffic from
 // the setter leaf.
 func TestLeafInlineOracle(t *testing.T) {
-	engines := []string{"seed switch", "table", "closure"}
 	for _, mode := range []core.Mode{core.ModeShared, core.ModeIsolated} {
 		var exact leafRun
 		for _, gc := range []oracleGC{gcExact, gcIncPaced} {
-			ref := runLeafOracle(t, threeEngines["seed switch"], mode, gc, false)
+			ref := runLeafOracle(t, engines["seed switch"], mode, gc, false)
 			if ref.failure != ";;" {
 				t.Fatalf("mode %v: the reference run failed: %s", mode, ref.failure)
 			}
-			for _, e := range engines[1:] {
-				if d := ref.diff(runLeafOracle(t, threeEngines[e], mode, gc, false).oracleTrace); d != "" {
-					t.Fatalf("mode %v gc %d: %s diverges from the seed switch: %s", mode, gc, e, d)
-				}
+			if d := ref.diff(runLeafOracle(t, engines["closure"], mode, gc, false).oracleTrace); d != "" {
+				t.Fatalf("mode %v gc %d: closure diverges from the seed switch: %s", mode, gc, d)
 			}
-			traced := runLeafOracle(t, threeEngines["seed switch"], mode, gc, true)
+			traced := runLeafOracle(t, engines["seed switch"], mode, gc, true)
 			if d := ref.diff(traced.oracleTrace); d != "" {
 				t.Fatalf("mode %v gc %d: tracing changed the run: %s", mode, gc, d)
 			}
-			for _, e := range engines[1:] {
-				got := runLeafOracle(t, threeEngines[e], mode, gc, true)
-				if d := traced.diff(got.oracleTrace); d != "" || got.entries != traced.entries {
-					t.Fatalf("mode %v gc %d: traced %s diverges: %s\n got entries %s\nwant %s", mode, gc, e, d, got.entries, traced.entries)
-				}
+			got := runLeafOracle(t, engines["closure"], mode, gc, true)
+			if d := traced.diff(got.oracleTrace); d != "" || got.entries != traced.entries {
+				t.Fatalf("mode %v gc %d: traced closure diverges: %s\n got entries %s\nwant %s", mode, gc, d, got.entries, traced.entries)
 			}
 			if gc == gcExact {
 				exact = ref
@@ -287,9 +282,9 @@ func killLeafClasses() []*classfile.Class {
 // isolate inlines it.
 func TestLeafInlineKilledIsolate(t *testing.T) {
 	want := map[bool]string{}
-	for _, e := range []string{"seed switch", "table", "closure"} {
+	for _, e := range []string{"seed switch", "closure"} {
 		for _, kill := range []bool{false, true} {
-			vm := threeEngines[e](interp.Options{Mode: core.ModeIsolated})
+			vm := engines[e](interp.Options{Mode: core.ModeIsolated})
 			syslib.MustInstall(vm)
 			if _, err := vm.NewIsolate("platform"); err != nil {
 				t.Fatal(err)

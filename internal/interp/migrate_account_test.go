@@ -108,7 +108,7 @@ func (e *migEnv) check(t *testing.T, where string) {
 }
 
 func TestMigrationAccountsExactAtFlushPoints(t *testing.T) {
-	for name, newVM := range threeEngines {
+	for name, newVM := range engines {
 		e := newMigEnv(t, newVM, interp.Options{Mode: core.ModeIsolated, Quantum: 64})
 		// A host-side spawn whose entry method belongs to another isolate
 		// migrates outside any quantum and publishes directly.
@@ -233,8 +233,8 @@ func (e *migEnv) observe() safepointObs {
 // with it, every instruction so far is charged to one of the isolates —
 // and the quantum's end publishes only the rest. The reference is the
 // seed switch with a quantum of one instruction, where nothing is ever
-// pending: every observation of a long-quantum run on the table and on
-// the closure tier must equal its observation at the same native call,
+// pending: every observation of a long-quantum run on the closure tier
+// must equal its observation at the same native call,
 // and the finished accounts must also equal those of the same program on
 // a 1-worker internal/sched run.
 func TestSequentialSafepointMidQuantum(t *testing.T) {
@@ -285,7 +285,6 @@ func TestSequentialSafepointMidQuantum(t *testing.T) {
 		newVM   func(interp.Options) *interp.VM
 		quantum int
 	}{
-		{"table, quantum 1000", interp.NewTableVMForTest, 1000},
 		{"closure, quantum 1000", interp.NewVM, 1000},
 		{"closure, quantum 61", interp.NewVM, 61},
 	} {

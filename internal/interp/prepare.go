@@ -9,8 +9,8 @@ import (
 )
 
 // This file implements the code-preparation ("quickening") pass that
-// turns a method's decoded instruction stream into the prepared form the
-// flat handler table (handlers.go) executes. Preparation runs once per
+// turns a method's decoded instruction stream into the prepared form its
+// closure blocks (closure.go) are compiled from. Preparation runs once per
 // method on its first invocation and is cached on the method's Code
 // behind an atomic pointer, so concurrent scheduler workers racing on
 // the same method both end up executing the single published form.
@@ -26,7 +26,7 @@ import (
 //     the exact operand-stack depth at every instruction (invocation
 //     effects made exact by parsing the referenced descriptor). Methods
 //     that verify get exact MaxStack/MaxLocals — frames preallocate
-//     fixed-capacity stacks — and their handlers pop without underflow
+//     fixed-capacity stacks — and their micros pop without underflow
 //     checks. Methods that do not verify (depth conflict at a merge
 //     point, potential underflow, malformed pool reference) fall back
 //     permanently to the reference switch interpreter in exec.go, which
@@ -40,24 +40,25 @@ import (
 //     method's first call — compile on first invocation, as VMKit's JVM
 //     does, with no warm-up tier in front.
 //
-// The prepared instructions are pure quickening and mode-neutral: PInstr.H
-// is always the instruction's opcode, one handler per instruction. Group
-// fusion — one combined micro for a load/load/op/store run and the like —
-// is a private step of closure compilation, which matches the shapes over
-// the original opcodes. The closure program is per-mode (its statics
-// micros are the mode's §3.1 check), which is sound because a class links
-// into one VM and a VM's mode is fixed at construction.
+// The prepared instructions are pure quickening and mode-neutral, one per
+// instruction. Group fusion — one combined micro for a load/load/op/store
+// run and the like — is a private step of closure compilation, which
+// matches the shapes over the original opcodes. An instruction no block
+// runs (a pc with no block head, a bail, a delegated final, a block that
+// does not fit the quantum) single-steps on the reference switch with the
+// same frame and pc. The closure program is per-mode (its statics micros
+// are the mode's §3.1 check), which is sound because a class links into
+// one VM and a VM's mode is fixed at construction.
 
 // unpreparable is the published sentinel for methods the verifier
 // rejected; they execute through the reference switch path forever.
 var unpreparable = &bytecode.PCode{}
 
 // preparedCode returns the quickened form of m, preparing and caching it
-// on first invocation. The instructions are mode-neutral (PInstr.H is the
-// opcode), dispatched through the handler table NewVM chose for the VM's
-// mode; the closure program on the form is compiled for that mode. It
-// returns nil when the VM runs seed-style dispatch
-// (Options.DisablePrepare) or the method is unpreparable.
+// on first invocation. The instructions are mode-neutral; the closure
+// program on the form is compiled for the VM's mode. It returns nil when
+// the VM runs seed-style dispatch (Options.DisablePrepare) or the method
+// is unpreparable.
 func (vm *VM) preparedCode(m *classfile.Method) *bytecode.PCode {
 	if vm.opts.DisablePrepare {
 		return nil
@@ -203,7 +204,6 @@ func prepareMethod(m *classfile.Method, mode core.Mode, objClass *classfile.Clas
 	instrs := make([]bytecode.PInstr, n)
 	for pc, in := range code.Instrs {
 		instrs[pc] = bytecode.PInstr{
-			H:   uint8(in.Op),
 			A:   in.A,
 			B:   in.B,
 			I:   in.I,
@@ -216,13 +216,13 @@ func prepareMethod(m *classfile.Method, mode core.Mode, objClass *classfile.Clas
 		switch in.Op {
 		case bytecode.OpInvokeStatic, bytecode.OpInvokeVirtual, bytecode.OpInvokeSpecial:
 			// The argument-window size (receiver included) is exactly the
-			// invoke's verified pop count; baking it into B lets the fast
-			// paths find the receiver and slice the window without
-			// consulting the resolved descriptor.
+			// invoke's verified pop count; baking it into B lets the call
+			// micros bind the window without consulting the resolved
+			// descriptor.
 			instrs[pc].B = pops[pc]
 		case bytecode.OpGetField, bytecode.OpPutField:
 			// Per-site resolved-field slot cache (published on first
-			// resolution, handlers.go).
+			// resolution, exec.go publishSlot).
 			instrs[pc].FS = bytecode.NewFieldSlot()
 		}
 	}

@@ -418,88 +418,43 @@ func TestPreparedFallback(t *testing.T) {
 // TestFirstCallRunsCompiledBlocks: with default options preparation
 // compiles a method's closure program and publishes it with the form, so
 // the first activation already runs compiled blocks — its first engine
-// step retires a chain of instructions — with no warm-up on the handler
-// table in front. The test switch's VM prepares the same program and
-// steps one instruction at a time.
+// step retires a chain of instructions — with no warm-up in front.
 func TestFirstCallRunsCompiledBlocks(t *testing.T) {
-	for _, leg := range []struct {
-		name     string
-		newVM    func(interp.Options) *interp.VM
-		compiled bool
-	}{
-		{"default", interp.NewVM, true},
-		{"table", interp.NewTableVMForTest, false},
-	} {
-		vm := leg.newVM(interp.Options{Mode: core.ModeIsolated})
-		syslib.MustInstall(vm)
-		iso, err := vm.NewIsolate("main")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := define(t, iso, classfile.NewClass("fc/Loop").
-			Method("run", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
-				// Locals: 0 n, 1 acc, 2 i.
-				a.Const(0).IStore(1)
-				a.Const(0).IStore(2)
-				a.Label("loop").ILoad(2).ILoad(0).IfICmpGe("done")
-				a.ILoad(1).ILoad(2).IAdd().IStore(1)
-				a.IInc(2, 1).Goto("loop")
-				a.Label("done").ILoad(1).IReturn()
-			}).MustBuild())
-		m := findMethod(t, c, "run")
-		th, err := vm.SpawnThread("first", iso, m, []heap.Value{heap.IntVal(100)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch folded, links, ok := interp.ClosureShapeForTest(m.Code.Prepared()); {
-		case !ok:
-			t.Fatalf("%s: the first call's prepared form carries no closure program", leg.name)
-		case folded == 0 || links == 0:
-			t.Fatalf("%s: closure program has %d folded micros and %d chain links", leg.name, folded, links)
-		}
-		sizes, err := vm.StepSizesForTest(th, 1000, 1)
-		if err != nil || len(sizes) != 1 {
-			t.Fatalf("%s: first step: %v, %v", leg.name, sizes, err)
-		}
-		if compiled := sizes[0] > 1; compiled != leg.compiled {
-			t.Fatalf("%s: the first step of the first activation retired %d instruction(s)", leg.name, sizes[0])
-		}
-		if res := vm.RunUntil(th, 0); !th.Done() || th.Result().I != 99*100/2 {
-			t.Fatalf("%s: run(100) = %d after %+v, want %d", leg.name, th.Result().I, res, 99*100/2)
-		}
+	vm := interp.NewVM(interp.Options{Mode: core.ModeIsolated})
+	syslib.MustInstall(vm)
+	iso, err := vm.NewIsolate("main")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestHandlerTablesCoverEveryOpcode: every defined opcode has a handler in
-// both tables and no undefined one does, and the Shared and Isolated
-// tables differ in exactly the four §3.1 accesses — getstatic, putstatic,
-// new, invokestatic — which each mode implements its own way.
-func TestHandlerTablesCoverEveryOpcode(t *testing.T) {
-	shared, isolated, invalid := interp.HandlerTablesForTest()
-	perMode := map[bytecode.Opcode]bool{
-		bytecode.OpGetStatic: true, bytecode.OpPutStatic: true,
-		bytecode.OpNew: true, bytecode.OpInvokeStatic: true,
+	c := define(t, iso, classfile.NewClass("fc/Loop").
+		Method("run", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			// Locals: 0 n, 1 acc, 2 i.
+			a.Const(0).IStore(1)
+			a.Const(0).IStore(2)
+			a.Label("loop").ILoad(2).ILoad(0).IfICmpGe("done")
+			a.ILoad(1).ILoad(2).IAdd().IStore(1)
+			a.IInc(2, 1).Goto("loop")
+			a.Label("done").ILoad(1).IReturn()
+		}).MustBuild())
+	m := findMethod(t, c, "run")
+	th, err := vm.SpawnThread("first", iso, m, []heap.Value{heap.IntVal(100)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	defined, differ := 0, 0
-	for i := range shared {
-		op := bytecode.Opcode(i)
-		if !op.Valid() {
-			if shared[i] != invalid || isolated[i] != invalid {
-				t.Errorf("undefined opcode %d has a handler", i)
-			}
-			continue
-		}
-		defined++
-		if shared[i] == invalid || isolated[i] == invalid {
-			t.Errorf("%v: no handler (shared %v, isolated %v)", op, shared[i] != invalid, isolated[i] != invalid)
-		}
-		if d := shared[i] != isolated[i]; d != perMode[op] {
-			t.Errorf("%v: the tables differ = %v, want %v", op, d, perMode[op])
-		} else if d {
-			differ++
-		}
+	switch folded, links, ok := interp.ClosureShapeForTest(m.Code.Prepared()); {
+	case !ok:
+		t.Fatal("the first call's prepared form carries no closure program")
+	case folded == 0 || links == 0:
+		t.Fatalf("closure program has %d folded micros and %d chain links", folded, links)
 	}
-	if defined == 0 || differ != len(perMode) {
-		t.Fatalf("%d defined opcodes, %d with a handler per mode, want %d", defined, differ, len(perMode))
+	sizes, err := vm.StepSizesForTest(th, 1000, 1)
+	if err != nil || len(sizes) != 1 {
+		t.Fatalf("first step: %v, %v", sizes, err)
+	}
+	if sizes[0] <= 1 {
+		t.Fatalf("the first step of the first activation retired %d instruction(s)", sizes[0])
+	}
+	if res := vm.RunUntil(th, 0); !th.Done() || th.Result().I != 99*100/2 {
+		t.Fatalf("run(100) = %d after %+v, want %d", th.Result().I, res, 99*100/2)
 	}
 }

@@ -44,8 +44,8 @@ import (
 // setters, an empty void body, a static leaf whose class initializes per
 // isolate, and a leaf at the frame-depth limit).
 //
-// Every program is replayed under {quickened table alone, closure-threaded
-// blocks (the default), seed switch} × {Shared, Isolated} ×
+// Every program is replayed under {closure-threaded blocks over the
+// reference switch (the default), seed switch} × {Shared, Isolated} ×
 // {exact (the reference collector: pressure and explicit collections
 // only), incremental (paced: threshold-opened cycles whose mark strides
 // interleave with mutator quanta under an armed barrier)}:
@@ -786,7 +786,7 @@ func oraclePeerClasses() []*classfile.Class {
 	}
 }
 
-// oracleDispatch selects the execution engine of one run. All three must
+// oracleDispatch selects the execution engine of one run. Both must
 // produce byte-identical traces: instruction totals, clock, CPU samples,
 // per-isolate byte accounts, GC activations and post-GC reachability —
 // the closure-threaded tier's blocks and combined group micros charge
@@ -797,15 +797,12 @@ const (
 	// dispSeed is the reference: the unquickened checked switch
 	// interpreter (DisablePrepare).
 	dispSeed oracleDispatch = iota
-	// dispPrepared is the plain table leg: the quickened,
-	// vtable-dispatched interpreter, one handler per instruction, with the
-	// closure programs left unadopted (the test switch).
-	dispPrepared
 	// dispClosure is the default engine: every prepared method carries
 	// its closure program from its first call, so the whole program
 	// executes through closure-threaded blocks and combined group micros,
-	// with table fallbacks at quantum boundaries, deopt shapes (exceptions
-	// inside compiled regions, caught and uncaught) and delegated finals.
+	// with single steps on the reference switch at quantum boundaries,
+	// deopt shapes (exceptions inside compiled regions, caught and
+	// uncaught) and delegated finals.
 	dispClosure
 )
 
@@ -814,8 +811,6 @@ func (d oracleDispatch) newVM(o interp.Options) *interp.VM {
 	switch d {
 	case dispSeed:
 		return newSeedVM(o)
-	case dispPrepared:
-		return interp.NewTableVMForTest(o)
 	}
 	return interp.NewVM(o)
 }
@@ -1193,12 +1188,12 @@ func coldGraphTrips(t *testing.T, vm *interp.VM, iso, peer *core.Isolate, main *
 }
 
 // TestRandomizedDifferentialOracle replays >= 500 generated programs
-// across {seed switch, quickened table, closure-threaded} ×
-// {Shared, Isolated} × {exact, incremental-paced} and demands:
+// across {seed switch, closure-threaded} × {Shared, Isolated} ×
+// {exact, incremental-paced} and demands:
 //
-//   - byte-identical traces (GCActivations included) between the three
+//   - byte-identical traces (GCActivations included) between the two
 //     dispatch engines under the exact reference collector;
-//   - byte-identical traces between the three dispatch engines under the
+//   - byte-identical traces between the two dispatch engines under the
 //     paced incremental collector (its GC schedule is deterministic at
 //     quantum boundaries);
 //   - byte-identical everything-but-GCActivations between the paced
@@ -1218,18 +1213,14 @@ func TestRandomizedDifferentialOracle(t *testing.T) {
 		p := genOracleProgram(seed)
 		for _, mode := range []core.Mode{core.ModeShared, core.ModeIsolated} {
 			ref := runOracleProgram(t, p, mode, dispSeed, gcExact)
-			for _, disp := range []oracleDispatch{dispPrepared, dispClosure} {
-				if d := ref.diff(runOracleProgram(t, p, mode, disp, gcExact)); d != "" {
-					t.Fatalf("program %d (seed %d) mode %v exact: dispatch %d diverges from seed dispatch: %s",
-						i, seed, mode, disp, d)
-				}
+			if d := ref.diff(runOracleProgram(t, p, mode, dispClosure, gcExact)); d != "" {
+				t.Fatalf("program %d (seed %d) mode %v exact: the closure tier diverges from seed dispatch: %s",
+					i, seed, mode, d)
 			}
 			pacedSeed := runOracleProgram(t, p, mode, dispSeed, gcIncPaced)
-			for _, disp := range []oracleDispatch{dispPrepared, dispClosure} {
-				if d := pacedSeed.diff(runOracleProgram(t, p, mode, disp, gcIncPaced)); d != "" {
-					t.Fatalf("program %d (seed %d) mode %v paced: dispatch %d diverges from seed dispatch: %s",
-						i, seed, mode, disp, d)
-				}
+			if d := pacedSeed.diff(runOracleProgram(t, p, mode, dispClosure, gcIncPaced)); d != "" {
+				t.Fatalf("program %d (seed %d) mode %v paced: the closure tier diverges from seed dispatch: %s",
+					i, seed, mode, d)
 			}
 			if d := ref.maskGCActivations().diff(pacedSeed.maskGCActivations()); d != "" {
 				t.Fatalf("program %d (seed %d) mode %v: incremental(paced) diverges from the exact reference beyond GCActivations: %s",

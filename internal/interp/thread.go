@@ -83,8 +83,8 @@ type Frame struct {
 	pcode *bytecode.PCode
 
 	// hot is pcode's closure-threaded program (closure.go), adopted at
-	// the push; nil for the reference switch and on a table-only test VM.
-	// Owned by the executing goroutine.
+	// the push; nil exactly when pcode is. Owned by the executing
+	// goroutine.
 	hot *closureProgram
 
 	locals []heap.Value
@@ -127,8 +127,8 @@ func (f *Frame) Isolate() *core.Isolate { return f.iso }
 // errStackUnderflow is the preformatted underflow error of the checked
 // (reference) interpreter path: the hot loop never constructs fmt.Errorf
 // values. Prepared code needs no check at all — its stack discipline is
-// verified by the preparation dataflow (prepare.go), so handlers use the
-// unchecked upop/upeek below.
+// verified by the preparation dataflow (prepare.go), so the closure micros
+// use the unchecked upop/upeek below.
 var errStackUnderflow = errors.New("interp: operand stack underflow")
 
 func (f *Frame) push(v heap.Value) { f.stack = append(f.stack, v) }
@@ -151,8 +151,8 @@ func (f *Frame) peek() (heap.Value, error) {
 	return f.stack[n-1], nil
 }
 
-// upop pops without an underflow check. Only handlers of prepared code
-// may call it: the preparation pass proves every pop has an operand.
+// upop pops without an underflow check. Only micros of prepared code may
+// call it: the preparation pass proves every pop has an operand.
 func (f *Frame) upop() heap.Value {
 	n := len(f.stack) - 1
 	v := f.stack[n]

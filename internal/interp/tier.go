@@ -1,6 +1,9 @@
 package interp
 
-import "ijvm/internal/core"
+import (
+	"ijvm/internal/classfile"
+	"ijvm/internal/core"
+)
 
 // This file holds the quantum-accounting bridge that lets a chain of
 // closure-threaded blocks (closure.go) execute many guest instructions
@@ -14,17 +17,18 @@ import "ijvm/internal/core"
 //   - quantum/budget boundaries: a block only executes compiled — as a
 //     step's first block or as the next link of its chain — when the
 //     whole block still fits in the remaining quantum (reserve);
-//     otherwise the step ends and the instruction at pc executes alone
-//     through the table, so the boundary lands exactly where the table
-//     engine would put it. The drivers already clamp the quantum to the
-//     remaining run budget, so budget exhaustion is covered by the same
-//     check;
+//     otherwise the step ends and the instruction at pc executes alone on
+//     the reference switch, so the boundary lands exactly where
+//     single-step execution would put it. The drivers already clamp the
+//     quantum to the remaining run budget, so budget exhaustion is covered
+//     by the same check;
 //   - safepoints: kill, shutdown and STW parking act only between engine
 //     steps. A step retires at most maxStepSubs instructions whatever the
 //     quantum, and nothing it inlines can reach a safepoint (only its
-//     delegated final can, as the step's last act with the frame exact),
-//     so no partially-applied block state is ever observable and the
-//     polls stay a bounded number of instructions apart.
+//     final — a real call or the instruction handed to the switch — can,
+//     as the step's last act with the frame exact), so no
+//     partially-applied block state is ever observable and the polls stay
+//     a bounded number of instructions apart.
 //
 // The accountant is installed on the Thread (t.qa) only while the quantum
 // routine is driving it; blocks bail to single-step execution when it is
@@ -48,6 +52,10 @@ type quantumAcct struct {
 	steps, limit, published int64
 	spare, inl              int64
 	isolated                bool
+	// callee is the target a call micro left for the step's final
+	// sub-instruction (microCall) at site, or nil.
+	callee *classfile.Method
+	site   *callSite
 }
 
 // reserve reports whether extra inlined sub-instructions (on top of the
@@ -64,8 +72,9 @@ func (q *quantumAcct) reserve(extra int64) bool {
 // remainder kept), which is exactly what k unit increments with
 // reset-at-threshold produce. Inlined sub-instructions — an inlined leaf's
 // too: its call stays in the current isolate — cannot migrate or
-// finish the thread (only a step's delegated final can, and the routine's
-// own post-step charge covers that one), so reading t.cur here matches
+// finish the thread (only a step's final can, a real call included, and
+// runClosureBlock charges before it; the routine's own post-step charge
+// covers the final itself), so reading t.cur here matches
 // what the single-step loop would have read — and nothing can observe the
 // intermediate counters mid-step (no safepoint, collection, throw, park or
 // instruction-batch flush is reachable from a prefix micro; an allocation
@@ -103,7 +112,7 @@ func (t *Thread) noteCall(from, to *core.Isolate) {
 }
 
 // barrierOn is the per-quantum cached SATB barrier flag used by the
-// closure store micros and the interpreter store handlers in place of
+// closure store micros and the reference switch's stores in place of
 // the heap's per-store atomic load. The flag is refreshed at every
 // quantum start (both engines), on allocation-state acquisition, and
 // after a sequential-engine world-stop (the only point where the barrier

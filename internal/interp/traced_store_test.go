@@ -20,7 +20,7 @@ import (
 // records the overwritten reference, and a store into one it has scanned
 // is a plain store that records nothing. These tests pin the rule on
 // every store path — aastore, putfield and System.arraycopy, on the seed
-// switch, the table and the closure engine, in both modes.
+// switch and the closure engine, in both modes.
 
 const (
 	tsMain = "ts/Main"
@@ -81,10 +81,10 @@ func tracedStoreClasses(op string) []*classfile.Class {
 // leaves the traced bit set.
 func TestStoreIntoTracedHolder(t *testing.T) {
 	for _, op := range []string{"aastore", "putfield", "arraycopy"} {
-		for _, e := range []string{"seed switch", "table", "closure"} {
+		for _, e := range []string{"seed switch", "closure"} {
 			for _, mode := range []core.Mode{core.ModeShared, core.ModeIsolated} {
 				t.Run(fmt.Sprintf("%s/%s/%v", op, e, mode), func(t *testing.T) {
-					tracedStorePhases(t, threeEngines[e](interp.Options{Mode: mode, GCThresholdPercent: -1}), op)
+					tracedStorePhases(t, engines[e](interp.Options{Mode: mode, GCThresholdPercent: -1}), op)
 				})
 			}
 		}

@@ -119,23 +119,12 @@ type VM struct {
 	world    *core.World
 	heap     *heap.Heap
 
-	// ptable is the prepared-dispatch table of the VM's mode, chosen at
-	// construction like the mode itself, so the execution engines read it
-	// without synchronization.
-	ptable *[256]phandler
-
 	// allocAccounts says whether allocations charge the allocating
 	// isolate's AllocatedObjects and AllocatedBytes: Isolated mode only,
 	// fixed at construction like the mode (Shared is §4.2's baseline,
 	// which does no per-bundle accounting). ConnectionsOpened is counted
 	// in both modes.
 	allocAccounts bool
-
-	// tableOnly leaves every prepared method on the handler table: frames
-	// do not adopt the closure program preparation compiled. Only the
-	// tests set it (export_test.go), to run the table as an engine of its
-	// own beside the seed switch and the default.
-	tableOnly bool
 
 	// threadsMu guards the thread registry (threads, nextThreadID) and
 	// stagedEntryArgs; liveThreads is atomic so schedulers can poll it
@@ -283,7 +272,6 @@ func NewVM(opts Options) *VM {
 		registry:      registry,
 		world:         core.NewWorld(opts.Mode, registry),
 		heap:          h,
-		ptable:        handlerTable(opts.Mode),
 		allocAccounts: opts.Mode == core.ModeIsolated,
 		pinned:        make(map[heap.IsolateID][]*heap.Object),
 		waiters:       make(map[*heap.Object][]*Thread),
