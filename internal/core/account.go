@@ -212,6 +212,19 @@ func (b *InstrBatch) NoteCall(from, to *AccountCounters) {
 	b.cur.callsIn++
 }
 
+// NoteCalls records n inter-isolate calls leaving from and entering to,
+// and charges instrs instructions to to, which becomes the current entry —
+// what n NoteCall calls, each followed by its share of instrs, add up to.
+func (b *InstrBatch) NoteCalls(from, to *AccountCounters, n, instrs int64) {
+	if from != b.cur.acc {
+		b.switchTo(from)
+	}
+	b.cur.callsOut += n
+	b.switchTo(to)
+	b.cur.callsIn += n
+	b.cur.instrs += instrs
+}
+
 // Flush publishes every pending charge.
 func (b *InstrBatch) Flush() {
 	b.cur.flush()

@@ -78,21 +78,27 @@ import (
 //     argument window like any consumer, and a value-returning call folds
 //     the local store that follows it. When the target is a leaf — a
 //     straight-line body of non-failing micros ending in its return
-//     (leafBody) — defined by the caller's own loader, the micro runs the
-//     body on the thread's next cached frame without publishing it and
-//     delivers the result: no frame is pushed and no step ends. Any other
-//     call whose guards hold — the receiver non-null and, for
-//     invokevirtual, the vtable entry the resolved method's; the class
-//     initialized for invokestatic — ends the step with the real call
-//     (microCall, invokeResolved) as its final sub-instruction, charged
-//     before it; a failed guard bails, and the switch dispatches by name;
+//     (leafBody) — and the arguments pass the leaf's parameter guards, the
+//     micro runs the body on the thread's next cached frame without
+//     publishing it and delivers the result: no frame is pushed and no
+//     step ends. That holds whichever loader defined the target: a leaf of
+//     another bundle is a plain inline in Shared mode, and in Isolated
+//     mode the micro migrates the thread to the callee's isolate for the
+//     body and back, charging the step per isolate in single-step order
+//     (callSite.inline, tier.go chargeCall). Any other call whose guards
+//     hold — the receiver non-null and, for invokevirtual, the vtable
+//     entry the resolved method's; the class initialized for invokestatic
+//     — ends the step with the real call (microCall, invokeResolved) as
+//     its final sub-instruction, charged before it; a failed guard bails,
+//     and the switch dispatches by name;
 //   - chaining: after an inline transfer — a taken branch, the inline
-//     goto / iinc+goto final — the step continues into the block at the
-//     new pc when one is compiled there and still fits (runClosureBlock),
-//     so a loop iteration made of several blocks, and several iterations,
-//     retire as one engine step. A step ends at the first delegated
-//     final, bail, real call, pc without a block head, quantum boundary,
-//     or once it has retired maxStepSubs instructions;
+//     goto / iinc+goto final, or the link of a block cut at the width cap
+//     to the block at the cap pc — the step continues into the block at
+//     the new pc when one is compiled there and still fits
+//     (runClosureBlock), so a loop iteration made of several blocks, and
+//     several iterations, retire as one engine step. A step ends at the
+//     first delegated final, bail, real call, pc without a block head,
+//     quantum boundary, or once it has retired maxStepSubs instructions;
 //   - a block reserves its sub-instruction width — up to its first call
 //     micro when it has one — against the quantum before it runs, and a
 //     call micro inlines a leaf only when the rest of the block, the body
@@ -148,7 +154,9 @@ type closureMicro func(vm *VM, t *Thread, f *Frame) microStatus
 // at pc0. The prefix holds micros for straight-line instructions and
 // conditional branches. last is an optional inline unconditional final
 // (goto, or iinc+goto); nil last means the block's final instruction is
-// delegated to the reference switch (returns, monitors, ldc, ...).
+// delegated to the reference switch (returns, monitors, ldc, ...), unless
+// the block is a link: cut at the width cap, it has no final and chains
+// into the block at pc0+width.
 //
 // A prefix entry may cover several guest instructions, so charging is
 // position-based: cum[i] is the instruction count retired once prefix[i]
@@ -170,6 +178,9 @@ type closureBlock struct {
 	need   int64
 	pc0    int32
 	last   closureMicro
+	// link: the block ends at the width cap with no final, and the step
+	// continues into the block at pc0+width.
+	link bool
 }
 
 // closureProgram maps each block-head pc to its compiled block; nil
@@ -184,7 +195,8 @@ type closureProgram struct {
 const (
 	// maxClosureBlock bounds a block's sub-instruction width so a block
 	// never spans a large fraction of the quantum (a reserve failure
-	// single-steps the whole block until the next quantum).
+	// single-steps the whole block until the next quantum). A wider run
+	// continues in the block at the cap pc (closureBlock.link).
 	maxClosureBlock = 24
 	// maxStepSubs bounds the instructions one engine step retires across a
 	// chain of blocks. The quantum routine polls stop-the-world, kill,
@@ -198,13 +210,16 @@ const (
 // runClosureBlock executes a chain of compiled blocks as one engine step.
 // n counts the instructions the chain has retired; the loop's post-step
 // charge covers the step's final one (a taken branch, an inline final, the
-// real call of a call micro, or the instruction handed to the switch) and
-// chargeSubs batches the rest at the single exit — charge order within a
-// step is unobservable, so batching is identical to charging each micro as
-// it retires. Before each block, q.spare
-// is what the step may still retire beside it — the rest of room after the
-// block's width and final, negative when only its need fit — and leaves
-// inlined by its call micros count in q.inl, which joins n after the block.
+// real call of a call micro, the instruction handed to the switch, or the
+// last one before a link's cap) and chargeSubs batches the rest at the
+// single exit — within one isolate charge order is unobservable, so
+// batching is identical to charging each micro as it retires, and a
+// migrating leaf advances the sampling countdown for its runs in order
+// (chargeCall). Before each block, q.spare is what the step may still
+// retire beside it — the rest of room after the block's width and final,
+// negative when only its need fit —, q.at what the step retired before
+// it, and leaves inlined by its call micros count in q.inl, which joins n
+// after the block.
 func (vm *VM) runClosureBlock(t *Thread, f *Frame, b *closureBlock) error {
 	q := t.qa
 	if q == nil || !q.reserve(b.need) {
@@ -216,7 +231,7 @@ func (vm *VM) runClosureBlock(t *Thread, f *Frame, b *closureBlock) error {
 	var n int64
 run:
 	for {
-		q.spare = room - n - b.width - 1
+		q.spare, q.at = room-n-b.width-1, n
 		for i, m := range b.prefix {
 			switch m(vm, t, f) {
 			case microNext:
@@ -230,12 +245,16 @@ run:
 			}
 		}
 		n += b.width
-		if b.last == nil {
+		switch {
+		case b.last != nil:
+			b.last(vm, t, f)
+			n++
+		case b.link:
 			f.pc = b.pc0 + int32(b.width)
-			break
+		default:
+			f.pc = b.pc0 + int32(b.width)
+			break run
 		}
-		b.last(vm, t, f)
-		n++
 	transferred:
 		n += q.inl
 		q.inl = 0
@@ -304,6 +323,11 @@ func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, mode core.Mode,
 		}
 		if fall {
 			add(end + 1)
+		}
+	}
+	for _, b := range cp.blocks {
+		if b != nil && b.link && cp.blocks[b.pc0+int32(b.width)] == nil {
+			b.link = false // the instruction at the cap has no block: delegate it
 		}
 	}
 	cp.leaf = leafForm(m, p, cp.blocks[0])
@@ -549,10 +573,17 @@ func buildClosureBlock(m *classfile.Method, p *bytecode.PCode, pc int32, mode co
 		// Unreachable for verified code (control never falls off the end).
 		return nil, n - 1, false
 	}
-	// Delegated final: an instruction no micro covers (return, throw,
-	// monitors, ...) or the one at the width cap.
 	bb.flush(0)
 	bb.seal(cur - pc)
+	if cur-pc >= maxClosureBlock && len(b.prefix) > 0 {
+		// The width cap: the instruction there heads a block of its own,
+		// which the step chains into (buildClosureProgram delegates it
+		// instead when no block compiles there).
+		b.link = true
+		return b, cur - 1, true
+	}
+	// Delegated final: an instruction no micro covers (return, throw,
+	// monitors, ...).
 	fall := !code.Instrs[cur].Op.IsTerminator()
 	if len(b.prefix) == 0 {
 		return nil, cur, fall
@@ -979,15 +1010,23 @@ func sharedMirror(entry *classfile.PoolEntry) (*core.TaskClassMirror, int) {
 // pc 0, of width at most maxLeafWidth, whose final is the method's return
 // and whose micros cannot bail — loads, constants, local stores, int and
 // float arithmetic without idiv/irem, iinc, pop/dup/swap — except
-// getfield/putfield on the receiver (local 0, which the body never
-// writes): those cannot bail either once the call checked each field slot
-// against the receiver (fits). There are no handlers, and the method is
-// neither synchronized nor native. Running it retires inl instructions.
+// getfield/putfield and arraylength on a parameter the body never writes:
+// those cannot bail either once the call checked the argument (admits).
+// There are no handlers, and the method is neither synchronized nor
+// native. Running it retires inl instructions: the body and its return.
 type leafBody struct {
 	prefix            []closureMicro
 	inl               int64
 	nLocals, maxStack int
-	fields            []*bytecode.FieldSlot
+	guards            []leafGuard
+}
+
+// leafGuard is what one guarded site of a leaf body needs of the argument
+// in local: a non-null reference with the field slot fs in range, or, for
+// arraylength (fs nil), an array.
+type leafGuard struct {
+	local int32
+	fs    *bytecode.FieldSlot
 }
 
 // leafForm returns m's leaf form, or nil. b is the block compiled at pc 0
@@ -1021,7 +1060,7 @@ func leafForm(m *classfile.Method, p *bytecode.PCode, b *closureBlock) *leafBody
 	default:
 		return nil
 	}
-	fields, ok := leafFields(m, p, width)
+	guards, ok := leafGuards(m, p, width)
 	if !ok {
 		return nil
 	}
@@ -1030,84 +1069,116 @@ func leafForm(m *classfile.Method, p *bytecode.PCode, b *closureBlock) *leafBody
 		inl:      int64(width) + 1,
 		nLocals:  p.MaxLocals,
 		maxStack: p.MaxStack,
-		fields:   fields,
+		guards:   guards,
 	}
 }
 
-// leafFields checks that every instruction before the return at width is
-// one a leaf may hold, and returns the field slots of its getfield and
-// putfield sites, whose receivers it proves to be the method's own by
-// following local 0 through the operand stack.
-func leafFields(m *classfile.Method, p *bytecode.PCode, width int) ([]*bytecode.FieldSlot, bool) {
+// leafGuards checks that every instruction before the return at width is
+// one a leaf may hold, and returns what its getfield, putfield and
+// arraylength sites need of the arguments: it follows each parameter the
+// body never writes through the operand stack, and refuses a guarded site
+// whose operand is anything else.
+func leafGuards(m *classfile.Method, p *bytecode.PCode, width int) ([]leafGuard, bool) {
 	instrs := m.Code.Instrs[:width]
-	this := !m.IsStatic()
+	nParams := m.Desc.NumParams()
+	if !m.IsStatic() {
+		nParams++
+	}
+	param := make([]bool, nParams) // is the local an unwritten parameter?
+	for i := range param {
+		param[i] = true
+	}
 	for _, in := range instrs {
 		switch in.Op {
 		case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore, bytecode.OpIInc:
-			if in.A == 0 {
-				this = false
+			if int(in.A) < nParams {
+				param[in.A] = false
 			}
 		}
 	}
-	var fields []*bytecode.FieldSlot
-	var recv []bool // the operand stack: is the entry the receiver?
-	pop := func() bool {
-		r := recv[len(recv)-1]
-		recv = recv[:len(recv)-1]
-		return r
+	var guards []leafGuard
+	var stack []int32 // the operand stack: the parameter an entry holds, or -1
+	pop := func() int32 {
+		l := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		return l
 	}
 	for pc, in := range instrs {
 		switch in.Op {
 		case bytecode.OpNop, bytecode.OpIInc:
 		case bytecode.OpALoad:
-			recv = append(recv, this && in.A == 0)
+			l := int32(-1)
+			if int(in.A) < nParams && param[in.A] {
+				l = in.A
+			}
+			stack = append(stack, l)
 		case bytecode.OpILoad, bytecode.OpFLoad,
 			bytecode.OpIConst, bytecode.OpFConst, bytecode.OpAConstNull:
-			recv = append(recv, false)
+			stack = append(stack, -1)
 		case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore, bytecode.OpPop:
 			pop()
 		case bytecode.OpDup:
-			recv = append(recv, recv[len(recv)-1])
+			stack = append(stack, stack[len(stack)-1])
 		case bytecode.OpDupX1:
 			a, b := pop(), pop()
-			recv = append(recv, a, b, a)
+			stack = append(stack, a, b, a)
 		case bytecode.OpSwap:
 			a, b := pop(), pop()
-			recv = append(recv, a, b)
+			stack = append(stack, a, b)
 		case bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul,
 			bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor,
 			bytecode.OpIShl, bytecode.OpIShr, bytecode.OpIUshr,
 			bytecode.OpFAdd, bytecode.OpFSub, bytecode.OpFMul, bytecode.OpFDiv, bytecode.OpFCmp:
 			pop()
 			pop()
-			recv = append(recv, false)
+			stack = append(stack, -1)
 		case bytecode.OpINeg, bytecode.OpFNeg, bytecode.OpI2F, bytecode.OpF2I:
 			pop()
-			recv = append(recv, false)
-		case bytecode.OpGetField:
-			if !pop() {
+			stack = append(stack, -1)
+		case bytecode.OpGetField, bytecode.OpArrayLength:
+			l := pop()
+			if l < 0 {
 				return nil, false
 			}
-			fields = append(fields, p.Instrs[pc].FS)
-			recv = append(recv, false)
+			g := leafGuard{local: l}
+			if in.Op == bytecode.OpGetField {
+				g.fs = p.Instrs[pc].FS
+			}
+			guards = append(guards, g)
+			stack = append(stack, -1)
 		case bytecode.OpPutField:
 			pop()
-			if !pop() {
+			l := pop()
+			if l < 0 {
 				return nil, false
 			}
-			fields = append(fields, p.Instrs[pc].FS)
+			guards = append(guards, leafGuard{local: l, fs: p.Instrs[pc].FS})
 		default:
 			return nil, false
 		}
 	}
-	return fields, true
+	return guards, true
 }
 
-// fits reports whether every receiver field site of the leaf is resolved
-// to a slot recv has, so none of its field micros can bail.
-func (lf *leafBody) fits(recv *heap.Object) bool {
-	for _, fs := range lf.fields {
-		if uint(fs.Get()) >= uint(len(recv.Elems)) {
+// admits reports whether the arguments of the call at s pass every guard
+// of the leaf, so none of its micros can bail. recv is the call's
+// non-null receiver (local 0), or nil for a static call.
+func (lf *leafBody) admits(s *callSite, f *Frame, recv *heap.Object) bool {
+	for _, g := range lf.guards {
+		o := recv
+		if g.local != 0 || o == nil {
+			if int(g.local) >= len(s.ops) {
+				return false
+			}
+			if o = s.ops[g.local].at(f).R; o == nil {
+				return false
+			}
+		}
+		if g.fs == nil {
+			if !o.IsArray() {
+				return false
+			}
+		} else if uint(g.fs.Get()) >= uint(len(o.Elems)) {
 			return false
 		}
 	}
@@ -1135,20 +1206,20 @@ func leafOf(target *classfile.Method) (lf *leafBody, final bool) {
 
 // callSite is one call micro: the pool entry, the bound argument window
 // (receiver first), whether it has a receiver, where the result goes, and
-// the loader that defined the caller. miss is the site's cache: a class —
-// the receiver's for invokevirtual, the target's otherwise — whose target
-// here is permanently not inlinable, so a guarded call makes the real
-// call after one compare. Workers running the program race on it
-// harmlessly: every key stored is a true verdict.
+// off, the instructions its block retires before the invoke. miss is the
+// site's cache: a class — the receiver's for invokevirtual, the target's
+// otherwise — whose target here is permanently not inlinable, so a guarded
+// call makes the real call after one compare. Workers running the program
+// race on it harmlessly: every key stored is a true verdict.
 type callSite struct {
-	entry  *classfile.PoolEntry
-	ops    []operand
-	ns     int
-	d      int32
-	value  bool
-	recv   bool
-	loader int
-	miss   atomic.Pointer[classfile.Class]
+	entry *classfile.PoolEntry
+	ops   []operand
+	ns    int
+	d     int32
+	value bool
+	recv  bool
+	off   int64
+	miss  atomic.Pointer[classfile.Class]
 }
 
 // call compiles the invoke at pc into a call micro; a value-returning call
@@ -1162,7 +1233,7 @@ func (bb *blockBuilder) call(op bytecode.Opcode, in *bytecode.PInstr, pc int32) 
 	if !bb.called {
 		bb.called, bb.blk.need = true, int64(pc-bb.blk.pc0)
 	}
-	s := &callSite{entry: entry, ops: make([]operand, in.B), d: -1, recv: op != bytecode.OpInvokeStatic, loader: bb.m.Class.LoaderID}
+	s := &callSite{entry: entry, ops: make([]operand, in.B), d: -1, recv: op != bytecode.OpInvokeStatic, off: int64(pc - bb.blk.pc0)}
 	s.ns = bb.take(s.ops)
 	last := pc
 	if s.value = desc.Return != classfile.KindVoid; s.value {
@@ -1257,15 +1328,20 @@ func (s *callSite) call(t *Thread, f *Frame, target *classfile.Method) microStat
 }
 
 // inline runs target's leaf in place of the call, or makes the real call:
-// the target must be a leaf defined by the caller's loader (in both modes,
-// so a call across bundles is always a real call), and the call must be
-// one that pushes a frame in the current isolate with nothing observing it
-// (mayInline). key is the site's cache key for target.
+// the target must be a leaf whose guards the arguments pass (admits), and
+// the call one that an inlined body reproduces exactly — pushFrame would
+// neither overflow the stack nor trace the entry, the caller's frame is in
+// the thread's current isolate and that isolate is not killed (a return
+// into a killed isolate throws). A target defined by another bundle's
+// loader is inlined too, in both modes. In Isolated mode it migrates: the
+// micro counts the inter-isolate call, switches the thread's isolate to the
+// callee's for the body, charges the step in single-step order (chargeCall)
+// and restores the caller's isolate before it returns, so the step never
+// ends in another isolate and the concurrent engine hands the thread to no
+// other shard. A migrating call stays real when the callee is killed (the
+// call throws) or when per-call CPU accounting reads the clock at every
+// switch. key is the site's cache key for target.
 func (s *callSite) inline(vm *VM, t *Thread, f *Frame, target *classfile.Method, recv *heap.Object, key *classfile.Class) microStatus {
-	if target.Class.LoaderID != s.loader {
-		s.miss.Store(key)
-		return s.call(t, f, target)
-	}
 	lf, final := leafOf(target)
 	if lf == nil {
 		if final {
@@ -1273,9 +1349,19 @@ func (s *callSite) inline(vm *VM, t *Thread, f *Frame, target *classfile.Method,
 		}
 		return s.call(t, f, target)
 	}
-	q := t.qa
-	if q.inl+lf.inl > q.spare || !vm.mayInline(t, f, target) || !lf.fits(recv) {
+	q, cur := t.qa, t.cur
+	if q.inl+lf.inl > q.spare || len(t.frames) >= vm.opts.MaxFrameDepth || vm.TraceMethodEntry != nil ||
+		cur != f.iso || cur.Killed() || !lf.admits(s, f, recv) {
 		return s.call(t, f, target)
+	}
+	callee := cur
+	if q.isolated && !target.Class.IsSystem() {
+		if iso := vm.world.IsolateForLoaderID(target.Class.LoaderID); iso != nil && iso != cur {
+			if iso.Killed() || vm.opts.PerCallCPUAccounting {
+				return s.call(t, f, target)
+			}
+			callee = iso
+		}
 	}
 	// The callee's activation: the thread's next cached frame, filled as
 	// pushFrame would, never published (no root scan can run before it is
@@ -1287,9 +1373,14 @@ func (s *callSite) inline(vm *VM, t *Thread, f *Frame, target *classfile.Method,
 	for i := len(s.ops); i < len(g.locals); i++ {
 		g.locals[i] = heap.Null()
 	}
+	if callee != cur {
+		q.chargeCall(vm, cur, callee, s.off, lf.inl)
+		t.cur = callee
+	}
 	for _, m := range lf.prefix {
 		m(vm, t, g)
 	}
+	t.cur = cur
 	q.inl += lf.inl
 	if s.value {
 		f.result(s.ns, s.d, g.stack[len(g.stack)-1])
@@ -1306,21 +1397,4 @@ func (s *callSite) inline(vm *VM, t *Thread, f *Frame, target *classfile.Method,
 	}
 	g.stack = g.stack[:0]
 	return microNext
-}
-
-// mayInline reports whether a call to target from f is one an inlined
-// leaf reproduces exactly: pushFrame would neither overflow the stack nor
-// trace the entry, the thread would stay in its current isolate — which is
-// f's, so the return lands there too — and that isolate is not killed (a
-// call or a return into a killed isolate throws).
-func (vm *VM) mayInline(t *Thread, f *Frame, target *classfile.Method) bool {
-	cur := t.cur
-	if len(t.frames) >= vm.opts.MaxFrameDepth || vm.TraceMethodEntry != nil || cur != f.iso || cur.Killed() {
-		return false
-	}
-	if target.Class.IsSystem() {
-		return true
-	}
-	iso := vm.world.IsolateForLoaderID(target.Class.LoaderID)
-	return iso == nil || iso == cur
 }

@@ -488,6 +488,9 @@ func TestClosureFoldShapes(t *testing.T) {
 // blocks: run(n, ref) with locals 0 = n, 1 = ref, 2 = acc, 3 = i.
 func chainPrograms() map[string]func(a *bytecode.Assembler) {
 	return map[string]func(a *bytecode.Assembler){
+		// A straight-line iteration of 53 instructions, over twice the
+		// block width cap: its blocks link at the cap.
+		"wide": wideLoop,
 		// Rule dispatch on i%3 and i&1: head block -> rule block -> "next".
 		"rules": func(a *bytecode.Assembler) {
 			a.Const(0).IStore(2).Const(0).IStore(3)
@@ -514,6 +517,60 @@ func chainPrograms() map[string]func(a *bytecode.Assembler) {
 			a.Label("next").IInc(3, 1).Goto("loop")
 			a.Label("done").ILoad(2).FLoad(4).F2I().IAdd().IReturn()
 		},
+	}
+}
+
+// wideLoop is chain program "wide": run(n, _) folds n iterations of eight
+// multiply-adds over the locals.
+func wideLoop(a *bytecode.Assembler) {
+	a.Const(1).IStore(2).Const(0).IStore(3)
+	a.Label("loop").ILoad(3).ILoad(0).IfICmpGe("done")
+	for k := int64(0); k < 8; k++ {
+		a.ILoad(2).ILoad(3).IMul().Const(k + 3).IAdd().IStore(2)
+	}
+	a.IInc(3, 1).Goto("loop")
+	a.Label("done").ILoad(2).IReturn()
+}
+
+// TestWidthCapChains steps the "wide" chain program, whose iterations
+// are wider than a block may be: a block cut at the width cap links to the
+// block at the cap pc, so the step chains on through every iteration
+// instead of ending at the cap. With a quantum far away, every step but the
+// set-up's and the exit's retires the chain cap's worth of iterations.
+func TestWidthCapChains(t *testing.T) {
+	const n, iteration = 40, 53
+	for _, mode := range []core.Mode{core.ModeShared, core.ModeIsolated} {
+		vm := interp.NewVM(interp.Options{Mode: mode})
+		syslib.MustInstall(vm)
+		iso, err := vm.NewIsolate("wide")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := classfile.NewClass("chain/Wide").Method("run", "(ILjava/lang/Object;)I", classfile.FlagStatic, wideLoop).MustBuild()
+		if err := iso.Loader().Define(c); err != nil {
+			t.Fatal(err)
+		}
+		m := findMethod(t, c, "run")
+		args := []heap.Value{heap.IntVal(n), heap.Null()}
+		want := callStatic(t, vm, iso, c, "run", args...).I
+		th, err := vm.SpawnThread("wide", iso, m, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes, err := vm.StepSizesForTest(th, 1<<40, 1<<20)
+		if err != nil || th.Result().I != want {
+			t.Fatalf("%v: %v, result %d, want %d", mode, err, th.Result().I, want)
+		}
+		var total int64
+		for i, k := range sizes {
+			total += k
+			if i > 0 && i < len(sizes)-1 && k < interp.MaxStepInstructionsForTest-iteration {
+				t.Fatalf("%v: steps %v: step %d retires %d instructions", mode, sizes, i, k)
+			}
+		}
+		if total != 4+n*iteration+5 {
+			t.Fatalf("%v: steps %v retire %d instructions", mode, sizes, total)
+		}
 	}
 }
 

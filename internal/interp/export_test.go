@@ -92,18 +92,19 @@ const MaxStepInstructionsForTest = maxStepSubs
 
 // StepSizesForTest drives t the way the quantum routine does — a quantum
 // accountant with the given limit and the sequential engine's allocation
-// state installed, one stepThread call per poll — for n steps, and returns
-// how many instructions each step retired. Nothing else may be running vm.
+// state installed, one stepThread call per poll, each step charged and the
+// quantum published at the end — for n steps, and returns how many
+// instructions each step retired. Nothing else may be running vm.
 func (vm *VM) StepSizesForTest(t *Thread, limit int64, n int) ([]int64, error) {
 	if vm.seq.alloc == nil {
 		vm.seq.alloc = vm.acquireAllocState()
 	}
-	qa := SampleState{quantumAcct: quantumAcct{limit: limit}, alloc: vm.seq.alloc}
+	qa := SampleState{quantumAcct: quantumAcct{limit: limit, isolated: vm.world.Isolated()}, alloc: vm.seq.alloc}
 	qa.alloc.barrierOn = vm.heap.BarrierActive()
 	t.qa, t.alloc = &qa, qa.alloc
 	defer func() {
 		t.qa, t.alloc = nil, nil
-		qa.alloc.flush(vm.heap)
+		vm.flushQuantum(&qa)
 	}()
 	sizes := make([]int64, 0, n)
 	for len(sizes) < n && t.State() == StateRunnable {
@@ -112,6 +113,11 @@ func (vm *VM) StepSizesForTest(t *Thread, limit int64, n int) ([]int64, error) {
 			return sizes, err
 		}
 		qa.steps++
+		if qa.isolated {
+			acct := t.cur.Account()
+			qa.batch.Note(acct)
+			qa.sampleRun(vm, acct, 1)
+		}
 		sizes = append(sizes, qa.steps-before)
 	}
 	return sizes, nil

@@ -320,22 +320,14 @@ func TestLeafInlineKilledIsolate(t *testing.T) {
 	}
 }
 
-// TestLeafInlineModeSymmetry steps Fig 1's call loops in both modes. The
-// cross-bundle sites — Table 1's rundrag and the inter-isolate inc loop —
-// make a real call every iteration in either mode, with the steps a real
-// call takes (the caller's block up to the invoke, the callee, the return
-// with the loop's tail); the same-bundle inc loop is inlined in both: the
-// whole loop retires in one step.
+// TestLeafInlineModeSymmetry steps Fig 1's call loops in both modes. Every
+// call site is a leaf call inlined into the caller's block in either mode:
+// the cross-bundle inc loop and Table 1's rundrag (drag is a leaf through
+// its parameter guard), which migrate inside the micro in Isolated mode,
+// and the same-bundle inc loop. Each loop, from its set-up to the return,
+// retires as one engine step.
 func TestLeafInlineModeSymmetry(t *testing.T) {
 	const n = 10
-	// pattern is a step sequence: first, body reps times, then tail.
-	pattern := func(first int64, body []int64, reps int, tail ...int64) []int64 {
-		out := []int64{first}
-		for i := 0; i < reps; i++ {
-			out = append(out, body...)
-		}
-		return append(out, tail...)
-	}
 	for _, mode := range []core.Mode{core.ModeIsolated, core.ModeShared} {
 		step := func(kind paper.MicroKind, driver string) []int64 {
 			t.Helper()
@@ -363,23 +355,54 @@ func TestLeafInlineModeSymmetry(t *testing.T) {
 			}
 			return sizes
 		}
-		if got, want := step(paper.MicroInter, paper.MicroDriverMethod), pattern(12, []int64{9}, 2*n-1, 8); !reflect.DeepEqual(got, want) {
+		// inc: a 6-instruction set-up, 9 per iteration in the caller and 9
+		// in the body, the exit test and the return.
+		if got, want := step(paper.MicroInter, paper.MicroDriverMethod), []int64{6 + 18*n + 5}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v: cross-bundle inc loop steps %v, want %v", mode, got, want)
 		}
-		if got, want := step(paper.MicroInter, paper.DragDriverMethod), pattern(15, []int64{12, 9}, n-1, 12, 8); !reflect.DeepEqual(got, want) {
+		// rundrag: 9 set-up, 9 + 12 per iteration.
+		if got, want := step(paper.MicroInter, paper.DragDriverMethod), []int64{9 + 21*n + 5}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v: Table 1 rundrag steps %v, want %v", mode, got, want)
 		}
-		// The driver's set-up (new, <init>) takes four steps; the loop and
-		// the return then retire in one.
-		if got := step(paper.MicroIntra, paper.MicroDriverMethod); len(got) != 5 || got[4] != 19*n {
-			t.Fatalf("%v: same-bundle inc loop steps %v, want the loop as one step of %d", mode, got, 19*n)
+		// The driver's set-up: new, dup and the real call of its <init>,
+		// which is no leaf; then <init>, with Object.<init> — a leaf of the
+		// system loader — inlined into it; then the loop and the return.
+		if got, want := step(paper.MicroIntra, paper.MicroDriverMethod), []int64{3, 4, 19 * n}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: same-bundle inc loop steps %v, want %v", mode, got, want)
 		}
 	}
 }
 
-// TestLeafFormShapes pins which of the paper's methods have a leaf form:
-// Fig 1's inc (receiver field leaves) and the megacall site's f do; drag
-// (arraylength can throw) and the constructors (they call) do not.
+// shapeClasses are TestLeafFormShapes' parameter-guard cases: lengths of
+// an array parameter, of a parameter the body overwrites first, of a
+// local that is no parameter, and of the receiver's field; a field of a
+// second reference parameter reached through swap.
+func shapeClasses() []*classfile.Class {
+	const cn = "lf/Shapes"
+	return []*classfile.Class{classfile.NewClass(cn).
+		Field("v", classfile.KindInt).
+		Field("arr", classfile.KindRef).
+		Method("len", "(Ljava/lang/Object;)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.ALoad(0).ArrayLength().IReturn()
+		}).
+		Method("lenWritten", "(Ljava/lang/Object;Ljava/lang/Object;)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.ALoad(1).AStore(0).ALoad(0).ArrayLength().IReturn()
+		}).
+		Method("lenLocal", "(Ljava/lang/Object;)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.ALoad(0).AStore(1).ALoad(1).ArrayLength().IReturn()
+		}).
+		Method("lenField", "()I", 0, func(a *bytecode.Assembler) {
+			a.ALoad(0).GetField(cn, "arr").ArrayLength().IReturn()
+		}).
+		Method("other", "(ILlf/Shapes;)I", 0, func(a *bytecode.Assembler) {
+			a.ILoad(1).ALoad(2).Swap().Pop().GetField(cn, "v").IReturn()
+		}).MustBuild()}
+}
+
+// TestLeafFormShapes pins which methods have a leaf form: Fig 1's inc
+// (receiver field leaves), Table 1's drag (arraylength of its event
+// parameter) and the megacall site's f do; the constructors (they call) do
+// not. A guarded site's operand must be a parameter the body never writes.
 func TestLeafFormShapes(t *testing.T) {
 	vm := interp.NewVM(interp.Options{})
 	syslib.MustInstall(vm)
@@ -387,7 +410,7 @@ func TestLeafFormShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := iso.Loader().DefineAll(append(paper.IntraCallClasses(), leafClasses()...)); err != nil {
+	if err := iso.Loader().DefineAll(append(append(paper.IntraCallClasses(), leafClasses()...), shapeClasses()...)); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -395,13 +418,18 @@ func TestLeafFormShapes(t *testing.T) {
 		leaf          bool
 	}{
 		{paper.IntraClassName, "inc", true},
-		{paper.IntraClassName, "drag", false},
+		{paper.IntraClassName, "drag", true},
 		{paper.IntraClassName, classfile.InitName, false},
 		{lfImpl(1), "f", true},
 		{lfBase, "setLink", true},
 		{lfBase, "nop", true},
 		{lfMain, "deep", false},
 		{lfMain, "run", false},
+		{"lf/Shapes", "len", true},
+		{"lf/Shapes", "lenWritten", false},
+		{"lf/Shapes", "lenLocal", false},
+		{"lf/Shapes", "lenField", false},
+		{"lf/Shapes", "other", true},
 	} {
 		c, err := iso.Loader().Lookup(tc.class)
 		if err != nil {

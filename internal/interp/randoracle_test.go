@@ -165,14 +165,19 @@ const (
 	// it back and calls an empty void leaf.
 	fragFieldLeaf
 	// fragStaticLeaf calls peer/SLeaf.s, a static leaf whose class runs a
-	// <clinit> loop, directly (across loaders: a real call) and through
-	// peer/Svc.gs (same loader: inlined once the peer isolate's mirror is
-	// initialized).
+	// <clinit> loop, directly (across loaders: a migrating leaf under
+	// I-JVM) and through peer/Svc.gs (same loader), each inlined once the
+	// calling isolate's mirror is initialized.
 	fragStaticLeaf
 	// fragDeepLeaf recurses until the next call is a leaf at the frame
 	// limit's last slot (even iterations) or one past it, where the leaf
 	// call throws StackOverflowError (caught).
 	fragDeepLeaf
+	// fragArrayLeaf calls peer/Svc.alen, a cross-bundle leaf taking the
+	// length of its array parameter, on a fresh array — or on null, when
+	// arrIdx == arrLen, so the parameter guard fails and the real call
+	// throws NullPointerException in the peer (caught).
+	fragArrayLeaf
 	numFragKinds
 )
 
@@ -709,6 +714,18 @@ func oracleMainClasses(p oracleProgram) []*classfile.Class {
 				case fragStaticLeaf:
 					a.ILoad(1).InvokeStatic(oraSLeaf, "s", "(I)I").
 						InvokeStatic(oraSvc, "gs", "(I)I").Const(f.c).IXor().IStore(1)
+				case fragArrayLeaf:
+					if f.arrIdx == f.arrLen {
+						a.Null()
+					} else {
+						a.Const(f.arrLen).NewArray("")
+					}
+					a.AStore(tmpSlot)
+					a.Label(s).ALoad(tmpSlot).ILoad(1).InvokeStatic(oraSvc, "alen", "(Ljava/lang/Object;I)I").IStore(1).Goto(after)
+					a.Label(h).Pop().ILoad(1).Const(17).IXor().IStore(1)
+					a.Label(after)
+					a.Handler(s, h, h, "java/lang/NullPointerException")
+					a.Null().AStore(tmpSlot)
 				case fragDeepLeaf:
 					a.Label(s).ILoad(2).Const(1).IAnd().Const(oraDepth-3).IAdd().
 						InvokeStatic(oraMain, "deep", "(I)I").ILoad(1).IXor().IStore(1).Goto(after)
@@ -771,6 +788,10 @@ func oraclePeerClasses() []*classfile.Class {
 			// gs calls the static leaf SLeaf.s from SLeaf's own loader.
 			Method("gs", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
 				a.ILoad(0).InvokeStatic(oraSLeaf, "s", "(I)I").IReturn()
+			}).
+			// alen is a leaf guarded on its array parameter.
+			Method("alen", "(Ljava/lang/Object;I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+				a.ALoad(0).ArrayLength().ILoad(1).IAdd().Const(0xFFFF).IAnd().IReturn()
 			}).
 			// id is the callee of the host's frozen zero-copy link call.
 			Method("id", "(Ljava/lang/Object;)Ljava/lang/Object;", classfile.FlagStatic, func(a *bytecode.Assembler) {

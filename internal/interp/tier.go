@@ -51,7 +51,16 @@ import (
 type quantumAcct struct {
 	steps, limit, published int64
 	spare, inl              int64
-	isolated                bool
+	// at is what the step retired before the running block. The rest is
+	// what the step's migrating leaf calls (chargeCall) leave for
+	// chargeSubs: charged is how many of the step's instructions the
+	// sampling countdown already holds, away how many of them the callees
+	// retired; mig is the callee of the calls not yet in the batch, calls
+	// how many they are and migInstrs what they retired.
+	at, charged, away int64
+	mig               *core.Isolate
+	calls, migInstrs  int64
+	isolated          bool
 	// callee is the target a call micro left for the step's final
 	// sub-instruction (microCall) at site, or nil.
 	callee *classfile.Method
@@ -70,11 +79,13 @@ func (q *quantumAcct) reserve(extra int64) bool {
 // account notes batch through InstrBatch.NoteN and the CPU-sampling
 // counter is folded modulo SampleEvery (floor((old+k)/every) samples,
 // remainder kept), which is exactly what k unit increments with
-// reset-at-threshold produce. Inlined sub-instructions — an inlined leaf's
-// too: its call stays in the current isolate — cannot migrate or
+// reset-at-threshold produce. A migrating leaf call charged its share of
+// the step already, in order (chargeCall); what is left belongs to the
+// isolate current at the exit. Inlined sub-instructions cannot migrate or
 // finish the thread (only a step's final can, a real call included, and
-// runClosureBlock charges before it; the routine's own post-step charge
-// covers the final itself), so reading t.cur here matches
+// runClosureBlock charges before it; a migrating leaf restores the
+// caller's isolate before its micro returns; the routine's own post-step
+// charge covers the final itself), so reading t.cur here matches
 // what the single-step loop would have read — and nothing can observe the
 // intermediate counters mid-step (no safepoint, collection, throw, park or
 // instruction-batch flush is reachable from a prefix micro; an allocation
@@ -87,14 +98,63 @@ func (s *SampleState) chargeSubs(vm *VM, t *Thread, k int64) {
 	s.steps += k
 	if s.isolated {
 		acct := t.cur.Account()
-		s.batch.NoteN(acct, k)
-		total := s.count + int(k)
-		if every := vm.opts.SampleEvery; total >= every {
-			acct.CPUSamples.Add(int64(total / every))
-			total %= every
+		if s.mig != nil {
+			s.flushCalls(acct)
 		}
-		s.count = total
+		s.batch.NoteN(acct, k-s.away)
+		s.sampleRun(vm, acct, k-s.charged)
+		s.charged, s.away = 0, 0
 	}
+}
+
+// sampleRun advances the CPU-sampling countdown by k consecutive
+// instructions of acct, folded as k unit steps would: floor((old+k)/every)
+// samples, remainder kept.
+func (s *SampleState) sampleRun(vm *VM, acct *core.AccountCounters, k int64) {
+	total := s.count + int(k)
+	if every := vm.opts.SampleEvery; total >= every {
+		acct.CPUSamples.Add(int64(total / every))
+		total %= every
+	}
+	s.count = total
+}
+
+// chargeCall charges a migrating leaf call (closure.go callSite.inline)
+// the way single-step execution does: the step's instructions before the
+// invoke — the block's first off and whatever the chain and earlier leaves
+// retired — to the caller, then the invoke and the body to the callee (inl
+// instructions: as many as the body and its return); the return and the
+// rest of the step go to the caller again when chargeSubs ends the step.
+// Only the sampling countdown depends on that order, so it advances here,
+// run by run; the instruction and call counts are sums, which the step
+// hands to the batch once, at its exit (a call into a second callee in one
+// step hands over the first one's first).
+func (s *SampleState) chargeCall(vm *VM, caller, callee *core.Isolate, off, inl int64) {
+	done := s.at + off + s.inl
+	pre := done - s.charged
+	s.charged = done + inl
+	if s.mig != callee {
+		if s.mig != nil {
+			s.flushCalls(caller.Account())
+		}
+		s.mig = callee
+	}
+	s.calls++
+	s.migInstrs += inl
+	s.away += inl
+	if total := s.count + int(pre+inl); total < vm.opts.SampleEvery {
+		s.count = total
+		return
+	}
+	s.sampleRun(vm, caller.Account(), pre)
+	s.sampleRun(vm, callee.Account(), inl)
+}
+
+// flushCalls hands the pending migrating calls from the isolate whose
+// account is from to the batch.
+func (s *SampleState) flushCalls(from *core.AccountCounters) {
+	s.batch.NoteCalls(from, s.mig.Account(), s.calls, s.migInstrs)
+	s.mig, s.calls, s.migInstrs = nil, 0, 0
 }
 
 // noteCall counts one inter-isolate call (§3.1 migration) from the
