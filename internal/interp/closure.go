@@ -41,7 +41,9 @@ import (
 //     below the operands of every emitted micro — so before a store or
 //     iinc to a local they name, and before every guarded micro — and in
 //     full before any transfer out of the block, so the real stack is
-//     exact wherever it can be observed;
+//     exact wherever it can be observed. (A leaf body compiled for a call
+//     site has no exit but its return, and keeps the call's argument
+//     symbols pending under real entries: lineScope);
 //   - guarded micros (field, static and array access, allocation,
 //     calls, idiv/irem) check
 //     every failure condition BEFORE mutating anything; on failure they
@@ -76,21 +78,29 @@ import (
 //   - calls (§3.1: only an inter-bundle call is special) are guarded
 //     micros: invokevirtual, invokespecial and invokestatic bind their
 //     argument window like any consumer, and a value-returning call folds
-//     the local store that follows it. When the target is a leaf — a
+//     the local store that follows it. An invoke is one site in every
+//     block that binds its operands alike (blockBuilder.site). Each site
+//     caches up to siteLines targets (callSite.lines), keyed by the
+//     receiver's class for invokevirtual and by the target's class
+//     otherwise; a line holds the target and, when it is a leaf — a
 //     straight-line body of non-failing micros ending in its return
-//     (leafBody) — and the arguments pass the leaf's parameter guards, the
-//     micro runs the body on the thread's next cached frame without
-//     publishing it and delivers the result: no frame is pushed and no
-//     step ends. That holds whichever loader defined the target: a leaf of
-//     another bundle is a plain inline in Shared mode, and in Isolated
-//     mode the micro migrates the thread to the callee's isolate for the
-//     body and back, charging the step per isolate in single-step order
-//     (callSite.inline, tier.go chargeCall). Any other call whose guards
-//     hold — the receiver non-null and, for invokevirtual, the vtable
-//     entry the resolved method's; the class initialized for invokestatic
-//     — ends the step with the real call (microCall, invokeResolved) as
-//     its final sub-instruction, charged before it; a failed guard bails,
-//     and the switch dispatches by name;
+//     (leafBody) —, the leaf's body compiled for the site
+//     (compileLine): it reads its parameters where the
+//     caller's operands are, keeps its temporaries in the caller frame's
+//     headroom, and delivers its result where the call's goes, so a hit
+//     whose arguments pass the line's checks runs the body with no
+//     activation: no frame is pushed and no step ends. That holds
+//     whichever loader defined the target: a leaf of another bundle is a
+//     plain inline in Shared mode, and in Isolated mode the micro migrates
+//     the thread to the callee's isolate for the body and back, charging
+//     the step per isolate in single-step order (callSite.enter, tier.go
+//     chargeCall). Any other call whose guards hold — the receiver
+//     non-null and, for invokevirtual, the vtable entry the resolved
+//     method's (checked when the receiver's class misses the cache); the
+//     class initialized for invokestatic — ends the step with the real
+//     call (microCall, invokeResolved) as its final sub-instruction,
+//     charged before it; a failed guard bails, and the switch dispatches
+//     by name;
 //   - chaining: after an inline transfer — a taken branch, the inline
 //     goto / iinc+goto final, or the link of a block cut at the width cap
 //     to the block at the cap pc — the step continues into the block at
@@ -190,6 +200,10 @@ type closureBlock struct {
 type closureProgram struct {
 	blocks []*closureBlock
 	leaf   *leafBody
+	// sites are the program's call micros. A method with any has frames
+	// that carry the scratch an inlined leaf body runs in (leafScratch,
+	// leafHeadroom).
+	sites []*callSite
 }
 
 const (
@@ -205,6 +219,15 @@ const (
 	maxStepSubs = 256
 	// maxLeafWidth bounds the body of an inlinable leaf.
 	maxLeafWidth = 16
+	// leafScratch is how many locals of its own an inlinable leaf may
+	// have (written parameters included), and leafHeadroom how deep its
+	// operand stack may grow: a frame whose method has call sites carries
+	// that many locals past its own and that much stack past its MaxStack,
+	// and an inlined body keeps its temporaries there (callSite.run).
+	leafScratch  = 4
+	leafHeadroom = maxLeafWidth
+	// siteLines is how many targets a call site caches (callSite.lines).
+	siteLines = 8
 )
 
 // runClosureBlock executes a chain of compiled blocks as one engine step.
@@ -287,7 +310,7 @@ run:
 // one. mode picks the statics, new and invokestatic micros; objClass is
 // the VM's java/lang/Object, the element class of an untyped newarray
 // (nil: those sites stay on the switch).
-func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, mode core.Mode, objClass *classfile.Class) *closureProgram {
+func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, depth []int32, mode core.Mode, objClass *classfile.Class) *closureProgram {
 	code := m.Code
 	n := len(code.Instrs)
 	cp := &closureProgram{blocks: make([]*closureBlock, n)}
@@ -303,12 +326,19 @@ func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, mode core.Mode,
 		}
 	}
 	add(0)
+	// An invoke that several blocks cover — the entry block runs on into a
+	// loop, a branch enters a block mid-way — is one call site wherever its
+	// operands bind alike (blockBuilder.site).
+	var sites map[int32][]*callSite
 	for pc, in := range code.Instrs {
 		switch {
 		case in.Op.IsBranch():
 			add(in.A)
 		case in.Op == bytecode.OpInvokeVirtual || in.Op == bytecode.OpInvokeSpecial || in.Op == bytecode.OpInvokeStatic:
 			add(int32(pc) + 1)
+			if sites == nil {
+				sites = make(map[int32][]*callSite)
+			}
 		}
 	}
 	for _, h := range code.Handlers {
@@ -317,7 +347,7 @@ func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, mode core.Mode,
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		b, end, fall := buildClosureBlock(m, p, pc, mode, objClass)
+		b, end, fall := buildClosureBlock(m, p, depth, pc, mode, objClass, sites)
 		if b != nil {
 			cp.blocks[pc] = b
 		}
@@ -325,21 +355,28 @@ func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, mode core.Mode,
 			add(end + 1)
 		}
 	}
+	for pc := 0; sites != nil && pc < n; pc++ {
+		cp.sites = append(cp.sites, sites[int32(pc)]...)
+	}
 	for _, b := range cp.blocks {
 		if b != nil && b.link && cp.blocks[b.pc0+int32(b.width)] == nil {
 			b.link = false // the instruction at the cap has no block: delegate it
 		}
 	}
-	cp.leaf = leafForm(m, p, cp.blocks[0])
+	cp.leaf = leafForm(m, p)
 	return cp
 }
 
 // operand is where a micro finds one input, decided at build time.
 type operand struct {
 	kind uint8
-	// slot is the local slot (inLocal) or the operand's depth below the top
-	// of the real stack (onStack).
+	// slot is the local slot (inLocal), the operand's depth below the top
+	// of the real stack (onStack), or its index in the real stack (inSlot).
 	slot int32
+	// ref marks a real entry of a leaf body that may hold a reference, and
+	// arg a call argument a leaf body reads in place (build time only:
+	// lineScope).
+	ref, arg bool
 	// pc is the instruction that pushed the symbol (build time only).
 	pc int32
 	k  *heap.Value // isConst
@@ -349,6 +386,12 @@ const (
 	onStack uint8 = iota
 	inLocal
 	isConst
+	// inSlot is a call site's stack argument as a leaf body compiled for
+	// the site names it (build time only): the body pushes above it, so it
+	// is kept by its index from the bottom, and every micro that reads it
+	// gets it as onStack at the depth the body has reached
+	// (lineScope.inPlace).
+	inSlot
 )
 
 // at returns the operand's value in place. Reading a local or a constant
@@ -420,14 +463,38 @@ type blockBuilder struct {
 	mode core.Mode
 	// objClass is buildClosureProgram's; nil compiles no untyped newarray.
 	objClass *classfile.Class
-	// called records that the block holds a call micro (blk.need is set).
-	called bool
+	// depth is the verified operand-stack depth before each instruction.
+	depth []int32
+	// sites are the block's call micros (blk.need is set once there is one),
+	// and known the program's, by invoke pc.
+	sites []*callSite
+	known map[int32][]*callSite
+	// ls is set while the builder compiles a leaf's body for one call site
+	// (callSite.compileLine): the leaf's locals live where ls says.
+	ls *lineScope
+}
+
+// load is the symbol of a load of local k.
+func (bb *blockBuilder) load(k int32) operand {
+	if ls := bb.ls; ls != nil && int(k) < len(ls.params) && !ls.lf.written[k] {
+		return ls.params[k]
+	}
+	return operand{kind: inLocal, slot: bb.local(k)}
+}
+
+// local is the frame slot of local k: k itself, or in a leaf body the
+// caller's scratch slot the leaf local lives in.
+func (bb *blockBuilder) local(k int32) int32 {
+	if ls := bb.ls; ls != nil {
+		return ls.scratch0 + ls.lf.scratch[k]
+	}
+	return k
 }
 
 // seal records the block's width, and its need unless a call micro set it.
 func (bb *blockBuilder) seal(width int32) {
 	bb.blk.width = int64(width)
-	if !bb.called {
+	if len(bb.sites) == 0 {
 		bb.blk.need = bb.blk.width
 	}
 }
@@ -459,12 +526,87 @@ func (bb *blockBuilder) constant(v heap.Value, pc int32) (next int32, ok bool) {
 // flush materialises every pending symbol below the top keep ones with
 // one emitted micro.
 func (bb *blockBuilder) flush(keep int) {
+	if bb.ls != nil {
+		bb.lift(0, len(bb.syms)-keep)
+		return
+	}
 	n := len(bb.syms) - keep
 	if n <= 0 {
 		return
 	}
 	pend := bb.syms[:n:n]
 	bb.syms = bb.syms[n:]
+	bb.emitPush(pend)
+}
+
+// lift materialises, in a leaf body, the symbols among syms[lo:hi], which
+// become real entries. The pushes land above every real entry, so a
+// symbol below one cannot lift: the compilation fails, and the line makes
+// the real call.
+func (bb *blockBuilder) lift(lo, hi int) {
+	j := lo
+	for j < hi && bb.syms[j].kind == onStack {
+		j++
+	}
+	if j >= hi {
+		return
+	}
+	for _, o := range bb.syms[j:] {
+		if o.kind == onStack {
+			bb.ls.fail = true
+			return
+		}
+	}
+	// Each push lands one above the last: a stack argument read after m
+	// of them is m deeper.
+	pend := make([]operand, hi-j)
+	for m := range pend {
+		pend[m] = bb.ls.inPlace(bb.syms[j+m], int32(m))
+	}
+	bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+		for _, o := range pend {
+			f.push(*o.at(f))
+		}
+		return microNext
+	}, pend[len(pend)-1].pc, pend[len(pend)-1].pc)
+	for i := j; i < hi; i++ {
+		bb.syms[i] = bb.ls.push(bb.syms[i].kind != isConst)
+	}
+}
+
+// protect lifts, in a leaf body, the symbols below the top n entries that
+// name local d, before a write to d.
+func (bb *blockBuilder) protect(d int32, n int) {
+	if bb.ls == nil || d < bb.ls.scratch0 {
+		return
+	}
+	hi := len(bb.syms) - n
+	for j, o := range bb.syms[:hi] {
+		if o.kind == inLocal && o.slot == d {
+			bb.lift(j, hi)
+			return
+		}
+	}
+}
+
+// reshape replaces, in a leaf body, the top n real entries by the given
+// ones of them (deepest first), as dup, dup_x1 and swap move values.
+func (bb *blockBuilder) reshape(n int, order ...int) {
+	ls := bb.ls
+	if ls == nil {
+		return
+	}
+	top := append([]operand(nil), bb.syms[len(bb.syms)-n:]...)
+	bb.syms = bb.syms[:len(bb.syms)-n]
+	ls.depth -= int32(n)
+	for _, i := range order {
+		bb.syms = append(bb.syms, ls.push(top[i].ref))
+	}
+}
+
+// emitPush emits one micro that pushes the symbols pend, in order.
+func (bb *blockBuilder) emitPush(pend []operand) {
+	n := len(pend)
 	last := pend[n-1].pc
 	if n == 1 {
 		o := pend[0]
@@ -483,9 +625,24 @@ func (bb *blockBuilder) flush(keep int) {
 // take binds the top len(ops) entries of the virtual stack as a
 // consumer's operands, deepest first, and materialises every symbol below
 // them, so the only pending symbols when the micro runs are its own. It
-// returns how many of the operands are on the real stack.
+// returns how many of the operands are on the real stack. In a leaf body
+// the symbols below stay pending, under real entries if need be: they name
+// the call's arguments, which nothing writes while the body runs, or its
+// own locals, which protect lifts before they are written.
 func (bb *blockBuilder) take(ops []operand) (ns int) {
 	n := len(ops)
+	if ls := bb.ls; ls != nil {
+		w := bb.syms[len(bb.syms)-n:]
+		for i := n - 1; i >= 0; i-- {
+			if ops[i] = ls.inPlace(w[i], 0); w[i].kind == onStack {
+				ops[i] = operand{kind: onStack, slot: int32(ns)}
+				ns++
+			}
+		}
+		bb.syms = bb.syms[:len(bb.syms)-n]
+		ls.depth -= int32(ns)
+		return ns
+	}
 	k := min(n, len(bb.syms))
 	bb.flush(k)
 	ns = n - k
@@ -511,7 +668,13 @@ func (bb *blockBuilder) storeAfter(pc int32) (d, last int32) {
 	if next := pc + 1; int(next) < len(bb.code.Instrs) {
 		switch in := bb.code.Instrs[next]; in.Op {
 		case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore:
-			return in.A, next
+			return bb.local(in.A), next
+		case bytecode.OpIReturn, bytecode.OpFReturn, bytecode.OpAReturn:
+			// A leaf body's last producer delivers the call's result.
+			if ls := bb.ls; ls != nil && ls.dest >= 0 {
+				ls.folded = true
+				return ls.dest, next
+			}
 		}
 	}
 	return -1, pc
@@ -521,24 +684,42 @@ func (bb *blockBuilder) storeAfter(pc int32) (d, last int32) {
 // directly after it is folded in, so the result goes straight to the
 // local.
 func (bb *blockBuilder) produce(n int, pc int32) binding {
+	ls := bb.ls
+	if ls == nil {
+		bd := bb.bind(n, pc)
+		bd.d, bd.last = bb.storeAfter(pc)
+		return bd
+	}
+	d, last := bb.storeAfter(pc)
+	bb.protect(d, n)
 	bd := bb.bind(n, pc)
-	bd.d, bd.last = bb.storeAfter(pc)
+	bd.d, bd.last = d, last
+	if d < 0 {
+		bb.syms = append(bb.syms, ls.push(bb.code.Instrs[pc].Op == bytecode.OpGetField))
+	}
 	return bd
 }
+
+// checked reports whether o is, in a leaf body, one of the call's
+// arguments read in place: a field access or arraylength on one had its
+// argument checked before the body ran (the line's guards, or its key), so
+// its micro checks nothing.
+func (bb *blockBuilder) checked(o operand) bool { return bb.ls != nil && o.arg }
 
 // buildClosureBlock compiles one extended block starting at pc. It
 // returns the block (nil when it would hold no micro), the pc of the
 // block's final instruction, and whether control may fall through past
-// it. A block entered at a follower pc of a folded run compiles from that
+// it; its call sites join known. A block entered at a follower pc
+// of a folded run compiles from that
 // pc with an empty symbol stack, so its operands bind to the real stack
 // the single-stepped instructions before it filled.
 // Conditional branches do not end the block: they compile as mid-block
 // micros and the fall-through path continues. The builder terminates
 // because the cursor strictly increases.
-func buildClosureBlock(m *classfile.Method, p *bytecode.PCode, pc int32, mode core.Mode, objClass *classfile.Class) (*closureBlock, int32, bool) {
+func buildClosureBlock(m *classfile.Method, p *bytecode.PCode, depth []int32, pc int32, mode core.Mode, objClass *classfile.Class, known map[int32][]*callSite) (b *closureBlock, end int32, fall bool) {
 	code := m.Code
-	b := &closureBlock{pc0: pc}
-	bb := &blockBuilder{m: m, code: code, p: p, blk: b, mode: mode, objClass: objClass}
+	b = &closureBlock{pc0: pc}
+	bb := &blockBuilder{m: m, code: code, p: p, blk: b, mode: mode, objClass: objClass, depth: depth, known: known}
 	n := int32(len(code.Instrs))
 	cur := pc
 	for ok := true; ok && cur < n && cur-pc < maxClosureBlock; {
@@ -584,7 +765,7 @@ func buildClosureBlock(m *classfile.Method, p *bytecode.PCode, pc int32, mode co
 	}
 	// Delegated final: an instruction no micro covers (return, throw,
 	// monitors, ...).
-	fall := !code.Instrs[cur].Op.IsTerminator()
+	fall = !code.Instrs[cur].Op.IsTerminator()
 	if len(b.prefix) == 0 {
 		return nil, cur, fall
 	}
@@ -602,7 +783,7 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 	case bytecode.OpNop:
 		return pc + 1, true
 	case bytecode.OpILoad, bytecode.OpFLoad, bytecode.OpALoad:
-		return bb.symbol(operand{kind: inLocal, slot: in.A}, pc)
+		return bb.symbol(bb.load(in.A), pc)
 	case bytecode.OpIConst:
 		return bb.constant(heap.IntVal(in.I), pc)
 	case bytecode.OpFConst:
@@ -610,7 +791,9 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 	case bytecode.OpAConstNull:
 		return bb.constant(heap.Null(), pc)
 	case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore:
-		bd, d := bb.bind(1, pc), in.A
+		d := bb.local(in.A)
+		bb.protect(d, 1)
+		bd := bb.bind(1, pc)
 		if bd.ns == 1 {
 			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 				f.locals[d] = f.upop()
@@ -622,22 +805,25 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			return microNext
 		}, pc, pc)
 	case bytecode.OpPop:
-		if k := len(bb.syms); k > 0 {
+		if k := len(bb.syms); k > 0 && bb.syms[k-1].kind != onStack {
 			bb.syms = bb.syms[:k-1]
 			return pc + 1, true
 		}
+		bb.reshape(1)
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 			f.drop(1)
 			return microNext
 		}, pc, pc)
 	case bytecode.OpDup:
 		bb.flush(0)
+		bb.reshape(1, 0, 0)
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 			f.push(f.upeek())
 			return microNext
 		}, pc, pc)
 	case bytecode.OpDupX1:
 		bb.flush(0)
+		bb.reshape(2, 1, 0, 1)
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 			a := f.upop()
 			b := f.upop()
@@ -648,6 +834,7 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 		}, pc, pc)
 	case bytecode.OpSwap:
 		bb.flush(0)
+		bb.reshape(2, 1, 0)
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 			a := f.upop()
 			b := f.upop()
@@ -656,8 +843,12 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			return microNext
 		}, pc, pc)
 	case bytecode.OpIInc:
-		bb.flush(0)
-		slot, delta := in.A, int64(in.B)
+		slot, delta := bb.local(in.A), int64(in.B)
+		if bb.ls != nil {
+			bb.protect(slot, 0)
+		} else {
+			bb.flush(0)
+		}
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 			f.locals[slot].I += delta
 			f.locals[slot].Kind = classfile.KindInt
@@ -679,6 +870,21 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			c := b.k.I
 			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 				f.result(0, d, heap.IntVal(intBinop(op, f.locals[a.slot].I, c)))
+				return microNext
+			}, pc, bd.last)
+		// And the bindings of a leaf body's arithmetic on what it has
+		// pushed (Table 1's drag: a field read plus a constant, then plus
+		// the event's length).
+		case bd.ns == 1 && b.kind == isConst:
+			c := b.k.I
+			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+				f.result(1, d, heap.IntVal(intBinop(op, f.stack[len(f.stack)-1].I, c)))
+				return microNext
+			}, pc, bd.last)
+		case bd.ns == 2:
+			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+				n := len(f.stack)
+				f.result(2, d, heap.IntVal(intBinop(op, f.stack[n-2].I, f.stack[n-1].I)))
 				return microNext
 			}, pc, bd.last)
 		}
@@ -798,23 +1004,48 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			return microNext
 		}, pc, pc)
 	case bytecode.OpGetField:
-		// Guarded: an unresolved slot (negative, so out of range as an
-		// unsigned index), a null receiver or a receiver without the slot
-		// bails (the switch resolves and publishes the slot, or throws).
-		bd, fs := bb.produce(1, pc), in.FS
+		// Guarded (fieldCheck): an unresolved slot, a null receiver, or a
+		// receiver without the slot or of a class the field is not in bails
+		// (the switch resolves and publishes the slot, or throws).
+		bd, fc := bb.produce(1, pc), newFieldCheck(in)
+		if o, d, slot := bd.ops[0], bd.d, int(in.FS.Get()); o.kind == inLocal && slot >= 0 && bb.checked(o) {
+			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+				f.result(0, d, f.locals[o.slot].R.Elems[slot])
+				return microNext
+			}, pc, bd.last)
+		}
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
-			slot, recv := int(fs.Get()), bd.ops[0].at(f).R
-			if recv == nil || uint(slot) >= uint(len(recv.Elems)) {
+			recv, slot := bd.ops[0].at(f).R, int(fc.fs.Get())
+			if !fc.hit(recv, slot) {
+				slot = fc.slot(recv)
+			}
+			if slot < 0 {
 				return bail(f, bd.ops[0])
 			}
 			f.result(bd.ns, bd.d, recv.Elems[slot])
 			return microNext
 		}, pc, bd.last)
 	case bytecode.OpPutField:
-		bd, fs := bb.bind(2, pc), in.FS
+		bd, fc := bb.bind(2, pc), newFieldCheck(in)
+		if slot := int(in.FS.Get()); slot >= 0 && bb.checked(bd.ops[0]) {
+			o, vo := bd.ops[0], bd.ops[1]
+			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+				recv, v := o.at(f).R, *vo.at(f)
+				f.drop(bd.ns)
+				if sp := &recv.Elems[slot]; vm.barrierOn(t) {
+					vm.StoreRef(t, recv, sp, v)
+				} else {
+					*sp = v
+				}
+				return microNext
+			}, pc, pc)
+		}
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
-			slot, recv, v := int(fs.Get()), bd.ops[0].at(f).R, *bd.ops[1].at(f)
-			if recv == nil || uint(slot) >= uint(len(recv.Elems)) {
+			recv, v, slot := bd.ops[0].at(f).R, *bd.ops[1].at(f), int(fc.fs.Get())
+			if !fc.hit(recv, slot) {
+				slot = fc.slot(recv)
+			}
+			if slot < 0 {
 				return bail(f, bd.ops[0], bd.ops[1])
 			}
 			f.drop(bd.ns)
@@ -928,6 +1159,12 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 		return bb.call(op, in, pc)
 	case bytecode.OpArrayLength:
 		bd := bb.produce(1, pc)
+		if o, d := bd.ops[0], bd.d; o.kind == inLocal && bb.checked(o) {
+			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
+				f.result(0, d, heap.IntVal(int64(len(f.locals[o.slot].R.Elems))))
+				return microNext
+			}, pc, bd.last)
+		}
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 			arr := bd.ops[0].at(f).R
 			if arr == nil || !arr.IsArray() {
@@ -964,6 +1201,56 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 		}, pc, pc)
 	}
 	return pc, false
+}
+
+// fieldCheck is the receiver check of a getfield or putfield site: the
+// slot the switch published (fs) in range, and the receiver no array and
+// of the field's class or a subclass of it (an array's Class is its
+// element class). class is the field's class once a check saw the field
+// resolved, and good the last subclass that passed: a receiver of the
+// field's own class costs the slot compare and one class compare, inline
+// (hit), one of good's one more compare (slot), and IsSubclassOf runs
+// only for a class that matches neither. Workers race on both harmlessly:
+// every class stored passed.
+type fieldCheck struct {
+	fs    *bytecode.FieldSlot
+	entry *classfile.PoolEntry
+	class atomic.Pointer[classfile.Class]
+	good  atomic.Pointer[classfile.Class]
+}
+
+// newFieldCheck returns the check of the prepared getfield or putfield in.
+func newFieldCheck(in *bytecode.PInstr) *fieldCheck {
+	return &fieldCheck{fs: in.FS, entry: in.Ref.(*classfile.PoolEntry)}
+}
+
+// hit reports whether o, of the field's own class, holds slot, the
+// field's published slot: the check's common case, which the compiler
+// inlines into the micro. A miss takes slot.
+func (c *fieldCheck) hit(o *heap.Object, slot int) bool {
+	return o != nil && uint(slot) < uint(len(o.Elems)) && o.Class == c.class.Load() && !o.IsArray()
+}
+
+// slot returns the field's slot in o, or -1 when o is null, an array, has
+// no such slot or is of another class, or the field is not resolved yet
+// (an unpublished slot is negative, so out of range as an unsigned index).
+func (c *fieldCheck) slot(o *heap.Object) int {
+	slot := int(c.fs.Get())
+	if o == nil || uint(slot) >= uint(len(o.Elems)) || o.IsArray() {
+		return -1
+	}
+	if k := o.Class; k != c.class.Load() && k != c.good.Load() {
+		field := c.entry.ResolvedField.Load()
+		if field == nil || !k.IsSubclassOf(field.Class) {
+			return -1
+		}
+		if k == field.Class {
+			c.class.Store(k)
+		} else {
+			c.good.Store(k)
+		}
+	}
+	return slot
 }
 
 // isolatedMirror is the guard of the Isolated statics micros, §3.1's
@@ -1006,211 +1293,196 @@ func sharedMirror(entry *classfile.PoolEntry) (*core.TaskClassMirror, int) {
 
 // --- Calls -----------------------------------------------------------------
 
-// leafBody is the inlinable form of a method: its body is the one block at
-// pc 0, of width at most maxLeafWidth, whose final is the method's return
-// and whose micros cannot bail — loads, constants, local stores, int and
-// float arithmetic without idiv/irem, iinc, pop/dup/swap — except
+// leafBody is the inlinable form of a method: a straight-line body of at
+// most maxLeafWidth instructions ending in the method's return, whose
+// micros cannot bail — loads, constants, local stores, int and float
+// arithmetic without idiv/irem, iinc, pop/dup/swap — except
 // getfield/putfield and arraylength on a parameter the body never writes:
-// those cannot bail either once the call checked the argument (admits).
+// those cannot bail either once the call checked the argument (leafGuard).
 // There are no handlers, and the method is neither synchronized nor
-// native. Running it retires inl instructions: the body and its return.
+// native. The body reads no local of its own before it writes it, and has
+// at most leafScratch of them, written parameters included. Running it
+// retires inl instructions: the body and its return. Each call site
+// compiles the body for itself (callSite.compileLine).
 type leafBody struct {
-	prefix            []closureMicro
-	inl               int64
-	nLocals, maxStack int
-	guards            []leafGuard
+	m     *classfile.Method
+	p     *bytecode.PCode
+	width int32
+	inl   int64
+	// written marks the parameters the body writes: a call copies those
+	// into scratch and reads every other one where the caller's operand is.
+	written []bool
+	// scratch maps each local the body keeps in scratch to its index there,
+	// or -1.
+	scratch []int32
+	guards  []leafGuard
+	// refScratch are the scratch locals that may hold a reference once the
+	// body ran.
+	refScratch []int32
 }
 
 // leafGuard is what one guarded site of a leaf body needs of the argument
-// in local: a non-null reference with the field slot fs in range, or, for
-// arraylength (fs nil), an array.
+// in local: a non-null reference holding the field of the pool entry
+// (fs its slot cache), or, for arraylength (entry nil), an array.
 type leafGuard struct {
 	local int32
 	fs    *bytecode.FieldSlot
+	entry *classfile.PoolEntry
 }
 
-// leafForm returns m's leaf form, or nil. b is the block compiled at pc 0
-// (nil: an empty prefix, so only a bare return qualifies).
-func leafForm(m *classfile.Method, p *bytecode.PCode, b *closureBlock) *leafBody {
+// leafForm returns m's leaf form, or nil. It checks every instruction
+// before the return, and follows the operand stack to find what its
+// getfield, putfield and arraylength sites need of the arguments — each
+// operand must be a parameter the body never writes —, which locals it
+// keeps in scratch and which of those may hold a reference.
+func leafForm(m *classfile.Method, p *bytecode.PCode) *leafBody {
 	code := m.Code
-	if len(code.Handlers) > 0 || m.IsSynchronized() || m.IsNative() {
+	if len(code.Handlers) > 0 || m.IsSynchronized() || m.IsNative() || p.MaxStack > leafHeadroom {
 		return nil
 	}
-	var width int
-	var prefix []closureMicro
-	if b != nil {
-		if b.last != nil {
-			return nil
+	width := -1
+	for pc := 0; pc < len(code.Instrs) && pc <= maxLeafWidth && width < 0; pc++ {
+		switch code.Instrs[pc].Op {
+		case bytecode.OpReturn, bytecode.OpIReturn, bytecode.OpFReturn, bytecode.OpAReturn:
+			width = pc
 		}
-		width, prefix = int(b.width), b.prefix
 	}
-	if width > maxLeafWidth || width >= len(code.Instrs) {
+	if width < 0 || (code.Instrs[width].Op == bytecode.OpReturn) != (m.Desc.Return == classfile.KindVoid) {
 		return nil
 	}
-	value := m.Desc.Return != classfile.KindVoid
-	switch code.Instrs[width].Op {
-	case bytecode.OpReturn:
-		if value {
-			return nil
-		}
-	case bytecode.OpIReturn, bytecode.OpFReturn, bytecode.OpAReturn:
-		if !value {
-			return nil
-		}
-	default:
-		return nil
-	}
-	guards, ok := leafGuards(m, p, width)
-	if !ok {
-		return nil
-	}
-	return &leafBody{
-		prefix:   prefix,
-		inl:      int64(width) + 1,
-		nLocals:  p.MaxLocals,
-		maxStack: p.MaxStack,
-		guards:   guards,
-	}
-}
-
-// leafGuards checks that every instruction before the return at width is
-// one a leaf may hold, and returns what its getfield, putfield and
-// arraylength sites need of the arguments: it follows each parameter the
-// body never writes through the operand stack, and refuses a guarded site
-// whose operand is anything else.
-func leafGuards(m *classfile.Method, p *bytecode.PCode, width int) ([]leafGuard, bool) {
-	instrs := m.Code.Instrs[:width]
+	instrs := code.Instrs[:width]
 	nParams := m.Desc.NumParams()
 	if !m.IsStatic() {
 		nParams++
 	}
-	param := make([]bool, nParams) // is the local an unwritten parameter?
-	for i := range param {
-		param[i] = true
-	}
+	lf := &leafBody{m: m, p: p, width: int32(width), inl: int64(width) + 1,
+		written: make([]bool, nParams), scratch: make([]int32, max(p.MaxLocals, nParams))}
 	for _, in := range instrs {
 		switch in.Op {
 		case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore, bytecode.OpIInc:
 			if int(in.A) < nParams {
-				param[in.A] = false
+				lf.written[in.A] = true
 			}
 		}
 	}
-	var guards []leafGuard
-	var stack []int32 // the operand stack: the parameter an entry holds, or -1
-	pop := func() int32 {
-		l := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return l
+	var nScratch int32
+	set := make([]bool, len(lf.scratch)) // the local holds a value
+	ref := make([]bool, len(lf.scratch)) // the local may hold a reference
+	for k := range lf.scratch {
+		lf.scratch[k] = -1
+		if k < nParams {
+			set[k], ref[k] = true, true
+			if lf.written[k] {
+				if nScratch >= leafScratch {
+					return nil
+				}
+				lf.scratch[k] = nScratch
+				nScratch++
+			}
+		}
 	}
+	// The operand stack: the parameter an entry holds (or -1) and whether
+	// it may be a reference.
+	type entry struct {
+		param int32
+		ref   bool
+	}
+	var stack []entry
+	push := func(e entry) { stack = append(stack, e) }
+	pop := func() entry {
+		e := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		return e
+	}
+	value := entry{param: -1}
 	for pc, in := range instrs {
 		switch in.Op {
-		case bytecode.OpNop, bytecode.OpIInc:
-		case bytecode.OpALoad:
-			l := int32(-1)
-			if int(in.A) < nParams && param[in.A] {
-				l = in.A
+		case bytecode.OpNop:
+		case bytecode.OpIInc:
+			if !set[in.A] {
+				return nil
 			}
-			stack = append(stack, l)
-		case bytecode.OpILoad, bytecode.OpFLoad,
-			bytecode.OpIConst, bytecode.OpFConst, bytecode.OpAConstNull:
-			stack = append(stack, -1)
-		case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore, bytecode.OpPop:
+		case bytecode.OpILoad, bytecode.OpFLoad, bytecode.OpALoad:
+			if !set[in.A] {
+				return nil
+			}
+			e := entry{param: -1, ref: ref[in.A]}
+			if int(in.A) < nParams && !lf.written[in.A] {
+				e.param = in.A
+			}
+			push(e)
+		case bytecode.OpIConst, bytecode.OpFConst, bytecode.OpAConstNull:
+			push(value)
+		case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore:
+			k := in.A
+			if lf.scratch[k] < 0 {
+				if nScratch >= leafScratch {
+					return nil
+				}
+				lf.scratch[k] = nScratch
+				nScratch++
+			}
+			e := pop()
+			set[k], ref[k] = true, ref[k] || e.ref
+		case bytecode.OpPop:
 			pop()
 		case bytecode.OpDup:
-			stack = append(stack, stack[len(stack)-1])
+			e := pop()
+			push(e)
+			push(e)
 		case bytecode.OpDupX1:
 			a, b := pop(), pop()
-			stack = append(stack, a, b, a)
+			push(a)
+			push(b)
+			push(a)
 		case bytecode.OpSwap:
 			a, b := pop(), pop()
-			stack = append(stack, a, b)
+			push(a)
+			push(b)
 		case bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul,
 			bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor,
 			bytecode.OpIShl, bytecode.OpIShr, bytecode.OpIUshr,
 			bytecode.OpFAdd, bytecode.OpFSub, bytecode.OpFMul, bytecode.OpFDiv, bytecode.OpFCmp:
 			pop()
 			pop()
-			stack = append(stack, -1)
+			push(value)
 		case bytecode.OpINeg, bytecode.OpFNeg, bytecode.OpI2F, bytecode.OpF2I:
 			pop()
-			stack = append(stack, -1)
+			push(value)
 		case bytecode.OpGetField, bytecode.OpArrayLength:
-			l := pop()
-			if l < 0 {
-				return nil, false
+			e := pop()
+			if e.param < 0 {
+				return nil
 			}
-			g := leafGuard{local: l}
+			g := leafGuard{local: e.param}
 			if in.Op == bytecode.OpGetField {
-				g.fs = p.Instrs[pc].FS
+				g.fs, g.entry = p.Instrs[pc].FS, p.Instrs[pc].Ref.(*classfile.PoolEntry)
 			}
-			guards = append(guards, g)
-			stack = append(stack, -1)
+			lf.guards = append(lf.guards, g)
+			push(entry{param: -1, ref: in.Op == bytecode.OpGetField})
 		case bytecode.OpPutField:
 			pop()
-			l := pop()
-			if l < 0 {
-				return nil, false
+			e := pop()
+			if e.param < 0 {
+				return nil
 			}
-			guards = append(guards, leafGuard{local: l, fs: p.Instrs[pc].FS})
+			lf.guards = append(lf.guards, leafGuard{local: e.param, fs: p.Instrs[pc].FS, entry: p.Instrs[pc].Ref.(*classfile.PoolEntry)})
 		default:
-			return nil, false
+			return nil
 		}
 	}
-	return guards, true
-}
-
-// admits reports whether the arguments of the call at s pass every guard
-// of the leaf, so none of its micros can bail. recv is the call's
-// non-null receiver (local 0), or nil for a static call.
-func (lf *leafBody) admits(s *callSite, f *Frame, recv *heap.Object) bool {
-	for _, g := range lf.guards {
-		o := recv
-		if g.local != 0 || o == nil {
-			if int(g.local) >= len(s.ops) {
-				return false
-			}
-			if o = s.ops[g.local].at(f).R; o == nil {
-				return false
-			}
-		}
-		if g.fs == nil {
-			if !o.IsArray() {
-				return false
-			}
-		} else if uint(g.fs.Get()) >= uint(len(o.Elems)) {
-			return false
+	for k, j := range lf.scratch {
+		if j >= 0 && ref[k] {
+			lf.refScratch = append(lf.refScratch, j)
 		}
 	}
-	return true
+	return lf
 }
 
-// leafOf returns target's leaf form, or nil; final reports that the
-// verdict cannot change (no code, an unpreparable body, or a prepared body
-// with no leaf form), as opposed to a target that is not prepared yet.
-func leafOf(target *classfile.Method) (lf *leafBody, final bool) {
-	code := target.Code
-	if code == nil {
-		return nil, true
-	}
-	p := code.Prepared()
-	if p == nil {
-		return nil, false
-	}
-	cp, _ := p.Closure.(*closureProgram)
-	if cp == nil || cp.leaf == nil {
-		return nil, true
-	}
-	return cp.leaf, true
-}
-
-// callSite is one call micro: the pool entry, the bound argument window
-// (receiver first), whether it has a receiver, where the result goes, and
-// off, the instructions its block retires before the invoke. miss is the
-// site's cache: a class — the receiver's for invokevirtual, the target's
-// otherwise — whose target here is permanently not inlinable, so a guarded
-// call makes the real call after one compare. Workers running the program
-// race on it harmlessly: every key stored is a true verdict.
+// callSite is one invoke as the call micros of the blocks that cover it
+// bind it: the pool entry, the bound argument window (receiver first),
+// whether it has a receiver, where the result goes, and lines, the site's
+// cache of targets.
 type callSite struct {
 	entry *classfile.PoolEntry
 	ops   []operand
@@ -1218,8 +1490,64 @@ type callSite struct {
 	d     int32
 	value bool
 	recv  bool
-	off   int64
-	miss  atomic.Pointer[classfile.Class]
+	// virtual: invokevirtual, whose lines are keyed by the receiver's
+	// class; the other invokes key theirs by the target's.
+	virtual bool
+	// base is the caller's real stack height below the call's stack
+	// arguments (-1 on a site no verified path reaches: it inlines
+	// nothing), scratch0 the caller's first scratch local, its MaxLocals:
+	// an inlined body pushes its temporaries above the arguments, into the
+	// frame's headroom, and keeps its own locals from scratch0 on.
+	base, scratch0 int32
+	// home is the loader whose isolate the caller's frames run in, or -1
+	// for a system class's method or a <clinit>, whose frames run in the
+	// isolate that reached them. In Isolated mode a line whose target home
+	// defines is a same-bundle line: it never migrates.
+	home     int
+	isolated bool
+	// lines are the site's inline cache: immutable lines published by CAS
+	// into the first empty entry of the key's probe sequence (line).
+	// Workers race on them harmlessly: a line is a true verdict for its
+	// key, and a duplicate key only wastes an entry.
+	lines [siteLines]atomic.Pointer[siteLine]
+}
+
+// siteLine is what a call site knows about one key: the target it
+// dispatches to and, for a leaf, the leaf's body compiled for the site.
+type siteLine struct {
+	key    *classfile.Class
+	target *classfile.Method
+	// inl is what the inlined body retires, its return included; 0 on a
+	// line that makes the real call (the target is no leaf, or fails a
+	// guard its key decides).
+	inl  int64
+	body []closureMicro
+	// ret is where the body leaves a value call's result, when hasRet (no
+	// micro of the body delivered it to the site's local).
+	ret    operand
+	hasRet bool
+	// cross: the target may run in another isolate than the caller's, so
+	// each call looks up the isolate of loader, the target's (Isolated
+	// mode only).
+	cross  bool
+	loader int
+	// recvLen is how many slots the receiver must have for the body's
+	// receiver field accesses whose class check the key settled
+	// (invokevirtual); the receiver must be no array either, since an
+	// array's class is its element class. guards are the checks on the
+	// arguments the key does not decide, run per call.
+	recvLen int
+	guards  []lineGuard
+	// clearStack and clearLocals are the frame slots that may hold a
+	// reference once the body ran: the call clears them.
+	clearStack, clearLocals []int32
+}
+
+// lineGuard is one per-call argument check of a line: a non-null arg with
+// the field of field, or an array when field is nil.
+type lineGuard struct {
+	arg   operand
+	field *fieldCheck
 }
 
 // call compiles the invoke at pc into a call micro; a value-returning call
@@ -1230,18 +1558,29 @@ func (bb *blockBuilder) call(op bytecode.Opcode, in *bytecode.PInstr, pc int32) 
 	if err != nil {
 		return pc, false // unreachable: preparation parsed it
 	}
-	if !bb.called {
-		bb.called, bb.blk.need = true, int64(pc-bb.blk.pc0)
+	if len(bb.sites) == 0 {
+		bb.blk.need = int64(pc - bb.blk.pc0)
 	}
-	s := &callSite{entry: entry, ops: make([]operand, in.B), d: -1, recv: op != bytecode.OpInvokeStatic, off: int64(pc - bb.blk.pc0)}
+	s := &callSite{entry: entry, ops: make([]operand, in.B), d: -1, recv: op != bytecode.OpInvokeStatic,
+		virtual: op == bytecode.OpInvokeVirtual, base: -1,
+		scratch0: int32(bb.p.MaxLocals), home: -1, isolated: bb.mode == core.ModeIsolated}
 	s.ns = bb.take(s.ops)
+	if int(pc) < len(bb.depth) && bb.depth[pc] >= 0 {
+		s.base = bb.depth[pc] - int32(len(s.ops))
+	}
+	if c := bb.m.Class; !c.IsSystem() && bb.m.Name != classfile.ClinitName {
+		s.home = c.LoaderID
+	}
 	last := pc
 	if s.value = desc.Return != classfile.KindVoid; s.value {
 		s.d, last = bb.storeAfter(pc)
 	}
-	// Each micro makes its guards and then its site-cache check inline, so
-	// a guarded call that never inlines reaches the real call after one
-	// compare.
+	s = bb.site(pc, s)
+	bb.sites = append(bb.sites, s)
+	// Each micro makes its guards and then searches the site's lines, so a
+	// cached target costs its key's compare. off is what the block retires
+	// before the invoke.
+	off := int64(pc - bb.blk.pc0)
 	var m closureMicro
 	switch {
 	case op == bytecode.OpInvokeVirtual:
@@ -1250,7 +1589,10 @@ func (bb *blockBuilder) call(op bytecode.Opcode, in *bytecode.PInstr, pc int32) 
 			if recv == nil {
 				return bail(f, s.ops...)
 			}
-			return s.virtual(vm, t, f, recv)
+			if ln := s.line(recv.Class); ln != nil {
+				return s.enter(vm, t, f, ln, recv, off)
+			}
+			return s.virtualMiss(vm, t, f, recv, off)
 		}
 	case op == bytecode.OpInvokeSpecial:
 		// The resolved method on a non-null receiver.
@@ -1259,10 +1601,10 @@ func (bb *blockBuilder) call(op bytecode.Opcode, in *bytecode.PInstr, pc int32) 
 			if recv == nil || target == nil {
 				return bail(f, s.ops...)
 			}
-			if target.Class == s.miss.Load() {
-				return s.call(t, f, target)
+			if ln := s.line(target.Class); ln != nil {
+				return s.enter(vm, t, f, ln, recv, off)
 			}
-			return s.inline(vm, t, f, target, recv, target.Class)
+			return s.fill(vm, t, f, target, recv, target.Class, off)
 		}
 	case bb.mode == core.ModeIsolated:
 		// invokestatic: the class's mirror in the current isolate is
@@ -1272,10 +1614,10 @@ func (bb *blockBuilder) call(op bytecode.Opcode, in *bytecode.PInstr, pc int32) 
 			if target == nil || !vm.isolatedInitDone(t, target.Class) {
 				return bail(f, s.ops...)
 			}
-			if target.Class == s.miss.Load() {
-				return s.call(t, f, target)
+			if ln := s.line(target.Class); ln != nil {
+				return s.enter(vm, t, f, ln, nil, off)
 			}
-			return s.inline(vm, t, f, target, nil, target.Class)
+			return s.fill(vm, t, f, target, nil, target.Class, off)
 		}
 	default:
 		// invokestatic: the pool entry caches the initialized mirror
@@ -1285,25 +1627,71 @@ func (bb *blockBuilder) call(op bytecode.Opcode, in *bytecode.PInstr, pc int32) 
 			if target == nil || s.entry.ResolvedMirror == nil {
 				return bail(f, s.ops...)
 			}
-			if target.Class == s.miss.Load() {
-				return s.call(t, f, target)
+			if ln := s.line(target.Class); ln != nil {
+				return s.enter(vm, t, f, ln, nil, off)
 			}
-			return s.inline(vm, t, f, target, nil, target.Class)
+			return s.fill(vm, t, f, target, nil, target.Class, off)
 		}
 	}
 	return bb.emit(m, pc, last)
 }
 
-// virtual is the rest of the invokevirtual micro: the vtable guard on the
-// non-null recv, then inline or the real call. Bytecode is not
-// type-checked and the static type may be an interface, so the resolved
-// method's slot only means "this method" in classes below the one that
-// introduced it; an entry with the resolved method's VRoot proves the
-// receiver's class is one of them, and there the entry is what dispatch by
-// name would find (classfile AssignMethodSlots). Slot-less methods (VSlot
-// -1) fail the bounds check. A failed guard bails, and the switch
-// dispatches by name.
-func (s *callSite) virtual(vm *VM, t *Thread, f *Frame, recv *heap.Object) microStatus {
+// site returns the call site another block compiled for the invoke at pc
+// with the same binding as s, or records s as one.
+func (bb *blockBuilder) site(pc int32, s *callSite) *callSite {
+	for _, o := range bb.known[pc] {
+		if o.ns == s.ns && o.d == s.d && sameOperands(o.ops, s.ops) {
+			return o
+		}
+	}
+	bb.known[pc] = append(bb.known[pc], s)
+	return s
+}
+
+// sameOperands reports whether two bindings of one invoke read the same
+// operands.
+func sameOperands(a, b []operand) bool {
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.kind != y.kind || x.slot != y.slot || x.kind == isConst && *x.k != *y.k {
+			return false
+		}
+	}
+	return true
+}
+
+// line returns the site's line for key, or nil. A key's probe starts at
+// its class's link position (StaticsID) modulo siteLines, so classes
+// linked one after another — a megamorphic site's receivers — hit on their
+// first probe.
+func (s *callSite) line(key *classfile.Class) *siteLine {
+	if ln := s.lines[key.StaticsID&(siteLines-1)].Load(); ln != nil && ln.key == key {
+		return ln
+	}
+	return s.probe(key)
+}
+
+// probe is line past the key's first entry.
+func (s *callSite) probe(key *classfile.Class) *siteLine {
+	for i := 0; i < siteLines; i++ {
+		if ln := s.lines[(key.StaticsID+i)&(siteLines-1)].Load(); ln == nil || ln.key == key {
+			return ln
+		}
+	}
+	return nil
+}
+
+// virtualMiss is the invokevirtual micro on a receiver class the site has
+// no line for: the vtable guard on the non-null recv, then fill. Bytecode
+// is not type-checked and the static type may be an interface, so the
+// resolved method's slot only means "this method" in classes below the
+// one that introduced it; an entry with the resolved method's VRoot proves
+// the receiver's class is one of them, and there the entry is what
+// dispatch by name would find (classfile AssignMethodSlots). Slot-less
+// methods (VSlot -1) fail the bounds check. A failed guard bails, and the
+// switch dispatches by name. The receiver's class decides the entry, so a
+// line keyed by it needs no guard again.
+func (s *callSite) virtualMiss(vm *VM, t *Thread, f *Frame, recv *heap.Object, off int64) microStatus {
 	m := s.entry.ResolvedMethod.Load()
 	if m == nil {
 		return bail(f, s.ops...)
@@ -1312,10 +1700,199 @@ func (s *callSite) virtual(vm *VM, t *Thread, f *Frame, recv *heap.Object) micro
 	if uint(m.VSlot) >= uint(len(vt)) || vt[m.VSlot].VRoot != m.VRoot {
 		return bail(f, s.ops...)
 	}
-	if recv.Class == s.miss.Load() {
-		return s.call(t, f, vt[m.VSlot])
+	return s.fill(vm, t, f, vt[m.VSlot], recv, recv.Class, off)
+}
+
+// fill is a cache miss on a call whose guards held: it makes the line for
+// target under key, caches it and takes it. A site whose cache is full
+// makes the real call for every key it does not hold; a verdict that can
+// still change (makeLine) is not cached.
+func (s *callSite) fill(vm *VM, t *Thread, f *Frame, target *classfile.Method, recv *heap.Object, key *classfile.Class, off int64) microStatus {
+	i := 0
+	for i < siteLines && s.lines[(key.StaticsID+i)&(siteLines-1)].Load() != nil {
+		i++
 	}
-	return s.inline(vm, t, f, vt[m.VSlot], recv, recv.Class)
+	if i == siteLines {
+		return s.call(t, f, target)
+	}
+	ln := s.makeLine(target, key)
+	if ln == nil {
+		return s.call(t, f, target)
+	}
+	for ; i < siteLines; i++ {
+		e := &s.lines[(key.StaticsID+i)&(siteLines-1)]
+		if e.CompareAndSwap(nil, ln) {
+			break
+		}
+		if old := e.Load(); old.key == key {
+			ln = old
+			break
+		}
+	}
+	return s.enter(vm, t, f, ln, recv, off)
+}
+
+// makeLine returns the line for target under key, or nil while the verdict
+// can change: the target is not prepared yet, or a receiver field access
+// whose class check the key settles has not resolved. For invokevirtual
+// the key is the receiver's class, so those checks run here, once; every
+// other argument check runs per call (siteLine.admits). A same-bundle line
+// — Shared mode, a system class's target, or one the caller's own loader
+// defines — never looks up an isolate.
+func (s *callSite) makeLine(target *classfile.Method, key *classfile.Class) *siteLine {
+	ln := &siteLine{key: key, target: target}
+	if target.Code == nil || s.base < 0 {
+		return ln
+	}
+	p := target.Code.Prepared()
+	if p == nil {
+		return nil
+	}
+	cp, _ := p.Closure.(*closureProgram)
+	if cp == nil || cp.leaf == nil || len(cp.leaf.written) != len(s.ops) {
+		return ln
+	}
+	lf := cp.leaf
+	for _, g := range lf.guards {
+		if !s.virtual || g.local != 0 || g.entry == nil {
+			ln.guards = append(ln.guards, lineGuard{arg: s.ops[g.local], field: g.check()})
+			continue
+		}
+		slot, field := int(g.fs.Get()), g.entry.ResolvedField.Load()
+		if slot < 0 || field == nil {
+			return nil
+		}
+		if !key.IsSubclassOf(field.Class) {
+			return &siteLine{key: key, target: target}
+		}
+		ln.recvLen = max(ln.recvLen, slot+1)
+	}
+	ln.loader = target.Class.LoaderID
+	ln.cross = s.isolated && !target.Class.IsSystem() && ln.loader != s.home
+	s.compileLine(ln, lf)
+	return ln
+}
+
+// check is the per-call check of a field guard, nil for arraylength.
+func (g leafGuard) check() *fieldCheck {
+	if g.entry == nil {
+		return nil
+	}
+	return &fieldCheck{fs: g.fs, entry: g.entry}
+}
+
+// lineScope is a leaf body's view of the caller while the builder compiles
+// it for one site: params are the site's operands by parameter — caller
+// locals, constants, and stack arguments addressed from the bottom
+// (inSlot), h being the caller's stack height at the call —, the leaf's
+// own locals live from the caller's scratch0 on,
+// and dest is the site's result local (-1: the stack), which the body's
+// last producer writes when it can (folded). The builder's symbol stack
+// is the body's whole operand stack: real entries stay in it as onStack
+// markers, so a symbol can stay pending under them (take).
+type lineScope struct {
+	params   []operand
+	h        int32
+	lf       *leafBody
+	scratch0 int32
+	dest     int32
+	folded   bool
+	// depth is how many real entries the body has pushed above the call's
+	// arguments, refs the depths a reference may have reached, and fail
+	// that the body needs a symbol lifted from under a real entry.
+	depth int32
+	refs  uint32
+	fail  bool
+}
+
+// inPlace returns o as a micro reads it once the body has pushed extra
+// more entries: a stack argument is then that far below the top.
+func (ls *lineScope) inPlace(o operand, extra int32) operand {
+	if o.kind == inSlot {
+		o.kind, o.slot = onStack, ls.h+ls.depth+extra-1-o.slot
+	}
+	return o
+}
+
+// push records a real entry pushed at the body's current depth.
+func (ls *lineScope) push(ref bool) operand {
+	if ref {
+		ls.refs |= 1 << ls.depth
+	}
+	ls.depth++
+	return operand{kind: onStack, ref: ref}
+}
+
+// compileLine compiles lf's body for the call at s into ln with the block
+// builder: the body's loads of parameters it never writes bind to the
+// site's operands, the rest of its locals to the caller's scratch locals,
+// and its pushes go above the call's arguments. It needs no activation.
+func (s *callSite) compileLine(ln *siteLine, lf *leafBody) {
+	h := s.base + int32(s.ns)
+	params := make([]operand, len(s.ops))
+	for i, o := range s.ops {
+		if o.kind == onStack {
+			o = operand{kind: inSlot, slot: h - 1 - o.slot}
+		}
+		o.arg = true
+		params[i] = o
+	}
+	ls := &lineScope{params: params, h: h, lf: lf, scratch0: s.scratch0, dest: -1}
+	if s.value {
+		ls.dest = s.d
+	}
+	bb := &blockBuilder{m: lf.m, code: lf.m.Code, p: lf.p, blk: &closureBlock{}, ls: ls}
+	for k, w := range lf.written {
+		if w {
+			// (Before the body pushes anything: the site's operand as is.)
+			o, d := s.ops[k], bb.local(int32(k))
+			bb.blk.prefix = append(bb.blk.prefix, func(vm *VM, t *Thread, f *Frame) microStatus {
+				f.locals[d] = *o.at(f)
+				return microNext
+			})
+		}
+	}
+	for pc := int32(0); pc < lf.width; {
+		var ok bool
+		if pc, ok = bb.compile(pc); !ok {
+			return // unreachable: a leaf holds only what compiles
+		}
+	}
+	if s.value && !ls.folded {
+		ln.ret, ln.hasRet = bb.bind(1, lf.width).ops[0], true
+	}
+	if ls.fail {
+		return
+	}
+	ln.body, ln.inl = bb.blk.prefix, lf.inl
+	for i := int32(0); i < 32; i++ {
+		if ls.refs&(1<<i) != 0 {
+			ln.clearStack = append(ln.clearStack, h+i)
+		}
+	}
+	for _, i := range lf.refScratch {
+		ln.clearLocals = append(ln.clearLocals, s.scratch0+i)
+	}
+}
+
+// admits runs the line's per-call argument checks on the call's non-null
+// receiver recv (nil for a static call).
+func (ln *siteLine) admits(f *Frame, recv *heap.Object) bool {
+	if ln.recvLen > 0 && (len(recv.Elems) < ln.recvLen || recv.IsArray()) {
+		return false
+	}
+	for i := range ln.guards {
+		g := &ln.guards[i]
+		o := g.arg.at(f).R
+		if c := g.field; c == nil {
+			if o == nil || !o.IsArray() {
+				return false
+			}
+		} else if !c.hit(o, int(c.fs.Get())) && c.slot(o) < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // call ends the step with the real call to target, whose guards held: it
@@ -1327,74 +1904,67 @@ func (s *callSite) call(t *Thread, f *Frame, target *classfile.Method) microStat
 	return microCall
 }
 
-// inline runs target's leaf in place of the call, or makes the real call:
-// the target must be a leaf whose guards the arguments pass (admits), and
-// the call one that an inlined body reproduces exactly — pushFrame would
-// neither overflow the stack nor trace the entry, the caller's frame is in
-// the thread's current isolate and that isolate is not killed (a return
-// into a killed isolate throws). A target defined by another bundle's
-// loader is inlined too, in both modes. In Isolated mode it migrates: the
-// micro counts the inter-isolate call, switches the thread's isolate to the
-// callee's for the body, charges the step in single-step order (chargeCall)
-// and restores the caller's isolate before it returns, so the step never
-// ends in another isolate and the concurrent engine hands the thread to no
-// other shard. A migrating call stays real when the callee is killed (the
-// call throws) or when per-call CPU accounting reads the clock at every
-// switch. key is the site's cache key for target.
-func (s *callSite) inline(vm *VM, t *Thread, f *Frame, target *classfile.Method, recv *heap.Object, key *classfile.Class) microStatus {
-	lf, final := leafOf(target)
-	if lf == nil {
-		if final {
-			s.miss.Store(key)
-		}
-		return s.call(t, f, target)
-	}
+// enter takes the line ln for the call: it runs the inlined body in place
+// of the call, or makes the real call. The body runs when the target is a
+// leaf, the arguments pass the line's checks, and an inlined body
+// reproduces the call exactly — pushFrame would neither overflow the stack
+// nor trace the entry, the caller's frame is in the thread's current
+// isolate and that isolate is not killed (a return into a killed isolate
+// throws). A line whose target another bundle defines is inlined too, in
+// both modes. In Isolated mode it migrates: the micro looks the callee's
+// isolate up (bindings move), counts the inter-isolate call, switches the
+// thread's isolate to the callee's for the body, charges the step in
+// single-step order (chargeCall) and restores the caller's isolate before
+// it returns, so the step never ends in another isolate and the concurrent
+// engine hands the thread to no other shard. A migrating call stays real
+// when the callee is killed (the call throws) or when per-call CPU
+// accounting reads the clock at every switch. off is what the caller's
+// block retires before the invoke.
+func (s *callSite) enter(vm *VM, t *Thread, f *Frame, ln *siteLine, recv *heap.Object, off int64) microStatus {
 	q, cur := t.qa, t.cur
-	if q.inl+lf.inl > q.spare || len(t.frames) >= vm.opts.MaxFrameDepth || vm.TraceMethodEntry != nil ||
-		cur != f.iso || cur.Killed() || !lf.admits(s, f, recv) {
-		return s.call(t, f, target)
+	if ln.inl == 0 || q.inl+ln.inl > q.spare || len(t.frames) >= vm.opts.MaxFrameDepth || vm.TraceMethodEntry != nil ||
+		cur != f.iso || cur.Killed() || !ln.admits(f, recv) {
+		return s.call(t, f, ln.target)
 	}
-	callee := cur
-	if q.isolated && !target.Class.IsSystem() {
-		if iso := vm.world.IsolateForLoaderID(target.Class.LoaderID); iso != nil && iso != cur {
+	if ln.cross {
+		if iso := vm.world.IsolateForLoaderID(ln.loader); iso != nil && iso != cur {
 			if iso.Killed() || vm.opts.PerCallCPUAccounting {
-				return s.call(t, f, target)
+				return s.call(t, f, ln.target)
 			}
-			callee = iso
+			q.chargeCall(vm, cur, iso, off, ln.inl)
+			t.cur = iso
+			s.run(vm, t, f, ln)
+			t.cur = cur
+			q.inl += ln.inl
+			return microNext
 		}
 	}
-	// The callee's activation: the thread's next cached frame, filled as
-	// pushFrame would, never published (no root scan can run before it is
-	// cleared again) and released as releaseFrame would.
-	g := t.acquireFrame(max(lf.nLocals, len(s.ops)), lf.maxStack)
-	for i := range s.ops {
-		g.locals[i] = *s.ops[i].at(f)
-	}
-	for i := len(s.ops); i < len(g.locals); i++ {
-		g.locals[i] = heap.Null()
-	}
-	if callee != cur {
-		q.chargeCall(vm, cur, callee, s.off, lf.inl)
-		t.cur = callee
-	}
-	for _, m := range lf.prefix {
-		m(vm, t, g)
-	}
-	t.cur = cur
-	q.inl += lf.inl
-	if s.value {
-		f.result(s.ns, s.d, g.stack[len(g.stack)-1])
-	} else {
-		f.drop(s.ns)
-	}
-	// Drop the references the activation held, slot by slot: the frame is
-	// a few values wide, and a bulk clear costs more than it.
-	for i := range g.locals {
-		g.locals[i].R = nil
-	}
-	for i := range g.stack[:lf.maxStack] {
-		g.stack[:lf.maxStack][i].R = nil
-	}
-	g.stack = g.stack[:0]
+	s.run(vm, t, f, ln)
+	q.inl += ln.inl
 	return microNext
+}
+
+// run runs ln's body on the caller's frame and delivers the result: the
+// body's pushes, the call's stack arguments and every reference the body
+// left in the frame's scratch go, and the result lands where the call's
+// goes, the folded local or the stack.
+func (s *callSite) run(vm *VM, t *Thread, f *Frame, ln *siteLine) {
+	for _, m := range ln.body {
+		m(vm, t, f)
+	}
+	var v heap.Value
+	if ln.hasRet {
+		v = *ln.ret.at(f)
+	}
+	st := f.stack[:cap(f.stack)]
+	for _, i := range ln.clearStack {
+		st[i].R = nil
+	}
+	for _, i := range ln.clearLocals {
+		f.locals[i].R = nil
+	}
+	f.stack = f.stack[:s.base]
+	if ln.hasRet {
+		f.result(0, s.d, v)
+	}
 }

@@ -18,7 +18,7 @@ import (
 	paper "ijvm/internal/workloads"
 )
 
-// Cross-bundle leaf calls (closure.go callSite.inline): a leaf defined by
+// Cross-bundle leaf calls (closure.go callSite.enter): a leaf defined by
 // another bundle's loader runs inside the caller's block, and in Isolated
 // mode the micro migrates the thread for the body and back. These tests pin
 // that the migration is exact — per-isolate instructions, CPU samples and

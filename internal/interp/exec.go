@@ -346,7 +346,7 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in *bytecode.Instr) error {
 		if recv.R == nil {
 			return vm.Throw(t, ClassNullPointerException, "getfield "+field.QualifiedName())
 		}
-		if uint(field.Slot) >= uint(len(recv.R.Elems)) {
+		if uint(field.Slot) >= uint(len(recv.R.Elems)) || recv.R.IsArray() || !recv.R.Class.IsSubclassOf(field.Class) {
 			return vm.throwNoSuchSlot(t, "getfield", field.QualifiedName(), recv.R)
 		}
 		f.push(recv.R.Elems[field.Slot])
@@ -367,7 +367,7 @@ func (vm *VM) execInstr(t *Thread, f *Frame, in *bytecode.Instr) error {
 		if recv.R == nil {
 			return vm.Throw(t, ClassNullPointerException, "putfield "+field.QualifiedName())
 		}
-		if uint(field.Slot) >= uint(len(recv.R.Elems)) {
+		if uint(field.Slot) >= uint(len(recv.R.Elems)) || recv.R.IsArray() || !recv.R.Class.IsSubclassOf(field.Class) {
 			return vm.throwNoSuchSlot(t, "putfield", field.QualifiedName(), recv.R)
 		}
 		// SATB write barrier: while a mark phase is open, the store goes
@@ -752,14 +752,20 @@ func (vm *VM) resolveFieldEntryAt(f *Frame, idx int32, wantStatic bool) (*classf
 }
 
 // throwNoSuchSlot raises the exception of a getfield/putfield whose
-// receiver has no slot at the field's index. Bytecode is not type-checked
+// receiver has no slot at the field's index, is an array (whose Class is
+// its element class), or is of a class that is neither the field's nor a
+// subclass of it. Bytecode is not type-checked
 // (ROADMAP item 8), so a receiver of a class unrelated to the field's can
-// reach the access, and guest code must not index the host's slot vector
-// out of range (§4.3). The closure micros bail to the switch, which throws
-// through here; a receiver with enough slots of its own is read or written
-// at the index, as before.
+// reach the access, and guest code must neither index the host's slot
+// vector out of range nor read or write another class's field that
+// happens to sit at the index (§4.3). The closure micros bail to the
+// switch, which throws through here.
 func (vm *VM) throwNoSuchSlot(t *Thread, op, field string, recv *heap.Object) error {
-	return vm.Throw(t, ClassClassCastException, op+" "+field+" on a "+recv.Class.Name)
+	name := recv.Class.Name
+	if recv.IsArray() {
+		name += "[]"
+	}
+	return vm.Throw(t, ClassClassCastException, op+" "+field+" on a "+name)
 }
 
 // resolveFieldEntry resolves a FieldRef pool entry with caching.

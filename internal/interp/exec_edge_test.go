@@ -332,9 +332,14 @@ func TestHugeArrayLengthIsOutOfMemory(t *testing.T) {
 // the seed switch and the closure tier, in both modes, on the
 // resolving first execution and on the cached-slot ones after it, with
 // the receiver a constant, a folded local and a too-short array — and a
-// proper receiver still reads and writes its field.
+// proper receiver still reads and writes its field. A receiver of an
+// unrelated class with enough slots throws too: it neither reveals nor
+// overwrites the private field at the index. So does an array of Holder
+// with enough elements (an array's class is its element class), on the
+// field access and through an inlined call of Holder's field getter whose
+// site already cached Holder: no element is read or written as a field.
 func TestFieldAccessOnUnrelatedReceiver(t *testing.T) {
-	const holder, probe = "edge/Holder", "edge/Probe"
+	const holder, probe, other = "edge/Holder", "edge/Probe", "edge/Other"
 	classes := func() []*classfile.Class {
 		init := func(a *bytecode.Assembler) {
 			a.ALoad(0).InvokeSpecial(classfile.ObjectClassName, classfile.InitName, "()V").Return()
@@ -342,7 +347,17 @@ func TestFieldAccessOnUnrelatedReceiver(t *testing.T) {
 		return []*classfile.Class{
 			classfile.NewClass(holder).
 				Field("a", classfile.KindInt).Field("b", classfile.KindInt).Field("x", classfile.KindInt).
-				Method(classfile.InitName, "()V", 0, init).MustBuild(),
+				Method(classfile.InitName, "()V", 0, init).
+				Method("getX", "()I", 0, func(a *bytecode.Assembler) {
+					a.ALoad(0).GetField(holder, "x").IReturn()
+				}).MustBuild(),
+			// Other keeps a private 4242 at Holder.x's slot.
+			classfile.NewClass(other).
+				Field("p", classfile.KindInt).Field("q", classfile.KindInt).Field("secret", classfile.KindInt).
+				Method(classfile.InitName, "()V", 0, func(a *bytecode.Assembler) {
+					a.ALoad(0).InvokeSpecial(classfile.ObjectClassName, classfile.InitName, "()V")
+					a.ALoad(0).Const(4242).PutField(other, "secret").Return()
+				}).MustBuild(),
 			classfile.NewClass(probe).
 				Method("ldcGet", "()I", classfile.FlagStatic, func(a *bytecode.Assembler) {
 					a.Str("s").GetField(holder, "x").IReturn()
@@ -367,6 +382,22 @@ func TestFieldAccessOnUnrelatedReceiver(t *testing.T) {
 				}).
 				Method("short", "()Ljava/lang/Object;", classfile.FlagStatic, func(a *bytecode.Assembler) {
 					a.Const(2).NewArray("").AReturn()
+				}).
+				Method("other", "()Ljava/lang/Object;", classfile.FlagStatic, func(a *bytecode.Assembler) {
+					a.New(other).Dup().InvokeSpecial(other, classfile.InitName, "()V").AReturn()
+				}).
+				Method("secret", "(Ljava/lang/Object;)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+					a.ALoad(0).GetField(other, "secret").IReturn()
+				}).
+				// A Holder[4] whose element 2, at Holder.x's slot, is 4242.
+				Method("holders", "()Ljava/lang/Object;", classfile.FlagStatic, func(a *bytecode.Assembler) {
+					a.Const(4).NewArray(holder).Dup().Const(2).Const(4242).ArrayStore().AReturn()
+				}).
+				Method("elem", "(Ljava/lang/Object;)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+					a.ALoad(0).Const(2).ArrayLoad().IReturn()
+				}).
+				Method("vget", "(Ljava/lang/Object;)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+					a.ALoad(0).InvokeVirtual(holder, "getX", "()I").Const(1).IAdd().IReturn()
 				}).MustBuild(),
 		}
 	}
@@ -399,13 +430,21 @@ func TestFieldAccessOnUnrelatedReceiver(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			good, short := call("fresh"), call("short")
+			good, short, unrelated, holders := call("fresh"), call("short"), call("other"), call("holders")
 			for round := 0; round < 3; round++ { // resolve, then the cached slot
 				call("ldcGet")
 				call("ldcPut")
-				for _, recv := range []heap.Value{heap.RefVal(str), short, good} {
+				for _, recv := range []heap.Value{heap.RefVal(str), short, unrelated, holders, good} {
 					call("get", recv)
 					call("put", recv, heap.IntVal(int64(40+round)))
+				}
+				for _, recv := range []heap.Value{good, holders} {
+					call("vget", recv)
+				}
+			}
+			for _, line := range trace {
+				if strings.HasPrefix(line, "get = 4243") || strings.HasPrefix(line, "put = 4242") {
+					t.Fatalf("%s: %s: a Holder access reached the unrelated receiver's field", name, line)
 				}
 			}
 			for _, line := range trace {
@@ -413,8 +452,17 @@ func TestFieldAccessOnUnrelatedReceiver(t *testing.T) {
 					t.Fatalf("%s: %s, want a %s", name, line, interp.ClassClassCastException)
 				}
 			}
-			if got := trace[len(trace)-1]; !strings.HasPrefix(got, `put = 42 ""`) {
+			if got := trace[len(trace)-3]; !strings.HasPrefix(got, `put = 42 ""`) {
 				t.Fatalf("%s: a proper receiver's last put: %s", name, got)
+			}
+			if got, want := trace[len(trace)-1], `vget = 0 "java/lang/ClassCastException: getfield edge/Holder.x on a edge/Holder[]"`; !strings.HasPrefix(got, want) {
+				t.Fatalf("%s: the getter on the Holder array: %s, want %s", name, got, want)
+			}
+			if v := call("secret", unrelated); v.I != 4242 {
+				t.Fatalf("%s: the unrelated receiver's private field reads %d after the puts, want 4242", name, v.I)
+			}
+			if v := call("elem", holders); v.I != 4242 {
+				t.Fatalf("%s: the Holder array's element 2 reads %d after the puts, want 4242", name, v.I)
 			}
 			if ref == nil {
 				ref, refName = trace, name
@@ -423,7 +471,7 @@ func TestFieldAccessOnUnrelatedReceiver(t *testing.T) {
 			}
 		}
 	}
-	if want := `ldcGet = 0 "java/lang/ClassCastException: getfield edge/Holder.x on a java/lang/String"`; !strings.HasPrefix(ref[2], want) {
-		t.Fatalf("ldcGet: %s, want %s", ref[2], want)
+	if want := `ldcGet = 0 "java/lang/ClassCastException: getfield edge/Holder.x on a java/lang/String"`; !strings.HasPrefix(ref[4], want) {
+		t.Fatalf("ldcGet: %s, want %s", ref[4], want)
 	}
 }

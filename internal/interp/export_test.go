@@ -1,6 +1,9 @@
 package interp
 
 import (
+	"fmt"
+	"sort"
+
 	"ijvm/internal/bytecode"
 	"ijvm/internal/classfile"
 	"ijvm/internal/core"
@@ -47,6 +50,56 @@ func ClosureShapeForTest(p *bytecode.PCode) (folded, links int, ok bool) {
 func LeafFormForTest(p *bytecode.PCode) bool {
 	cp, _ := p.Closure.(*closureProgram)
 	return cp != nil && cp.leaf != nil
+}
+
+// SiteLinesForTest reports, for each call site of the closure program
+// preparation compiled for p, the invoked method's name, how many lines
+// its cache holds and how many of them inline a body.
+func SiteLinesForTest(p *bytecode.PCode) []string {
+	cp, _ := p.Closure.(*closureProgram)
+	if cp == nil {
+		return nil
+	}
+	var out []string
+	for _, s := range cp.sites {
+		lines, inlined := 0, 0
+		for i := range s.lines {
+			if ln := s.lines[i].Load(); ln != nil {
+				lines++
+				if ln.inl > 0 {
+					inlined++
+				}
+			}
+		}
+		out = append(out, fmt.Sprintf("%s lines=%d inlined=%d", s.entry.Name, lines, inlined))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// InlineScratchHoldsForTest reports whether the scratch that inlined
+// leaf bodies run in holds obj in one of t's frames: the operand stack's
+// headroom past the method's MaxStack and the locals past its own. (The
+// stack below MaxStack is the frame's own; a real call leaves its popped
+// arguments there, as single-step execution does.) Nothing may be
+// running t.
+func InlineScratchHoldsForTest(t *Thread, obj *heap.Object) bool {
+	for _, f := range t.frames {
+		if f.pcode == nil {
+			continue
+		}
+		for _, v := range f.stack[f.pcode.MaxStack:cap(f.stack)] {
+			if v.R == obj {
+				return true
+			}
+		}
+		for _, v := range f.locals[f.pcode.MaxLocals:] {
+			if v.R == obj {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TopFrameForTest returns the method of t's top frame and the closure

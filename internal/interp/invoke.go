@@ -323,8 +323,16 @@ func (vm *VM) pushFrame(t *Thread, m *classfile.Method, args []heap.Value, isoOv
 	// invocation; prepared methods carry exact frame dimensions.
 	pcode := vm.preparedCode(m)
 	nLocals, maxStack := code.MaxLocals, code.MaxStack
+	var hot *closureProgram
 	if pcode != nil {
 		nLocals, maxStack = pcode.MaxLocals, pcode.MaxStack
+		// The closure program was compiled by preparation and published
+		// with the form: the frame runs its blocks from the first call. A
+		// method with call sites gets the scratch its inlined leaf bodies
+		// run in, past its own locals and stack (closure.go callSite.run).
+		if hot = pcode.Closure.(*closureProgram); len(hot.sites) > 0 {
+			nLocals, maxStack = nLocals+leafScratch, maxStack+leafHeadroom
+		}
 	}
 	if n := len(args); n > nLocals {
 		nLocals = n
@@ -333,11 +341,7 @@ func (vm *VM) pushFrame(t *Thread, m *classfile.Method, args []heap.Value, isoOv
 	f.method = m
 	f.iso = frameIso
 	f.pcode = pcode
-	if pcode != nil {
-		// The closure program was compiled by preparation and published
-		// with the form: the frame runs its blocks from the first call.
-		f.hot = pcode.Closure.(*closureProgram)
-	}
+	f.hot = hot
 	f.callerIso = callerIso
 	f.needsMonitor = mon
 	if mon != nil {

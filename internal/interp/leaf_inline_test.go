@@ -396,13 +396,40 @@ func shapeClasses() []*classfile.Class {
 		}).
 		Method("other", "(ILlf/Shapes;)I", 0, func(a *bytecode.Assembler) {
 			a.ILoad(1).ALoad(2).Swap().Pop().GetField(cn, "v").IReturn()
-		}).MustBuild()}
+		}).
+		Method("bump4", "(IIII)I", classfile.FlagStatic, bumpBody(4, false)).
+		Method("bump5", "(IIIII)I", classfile.FlagStatic, bumpBody(5, false)).
+		Method("bump4Local", "(IIII)I", classfile.FlagStatic, bumpBody(4, true)).
+		Method("swapSub", "(II)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.ILoad(0).ILoad(1).Swap().ISub().IReturn()
+		}).
+		Method("incMul", "(I)I", classfile.FlagStatic, func(a *bytecode.Assembler) {
+			a.ILoad(0).Const(1).IAdd().ILoad(0).IMul().IReturn()
+		}).
+		MustBuild()}
+}
+
+// bumpBody is a static leaf of n int parameters that increments each of
+// them and returns the first — with, when local, one more local of its own
+// holding it —: it keeps n locals in scratch, or n+1.
+func bumpBody(n int, local bool) func(a *bytecode.Assembler) {
+	return func(a *bytecode.Assembler) {
+		for k := 0; k < n; k++ {
+			a.IInc(k, int32(k+1))
+		}
+		if local {
+			a.ILoad(0).IStore(n).ILoad(n).IReturn()
+			return
+		}
+		a.ILoad(0).IReturn()
+	}
 }
 
 // TestLeafFormShapes pins which methods have a leaf form: Fig 1's inc
 // (receiver field leaves), Table 1's drag (arraylength of its event
 // parameter) and the megacall site's f do; the constructors (they call) do
-// not. A guarded site's operand must be a parameter the body never writes.
+// not. A guarded site's operand must be a parameter the body never writes,
+// and a leaf keeps at most leafScratch locals, written parameters included.
 func TestLeafFormShapes(t *testing.T) {
 	vm := interp.NewVM(interp.Options{})
 	syslib.MustInstall(vm)
@@ -430,6 +457,11 @@ func TestLeafFormShapes(t *testing.T) {
 		{"lf/Shapes", "lenLocal", false},
 		{"lf/Shapes", "lenField", false},
 		{"lf/Shapes", "other", true},
+		{"lf/Shapes", "bump4", true},
+		{"lf/Shapes", "bump5", false},
+		{"lf/Shapes", "bump4Local", false},
+		{"lf/Shapes", "swapSub", true},
+		{"lf/Shapes", "incMul", true},
 	} {
 		c, err := iso.Loader().Lookup(tc.class)
 		if err != nil {

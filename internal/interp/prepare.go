@@ -235,7 +235,7 @@ func prepareMethod(m *classfile.Method, mode core.Mode, objClass *classfile.Clas
 	// Last step: compile the closure blocks (closure.go). The program is
 	// in place before the caller publishes the form and never changes
 	// after, so adopting it is a plain field read.
-	p.Closure = buildClosureProgram(m, p, mode, objClass)
+	p.Closure = buildClosureProgram(m, p, depth, mode, objClass)
 	return p
 }
 

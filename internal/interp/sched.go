@@ -177,6 +177,13 @@ func (vm *VM) compactThreadsLocked() {
 // pickRunnable promotes wakeable threads and returns the next runnable
 // thread in round-robin order, or nil. Sequential engine only; the
 // concurrent scheduler polls per shard through PromoteRunnable.
+//
+// A lap of the ring ends on the thread the cursor points at. When that
+// thread is the only unfinished one — a finished thread is never picked,
+// and a thread counts as live before it can leave Done and after it
+// entered Done — the lap's verdict is that thread's, so the pick skips the
+// lap's visits to finished threads (CallRoot leaves up to 64 of them in
+// the table before compactThreadsLocked drops them).
 func (vm *VM) pickRunnable() *Thread {
 	n := len(vm.threads)
 	if n == 0 {
@@ -184,6 +191,14 @@ func (vm *VM) pickRunnable() *Thread {
 	}
 	vm.schedMu.Lock()
 	defer vm.schedMu.Unlock()
+	// (The cursor is -1 after a compaction that kept no thread.)
+	if t := vm.threads[(vm.rrIndex%n+n)%n]; vm.liveThreads.Load() == 1 && !t.Done() {
+		vm.rrIndex += n
+		if vm.promoteLocked(t) {
+			return t
+		}
+		return nil
+	}
 	for scan := 0; scan < n; scan++ {
 		vm.rrIndex++
 		t := vm.threads[(vm.rrIndex)%n]

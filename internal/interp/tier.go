@@ -119,7 +119,7 @@ func (s *SampleState) sampleRun(vm *VM, acct *core.AccountCounters, k int64) {
 	s.count = total
 }
 
-// chargeCall charges a migrating leaf call (closure.go callSite.inline)
+// chargeCall charges a migrating leaf call (closure.go callSite.enter)
 // the way single-step execution does: the step's instructions before the
 // invoke — the block's first off and whatever the chain and earlier leaves
 // retired — to the caller, then the invoke and the body to the callee (inl
