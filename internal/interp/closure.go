@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"ijvm/internal/bytecode"
@@ -84,10 +85,12 @@ import (
 //     receiver's class for invokevirtual and by the target's class
 //     otherwise; a line holds the target and, when it is a leaf — a
 //     straight-line body of non-failing micros ending in its return
-//     (leafBody) —, the leaf's body compiled for the site
-//     (compileLine): it reads its parameters where the
-//     caller's operands are, keeps its temporaries in the caller frame's
-//     headroom, and delivers its result where the call's goes, so a hit
+//     (leafBody), which leafForm reads off preparation's dataflow states
+//     and the one list of opcodes a leaf may hold (leafOp) —, the leaf's
+//     body compiled for the site (compileLine): it reads its parameters
+//     where the caller's operands are, keeps its temporaries in the caller
+//     frame's headroom, clears the slots the dataflow says may hold a
+//     reference, and delivers its result where the call's goes, so a hit
 //     whose arguments pass the line's checks runs the body with no
 //     activation: no frame is pushed and no step ends. That holds
 //     whichever loader defined the target: a leaf of another bundle is a
@@ -310,7 +313,7 @@ run:
 // one. mode picks the statics, new and invokestatic micros; objClass is
 // the VM's java/lang/Object, the element class of an untyped newarray
 // (nil: those sites stay on the switch).
-func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, depth []int32, mode core.Mode, objClass *classfile.Class) *closureProgram {
+func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, states []*pcState, mode core.Mode, objClass *classfile.Class) *closureProgram {
 	code := m.Code
 	n := len(code.Instrs)
 	cp := &closureProgram{blocks: make([]*closureBlock, n)}
@@ -347,7 +350,7 @@ func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, depth []int32, 
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		b, end, fall := buildClosureBlock(m, p, depth, pc, mode, objClass, sites)
+		b, end, fall := buildClosureBlock(m, p, states, pc, mode, objClass, sites)
 		if b != nil {
 			cp.blocks[pc] = b
 		}
@@ -363,7 +366,7 @@ func buildClosureProgram(m *classfile.Method, p *bytecode.PCode, depth []int32, 
 			b.link = false // the instruction at the cap has no block: delegate it
 		}
 	}
-	cp.leaf = leafForm(m, p)
+	cp.leaf = leafForm(m, p, states)
 	return cp
 }
 
@@ -373,10 +376,6 @@ type operand struct {
 	// slot is the local slot (inLocal), the operand's depth below the top
 	// of the real stack (onStack), or its index in the real stack (inSlot).
 	slot int32
-	// ref marks a real entry of a leaf body that may hold a reference, and
-	// arg a call argument a leaf body reads in place (build time only:
-	// lineScope).
-	ref, arg bool
 	// pc is the instruction that pushed the symbol (build time only).
 	pc int32
 	k  *heap.Value // isConst
@@ -463,8 +462,8 @@ type blockBuilder struct {
 	mode core.Mode
 	// objClass is buildClosureProgram's; nil compiles no untyped newarray.
 	objClass *classfile.Class
-	// depth is the verified operand-stack depth before each instruction.
-	depth []int32
+	// states are preparation's dataflow states, by pc.
+	states []*pcState
 	// sites are the block's call micros (blk.need is set once there is one),
 	// and known the program's, by invoke pc.
 	sites []*callSite
@@ -570,7 +569,7 @@ func (bb *blockBuilder) lift(lo, hi int) {
 		return microNext
 	}, pend[len(pend)-1].pc, pend[len(pend)-1].pc)
 	for i := j; i < hi; i++ {
-		bb.syms[i] = bb.ls.push(bb.syms[i].kind != isConst)
+		bb.syms[i] = bb.ls.push(bb.ls.before(), i)
 	}
 }
 
@@ -589,18 +588,18 @@ func (bb *blockBuilder) protect(d int32, n int) {
 	}
 }
 
-// reshape replaces, in a leaf body, the top n real entries by the given
-// ones of them (deepest first), as dup, dup_x1 and swap move values.
-func (bb *blockBuilder) reshape(n int, order ...int) {
+// reshape replaces, in a leaf body, the top n real entries by the m the
+// instruction leaves in their place, as pop, dup, dup_x1 and swap do.
+func (bb *blockBuilder) reshape(n, m int) {
 	ls := bb.ls
 	if ls == nil {
 		return
 	}
-	top := append([]operand(nil), bb.syms[len(bb.syms)-n:]...)
 	bb.syms = bb.syms[:len(bb.syms)-n]
 	ls.depth -= int32(n)
-	for _, i := range order {
-		bb.syms = append(bb.syms, ls.push(top[i].ref))
+	after := ls.after()
+	for i := len(after) - m; i < len(after); i++ {
+		bb.syms = append(bb.syms, ls.push(after, i))
 	}
 }
 
@@ -695,16 +694,11 @@ func (bb *blockBuilder) produce(n int, pc int32) binding {
 	bd := bb.bind(n, pc)
 	bd.d, bd.last = d, last
 	if d < 0 {
-		bb.syms = append(bb.syms, ls.push(bb.code.Instrs[pc].Op == bytecode.OpGetField))
+		after := ls.after()
+		bb.syms = append(bb.syms, ls.push(after, len(after)-1))
 	}
 	return bd
 }
-
-// checked reports whether o is, in a leaf body, one of the call's
-// arguments read in place: a field access or arraylength on one had its
-// argument checked before the body ran (the line's guards, or its key), so
-// its micro checks nothing.
-func (bb *blockBuilder) checked(o operand) bool { return bb.ls != nil && o.arg }
 
 // buildClosureBlock compiles one extended block starting at pc. It
 // returns the block (nil when it would hold no micro), the pc of the
@@ -716,10 +710,10 @@ func (bb *blockBuilder) checked(o operand) bool { return bb.ls != nil && o.arg }
 // Conditional branches do not end the block: they compile as mid-block
 // micros and the fall-through path continues. The builder terminates
 // because the cursor strictly increases.
-func buildClosureBlock(m *classfile.Method, p *bytecode.PCode, depth []int32, pc int32, mode core.Mode, objClass *classfile.Class, known map[int32][]*callSite) (b *closureBlock, end int32, fall bool) {
+func buildClosureBlock(m *classfile.Method, p *bytecode.PCode, states []*pcState, pc int32, mode core.Mode, objClass *classfile.Class, known map[int32][]*callSite) (b *closureBlock, end int32, fall bool) {
 	code := m.Code
 	b = &closureBlock{pc0: pc}
-	bb := &blockBuilder{m: m, code: code, p: p, blk: b, mode: mode, objClass: objClass, depth: depth, known: known}
+	bb := &blockBuilder{m: m, code: code, p: p, blk: b, mode: mode, objClass: objClass, states: states, known: known}
 	n := int32(len(code.Instrs))
 	cur := pc
 	for ok := true; ok && cur < n && cur-pc < maxClosureBlock; {
@@ -772,6 +766,34 @@ func buildClosureBlock(m *classfile.Method, p *bytecode.PCode, depth []int32, pc
 	return b, cur, fall
 }
 
+// leafOp says whether an inlinable leaf body may hold op, and what its
+// micro then needs (leafForm): this is the one list of them, and compile's
+// arm for each emits a micro that cannot bail and transfers nothing —
+// loads, constants, local stores, iinc, pop/dup/dup_x1/swap, int and float
+// arithmetic but idiv/irem, conversions —, or, for guard >= 0, one that
+// bails only on the operand guard entries below the top of the stack
+// (getfield and arraylength: their object; putfield: its receiver), which
+// cannot fail once the call checked it (leafGuard): in a leaf body these
+// micros check nothing.
+func leafOp(op bytecode.Opcode) (ok bool, guard int) {
+	switch op {
+	case bytecode.OpNop, bytecode.OpILoad, bytecode.OpFLoad, bytecode.OpALoad,
+		bytecode.OpIConst, bytecode.OpFConst, bytecode.OpAConstNull,
+		bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore, bytecode.OpIInc,
+		bytecode.OpPop, bytecode.OpDup, bytecode.OpDupX1, bytecode.OpSwap,
+		bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul, bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor,
+		bytecode.OpIShl, bytecode.OpIShr, bytecode.OpIUshr, bytecode.OpINeg,
+		bytecode.OpFAdd, bytecode.OpFSub, bytecode.OpFMul, bytecode.OpFDiv, bytecode.OpFNeg, bytecode.OpFCmp,
+		bytecode.OpI2F, bytecode.OpF2I:
+		return true, -1
+	case bytecode.OpGetField, bytecode.OpArrayLength:
+		return true, 0
+	case bytecode.OpPutField:
+		return true, 1
+	}
+	return false, -1
+}
+
 // compile compiles the instruction at pc — a symbol push (nothing
 // emitted) or one micro with its operands bound and a directly following
 // local store folded in — and returns the pc after what it covered. ok is
@@ -809,21 +831,21 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 			bb.syms = bb.syms[:k-1]
 			return pc + 1, true
 		}
-		bb.reshape(1)
+		bb.reshape(1, 0)
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 			f.drop(1)
 			return microNext
 		}, pc, pc)
 	case bytecode.OpDup:
 		bb.flush(0)
-		bb.reshape(1, 0, 0)
+		bb.reshape(1, 2)
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 			f.push(f.upeek())
 			return microNext
 		}, pc, pc)
 	case bytecode.OpDupX1:
 		bb.flush(0)
-		bb.reshape(2, 1, 0, 1)
+		bb.reshape(2, 3)
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 			a := f.upop()
 			b := f.upop()
@@ -834,7 +856,7 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 		}, pc, pc)
 	case bytecode.OpSwap:
 		bb.flush(0)
-		bb.reshape(2, 1, 0)
+		bb.reshape(2, 2)
 		return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 			a := f.upop()
 			b := f.upop()
@@ -1006,9 +1028,11 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 	case bytecode.OpGetField:
 		// Guarded (fieldCheck): an unresolved slot, a null receiver, or a
 		// receiver without the slot or of a class the field is not in bails
-		// (the switch resolves and publishes the slot, or throws).
+		// (the switch resolves and publishes the slot, or throws). In a leaf
+		// body the receiver is an argument the call checked (leafOp), as is
+		// putfield's and arraylength's, so their micros check nothing.
 		bd, fc := bb.produce(1, pc), newFieldCheck(in)
-		if o, d, slot := bd.ops[0], bd.d, int(in.FS.Get()); o.kind == inLocal && slot >= 0 && bb.checked(o) {
+		if o, d, slot := bd.ops[0], bd.d, int(in.FS.Get()); o.kind == inLocal && slot >= 0 && bb.ls != nil {
 			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 				f.result(0, d, f.locals[o.slot].R.Elems[slot])
 				return microNext
@@ -1027,7 +1051,7 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 		}, pc, bd.last)
 	case bytecode.OpPutField:
 		bd, fc := bb.bind(2, pc), newFieldCheck(in)
-		if slot := int(in.FS.Get()); slot >= 0 && bb.checked(bd.ops[0]) {
+		if slot := int(in.FS.Get()); slot >= 0 && bb.ls != nil {
 			o, vo := bd.ops[0], bd.ops[1]
 			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 				recv, v := o.at(f).R, *vo.at(f)
@@ -1159,7 +1183,7 @@ func (bb *blockBuilder) compile(pc int32) (next int32, ok bool) {
 		return bb.call(op, in, pc)
 	case bytecode.OpArrayLength:
 		bd := bb.produce(1, pc)
-		if o, d := bd.ops[0], bd.d; o.kind == inLocal && bb.checked(o) {
+		if o, d := bd.ops[0], bd.d; o.kind == inLocal && bb.ls != nil {
 			return bb.emit(func(vm *VM, t *Thread, f *Frame) microStatus {
 				f.result(0, d, heap.IntVal(int64(len(f.locals[o.slot].R.Elems))))
 				return microNext
@@ -1293,22 +1317,24 @@ func sharedMirror(entry *classfile.PoolEntry) (*core.TaskClassMirror, int) {
 
 // --- Calls -----------------------------------------------------------------
 
-// leafBody is the inlinable form of a method: a straight-line body of at
-// most maxLeafWidth instructions ending in the method's return, whose
-// micros cannot bail — loads, constants, local stores, int and float
-// arithmetic without idiv/irem, iinc, pop/dup/swap — except
-// getfield/putfield and arraylength on a parameter the body never writes:
-// those cannot bail either once the call checked the argument (leafGuard).
-// There are no handlers, and the method is neither synchronized nor
-// native. The body reads no local of its own before it writes it, and has
-// at most leafScratch of them, written parameters included. Running it
-// retires inl instructions: the body and its return. Each call site
-// compiles the body for itself (callSite.compileLine).
+// leafBody is the inlinable form of a method (leafForm): a straight-line
+// body of at most maxLeafWidth instructions ending in the method's return,
+// whose instructions an inlinable leaf may hold (leafOp) — their micros
+// cannot bail, or, for getfield, putfield and arraylength, cannot bail once
+// the call checked the parameter they apply to (leafGuard), which the body
+// never writes. There are no handlers, and the method is neither
+// synchronized nor native. The body reads no local of its own before it
+// writes it, and has at most leafScratch of them, written parameters
+// included. Running it retires inl instructions: the body and its return.
+// Each call site compiles the body for itself (callSite.compileLine),
+// reading what it needs to know of each pc from states, preparation's
+// dataflow states of the body and its return.
 type leafBody struct {
-	m     *classfile.Method
-	p     *bytecode.PCode
-	width int32
-	inl   int64
+	m      *classfile.Method
+	p      *bytecode.PCode
+	states []*pcState
+	width  int32
+	inl    int64
 	// written marks the parameters the body writes: a call copies those
 	// into scratch and reads every other one where the caller's operand is.
 	written []bool
@@ -1330,149 +1356,74 @@ type leafGuard struct {
 	entry *classfile.PoolEntry
 }
 
-// leafForm returns m's leaf form, or nil. It checks every instruction
-// before the return, and follows the operand stack to find what its
-// getfield, putfield and arraylength sites need of the arguments — each
-// operand must be a parameter the body never writes —, which locals it
-// keeps in scratch and which of those may hold a reference.
-func leafForm(m *classfile.Method, p *bytecode.PCode) *leafBody {
+// leafForm returns m's leaf form, or nil. It is a query over states,
+// preparation's dataflow states of m: whether every instruction before the
+// first return is one a leaf may hold (leafOp) and reads no local that is
+// not set, whether each guarded operand holds a parameter the body never
+// writes, which locals the body keeps in scratch and which of those may
+// hold a reference at some point of the body.
+func leafForm(m *classfile.Method, p *bytecode.PCode, states []*pcState) *leafBody {
 	code := m.Code
-	if len(code.Handlers) > 0 || m.IsSynchronized() || m.IsNative() || p.MaxStack > leafHeadroom {
+	width := slices.IndexFunc(code.Instrs, func(in bytecode.Instr) bool { return in.Op.IsReturn() })
+	if width < 0 || width > maxLeafWidth || slices.Contains(states[:width+1], nil) ||
+		len(code.Handlers) > 0 || m.IsSynchronized() || m.IsNative() || p.MaxStack > leafHeadroom ||
+		(code.Instrs[width].Op == bytecode.OpReturn) != (m.Desc.Return == classfile.KindVoid) {
 		return nil
 	}
-	width := -1
-	for pc := 0; pc < len(code.Instrs) && pc <= maxLeafWidth && width < 0; pc++ {
-		switch code.Instrs[pc].Op {
-		case bytecode.OpReturn, bytecode.OpIReturn, bytecode.OpFReturn, bytecode.OpAReturn:
-			width = pc
-		}
-	}
-	if width < 0 || (code.Instrs[width].Op == bytecode.OpReturn) != (m.Desc.Return == classfile.KindVoid) {
-		return nil
-	}
-	instrs := code.Instrs[:width]
 	nParams := m.Desc.NumParams()
 	if !m.IsStatic() {
 		nParams++
 	}
-	lf := &leafBody{m: m, p: p, width: int32(width), inl: int64(width) + 1,
-		written: make([]bool, nParams), scratch: make([]int32, max(p.MaxLocals, nParams))}
-	for _, in := range instrs {
-		switch in.Op {
-		case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore, bytecode.OpIInc:
-			if int(in.A) < nParams {
-				lf.written[in.A] = true
-			}
-		}
+	lf := &leafBody{m: m, p: p, states: states[:width+1], width: int32(width), inl: int64(width) + 1,
+		written: make([]bool, nParams), scratch: make([]int32, p.MaxLocals)}
+	for k := range lf.written {
+		lf.written[k] = states[width].locals[k].param != int32(k)
 	}
+	// Scratch: the written parameters first, then the body's own locals in
+	// the order it first writes them.
 	var nScratch int32
-	set := make([]bool, len(lf.scratch)) // the local holds a value
-	ref := make([]bool, len(lf.scratch)) // the local may hold a reference
+	use := func(k int32) bool {
+		if lf.scratch[k] < 0 {
+			if nScratch >= leafScratch {
+				return false
+			}
+			lf.scratch[k] = nScratch
+			nScratch++
+		}
+		return true
+	}
 	for k := range lf.scratch {
 		lf.scratch[k] = -1
-		if k < nParams {
-			set[k], ref[k] = true, true
-			if lf.written[k] {
-				if nScratch >= leafScratch {
-					return nil
-				}
-				lf.scratch[k] = nScratch
-				nScratch++
-			}
-		}
 	}
-	// The operand stack: the parameter an entry holds (or -1) and whether
-	// it may be a reference.
-	type entry struct {
-		param int32
-		ref   bool
-	}
-	var stack []entry
-	push := func(e entry) { stack = append(stack, e) }
-	pop := func() entry {
-		e := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return e
-	}
-	value := entry{param: -1}
-	for pc, in := range instrs {
-		switch in.Op {
-		case bytecode.OpNop:
-		case bytecode.OpIInc:
-			if !set[in.A] {
-				return nil
-			}
-		case bytecode.OpILoad, bytecode.OpFLoad, bytecode.OpALoad:
-			if !set[in.A] {
-				return nil
-			}
-			e := entry{param: -1, ref: ref[in.A]}
-			if int(in.A) < nParams && !lf.written[in.A] {
-				e.param = in.A
-			}
-			push(e)
-		case bytecode.OpIConst, bytecode.OpFConst, bytecode.OpAConstNull:
-			push(value)
-		case bytecode.OpIStore, bytecode.OpFStore, bytecode.OpAStore:
-			k := in.A
-			if lf.scratch[k] < 0 {
-				if nScratch >= leafScratch {
-					return nil
-				}
-				lf.scratch[k] = nScratch
-				nScratch++
-			}
-			e := pop()
-			set[k], ref[k] = true, ref[k] || e.ref
-		case bytecode.OpPop:
-			pop()
-		case bytecode.OpDup:
-			e := pop()
-			push(e)
-			push(e)
-		case bytecode.OpDupX1:
-			a, b := pop(), pop()
-			push(a)
-			push(b)
-			push(a)
-		case bytecode.OpSwap:
-			a, b := pop(), pop()
-			push(a)
-			push(b)
-		case bytecode.OpIAdd, bytecode.OpISub, bytecode.OpIMul,
-			bytecode.OpIAnd, bytecode.OpIOr, bytecode.OpIXor,
-			bytecode.OpIShl, bytecode.OpIShr, bytecode.OpIUshr,
-			bytecode.OpFAdd, bytecode.OpFSub, bytecode.OpFMul, bytecode.OpFDiv, bytecode.OpFCmp:
-			pop()
-			pop()
-			push(value)
-		case bytecode.OpINeg, bytecode.OpFNeg, bytecode.OpI2F, bytecode.OpF2I:
-			pop()
-			push(value)
-		case bytecode.OpGetField, bytecode.OpArrayLength:
-			e := pop()
-			if e.param < 0 {
-				return nil
-			}
-			g := leafGuard{local: e.param}
-			if in.Op == bytecode.OpGetField {
-				g.fs, g.entry = p.Instrs[pc].FS, p.Instrs[pc].Ref.(*classfile.PoolEntry)
-			}
-			lf.guards = append(lf.guards, g)
-			push(entry{param: -1, ref: in.Op == bytecode.OpGetField})
-		case bytecode.OpPutField:
-			pop()
-			e := pop()
-			if e.param < 0 {
-				return nil
-			}
-			lf.guards = append(lf.guards, leafGuard{local: e.param, fs: p.Instrs[pc].FS, entry: p.Instrs[pc].Ref.(*classfile.PoolEntry)})
-		default:
+	for k, w := range lf.written {
+		if w && !use(int32(k)) {
 			return nil
 		}
 	}
+	for pc, in := range code.Instrs[:width] {
+		ok, guard := leafOp(in.Op)
+		st := states[pc]
+		switch {
+		case !ok, in.Op.UsesLocal() && !states[pc+1].locals[in.A].set:
+			// An opcode a leaf may not hold, or a read of a local the body
+			// has not set.
+			return nil
+		case in.Op.UsesLocal() && int(in.A) >= nParams && !use(in.A):
+			return nil
+		case guard >= 0:
+			arg := st.stack[len(st.stack)-1-guard].param
+			if arg < 0 || lf.written[arg] {
+				return nil
+			}
+			g := leafGuard{local: arg}
+			if entry, ok := p.Instrs[pc].Ref.(*classfile.PoolEntry); ok {
+				g.fs, g.entry = p.Instrs[pc].FS, entry
+			}
+			lf.guards = append(lf.guards, g)
+		}
+	}
 	for k, j := range lf.scratch {
-		if j >= 0 && ref[k] {
+		if j >= 0 && slices.ContainsFunc(lf.states, func(st *pcState) bool { return st.locals[k].ref }) {
 			lf.refScratch = append(lf.refScratch, j)
 		}
 	}
@@ -1565,8 +1516,8 @@ func (bb *blockBuilder) call(op bytecode.Opcode, in *bytecode.PInstr, pc int32) 
 		virtual: op == bytecode.OpInvokeVirtual, base: -1,
 		scratch0: int32(bb.p.MaxLocals), home: -1, isolated: bb.mode == core.ModeIsolated}
 	s.ns = bb.take(s.ops)
-	if int(pc) < len(bb.depth) && bb.depth[pc] >= 0 {
-		s.base = bb.depth[pc] - int32(len(s.ops))
+	if st := bb.states[pc]; st != nil {
+		s.base = int32(len(st.stack) - len(s.ops))
 	}
 	if c := bb.m.Class; !c.IsSystem() && bb.m.Name != classfile.ClinitName {
 		s.home = c.LoaderID
@@ -1788,8 +1739,9 @@ func (g leafGuard) check() *fieldCheck {
 // own locals live from the caller's scratch0 on,
 // and dest is the site's result local (-1: the stack), which the body's
 // last producer writes when it can (folded). The builder's symbol stack
-// is the body's whole operand stack: real entries stay in it as onStack
-// markers, so a symbol can stay pending under them (take).
+// is the body's whole operand stack, entry for entry the dataflow's
+// (before, after): real entries stay in it as onStack markers, so a symbol
+// can stay pending under them (take).
 type lineScope struct {
 	params   []operand
 	h        int32
@@ -1797,13 +1749,21 @@ type lineScope struct {
 	scratch0 int32
 	dest     int32
 	folded   bool
-	// depth is how many real entries the body has pushed above the call's
-	// arguments, refs the depths a reference may have reached, and fail
-	// that the body needs a symbol lifted from under a real entry.
+	// pc is the body instruction the builder compiles, depth how many real
+	// entries the body has pushed above the call's arguments, refs the
+	// depths a reference may have reached, and fail that the body needs a
+	// symbol lifted from under a real entry.
+	pc    int32
 	depth int32
 	refs  uint32
 	fail  bool
 }
+
+// before and after are the operand stack before and after the body
+// instruction the builder compiles, as preparation's dataflow found it: the
+// builder's symbol stack in a leaf body, entry by entry.
+func (ls *lineScope) before() []slotState { return ls.lf.states[ls.pc].stack }
+func (ls *lineScope) after() []slotState  { return ls.lf.states[ls.pc+1].stack }
 
 // inPlace returns o as a micro reads it once the body has pushed extra
 // more entries: a stack argument is then that far below the top.
@@ -1814,19 +1774,22 @@ func (ls *lineScope) inPlace(o operand, extra int32) operand {
 	return o
 }
 
-// push records a real entry pushed at the body's current depth.
-func (ls *lineScope) push(ref bool) operand {
-	if ref {
+// push records a real entry pushed at the body's current depth, which
+// holds entry i of the dataflow's stack st.
+func (ls *lineScope) push(st []slotState, i int) operand {
+	if st[i].ref {
 		ls.refs |= 1 << ls.depth
 	}
 	ls.depth++
-	return operand{kind: onStack, ref: ref}
+	return operand{kind: onStack}
 }
 
 // compileLine compiles lf's body for the call at s into ln with the block
 // builder: the body's loads of parameters it never writes bind to the
 // site's operands, the rest of its locals to the caller's scratch locals,
-// and its pushes go above the call's arguments. It needs no activation.
+// and its pushes go above the call's arguments; the line clears the stack
+// slots and scratch locals the dataflow says may hold a reference once the
+// body ran. It needs no activation.
 func (s *callSite) compileLine(ln *siteLine, lf *leafBody) {
 	h := s.base + int32(s.ns)
 	params := make([]operand, len(s.ops))
@@ -1834,7 +1797,6 @@ func (s *callSite) compileLine(ln *siteLine, lf *leafBody) {
 		if o.kind == onStack {
 			o = operand{kind: inSlot, slot: h - 1 - o.slot}
 		}
-		o.arg = true
 		params[i] = o
 	}
 	ls := &lineScope{params: params, h: h, lf: lf, scratch0: s.scratch0, dest: -1}
@@ -1852,9 +1814,9 @@ func (s *callSite) compileLine(ln *siteLine, lf *leafBody) {
 			})
 		}
 	}
-	for pc := int32(0); pc < lf.width; {
+	for ls.pc < lf.width {
 		var ok bool
-		if pc, ok = bb.compile(pc); !ok {
+		if ls.pc, ok = bb.compile(ls.pc); !ok {
 			return // unreachable: a leaf holds only what compiles
 		}
 	}

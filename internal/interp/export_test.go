@@ -201,3 +201,29 @@ func (vm *VM) TableFlagsForTest(t *Thread) (pruned, arming bool) {
 	defer vm.threadsMu.Unlock()
 	return t.pruned, t.arming
 }
+
+// LeafVerdictForTest reports what preparation compiled for p: how many
+// call sites the closure program holds and, when the method is an
+// inlinable leaf, its width, written parameters, scratch map, the scratch
+// locals that may hold a reference and the argument guards.
+func LeafVerdictForTest(p *bytecode.PCode) string {
+	cp, _ := p.Closure.(*closureProgram)
+	if cp == nil {
+		return "no program"
+	}
+	out := fmt.Sprintf("sites=%d", len(cp.sites))
+	lf := cp.leaf
+	if lf == nil {
+		return out + " leaf=no"
+	}
+	var guards []string
+	for _, g := range lf.guards {
+		what := "array"
+		if g.entry != nil {
+			what = g.entry.ClassName + "." + g.entry.Name
+		}
+		guards = append(guards, fmt.Sprintf("%d:%s", g.local, what))
+	}
+	return fmt.Sprintf("%s leaf width=%d inl=%d written=%v scratch=%v refScratch=%v guards=%v",
+		out, lf.width, lf.inl, lf.written, lf.scratch, lf.refScratch, guards)
+}

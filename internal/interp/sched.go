@@ -65,9 +65,10 @@ type IsolateRun struct {
 	// IsolateID and Name identify the isolate.
 	IsolateID int32
 	Name      string
-	// Instructions executed by the isolate's shard during the run
-	// (attributed to the isolate that was current, exactly like the
-	// sequential engine's accounting).
+	// Instructions is the growth of the isolate's instruction account over
+	// the run: what it retired on its own shard and, inlined, on other
+	// isolates' (a migrating leaf call charges its body to the callee).
+	// An isolate created during the run counts from its first thread.
 	Instructions int64
 	// Killed reports the isolate was dead (killed or disposed) when the
 	// run finished.

@@ -139,7 +139,12 @@ type shard struct {
 	inbox   []*interp.Thread
 	state   shardState
 	rr      int
-	instrs  int64
+	// retired counts the instructions the shard's threads retired,
+	// whichever isolate each was charged to (an inlined cross-bundle leaf
+	// body is charged to the callee's); base is the isolate's instruction
+	// account when the shard was made: the run reports the account's
+	// growth since (result).
+	retired, base int64
 	// parked records membership of pool.parkedShards: the shard is idle
 	// and still owns an unfinished thread.
 	parked bool
@@ -162,7 +167,7 @@ type shard struct {
 	// intCounted records that this queued shard is counted in
 	// pool.intQueued (interactive preemption).
 	intCounted bool
-	// sliceStart is s.instrs at dispatch; the delta at slice end is the
+	// sliceStart is s.retired at dispatch; the delta at slice end is the
 	// consumption advancing vrt.
 	sliceStart int64
 }
@@ -405,7 +410,7 @@ func (p *pool) shardFor(iso *core.Isolate) *shard {
 	if s, ok := p.shards[iso]; ok {
 		return s
 	}
-	s := &shard{iso: iso, seq: p.nextSeq}
+	s := &shard{iso: iso, seq: p.nextSeq, base: iso.Account().Instructions.Load()}
 	p.nextSeq++
 	p.shards[iso] = s
 	return s
@@ -451,7 +456,7 @@ func (p *pool) result() interp.RunResult {
 		res.PerIsolate = append(res.PerIsolate, interp.IsolateRun{
 			IsolateID:        int32(s.iso.ID()),
 			Name:             s.iso.Name(),
-			Instructions:     s.instrs,
+			Instructions:     s.iso.Account().Instructions.Load() - s.base,
 			Killed:           s.iso.Killed(),
 			ThreadsRemaining: remaining,
 			Weight:           s.iso.Weight(),
@@ -511,7 +516,7 @@ func (p *pool) worker() {
 			p.mu.Unlock()
 			start := time.Now()
 			end := p.runSlice(s, &sampler)
-			if s.instrs-s.sliceStart >= p.slice {
+			if s.retired-s.sliceStart >= p.slice {
 				p.sliceWall.Store(int64(time.Since(start)))
 			}
 			// Governor sampling happens at the dispatch boundary with
@@ -676,7 +681,7 @@ func (p *pool) unparkLocked(s *shard) {
 func (p *pool) retireLocked(s *shard) {
 	delete(p.shards, s.iso)
 	p.freed.Count++
-	p.freed.Instructions += s.instrs
+	p.freed.Instructions += s.iso.Account().Instructions.Load() - s.base
 }
 
 // dequeueLocked removes and returns the next shard to dispatch (nil when
@@ -711,7 +716,7 @@ func (p *pool) dequeueLocked() *shard {
 		p.intQueued.Add(-1)
 	}
 	s.state = shardRunning
-	s.sliceStart = s.instrs
+	s.sliceStart = s.retired
 	s.threads = append(s.threads, s.inbox...)
 	s.inbox = nil
 	return s
@@ -758,7 +763,7 @@ func (p *pool) shardLessLocked(a, b *shard) bool {
 // p.mu held.
 func (p *pool) finishSliceLocked(s *shard) {
 	if p.policy == PolicyProportional {
-		if consumed := s.instrs - s.sliceStart; consumed > 0 {
+		if consumed := s.retired - s.sliceStart; consumed > 0 {
 			s.advanceVrt(consumed, s.iso.Weight())
 		}
 	}
@@ -855,7 +860,7 @@ func (p *pool) runSlice(s *shard, sampler *interp.SampleState) endReason {
 		if p.limited && res.Instructions < q {
 			p.budget.Add(q - res.Instructions)
 		}
-		s.instrs += res.Instructions
+		s.retired += res.Instructions
 		p.instrs.Add(res.Instructions)
 		remaining -= res.Instructions
 		if res.Instructions == 0 && !res.Migrated && !res.Stopped && !res.Shutdown && !res.TargetDone {
