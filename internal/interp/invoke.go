@@ -203,8 +203,8 @@ func (vm *VM) start(t *Thread, name string, creator *core.Isolate, m *classfile.
 	err := vm.pushFrame(t, m, args, nil)
 	if err != nil {
 		vm.unstageEntryArgs(t)
-		vm.finishThread(t)
 		t.err = err
+		vm.finishThread(t)
 		return err
 	}
 	// The arrival stamp is taken here, not at the start: this is the moment

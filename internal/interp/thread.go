@@ -285,6 +285,13 @@ type Thread struct {
 	// thread is no GC root: failure may be swept afterwards).
 	failureText string
 
+	// done is closed when the thread's current run finishes; the first
+	// Wait on an unfinished run allocates it. Guarded by VM.schedMu, under
+	// which finishThread publishes Done and takes the channel away, so
+	// every run starts with none and a waiter on a respawned shell is
+	// released by the run it waited on, never by the one before.
+	done chan struct{}
+
 	// pruned records that the thread is not in the thread table: it is
 	// fresh, or compactThreadsLocked dropped it (guarded by vm.threadsMu).
 	// A thread start (VM.start) appends pruned threads; without the flag it
@@ -341,6 +348,28 @@ func waitsOnOthers(s ThreadState) int64 {
 
 // Done reports whether the thread has finished.
 func (t *Thread) Done() bool { return t.State() == StateDone }
+
+// Wait blocks until the thread's run current at the call has finished:
+// returned, thrown uncaught, aborted, or unwound by a kill. Any number of
+// host goroutines may wait on one run. Guest code (a native) must not
+// call it: it would block a scheduler worker.
+func (t *Thread) Wait() {
+	if t.Done() {
+		return
+	}
+	mu := &t.vm.schedMu
+	mu.Lock()
+	if t.Done() {
+		mu.Unlock()
+		return
+	}
+	if t.done == nil {
+		t.done = make(chan struct{})
+	}
+	ch := t.done
+	mu.Unlock()
+	<-ch
+}
 
 // CurrentIsolate returns the isolate the thread currently executes in.
 func (t *Thread) CurrentIsolate() *core.Isolate { return t.cur }

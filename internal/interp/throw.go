@@ -186,7 +186,8 @@ func (vm *VM) chargePerCallCPU(t *Thread, leaving *core.Isolate) {
 // finishThread marks t done and releases any monitors still held by its
 // frames (uncaught exception path keeps invariants intact). Joiners of
 // the finished thread may become runnable; the scheduler hooks are
-// notified so idle shards re-poll.
+// notified so idle shards re-poll; host goroutines in Thread.Wait are
+// released.
 func (vm *VM) finishThread(t *Thread) {
 	for len(t.frames) > 0 {
 		vm.popFrame(t, t.top())
@@ -204,6 +205,10 @@ func (vm *VM) finishThread(t *Thread) {
 	vm.schedMu.Lock()
 	vm.removeSleepGaugeLocked(t)
 	t.setState(StateDone)
+	if t.done != nil {
+		close(t.done)
+		t.done = nil
+	}
 	vm.schedMu.Unlock()
 	t.creator.Account().ThreadsLive.Add(-1)
 	vm.liveThreads.Add(-1)

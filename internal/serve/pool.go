@@ -95,6 +95,10 @@ type Pool struct {
 	dead   []*core.Isolate
 	closed bool
 
+	// refilling is held by each refill pass (a test holds it to keep the
+	// warm set from growing).
+	refilling sync.Mutex
+
 	seq  atomic.Int64
 	wake chan struct{}
 	done chan struct{}
@@ -244,37 +248,33 @@ func (p *Pool) refiller() {
 			return
 		case <-p.wake:
 		}
+		p.refilling.Lock()
 		p.refill()
+		p.refilling.Unlock()
 	}
 }
 
-// refill retires returned sessions, then tops the warm set back up to
-// Capacity. Runs only on the refiller goroutine; holds no pool lock
-// across VM operations.
+// refill tops the warm set back up to Capacity, retiring the returned
+// sessions before each clone: returns that arrive while it clones wait
+// for one clone, not for the whole pass, so as many sessions await
+// teardown as clients release during one clone. Runs only on the refiller
+// goroutine; holds no pool lock across VM operations.
 func (p *Pool) refill() {
-	p.mu.Lock()
-	dead := p.dead
-	p.dead = nil
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		p.retire(dead)
-		return
-	}
-	if rest := p.retire(dead); len(rest) > 0 {
-		// Threads still unwinding or sweep not terminal yet: put them
-		// back and retry shortly.
-		p.mu.Lock()
-		p.dead = append(p.dead, rest...)
-		p.mu.Unlock()
-		time.AfterFunc(time.Millisecond, p.kick)
-	}
+	var rest []*core.Isolate // returns not yet disposable
 	for {
 		p.mu.Lock()
-		full := p.closed || len(p.warm) >= p.cfg.Capacity
+		dead, closed := p.dead, p.closed
+		p.dead = nil
+		full := closed || len(p.warm) >= p.cfg.Capacity
 		p.mu.Unlock()
-		if full {
+		rest = append(rest, p.retire(dead)...)
+		if closed {
+			// Close has taken its own list: what this pass holds is ours.
+			p.retire(rest)
 			return
+		}
+		if full {
+			break
 		}
 		iso, err := p.clone()
 		if err != nil {
@@ -283,16 +283,24 @@ func (p *Pool) refill() {
 			// kick leaks nothing.
 			p.cloneFailures.Add(1)
 			time.AfterFunc(time.Millisecond, p.kick)
-			return
+			break
 		}
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
-			p.retire([]*core.Isolate{iso})
+			p.retire(append(rest, iso))
 			return
 		}
 		p.warm = append(p.warm, iso)
 		p.mu.Unlock()
+	}
+	if len(rest) > 0 {
+		// Threads still unwinding or sweep not terminal yet: put them
+		// back and retry shortly.
+		p.mu.Lock()
+		p.dead = append(p.dead, rest...)
+		p.mu.Unlock()
+		time.AfterFunc(time.Millisecond, p.kick)
 	}
 }
 

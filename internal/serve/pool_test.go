@@ -104,6 +104,10 @@ func TestPoolAcquireServeRelease(t *testing.T) {
 		t.Fatalf("priming: %+v", st)
 	}
 
+	// Each Acquire kicks the refiller: held, it cannot put a fifth clone
+	// into the warm set before the exhaustion check.
+	resume := p.HoldRefillForTest()
+	defer resume()
 	got := make([]*core.Isolate, 0, 4)
 	seen := map[*core.Isolate]bool{}
 	for i := 0; i < 4; i++ {
@@ -121,6 +125,7 @@ func TestPoolAcquireServeRelease(t *testing.T) {
 	if _, err := p.Acquire(nil); !errors.Is(err, serve.ErrSaturated) {
 		t.Fatalf("exhausted acquire: %v, want ErrSaturated", err)
 	}
+	resume()
 
 	// Every acquired isolate is a fresh warmed clone: count starts at the
 	// captured 6.

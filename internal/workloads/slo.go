@@ -438,13 +438,9 @@ func RunSLO(cfg SLOConfig) (*SLOResult, error) {
 					atomic.AddInt64(&failed, 1)
 					continue
 				}
-				// The poll only detects completion; the latency itself is
-				// the worker-stamped virtual interval, so poll granularity
-				// (which can reach Go sysmon preemption scale when VM
-				// workers saturate the host CPUs) does not distort it.
-				for !th.Done() {
-					time.Sleep(20 * time.Microsecond)
-				}
+				// The latency is the worker-stamped virtual interval, not
+				// when this goroutine got to run again.
+				th.Wait()
 				lat := th.FinishTick() - th.SpawnTick()
 				if th.Failure() != nil || th.Err() != nil || th.Result().I != int64(cfg.WorkIters) {
 					atomic.AddInt64(&failed, 1)
