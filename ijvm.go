@@ -139,14 +139,6 @@ type Options struct {
 	HeapLimit int64
 	// MaxThreads caps live threads (default 4096).
 	MaxThreads int
-	// Quantum is the scheduler slice in instructions (default 1000).
-	Quantum int
-	// SampleEvery is the CPU sampling period in instructions (default
-	// 127).
-	SampleEvery int
-	// PerCallCPUAccounting enables the per-call timestamping accounting
-	// ablation the paper rejected in §3.2.
-	PerCallCPUAccounting bool
 }
 
 // VM is one virtual machine instance (not safe for concurrent use; the
@@ -159,12 +151,9 @@ type VM struct {
 // New creates a VM with the system library installed.
 func New(opts Options) (*VM, error) {
 	inner := interp.NewVM(interp.Options{
-		Mode:                 opts.Mode,
-		HeapLimit:            opts.HeapLimit,
-		MaxThreads:           opts.MaxThreads,
-		Quantum:              opts.Quantum,
-		SampleEvery:          opts.SampleEvery,
-		PerCallCPUAccounting: opts.PerCallCPUAccounting,
+		Mode:       opts.Mode,
+		HeapLimit:  opts.HeapLimit,
+		MaxThreads: opts.MaxThreads,
 	})
 	if err := syslib.Install(inner); err != nil {
 		return nil, err

@@ -206,17 +206,6 @@ func TestCodeClone(t *testing.T) {
 	}
 }
 
-func TestDisassembleShowsHandlers(t *testing.T) {
-	a := bytecode.NewAssembler(nil)
-	a.Label("try").Const(1).IReturn().Label("end").Label("h").Const(0).IReturn()
-	a.Handler("try", "end", "h", "java/lang/Exception")
-	code := a.MustFinish()
-	out := bytecode.Disassemble(code)
-	if !strings.Contains(out, "iconst 1") || !strings.Contains(out, ".catch java/lang/Exception") {
-		t.Fatalf("disassembly missing pieces:\n%s", out)
-	}
-}
-
 // TestQuickLinearProgramsValidate builds random straight-line stack-safe
 // programs and checks assembler output always validates.
 func TestQuickLinearProgramsValidate(t *testing.T) {

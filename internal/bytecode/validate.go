@@ -70,23 +70,3 @@ func Validate(code *Code) error {
 	}
 	return errors.Join(errs...)
 }
-
-// Disassemble renders code as one instruction per line, prefixed with the
-// instruction index, in a form the text assembler can reparse.
-func Disassemble(code *Code) string {
-	if code == nil {
-		return ""
-	}
-	out := make([]byte, 0, len(code.Instrs)*16)
-	for pc, in := range code.Instrs {
-		out = append(out, fmt.Sprintf("%4d: %s\n", pc, in.String())...)
-	}
-	for _, h := range code.Handlers {
-		catch := h.CatchClass
-		if catch == "" {
-			catch = "*"
-		}
-		out = append(out, fmt.Sprintf("      .catch %s [%d,%d) -> %d\n", catch, h.Start, h.End, h.Target)...)
-	}
-	return string(out)
-}

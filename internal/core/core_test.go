@@ -235,22 +235,6 @@ func TestDetectRules(t *testing.T) {
 	}
 }
 
-func TestTopBy(t *testing.T) {
-	snaps := []core.Snapshot{
-		{IsolateID: 0, State: core.StateLive, LiveBytes: 99999},
-		{IsolateID: 1, State: core.StateLive, LiveBytes: 10},
-		{IsolateID: 2, State: core.StateLive, LiveBytes: 500},
-		{IsolateID: 3, State: core.StateKilled, LiveBytes: 800},
-	}
-	got := core.TopBy(snaps, func(s core.Snapshot) int64 { return s.LiveBytes })
-	if got != 2 {
-		t.Fatalf("TopBy = %d, want 2 (runtime and killed excluded)", got)
-	}
-	if core.TopBy(nil, func(core.Snapshot) int64 { return 0 }) != -1 {
-		t.Fatal("empty TopBy must return -1")
-	}
-}
-
 func TestStructFootprintGrowsWithIsolation(t *testing.T) {
 	// Two isolates touching the same class must cost more metadata than
 	// one isolate touching it (the Figure 3 overhead source).

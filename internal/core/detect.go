@@ -111,17 +111,3 @@ func Detect(snaps []Snapshot, th Thresholds) []Finding {
 	})
 	return out
 }
-
-// TopBy returns the live, non-runtime isolate maximizing metric, or -1.
-func TopBy(snaps []Snapshot, metric func(Snapshot) int64) int32 {
-	best, bestID := int64(-1), int32(-1)
-	for _, s := range snaps {
-		if s.IsolateID == 0 || s.State != StateLive {
-			continue
-		}
-		if v := metric(s); v > best {
-			best, bestID = v, s.IsolateID
-		}
-	}
-	return bestID
-}

@@ -101,6 +101,10 @@ type World struct {
 	// and mirror rows dense instead of growing without bound.
 	freeIDs []heap.IsolateID
 
+	// created, when set (OnIsolateCreated), is told of every isolate
+	// NewIsolate makes, after mu is released.
+	created func(*Isolate)
+
 	mirrorMu sync.Mutex
 	// rootRows counts the rows MirrorRootSets has visited (tests assert it
 	// follows live mirrors, not linked classes).
@@ -118,10 +122,22 @@ func (w *World) Mode() Mode { return w.mode }
 // Isolated reports whether I-JVM mechanisms are active.
 func (w *World) Isolated() bool { return w.mode == ModeIsolated }
 
+// OnIsolateCreated installs fn to be told of every isolate NewIsolate
+// makes. It must be called before the world is shared between goroutines.
+func (w *World) OnIsolateCreated(fn func(*Isolate)) { w.created = fn }
+
 // NewIsolate creates an isolate for a class loader. The first isolate
 // created becomes Isolate0 with all rights (paper §3.1); in Shared mode
 // only Isolate0 may exist.
 func (w *World) NewIsolate(name string, l *loader.Loader) (*Isolate, error) {
+	iso, err := w.newIsolate(name, l)
+	if err == nil && w.created != nil {
+		w.created(iso)
+	}
+	return iso, err
+}
+
+func (w *World) newIsolate(name string, l *loader.Loader) (*Isolate, error) {
 	if l == nil {
 		return nil, errors.New("core: isolate requires a class loader")
 	}

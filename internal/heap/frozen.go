@@ -2,17 +2,20 @@ package heap
 
 import "fmt"
 
-// This file is the zero-copy handoff facility of the RPC layer and the
-// snapshot machinery: frozen (deeply immutable) arrays.
+// This file is the zero-copy handoff facility of the RPC layer, the
+// mesh frontends and the snapshot machinery: frozen (deeply immutable)
+// arrays.
 //
 // A frozen array is deeply immutable: every element is a scalar, a
 // string, or another frozen array. Freezing is a one-way, host-side
-// operation (there is no guest surface); the interpreter's array-store
-// paths reject stores into a frozen array with a guest-visible
-// exception. Because nothing can mutate a frozen graph, two isolates can
-// share it by reference without violating the copy semantics of
-// isolate links — the accounting collector charges it to the first
-// isolate that traces it, exactly like any other shared object.
+// operation (there is no guest surface and no thaw); the interpreter's
+// array-store paths reject stores into a frozen array with a
+// guest-visible exception. Because nothing can mutate a frozen graph,
+// two isolates can share it by reference without violating the copy
+// semantics of isolate links — the accounting collector charges it to
+// the first isolate that traces it, exactly like any other shared
+// object. A snapshot capture freezes nothing itself; it shares by
+// pointer only the arrays a host froze before.
 //
 // The heap keeps no root table for such payloads. A shared payload is in
 // neither isolate's reachable graph while it sits in a link's request
@@ -30,22 +33,8 @@ import "fmt"
 // guest mutation): it is a host-side handoff-preparation step, not a
 // synchronization primitive.
 func Freeze(o *Object) error {
-	_, err := FreezeTracked(o)
-	return err
-}
-
-// FreezeTracked is Freeze plus an undo record: it returns the arrays
-// whose frozen bit this call actually flipped (arrays that were already
-// frozen — shared sub-graphs frozen by an earlier handoff — are not
-// reported). A caller that freezes speculatively and then fails, such as
-// the snapshot flattener on a FreezeShared capture that later hits an
-// unsnapshotable object, passes the record to Unfreeze so the failure
-// leaves the template exactly as it found it; a plain Freeze would leave
-// the bits set forever (freezing is otherwise one-way) and turn every
-// later guest store into a spurious exception.
-func FreezeTracked(o *Object) ([]*Object, error) {
 	if o == nil || !o.IsArray() {
-		return nil, fmt.Errorf("heap: Freeze requires an array")
+		return fmt.Errorf("heap: Freeze requires an array")
 	}
 	stack := []*Object{o}
 	seen := map[*Object]bool{o: true}
@@ -62,7 +51,7 @@ func FreezeTracked(o *Object) ([]*Object, error) {
 				continue
 			}
 			if !r.IsArray() {
-				return nil, fmt.Errorf("heap: cannot freeze: element %d of %s references mutable %s",
+				return fmt.Errorf("heap: cannot freeze: element %d of %s references mutable %s",
 					i, a.Class.Name, r.Class.Name)
 			}
 			if !seen[r] {
@@ -72,24 +61,10 @@ func FreezeTracked(o *Object) ([]*Object, error) {
 			}
 		}
 	}
-	var flipped []*Object
 	for _, a := range order {
-		if a.setFlag(flagFrozen) {
-			flipped = append(flipped, a)
-		}
+		a.setFlag(flagFrozen)
 	}
-	return flipped, nil
-}
-
-// Unfreeze clears the frozen bit on the arrays a FreezeTracked call
-// reported as newly frozen. It exists solely to unwind a speculative
-// freeze whose surrounding operation failed; established frozen graphs
-// (handed-off payloads, live snapshots) must never be thawed, which is
-// why the only input it accepts is FreezeTracked's own undo record.
-func Unfreeze(flipped []*Object) {
-	for _, a := range flipped {
-		a.clearFlag(flagFrozen)
-	}
+	return nil
 }
 
 // Frozen reports whether the object is a frozen (deeply immutable)

@@ -35,6 +35,10 @@ type SchedHooks interface {
 	// some thread was blocked on a monitor or joining, so such threads
 	// anywhere may now be promotable.
 	ThreadsChanged()
+	// IsolateCreated reports that iso was just made, or, for a clone,
+	// just seeded with its template's account: what it is charged from
+	// now on is the run's.
+	IsolateCreated(iso *core.Isolate)
 	// IsolateFreed reports that FreeIsolate recycled iso: no unfinished
 	// thread executes in it, and the scheduler should drop what it keeps
 	// per isolate.
@@ -83,6 +87,8 @@ func (vm *VM) SchedulerAttached() bool {
 // sequential runs it is a direct call on the run-loop goroutine, with
 // what the running quantum still holds batched flushed first so the
 // stopped-world observer sees exact counters (the sequential safepoint).
+// A worker that requests the stop itself publishes its own batch the
+// same way (PublishQuantum) before the others park.
 func (vm *VM) withWorldStopped(fn func()) {
 	if b := vm.safe.Load(); b != nil {
 		b.s.StopTheWorld(func() { vm.stoppedSection(fn) })
@@ -182,6 +188,12 @@ func (vm *VM) notifyThreadsChanged() {
 	}
 	if b := vm.hooks.Load(); b != nil {
 		b.h.ThreadsChanged()
+	}
+}
+
+func (vm *VM) notifyIsolateCreated(iso *core.Isolate) {
+	if b := vm.hooks.Load(); b != nil {
+		b.h.IsolateCreated(iso)
 	}
 }
 
@@ -345,6 +357,13 @@ func (vm *VM) RunThreadQuantum(t *Thread, home *core.Isolate, budget int64, stop
 	vm.flushQuantum(s)
 	return res
 }
+
+// PublishQuantum publishes what s holds batched mid-quantum. A scheduler
+// worker calls it on its own goroutine when the code it runs requests a
+// stop (a native's collection, kill or free): the other workers publish
+// their batches as they park, and the requester's would otherwise stay
+// unpublished inside the stop.
+func (vm *VM) PublishQuantum(s *SampleState) { vm.flushQuantum(s) }
 
 // flushQuantum publishes everything s holds batched: the clock ticks and
 // the instruction total of the steps not yet published, the per-isolate

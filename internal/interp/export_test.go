@@ -14,16 +14,6 @@ import (
 // continues in a block of its own at the cap pc.
 const MaxClosureBlockForTest = maxClosureBlock
 
-// FlushQuantumForTest publishes what the quantum running t holds batched
-// (instructions, calls, bytes), as a stop the sequential engine makes
-// mid-quantum does (withWorldStopped). A stop a native requests on a
-// scheduler worker leaves that worker's own batch unpublished.
-func FlushQuantumForTest(vm *VM, t *Thread) {
-	if t.qa != nil {
-		vm.flushQuantum(t.qa)
-	}
-}
-
 // PrepareMethodForTest exposes the preparation pass to the external test
 // package (the fuzz target drives it with adversarial instruction
 // streams; the oracle tests reach it through normal execution).

@@ -478,9 +478,6 @@ func runLeafLine(t *testing.T, in llInput, mode core.Mode, every, workers int, s
 		if in.action == 0 || mode != core.ModeIsolated || a[0].I != int64(in.actRound) {
 			return interp.NativeVoid()
 		}
-		// Freeing is a host's act, which finds every worker's batch
-		// published; a worker's own stop does not publish its batch.
-		interp.FlushQuantumForTest(vm, th)
 		if err := vm.KillIsolate(nil, callee); err != nil {
 			return interp.NativeResult{}, err
 		}
@@ -552,11 +549,9 @@ func runLeafLine(t *testing.T, in llInput, mode core.Mode, every, workers int, s
 	if acted != "" {
 		acted += ", then " + oldAccount()
 	}
-	// Shared mode keeps no per-isolate account. A scheduler run reports
-	// the isolates it holds a shard of, and an isolate made during the run
-	// gets one only when a thread enters it, not when inlined calls run in
-	// it: the reborn callee has no row.
-	if mode == core.ModeIsolated && (workers == 0 || !strings.HasPrefix(acted, "rebound")) && rows != runInstr {
+	// Shared mode keeps no per-isolate account. A scheduler run has a
+	// row for every isolate from its creation: the reborn callee's too.
+	if mode == core.ModeIsolated && rows != runInstr {
 		t.Fatalf("%v every=%d workers=%d: the isolates' rows sum to %d instructions, the run retired %d", mode, every, workers, rows, runInstr)
 	}
 	if p := run.Code.Prepared(); !seed && p != nil {

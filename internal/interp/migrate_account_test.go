@@ -210,6 +210,64 @@ func TestMigrationAccountsExactAtSTWPark(t *testing.T) {
 	e.check(t, "after the run")
 }
 
+// TestWorkerStopPublishesOwnBatch: every eighth iteration the looping
+// thread's native captures the thread's own isolate, on a 2-worker run.
+// That capture's stop is the worker's own request, made mid-quantum: the
+// account it reads inside the stop must hold the charges the worker still
+// had batched, and equal what the sequential engine's stop reads at the
+// same call — the instructions, and one call out per callee entry so far.
+func TestWorkerStopPublishesOwnBatch(t *testing.T) {
+	const iters = 2000
+	run := func(workers int) (captured []core.Account, pending int) {
+		e := newMigEnv(t, interp.NewVM, interp.Options{Mode: core.ModeIsolated})
+		e.probe = func() {
+			before := e.caller.Account().Instructions.Load()
+			snap, err := e.vm.CaptureSnapshot(e.caller, interp.SnapshotOptions{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			acct := interp.SnapshotAccount(snap)
+			snap.Release()
+			if acct.Instructions > before {
+				pending++
+			}
+			if n := e.entered.Load(); acct.InterBundleCallsOut != n {
+				t.Errorf("%d workers: captured %d calls out after %d callee entries", workers, acct.InterBundleCallsOut, n)
+			}
+			captured = append(captured, acct)
+		}
+		th, err := e.vm.SpawnThread("loop", e.caller, e.run, []heap.Value{heap.IntVal(iters)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res interp.RunResult
+		if workers > 0 {
+			res = sched.Run(e.vm, workers, 0)
+		} else {
+			res = e.vm.Run(0)
+		}
+		if !res.AllDone || th.Failure() != nil || th.Result().I != iters {
+			t.Fatalf("%d workers: %+v, result %d, failure %s", workers, res, th.Result().I, th.FailureString())
+		}
+		return captured, pending
+	}
+	ref, _ := run(0)
+	got, pending := run(2)
+	if len(ref) != iters/8 || len(got) != len(ref) {
+		t.Fatalf("%d captures on 2 workers, %d sequential, want %d", len(got), len(ref), iters/8)
+	}
+	if pending < len(got)/2 {
+		t.Fatalf("only %d of %d captures came with the worker's charges pending", pending, len(got))
+	}
+	for i := range ref {
+		if got[i].Instructions != ref[i].Instructions || got[i].InterBundleCallsOut != ref[i].InterBundleCallsOut {
+			t.Fatalf("capture %d read instr=%d out=%d on 2 workers, instr=%d out=%d sequentially",
+				i, got[i].Instructions, got[i].InterBundleCallsOut, ref[i].Instructions, ref[i].InterBundleCallsOut)
+		}
+	}
+}
+
 // safepointObs is what a stopped-world observer reads: the clock and, per
 // isolate, {instructions, CPU samples, allocated objects, allocated
 // bytes, calls in, calls out}.
@@ -248,7 +306,7 @@ func TestSequentialSafepointMidQuantum(t *testing.T) {
 			}
 			e.vm.CollectGarbage(nil)
 			if workers > 0 {
-				return // a worker's own batch stays pending across its stop
+				return // NowTicks is the sequential engine's; TestWorkerStopPublishesOwnBatch has the worker leg
 			}
 			o := e.observe()
 			if after := e.vm.NowTicks(); o.now != now || after != now {

@@ -22,9 +22,10 @@ type RunResult struct {
 	// Shutdown reports that the platform was shut down during the run.
 	Shutdown bool
 	// PerIsolate carries per-isolate execution results, one row per
-	// isolate that is not freed when the run ends; it is populated by the
-	// concurrent scheduler (internal/sched) and empty for sequential
-	// runs.
+	// isolate that is not freed when the run ends (one made during the
+	// run counts from its creation, a clone from its seed); it is
+	// populated by the concurrent scheduler (internal/sched) and empty
+	// for sequential runs.
 	PerIsolate []IsolateRun
 	// FreedIsolates aggregates the rows of the isolates freed during a
 	// concurrent run (VM.FreeIsolate), so that the PerIsolate

@@ -35,10 +35,9 @@ import (
 //     template's copy-on-write pool map and grows privately from it;
 //     string objects are immutable, and pool identity is what keeps
 //     guest == semantics identical to a cold start;
-//   - frozen arrays (heap.Freeze) are shared by pointer and kept alive
-//     by the snapshot's shared root batch; CaptureSnapshot can optionally
-//     freeze the captured static arrays first (FreezeShared) to maximize
-//     sharing when tenants treat warm-up data as read-only;
+//   - arrays the template froze (heap.Freeze) are shared by pointer and
+//     kept alive by the snapshot's shared root batch; capture itself
+//     freezes nothing, so a clone's stores behave as in a cold start;
 //   - everything else — mutable statics, the reachable object graph, the
 //     java.lang.Class objects — is a private per-clone copy (the "delta"
 //     every tenant may mutate freely).
@@ -68,27 +67,15 @@ type Snapshot struct {
 	// template dies. It belongs to no isolate: FreeIsolate leaves it be.
 	shared *HostRoots
 
-	// frozen is the undo record of arrays this capture speculatively
-	// froze (FreezeShared). Only a failed capture consults it — success
-	// clears it, because an established snapshot's frozen graphs must
-	// stay immutable for the clones' lifetime.
-	frozen []*heap.Object
-
 	account core.Account
 
 	released atomic.Bool
 }
 
-// SnapshotOptions configures CaptureSnapshot.
-type SnapshotOptions struct {
-	// FreezeShared freezes captured static arrays (deep-immutable shapes
-	// only) so clones share them by pointer instead of copying. Freezing
-	// is visible to guests — stores into a frozen array throw — so it is
-	// opt-in: enable it for serving workloads whose warm-up tables are
-	// read-only, leave it off when clones must be byte-identical to cold
-	// starts in every store.
-	FreezeShared bool
-}
+// SnapshotOptions is CaptureSnapshot's options parameter. It has no
+// fields; it stays only because existing callers (the benchmark's tenant
+// gateway among them) pass SnapshotOptions{}, and goes with them.
+type SnapshotOptions struct{}
 
 // snapSlots is one captured slot vector — a mirror's statics, an object's
 // fields or an array's elements — stored the way a clone needs it: vals is
@@ -146,7 +133,7 @@ type snapObject struct {
 // The caller must Release the snapshot when no more clones will be made;
 // Release drops the shared root batch that keeps pool strings and frozen
 // arrays alive after the template isolate dies.
-func (vm *VM) CaptureSnapshot(src *core.Isolate, opts SnapshotOptions) (*Snapshot, error) {
+func (vm *VM) CaptureSnapshot(src *core.Isolate, _ SnapshotOptions) (*Snapshot, error) {
 	if src == nil {
 		return nil, errors.New("interp: capture nil isolate")
 	}
@@ -156,26 +143,20 @@ func (vm *VM) CaptureSnapshot(src *core.Isolate, opts SnapshotOptions) (*Snapsho
 	snap := &Snapshot{vm: vm, srcID: src.ID(), srcName: src.Name(), shared: vm.NewSharedRoots()}
 	var err error
 	vm.withWorldStopped(func() {
-		err = vm.captureStopped(snap, src, opts)
+		err = vm.captureStopped(snap, src)
 	})
 	if err != nil {
-		// Unwind everything the partial capture did to the template:
-		// thaw the arrays this capture froze (still inside the stopped
-		// world on the flattener's path out, but harmless here too — no
-		// guest observed the bits), then release the shared root batch
-		// so the root registry is exactly as it was. A failed capture
-		// must be a pure no-op: the template keeps serving.
-		heap.Unfreeze(snap.frozen)
-		snap.frozen = nil
+		// Release the shared root batch so the root registry is exactly
+		// as it was: a failed capture must be a pure no-op, the template
+		// keeps serving.
 		snap.Release()
 		return nil, err
 	}
-	snap.frozen = nil
 	return snap, nil
 }
 
 // captureStopped does the actual capture; the world is stopped.
-func (vm *VM) captureStopped(snap *Snapshot, src *core.Isolate, opts SnapshotOptions) error {
+func (vm *VM) captureStopped(snap *Snapshot, src *core.Isolate) error {
 	srcLoader := src.Loader()
 	if srcLoader.NumClasses() > 0 {
 		snap.delegates = append(snap.delegates, srcLoader)
@@ -189,7 +170,7 @@ func (vm *VM) captureStopped(snap *Snapshot, src *core.Isolate, opts SnapshotOpt
 		snap.shared.Add(obj)
 	}
 
-	fl := &flattener{vm: vm, snap: snap, poolSet: poolSet, opts: opts, memo: make(map[*heap.Object]int32)}
+	fl := &flattener{vm: vm, snap: snap, poolSet: poolSet, memo: make(map[*heap.Object]int32)}
 	for _, e := range vm.world.MirrorEntries(src) {
 		statics, bad, err := fl.capture(e.Mirror.Statics)
 		if err != nil {
@@ -238,7 +219,6 @@ type flattener struct {
 	vm      *VM
 	snap    *Snapshot
 	poolSet map[*heap.Object]bool
-	opts    SnapshotOptions
 	memo    map[*heap.Object]int32
 }
 
@@ -271,25 +251,10 @@ func (fl *flattener) flatten(o *heap.Object) (int32, error) {
 	fl.snap.objects = append(fl.snap.objects, snapObject{class: o.Class})
 	rec := &fl.snap.objects[idx]
 
-	share := func() {
+	if fl.poolSet[o] || o.Frozen() {
 		rec.shared = o
 		fl.snap.shared.Add(o)
-	}
-
-	if fl.poolSet[o] || o.Frozen() {
-		share()
 		return idx, nil
-	}
-	if fl.opts.FreezeShared && o.IsArray() {
-		if flipped, err := heap.FreezeTracked(o); err == nil {
-			// Record the newly frozen arrays so a capture that fails on a
-			// later record can thaw them — otherwise the failed capture
-			// would permanently poison the template's statics (stores
-			// into frozen arrays throw).
-			fl.snap.frozen = append(fl.snap.frozen, flipped...)
-			share()
-			return idx, nil
-		}
 	}
 	if s, ok := o.StringValue(); ok {
 		rec.str, rec.isStr = s, true
@@ -395,6 +360,9 @@ func (vm *VM) CloneIsolate(snap *Snapshot, name string) (*core.Isolate, error) {
 	}
 	iso.AdoptStringPool(snap.pool)
 	iso.Account().Seed(snap.account)
+	// The seed is the template's work, not the run's: the scheduler
+	// counts the clone's charges from here.
+	vm.notifyIsolateCreated(iso)
 	return iso, nil
 }
 

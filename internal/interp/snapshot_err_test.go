@@ -30,10 +30,12 @@ func appMirror(t *testing.T, vm *interp.VM, iso *core.Isolate) core.MirrorEntry 
 // TestCaptureFailureRestoresPinsAndFrozenBits forces CaptureSnapshot to
 // fail mid-flatten (an opaque native payload parked in a static — the
 // documented unsnapshotable shape) after the flattener has already
-// rooted the string pool in the capture's shared batch and, on the
-// FreezeShared leg, frozen and rooted the statics table. The failed
-// captures must release that batch and thaw the speculatively frozen
-// array; afterwards the template must still capture, clone and serve.
+// rooted the string pool in the capture's shared batch and, once the host
+// has frozen the statics table, rooted that table for sharing by pointer.
+// The failed captures must release that batch and leave every frozen bit
+// as it was: an unfrozen table stays unfrozen (capture freezes nothing)
+// and a host-frozen one stays frozen. Afterwards the template must still
+// capture, clone and serve, the clone sharing the frozen table.
 func TestCaptureFailureRestoresPinsAndFrozenBits(t *testing.T) {
 	vm, warmer := snapVM(t)
 	if got := snapCall(t, vm, warmer, 5); got != 32 {
@@ -66,30 +68,38 @@ func TestCaptureFailureRestoresPinsAndFrozenBits(t *testing.T) {
 		t.Fatalf("failed capture leaked a root batch: %d, want %d", got, rootsA)
 	}
 
-	// FreezeShared leg: the flattener freezes+pins the table static
-	// before it reaches the poisoned msg slot; the failure must thaw it.
-	if _, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{FreezeShared: true}); err == nil {
-		t.Fatal("FreezeShared capture of opaque native payload succeeded")
+	if table.Frozen() {
+		t.Fatal("failed capture froze the statics table")
+	}
+
+	// Host-frozen leg: the flattener shares and roots the frozen table
+	// before it reaches the poisoned msg slot; the failure must drop the
+	// root and leave the bit the host set.
+	if err := heap.Freeze(table); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{}); err == nil {
+		t.Fatal("capture of opaque native payload beside a frozen table succeeded")
 	}
 	if got := vm.HostRootBatches(); got != rootsA {
-		t.Fatalf("failed FreezeShared capture leaked a root batch: %d, want %d", got, rootsA)
+		t.Fatalf("failed capture of a frozen table leaked a root batch: %d, want %d", got, rootsA)
 	}
-	if table.Frozen() {
-		t.Fatal("failed FreezeShared capture left the statics table frozen")
+	if !table.Frozen() {
+		t.Fatal("failed capture thawed the host-frozen statics table")
 	}
 
 	// The template must be fully serviceable after the failures.
 	m.Mirror.Statics[2] = origMsg
-	snapB, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{FreezeShared: true})
+	snapB, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{})
 	if err != nil {
 		t.Fatalf("capture after restored static: %v", err)
-	}
-	if !table.Frozen() {
-		t.Fatal("successful FreezeShared capture did not freeze the table")
 	}
 	clone, err := vm.CloneIsolate(snapB, "after-fail")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := appMirror(t, vm, clone).Mirror.Statics[1].R; got != table {
+		t.Fatalf("clone's table %p is not the frozen template table %p", got, table)
 	}
 	if got := snapCall(t, vm, clone, 5); got != 37 {
 		t.Fatalf("clone bump = %d, want 37", got)

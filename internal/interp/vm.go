@@ -267,7 +267,7 @@ func NewVM(opts Options) *VM {
 	if opts.GCThresholdPercent > 0 {
 		h.SetGCThreshold(h.Limit() * int64(opts.GCThresholdPercent) / 100)
 	}
-	return &VM{
+	vm := &VM{
 		opts:          opts,
 		registry:      registry,
 		world:         core.NewWorld(opts.Mode, registry),
@@ -280,6 +280,8 @@ func NewVM(opts Options) *VM {
 		wellKnown:       make(map[string]*classfile.Class),
 		rng:             0x9E3779B97F4A7C15,
 	}
+	vm.world.OnIsolateCreated(vm.notifyIsolateCreated)
+	return vm
 }
 
 // Options returns the VM's effective options.

@@ -14,8 +14,9 @@ import (
 // an end-to-end demonstration of why the paper leaves the kill decision
 // to a human: a malicious bundle M drives a tight call loop into an
 // innocent service bundle A. CPU sampling charges the majority of the
-// time to A (the callee), so a naive automated administrator keyed on CPU
-// share kills the *victim*.
+// time to A (the callee), so a naive automated administrator — one
+// detection pass keyed on CPU share, killing every bundle it flags —
+// kills the *victim*.
 func TestAutoAdminMisattribution(t *testing.T) {
 	f := newFramework(t, core.ModeIsolated)
 
@@ -75,18 +76,20 @@ func TestAutoAdminMisattribution(t *testing.T) {
 	}
 
 	// The naive automated administrator kills the innocent bundle.
-	admin := osgi.NewAutoAdmin(f, osgi.AdminPolicy{
-		Thresholds: core.Thresholds{MinCPUSharePercent: 50, MinCPUSamples: 10},
-	})
-	actions, err := admin.Tick()
-	if err != nil {
+	findings := f.DetectOffenders(core.Thresholds{MinCPUSharePercent: 50, MinCPUSamples: 10})
+	if len(findings) != 1 {
+		t.Fatalf("findings = %v", findings)
+	}
+	flagged := f.BundleByIsolateID(findings[0].IsolateID)
+	if flagged != bundleA {
+		t.Fatalf("expected the automation to (wrongly) flag service-a, got %v", findings[0])
+	}
+	if err := f.KillBundle(flagged); err != nil {
 		t.Fatal(err)
 	}
-	if len(actions) != 1 {
-		t.Fatalf("actions = %v", actions)
-	}
-	if actions[0].Bundle != "service-a" || !actions[0].Killed {
-		t.Fatalf("expected the automation to (wrongly) kill service-a, got %v", actions[0])
+	if !bundleA.Isolate().Killed() || bundleM.Isolate().Killed() {
+		t.Fatalf("killed: service-a=%v malice-m=%v, want the victim dead and the attacker alive",
+			bundleA.Isolate().Killed(), bundleM.Isolate().Killed())
 	}
 	// This is exactly why §4.4 concludes CPU samples "cannot in the
 	// current design be used to automatically kill these bundles".

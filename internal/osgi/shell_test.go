@@ -90,67 +90,3 @@ func TestShellLifecycleAndKill(t *testing.T) {
 	execute(t, s, "help")
 	execute(t, s, "detect")
 }
-
-func TestAutoAdminKillsHog(t *testing.T) {
-	f := newFramework(t, core.ModeIsolated)
-	// Reuse the attack-style hog via a synthetic bundle holding memory.
-	spec := osgi.ManagementBundle("innocent", 2, 4, 16)
-	if _, err := osgi.InstallAndStart(f, []osgi.BundleSpec{spec}); err != nil {
-		t.Fatal(err)
-	}
-	hogSpec := osgi.ManagementBundle("hog", 2, 4, 1<<17) // huge static tables
-	if _, err := osgi.InstallAndStart(f, []osgi.BundleSpec{hogSpec}); err != nil {
-		t.Fatal(err)
-	}
-
-	admin := osgi.NewAutoAdmin(f, osgi.AdminPolicy{
-		Thresholds: core.Thresholds{MaxLiveBytes: 1 << 20},
-		Protected:  []string{"innocent"},
-	})
-	actions, err := admin.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(actions) != 1 || !actions[0].Killed || actions[0].Bundle != "hog" {
-		t.Fatalf("actions = %v", actions)
-	}
-	if !f.BundleByName("hog").Isolate().Killed() {
-		t.Fatal("hog not killed")
-	}
-	if f.BundleByName("innocent").Isolate().Killed() {
-		t.Fatal("innocent bundle killed")
-	}
-	// A second tick is a no-op: the offender is dead and reclaimed.
-	actions, err = admin.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(actions) != 0 {
-		t.Fatalf("second tick acted: %v", actions)
-	}
-	if admin.Kills() != 1 || len(admin.Log()) != 1 {
-		t.Fatalf("kills=%d log=%d", admin.Kills(), len(admin.Log()))
-	}
-}
-
-func TestAutoAdminDryRunAndBudget(t *testing.T) {
-	f := newFramework(t, core.ModeIsolated)
-	hog := osgi.ManagementBundle("hog", 2, 4, 1<<17)
-	if _, err := osgi.InstallAndStart(f, []osgi.BundleSpec{hog}); err != nil {
-		t.Fatal(err)
-	}
-	admin := osgi.NewAutoAdmin(f, osgi.AdminPolicy{
-		Thresholds: core.Thresholds{MaxLiveBytes: 1 << 20},
-		DryRun:     true,
-	})
-	actions, err := admin.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(actions) != 1 || actions[0].Killed {
-		t.Fatalf("dry run acted: %v", actions)
-	}
-	if f.BundleByName("hog").Isolate().Killed() {
-		t.Fatal("dry run killed a bundle")
-	}
-}

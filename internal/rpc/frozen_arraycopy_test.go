@@ -20,7 +20,7 @@ const (
 )
 
 // scribbleClasses builds the attacker: a static table filled by <clinit>
-// (the FreezeShared snapshot array), and two methods that overwrite the
+// (frozen before the snapshot capture, so clones share it), and two methods that overwrite the
 // first two slots of an array with 9s through System.arraycopy — into
 // the argument (the RPC payload) or into the static table.
 func scribbleClasses() []*classfile.Class {
@@ -69,7 +69,7 @@ func requireUntouched(t *testing.T, arr *heap.Object) {
 // TestArraycopyIntoFrozenArrayRejected is the regression for the
 // System.arraycopy isolation hole: the native wrote into a frozen
 // destination, so a callee handed a zero-copy payload, or a clone sharing
-// a FreezeShared snapshot array, could mutate memory another isolate
+// a frozen snapshot array, could mutate memory another isolate
 // reads. Both must throw before any slot is written, whichever way the
 // calling code is dispatched: the seed switch, or the closure blocks every
 // prepared method runs.
@@ -167,7 +167,18 @@ func TestArraycopyIntoFrozenArrayRejected(t *testing.T) {
 			if v, th := call(warmer, "touch"); th.Failure() != nil || v.I != 3 {
 				t.Fatalf("warm-up: %d / %s", v.I, th.FailureString())
 			}
-			snap, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{FreezeShared: true})
+			tableOf := func(iso *core.Isolate) *heap.Object {
+				for _, e := range vm.World().MirrorEntries(iso) {
+					if e.Class.Name == scribbleClass {
+						return e.Mirror.Statics[0].R
+					}
+				}
+				return nil
+			}
+			if err := heap.Freeze(tableOf(warmer)); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,13 +187,8 @@ func TestArraycopyIntoFrozenArrayRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var table *heap.Object
-			for _, e := range vm.World().MirrorEntries(clone) {
-				if e.Class.Name == scribbleClass {
-					table = e.Mirror.Statics[0].R
-				}
-			}
-			if table == nil || !table.Frozen() {
+			table := tableOf(clone)
+			if table == nil || table != tableOf(warmer) || !table.Frozen() {
 				t.Fatal("clone does not share a frozen template table")
 			}
 			_, th := call(clone, "intoTable")

@@ -7,8 +7,8 @@
 //
 // # Execution model
 //
-// Every isolate that has run a thread, or existed when the run started,
-// is a shard until the isolate is freed (VM.FreeIsolate retires its
+// Every isolate that existed when the run started or was created during
+// it is a shard until the isolate is freed (VM.FreeIsolate retires its
 // shard and folds its instruction total into RunResult.FreedIsolates), so
 // the shard table is bounded by the isolates alive, not by the sessions
 // ever served. A shard owns the green threads
@@ -275,8 +275,9 @@ type pool struct {
 	stwDepth int
 	stwOwner int64
 
-	goidMu  sync.RWMutex
-	workers map[int64]bool
+	goidMu sync.RWMutex
+	// workers maps each worker goroutine's ID to its driver state.
+	workers map[int64]*interp.SampleState
 
 	instrs atomic.Int64
 	wg     sync.WaitGroup
@@ -352,7 +353,7 @@ func RunConfig(vm *interp.VM, cfg Config) interp.RunResult {
 		gov:     cfg.Governor,
 		target:  cfg.Target,
 		shards:  make(map[*core.Isolate]*shard),
-		workers: make(map[int64]bool),
+		workers: make(map[int64]*interp.SampleState),
 	}
 	p.slice = p.quantum * sliceFactor
 	p.nworkers = workers
@@ -470,18 +471,17 @@ func (p *pool) result() interp.RunResult {
 // the last worker out of work.
 func (p *pool) worker() {
 	defer p.wg.Done()
+	var sampler interp.SampleState
+	defer p.vm.ReleaseWorkerState(&sampler)
 	gid := goid()
 	p.goidMu.Lock()
-	p.workers[gid] = true
+	p.workers[gid] = &sampler
 	p.goidMu.Unlock()
 	defer func() {
 		p.goidMu.Lock()
 		delete(p.workers, gid)
 		p.goidMu.Unlock()
 	}()
-
-	var sampler interp.SampleState
-	defer p.vm.ReleaseWorkerState(&sampler)
 
 	p.mu.Lock()
 	for {
@@ -1056,6 +1056,15 @@ func (p *pool) ThreadsChanged() {
 	p.mu.Unlock()
 }
 
+// IsolateCreated gives iso its shard, or retakes the base of the one it
+// has: the run's row for iso counts what iso is charged from now on,
+// even when its code only ever runs inlined into another shard's blocks.
+func (p *pool) IsolateCreated(iso *core.Isolate) {
+	p.mu.Lock()
+	p.shardFor(iso).base = iso.Account().Instructions.Load()
+	p.mu.Unlock()
+}
+
 // IsolateFreed retires iso's shard — now if it is idle, else when its
 // slice ends — and drops the governor's record of the isolate, so a run
 // that serves N sessions holds the shards of the isolates alive, not N.
@@ -1096,8 +1105,14 @@ func (p *pool) statsLocked() interp.SchedStats {
 func (p *pool) StopTheWorld(fn func()) {
 	gid := goid()
 	p.goidMu.RLock()
-	isWorker := p.workers[gid]
+	own := p.workers[gid]
 	p.goidMu.RUnlock()
+	isWorker := own != nil
+	if isWorker {
+		// A stop the worker's own code requests comes mid-quantum: publish
+		// its batch, as the others publish theirs when they park.
+		p.vm.PublishQuantum(own)
+	}
 
 	p.mu.Lock()
 	if p.stwDepth > 0 && p.stwOwner == gid {

@@ -225,10 +225,10 @@ func systemClass() *classfile.Class {
 				sp+n > int64(len(src.Elems)) || dp+n > int64(len(dst.Elems)) {
 				return interp.NativeThrowName(vm, t, interp.ClassArrayIndexException, "arraycopy bounds")
 			}
-			// A frozen destination (zero-copy RPC payload, FreezeShared
-			// snapshot array) is memory other isolates read: reject the
-			// copy before any slot is written, as every array-store path
-			// does.
+			// A frozen destination (zero-copy RPC payload, an array a
+			// snapshot shares by pointer) is memory other isolates read:
+			// reject the copy before any slot is written, as every
+			// array-store path does.
 			if dst.Frozen() {
 				return interp.NativeThrowName(vm, t, interp.ClassIllegalState, "store to frozen array")
 			}

@@ -120,15 +120,6 @@ type GatewayConfig struct {
 	Requests int // serves per tenant session
 	// HeapLimit bounds the VM heap (0 = 64 MiB).
 	HeapLimit int64
-	// FreezeShared also shares frozen warmed arrays between clones
-	// (clone/recycled modes).
-	FreezeShared bool
-	// InstrLimit, when > 0, is the per-tenant instruction budget; a
-	// session whose account exceeds it mid-serve is admin-killed early
-	// (counted in LimitKills). Every 8th session is "greedy" (4x the
-	// requests) so a budget between normal and greedy consumption
-	// exercises enforcement deterministically.
-	InstrLimit int64
 }
 
 // GatewayResult reports spawn latency and steady-state serving throughput.
@@ -149,19 +140,12 @@ type GatewayResult struct {
 	Checksum int64         `json:"checksum"`
 	SpawnP50 time.Duration `json:"spawn_p50_ns"`
 	SpawnP99 time.Duration `json:"spawn_p99_ns"`
-	SpawnMax time.Duration `json:"spawn_max_ns"`
-	// SpawnTotal is the summed tenant provisioning time.
-	SpawnTotal time.Duration `json:"spawn_total_ns"`
 	// ServeDuration is the summed in-session serving time.
 	ServeDuration time.Duration `json:"serve_total_ns"`
 	ServesPerSec  float64       `json:"serves_per_sec"`
 	// RecycledIDs counts isolate slots returned to (and reused from) the
 	// free pool (recycled mode only).
 	RecycledIDs int `json:"recycled_ids"`
-	// LimitKills counts tenants admin-killed for exceeding InstrLimit.
-	LimitKills int `json:"limit_kills"`
-	// GCs is the collector activation count across the run.
-	GCs int64 `json:"gcs"`
 }
 
 func percentile(sorted []time.Duration, p float64) time.Duration {
@@ -194,7 +178,7 @@ func gatewayVM(cfg GatewayConfig) (*interp.VM, *core.Isolate, error) {
 // loader owns the classes, a warmer isolate (kept alive: snapshot pool
 // strings pin to it) runs the heavy clinit once, and the snapshot captures
 // the warmed state. It returns the snapshot and the template's serve.
-func gatewayTemplate(vm *interp.VM, freezeShared bool) (*interp.Snapshot, *classfile.Method, error) {
+func gatewayTemplate(vm *interp.VM) (*interp.Snapshot, *classfile.Method, error) {
 	tl := vm.Registry().NewLoader("gw-template")
 	if err := tl.DefineAll(GatewayClasses()); err != nil {
 		return nil, nil, err
@@ -216,7 +200,7 @@ func gatewayTemplate(vm *interp.VM, freezeShared bool) (*interp.Snapshot, *class
 	if _, th, err := vm.CallRoot(warmer, serve, []heap.Value{heap.IntVal(1)}, 0); err != nil || th.Failure() != nil {
 		return nil, nil, fmt.Errorf("gateway warm-up: %v / %s", err, th.FailureString())
 	}
-	snap, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{FreezeShared: freezeShared})
+	snap, err := vm.CaptureSnapshot(warmer, interp.SnapshotOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -244,7 +228,7 @@ func RunGateway(cfg GatewayConfig) (GatewayResult, error) {
 		serve *classfile.Method
 	)
 	if cfg.Mode == GatewayClone || cfg.Mode == GatewayRecycled {
-		if snap, serve, err = gatewayTemplate(vm, cfg.FreezeShared); err != nil {
+		if snap, serve, err = gatewayTemplate(vm); err != nil {
 			return GatewayResult{}, err
 		}
 		defer snap.Release()
@@ -332,25 +316,15 @@ func RunGateway(cfg GatewayConfig) (GatewayResult, error) {
 			return res, fmt.Errorf("gateway: unknown mode %d", cfg.Mode)
 		}
 		spawns = append(spawns, elapsed)
-		res.SpawnTotal += elapsed
 
-		requests := cfg.Requests
-		greedy := cfg.InstrLimit > 0 && s%8 == 7
-		if greedy {
-			requests *= 4
-		}
 		serveStart := time.Now()
-		for r := 0; r < requests; r++ {
+		for r := 0; r < cfg.Requests; r++ {
 			v, terr := callServe(iso, serveM, int64(s*1000+r))
 			if terr != nil {
 				return res, terr
 			}
 			res.Checksum += v.I
 			res.Serves++
-			if cfg.InstrLimit > 0 && iso.Account().Numbers().Instructions > cfg.InstrLimit {
-				res.LimitKills++
-				break
-			}
 		}
 		res.ServeDuration += time.Since(serveStart)
 
@@ -371,10 +345,8 @@ func RunGateway(cfg GatewayConfig) (GatewayResult, error) {
 	sort.Slice(spawns, func(i, j int) bool { return spawns[i] < spawns[j] })
 	res.SpawnP50 = percentile(spawns, 0.50)
 	res.SpawnP99 = percentile(spawns, 0.99)
-	res.SpawnMax = spawns[len(spawns)-1]
 	if res.ServeDuration > 0 {
 		res.ServesPerSec = float64(res.Serves) / res.ServeDuration.Seconds()
 	}
-	res.GCs = vm.Heap().GCCount()
 	return res, nil
 }

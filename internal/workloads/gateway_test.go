@@ -47,43 +47,6 @@ func TestGatewayModesAgree(t *testing.T) {
 	}
 }
 
-func TestGatewayFreezeShared(t *testing.T) {
-	res, err := RunGateway(GatewayConfig{
-		Mode: GatewayClone, Sessions: 4, Requests: 4,
-		HeapLimit: 32 << 20, FreezeShared: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := RunGateway(GatewayConfig{
-		Mode: GatewayClone, Sessions: 4, Requests: 4, HeapLimit: 32 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Checksum != plain.Checksum {
-		t.Fatalf("frozen-shared clones diverge: %d vs %d", res.Checksum, plain.Checksum)
-	}
-}
-
-func TestGatewayInstrLimit(t *testing.T) {
-	// Greedy sessions (every 8th, 4x requests) blow a budget sized for
-	// normal sessions and get admin-killed early.
-	res, err := RunGateway(GatewayConfig{
-		Mode: GatewayClone, Sessions: 16, Requests: 8,
-		HeapLimit: 32 << 20, InstrLimit: 8 * 40 * 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LimitKills == 0 {
-		t.Fatalf("expected limit kills, got none (serves=%d)", res.Serves)
-	}
-	if res.LimitKills > res.Sessions {
-		t.Fatalf("more kills than sessions: %+v", res)
-	}
-}
-
 func boolToInt(b bool) int {
 	if b {
 		return 1
@@ -122,7 +85,7 @@ func newGwStack(t *testing.T, heapLimit int64, capacity int) *gwStack {
 	if capacity == 0 {
 		return g
 	}
-	snap, m, err := gatewayTemplate(vm, false)
+	snap, m, err := gatewayTemplate(vm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,11 +83,13 @@ type SLOConfig struct {
 	Governor *sched.GovernorConfig
 	// Workers is the scheduler worker count. Default 2.
 	Workers int
-	// HeapLimit is the VM heap size. Default 32 MiB.
-	HeapLimit int64
-	// MaxThreads bounds the VM thread population. Default 256.
-	MaxThreads int
 }
+
+// The SLO VM's heap size and thread population bound.
+const (
+	sloHeapLimit  = 32 << 20
+	sloMaxThreads = 256
+)
 
 func (c *SLOConfig) fill() {
 	if c.Tenants <= 0 {
@@ -101,12 +103,6 @@ func (c *SLOConfig) fill() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 2
-	}
-	if c.HeapLimit <= 0 {
-		c.HeapLimit = 32 << 20
-	}
-	if c.MaxThreads <= 0 {
-		c.MaxThreads = 256
 	}
 }
 
@@ -272,8 +268,8 @@ func RunSLO(cfg SLOConfig) (*SLOResult, error) {
 	cfg.fill()
 	vm := interp.NewVM(interp.Options{
 		Mode:       core.ModeIsolated,
-		HeapLimit:  cfg.HeapLimit,
-		MaxThreads: cfg.MaxThreads,
+		HeapLimit:  sloHeapLimit,
+		MaxThreads: sloMaxThreads,
 	})
 	syslib.MustInstall(vm)
 
@@ -365,7 +361,7 @@ func RunSLO(cfg SLOConfig) (*SLOResult, error) {
 			// an exhausted global table would turn every leg (including
 			// the ungoverned baseline) into a deadlock instead of a
 			// latency measurement.
-			args = []heap.Value{heap.IntVal(int64(cfg.MaxThreads / 2))}
+			args = []heap.Value{heap.IntVal(sloMaxThreads / 2)}
 		case AttackCallFlood:
 			peerIso, err := vm.NewIsolate(fmt.Sprintf("attacker%d-peer", i))
 			if err != nil {
