@@ -69,6 +69,9 @@ type (
 	RunResult = interp.RunResult
 	// IsolateRun is one isolate's slice of a concurrent run's result.
 	IsolateRun = interp.IsolateRun
+	// Running is a concurrent run in progress (StartConcurrent); its
+	// Wait returns the run's RunResult.
+	Running = sched.Running
 	// Mode selects Shared (baseline) or Isolated (I-JVM) semantics.
 	Mode = core.Mode
 	// Flags carries class/method/field access flags.
@@ -295,24 +298,21 @@ func (vm *VM) Run(budget int64) RunResult { return vm.inner.Run(budget) }
 // RunUntil drives the scheduler until t finishes or budget is exhausted.
 func (vm *VM) RunUntil(t *Thread, budget int64) RunResult { return vm.inner.RunUntil(t, budget) }
 
-// RunConcurrent executes the VM's live threads on a bounded pool of
-// workers instead of the cooperative loop: each isolate forms a shard,
-// shards run in parallel (threads migrate between shards on
-// inter-isolate calls), and the per-isolate instruction budgets are
-// refilled round-robin. workers <= 0 selects GOMAXPROCS; budget <= 0
-// means unlimited.
+// StartConcurrent starts executing the VM's live threads on a bounded
+// pool of workers instead of the cooperative loop: each isolate forms a
+// shard, shards run in parallel (threads migrate between shards on
+// inter-isolate calls), and CPU is shared in proportion to isolate
+// weights. workers <= 0 selects GOMAXPROCS; budget <= 0 means unlimited.
 //
-// The returned RunResult carries a PerIsolate slice with each isolate's
-// executed instructions, kill state and remaining threads; isolates
-// freed during the run are summed in FreedIsolates instead.
-//
-// RunConcurrent must not overlap with Run/RunUntil or a second
-// RunConcurrent on the same VM. Host-side administration — Snapshots,
-// Detect, Kill, GC — is safe to call from other goroutines while it
-// runs; Kill takes effect mid-run through the scheduler's
-// stop-the-world safepoint.
-func (vm *VM) RunConcurrent(workers int, budget int64) RunResult {
-	return sched.Run(vm.inner, workers, budget)
+// It returns once the run is attached: from then on Spawn, Snapshots,
+// Detect, Kill and GC from any goroutine reach the run, and Kill takes
+// effect mid-run through the scheduler's stop-the-world safepoint. Wait
+// returns the RunResult: per isolate, executed instructions, kill state
+// and remaining threads (isolates freed during the run are summed in
+// FreedIsolates). It must not overlap with Run/RunUntil or a second
+// concurrent run on the same VM.
+func (vm *VM) StartConcurrent(workers int, budget int64) *Running {
+	return sched.Start(vm.inner, sched.Config{Workers: workers, Budget: budget})
 }
 
 // GC runs an accounting collection; triggeredBy may be nil.

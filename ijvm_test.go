@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ijvm"
-	"ijvm/internal/sched"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -179,11 +178,11 @@ func TestFacadeLookupErrors(t *testing.T) {
 	}
 }
 
-// TestFacadeRunConcurrent covers the public concurrent-scheduler entry
+// TestFacadeStartConcurrent covers the public concurrent-scheduler entry
 // point: independent isolates finish in parallel with per-isolate
-// results, and a host-side Kill lands mid-run through the scheduler's
-// stop-the-world safepoint.
-func TestFacadeRunConcurrent(t *testing.T) {
+// results, and a host-side Kill issued as soon as the run has started
+// lands mid-run through the scheduler's stop-the-world safepoint.
+func TestFacadeStartConcurrent(t *testing.T) {
 	vm := ijvm.MustNew(ijvm.Options{})
 	spin := func(name string, iters int64) (*ijvm.Isolate, *ijvm.Thread) {
 		iso := vm.MustNewIsolate(name)
@@ -207,13 +206,11 @@ func TestFacadeRunConcurrent(t *testing.T) {
 	_, t2 := spin("worker2", 50_000)
 	victim, t3 := spin("victim", 2_000_000_000) // effectively endless
 
-	done := make(chan ijvm.RunResult, 1)
-	go func() { done <- vm.RunConcurrent(3, 0) }()
-	sched.AwaitStart(vm.Inner())
+	run := vm.StartConcurrent(3, 0)
 	if err := vm.Kill(victim); err != nil {
 		t.Fatal(err)
 	}
-	res := <-done
+	res := run.Wait()
 	if !res.AllDone {
 		t.Fatalf("run result: %+v", res)
 	}

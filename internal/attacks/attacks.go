@@ -23,7 +23,7 @@ import (
 // environment drive its scheduler phases through the concurrent isolate
 // scheduler (internal/sched) with that many workers instead of the
 // sequential cooperative loop. The concurrency test suite uses it to
-// re-run the §4.3 scenarios under RunConcurrent; it is not safe to
+// re-run the §4.3 scenarios under sched.Run; it is not safe to
 // change while attacks are running.
 var ConcurrentWorkers = 0
 
@@ -143,10 +143,10 @@ func (e *env) run(budget int64) {
 
 // runUntil drives the scheduler until the target finishes or the budget
 // is exhausted, using the per-thread target on both engines
-// (sched.RunUntil is the concurrent counterpart of VM.RunUntil).
+// (sched.Config.Target is the concurrent counterpart of VM.RunUntil's).
 func (e *env) runUntil(t *interp.Thread, budget int64) {
 	if e.workers > 0 {
-		sched.RunUntil(e.vm, e.workers, budget, t)
+		sched.RunConfig(e.vm, sched.Config{Workers: e.workers, Budget: budget, Target: t})
 	} else {
 		e.vm.RunUntil(t, budget)
 	}
@@ -162,7 +162,7 @@ func (e *env) call(iso *core.Isolate, m *classfile.Method, args []heap.Value, bu
 	if err != nil {
 		return heap.Value{}, nil, err
 	}
-	sched.RunUntil(e.vm, e.workers, budget, t)
+	sched.RunConfig(e.vm, sched.Config{Workers: e.workers, Budget: budget, Target: t})
 	if t.Err() != nil {
 		return heap.Value{}, t, t.Err()
 	}

@@ -9,7 +9,7 @@ import (
 
 // TestAttacksUnderConcurrentScheduler re-runs the §4.3 attack scenarios
 // with every scheduler phase driven through the concurrent isolate
-// scheduler (RunConcurrent) instead of the sequential cooperative loop,
+// scheduler (sched.Run) instead of the sequential cooperative loop,
 // and asserts the outcomes the paper's table demands are unchanged: the
 // victim isolates survive, and the attacker is detected, killed and
 // accounted exactly as in the sequential path. Running under -race this

@@ -393,12 +393,10 @@ func TestAllocationMicrosStorm(t *testing.T) {
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		if storm {
+			run := sched.Start(vm, sched.Config{Workers: 2})
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if !awaitAttached(vm, stop) {
-					return
-				}
 				for i := 0; ; i++ {
 					select {
 					case <-stop:
@@ -416,7 +414,7 @@ func TestAllocationMicrosStorm(t *testing.T) {
 					time.Sleep(100 * time.Microsecond)
 				}
 			}()
-			if res := sched.Run(vm, 2, 0); !res.AllDone {
+			if res := run.Wait(); !res.AllDone {
 				t.Fatalf("run did not finish: %+v", res)
 			}
 		} else if res := vm.Run(1 << 40); !res.AllDone {

@@ -89,12 +89,23 @@ func TestHostAllocationChargesCreator(t *testing.T) {
 	}
 }
 
-// byteObserver is a Safepointer that reads an isolate's allocated bytes
-// as each stop begins: what a stopped-world observer (the collection)
-// sees. Installed on a sequential VM it also replaces the sequential
-// safepoint's own flush, so what it reads is what the allocation path
-// flushed before it asked for the stop.
+// nopHooks are scheduler hooks that do nothing: a test scheduler embeds
+// them to observe only the stops.
+type nopHooks struct{}
+
+func (nopHooks) ThreadSpawned(*interp.Thread)  {}
+func (nopHooks) ThreadUnparked(*interp.Thread) {}
+func (nopHooks) ThreadsChanged()               {}
+func (nopHooks) IsolateCreated(*core.Isolate)  {}
+func (nopHooks) IsolateFreed(*core.Isolate)    {}
+
+// byteObserver is a test scheduler that reads an isolate's allocated
+// bytes as each stop begins: what a stopped-world observer (the
+// collection) sees. Attached to a sequential VM it also replaces the
+// sequential safepoint's own flush, so what it reads is what the
+// allocation path flushed before it asked for the stop.
 type byteObserver struct {
+	nopHooks
 	vm    *interp.VM
 	iso   *core.Isolate
 	bytes []int64
@@ -144,8 +155,8 @@ func TestPressureCollectionSeesExactBytes(t *testing.T) {
 		}
 	}
 	obs := &byteObserver{vm: vm, iso: iso}
-	vm.SetSafepointer(obs)
-	defer vm.SetSafepointer(nil)
+	vm.Attach(obs)
+	defer vm.Attach(nil)
 	before := iso.Account().AllocatedBytes.Load()
 	v, th, err := vm.CallRoot(iso, m, nil, 1_000_000)
 	if err != nil || th.Failure() != nil {

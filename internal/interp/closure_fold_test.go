@@ -356,7 +356,7 @@ func (r foldRun) exec(t *testing.T, classes []*classfile.Class, class, method, d
 			if r.workers == 0 {
 				vm.RunUntil(th, budget)
 			} else {
-				sched.RunUntil(vm, r.workers, budget, th)
+				sched.RunConfig(vm, sched.Config{Workers: r.workers, Budget: budget, Target: th})
 			}
 			if r.slice > 0 {
 				results = append(results, vm.TotalInstructions())

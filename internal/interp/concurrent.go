@@ -8,21 +8,23 @@ import (
 )
 
 // This file is the integration surface between the interpreter and the
-// concurrent isolate scheduler (internal/sched). The scheduler installs
-// two callbacks for the duration of a concurrent run:
+// concurrent isolate scheduler (internal/sched). A concurrent run
+// attaches one Scheduler to the VM for its duration (VM.Attach), in one
+// publication, and the interpreter reaches it two ways:
 //
-//   - SchedHooks let the interpreter tell the scheduler that threads
-//     appeared, woke up, that a global condition changed (a monitor
-//     freed, a thread finished) so parked shards re-poll, or that an
-//     isolate was freed. Hooks are always invoked WITHOUT schedMu held,
-//     so implementations may take their own locks freely.
-//   - Safepointer lets stop-the-world operations (accounting GC, isolate
-//     kill) park every worker at an instruction boundary first.
+//   - its SchedHooks, to tell the scheduler that threads appeared, woke
+//     up, that a global condition changed (a monitor freed, a thread
+//     finished) so parked shards re-poll, or that an isolate was created
+//     or freed. Hooks are always invoked WITHOUT schedMu held, so
+//     implementations may take their own locks freely;
+//   - its StopTheWorld, which parks every worker at an instruction
+//     boundary before a stop-the-world operation (accounting GC, isolate
+//     kill) runs.
 //
-// Both are nil in sequential runs, turning the call sites into direct
-// passthroughs.
+// No scheduler is attached in sequential runs, turning the call sites
+// into direct passthroughs.
 
-// SchedHooks is implemented by the concurrent scheduler's pool.
+// SchedHooks are the scheduler's notifications from the interpreter.
 type SchedHooks interface {
 	// ThreadSpawned reports a newly created runnable thread (its creator
 	// isolate decides the shard it lands on).
@@ -45,42 +47,42 @@ type SchedHooks interface {
 	IsolateFreed(iso *core.Isolate)
 }
 
-// Safepointer stops every scheduler worker at an instruction boundary,
-// runs fn alone, and resumes the world. Implementations must be
-// reentrant: fn may itself request a stop (a kill patching threads can
-// trigger an allocation-pressure collection).
-type Safepointer interface {
+// Scheduler is what a concurrent run attaches to the VM: its hooks, and
+// StopTheWorld, which stops every worker at an instruction boundary, runs
+// fn alone, and resumes the world. StopTheWorld must be reentrant: fn may
+// itself request a stop (a kill patching threads can trigger an
+// allocation-pressure collection).
+type Scheduler interface {
+	SchedHooks
 	StopTheWorld(fn func())
 }
 
-type hookBox struct{ h SchedHooks }
-type safeBox struct{ s Safepointer }
+type schedBox struct{ s Scheduler }
 
-// SetSchedHooks installs (or, with nil, removes) the scheduler hooks.
-func (vm *VM) SetSchedHooks(h SchedHooks) {
-	if h == nil {
-		vm.hooks.Store(nil)
-		return
-	}
-	vm.hooks.Store(&hookBox{h: h})
-}
-
-// SetSafepointer installs (or, with nil, removes) the stop-the-world
-// provider.
-func (vm *VM) SetSafepointer(s Safepointer) {
+// Attach installs s as the VM's scheduler and returns the unfinished
+// threads as of that instant; with nil it detaches the scheduler and
+// returns nil. A concurrent run attaches before its workers start and
+// detaches once it has summarized its result: from the attach on, a
+// host-side spawn reaches the run through s.ThreadSpawned and a host-side
+// stop parks its workers. The attach and the list are one threadsMu
+// section, as is a spawn's publication (endArming), so a thread spawned
+// while a run attaches is in the list or reported to the hook — exactly
+// once.
+func (vm *VM) Attach(s Scheduler) []*Thread {
+	vm.threadsMu.Lock()
+	defer vm.threadsMu.Unlock()
 	if s == nil {
-		vm.safe.Store(nil)
-		return
+		vm.attached.Store(nil)
+		return nil
 	}
-	vm.safe.Store(&safeBox{s: s})
-}
-
-// SchedulerAttached reports whether a concurrent run has installed both
-// its hooks and its safepointer. Before that a host-side spawn can fall
-// between the scheduler's initial thread scan and the hook installation
-// and be lost, and a collection can run beside unparked workers.
-func (vm *VM) SchedulerAttached() bool {
-	return vm.hooks.Load() != nil && vm.safe.Load() != nil
+	vm.attached.Store(&schedBox{s: s})
+	var live []*Thread
+	for _, t := range vm.threads {
+		if !t.Done() {
+			live = append(live, t)
+		}
+	}
+	return live
 }
 
 // withWorldStopped runs fn with every concurrent worker parked; in
@@ -90,7 +92,7 @@ func (vm *VM) SchedulerAttached() bool {
 // A worker that requests the stop itself publishes its own batch the
 // same way (PublishQuantum) before the others park.
 func (vm *VM) withWorldStopped(fn func()) {
-	if b := vm.safe.Load(); b != nil {
+	if b := vm.attached.Load(); b != nil {
 		b.s.StopTheWorld(func() { vm.stoppedSection(fn) })
 		return
 	}
@@ -163,15 +165,9 @@ func (vm *VM) StopStats() StopStats {
 	}
 }
 
-func (vm *VM) notifyThreadSpawned(t *Thread) {
-	if b := vm.hooks.Load(); b != nil {
-		b.h.ThreadSpawned(t)
-	}
-}
-
 func (vm *VM) notifyUnparked(t *Thread) {
-	if b := vm.hooks.Load(); b != nil {
-		b.h.ThreadUnparked(t)
+	if b := vm.attached.Load(); b != nil {
+		b.s.ThreadUnparked(t)
 	}
 }
 
@@ -186,20 +182,20 @@ func (vm *VM) notifyThreadsChanged() {
 	if vm.waitingOnOthers.Load() == 0 {
 		return
 	}
-	if b := vm.hooks.Load(); b != nil {
-		b.h.ThreadsChanged()
+	if b := vm.attached.Load(); b != nil {
+		b.s.ThreadsChanged()
 	}
 }
 
 func (vm *VM) notifyIsolateCreated(iso *core.Isolate) {
-	if b := vm.hooks.Load(); b != nil {
-		b.h.IsolateCreated(iso)
+	if b := vm.attached.Load(); b != nil {
+		b.s.IsolateCreated(iso)
 	}
 }
 
 func (vm *VM) notifyIsolateFreed(iso *core.Isolate) {
-	if b := vm.hooks.Load(); b != nil {
-		b.h.IsolateFreed(iso)
+	if b := vm.attached.Load(); b != nil {
+		b.s.IsolateFreed(iso)
 	}
 }
 

@@ -258,15 +258,15 @@ func TestCrossBundleLeafStorm(t *testing.T) {
 		}
 		return true
 	}
+	// The budget only bounds a run whose callers outlive the kill: an exact
+	// run ends within a few million instructions.
+	run := sched.Start(vm, sched.Config{Workers: 2, Budget: 1 << 30})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var inAtKill int64
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if !awaitAttached(vm, stop) {
-			return
-		}
 		killed := false
 		for i := 0; ; i++ {
 			select {
@@ -295,9 +295,7 @@ func TestCrossBundleLeafStorm(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
-	// The budget only bounds a run whose callers outlive the kill: an exact
-	// run ends within a few million instructions.
-	res := sched.Run(vm, 2, 1<<30)
+	res := run.Wait()
 	close(stop)
 	wg.Wait()
 	if !res.AllDone {

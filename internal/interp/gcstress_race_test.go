@@ -317,14 +317,12 @@ func TestIncrementalGCBarrierStress(t *testing.T) {
 			threads = append(threads, th)
 		}
 
+		run := sched.Start(vm, sched.Config{Workers: 4})
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if !awaitAttached(vm, stop) {
-				return
-			}
 			killed := false
 			for i := 0; ; i++ {
 				select {
@@ -356,7 +354,7 @@ func TestIncrementalGCBarrierStress(t *testing.T) {
 				time.Sleep(200 * time.Microsecond)
 			}
 		}()
-		res := sched.Run(vm, 4, 0)
+		res := run.Wait()
 		close(stop)
 		wg.Wait()
 		if !res.AllDone {

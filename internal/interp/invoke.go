@@ -111,13 +111,23 @@ func (vm *VM) stageEntryArgs(t *Thread, creator *core.Isolate, args []heap.Value
 	}
 }
 
-// unstageEntryArgs drops a staged window and ends the thread's arming
-// interval (start's publication step and its frame-setup failure path).
-func (vm *VM) unstageEntryArgs(t *Thread) {
+// endArming ends start's arming interval in one threadsMu section, and
+// so publishes t: t turns Runnable if pushFrame left it frames (a call
+// into a killed isolate throws, uncaught, and finishes the thread at
+// once; a failed setup leaves none), its staged window is dropped, and
+// the scheduler attached at that instant is returned. A root scan that
+// misses the staged entry took threadsMu after this section, so it walks
+// the completed frames; a run attaching beside it either lists t or is
+// told of it through the returned scheduler, never both (Attach).
+func (vm *VM) endArming(t *Thread) *schedBox {
 	vm.threadsMu.Lock()
+	defer vm.threadsMu.Unlock()
+	if len(t.frames) > 0 {
+		t.setState(StateRunnable)
+	}
 	delete(vm.stagedEntryArgs, t)
 	t.arming = false
-	vm.threadsMu.Unlock()
+	return vm.attached.Load()
 }
 
 // RespawnThread re-arms a finished thread with a fresh entry point,
@@ -202,7 +212,7 @@ func (vm *VM) start(t *Thread, name string, creator *core.Isolate, m *classfile.
 	vm.stageEntryArgs(t, creator, args)
 	err := vm.pushFrame(t, m, args, nil)
 	if err != nil {
-		vm.unstageEntryArgs(t)
+		vm.endArming(t)
 		t.err = err
 		vm.finishThread(t)
 		return err
@@ -212,16 +222,9 @@ func (vm *VM) start(t *Thread, name string, creator *core.Isolate, m *classfile.
 	// work (frame setup, barrier records) during which a descheduled host
 	// goroutine must not bill the VM's progress as request queueing time.
 	t.spawnTick = vm.NowTicks()
-	// A call into a killed isolate throws, uncaught, and pushFrame has
-	// finished the thread already: it stays Done.
-	if len(t.frames) > 0 {
-		t.setState(StateRunnable)
+	if b := vm.endArming(t); b != nil {
+		b.s.ThreadSpawned(t)
 	}
-	// Scannable now (a scan that misses the staged entry must have
-	// acquired threadsMu after this delete, hence after the state flip
-	// above, so it walks the completed frames instead).
-	vm.unstageEntryArgs(t)
-	vm.notifyThreadSpawned(t)
 	return nil
 }
 

@@ -577,14 +577,12 @@ func TestLeafInlineStorm(t *testing.T) {
 		}
 		victims, victimThreads = append(victims, iso), append(victimThreads, th)
 	}
+	running := sched.Start(vm, sched.Config{Workers: 2})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if !awaitAttached(vm, stop) {
-			return
-		}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -611,7 +609,7 @@ func TestLeafInlineStorm(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
-	res := sched.Run(vm, 2, 0)
+	res := running.Wait()
 	close(stop)
 	wg.Wait()
 	if !res.AllDone {

@@ -128,14 +128,12 @@ func TestShardedAllocMonitorStress(t *testing.T) {
 			threads = append(threads, th)
 		}
 
+		run := sched.Start(vm, sched.Config{Workers: 4})
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if !awaitAttached(vm, stop) {
-				return
-			}
 			killed := false
 			for i := 0; ; i++ {
 				select {
@@ -153,7 +151,7 @@ func TestShardedAllocMonitorStress(t *testing.T) {
 				time.Sleep(200 * time.Microsecond)
 			}
 		}()
-		res := sched.Run(vm, 4, 0)
+		res := run.Wait()
 		close(stop)
 		wg.Wait()
 		if !res.AllDone {
@@ -270,22 +268,6 @@ func TestShardedAllocMonitorStress(t *testing.T) {
 	}
 }
 
-// awaitAttached is sched.AwaitStart for the admin goroutines of the
-// stress tests, which are started before the run they administer: a
-// collection or kill issued before the scheduler attached would run
-// beside workers nobody parked. It gives up when stop closes first.
-func awaitAttached(vm *interp.VM, stop <-chan struct{}) bool {
-	for !vm.SchedulerAttached() {
-		select {
-		case <-stop:
-			return false
-		default:
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	return true
-}
-
 const (
 	coldRaceWorkers = 6
 	coldRaceObjects = 256
@@ -385,15 +367,13 @@ func TestColdRecordAttachRace(t *testing.T) {
 		}
 
 		// Host-side resizers walk the same cells while the workers run.
+		run := sched.Start(vm, sched.Config{Workers: 4})
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < 2; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				if !awaitAttached(vm, stop) {
-					return
-				}
 				for pass := int64(0); ; pass++ {
 					for i := range cells.Elems {
 						select {
@@ -406,7 +386,7 @@ func TestColdRecordAttachRace(t *testing.T) {
 				}
 			}(g)
 		}
-		res := sched.Run(vm, 4, 0)
+		res := run.Wait()
 		close(stop)
 		wg.Wait()
 		if !res.AllDone {

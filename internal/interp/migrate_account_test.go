@@ -180,9 +180,7 @@ func TestMigrationAccountsExactAtSTWPark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan interp.RunResult, 1)
-	go func() { done <- sched.Run(e.vm, 2, 0) }()
-	sched.AwaitStart(e.vm)
+	run := sched.Start(e.vm, sched.Config{Workers: 2})
 	captures := 0
 	for !th.Done() {
 		before := e.entered.Load()
@@ -198,7 +196,7 @@ func TestMigrationAccountsExactAtSTWPark(t *testing.T) {
 		}
 		captures++
 	}
-	if res := <-done; !res.AllDone {
+	if res := run.Wait(); !res.AllDone {
 		t.Fatalf("run did not finish: %+v", res)
 	}
 	if th.Failure() != nil || th.Result().I != 20_000 {

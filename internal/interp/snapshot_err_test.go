@@ -209,8 +209,11 @@ func TestCloneFailureReturnsIDAndLoader(t *testing.T) {
 	}
 }
 
-// countingStops is a pass-through Safepointer that counts world stops.
-type countingStops struct{ n int }
+// countingStops is a pass-through test scheduler that counts world stops.
+type countingStops struct {
+	nopHooks
+	n int
+}
 
 func (c *countingStops) StopTheWorld(fn func()) { c.n++; fn() }
 
@@ -228,8 +231,8 @@ func TestFreeIsolateReusesCollectionStop(t *testing.T) {
 	}
 	defer snap.Release()
 	stops := &countingStops{}
-	vm.SetSafepointer(stops)
-	defer vm.SetSafepointer(nil)
+	vm.Attach(stops)
+	defer vm.Attach(nil)
 
 	disposedClone := func(name string) *core.Isolate {
 		t.Helper()

@@ -110,14 +110,14 @@ func TestSnapshotCaptureUnderLoad(t *testing.T) {
 	victim := tenants[1]
 
 	var captures, clones, recycled int
+	run := sched.Start(vm, sched.Config{Workers: 4})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Administer only an attached run, and capture only tenants that
-		// have run: a tenant's mirrors exist from its first static access.
-		sched.AwaitStart(vm)
+		// Capture only tenants that have run: a tenant's mirrors exist
+		// from its first static access.
 		for _, iso := range tenants {
 			for iso.Account().Instructions.Load() == 0 {
 				time.Sleep(50 * time.Microsecond)
@@ -178,7 +178,7 @@ func TestSnapshotCaptureUnderLoad(t *testing.T) {
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
-	res := sched.Run(vm, 4, 0)
+	res := run.Wait()
 	close(stop)
 	wg.Wait()
 	if !res.AllDone {

@@ -142,9 +142,7 @@ func TestThreadWait(t *testing.T) {
 		}
 		var released atomic.Int64
 		wg := twWaiters(t, th, waiters, &released)
-		done := make(chan interp.RunResult, 1)
-		go func() { done <- sched.Run(vm, 2, 0) }()
-		sched.AwaitStart(vm)
+		run := sched.Start(vm, sched.Config{Workers: 2})
 		if r := released.Load(); r != 0 {
 			t.Fatalf("%d waiters released before the kill", r)
 		}
@@ -152,7 +150,7 @@ func TestThreadWait(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Wait()
-		<-done
+		run.Wait()
 		if r := released.Load(); r != waiters || th.Failure() == nil {
 			t.Fatalf("%d of %d waiters released, failure %q", r, waiters, th.FailureString())
 		}

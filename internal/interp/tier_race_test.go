@@ -138,14 +138,12 @@ func TestPreparationRaceStress(t *testing.T) {
 			t.Fatal("spin was prepared before the workers started")
 		}
 
+		running := sched.Start(vm, sched.Config{Workers: 4})
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if !awaitAttached(vm, stop) {
-				return
-			}
 			killed := false
 			for i := 0; ; i++ {
 				select {
@@ -172,7 +170,7 @@ func TestPreparationRaceStress(t *testing.T) {
 				time.Sleep(200 * time.Microsecond)
 			}
 		}()
-		res := sched.Run(vm, 4, 0)
+		res := running.Wait()
 		close(stop)
 		wg.Wait()
 		if !res.AllDone {
@@ -397,9 +395,7 @@ func TestChainPollLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	th2 := spawn(vm, iso2, endlessLoopClass(), "spin", "()V", nil)
-	done := make(chan interp.RunResult, 1)
-	go func() { done <- sched.Run(vm, 1, 0) }()
-	sched.AwaitStart(vm)
+	run := sched.Start(vm, sched.Config{Workers: 1})
 	within := func(what string, fn func()) {
 		t.Helper()
 		finished := make(chan struct{})
@@ -426,7 +422,7 @@ func TestChainPollLatency(t *testing.T) {
 	}
 	within("shutdown", func() {
 		vm.Shutdown()
-		if res := <-done; !res.Shutdown {
+		if res := run.Wait(); !res.Shutdown {
 			t.Errorf("run ended without observing the shutdown: %+v", res)
 		}
 	})

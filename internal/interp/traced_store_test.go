@@ -316,14 +316,12 @@ func tracedStress(t *testing.T, stride int) {
 		victims = append(victims, iso)
 	}
 
+	run := sched.Start(vm, sched.Config{Workers: 2})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if !awaitAttached(vm, stop) {
-			return
-		}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -346,7 +344,7 @@ func tracedStress(t *testing.T, stride int) {
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
-	res := sched.Run(vm, 2, 0)
+	res := run.Wait()
 	close(stop)
 	wg.Wait()
 	if !res.AllDone {

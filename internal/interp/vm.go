@@ -234,10 +234,9 @@ type VM struct {
 	// Host services the system library uses (installed by syslib).
 	connHost ConnectionHost
 
-	// hooks and safepointer are installed by the concurrent scheduler for
-	// the duration of a RunConcurrent; both are nil in sequential runs.
-	hooks atomic.Pointer[hookBox]
-	safe  atomic.Pointer[safeBox]
+	// attached is the concurrent run's scheduler (Attach); nil in
+	// sequential runs.
+	attached atomic.Pointer[schedBox]
 
 	shutdown atomic.Bool
 	rngMu    sync.Mutex
@@ -457,8 +456,8 @@ func (vm *VM) CollectGarbage(triggeredBy *core.Isolate) heap.CollectResult {
 	var res heap.CollectResult
 	// The collection traverses thread frames and the full object graph,
 	// so under the concurrent scheduler every worker must be parked
-	// first; the installed safepointer provides that (and is a no-op
-	// passthrough for sequential runs).
+	// first; the attached scheduler's StopTheWorld provides that (with no
+	// scheduler attached, in sequential runs, the stop is a direct call).
 	//
 	// pinMu is held across snapshot AND sweep: host-side rooted
 	// allocation (HostRoots) takes pinMu around alloc+root, so holding it

@@ -50,12 +50,20 @@
 // # Stop-the-world
 //
 // CollectGarbage and KillIsolate need the object graph and thread stacks
-// quiescent. The pool implements interp.Safepointer: the requester (a
-// worker that hit allocation pressure, or a host goroutine such as an
-// admin watchdog) raises the stop flag, every worker parks at its next
-// instruction boundary, the critical section runs alone, and the world
-// resumes. Requests are reentrant per goroutine so a kill that triggers
-// an allocation-pressure collection does not self-deadlock.
+// quiescent. The pool is the interp.Scheduler a run attaches to its VM,
+// and its StopTheWorld is the safepoint: the requester (a worker that hit
+// allocation pressure, or a host goroutine such as an admin watchdog)
+// raises the stop flag, every worker parks at its next instruction
+// boundary, the critical section runs alone, and the world resumes.
+// Requests are reentrant per goroutine so a kill that triggers an
+// allocation-pressure collection does not self-deadlock.
+//
+// # Starting a run
+//
+// Start attaches the run to the VM — hooks and safepoint in one
+// publication — and only then returns its handle, so a host that spawns
+// into the run or administers it from the moment Start returns is never
+// early. Run and RunConfig are Start followed by Running.Wait.
 package sched
 
 import (
@@ -301,46 +309,32 @@ type pool struct {
 	threadsChanged atomic.Int64
 }
 
-// Run executes every live thread of the VM on a pool of workers until
-// all threads finish, the global instruction budget is exhausted, the
-// platform shuts down, or no thread can ever run again. workers <= 0
-// selects GOMAXPROCS; budget <= 0 means unlimited.
+// Running is a concurrent run that has attached to its VM: from the
+// moment Start returns it, host goroutines may spawn threads into the run
+// and administer it — snapshots, detection, KillIsolate, CollectGarbage, a
+// serving pool's refill — and every spawn lands in a shard and every stop
+// parks the workers.
+type Running struct {
+	done chan struct{}
+	res  interp.RunResult
+}
+
+// Wait blocks until the run ends and returns its result. Any number of
+// goroutines may wait.
+func (r *Running) Wait() interp.RunResult {
+	<-r.done
+	return r.res
+}
+
+// Start begins a concurrent run of every live thread of the VM on a pool
+// of workers and returns once the run is attached to the VM. The run ends
+// when all threads finish, the global instruction budget is exhausted,
+// cfg.Target finishes, the platform shuts down, or no thread can ever run
+// again.
 //
-// Run must not race with the sequential engine (VM.Run / VM.RunUntil)
-// or with a second Run on the same VM; host-side administration
-// (snapshots, detection, KillIsolate, CollectGarbage) is safe to call
-// concurrently from other goroutines while Run executes. A caller that
-// launches Run on a separate goroutine must observe the run before
-// administering it preemptively (e.g. wait for VM.TotalInstructions to
-// advance): before Run installs its safepoint machinery the VM cannot
-// stop workers it does not know about yet.
-func Run(vm *interp.VM, workers int, budget int64) interp.RunResult {
-	return RunConfig(vm, Config{Workers: workers, Budget: budget})
-}
-
-// RunUntil is Run, additionally stopping as soon as target finishes —
-// the per-thread target parity with the sequential VM.RunUntil. Workers
-// observe the target at every instruction boundary, so the run ends at
-// the same precision as the sequential engine.
-func RunUntil(vm *interp.VM, workers int, budget int64, target *interp.Thread) interp.RunResult {
-	return RunConfig(vm, Config{Workers: workers, Budget: budget, Target: target})
-}
-
-// AwaitStart blocks until a concurrent run started on another goroutine
-// has attached to vm, so the caller may spawn threads into it and
-// administer it (kill, collect, pool refill). Waiting for
-// vm.TotalInstructions() to leave zero does not do: after a host-side
-// warm-up it already has. The run must outlive the wait.
-func AwaitStart(vm *interp.VM) {
-	for !vm.SchedulerAttached() {
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
-// RunConfig is Run with the full QoS surface: scheduling policy,
-// per-isolate weights (read from core.Isolate), aging, and an optional
-// governor.
-func RunConfig(vm *interp.VM, cfg Config) interp.RunResult {
+// A run must not race with the sequential engine (VM.Run / VM.RunUntil)
+// or with a second run on the same VM.
+func Start(vm *interp.VM, cfg Config) *Running {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -368,13 +362,16 @@ func RunConfig(vm *interp.VM, cfg Config) interp.RunResult {
 		p.budget.Store(math.MaxInt64)
 	}
 
+	// The attach and the sort into shards are one p.mu section, so a hook
+	// fired after the attach waits for the sort; alive is set first, so a
+	// stop requested before the workers start waits for them to park.
+	p.mu.Lock()
+	p.alive = workers
+	threads := vm.Attach(p)
 	for _, iso := range vm.World().Isolates() {
 		p.shardFor(iso)
 	}
-	for _, t := range vm.Threads() {
-		if t.Done() {
-			continue
-		}
+	for _, t := range threads {
 		s := p.shardFor(t.CurrentIsolate())
 		s.threads = append(s.threads, t)
 	}
@@ -383,30 +380,33 @@ func RunConfig(vm *interp.VM, cfg Config) interp.RunResult {
 			p.enqueueLocked(s)
 		}
 	}
-
-	// alive must be published before the safepointer: a host-initiated
-	// stop-the-world arriving in the startup window must wait for the
-	// (about-to-start) workers to park rather than observe an empty pool
-	// and run unprotected.
-	p.alive = workers
-	vm.SetSchedHooks(p)
-	vm.SetSafepointer(p)
-	defer func() {
-		vm.SetSchedHooks(nil)
-		vm.SetSafepointer(nil)
-	}()
-
+	p.mu.Unlock()
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
 	}
-	p.wg.Wait()
-
-	return p.result()
+	r := &Running{done: make(chan struct{})}
+	go func() {
+		p.wg.Wait()
+		r.res = p.result()
+		vm.Attach(nil)
+		close(r.done)
+	}()
+	return r
 }
 
-// shardFor returns (creating if needed) the shard of iso. Callers during
-// the run hold p.mu; the setup phase is single-goroutine.
+// RunConfig is Start(vm, cfg).Wait(): the run, blocking until it ends.
+func RunConfig(vm *interp.VM, cfg Config) interp.RunResult {
+	return Start(vm, cfg).Wait()
+}
+
+// Run is RunConfig with only a worker count (<= 0 selects GOMAXPROCS) and
+// a global instruction budget (<= 0 means unlimited).
+func Run(vm *interp.VM, workers int, budget int64) interp.RunResult {
+	return RunConfig(vm, Config{Workers: workers, Budget: budget})
+}
+
+// shardFor returns (creating if needed) the shard of iso. p.mu held.
 func (p *pool) shardFor(iso *core.Isolate) *shard {
 	if s, ok := p.shards[iso]; ok {
 		return s
@@ -427,8 +427,8 @@ func (p *pool) shardsBySeq() []*shard {
 	return out
 }
 
-// result summarizes the ended run. The hooks are still installed, so a
-// host goroutine may be spawning or freeing beside it: p.mu.
+// result summarizes the ended run. The run is still attached, so a host
+// goroutine may be spawning or freeing beside it: p.mu.
 func (p *pool) result() interp.RunResult {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -1096,7 +1096,7 @@ func (p *pool) statsLocked() interp.SchedStats {
 	}
 }
 
-// --- interp.Safepointer --------------------------------------------------
+// --- interp.Scheduler: the safepoint ------------------------------------
 
 // StopTheWorld parks every worker at an instruction boundary, runs fn
 // alone, and resumes. Reentrant per goroutine; safe from workers (a

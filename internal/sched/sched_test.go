@@ -114,11 +114,15 @@ func TestConcurrentBudget(t *testing.T) {
 
 // TestSpawnRightAfterWarmedStart: a VM that already executed instructions
 // on the host (a template warm-up) starts a concurrent run, and the host
-// spawns a burst of threads the moment AwaitStart returns. Every one must
-// land in a shard and run. With the "instruction count is non-zero"
-// start-up wait this replaces, a warmed VM let the burst straddle the gap
-// between the scheduler's initial thread scan and its hook installation,
-// and the threads spawned inside it were lost.
+// administers it the instant Start returns — a burst of spawns, then a
+// collection and a kill — while another host goroutine spawns during
+// Start itself. Every spawned thread must land in a shard and run: a
+// spawn that fell between the scheduler's initial thread scan and its
+// attach would be lost. The collection and the kill must each park the
+// workers: issued before the attach they would run beside workers nobody
+// parked, and the victim's spinning thread could outlive its kill. On a
+// warmed VM, waiting for the instruction count to leave zero is no
+// start-up wait at all, which is how the lost spawns were first seen.
 func TestSpawnRightAfterWarmedStart(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		vm := newIsolatedVM(t, interp.Options{})
@@ -126,47 +130,101 @@ func TestSpawnRightAfterWarmedStart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := iso.Loader().Define(spinClasses("warm/Spin")); err != nil {
+		victim, err := vm.NewIsolate("victim")
+		if err != nil {
 			t.Fatal(err)
 		}
-		c, _ := iso.Loader().Lookup("warm/Spin")
-		m, _ := c.LookupMethod("run", "(I)I")
+		spin := func(in *core.Isolate) *classfile.Method {
+			if err := in.Loader().Define(spinClasses("warm/Spin")); err != nil {
+				t.Fatal(err)
+			}
+			c, _ := in.Loader().Lookup("warm/Spin")
+			m, _ := c.LookupMethod("run", "(I)I")
+			return m
+		}
+		m, victimRun := spin(iso), spin(victim)
 		if _, _, err := vm.CallRoot(iso, m, []heap.Value{heap.IntVal(10)}, 0); err != nil {
 			t.Fatal(err)
 		}
 		if vm.TotalInstructions() == 0 {
 			t.Fatal("warm-up executed nothing")
 		}
-		// The keeper holds the run open until the burst has finished.
+		// The keeper holds the run open until the burst has finished; the
+		// spinner runs until the kill unwinds it.
 		keeper, err := vm.SpawnThread("keeper", iso, m, []heap.Value{heap.IntVal(1 << 40)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		done := make(chan interp.RunResult, 1)
-		go func() { done <- sched.Run(vm, 2, 0) }()
-		sched.AwaitStart(vm)
-		var burst []*interp.Thread
-		for i := 0; i < 256; i++ {
-			th, err := vm.SpawnThread("late", iso, m, []heap.Value{heap.IntVal(100)})
-			if err != nil {
+		spinner, err := vm.SpawnThread("spinner", victim, victimRun, []heap.Value{heap.IntVal(1 << 40)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := func() {
+			vm.CollectGarbage(nil)
+			if err := vm.KillIsolate(nil, victim); err != nil {
 				t.Fatal(err)
 			}
-			burst = append(burst, th)
 		}
-		deadline := time.Now().Add(10 * time.Second)
-		for i, th := range burst {
-			for !th.Done() {
-				if time.Now().After(deadline) {
-					t.Fatalf("round %d: thread %d of the burst spawned right after start never ran", round, i)
-				}
-				time.Sleep(50 * time.Microsecond)
+		spawn := func(name string) *interp.Thread {
+			th, err := vm.SpawnThread(name, iso, m, []heap.Value{heap.IntVal(100)})
+			if err != nil {
+				t.Error(err)
 			}
+			return th
+		}
+		racing := make(chan []*interp.Thread)
+		go func() {
+			var ths []*interp.Thread
+			for i := 0; i < 64; i++ {
+				ths = append(ths, spawn("racing"))
+			}
+			racing <- ths
+		}()
+		// Even rounds stop first, odd rounds spawn first: each half meets
+		// a run that Start has only just returned.
+		run := sched.Start(vm, sched.Config{Workers: 2})
+		if round%2 == 0 {
+			stop()
+		}
+		var burst []*interp.Thread
+		for i := 0; i < 256; i++ {
+			burst = append(burst, spawn("late"))
+		}
+		if round%2 == 1 {
+			stop()
+		}
+		burst = append(burst, <-racing...)
+		if t.Failed() {
+			t.FailNow()
+		}
+		waited := make(chan struct{})
+		go func() {
+			for _, th := range append(burst, spinner) {
+				th.Wait()
+			}
+			close(waited)
+		}()
+		select {
+		case <-waited:
+		case <-time.After(10 * time.Second):
+			lost := 0
+			for _, th := range burst {
+				if !th.Done() {
+					lost++
+				}
+			}
+			t.Fatalf("round %d: %d burst threads never ran, killed spinner done=%v", round, lost, spinner.Done())
+		}
+		for i, th := range burst {
 			if th.Result().I != 100 {
 				t.Fatalf("round %d: burst thread %d returned %d", round, i, th.Result().I)
 			}
 		}
+		if spinner.Failure() == nil {
+			t.Fatalf("round %d: the killed isolate's thread returned %d", round, spinner.Result().I)
+		}
 		vm.Shutdown()
-		if res := <-done; !res.Shutdown || keeper.Done() {
+		if res := run.Wait(); !res.Shutdown || keeper.Done() {
 			t.Fatalf("round %d: run ended with %+v, keeper done=%v", round, res, keeper.Done())
 		}
 	}

@@ -58,9 +58,7 @@ func TestHostGoroutineNotStarved(t *testing.T) {
 	for k := 0; k < workers; k++ {
 		spinForever(t, vm, k)
 	}
-	resCh := make(chan interp.RunResult, 1)
-	go func() { resCh <- sched.Run(vm, workers, 0) }()
-	sched.AwaitStart(vm)
+	run := sched.Start(vm, sched.Config{Workers: workers})
 
 	before := vm.TotalInstructions()
 	for i := 0; i < hostIterations; i++ {
@@ -68,7 +66,7 @@ func TestHostGoroutineNotStarved(t *testing.T) {
 	}
 	perIter := (vm.TotalInstructions() - before) / slice / hostIterations / int64(workers)
 	vm.Shutdown()
-	res := <-resCh
+	res := run.Wait()
 	if !res.Shutdown {
 		t.Fatalf("run ended without shutdown: %+v", res)
 	}

@@ -2,7 +2,6 @@ package sched_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -81,15 +80,7 @@ func TestConcurrentStressKillsUnderRace(t *testing.T) {
 		threads = append(threads, th)
 	}
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var res interp.RunResult
-	go func() {
-		defer wg.Done()
-		res = sched.Run(vm, 4, 0) // unlimited budget: only the kills end it
-	}()
-
-	sched.AwaitStart(vm)
+	run := sched.Start(vm, sched.Config{Workers: 4}) // unlimited budget: only the kills end it
 
 	// Admin goroutine: kill every bundle mid-run, alternating between the
 	// Isolate0-initiated path (rights check) and the host path, with
@@ -108,7 +99,7 @@ func TestConcurrentStressKillsUnderRace(t *testing.T) {
 		}
 		_ = vm.Snapshots()
 	}
-	wg.Wait()
+	res := run.Wait()
 
 	if !res.AllDone {
 		t.Fatalf("run did not drain after all kills: %+v", res)

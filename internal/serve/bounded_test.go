@@ -46,9 +46,7 @@ func servePooledSessions(t *testing.T, sessions int64) (interp.StopStats, interp
 	if err != nil {
 		t.Fatal(err)
 	}
-	resCh := make(chan interp.RunResult, 1)
-	go func() { resCh <- sched.Run(vm, 2, 0) }()
-	sched.AwaitStart(vm)
+	run := sched.Start(vm, sched.Config{Workers: 2})
 
 	var (
 		next atomic.Int64
@@ -93,7 +91,7 @@ func servePooledSessions(t *testing.T, sessions int64) (interp.StopStats, interp
 	wg.Wait()
 	st := vm.StopStats()
 	vm.Shutdown()
-	res := <-resCh
+	res := run.Wait()
 	pool.Close()
 	if !res.Shutdown {
 		t.Fatalf("run ended without shutdown: %+v", res)

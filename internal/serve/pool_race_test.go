@@ -161,11 +161,7 @@ func TestClonePoolConcurrentChurn(t *testing.T) {
 	}
 	victim := shards[1]
 
-	resCh := make(chan interp.RunResult, 1)
-	go func() {
-		resCh <- sched.RunConfig(vm, sched.Config{Workers: 4, Policy: sched.PolicyProportional})
-	}()
-	sched.AwaitStart(vm)
+	run := sched.Start(vm, sched.Config{Workers: 4, Policy: sched.PolicyProportional})
 
 	// Admin storms: collections every round, interrupt storms every 3rd,
 	// one victim kill.
@@ -250,7 +246,7 @@ func TestClonePoolConcurrentChurn(t *testing.T) {
 	close(stop)
 	adminWG.Wait()
 	vm.Shutdown()
-	res := <-resCh
+	res := run.Wait()
 	// The keeper spins forever by design, so the run always ends via
 	// Shutdown preemption, never AllDone.
 	if !res.Shutdown {

@@ -63,7 +63,7 @@ type gwStack struct {
 	vm    *interp.VM
 	pool  *serve.Pool       // nil: cold sessions
 	serve *classfile.Method // the template's serve
-	run   chan interp.RunResult
+	run   *sched.Running
 
 	checksum, serves atomic.Int64
 	mu               sync.Mutex
@@ -114,17 +114,13 @@ func (g *gwStack) spawnAttack(t *testing.T, iso *core.Isolate, c *classfile.Clas
 }
 
 func (g *gwStack) start(gov *sched.Governor) {
-	g.run = make(chan interp.RunResult, 1)
-	go func() {
-		g.run <- sched.RunConfig(g.vm, sched.Config{Workers: 2, Policy: sched.PolicyProportional, Governor: gov})
-	}()
-	sched.AwaitStart(g.vm)
+	g.run = sched.Start(g.vm, sched.Config{Workers: 2, Policy: sched.PolicyProportional, Governor: gov})
 }
 
 // stop ends the run and closes the pool, whose counters are final then.
 func (g *gwStack) stop() {
 	g.vm.Shutdown()
-	<-g.run
+	g.run.Wait()
 	if g.pool != nil {
 		g.pool.Close()
 	}

@@ -407,15 +407,11 @@ func RunSLO(cfg SLOConfig) (*SLOResult, error) {
 		policy = sched.PolicyRoundRobin
 	}
 
-	resCh := make(chan interp.RunResult, 1)
-	go func() {
-		resCh <- sched.RunConfig(vm, sched.Config{
-			Workers:  cfg.Workers,
-			Policy:   policy,
-			Governor: gov,
-		})
-	}()
-	sched.AwaitStart(vm)
+	run := sched.Start(vm, sched.Config{
+		Workers:  cfg.Workers,
+		Policy:   policy,
+		Governor: gov,
+	})
 
 	var completed, failed int64
 	latMu := sync.Mutex{}
@@ -465,7 +461,7 @@ func RunSLO(cfg SLOConfig) (*SLOResult, error) {
 		}
 	}
 	vm.Shutdown()
-	runRes := <-resCh
+	runRes := run.Wait()
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	pct := func(p float64) int64 {
